@@ -68,6 +68,7 @@ from .dynamics import (
     solution_pair_N_hamiltonian,
     solution_pair_P,
     solution_pair_TstarQ,
+    trajectory_rows,
     vector_field_N,
     vector_field_lagrangian,
 )
@@ -108,6 +109,7 @@ from .model import (
     TangentCovectorPair,
     arena_dim,
     arena_of_point,
+    arena_slots,
     entropy_slope,
     external_value,
     friction_value,

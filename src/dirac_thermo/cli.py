@@ -36,6 +36,7 @@ from .dynamics import (
     integrate_implicit_P,
     lagrangian_field,
     monitor,
+    trajectory_rows,
     vector_field_lagrangian,
 )
 from .errors import (
@@ -60,7 +61,8 @@ from .model import (
     PointP,
     SimpleThermoModel,
     arena_dim,
-    make_point,
+    arena_slots,
+    point_from_vector,
     temperature,
 )
 from .systems import (
@@ -273,15 +275,6 @@ def _csv_header(n: int) -> str:
     return ",".join(cols)
 
 
-def _state_velocity(model: SimpleThermoModel, traj: Trajectory, k: int) -> np.ndarray:
-    point = traj.states[k]
-    if hasattr(point, "v"):
-        return np.asarray(point.v, dtype=float)
-    # momentum chart: the stored rate's configuration block is the
-    # inverted fiber velocity
-    return np.asarray(traj.rates[k][: model.n], dtype=float)
-
-
 def write_trajectory_csv(
     path: str, model: SimpleThermoModel, traj: Trajectory, full_resolution: bool
 ) -> int:
@@ -292,16 +285,14 @@ def write_trajectory_csv(
     stride = 1 if full_resolution else max(1, math.ceil(count / MAX_CSV_ROWS))
     indices = range(0, count, stride)
     fmt = lambda x: format(float(x), ".17g")
+    states = trajectory_rows(traj)
     lines = [_csv_header(n)]
     for k in indices:
-        point = traj.states[k]
         rec = traj.diagnostics[k]
-        v = _state_velocity(model, traj, k)
+        # (q, S, v, p): the rate slot W is not a CSV column
         row = [fmt(traj.times[k])]
-        row += [fmt(x) for x in np.asarray(point.q, dtype=float)]
-        row += [fmt(point.S)]
-        row += [fmt(x) for x in v]
-        row += [fmt(x) for x in np.asarray(point.p, dtype=float)]
+        row += [fmt(x) for x in states[k, : 2 * n + 1]]
+        row += [fmt(x) for x in states[k, 2 * n + 2 :]]
         row += [
             fmt(rec.energy),
             fmt(rec.entropy_rate),
@@ -358,16 +349,9 @@ def _isotropy_rows(cfg: RunConfig, model: SimpleThermoModel, samples: int = 20):
         for _ in range(samples):
             q, v, S = model.domain_box.sample(rng)
             p = momentum_map(model, q, v, S)
-            if arena == "P":
-                point = make_point(
-                    "P", model.n, q=q, S=S, v=v, W=rng.uniform(-1, 1), p=p, lam=0.0
-                )
-            elif arena == "TstarQ":
-                point = make_point("TstarQ", model.n, q=q, S=S, p=p, lam=0.0)
-            elif arena == "M":
-                point = make_point("M", model.n, q=q, S=S, v=v, p=p)
-            else:
-                point = make_point("N", model.n, q=q, S=S, p=p)
+            W = rng.uniform(-1, 1) if arena == "P" else 0.0
+            full = np.concatenate([q, [S], v, [W], p, [0.0]])
+            point = point_from_vector(arena, model.n, full[arena_slots(arena, model.n)])
             try:
                 basis = dirac_basis(arena, model, point)
             except DiracThermoError:
@@ -572,10 +556,11 @@ def main(argv=None) -> int:
     except DegenerateLagrangianError as err:
         print(f"formulation unavailable for this model: {err}", file=sys.stderr)
         return EXIT_BUILD
-    except (IntegrationError, NewtonError) as err:
-        print(f"integration failed: {err}", file=sys.stderr)
-        return EXIT_INTEGRATION
     except DiracThermoError as err:
+        # under run, any remaining domain error was raised mid-integration
+        if args.verb == "run" or isinstance(err, (IntegrationError, NewtonError)):
+            print(f"integration failed: {err}", file=sys.stderr)
+            return EXIT_INTEGRATION
         print(f"check failed: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

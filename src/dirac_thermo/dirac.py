@@ -22,11 +22,19 @@ where a covector is split per arena order into (a, tS, ...) blocks: a on
 the configuration slots, tS on the entropy slot, then one block per
 remaining coordinate group (b for velocity, Y for the rate slot, u for
 momentum, Psi for the covariable slot).
+
+Only the P stack is written out; its row i is the condition on P slot
+i. Every other stack is the P stack cut to the arena's slots
+(``model.arena_slots``), rows and columns alike, so dropping the lamdot
+column turns P's force rows into M's. On the momentum side the stack is
+built with s = -T and its n + 1 force and entropy rows are negated. The
+cut is made once per (arena, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -46,6 +54,7 @@ from .model import (
     _as_array,
     arena_dim,
     arena_of_point,
+    arena_slots,
     entropy_slope,
     friction_value,
     temperature,
@@ -199,6 +208,50 @@ def _point_coefficients(arena: str, model: SimpleThermoModel, point):
     raise ArenaError(f"unknown arena {arena!r}")
 
 
+def _pontryagin_conditions(n: int, coef: float, F: np.ndarray) -> np.ndarray:
+    """The P stack; row i is the condition attached to P slot i."""
+    d = 3 * n + 3
+    q = np.arange(n)
+    S, v, W, p, lam = n, n + 1 + q, 2 * n + 1, 2 * n + 2 + q, 3 * n + 2
+    A = np.zeros((d, 2 * d))
+    A[q, p] = A[q, d + q] = coef  # rate rows: (pd + a) coef + (ld + tS) F
+    A[q, lam] = A[q, d + S] = F
+    A[S, S] = coef  # entropy row: coef Sd - <F, qd>
+    A[S, q] = -F
+    A[v, d + v] = 1.0  # b = 0
+    A[W, d + W] = 1.0  # Y = 0
+    A[p, d + p] = 1.0  # u = qd
+    A[p, q] = -1.0
+    A[lam, d + lam] = 1.0  # Psi = Sd
+    A[lam, S] = -1.0
+    return A
+
+
+@lru_cache(maxsize=None)
+def _arena_conditions(arena: str, n: int):
+    """(A0, Ac, AF) with the arena's condition matrix equal to
+    A0 + coef Ac + F @ AF, cut from the P stack once per (arena, n).
+
+    The stack is affine in (coef, F) and no entry holds more than one
+    term, so the sum reproduces each entry exactly.
+    """
+    slots = arena_slots(arena, n)
+    block = np.ix_(slots, np.concatenate([slots, 3 * n + 3 + slots]))
+    # momentum side: s = -T, then negate the force and entropy rows
+    sign = -1.0 if arena in ("TstarQ", "N") else 1.0
+    flip = np.ones((slots.size, 1))
+    flip[: n + 1] = sign
+
+    def cut(coef, F):
+        # + 0.0 clears the flip's -0.0 entries; dirac_basis's SVD sees zero signs
+        return flip * _pontryagin_conditions(n, coef, F)[block] + 0.0
+
+    A0 = cut(0.0, np.zeros(n))
+    Ac = cut(sign, np.zeros(n)) - A0
+    AF = np.array([(cut(0.0, e) - A0).ravel() for e in np.eye(n)])
+    return A0, Ac, AF
+
+
 def condition_matrix(
     arena: str, model: SimpleThermoModel, point, coefficients=None
 ) -> np.ndarray:
@@ -216,74 +269,12 @@ def condition_matrix(
         raise DimensionMismatchError(
             f"point has {point.q.size} configuration coordinates, model has {n}"
         )
-    d = arena_dim(arena, n)
     if coefficients is None:
         coef, F = _point_coefficients(arena, model, point)
     else:
         coef, F = float(coefficients[0]), _as_array(coefficients[1], n, "friction")
-    A = np.zeros((d, 2 * d))
-
-    if arena == "P":
-        # tangent slots: qd 0..n-1, Sd n, vd n+1..2n, Wd 2n+1, pd 2n+2..3n+1, ld 3n+2
-        pd = 2 * n + 2
-        ld = 3 * n + 2
-        for i in range(n):
-            A[i, pd + i] = coef          # rate rows: (pd + a) s + (ld + tS) F
-            A[i, d + i] = coef
-            A[i, ld] = F[i]
-            A[i, d + n] = F[i]
-        A[n, n] = coef                   # entropy row: s Sd - <F, qd>
-        A[n, 0:n] = -F
-        for i in range(n):
-            A[n + 1 + i, d + n + 1 + i] = 1.0      # b = 0
-        A[2 * n + 1, d + 2 * n + 1] = 1.0          # Y = 0
-        for i in range(n):
-            A[2 * n + 2 + i, d + pd + i] = 1.0     # u = qd
-            A[2 * n + 2 + i, i] = -1.0
-        A[3 * n + 2, d + ld] = 1.0                 # Psi = Sd
-        A[3 * n + 2, n] = -1.0
-    elif arena == "M":
-        # tangent slots: qd, Sd at n, vd n+1..2n, pd 2n+1..3n
-        pd = 2 * n + 1
-        for i in range(n):
-            A[i, pd + i] = coef          # (pd + a) s + tS F
-            A[i, d + i] = coef
-            A[i, d + n] = F[i]
-        A[n, n] = coef
-        A[n, 0:n] = -F
-        for i in range(n):
-            A[n + 1 + i, d + n + 1 + i] = 1.0      # b = 0
-        for i in range(n):
-            A[2 * n + 1 + i, d + pd + i] = 1.0     # u = qd
-            A[2 * n + 1 + i, i] = -1.0
-    elif arena == "TstarQ":
-        # tangent slots: qd, Sd at n, pd n+1..2n, ld 2n+1
-        pd = n + 1
-        ld = 2 * n + 1
-        for i in range(n):
-            A[i, pd + i] = coef          # (pd + a) T - (ld + tS) F
-            A[i, d + i] = coef
-            A[i, ld] = -F[i]
-            A[i, d + n] = -F[i]
-        A[n, n] = coef                   # T Sd + <F, qd>
-        A[n, 0:n] = F
-        for i in range(n):
-            A[n + 1 + i, d + pd + i] = 1.0         # u = qd
-            A[n + 1 + i, i] = -1.0
-        A[2 * n + 1, d + ld] = 1.0                 # Psi = Sd
-        A[2 * n + 1, n] = -1.0
-    else:  # N
-        pd = n + 1
-        for i in range(n):
-            A[i, pd + i] = coef          # (pd + a) T - tS F
-            A[i, d + i] = coef
-            A[i, d + n] = -F[i]
-        A[n, n] = coef                   # T Sd + <F, qd>
-        A[n, 0:n] = F
-        for i in range(n):
-            A[n + 1 + i, d + pd + i] = 1.0         # u = qd
-            A[n + 1 + i, i] = -1.0
-    return A
+    A0, Ac, AF = _arena_conditions(arena, n)
+    return A0 + coef * Ac + (F @ AF).reshape(A0.shape)
 
 
 def dirac_membership(
@@ -302,8 +293,9 @@ def dirac_membership(
     is forwarded to :func:`condition_matrix`.
     """
     if pair_covector is None:
-        pair_covector = pair_tangent
-    _require_same_base(pair_tangent, pair_covector)
+        pair_covector = pair_tangent  # one pair: its base matches itself
+    else:
+        _require_same_base(pair_tangent, pair_covector)
     if pair_tangent.arena != arena:
         raise ArenaError(
             f"pairs live on arena {pair_tangent.arena!r}, membership asked for {arena!r}"

@@ -13,14 +13,17 @@ rate, the rate-constraint residual, and the membership residual of the
 numerical (state, rate, energy differential) data in the induced
 subspace. The ``solution_pair_*`` helpers assemble exactly those
 (state, tangent, covector) triples from an on-shell state; they are the
-bridge between computed trajectories and the membership tests, and the
-momentum-side variants encode the sign flips of the base-derivative
-transport map (configuration slope and covariable slots negated).
+bridge between computed trajectories and the membership tests. One
+builder fills the P-arena data from a single derivative pass, and every
+other arena takes that data at its slots (``model.arena_slots``)
+unchanged: the sign flip between the velocity and momentum sides lives
+in the TstarQ and N condition rows (``dirac.condition_matrix``), not in
+the data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,11 +42,11 @@ from .model import (
     PointM,
     PointN,
     PointP,
-    PointTstarQ,
     point_from_vector,
     SimpleThermoModel,
     TangentCovectorPair,
     _as_array,
+    arena_slots,
     external_value,
     friction_value,
     friction_velocity_jacobian,
@@ -70,6 +73,7 @@ __all__ = [
     "solution_pair_N_hamiltonian",
     "solution_pair_P",
     "solution_pair_TstarQ",
+    "trajectory_rows",
     "vector_field_N",
     "vector_field_lagrangian",
 ]
@@ -86,6 +90,17 @@ class DiagnosticsRecord:
     entropy_rate: float
     constraint_residual: float
     dirac_residual: float
+
+
+def _record(energy, S, Sdot, constraint, residual) -> DiagnosticsRecord:
+    """Diagnostics record from the constraint value and membership residual."""
+    return DiagnosticsRecord(
+        energy=energy,
+        entropy=S,
+        entropy_rate=Sdot,
+        constraint_residual=abs(constraint),
+        dirac_residual=float(np.max(np.abs(residual))),
+    )
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,21 @@ class Trajectory:
     completed: bool = True
 
 
+def trajectory_rows(trajectory: Trajectory) -> np.ndarray:
+    """(q, S, v, W=Sdot, p) rows of a stored trajectory, one per state.
+
+    On the momentum chart the stored rate's configuration block is the
+    inverted fiber velocity, so no fiber solve is needed; the other
+    charts store v in their states."""
+    n = trajectory.states[0].q.size
+    rows = np.empty((len(trajectory.states), 3 * n + 2))
+    for row, point, rate in zip(rows, trajectory.states, trajectory.rates):
+        v = point.v if hasattr(point, "v") else rate[:n]
+        row[:n], row[n], row[n + 1 : 2 * n + 1] = point.q, point.S, v
+        row[2 * n + 1], row[2 * n + 2 :] = rate[n], point.p
+    return rows
+
+
 # --- explicit right-hand sides -----------------------------------------
 
 
@@ -126,7 +156,7 @@ def _momentum_work(hmodel: HamiltonianModel, point: PointN, v0=None):
     fiber at stored states.
     """
     model = hmodel.source
-    hp = hmodel.partials(point.q, point.p, point.S, v0=v0)
+    hp = hamiltonian_partials(model, point.q, point.p, point.S, v0=v0)
     v = hp.velocity
     F = friction_value(model, point.q, v, point.S)
     Fext = external_value(model, point.q, v, point.S)
@@ -174,15 +204,13 @@ def vector_field_lagrangian(model: SimpleThermoModel, q, v, S):
 
     if model.degenerate:
         zero_v = np.zeros(n)
-        F0 = friction_value(model, q, zero_v, S)
+        dLdq, _, s, F0, Fext = _point_partials(model, q, zero_v, S)
         if np.max(np.abs(F0)) > 1e-12:
             raise DiracThermoError(
                 "the degenerate regime needs velocity-linear friction "
                 f"(got friction {F0} at zero velocity, model {model.name})"
             )
         J = friction_velocity_jacobian(model, q, zero_v, S)
-        dLdq, _, s = lagrangian_partials(model, q, zero_v, S)
-        Fext = external_value(model, q, zero_v, S)
         try:
             qdot = np.linalg.solve(J, -(dLdq + Fext))
         except np.linalg.LinAlgError:
@@ -205,6 +233,13 @@ def vector_field_lagrangian(model: SimpleThermoModel, q, v, S):
     return qdot, vdot, Sdot
 
 
+def _point_partials(model: SimpleThermoModel, q, v, S):
+    """(dLdq, dLdv, s, F, Fext) at one state: the derivative pass that
+    rates, solution data and diagnostics share."""
+    dLdq, dLdv, s = lagrangian_partials(model, q, v, S)
+    return dLdq, dLdv, s, friction_value(model, q, v, S), external_value(model, q, v, S)
+
+
 def _regular_work(model: SimpleThermoModel, q, v, S):
     """Velocity-side rate plus the intermediates it was built from.
 
@@ -213,9 +248,7 @@ def _regular_work(model: SimpleThermoModel, q, v, S):
     field can hand diagnostics the same values instead of recomputing
     them at stored states.
     """
-    dLdq, dLdv, s = lagrangian_partials(model, q, v, S)
-    F = friction_value(model, q, v, S)
-    Fext = external_value(model, q, v, S)
+    dLdq, dLdv, s, F, Fext = _point_partials(model, q, v, S)
     if not F.any():
         Sdot = 0.0
     else:
@@ -249,13 +282,60 @@ def _regular_work(model: SimpleThermoModel, q, v, S):
 # --- on-shell membership data -------------------------------------------
 
 
-def _lagrangian_side_rates(model: SimpleThermoModel, q, v, S):
-    """(qdot, vdot, Sdot, partials, friction) at an on-shell state."""
+def _lagrangian_work(model: SimpleThermoModel, q, v, S):
+    """As :func:`_regular_work` at an on-shell state; degenerate models
+    take their partials at the solved rate."""
+    q = _as_array(q, model.n, "q")
+    if not model.degenerate:
+        return _regular_work(model, q, _as_array(v, model.n, "v"), float(S))
     qdot, vdot, Sdot = vector_field_lagrangian(model, q, v, S)
-    dLdq, dLdv, s = lagrangian_partials(model, q, qdot, S)
-    F = friction_value(model, q, qdot, S)
-    Fext = external_value(model, q, qdot, S)
-    return qdot, vdot, Sdot, dLdq, dLdv, s, F, Fext
+    return (qdot, vdot, Sdot, *_point_partials(model, q, qdot, S))
+
+
+def _solution_data(model: SimpleThermoModel, q, v, S, work) -> TangentCovectorPair:
+    """P-arena data at the state (q, v, S) with the rate and partials in
+    ``work``, laid out as :func:`_regular_work` returns them: (qdot,
+    vdot, Sdot) and then (dLdq, dLdv, s, F, Fext) taken at (q, v, S). On
+    a solution v equals qdot. A degenerate model's momentum is
+    identically zero, and so is its rate."""
+    qdot, vdot, Sdot, dLdq, dLdv, s, _, Fext = work
+    point = PointP(q=np.asarray(q, float), S=float(S), v=v, W=Sdot, p=dLdv, lam=0.0)
+    if model.degenerate:
+        pdot = np.zeros(model.n)
+    else:
+        pdot = momentum_rate(model, q, v, S, qdot=qdot, vdot=vdot, Sdot=Sdot)
+    tangent = np.concatenate([qdot, [Sdot], vdot, [0.0], pdot, [0.0]])
+    covector = np.concatenate(
+        [-dLdq - Fext, [-s], point.p - dLdv, [point.lam], v, [Sdot]]
+    )
+    return TangentCovectorPair(base=point, tangent=tangent, covector=covector)
+
+
+def _on_arena(pair: TangentCovectorPair, arena: str) -> TangentCovectorPair:
+    """P-arena data taken at the arena's slots."""
+    n = pair.base.q.size
+    slots = arena_slots(arena, n)
+    base = point_from_vector(arena, n, pair.base.as_vector()[slots])
+    return TangentCovectorPair(
+        base=base, tangent=pair.tangent[slots], covector=pair.covector[slots]
+    )
+
+
+def _hamiltonian_covector(hp, Fext) -> np.ndarray:
+    """The Hamiltonian differential (dH/dq - external, dH/dS, dH/dp)."""
+    return np.concatenate([hp.dq - Fext, [hp.dS], hp.dp])
+
+
+def _hamiltonian_N(model: SimpleThermoModel, pair) -> TangentCovectorPair:
+    """N data of P-arena solution data with the Hamiltonian differential
+    as its covector, the fiber inverted from the solution's velocity."""
+    Fext = external_value(model, pair.base.q, pair.base.v, pair.base.S)
+    pair = _on_arena(pair, "N")
+    base = pair.base
+    hp = hamiltonian_partials(model, base.q, base.p, base.S, v0=pair.tangent[: base.q.size])
+    return TangentCovectorPair(
+        base=base, tangent=pair.tangent, covector=_hamiltonian_covector(hp, Fext)
+    )
 
 
 def solution_pair_P(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
@@ -264,47 +344,26 @@ def solution_pair_P(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     covector is the generalized-energy differential (external force
     subtracted on the configuration slots). The rate of the entropy-rate
     slot is unconstrained and recorded as zero."""
-    qdot, vdot, Sdot, dLdq, dLdv, s, F, Fext = _lagrangian_side_rates(model, q, v, S)
-    point = PointP(q=np.asarray(q, float), S=float(S), v=qdot, W=Sdot, p=dLdv, lam=0.0)
-    pdot = momentum_rate(model, q, qdot, S, qdot=qdot, vdot=vdot, Sdot=Sdot)
-    tangent = np.concatenate([qdot, [Sdot], vdot, [0.0], pdot, [0.0]])
-    covector = np.concatenate(
-        [-dLdq - Fext, [-s], point.p - dLdv, [point.lam], qdot, [Sdot]]
-    )
-    return TangentCovectorPair(base=point, tangent=tangent, covector=covector)
+    work = _lagrangian_work(model, q, v, S)
+    return _solution_data(model, q, work[0], S, work)
 
 
 def solution_pair_M(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """As :func:`solution_pair_P` on the velocity-momentum arena."""
-    qdot, vdot, Sdot, dLdq, dLdv, s, F, Fext = _lagrangian_side_rates(model, q, v, S)
-    point = PointM(q=np.asarray(q, float), S=float(S), v=qdot, p=dLdv)
-    pdot = momentum_rate(model, q, qdot, S, qdot=qdot, vdot=vdot, Sdot=Sdot)
-    tangent = np.concatenate([qdot, [Sdot], vdot, pdot])
-    covector = np.concatenate([-dLdq - Fext, [-s], point.p - dLdv, qdot])
-    return TangentCovectorPair(base=point, tangent=tangent, covector=covector)
+    return _on_arena(solution_pair_P(model, q, v, S), "M")
 
 
 def solution_pair_TstarQ(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """Velocity-side data transported to the cotangent arena: base at
     (q, S, momentum, 0), covector slots (-dL/dq, -dL/dS, v, Sdot)."""
-    qdot, vdot, Sdot, dLdq, dLdv, s, F, Fext = _lagrangian_side_rates(model, q, v, S)
-    point = PointTstarQ(q=np.asarray(q, float), S=float(S), p=dLdv, lam=0.0)
-    pdot = momentum_rate(model, q, qdot, S, qdot=qdot, vdot=vdot, Sdot=Sdot)
-    tangent = np.concatenate([qdot, [Sdot], pdot, [0.0]])
-    covector = np.concatenate([-dLdq - Fext, [-s], qdot, [Sdot]])
-    return TangentCovectorPair(base=point, tangent=tangent, covector=covector)
+    return _on_arena(solution_pair_P(model, q, v, S), "TstarQ")
 
 
 def solution_pair_N(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """Velocity-side data transported to the momentum arena; the
     covector is (-dL/dq, -dL/dS, v), fiber matching supplying the base
     momentum."""
-    qdot, vdot, Sdot, dLdq, dLdv, s, F, Fext = _lagrangian_side_rates(model, q, v, S)
-    point = PointN(q=np.asarray(q, float), S=float(S), p=dLdv)
-    pdot = momentum_rate(model, q, qdot, S, qdot=qdot, vdot=vdot, Sdot=Sdot)
-    tangent = np.concatenate([qdot, [Sdot], pdot])
-    covector = np.concatenate([-dLdq - Fext, [-s], qdot])
-    return TangentCovectorPair(base=point, tangent=tangent, covector=covector)
+    return _on_arena(solution_pair_P(model, q, v, S), "N")
 
 
 def solution_pair_N_hamiltonian(
@@ -312,14 +371,7 @@ def solution_pair_N_hamiltonian(
 ) -> TangentCovectorPair:
     """As :func:`solution_pair_N` but with the Hamiltonian differential
     (dH/dq - external, dH/dS, dH/dp) as the covector."""
-    model = hmodel.source
-    qdot, vdot, Sdot, dLdq, dLdv, s, F, Fext = _lagrangian_side_rates(model, q, v, S)
-    point = PointN(q=np.asarray(q, float), S=float(S), p=dLdv)
-    pdot = momentum_rate(model, q, qdot, S, qdot=qdot, vdot=vdot, Sdot=Sdot)
-    tangent = np.concatenate([qdot, [Sdot], pdot])
-    hp = hamiltonian_partials(model, point.q, point.p, point.S, v0=qdot)
-    covector = np.concatenate([hp.dq - Fext, [hp.dS], hp.dp])
-    return TangentCovectorPair(base=point, tangent=tangent, covector=covector)
+    return _hamiltonian_N(hmodel.source, solution_pair_P(hmodel.source, q, v, S))
 
 
 # --- explicit integration ------------------------------------------------
@@ -369,16 +421,11 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
             hp = hamiltonian_partials(model, point.q, point.p, point.S, v0=v)
             F = friction_value(model, point.q, hp.velocity, point.S)
             Fext = external_value(model, point.q, hp.velocity, point.S)
-        covector = np.concatenate([hp.dq - Fext, [hp.dS], hp.dp])
-        pair = TangentCovectorPair(base=point, tangent=r, covector=covector)
-        res = dirac_membership("N", model, pair, coefficients=(hp.dS, F))
-        return DiagnosticsRecord(
-            energy=energy,
-            entropy=point.S,
-            entropy_rate=Sdot,
-            constraint_residual=abs(constraint),
-            dirac_residual=float(np.max(np.abs(res))),
+        pair = TangentCovectorPair(
+            base=point, tangent=r, covector=_hamiltonian_covector(hp, Fext)
         )
+        res = dirac_membership("N", model, pair, coefficients=(hp.dS, F))
+        return _record(energy, point.S, Sdot, constraint, res)
 
     return ExplicitField(
         arena="N", dim=2 * n + 1, rate=rate, to_point=to_point, diagnostics=diagnostics
@@ -389,6 +436,7 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     """Velocity-side field; chart (q, S, v), or (q, S) for degenerate
     models whose rate is algebraic."""
     n = model.n
+    work = [None, None]  # (state bytes, _regular_work result) of the last rate call
 
     if model.degenerate:
 
@@ -400,77 +448,47 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
             # momentum is identically zero: no velocity dependence in L
             return PointM(q=y[:n].copy(), S=float(y[n]), v=r[:n].copy(), p=np.zeros(n))
 
-        def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
-            point = to_point(y, r)
-            energy = -lagrangian_value(model, point.q, point.v, point.S)
-            Sdot = float(r[n])
-            constraint = phenomenological_constraint_residual(
-                model, point.q, point.v, point.S, Sdot
-            )
-            dLdq, dLdv, s = lagrangian_partials(model, point.q, point.v, point.S)
-            F = friction_value(model, point.q, point.v, point.S)
-            Fext = external_value(model, point.q, point.v, point.S)
-            tangent = np.concatenate([r[:n], [Sdot], np.zeros(n), np.zeros(n)])
-            covector = np.concatenate([-dLdq - Fext, [-s], point.p - dLdv, point.v])
-            pair = TangentCovectorPair(base=point, tangent=tangent, covector=covector)
-            res = dirac_membership("M", model, pair, coefficients=(s, F))
-            return DiagnosticsRecord(
-                energy=energy,
-                entropy=point.S,
-                entropy_rate=Sdot,
-                constraint_residual=abs(constraint),
-                dirac_residual=float(np.max(np.abs(res))),
-            )
+    else:
 
-        return ExplicitField(
-            arena="M", dim=n + 1, rate=rate, to_point=to_point, diagnostics=diagnostics
-        )
+        def rate(y: np.ndarray) -> np.ndarray:
+            w = _regular_work(model, y[:n], y[n + 1 :], float(y[n]))
+            work[0] = y.tobytes()
+            work[1] = w
+            qdot, vdot, Sdot = w[:3]
+            return np.concatenate([qdot, [Sdot], vdot])
 
-    work = [None, None]  # (state bytes, intermediates) of the last rate call
-
-    def rate(y: np.ndarray) -> np.ndarray:
-        q, S, v = y[:n], float(y[n]), y[n + 1 :]
-        qdot, vdot, Sdot, dLdq, dLdv, s, F, Fext = _regular_work(model, q, v, S)
-        work[0] = y.tobytes()
-        work[1] = (dLdq, dLdv, s, F, Fext)
-        return np.concatenate([qdot, [Sdot], vdot])
-
-    def to_point(y: np.ndarray, r: np.ndarray) -> PointM:
-        q, S, v = y[:n], float(y[n]), y[n + 1 :]
-        if work[0] == y.tobytes():
-            p = work[1][1].copy()
-        else:
-            p = momentum_map(model, q, v, S)
-        return PointM(q=q.copy(), S=S, v=v.copy(), p=p)
+        def to_point(y: np.ndarray, r: np.ndarray) -> PointM:
+            q, S, v = y[:n], float(y[n]), y[n + 1 :]
+            if work[0] == y.tobytes():
+                p = work[1][4].copy()
+            else:
+                p = momentum_map(model, q, v, S)
+            return PointM(q=q.copy(), S=S, v=v.copy(), p=p)
 
     def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
-        q, S, v = y[:n], float(y[n]), y[n + 1 :]
-        if work[0] == y.tobytes():
-            dLdq, dLdv, s, F, Fext = work[1]
+        # measures the given rate r at the state y; only partials are cached
+        q, S, Sdot = y[:n], float(y[n]), float(r[n])
+        if model.degenerate:
+            v, vdot = r[:n], np.zeros(n)  # the chart has no velocity slot
         else:
-            dLdq, dLdv, s = lagrangian_partials(model, q, v, S)
-            F = friction_value(model, q, v, S)
-            Fext = external_value(model, q, v, S)
-        point = PointM(q=q.copy(), S=S, v=v.copy(), p=dLdv)
+            v, vdot = y[n + 1 :], r[n + 1 :]
+        if work[0] == y.tobytes():
+            partials = work[1][3:]
+        else:
+            partials = _point_partials(model, q, v, S)
+        _, dLdv, s, F, _ = partials
         energy = float(dLdv @ v) - lagrangian_value(model, q, v, S)
-        Sdot = float(r[n])
-        vdot = r[n + 1 :]
         constraint = float(s * Sdot - F @ v)
-        pdot = momentum_rate(model, q, v, S, qdot=r[:n], vdot=vdot, Sdot=Sdot)
-        tangent = np.concatenate([r[:n], [Sdot], vdot, pdot])
-        covector = np.concatenate([-dLdq - Fext, [-s], point.p - dLdv, v])
-        pair = TangentCovectorPair(base=point, tangent=tangent, covector=covector)
-        res = dirac_membership("M", model, pair, coefficients=(s, F))
-        return DiagnosticsRecord(
-            energy=energy,
-            entropy=S,
-            entropy_rate=Sdot,
-            constraint_residual=abs(constraint),
-            dirac_residual=float(np.max(np.abs(res))),
-        )
+        data = _solution_data(model, q, v, S, (r[:n], vdot, Sdot, *partials))
+        res = dirac_membership("M", model, _on_arena(data, "M"), coefficients=(s, F))
+        return _record(energy, S, Sdot, constraint, res)
 
     return ExplicitField(
-        arena="M", dim=2 * n + 1, rate=rate, to_point=to_point, diagnostics=diagnostics
+        arena="M",
+        dim=n + 1 if model.degenerate else 2 * n + 1,
+        rate=rate,
+        to_point=to_point,
+        diagnostics=diagnostics,
     )
 
 
@@ -557,10 +575,7 @@ def implicit_residual_P(model: SimpleThermoModel, point: PointP, rates) -> np.nd
     rates = _as_array(rates, 3 * n + 3, "rates")
     qdot, Sdot = rates[:n], rates[n]
     pdot, lamdot = rates[2 * n + 2 : 3 * n + 2], rates[3 * n + 2]
-    q, v, S = point.q, point.v, point.S
-    dLdq, dLdv, s = lagrangian_partials(model, q, v, S)
-    F = friction_value(model, q, v, S)
-    Fext = external_value(model, q, v, S)
+    dLdq, dLdv, s, F, Fext = _point_partials(model, point.q, point.v, point.S)
     return np.concatenate(
         [
             (pdot - dLdq - Fext) * s + (lamdot - s) * F,
@@ -578,13 +593,7 @@ def _implicit_diag(model, point, rates, residual) -> DiagnosticsRecord:
         model, point.q, point.v, point.S
     )
     n = model.n
-    return DiagnosticsRecord(
-        energy=energy,
-        entropy=point.S,
-        entropy_rate=float(rates[n]),
-        constraint_residual=abs(float(residual[n])),
-        dirac_residual=float(np.max(np.abs(residual))),
-    )
+    return _record(energy, point.S, float(rates[n]), float(residual[n]), residual)
 
 
 def integrate_implicit_P(
@@ -666,14 +675,7 @@ def integrate_implicit_P(
         rate = (x1 - x0) / h
         point = point_from_vector("P", n, x1)
         # snap the algebraic slots exactly; Newton left them within tol
-        point = PointP(
-            q=point.q,
-            S=point.S,
-            v=point.v,
-            W=point.W,
-            p=momentum_map(model, point.q, point.v, point.S),
-            lam=0.0,
-        )
+        point = replace(point, p=momentum_map(model, point.q, point.v, point.S), lam=0.0)
         x = point.as_vector()
         states.append(point)
         rates_list.append(rate)

@@ -207,25 +207,9 @@ def generalized_energy(arena: str, model: SimpleThermoModel, point) -> float:
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """A model checked usable on the momentum side, plus solver settings."""
+    """A model checked usable on the momentum side."""
 
     source: SimpleThermoModel
-    tol: float = NEWTON_TOL
-    max_iter: int = NEWTON_MAX_ITER
-
-    def velocity(self, q, p, S, v0=None) -> np.ndarray:
-        return inverse_partial_legendre(
-            self.source, q, p, S, v0=v0, tol=self.tol, max_iter=self.max_iter
-        )
-
-    def value(self, q, p, S, v0=None) -> float:
-        return hamiltonian(self.source, q, p, S, v0=v0)
-
-    def partials(self, q, p, S, v0=None) -> HamiltonianPartials:
-        return hamiltonian_partials(self.source, q, p, S, v0=v0)
-
-    def temperature_friction(self, q, p, S, v0=None):
-        return temperature_and_friction_N(self.source, q, p, S, v0=v0)
 
 
 def build_hamiltonian_model(

@@ -22,6 +22,7 @@ orders and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "TangentCovectorPair",
     "arena_dim",
     "arena_of_point",
+    "arena_slots",
     "entropy_slope",
     "external_value",
     "friction_value",
@@ -55,17 +57,43 @@ __all__ = [
 
 ARENAS = ("P", "TstarQ", "M", "N")
 
+# The one arena layout table: P's coordinate groups in flat order, and
+# the groups each arena keeps, in the same order.
+_P_GROUPS = ("q", "S", "v", "W", "p", "lam")
+_ARENA_GROUPS = {
+    "P": _P_GROUPS,
+    "TstarQ": ("q", "S", "p", "lam"),
+    "M": ("q", "S", "v", "p"),
+    "N": ("q", "S", "p"),
+}
+_VECTOR_GROUPS = ("q", "v", "p")  # length n; the other groups are scalars
+
+
+def _arena_groups(arena: str) -> tuple:
+    try:
+        return _ARENA_GROUPS[arena]
+    except KeyError:
+        raise ArenaError(f"unknown arena {arena!r}; expected one of {ARENAS}")
+
+
+@lru_cache(maxsize=None)
+def arena_slots(arena: str, n: int) -> np.ndarray:
+    """Indices of the arena's flat coordinates inside P's flat order
+    (q, S, v, W, p, lam); read-only, built once per (arena, n)."""
+    groups = _arena_groups(arena)
+    slots, start = [], 0
+    for group in _P_GROUPS:
+        size = n if group in _VECTOR_GROUPS else 1
+        if group in groups:
+            slots.extend(range(start, start + size))
+        start += size
+    out = np.array(slots)
+    out.flags.writeable = False
+    return out
+
 
 def arena_dim(arena: str, n: int) -> int:
-    if arena == "P":
-        return 3 * n + 3
-    if arena == "TstarQ":
-        return 2 * n + 2
-    if arena == "M":
-        return 3 * n + 1
-    if arena == "N":
-        return 2 * n + 1
-    raise ArenaError(f"unknown arena {arena!r}; expected one of {ARENAS}")
+    return arena_slots(arena, n).size
 
 
 def _as_array(x, n: int, label: str) -> np.ndarray:
@@ -293,7 +321,8 @@ class PointTstarQ:
         return np.concatenate([self.q, [self.S], self.p, [self.lam]])
 
 
-_POINT_ARENA = {PointP: "P", PointTstarQ: "TstarQ", PointM: "M", PointN: "N"}
+_POINT_TYPES = {"P": PointP, "TstarQ": PointTstarQ, "M": PointM, "N": PointN}
+_POINT_ARENA = {cls: arena for arena, cls in _POINT_TYPES.items()}
 
 
 def arena_of_point(point) -> str:
@@ -305,38 +334,15 @@ def arena_of_point(point) -> str:
 
 def make_point(arena: str, n: int, **fields):
     """Build an arena point with validated component shapes."""
-    q = _as_array(fields.pop("q"), n, "q")
-    S = float(fields.pop("S"))
-    if arena == "N":
-        pt = PointN(q=q, S=S, p=_as_array(fields.pop("p"), n, "p"))
-    elif arena == "M":
-        pt = PointM(
-            q=q,
-            S=S,
-            v=_as_array(fields.pop("v"), n, "v"),
-            p=_as_array(fields.pop("p"), n, "p"),
-        )
-    elif arena == "P":
-        pt = PointP(
-            q=q,
-            S=S,
-            v=_as_array(fields.pop("v"), n, "v"),
-            W=float(fields.pop("W")),
-            p=_as_array(fields.pop("p"), n, "p"),
-            lam=float(fields.pop("lam")),
-        )
-    elif arena == "TstarQ":
-        pt = PointTstarQ(
-            q=q,
-            S=S,
-            p=_as_array(fields.pop("p"), n, "p"),
-            lam=float(fields.pop("lam")),
-        )
-    else:
-        raise ArenaError(f"unknown arena {arena!r}; expected one of {ARENAS}")
-    if fields:
-        raise DimensionMismatchError(f"unexpected fields for arena {arena}: {sorted(fields)}")
-    return pt
+    groups = _arena_groups(arena)
+    stray = set(fields) - set(groups)
+    if stray:
+        raise DimensionMismatchError(f"unexpected fields for arena {arena}: {sorted(stray)}")
+    values = {
+        g: _as_array(fields[g], n, g) if g in _VECTOR_GROUPS else float(fields[g])
+        for g in groups
+    }
+    return _POINT_TYPES[arena](**values)
 
 
 def point_from_vector(arena: str, n: int, vec: Sequence[float]):

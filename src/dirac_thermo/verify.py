@@ -17,14 +17,13 @@ import numpy as np
 from .dirac import dirac_membership
 from .dynamics import (
     Trajectory,
+    _hamiltonian_N,
+    _on_arena,
     hamilton_field_N,
     integrate_explicit,
     lagrangian_field,
-    solution_pair_M,
-    solution_pair_N,
-    solution_pair_N_hamiltonian,
     solution_pair_P,
-    solution_pair_TstarQ,
+    trajectory_rows,
     vector_field_N,
 )
 from .errors import (
@@ -111,28 +110,6 @@ class CompareReport:
     times: np.ndarray
 
 
-def _lagrangian_view(model: SimpleThermoModel, traj: Trajectory) -> np.ndarray:
-    n = model.n
-    rows = []
-    for point, rate in zip(traj.states, traj.rates):
-        rows.append(
-            np.concatenate([point.q, [point.S], point.v, [rate[n]], point.p])
-        )
-    return np.asarray(rows)
-
-
-def _hamiltonian_view(model: SimpleThermoModel, traj: Trajectory) -> np.ndarray:
-    n = model.n
-    rows = []
-    for point, rate in zip(traj.states, traj.rates):
-        # on this side qdot is the inverted velocity, so the rate vector
-        # already carries v without another fiber solve
-        rows.append(
-            np.concatenate([point.q, [point.S], rate[:n], [rate[n]], point.p])
-        )
-    return np.asarray(rows)
-
-
 def cross_formulation_compare(
     model: SimpleThermoModel, initial, t_end: float, h: float
 ) -> CompareReport:
@@ -167,8 +144,8 @@ def cross_formulation_compare(
                 "cross-formulation comparison needs completed runs "
                 f"(lagrangian: {lag_traj.completed}, momentum: {ham_traj.completed})"
             )
-        a = _lagrangian_view(model, lag_traj)
-        b = _hamiltonian_view(model, ham_traj)
+        a = trajectory_rows(lag_traj)
+        b = trajectory_rows(ham_traj)
         if a.shape != b.shape:
             raise DiracThermoError(
                 f"route state counts differ: {a.shape} vs {b.shape}"
@@ -208,22 +185,6 @@ class BatteryReport:
         return min(m.min_perturbed_residual for m in self.memberships.values())
 
 
-def _battery_builders(model: SimpleThermoModel, hmodel):
-    builders = {
-        "pontryagin-P": lambda q, v, S: solution_pair_P(model, q, v, S),
-        "mixed-M": lambda q, v, S: solution_pair_M(model, q, v, S),
-    }
-    if hmodel is not None:
-        builders["cotangent-TstarQ"] = lambda q, v, S: solution_pair_TstarQ(
-            model, q, v, S
-        )
-        builders["momentum-N"] = lambda q, v, S: solution_pair_N(model, q, v, S)
-        builders["hamilton-N"] = lambda q, v, S: solution_pair_N_hamiltonian(
-            hmodel, q, v, S
-        )
-    return builders
-
-
 def formulation_equivalence_battery(
     model: SimpleThermoModel,
     initial,
@@ -244,22 +205,30 @@ def formulation_equivalence_battery(
     traj = integrate_explicit(lagrangian_field(model), flat, t_end, h)
     if not traj.completed:
         raise DiracThermoError("battery trajectory aborted on non-finite state")
-    hmodel = None
+    projections = {
+        "pontryagin-P": lambda pair: pair,
+        "mixed-M": lambda pair: _on_arena(pair, "M"),
+    }
     if not model.degenerate:
-        hmodel = build_hamiltonian_model(model)
-    builders = _battery_builders(model, hmodel)
+        build_hamiltonian_model(model)  # the momentum-side labels need the gate
+        projections["cotangent-TstarQ"] = lambda pair: _on_arena(pair, "TstarQ")
+        projections["momentum-N"] = lambda pair: _on_arena(pair, "N")
+        projections["hamilton-N"] = lambda pair: _hamiltonian_N(model, pair)
 
     rng = np.random.default_rng(seed)
     idx = np.linspace(0, len(traj.states) - 1, min(sample_count, len(traj.states)))
     idx = sorted(set(int(i) for i in idx))
+    data = {}  # P solution data, once per sample
+    for k in idx:
+        point = traj.states[k]
+        data[k] = solution_pair_P(model, point.q, point.v, point.S)
     lo, hi = perturbation
     reports = {}
-    for label, build in builders.items():
+    for label, project in projections.items():
         worst_on = 0.0
         best_off = np.inf
         for k in idx:
-            point = traj.states[k]
-            pair = build(point.q, point.v, point.S)
+            pair = project(data[k])
             res = dirac_membership(pair.arena, model, pair)
             worst_on = max(worst_on, float(np.max(np.abs(res))))
             bump = rng.uniform(lo, hi, size=pair.tangent.size) * rng.choice(

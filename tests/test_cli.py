@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dirac_thermo import cli
+from dirac_thermo.errors import TemperatureSignError
 
 
 def write_cfg(tmp_path, name="cfg.json", **raw):
@@ -211,6 +212,15 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert "formulation unavailable" in err
         assert "velocity-independent" in err
+
+    def test_domain_error_mid_run_is_an_integration_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg, model):
+            raise TemperatureSignError("temperature went negative")
+
+        monkeypatch.setattr(cli, "_run_trajectory", fail)
+        cfg = write_cfg(tmp_path, t_end=0.1, out=str(tmp_path / "out"))
+        assert cli.main(["run", "--config", cfg]) == 4
+        assert "integration failed" in capsys.readouterr().err
 
     def test_unknown_model_kind(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, model={"kind": "turbine"})

@@ -104,6 +104,44 @@ def restated_residuals_P(model, pair):
     )
 
 
+def restated_residuals_M(model, pair):
+    """Velocity-momentum stack: the P stack without the rate slot and
+    the covariable, so no lamdot term in the force rows."""
+    q, S, v = pair.base.q, pair.base.S, pair.base.v
+    n = q.size
+    tan, cov = pair.tangent, pair.covector
+    qdot, Sdot, pdot = tan[:n], tan[n], tan[2 * n + 1 :]
+    alpha, tS = cov[:n], cov[n]
+    beta, u = cov[n + 1 : 2 * n + 1], cov[2 * n + 1 :]
+    s = dt.entropy_slope(model, q, v, S)
+    F = dt.friction_value(model, q, v, S)
+    return np.concatenate(
+        [(pdot + alpha) * s + tS * F, [s * Sdot - F @ qdot], beta, u - qdot]
+    )
+
+
+def restated_residuals_TstarQ(model, pair):
+    """Cotangent stack: temperature-scaled force rows with the
+    covariable rate, the entropy-power balance, and both fiber matches;
+    temperature and friction are read at the inverted velocity."""
+    q, S, p = pair.base.q, pair.base.S, pair.base.p
+    n = q.size
+    tan, cov = pair.tangent, pair.covector
+    qdot, Sdot = tan[:n], tan[n]
+    pdot, lamdot = tan[n + 1 : 2 * n + 1], tan[2 * n + 1]
+    alpha, tS = cov[:n], cov[n]
+    u, psi = cov[n + 1 : 2 * n + 1], cov[2 * n + 1]
+    T, F = dt.temperature_and_friction_N(model, q, p, S)
+    return np.concatenate(
+        [
+            (pdot + alpha) * T - (lamdot + tS) * F,
+            [T * Sdot + F @ qdot],
+            u - qdot,
+            [psi - Sdot],
+        ]
+    )
+
+
 def restated_residuals_N(model, pair):
     """Momentum-chart stack: temperature-scaled force row plus the
     entropy-power balance, with the fiber velocity read off dH/dp."""
@@ -116,6 +154,19 @@ def restated_residuals_N(model, pair):
     return np.concatenate(
         [(pdot + alpha) * T - tS * F, [T * Sdot + F @ qdot], u - qdot]
     )
+
+
+def assert_stack_matches(arena, restated, model, bound):
+    """Shipped residuals equal the restated ones on random pairs."""
+    rng = np.random.default_rng(7)
+    d = dt.arena_dim(arena, model.n)
+    for q, v, S in sample_states(model, 10, seed=11):
+        base = _base_for(model, arena, q, v, S)
+        pair = dt.TangentCovectorPair(base, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d))
+        got = dt.dirac_membership(arena, model, pair)
+        want = restated(model, pair)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < bound, f"{model.name}/{arena}"
 
 
 class TestMembershipStacks:
@@ -135,6 +186,22 @@ class TestMembershipStacks:
             pair = dt.TangentCovectorPair(base, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
             got = dt.dirac_membership("N", piston, pair)
             assert np.max(np.abs(got - restated_residuals_N(piston, pair))) < 1e-10
+
+    def test_M_stack_matches_restated_formulas(self, piston):
+        assert_stack_matches("M", restated_residuals_M, piston, 1e-12)
+
+    def test_TstarQ_stack_matches_restated_formulas(self, piston):
+        assert_stack_matches("TstarQ", restated_residuals_TstarQ, piston, 1e-10)
+
+    def test_stacks_match_restated_formulas_on_membrane(self, membrane):
+        # n = 3 exposes slot-index slips that n = 1 hides
+        for arena, restated, bound in (
+            ("P", restated_residuals_P, 1e-12),
+            ("M", restated_residuals_M, 1e-12),
+            ("TstarQ", restated_residuals_TstarQ, 1e-10),
+            ("N", restated_residuals_N, 1e-10),
+        ):
+            assert_stack_matches(arena, restated, membrane, bound)
 
     def test_solution_pairs_are_members_everywhere(self, piston, membrane):
         for model in (piston, membrane):

@@ -136,6 +136,20 @@ class TestExplicitIntegrator:
             y = np.concatenate([pt.q, [pt.S], pt.v])
             assert np.array_equal(field.rate(y), r)
 
+    def test_diagnostics_measure_the_given_rate(self, piston, membrane):
+        # a rate that does not match the state must show in the residual,
+        # whether or not the field still holds that state's partials
+        for model, y in (
+            (piston, np.array([1.0, 0.1, 0.3])),
+            (membrane, np.array([0.0, 0.0, 0.0, 1.0, 0.5, -0.3, 0.1])),
+        ):
+            field = dt.lagrangian_field(model)
+            r = field.rate(y)
+            assert field.diagnostics(y, r).dirac_residual < 1e-9
+            off = field.diagnostics(y, r + 0.01)
+            assert off == dt.lagrangian_field(model).diagnostics(y, r + 0.01)
+            assert off.dirac_residual > 5e-3, model.name
+
     def test_blowup_aborts_with_partial_trajectory(self):
         field = lambda y: y * y  # finite-time escape
         with np.errstate(over="ignore", invalid="ignore"):
