@@ -35,11 +35,9 @@ from .dirac import (
     variational_constraint_residual,
 )
 from .duals import (
-    DerivativeBundle,
     Dual,
     ScalarField,
     cos,
-    derivative_bundle,
     exp,
     fd_check,
     grad,

@@ -283,26 +283,17 @@ def write_trajectory_csv(
     n = model.n
     count = len(traj.states)
     stride = 1 if full_resolution else max(1, math.ceil(count / MAX_CSV_ROWS))
-    indices = range(0, count, stride)
-    fmt = lambda x: format(float(x), ".17g")
-    states = trajectory_rows(traj)
-    lines = [_csv_header(n)]
-    for k in indices:
-        rec = traj.diagnostics[k]
-        # (q, S, v, p): the rate slot W is not a CSV column
-        row = [fmt(traj.times[k])]
-        row += [fmt(x) for x in states[k, : 2 * n + 1]]
-        row += [fmt(x) for x in states[k, 2 * n + 2 :]]
-        row += [
-            fmt(rec.energy),
-            fmt(rec.entropy_rate),
-            fmt(rec.constraint_residual),
-            fmt(rec.dirac_residual),
-        ]
-        lines.append(",".join(row))
+    states, diags = trajectory_rows(traj), traj.diagnostics
+    # (q, S, v, p): the rate slot W is not a CSV column
+    table = np.column_stack([
+        traj.times, states[:, : 2 * n + 1], states[:, 2 * n + 2 :], diags.energy,
+        diags.entropy_rate, diags.constraint_residual, diags.dirac_residual,
+    ])[::stride]
+    # one format string for the whole table, a line per row
+    text = "\n".join([_csv_header(n), *[",".join(["%.17g"] * table.shape[1])] * len(table)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return len(lines) - 1
+        fh.write(text % tuple(table.ravel().tolist()) + "\n")
+    return len(table)
 
 
 def cmd_run(cfg: RunConfig, model: SimpleThermoModel) -> int:

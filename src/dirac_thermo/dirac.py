@@ -52,7 +52,6 @@ from .model import (
     SimpleThermoModel,
     TangentCovectorPair,
     _as_array,
-    arena_dim,
     arena_of_point,
     arena_slots,
     entropy_slope,
@@ -150,11 +149,9 @@ def canonical_one_form(arena: str, point) -> np.ndarray:
     if arena_of_point(point) != arena:
         raise ArenaError(f"point type {type(point).__name__} is not on arena {arena!r}")
     n = point.q.size
-    theta = np.zeros(arena_dim(arena, n))
-    theta[:n] = point.p
-    if arena in ("P", "TstarQ"):
-        theta[n] = point.lam
-    return theta
+    theta = np.zeros(3 * n + 3)  # P's order, cut to the arena's slots
+    theta[:n], theta[n] = point.p, getattr(point, "lam", 0.0)
+    return theta[arena_slots(arena, n)]
 
 
 def presymplectic_pairing(arena: str, point, tangent1, tangent2) -> float:
@@ -167,23 +164,14 @@ def presymplectic_pairing(arena: str, point, tangent1, tangent2) -> float:
     if arena_of_point(point) != arena:
         raise ArenaError(f"point type {type(point).__name__} is not on arena {arena!r}")
     n = point.q.size
-    d = arena_dim(arena, n)
-    t1 = _as_array(tangent1, d, "tangent1")
-    t2 = _as_array(tangent2, d, "tangent2")
-    if arena == "P":
-        qs, ps, Ss, Ls = slice(0, n), slice(2 * n + 2, 3 * n + 2), n, 3 * n + 2
-    elif arena == "TstarQ":
-        qs, ps, Ss, Ls = slice(0, n), slice(n + 1, 2 * n + 1), n, 2 * n + 1
-    elif arena == "M":
-        qs, ps, Ss, Ls = slice(0, n), slice(2 * n + 1, 3 * n + 1), None, None
-    elif arena == "N":
-        qs, ps, Ss, Ls = slice(0, n), slice(n + 1, 2 * n + 1), None, None
-    else:
-        raise ArenaError(f"unknown arena {arena!r}")
-    out = float(t1[qs] @ t2[ps] - t1[ps] @ t2[qs])
-    if Ss is not None:
-        out += t1[Ss] * t2[Ls] - t1[Ls] * t2[Ss]
-    return float(out)
+    slots = arena_slots(arena, n)
+    # P's form on the tangents placed at the arena's slots, zero elsewhere
+    t1, t2 = np.zeros((2, 3 * n + 3))
+    t1[slots] = _as_array(tangent1, slots.size, "tangent1")
+    t2[slots] = _as_array(tangent2, slots.size, "tangent2")
+    q, p, S, lam = slice(0, n), slice(2 * n + 2, 3 * n + 2), n, 3 * n + 2
+    out = float(t1[q] @ t2[p] - t1[p] @ t2[q])
+    return float(out + (t1[S] * t2[lam] - t1[lam] * t2[S]))
 
 
 # --- induced subspace ----------------------------------------------------
@@ -301,7 +289,7 @@ def dirac_membership(
             f"pairs live on arena {pair_tangent.arena!r}, membership asked for {arena!r}"
         )
     pt = pair_tangent.validated(model.n)
-    pc = pair_covector.validated(model.n)
+    pc = pt if pair_covector is pair_tangent else pair_covector.validated(model.n)
     A = condition_matrix(arena, model, pt.base, coefficients=coefficients)
     return A @ np.concatenate([pt.tangent, pc.covector])
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,10 +24,8 @@ from .errors import DimensionMismatchError
 
 __all__ = [
     "Dual",
-    "DerivativeBundle",
     "ScalarField",
     "cos",
-    "derivative_bundle",
     "exp",
     "fd_check",
     "grad",
@@ -233,13 +231,12 @@ def hessian_matrix(f: Callable, args: Sequence[float], symmetric: bool = False) 
 
 def second_directional(f: Callable, args: Sequence[float], direction: Sequence[float], outer_index: int) -> float:
     """d/d(args[outer_index]) of the derivative of ``f`` along ``direction``."""
-    lifted = []
-    for m, (a, d) in enumerate(zip(args, direction)):
-        outer = 1.0 if m == outer_index else 0.0
-        if d == 0.0 and outer == 0.0:
-            lifted.append(a)
-        else:
-            lifted.append(Dual(Dual(a, d), outer))
+    lifted = list(args)
+    for m, d in enumerate(direction):
+        if m == outer_index:
+            lifted[m] = Dual(Dual(lifted[m], d), 1.0)
+        elif d != 0.0:
+            lifted[m] = Dual(Dual(lifted[m], d), 0.0)
     return _second(f(*lifted))
 
 
@@ -259,13 +256,6 @@ class ScalarField:
 
     def __call__(self, *args):
         return self.evaluator(*args)
-
-
-@dataclass(frozen=True)
-class DerivativeBundle:
-    value: float
-    gradient: np.ndarray
-    hessian: Optional[np.ndarray] = None
 
 
 def _check_arity(field: ScalarField, point: Sequence[float]) -> list:
@@ -293,15 +283,6 @@ def hessian(field: ScalarField, point: Sequence[float]) -> np.ndarray:
     if not np.all(np.isfinite(H)):
         raise ValueError("non-finite field output; point outside the domain")
     return H
-
-
-def derivative_bundle(field: ScalarField, point: Sequence[float], with_hessian: bool = False) -> DerivativeBundle:
-    pt = _check_arity(field, point)
-    return DerivativeBundle(
-        value=value(field.evaluator(*pt)),
-        gradient=grad(field, pt),
-        hessian=hessian(field, pt) if with_hessian else None,
-    )
 
 
 def fd_check(field: ScalarField, point: Sequence[float], h: float = 1e-5) -> float:

@@ -23,8 +23,9 @@ the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+import math
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,13 +40,15 @@ from .errors import (
 )
 from .legendre import HamiltonianModel, hamiltonian_partials, momentum_map
 from .model import (
-    PointM,
     PointN,
     PointP,
     point_from_vector,
     SimpleThermoModel,
     TangentCovectorPair,
+    _arena_dtype,
     _as_array,
+    _records,
+    arena_dim,
     arena_slots,
     external_value,
     friction_value,
@@ -83,13 +86,16 @@ IMPLICIT_MAX_ITER = 25
 CONSISTENCY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
     energy: float
     entropy: float
     entropy_rate: float
     constraint_residual: float
     dirac_residual: float
+
+
+# one stored diagnostics row, a column per record field
+_DIAGNOSTICS = np.dtype([(name, float) for name in DiagnosticsRecord._fields])
 
 
 def _record(energy, S, Sdot, constraint, residual) -> DiagnosticsRecord:
@@ -99,7 +105,7 @@ def _record(energy, S, Sdot, constraint, residual) -> DiagnosticsRecord:
         entropy=S,
         entropy_rate=Sdot,
         constraint_residual=abs(constraint),
-        dirac_residual=float(np.max(np.abs(residual))),
+        dirac_residual=float(np.abs(residual).max()),
     )
 
 
@@ -113,53 +119,70 @@ class DiagnosticsReport:
 
 @dataclass
 class Trajectory:
-    """Fixed-step integration output.
+    """Fixed-step integration output, one row per stored time.
 
-    ``states`` holds arena points, one per stored time. ``rates`` holds
-    the integrator's rate data at each stored state in the integrator's
-    own chart (which can be smaller than the arena). ``completed`` is
-    False when the run aborted on a non-finite state; whatever was
-    accumulated up to that point is kept.
+    ``states`` is a record array over the (K, d) arena rows in the
+    arena's flat order, a field per coordinate group: ``states.q`` is
+    the (K, n) configuration block, ``states.S`` the entropy column and
+    ``states[k].p`` one momentum. A run of a plain callable has no arena
+    and stores its flat (K, d) vectors as they are. ``rates`` is (K, c),
+    the integrator's rate at each stored state in its own chart (which
+    can be smaller than the arena). ``diagnostics`` is a record array
+    with the fields of :class:`DiagnosticsRecord` (``diagnostics.energy``,
+    ``diagnostics[k].dirac_residual``), empty for a plain callable.
+    ``completed`` is False when the run aborted on a non-finite state;
+    every array then holds the states stored up to that point.
     """
 
     times: np.ndarray
-    states: list
-    rates: list
-    diagnostics: list
+    states: np.ndarray
+    rates: np.ndarray
+    diagnostics: np.ndarray
     arena: str
     completed: bool = True
+
+
+def _stored(h, k, arena, n, states, rates, diagnostics, completed) -> Trajectory:
+    """The first k rows of an integrator's (states, rates, diagnostics)
+    buffers as a trajectory."""
+    return Trajectory(
+        times=np.arange(k) * h,
+        states=_records(states[:k], _arena_dtype(arena, n)) if arena else states[:k],
+        rates=rates[:k],
+        diagnostics=_records(diagnostics[:k], _DIAGNOSTICS),
+        arena=arena,
+        completed=completed,
+    )
 
 
 def trajectory_rows(trajectory: Trajectory) -> np.ndarray:
     """(q, S, v, W=Sdot, p) rows of a stored trajectory, one per state.
 
-    On the momentum chart the stored rate's configuration block is the
-    inverted fiber velocity, so no fiber solve is needed; the other
-    charts store v in their states."""
-    n = trajectory.states[0].q.size
-    rows = np.empty((len(trajectory.states), 3 * n + 2))
-    for row, point, rate in zip(rows, trajectory.states, trajectory.rates):
-        v = point.v if hasattr(point, "v") else rate[:n]
-        row[:n], row[n], row[n + 1 : 2 * n + 1] = point.q, point.S, v
-        row[2 * n + 1], row[2 * n + 2 :] = rate[n], point.p
-    return rows
+    W is the stored entropy rate. On the momentum chart the stored
+    rate's configuration block is the inverted fiber velocity, so no
+    fiber solve is needed; the other charts store v in their states."""
+    states, rates = trajectory.states, trajectory.rates
+    n = states.q.shape[1]
+    v = states.v if "v" in states.dtype.names else rates[:, :n]
+    return np.column_stack([states.q, states.S, v, rates[:, n], states.p])
 
 
 # --- explicit right-hand sides -----------------------------------------
 
 
-def _momentum_work(hmodel: HamiltonianModel, point: PointN, v0=None):
-    """Momentum-side rate plus the intermediates it was built from.
+def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None):
+    """Momentum-side rate at (q, S, p) plus the intermediates it was
+    built from.
 
     Returns (qdot, pdot, Sdot, hp, F, Fext) so the explicit field can
     hand diagnostics the same partials instead of re-inverting the
     fiber at stored states.
     """
     model = hmodel.source
-    hp = hamiltonian_partials(model, point.q, point.p, point.S, v0=v0)
+    hp = hamiltonian_partials(model, q, p, S, v0=v0)
     v = hp.velocity
-    F = friction_value(model, point.q, v, point.S)
-    Fext = external_value(model, point.q, v, point.S)
+    F = friction_value(model, q, v, S)
+    Fext = external_value(model, q, v, S)
     qdot = hp.dp
     pdot = -hp.dq + F + Fext
     if not F.any():
@@ -184,7 +207,7 @@ def vector_field_N(hmodel: HamiltonianModel, point: PointN, v0=None):
     is a domain violation and is raised as such. ``v0`` seeds the fiber
     inversion (a warm start from a nearby state).
     """
-    qdot, pdot, Sdot = _momentum_work(hmodel, point, v0=v0)[:3]
+    qdot, pdot, Sdot = _momentum_work(hmodel, point.q, point.S, point.p, v0=v0)[:3]
     return qdot, pdot, Sdot
 
 
@@ -249,7 +272,7 @@ def _regular_work(model: SimpleThermoModel, q, v, S):
     them at stored states.
     """
     dLdq, dLdv, s, F, Fext = _point_partials(model, q, v, S)
-    if not F.any():
+    if not np.count_nonzero(F):  # F.any(), without its Python-level wrapper
         Sdot = 0.0
     else:
         if s == 0.0:
@@ -262,7 +285,7 @@ def _regular_work(model: SimpleThermoModel, q, v, S):
     if model.n == 1:
         # scalar mass beats an n=1 LAPACK round trip on the hot path
         m = H[0, 0]
-        if m == 0.0 or not np.isfinite(m):
+        if m == 0.0 or not math.isfinite(m):
             raise DegenerateLagrangianError(
                 f"singular velocity Hessian; model {model.name} needs the "
                 "velocity-independent regime"
@@ -379,10 +402,13 @@ def solution_pair_N_hamiltonian(
 
 @dataclass(frozen=True)
 class ExplicitField:
-    """A flat-chart right-hand side plus the adapters the integrator
-    needs to store arena points and per-step diagnostics."""
+    """A flat-chart right-hand side over a model with n configuration
+    coordinates, plus what the integrator needs to store per step:
+    ``to_point(y, r)`` is the arena's flat row at the chart state y with
+    rate r, and ``diagnostics(y, r)`` a :class:`DiagnosticsRecord`."""
 
     arena: str
+    n: int
     dim: int
     rate: Callable
     to_point: Callable
@@ -390,45 +416,47 @@ class ExplicitField:
 
 
 def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
-    """Momentum-side field over the flat chart (q, S, p)."""
+    """Momentum-side field over the flat chart (q, S, p), which is also
+    the arena row."""
     model = hmodel.source
     n = model.n
     seed = [None]  # last inverted velocity, reused as the next Newton seed
     work = [None, None]  # (state bytes, intermediates) of the last rate call
 
     def rate(y: np.ndarray) -> np.ndarray:
-        point = PointN(q=y[:n], S=float(y[n]), p=y[n + 1 :])
-        qdot, pdot, Sdot, hp, F, Fext = _momentum_work(hmodel, point, v0=seed[0])
+        qdot, pdot, Sdot, hp, F, Fext = _momentum_work(
+            hmodel, y[:n], float(y[n]), y[n + 1 :], v0=seed[0]
+        )
         seed[0] = qdot
         work[0] = y.tobytes()
         work[1] = (hp, F, Fext)
         return np.concatenate([qdot, [Sdot], pdot])
 
-    def to_point(y: np.ndarray, r: np.ndarray) -> PointN:
-        return PointN(q=y[:n].copy(), S=float(y[n]), p=y[n + 1 :].copy())
-
     def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
-        point = to_point(y, r)
+        q, S, p = y[:n], float(y[n]), y[n + 1 :]
         v = r[:n]  # qdot equals the inverted velocity on this side
-        energy = float(point.p @ v) - lagrangian_value(model, point.q, v, point.S)
+        energy = float(p @ v) - lagrangian_value(model, q, v, S)
         Sdot = float(r[n])
-        constraint = phenomenological_constraint_residual(
-            model, point.q, v, point.S, Sdot
-        )
+        constraint = phenomenological_constraint_residual(model, q, v, S, Sdot)
         if work[0] == y.tobytes():
             hp, F, Fext = work[1]
         else:
-            hp = hamiltonian_partials(model, point.q, point.p, point.S, v0=v)
-            F = friction_value(model, point.q, hp.velocity, point.S)
-            Fext = external_value(model, point.q, hp.velocity, point.S)
+            hp = hamiltonian_partials(model, q, p, S, v0=v)
+            F = friction_value(model, q, hp.velocity, S)
+            Fext = external_value(model, q, hp.velocity, S)
         pair = TangentCovectorPair(
-            base=point, tangent=r, covector=_hamiltonian_covector(hp, Fext)
+            base=PointN(q=q, S=S, p=p), tangent=r, covector=_hamiltonian_covector(hp, Fext)
         )
         res = dirac_membership("N", model, pair, coefficients=(hp.dS, F))
-        return _record(energy, point.S, Sdot, constraint, res)
+        return _record(energy, S, Sdot, constraint, res)
 
     return ExplicitField(
-        arena="N", dim=2 * n + 1, rate=rate, to_point=to_point, diagnostics=diagnostics
+        arena="N",
+        n=n,
+        dim=2 * n + 1,
+        rate=rate,
+        to_point=lambda y, r: y,
+        diagnostics=diagnostics,
     )
 
 
@@ -444,9 +472,9 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
             qdot, _, Sdot = vector_field_lagrangian(model, y[:n], np.zeros(n), y[n])
             return np.concatenate([qdot, [Sdot]])
 
-        def to_point(y: np.ndarray, r: np.ndarray) -> PointM:
-            # momentum is identically zero: no velocity dependence in L
-            return PointM(q=y[:n].copy(), S=float(y[n]), v=r[:n].copy(), p=np.zeros(n))
+        def to_point(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+            # the velocity is the rate; momentum is identically zero
+            return np.concatenate([y, r[:n], np.zeros(n)])
 
     else:
 
@@ -454,16 +482,16 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
             w = _regular_work(model, y[:n], y[n + 1 :], float(y[n]))
             work[0] = y.tobytes()
             work[1] = w
-            qdot, vdot, Sdot = w[:3]
-            return np.concatenate([qdot, [Sdot], vdot])
+            out = np.empty(2 * n + 1)
+            out[:n], out[n], out[n + 1 :] = w[0], w[2], w[1]
+            return out
 
-        def to_point(y: np.ndarray, r: np.ndarray) -> PointM:
-            q, S, v = y[:n], float(y[n]), y[n + 1 :]
+        def to_point(y: np.ndarray, r: np.ndarray) -> np.ndarray:
             if work[0] == y.tobytes():
-                p = work[1][4].copy()
+                p = work[1][4]
             else:
-                p = momentum_map(model, q, v, S)
-            return PointM(q=q.copy(), S=S, v=v.copy(), p=p)
+                p = momentum_map(model, y[:n], y[n + 1 :], float(y[n]))
+            return np.concatenate([y, p])
 
     def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
         # measures the given rate r at the state y; only partials are cached
@@ -485,6 +513,7 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
 
     return ExplicitField(
         arena="M",
+        n=n,
         dim=n + 1 if model.degenerate else 2 * n + 1,
         rate=rate,
         to_point=to_point,
@@ -492,21 +521,11 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     )
 
 
-def _wrap_plain_field(field: Callable, dim: int) -> ExplicitField:
-    return ExplicitField(
-        arena="",
-        dim=dim,
-        rate=lambda y: np.asarray(field(y), dtype=float),
-        to_point=lambda y, r: y.copy(),
-        diagnostics=None,
-    )
-
-
 def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
     """Classical fixed-step fourth-order integration of an explicit field.
 
     ``field`` is an :class:`ExplicitField` or a plain callable on flat
-    vectors (then states are stored as flat vectors and diagnostics are
+    vectors (then the flat vectors are stored and diagnostics are
     skipped). The step count is t_end/h rounded to nearest; diagnostics
     are recorded at every stored state, including the initial one. A
     non-finite state aborts and returns the partial trajectory with
@@ -517,46 +536,39 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     y = np.asarray(initial, dtype=float).copy()
-    if not isinstance(field, ExplicitField):
-        field = _wrap_plain_field(field, y.size)
-    if y.shape != (field.dim,):
-        raise DimensionMismatchError(
-            f"initial state must have {field.dim} coordinates, got {y.shape}"
-        )
-    steps = max(1, int(round(t_end / h)))
-    f = field.rate
-    states, rates, diags = [], [], []
-    r = f(y)
-    states.append(field.to_point(y, r))
-    rates.append(r)
-    if field.diagnostics is not None:
-        diags.append(field.diagnostics(y, r))
-    completed = True
+    if isinstance(field, ExplicitField):
+        if y.shape != (field.dim,):
+            raise DimensionMismatchError(
+                f"initial state must have {field.dim} coordinates, got {y.shape}"
+            )
+        f, to_point, diagnose = field.rate, field.to_point, field.diagnostics
+        arena, n, d = field.arena, field.n, arena_dim(field.arena, field.n)
+    else:
+        f = lambda z: np.asarray(field(z), dtype=float)
+        to_point, diagnose = (lambda z, r: z), None
+        arena, n, d = "", 0, y.size
+    K = max(1, int(round(t_end / h))) + 1
+    states, rates = np.empty((K, d)), np.empty((K, y.size))
+    diagnostics = np.empty((K if diagnose else 0, len(_DIAGNOSTICS)))
     half = 0.5 * h
     sixth = h / 6.0
-    for _ in range(steps):
-        k1 = r
-        k2 = f(y + half * k1)
+    r = f(y)
+    k = 0
+    while True:
+        states[k], rates[k] = to_point(y, r), r
+        if diagnose:
+            diagnostics[k] = diagnose(y, r)
+        k += 1
+        if k == K:
+            break
+        k2 = f(y + half * r)
         k3 = f(y + half * k2)
         k4 = f(y + h * k3)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        y = y + sixth * (r + 2.0 * (k2 + k3) + k4)
         if not np.all(np.isfinite(y)):
-            completed = False
             break
         r = f(y)
-        states.append(field.to_point(y, r))
-        rates.append(r)
-        if field.diagnostics is not None:
-            diags.append(field.diagnostics(y, r))
-    times = np.arange(len(states)) * h
-    return Trajectory(
-        times=times,
-        states=states,
-        rates=rates,
-        diagnostics=diags,
-        arena=field.arena,
-        completed=completed,
-    )
+    return _stored(h, k, arena, n, states, rates, diagnostics, completed=k == K)
 
 
 # --- implicit integration on the full arena -------------------------------
@@ -588,21 +600,18 @@ def implicit_residual_P(model: SimpleThermoModel, point: PointP, rates) -> np.nd
     )
 
 
-def _implicit_diag(model, point, rates, residual) -> DiagnosticsRecord:
-    energy = float(point.p @ point.v) + point.lam * point.W - lagrangian_value(
-        model, point.q, point.v, point.S
-    )
+def _implicit_diag(model, x, rates, residual) -> DiagnosticsRecord:
+    """Diagnostics at the flat P row x, read through its group fields."""
     n = model.n
-    return _record(energy, point.S, float(rates[n]), float(residual[n]), residual)
+    point = x.view(_arena_dtype("P", n))[0]
+    energy = float(point["p"] @ point["v"]) + point["lam"] * point["W"] - lagrangian_value(
+        model, point["q"], point["v"], point["S"]
+    )
+    return _record(energy, point["S"], float(rates[n]), float(residual[n]), residual)
 
 
 def integrate_implicit_P(
-    model: SimpleThermoModel,
-    initial: PointP,
-    t_end: float,
-    h: float,
-    newton_tol: float = IMPLICIT_NEWTON_TOL,
-    max_iter: int = IMPLICIT_MAX_ITER,
+    model: SimpleThermoModel, initial: PointP, t_end: float, h: float
 ) -> Trajectory:
     """Implicit Euler on the full-arena stacked residual.
 
@@ -616,7 +625,6 @@ def integrate_implicit_P(
         raise ValueError("t_end and h must be positive")
     n = model.n
     d = 3 * n + 3
-    x = initial.as_vector()
     p0 = momentum_map(model, initial.q, initial.v, initial.S)
     if np.max(np.abs(initial.p - p0)) > CONSISTENCY_TOL or abs(initial.lam) > CONSISTENCY_TOL:
         raise IntegrationError(
@@ -624,18 +632,19 @@ def integrate_implicit_P(
             "carry dL/dv and the covariable must be zero"
         )
 
-    steps = max(1, int(round(t_end / h)))
-    states, rates_list, diags = [initial], [], []
+    K = max(1, int(round(t_end / h))) + 1
+    states, rates = np.empty((K, d)), np.empty((K, d))
+    diagnostics = np.empty((K, len(_DIAGNOSTICS)))
 
     # instantaneous field data at the start, for the first record
+    x = initial.as_vector()
     pair0 = solution_pair_P(model, initial.q, initial.v, initial.S)
     res0 = implicit_residual_P(model, initial, pair0.tangent)
-    rates_list.append(pair0.tangent)
-    diags.append(_implicit_diag(model, initial, pair0.tangent, res0))
+    states[0], rates[0] = x, pair0.tangent
+    diagnostics[0] = _implicit_diag(model, x, pair0.tangent, res0)
 
     rate_guess = pair0.tangent
-    completed = True
-    for _ in range(steps):
+    for k in range(1, K):
         x0 = x
         x1 = x0 + h * rate_guess
 
@@ -645,8 +654,8 @@ def integrate_implicit_P(
         r = g(x1)
         J = None
         converged = False
-        for _ in range(max_iter):
-            if np.max(np.abs(r)) <= newton_tol:
+        for _ in range(IMPLICIT_MAX_ITER):
+            if np.max(np.abs(r)) <= IMPLICIT_NEWTON_TOL:
                 converged = True
                 break
             if J is None:
@@ -662,34 +671,23 @@ def integrate_implicit_P(
                 raise NewtonError("singular Jacobian in the implicit step")
             x1 = x1 - step
             if not np.all(np.isfinite(x1)):
-                completed = False
-                break
+                return _stored(h, k, "P", n, states, rates, diagnostics, completed=False)
             r = g(x1)
-        if not completed:
-            break
         if not converged:
             raise NewtonError(
                 f"implicit step did not converge: residual {np.max(np.abs(r)):.3e} "
-                f"after {max_iter} iterations"
+                f"after {IMPLICIT_MAX_ITER} iterations"
             )
         rate = (x1 - x0) / h
-        point = point_from_vector("P", n, x1)
-        # snap the algebraic slots exactly; Newton left them within tol
-        point = replace(point, p=momentum_map(model, point.q, point.v, point.S), lam=0.0)
-        x = point.as_vector()
-        states.append(point)
-        rates_list.append(rate)
-        diags.append(_implicit_diag(model, point, rate, r))
+        # snap the algebraic slots exactly, in place; Newton left them within tol
+        point = x1.view(_arena_dtype("P", n))[0]
+        point["p"] = momentum_map(model, point["q"], point["v"], point["S"])
+        point["lam"] = 0.0
+        states[k], rates[k] = x1, rate
+        diagnostics[k] = _implicit_diag(model, x1, rate, r)
         rate_guess = rate
-    times = np.arange(len(states)) * h
-    return Trajectory(
-        times=times,
-        states=states,
-        rates=rates_list,
-        diagnostics=diags,
-        arena="P",
-        completed=completed,
-    )
+        x = x1
+    return _stored(h, K, "P", n, states, rates, diagnostics, completed=True)
 
 
 # --- aggregation -----------------------------------------------------------
@@ -700,18 +698,14 @@ def monitor(trajectory: Trajectory, model: SimpleThermoModel) -> DiagnosticsRepo
     numbers: relative energy drift, worst entropy step, and the largest
     constraint and membership residuals."""
     diags = trajectory.diagnostics
-    if not diags:
+    if not len(diags):
         raise DiracThermoError("trajectory carries no diagnostics records")
-    e0 = diags[0].energy
-    drift = max(abs(rec.energy - e0) for rec in diags) / max(1.0, abs(e0))
-    entropies = [p.S for p in trajectory.states]
-    if len(entropies) > 1:
-        min_step = min(b - a for a, b in zip(entropies, entropies[1:]))
-    else:
-        min_step = 0.0
+    energy = diags.energy
+    drift = np.max(np.abs(energy - energy[0])) / max(1.0, abs(energy[0]))
+    steps = np.diff(trajectory.states.S)
     return DiagnosticsReport(
         energy_drift=float(drift),
-        min_entropy_step=float(min_step),
-        max_constraint_residual=float(max(rec.constraint_residual for rec in diags)),
-        max_dirac_residual=float(max(rec.dirac_residual for rec in diags)),
+        min_entropy_step=float(steps.min()) if steps.size else 0.0,
+        max_constraint_residual=float(diags.constraint_residual.max()),
+        max_dirac_residual=float(diags.dirac_residual.max()),
     )

@@ -9,7 +9,7 @@ rejected with a distinct error and stay Lagrangian-side only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,9 +45,14 @@ __all__ = [
     "temperature_and_friction_N",
 ]
 
-# Newton defaults; the residual is on the momentum mismatch, absolute.
+# Newton settings; the residual is on the momentum mismatch, absolute.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# Hamiltonian gate: domain samples, their seed, and the limits they must meet.
+GATE_SAMPLES = 25
+GATE_SEED = 0
+GATE_COND_LIMIT = 1e8
+GATE_ROUNDTRIP_TOL = 1e-10
 
 
 def momentum_map(model: SimpleThermoModel, q, v, S) -> np.ndarray:
@@ -67,15 +72,7 @@ def partial_legendre(model: SimpleThermoModel, q, v, S):
     return q, momentum_map(model, q, v, S), float(S)
 
 
-def inverse_partial_legendre(
-    model: SimpleThermoModel,
-    q,
-    p,
-    S,
-    v0=None,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> np.ndarray:
+def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None) -> np.ndarray:
     """Solve dL/dv(q, v, S) = p for v by Newton iteration.
 
     Seeds at v = 0 unless a warm start is supplied. Raises
@@ -91,11 +88,11 @@ def inverse_partial_legendre(
     p = _as_array(p, model.n, "p")
     S = float(S)
     v = np.zeros(model.n) if v0 is None else _as_array(v0, model.n, "v0").copy()
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         r = momentum_map(model, q, v, S) - p
         if not np.all(np.isfinite(r)):
             raise NewtonError(f"momentum residual became non-finite (model {model.name})")
-        if np.max(np.abs(r)) <= tol:
+        if np.max(np.abs(r)) <= NEWTON_TOL:
             return v
         H = velocity_hessian(model, q, v, S)
         try:
@@ -106,10 +103,10 @@ def inverse_partial_legendre(
             )
         v = v - step
     r = momentum_map(model, q, v, S) - p
-    if np.max(np.abs(r)) <= tol:
+    if np.max(np.abs(r)) <= NEWTON_TOL:
         return v
     raise NewtonError(
-        f"momentum inversion did not converge in {max_iter} iterations "
+        f"momentum inversion did not converge in {NEWTON_MAX_ITER} iterations "
         f"(residual {np.max(np.abs(r)):.3e}, model {model.name})"
     )
 
@@ -212,13 +209,7 @@ class HamiltonianModel:
     source: SimpleThermoModel
 
 
-def build_hamiltonian_model(
-    model: SimpleThermoModel,
-    samples: int = 25,
-    seed: int = 0,
-    cond_limit: float = 1e8,
-    roundtrip_tol: float = 1e-10,
-) -> HamiltonianModel:
+def build_hamiltonian_model(model: SimpleThermoModel) -> HamiltonianModel:
     """Gate a model into the Hamiltonian picture.
 
     Invertibility of the momentum relation is checked empirically:
@@ -231,19 +222,19 @@ def build_hamiltonian_model(
             f"model {model.name} is flagged velocity-independent; "
             "no Hamiltonian picture exists"
         )
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
+    rng = np.random.default_rng(GATE_SEED)
+    for _ in range(GATE_SAMPLES):
         q, v, S = model.domain_box.sample(rng)
         H = velocity_hessian(model, q, v, S)
         cond = np.linalg.cond(H)
-        if not np.isfinite(cond) or cond >= cond_limit:
+        if not np.isfinite(cond) or cond >= GATE_COND_LIMIT:
             raise DegenerateLagrangianError(
                 f"velocity Hessian condition number {cond:.3e} at a domain sample "
-                f"exceeds {cond_limit:.1e} (model {model.name})"
+                f"exceeds {GATE_COND_LIMIT:.1e} (model {model.name})"
             )
         _, p, _ = partial_legendre(model, q, v, S)
         v_back = inverse_partial_legendre(model, q, p, S)
-        if np.max(np.abs(v_back - v)) > roundtrip_tol:
+        if np.max(np.abs(v_back - v)) > GATE_ROUNDTRIP_TOL:
             raise DegenerateLagrangianError(
                 f"momentum round trip missed by {np.max(np.abs(v_back - v)):.3e} "
                 f"(model {model.name})"

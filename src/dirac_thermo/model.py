@@ -96,7 +96,23 @@ def arena_dim(arena: str, n: int) -> int:
     return arena_slots(arena, n).size
 
 
+@lru_cache(maxsize=None)
+def _arena_dtype(arena: str, n: int) -> np.dtype:
+    """One flat arena row as a record: a field per coordinate group,
+    length n for q, v and p, a scalar otherwise."""
+    return np.dtype(
+        [(g, float, (n,)) if g in _VECTOR_GROUPS else (g, float) for g in _arena_groups(arena)]
+    )
+
+
+def _records(rows: np.ndarray, dtype: np.dtype) -> np.recarray:
+    """A C-contiguous (K, d) float array viewed as K records (no copy)."""
+    return rows.view(dtype)[:, 0].view(np.recarray)
+
+
 def _as_array(x, n: int, label: str) -> np.ndarray:
+    if type(x) is np.ndarray and x.dtype == float and x.shape == (n,):
+        return x  # what the general path returns for it, at a third of the cost
     a = np.atleast_1d(np.asarray(x, dtype=float))
     if a.shape != (n,):
         raise DimensionMismatchError(f"{label} must have length {n}, got shape {a.shape}")
@@ -169,7 +185,7 @@ def lagrangian_partials(model: SimpleThermoModel, q, v, S):
     v = _as_array(v, model.n, "v")
     n = model.n
     g = duals.gradient(_flat_lagrangian(model), [*q, *v, float(S)])
-    return np.array(g[:n]), np.array(g[n : 2 * n]), g[2 * n]
+    return g[:n], g[n : 2 * n], g[2 * n]
 
 
 def entropy_slope(model: SimpleThermoModel, q, v, S) -> float:
@@ -217,18 +233,20 @@ def velocity_hessian(model: SimpleThermoModel, q, v, S) -> np.ndarray:
     return duals.hessian_matrix(g, list(_as_array(v, model.n, "v")), symmetric=True)
 
 
-def mixed_velocity_term(model: SimpleThermoModel, q, v, S, qdot, Sdot) -> np.ndarray:
-    """(d2L/dv dq) qdot + (d2L/dv dS) Sdot, one nested evaluation per row."""
+def _momentum_derivative(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.ndarray:
+    """d/dt of dL/dv along (qdot, vdot, Sdot), one nested evaluation per row."""
     n = model.n
-    q = _as_array(q, n, "q")
-    v = _as_array(v, n, "v")
-    qdot = _as_array(qdot, n, "qdot")
     f = _flat_lagrangian(model)
-    args = [*q, *v, float(S)]
-    direction = [*qdot, *np.zeros(n), float(Sdot)]
+    args = [*_as_array(q, n, "q"), *_as_array(v, n, "v"), float(S)]
+    direction = [*_as_array(qdot, n, "qdot"), *vdot, float(Sdot)]
     return np.array(
         [duals.second_directional(f, args, direction, n + i) for i in range(n)]
     )
+
+
+def mixed_velocity_term(model: SimpleThermoModel, q, v, S, qdot, Sdot) -> np.ndarray:
+    """(d2L/dv dq) qdot + (d2L/dv dS) Sdot: the momentum rate at vdot = 0."""
+    return _momentum_derivative(model, q, v, S, qdot, np.zeros(model.n), Sdot)
 
 
 def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.ndarray:
@@ -237,15 +255,7 @@ def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.nda
     Deliberately not the force-balance identity: diagnostics need this
     value computed independently of the equations of motion.
     """
-    n = model.n
-    q = _as_array(q, n, "q")
-    v = _as_array(v, n, "v")
-    f = _flat_lagrangian(model)
-    args = [*q, *v, float(S)]
-    direction = [*_as_array(qdot, n, "qdot"), *_as_array(vdot, n, "vdot"), float(Sdot)]
-    return np.array(
-        [duals.second_directional(f, args, direction, n + i) for i in range(n)]
-    )
+    return _momentum_derivative(model, q, v, S, qdot, _as_array(vdot, model.n, "vdot"), Sdot)
 
 
 def friction_velocity_jacobian(model: SimpleThermoModel, q, v, S) -> np.ndarray:
@@ -347,24 +357,12 @@ def make_point(arena: str, n: int, **fields):
 
 def point_from_vector(arena: str, n: int, vec: Sequence[float]):
     """Inverse of ``as_vector`` for the given arena's coordinate order."""
-    x = np.asarray(vec, dtype=float)
+    x = np.ascontiguousarray(vec, dtype=float)
     d = arena_dim(arena, n)
     if x.shape != (d,):
         raise DimensionMismatchError(f"arena {arena} expects {d} coordinates, got {x.shape}")
-    if arena == "N":
-        return PointN(q=x[:n], S=float(x[n]), p=x[n + 1 :])
-    if arena == "M":
-        return PointM(q=x[:n], S=float(x[n]), v=x[n + 1 : 2 * n + 1], p=x[2 * n + 1 :])
-    if arena == "TstarQ":
-        return PointTstarQ(q=x[:n], S=float(x[n]), p=x[n + 1 : 2 * n + 1], lam=float(x[2 * n + 1]))
-    return PointP(
-        q=x[:n],
-        S=float(x[n]),
-        v=x[n + 1 : 2 * n + 1],
-        W=float(x[2 * n + 1]),
-        p=x[2 * n + 2 : 3 * n + 2],
-        lam=float(x[3 * n + 2]),
-    )
+    # the point types list their fields in the arena's group order
+    return _POINT_TYPES[arena](*x.view(_arena_dtype(arena, n))[0].item())
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,14 @@ def build_piston(params: Optional[PistonParams] = None) -> SimpleThermoModel:
         raise ModelBuildError("piston friction coefficient lam must be >= 0")
 
     cNR = P.c * P.N0 * P.R
+    # constant subexpressions, hoisted out of the hot evaluators (same values)
+    U0, S0, V0, A, half_m, inv_c = P.U0, P.S0, P.V0, P.A, 0.5 * P.m, 1.0 / P.c
 
     def internal_energy(x, S):
-        return P.U0 * duals.exp((S - P.S0) / cNR) * (P.V0 / (P.A * x)) ** (1.0 / P.c)
+        return U0 * duals.exp((S - S0) / cNR) * (V0 / (A * x)) ** inv_c
 
     def lagrangian(q, v, S):
-        return 0.5 * P.m * v[0] * v[0] - internal_energy(q[0], S)
+        return half_m * v[0] * v[0] - internal_energy(q[0], S)
 
     def friction(q, v, S):
         return (-lam(duals.value(q[0]), duals.value(S)) * v[0],)

@@ -262,17 +262,13 @@ class VariationField:
         return max(float(np.max(np.abs(self.dq))), float(np.max(np.abs(self.dS))))
 
 
-def _trajectory_arrays(model: SimpleThermoModel, trajectory: Trajectory):
+def _velocity_states(trajectory: Trajectory) -> np.recarray:
     states = trajectory.states
-    if not states or not hasattr(states[0], "v"):
+    if "v" not in (states.dtype.names or ()):
         raise DiracThermoError(
             "action evaluation needs velocity-carrying states (q, S, v, p)"
         )
-    q = np.asarray([pt.q for pt in states])
-    S = np.asarray([pt.S for pt in states])
-    v = np.asarray([pt.v for pt in states])
-    p = np.asarray([pt.p for pt in states])
-    return q, S, v, p
+    return states
 
 
 def _discrete_action(model, q, S, v, p, h: float) -> float:
@@ -308,7 +304,8 @@ def action_variation_residual(
     first-order leftover."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    q, S, v, p = _trajectory_arrays(model, trajectory)
+    states = _velocity_states(trajectory)
+    q, S, v, p = states.q, states.S, states.v, states.p
     K = len(S)
     dq = np.asarray(variation_field.dq, dtype=float)
     dS = np.asarray(variation_field.dS, dtype=float)
@@ -342,7 +339,8 @@ def admissible_variation(
     every node: dq is a low-frequency sine mix vanishing at the ends,
     dS is solved pointwise from the constraint, and the whole field is
     scaled to unit sup norm."""
-    q, S, v, _ = _trajectory_arrays(model, trajectory)
+    states = _velocity_states(trajectory)
+    q, S, v = states.q, states.S, states.v
     K, n = q.shape
     rng = np.random.default_rng(seed)
     tau = np.linspace(0.0, 1.0, K)
@@ -373,8 +371,7 @@ def constraint_violating_variation(
 ) -> VariationField:
     """Pure-entropy bump: dq = 0 everywhere, so any nonzero dS violates
     the variational constraint wherever the entropy slope is nonzero."""
-    K = len(trajectory.states)
-    n = trajectory.states[0].q.size
+    K, n = trajectory.states.q.shape
     tau = np.linspace(0.0, 1.0, K)
     dS = np.sin(np.pi * tau) ** 2
     return VariationField(dq=np.zeros((K, n)), dS=dS)

@@ -62,6 +62,36 @@ class TestPairings:
         want = t1[0] * t2[4] - t1[4] * t2[0] + t1[1] * t2[5] - t1[5] * t2[1]
         assert abs(dt.presymplectic_pairing("P", pt, t1, t2) - want) < 1e-14
 
+    def test_pairing_and_one_form_hand_values_at_n2(self):
+        # (q0, q1) pair with (p0, p1); S with lam where the arena has it
+        points = {
+            "TstarQ": dt.make_point("TstarQ", 2, q=[1.0, 2.0], S=0.5, p=[0.3, -0.4], lam=0.25),
+            "M": dt.make_point("M", 2, q=[1.0, 2.0], S=0.5, v=[0.1, 0.2], p=[0.3, -0.4]),
+            "N": dt.make_point("N", 2, q=[1.0, 2.0], S=0.5, p=[0.3, -0.4]),
+        }
+        # flat indices of q0, q1, p0, p1 and of S, lam (None: no covariable)
+        layout = {
+            "TstarQ": ((0, 1, 3, 4), (2, 5)),
+            "M": ((0, 1, 5, 6), None),
+            "N": ((0, 1, 3, 4), None),
+        }
+        theta = {
+            "TstarQ": [0.3, -0.4, 0.25, 0.0, 0.0, 0.0],
+            "M": [0.3, -0.4, 0.0, 0.0, 0.0, 0.0, 0.0],
+            "N": [0.3, -0.4, 0.0, 0.0, 0.0],
+        }
+        for arena, pt in points.items():
+            d = dt.arena_dim(arena, 2)
+            t1 = np.arange(1.0, d + 1.0)
+            t2 = np.linspace(-1.0, 2.0, d) ** 2
+            (q0, q1, p0, p1), entropy = layout[arena]
+            want = t1[q0] * t2[p0] + t1[q1] * t2[p1] - t1[p0] * t2[q0] - t1[p1] * t2[q1]
+            if entropy is not None:
+                S, lam = entropy
+                want += t1[S] * t2[lam] - t1[lam] * t2[S]
+            assert abs(dt.presymplectic_pairing(arena, pt, t1, t2) - want) < 1e-14, arena
+            assert np.array_equal(dt.canonical_one_form(arena, pt), theta[arena]), arena
+
     @given(data=st.lists(component, min_size=12, max_size=12))
     @settings(max_examples=50, deadline=None)
     def test_presymplectic_antisymmetry(self, data):

@@ -16,7 +16,6 @@ from dirac_thermo import (
     Dual,
     ScalarField,
     cos,
-    derivative_bundle,
     exp,
     fd_check,
     grad,
@@ -201,12 +200,6 @@ class TestScalarFieldHelpers:
         H = hessian(self.field, [0.2, 3.0])
         assert abs(H[0, 1] - math.exp(0.2)) < 1e-13
         assert abs(H[1, 1]) < 1e-13
-
-    def test_derivative_bundle_consistency(self):
-        b = derivative_bundle(self.field, [0.2, 3.0], with_hessian=True)
-        assert abs(b.value - 3.0 * math.exp(0.2)) < 1e-13
-        assert np.allclose(b.gradient, grad(self.field, [0.2, 3.0]))
-        assert b.hessian is not None
 
     def test_fd_check_small_on_smooth_field(self):
         assert fd_check(self.field, [0.2, 3.0]) < 1e-9

@@ -156,6 +156,34 @@ class TestExplicitIntegrator:
             tr = dt.integrate_explicit(field, np.array([1.0]), 2.0, 0.01)
         assert not tr.completed
         assert len(tr.states) < 201
+        # a real field: L = v^2/2 + q^4/4 escapes in finite time (t ~ 1.85
+        # from q = 1 at rest); written with products, because a float **
+        # overflow raises instead of giving inf
+        box = dt.DomainBox(
+            q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0
+        )
+        quartic = dt.SimpleThermoModel(
+            n=1,
+            lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + 0.25 * q[0] * q[0] * q[0] * q[0],
+            friction=lambda q, v, S: (0.0,),
+            domain_box=box,
+            name="quartic",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = dt.integrate_explicit(
+                dt.lagrangian_field(quartic), np.array([1.0, 0.0, 0.0]), 4.0, 0.01
+            )
+        assert not tr.completed
+        K = len(tr.times)
+        assert 100 < K < 401
+        assert len(tr.states) == len(tr.rates) == len(tr.diagnostics) == K
+        assert np.all(np.isfinite(tr.states.q)) and np.all(tr.states.S == 0.0)
+        report = dt.monitor(tr, quartic)
+        assert report.min_entropy_step == 0.0
+        rows = dt.trajectory_rows(tr)
+        assert rows.shape == (K, 5)
+        assert np.array_equal(rows[:, 0], tr.states.q[:, 0])
+        assert np.array_equal(rows[:, 2], tr.states.v[:, 0])
 
     def test_rejects_bad_steps_and_shapes(self, piston):
         field = dt.lagrangian_field(piston)
