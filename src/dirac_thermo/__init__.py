@@ -11,7 +11,7 @@ formulation conditions agree.
 Layout:
 
 * duals        forward-mode differentiation (the only derivative engine)
-* model        model record, arenas, point types
+* model        model record, arenas, the arena point type
 * dirac        constraint residuals, induced subspaces, pairings
 * legendre     fiber transforms, Hamiltonian side, energies
 * dynamics     vector fields, integrators, diagnostics
@@ -98,11 +98,9 @@ from .legendre import (
 )
 from .model import (
     ARENAS,
+    ArenaPoint,
     DomainBox,
-    PointM,
     PointN,
-    PointP,
-    PointTstarQ,
     SimpleThermoModel,
     TangentCovectorPair,
     arena_dim,

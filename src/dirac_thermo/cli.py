@@ -58,10 +58,10 @@ from .legendre import (
 )
 from .model import (
     PointN,
-    PointP,
     SimpleThermoModel,
     arena_dim,
     arena_slots,
+    make_point,
     point_from_vector,
     temperature,
 )
@@ -96,6 +96,7 @@ __all__ = [
 SEED_ENV = "DIRAC_THERMO_SEED"
 FORMULATIONS = ("lagrangian", "hamilton-dirac-N", "implicit-P")
 MAX_CSV_ROWS = 10_000
+ISOTROPY_SAMPLES = 20  # domain samples per arena in the isotropy report
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -254,14 +255,8 @@ def _run_trajectory(cfg: RunConfig, model: SimpleThermoModel) -> Trajectory:
         )
     # implicit-P: start on the algebraic slice with a consistent rate slot
     _, _, Sdot0 = vector_field_lagrangian(model, q0, v0, S0)
-    start = PointP(
-        q=q0,
-        S=S0,
-        v=v0,
-        W=Sdot0,
-        p=momentum_map(model, q0, v0, S0),
-        lam=0.0,
-    )
+    p0 = momentum_map(model, q0, v0, S0)
+    start = make_point("P", n, q=q0, S=S0, v=v0, W=Sdot0, p=p0, lam=0.0)
     return integrate_implicit_P(model, start, cfg.t_end, cfg.h)
 
 
@@ -328,7 +323,7 @@ def cmd_run(cfg: RunConfig, model: SimpleThermoModel) -> int:
 # --- check -----------------------------------------------------------------
 
 
-def _isotropy_rows(cfg: RunConfig, model: SimpleThermoModel, samples: int = 20):
+def _isotropy_rows(cfg: RunConfig, model: SimpleThermoModel):
     """Per-arena (dimension ok?, max isotropy defect) rows."""
     rng = np.random.default_rng(cfg.seed)
     arenas = ["P", "M"] if model.degenerate else ["P", "TstarQ", "M", "N"]
@@ -337,12 +332,12 @@ def _isotropy_rows(cfg: RunConfig, model: SimpleThermoModel, samples: int = 20):
         expected = arena_dim(arena, model.n)
         worst = 0.0
         dims_ok = True
-        for _ in range(samples):
+        for _ in range(ISOTROPY_SAMPLES):
             q, v, S = model.domain_box.sample(rng)
             p = momentum_map(model, q, v, S)
             W = rng.uniform(-1, 1) if arena == "P" else 0.0
-            full = np.concatenate([q, [S], v, [W], p, [0.0]])
-            point = point_from_vector(arena, model.n, full[arena_slots(arena, model.n)])
+            full = make_point("P", model.n, q=q, S=S, v=v, W=W, p=p, lam=0.0)
+            point = point_from_vector(arena, model.n, full.row[arena_slots(arena, model.n)])
             try:
                 basis = dirac_basis(arena, model, point)
             except DiracThermoError:

@@ -47,8 +47,9 @@ from .errors import (
     DiracThermoError,
     TemperatureSignError,
 )
-from .legendre import inverse_partial_legendre
+from .legendre import temperature_and_friction_N
 from .model import (
+    ArenaPoint,
     SimpleThermoModel,
     TangentCovectorPair,
     _as_array,
@@ -56,7 +57,6 @@ from .model import (
     arena_slots,
     entropy_slope,
     friction_value,
-    temperature,
 )
 
 __all__ = [
@@ -123,7 +123,7 @@ def _require_same_base(pair1: TangentCovectorPair, pair2: TangentCovectorPair):
     a1, a2 = pair1.arena, pair2.arena
     if a1 != a2:
         raise BaseMismatchError(f"pairs live on different arenas: {a1} vs {a2}")
-    if not np.array_equal(pair1.base.as_vector(), pair2.base.as_vector()):
+    if not np.array_equal(pair1.base.row, pair2.base.row):
         raise BaseMismatchError("pairs are anchored at different base points")
 
 
@@ -147,11 +147,11 @@ def canonical_one_form(arena: str, point) -> np.ndarray:
     zero. The two-form used below is minus its exterior derivative.
     """
     if arena_of_point(point) != arena:
-        raise ArenaError(f"point type {type(point).__name__} is not on arena {arena!r}")
-    n = point.q.size
-    theta = np.zeros(3 * n + 3)  # P's order, cut to the arena's slots
-    theta[:n], theta[n] = point.p, getattr(point, "lam", 0.0)
-    return theta[arena_slots(arena, n)]
+        raise ArenaError(f"point on arena {point.arena!r} is not on arena {arena!r}")
+    n = point.n
+    theta = ArenaPoint("P", n, np.zeros(3 * n + 3))  # p dq + lam dS in P's order
+    theta.q, theta.S = point.p, getattr(point, "lam", 0.0)
+    return theta.row[arena_slots(arena, n)]
 
 
 def presymplectic_pairing(arena: str, point, tangent1, tangent2) -> float:
@@ -162,16 +162,15 @@ def presymplectic_pairing(arena: str, point, tangent1, tangent2) -> float:
     configuration-momentum block survives, so the form is degenerate.
     """
     if arena_of_point(point) != arena:
-        raise ArenaError(f"point type {type(point).__name__} is not on arena {arena!r}")
-    n = point.q.size
+        raise ArenaError(f"point on arena {point.arena!r} is not on arena {arena!r}")
+    n = point.n
     slots = arena_slots(arena, n)
     # P's form on the tangents placed at the arena's slots, zero elsewhere
-    t1, t2 = np.zeros((2, 3 * n + 3))
-    t1[slots] = _as_array(tangent1, slots.size, "tangent1")
-    t2[slots] = _as_array(tangent2, slots.size, "tangent2")
-    q, p, S, lam = slice(0, n), slice(2 * n + 2, 3 * n + 2), n, 3 * n + 2
-    out = float(t1[q] @ t2[p] - t1[p] @ t2[q])
-    return float(out + (t1[S] * t2[lam] - t1[lam] * t2[S]))
+    t1, t2 = (ArenaPoint("P", n, row) for row in np.zeros((2, 3 * n + 3)))
+    t1.row[slots] = _as_array(tangent1, slots.size, "tangent1")
+    t2.row[slots] = _as_array(tangent2, slots.size, "tangent2")
+    out = float(t1.q @ t2.p - t1.p @ t2.q)
+    return float(out + (t1.S * t2.lam - t1.lam * t2.S))
 
 
 # --- induced subspace ----------------------------------------------------
@@ -180,20 +179,15 @@ def presymplectic_pairing(arena: str, point, tangent1, tangent2) -> float:
 def _point_coefficients(arena: str, model: SimpleThermoModel, point):
     """(coefficient on the entropy slope or temperature, friction covector)
     entering the arena's conditions, evaluated per the arena's convention."""
-    if arena in ("P", "M"):
-        s = entropy_slope(model, point.q, point.v, point.S)
-        if s == 0.0 or not np.isfinite(s):
-            raise TemperatureSignError(
-                f"entropy slope dL/dS = {s!r} at the base point; the induced "
-                "subspace is not defined there"
-            )
-        return s, friction_value(model, point.q, point.v, point.S)
     if arena in ("TstarQ", "N"):
-        v = inverse_partial_legendre(model, point.q, point.p, point.S)
-        return temperature(model, point.q, v, point.S), friction_value(
-            model, point.q, v, point.S
+        return temperature_and_friction_N(model, point.q, point.p, point.S)
+    s = entropy_slope(model, point.q, point.v, point.S)  # P and M
+    if s == 0.0 or not np.isfinite(s):
+        raise TemperatureSignError(
+            f"entropy slope dL/dS = {s!r} at the base point; the induced "
+            "subspace is not defined there"
         )
-    raise ArenaError(f"unknown arena {arena!r}")
+    return s, friction_value(model, point.q, point.v, point.S)
 
 
 def _pontryagin_conditions(n: int, coef: float, F: np.ndarray) -> np.ndarray:
@@ -251,11 +245,11 @@ def condition_matrix(
     spare integrators a re-evaluation; omitted, both are computed here.
     """
     if arena_of_point(point) != arena:
-        raise ArenaError(f"point type {type(point).__name__} is not on arena {arena!r}")
+        raise ArenaError(f"point on arena {point.arena!r} is not on arena {arena!r}")
     n = model.n
-    if point.q.size != n:
+    if point.n != n:
         raise DimensionMismatchError(
-            f"point has {point.q.size} configuration coordinates, model has {n}"
+            f"point has {point.n} configuration coordinates, model has {n}"
         )
     if coefficients is None:
         coef, F = _point_coefficients(arena, model, point)

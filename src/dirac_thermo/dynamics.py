@@ -40,9 +40,7 @@ from .errors import (
 )
 from .legendre import HamiltonianModel, hamiltonian_partials, momentum_map
 from .model import (
-    PointN,
-    PointP,
-    point_from_vector,
+    ArenaPoint,
     SimpleThermoModel,
     TangentCovectorPair,
     _arena_dtype,
@@ -55,6 +53,7 @@ from .model import (
     friction_velocity_jacobian,
     lagrangian_partials,
     lagrangian_value,
+    make_point,
     mixed_velocity_term,
     momentum_rate,
     velocity_hessian,
@@ -197,7 +196,7 @@ def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None):
     return qdot, pdot, Sdot, hp, F, Fext
 
 
-def vector_field_N(hmodel: HamiltonianModel, point: PointN, v0=None):
+def vector_field_N(hmodel: HamiltonianModel, point: ArenaPoint, v0=None):
     """Explicit momentum-side field (qdot, pdot, Sdot).
 
     The entropy rate balances dissipated power against temperature.
@@ -322,7 +321,7 @@ def _solution_data(model: SimpleThermoModel, q, v, S, work) -> TangentCovectorPa
     a solution v equals qdot. A degenerate model's momentum is
     identically zero, and so is its rate."""
     qdot, vdot, Sdot, dLdq, dLdv, s, _, Fext = work
-    point = PointP(q=np.asarray(q, float), S=float(S), v=v, W=Sdot, p=dLdv, lam=0.0)
+    point = make_point("P", model.n, q=q, S=S, v=v, W=Sdot, p=dLdv, lam=0.0)
     if model.degenerate:
         pdot = np.zeros(model.n)
     else:
@@ -336,11 +335,12 @@ def _solution_data(model: SimpleThermoModel, q, v, S, work) -> TangentCovectorPa
 
 def _on_arena(pair: TangentCovectorPair, arena: str) -> TangentCovectorPair:
     """P-arena data taken at the arena's slots."""
-    n = pair.base.q.size
+    n = pair.base.n
     slots = arena_slots(arena, n)
-    base = point_from_vector(arena, n, pair.base.as_vector()[slots])
     return TangentCovectorPair(
-        base=base, tangent=pair.tangent[slots], covector=pair.covector[slots]
+        base=ArenaPoint(arena, n, pair.base.row[slots]),
+        tangent=pair.tangent[slots],
+        covector=pair.covector[slots],
     )
 
 
@@ -355,7 +355,7 @@ def _hamiltonian_N(model: SimpleThermoModel, pair) -> TangentCovectorPair:
     Fext = external_value(model, pair.base.q, pair.base.v, pair.base.S)
     pair = _on_arena(pair, "N")
     base = pair.base
-    hp = hamiltonian_partials(model, base.q, base.p, base.S, v0=pair.tangent[: base.q.size])
+    hp = hamiltonian_partials(model, base.q, base.p, base.S, v0=pair.tangent[: base.n])
     return TangentCovectorPair(
         base=base, tangent=pair.tangent, covector=_hamiltonian_covector(hp, Fext)
     )
@@ -445,7 +445,7 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
             F = friction_value(model, q, hp.velocity, S)
             Fext = external_value(model, q, hp.velocity, S)
         pair = TangentCovectorPair(
-            base=PointN(q=q, S=S, p=p), tangent=r, covector=_hamiltonian_covector(hp, Fext)
+            base=ArenaPoint("N", n, y), tangent=r, covector=_hamiltonian_covector(hp, Fext)
         )
         res = dirac_membership("N", model, pair, coefficients=(hp.dS, F))
         return _record(energy, S, Sdot, constraint, res)
@@ -574,7 +574,7 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
 # --- implicit integration on the full arena -------------------------------
 
 
-def implicit_residual_P(model: SimpleThermoModel, point: PointP, rates) -> np.ndarray:
+def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates) -> np.ndarray:
     """Stacked residual of the full-arena conditions at (point, rates).
 
     Rates follow the arena order (qdot, Sdot, vdot, Wdot, pdot, lamdot).
@@ -601,17 +601,17 @@ def implicit_residual_P(model: SimpleThermoModel, point: PointP, rates) -> np.nd
 
 
 def _implicit_diag(model, x, rates, residual) -> DiagnosticsRecord:
-    """Diagnostics at the flat P row x, read through its group fields."""
+    """Diagnostics at the flat P row x, read through its groups."""
     n = model.n
-    point = x.view(_arena_dtype("P", n))[0]
-    energy = float(point["p"] @ point["v"]) + point["lam"] * point["W"] - lagrangian_value(
-        model, point["q"], point["v"], point["S"]
+    point = ArenaPoint("P", n, x)
+    energy = float(point.p @ point.v) + point.lam * point.W - lagrangian_value(
+        model, point.q, point.v, point.S
     )
-    return _record(energy, point["S"], float(rates[n]), float(residual[n]), residual)
+    return _record(energy, point.S, float(rates[n]), float(residual[n]), residual)
 
 
 def integrate_implicit_P(
-    model: SimpleThermoModel, initial: PointP, t_end: float, h: float
+    model: SimpleThermoModel, initial: ArenaPoint, t_end: float, h: float
 ) -> Trajectory:
     """Implicit Euler on the full-arena stacked residual.
 
@@ -649,7 +649,7 @@ def integrate_implicit_P(
         x1 = x0 + h * rate_guess
 
         def g(z: np.ndarray) -> np.ndarray:
-            return implicit_residual_P(model, point_from_vector("P", n, z), (z - x0) / h)
+            return implicit_residual_P(model, ArenaPoint("P", n, z), (z - x0) / h)
 
         r = g(x1)
         J = None
@@ -680,9 +680,9 @@ def integrate_implicit_P(
             )
         rate = (x1 - x0) / h
         # snap the algebraic slots exactly, in place; Newton left them within tol
-        point = x1.view(_arena_dtype("P", n))[0]
-        point["p"] = momentum_map(model, point["q"], point["v"], point["S"])
-        point["lam"] = 0.0
+        point = ArenaPoint("P", n, x1)
+        point.p = momentum_map(model, point.q, point.v, point.S)
+        point.lam = 0.0
         states[k], rates[k] = x1, rate
         diagnostics[k] = _implicit_diag(model, x1, rate, r)
         rate_guess = rate

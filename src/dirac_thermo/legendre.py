@@ -16,15 +16,14 @@ import numpy as np
 from . import duals
 from .errors import ArenaError, DegenerateLagrangianError, NewtonError
 from .model import (
-    PointM,
-    PointN,
-    PointP,
+    ArenaPoint,
     SimpleThermoModel,
     _as_array,
     arena_of_point,
     friction_value,
     lagrangian_partials,
     lagrangian_value,
+    make_point,
     mixed_velocity_term,
     temperature,
     velocity_hessian,
@@ -166,26 +165,19 @@ def temperature_and_friction_N(model: SimpleThermoModel, q, p, S, v0=None):
     return temperature(model, q, v, S), friction_value(model, q, v, S)
 
 
-def embed_jL(model: SimpleThermoModel, point: PointN, v0=None) -> PointM:
+def embed_jL(model: SimpleThermoModel, point: ArenaPoint, v0=None) -> ArenaPoint:
     """Fiber-preserving embedding (q, S, p) -> (q, S, v(q, p, S), p)."""
     if arena_of_point(point) != "N":
-        raise ArenaError(f"embed_jL expects an N-arena point, got {type(point).__name__}")
+        raise ArenaError(f"embed_jL expects an N-arena point, got one on {point.arena}")
     v = inverse_partial_legendre(model, point.q, point.p, point.S, v0=v0)
-    return PointM(q=point.q.copy(), S=point.S, v=v, p=point.p.copy())
+    return make_point("M", point.n, q=point.q, S=point.S, v=v, p=point.p)
 
 
-def lift_M_to_P(point: PointM, Sdot: float) -> PointP:
+def lift_M_to_P(point: ArenaPoint, Sdot: float) -> ArenaPoint:
     """Attach the entropy-rate slot (W = Sdot) and a zero covariable."""
     if arena_of_point(point) != "M":
-        raise ArenaError(f"lift_M_to_P expects an M-arena point, got {type(point).__name__}")
-    return PointP(
-        q=point.q.copy(),
-        S=point.S,
-        v=point.v.copy(),
-        W=float(Sdot),
-        p=point.p.copy(),
-        lam=0.0,
-    )
+        raise ArenaError(f"lift_M_to_P expects an M-arena point, got one on {point.arena}")
+    return make_point("P", point.n, q=point.q, S=point.S, v=point.v, W=Sdot, p=point.p, lam=0.0)
 
 
 def generalized_energy(arena: str, model: SimpleThermoModel, point) -> float:
@@ -193,9 +185,7 @@ def generalized_energy(arena: str, model: SimpleThermoModel, point) -> float:
     if arena not in ("P", "M"):
         raise ArenaError(f"generalized energy is defined on arenas P and M, not {arena!r}")
     if arena_of_point(point) != arena:
-        raise ArenaError(
-            f"point type {type(point).__name__} does not live on arena {arena!r}"
-        )
+        raise ArenaError(f"point on arena {point.arena!r} does not live on arena {arena!r}")
     base = float(point.p @ point.v) - lagrangian_value(model, point.q, point.v, point.S)
     if arena == "P":
         base += point.lam * point.W

@@ -16,7 +16,11 @@ flat-vector coordinate order:
 
 W is an entropy-rate slot, lam the conjugate covariable of S (zero
 along physical motions). Every serialization in the package uses these
-orders and nothing else.
+orders and nothing else. The table of arena groups below is their only
+statement: one walk over it gives each arena's slots inside P's order
+and each group's place in the arena's row. A point of any arena is one
+type, :class:`ArenaPoint`: the arena tag and the flat row, with each
+coordinate group read through that walk.
 """
 
 from __future__ import annotations
@@ -32,11 +36,9 @@ from .errors import ArenaError, DimensionMismatchError, TemperatureSignError
 
 __all__ = [
     "ARENAS",
+    "ArenaPoint",
     "DomainBox",
-    "PointM",
     "PointN",
-    "PointP",
-    "PointTstarQ",
     "SimpleThermoModel",
     "TangentCovectorPair",
     "arena_dim",
@@ -77,19 +79,29 @@ def _arena_groups(arena: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def arena_slots(arena: str, n: int) -> np.ndarray:
-    """Indices of the arena's flat coordinates inside P's flat order
-    (q, S, v, W, p, lam); read-only, built once per (arena, n)."""
+def _arena_layout(arena: str, n: int):
+    """(slots, places): the indices of the arena's flat coordinates
+    inside P's flat order, read-only, and each kept group's place in the
+    arena's row, a slice of length n for q, v and p and an index for the
+    scalars. Built once per (arena, n) by one walk over P's groups."""
     groups = _arena_groups(arena)
-    slots, start = [], 0
+    slots, places, start = [], {}, 0
     for group in _P_GROUPS:
         size = n if group in _VECTOR_GROUPS else 1
         if group in groups:
+            k = len(slots)
+            places[group] = slice(k, k + n) if group in _VECTOR_GROUPS else k
             slots.extend(range(start, start + size))
         start += size
     out = np.array(slots)
     out.flags.writeable = False
-    return out
+    return out, places
+
+
+def arena_slots(arena: str, n: int) -> np.ndarray:
+    """Indices of the arena's flat coordinates inside P's flat order
+    (q, S, v, W, p, lam); read-only, built once per (arena, n)."""
+    return _arena_layout(arena, n)[0]
 
 
 def arena_dim(arena: str, n: int) -> int:
@@ -277,92 +289,79 @@ def friction_velocity_jacobian(model: SimpleThermoModel, q, v, S) -> np.ndarray:
 # --- arena points ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointN(object):
-    """Configuration, entropy, and momentum: the smallest arena."""
+class ArenaPoint:
+    """A point of one arena: the arena tag, the configuration dimension n
+    and the point's flat row in the arena's order. Each coordinate group
+    reads (and writes) through the slot table: q, v and p as length-n
+    views of the row, S, W and lam as floats. A group the arena lacks
+    raises AttributeError. The row is neither copied nor checked here;
+    :func:`make_point` and :func:`point_from_vector` validate their input."""
 
-    q: np.ndarray
-    S: float
-    p: np.ndarray
+    __slots__ = ("arena", "n", "row", "_places")
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.q, [self.S], self.p])
-
-
-@dataclass(frozen=True)
-class PointM:
-    """Velocity and momentum carried side by side over (q, S)."""
-
-    q: np.ndarray
-    S: float
-    v: np.ndarray
-    p: np.ndarray
+    def __init__(self, arena: str, n: int, row: np.ndarray):
+        self.arena, self.n, self.row = arena, n, row
+        self._places = _arena_layout(arena, n)[1]
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.q, [self.S], self.v, self.p])
+        return self.row.copy()
+
+    def __repr__(self) -> str:
+        return f"ArenaPoint({self.arena!r}, {self.n}, {self.row!r})"
 
 
-@dataclass(frozen=True)
-class PointP:
-    """Full variational arena: adds the entropy-rate slot W and the
-    entropy-conjugate covariable lam (zero along physical motions)."""
+def _group_property(group: str) -> property:
+    def place(point):
+        try:
+            return point._places[group]
+        except KeyError:
+            raise AttributeError(f"arena {point.arena} has no coordinate {group!r}") from None
 
-    q: np.ndarray
-    S: float
-    v: np.ndarray
-    W: float
-    p: np.ndarray
-    lam: float
+    def read(point):
+        at = place(point)
+        return point.row[at] if type(at) is slice else float(point.row[at])
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.q, [self.S], self.v, [self.W], self.p, [self.lam]])
+    def write(point, value):
+        point.row[place(point)] = value
 
-
-@dataclass(frozen=True)
-class PointTstarQ:
-    """Cotangent arena over extended configuration (q, S)."""
-
-    q: np.ndarray
-    S: float
-    p: np.ndarray
-    lam: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.q, [self.S], self.p, [self.lam]])
+    return property(read, write)
 
 
-_POINT_TYPES = {"P": PointP, "TstarQ": PointTstarQ, "M": PointM, "N": PointN}
-_POINT_ARENA = {cls: arena for arena, cls in _POINT_TYPES.items()}
+for _group in _P_GROUPS:
+    setattr(ArenaPoint, _group, _group_property(_group))
+
+
+def PointN(*, q, S, p) -> ArenaPoint:
+    """N-arena point (q, S, p); n is the length of q."""
+    return make_point("N", np.size(q), q=q, S=S, p=p)
 
 
 def arena_of_point(point) -> str:
-    try:
-        return _POINT_ARENA[type(point)]
-    except KeyError:
+    if not isinstance(point, ArenaPoint):
         raise ArenaError(f"not an arena point: {type(point).__name__}")
+    return point.arena
 
 
-def make_point(arena: str, n: int, **fields):
+def make_point(arena: str, n: int, **fields) -> ArenaPoint:
     """Build an arena point with validated component shapes."""
-    groups = _arena_groups(arena)
-    stray = set(fields) - set(groups)
+    places = _arena_layout(arena, n)[1]
+    stray = set(fields) - set(places)
     if stray:
         raise DimensionMismatchError(f"unexpected fields for arena {arena}: {sorted(stray)}")
-    values = {
-        g: _as_array(fields[g], n, g) if g in _VECTOR_GROUPS else float(fields[g])
-        for g in groups
-    }
-    return _POINT_TYPES[arena](**values)
+    row = np.empty(arena_dim(arena, n))
+    for g, at in places.items():
+        row[at] = _as_array(fields[g], n, g) if type(at) is slice else float(fields[g])
+    return ArenaPoint(arena, n, row)
 
 
-def point_from_vector(arena: str, n: int, vec: Sequence[float]):
-    """Inverse of ``as_vector`` for the given arena's coordinate order."""
-    x = np.ascontiguousarray(vec, dtype=float)
+def point_from_vector(arena: str, n: int, vec: Sequence[float]) -> ArenaPoint:
+    """Inverse of ``as_vector`` for the given arena's coordinate order;
+    the point holds a copy of ``vec``."""
+    x = np.array(vec, dtype=float)
     d = arena_dim(arena, n)
     if x.shape != (d,):
         raise DimensionMismatchError(f"arena {arena} expects {d} coordinates, got {x.shape}")
-    # the point types list their fields in the arena's group order
-    return _POINT_TYPES[arena](*x.view(_arena_dtype(arena, n))[0].item())
+    return ArenaPoint(arena, n, x)
 
 
 @dataclass(frozen=True)
@@ -370,7 +369,7 @@ class TangentCovectorPair:
     """One element of the doubled fiber at a base point: a tangent
     vector and a covector, both in the arena's flat coordinate order."""
 
-    base: object
+    base: ArenaPoint
     tangent: np.ndarray
     covector: np.ndarray
 

@@ -59,6 +59,10 @@ __all__ = [
 
 LAGRANGIAN_ROUTE = "lagrangian"
 HAMILTONIAN_ROUTE = "hamilton-dirac-N"
+# equivalence battery: rng seed and the magnitude band of the rate bumps
+BATTERY_SEED = 0
+BATTERY_PERTURBATION = (1e-2, 2e-2)
+REDUCTION_SEED = 0  # rng seed of the mechanics reduction samples
 
 
 def lagrangian_chart_initial(model: SimpleThermoModel, initial) -> np.ndarray:
@@ -191,8 +195,6 @@ def formulation_equivalence_battery(
     t_end: float = 1.0,
     h: float = 1e-3,
     sample_count: int = 25,
-    seed: int = 0,
-    perturbation: Tuple[float, float] = (1e-2, 2e-2),
 ) -> BatteryReport:
     """Membership residuals of solution data in every formulation's
     induced subspace, against the same residuals after bumping the rate
@@ -215,14 +217,14 @@ def formulation_equivalence_battery(
         projections["momentum-N"] = lambda pair: _on_arena(pair, "N")
         projections["hamilton-N"] = lambda pair: _hamiltonian_N(model, pair)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BATTERY_SEED)
     idx = np.linspace(0, len(traj.states) - 1, min(sample_count, len(traj.states)))
     idx = sorted(set(int(i) for i in idx))
     data = {}  # P solution data, once per sample
     for k in idx:
         point = traj.states[k]
         data[k] = solution_pair_P(model, point.q, point.v, point.S)
-    lo, hi = perturbation
+    lo, hi = BATTERY_PERTURBATION
     reports = {}
     for label, project in projections.items():
         worst_on = 0.0
@@ -285,6 +287,20 @@ def _discrete_action(model, q, S, v, p, h: float) -> float:
     return float(np.sum(work) - 0.5 * h * np.sum(energies[:-1] + energies[1:]))
 
 
+def _solved_entropy_variation(model, q, S, v, dq) -> np.ndarray:
+    """dS = <F, dq> / s node by node: the entropy component that makes
+    (dq, dS) satisfy the variational constraint."""
+    dS = np.empty(len(S))
+    for k in range(len(S)):
+        s = entropy_slope(model, q[k], v[k], S[k])
+        if s == 0.0:
+            raise DiracThermoError(
+                f"cannot solve the variational constraint at node {k}: entropy slope is zero"
+            )
+        dS[k] = float(friction_value(model, q[k], v[k], S[k]) @ dq[k]) / s
+    return dS
+
+
 def action_variation_residual(
     model: SimpleThermoModel,
     trajectory: Trajectory,
@@ -317,15 +333,7 @@ def action_variation_residual(
     if np.max(np.abs(dq[0])) > 0.0 or np.max(np.abs(dq[-1])) > 0.0:
         raise DiracThermoError("variation must vanish at both endpoints")
     if project:
-        dS = dS.copy()
-        for k in range(K):
-            s = entropy_slope(model, q[k], v[k], S[k])
-            if s == 0.0:
-                raise DiracThermoError(
-                    f"variation projection failed at node {k}: entropy slope is zero"
-                )
-            F = friction_value(model, q[k], v[k], S[k])
-            dS[k] = float(F @ dq[k]) / s
+        dS = _solved_entropy_variation(model, q, S, v, dq)
     h = float(trajectory.times[1] - trajectory.times[0]) if K > 1 else 1.0
     plus = _discrete_action(model, q + epsilon * dq, S + epsilon * dS, v, p, h)
     minus = _discrete_action(model, q - epsilon * dq, S - epsilon * dS, v, p, h)
@@ -350,15 +358,7 @@ def admissible_variation(
             dq[:, i] += rng.uniform(-1.0, 1.0) * np.sin(j * np.pi * tau)
     dq[0] = 0.0  # sin(j*pi) leaves float dust; the endpoints must vanish exactly
     dq[-1] = 0.0
-    dS = np.empty(K)
-    for k in range(K):
-        s = entropy_slope(model, q[k], v[k], S[k])
-        if s == 0.0:
-            raise DiracThermoError(
-                f"cannot solve the constraint at node {k}: entropy slope is zero"
-            )
-        F = friction_value(model, q[k], v[k], S[k])
-        dS[k] = float(F @ dq[k]) / s
+    dS = _solved_entropy_variation(model, q, S, v, dq)
     field = VariationField(dq=dq, dS=dS)
     m = field.sup_norm()
     if m == 0.0:
@@ -391,7 +391,6 @@ class MechanicsReductionReport:
 def mechanics_reduction_check(
     model: SimpleThermoModel,
     samples: int = 100,
-    seed: int = 0,
     canonical_field: Optional[Callable] = None,
 ) -> MechanicsReductionReport:
     """For a frictionless, entropy-independent model: the momentum-side
@@ -400,8 +399,7 @@ def mechanics_reduction_check(
 
     ``canonical_field`` may supply a closed form (q, S, p) ->
     (qdot, pdot) to pin the comparison to an external oracle."""
-    rng = np.random.default_rng(seed)
-    n = model.n
+    rng = np.random.default_rng(REDUCTION_SEED)
     # the premise itself is checked, not trusted
     for _ in range(min(samples, 10)):
         q, v, S = model.domain_box.sample(rng)

@@ -243,6 +243,28 @@ class TestImplicitFullArena:
         rates = np.concatenate([qdot, [Sdot], vdot, [0.0], pdot, [0.0]])
         assert np.max(np.abs(dt.implicit_residual_P(piston, start, rates))) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
+    def test_residual_is_the_P_condition_stack(self, kind, request):
+        # implicit_residual_P writes the P rows of dirac's condition stack
+        # by hand; off shell too, it must equal the stack applied to
+        # (rates, covector) with the generalized-energy covector
+        model = request.getfixturevalue(kind)
+        n = model.n
+        rng = np.random.default_rng(7)
+        for q, v, S in sample_states(model, 40, seed=4):
+            point = dt.make_point("P", n, q=q, S=S, v=v, W=rng.uniform(-1, 1),
+                                  p=rng.uniform(-1, 1, n), lam=rng.uniform(-1, 1))
+            rates = rng.uniform(-1, 1, 3 * n + 3)
+            dLdq, dLdv, s = dt.lagrangian_partials(model, q, v, S)
+            covector = np.concatenate([
+                -dLdq - dt.external_value(model, q, v, S), [-s], point.p - dLdv,
+                [point.lam], v, [point.W],
+            ])
+            r = dt.implicit_residual_P(model, point, rates)
+            A = dt.condition_matrix("P", model, point)
+            expected = A @ np.concatenate([rates, covector])
+            assert np.max(np.abs(r - expected)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
     def test_off_slice_start_is_rejected(self, piston):
         bad = dt.make_point("P", 1, q=[1.0], S=0.0, v=[0.5], W=0.0, p=[3.0], lam=0.0)
         with pytest.raises(dt.IntegrationError):

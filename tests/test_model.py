@@ -27,13 +27,44 @@ class TestArenas:
         with pytest.raises(dt.ArenaError):
             dt.arena_dim("Q", 1)
 
-    def test_point_vector_roundtrip(self):
-        vec = np.arange(6.0)
-        pt = dt.point_from_vector("P", 1, vec)
-        assert dt.arena_of_point(pt) == "P"
-        assert pt.q[0] == 0.0 and pt.S == 1.0 and pt.v[0] == 2.0
-        assert pt.W == 3.0 and pt.p[0] == 4.0 and pt.lam == 5.0
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("arena", dt.ARENAS)
+    def test_point_vector_roundtrip(self, arena, n):
+        # P's groups at their P slots, and the groups each arena keeps,
+        # restated by hand from the model docstring
+        at_P = {"q": slice(0, n), "S": n, "v": slice(n + 1, 2 * n + 1), "W": 2 * n + 1,
+                "p": slice(2 * n + 2, 3 * n + 2), "lam": 3 * n + 2}
+        kept = {"P": ("q", "S", "v", "W", "p", "lam"), "TstarQ": ("q", "S", "p", "lam"),
+                "M": ("q", "S", "v", "p"), "N": ("q", "S", "p")}[arena]
+        vec = np.arange(1.0, dt.arena_dim(arena, n) + 1.0)
+        full = np.full(3 * n + 3, np.nan)
+        full[dt.arena_slots(arena, n)] = vec
+        pt = dt.point_from_vector(arena, n, vec)
+        assert dt.arena_of_point(pt) == arena
+        out = pt.as_vector()
+        assert np.array_equal(out, vec)
+        out[:] = -2.0  # as_vector hands out a fresh copy
         assert np.array_equal(pt.as_vector(), vec)
+        groups = {}
+        for g, at in at_P.items():
+            if g not in kept:
+                assert not hasattr(pt, g)
+                continue
+            groups[g] = getattr(pt, g)
+            if isinstance(at, slice):
+                assert groups[g].shape == (n,) and np.array_equal(groups[g], full[at])
+            else:
+                assert type(groups[g]) is float and groups[g] == full[at]
+        rebuilt = dt.make_point(arena, n, **groups)
+        assert np.array_equal(rebuilt.as_vector(), vec)
+        with pytest.raises(dt.ArenaError):
+            dt.arena_of_point(object())
+
+    def test_point_from_vector_copies_its_input(self):
+        vec = np.arange(7.0)
+        pt = dt.point_from_vector("M", 2, vec)
+        vec[:] = -1.0
+        assert np.array_equal(pt.as_vector(), np.arange(7.0))
 
     def test_make_point_checks_shapes(self):
         ok = dt.make_point("N", 2, q=[1.0, 2.0], S=0.5, p=[0.1, 0.2])
