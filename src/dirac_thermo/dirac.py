@@ -52,6 +52,7 @@ from .model import (
     ArenaPoint,
     SimpleThermoModel,
     TangentCovectorPair,
+    _arena_layout,
     _as_array,
     arena_of_point,
     arena_slots,
@@ -192,9 +193,9 @@ def _point_coefficients(arena: str, model: SimpleThermoModel, point):
 
 def _pontryagin_conditions(n: int, coef: float, F: np.ndarray) -> np.ndarray:
     """The P stack; row i is the condition attached to P slot i."""
-    d = 3 * n + 3
-    q = np.arange(n)
-    S, v, W, p, lam = n, n + 1 + q, 2 * n + 1, 2 * n + 2 + q, 3 * n + 2
+    slots, at = _arena_layout("P", n)  # P's slots 0..d-1, each group's place among them
+    d = slots.size
+    q, S, v, W, p, lam = (slots[at[g]] for g in ("q", "S", "v", "W", "p", "lam"))
     A = np.zeros((d, 2 * d))
     A[q, p] = A[q, d + q] = coef  # rate rows: (pd + a) coef + (ld + tS) F
     A[q, lam] = A[q, d + S] = F

@@ -8,17 +8,18 @@ Three ways to move a simple thermodynamic system forward in time:
 * an implicit Euler scheme solving the full stacked residual on the
   largest arena with Newton steps.
 
-All integrators record per-step diagnostics: energy, entropy, entropy
-rate, the rate-constraint residual, and the membership residual of the
-numerical (state, rate, energy differential) data in the induced
-subspace. The ``solution_pair_*`` helpers assemble exactly those
-(state, tangent, covector) triples from an on-shell state; they are the
-bridge between computed trajectories and the membership tests. One
-builder fills the P-arena data from a single derivative pass, and every
-other arena takes that data at its slots (``model.arena_slots``)
-unchanged: the sign flip between the velocity and momentum sides lives
-in the TstarQ and N condition rows (``dirac.condition_matrix``), not in
-the data.
+Each explicit side evaluates a state into one work record, the rate
+plus the partials, friction and external force it was built from
+(``_lagrangian_work`` in both velocity-side regimes, ``_momentum_work``);
+the vector fields, the solution data and each field's rate, stored row
+and per-step diagnostics (energy, entropy, entropy rate, the
+rate-constraint residual and the membership residual of the state, rate
+and energy differential) read it. The ``solution_pair_*`` helpers
+assemble those (state, tangent, covector) triples on P from an on-shell
+state, and every other arena takes them at its slots
+(``model.arena_slots``) unchanged: the sign flip between the velocity
+and momentum sides lives in the TstarQ and N condition rows
+(``dirac.condition_matrix``), not in the data.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dirac import dirac_membership, phenomenological_constraint_residual
+from .dirac import dirac_membership
 from .errors import (
     DegenerateLagrangianError,
     DimensionMismatchError,
@@ -38,7 +39,7 @@ from .errors import (
     NewtonError,
     TemperatureSignError,
 )
-from .legendre import HamiltonianModel, hamiltonian_partials, momentum_map
+from .legendre import HamiltonianModel, HamiltonianPartials, hamiltonian_partials, momentum_map
 from .model import (
     ArenaPoint,
     SimpleThermoModel,
@@ -53,7 +54,6 @@ from .model import (
     friction_velocity_jacobian,
     lagrangian_partials,
     lagrangian_value,
-    make_point,
     mixed_velocity_term,
     momentum_rate,
     velocity_hessian,
@@ -166,66 +166,71 @@ def trajectory_rows(trajectory: Trajectory) -> np.ndarray:
     return np.column_stack([states.q, states.S, v, rates[:, n], states.p])
 
 
-# --- explicit right-hand sides -----------------------------------------
+# --- one evaluation per state ---------------------------------------------
 
 
-def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None):
-    """Momentum-side rate at (q, S, p) plus the intermediates it was
-    built from.
-
-    Returns (qdot, pdot, Sdot, hp, F, Fext) so the explicit field can
-    hand diagnostics the same partials instead of re-inverting the
-    fiber at stored states.
-    """
-    model = hmodel.source
-    hp = hamiltonian_partials(model, q, p, S, v0=v0)
-    v = hp.velocity
-    F = friction_value(model, q, v, S)
-    Fext = external_value(model, q, v, S)
-    qdot = hp.dp
-    pdot = -hp.dq + F + Fext
-    if not F.any():
-        Sdot = 0.0
-    else:
-        T = hp.dS
-        if not T > 0.0:
-            raise TemperatureSignError(
-                f"dH/dS = {T:.6g} must be positive where friction acts (model {model.name})"
-            )
-        Sdot = float(-(F @ qdot) / T)
-    return qdot, pdot, Sdot, hp, F, Fext
+def _point_partials(model: SimpleThermoModel, q, v, S):
+    """(dLdq, dLdv, s, F, Fext) at one state: the first-order pass that
+    the velocity-side work and the implicit residual share."""
+    dLdq, dLdv, s = lagrangian_partials(model, q, v, S)
+    return dLdq, dLdv, s, friction_value(model, q, v, S), external_value(model, q, v, S)
 
 
-def vector_field_N(hmodel: HamiltonianModel, point: ArenaPoint, v0=None):
-    """Explicit momentum-side field (qdot, pdot, Sdot).
+def _entropy_rate(model: SimpleThermoModel, F, v, s) -> float:
+    """Sdot = <F, v>/s: the rate constraint s Sdot = <F, v> solved for the
+    entropy rate, with s the entropy slope dL/dS (minus the temperature).
 
-    The entropy rate balances dissipated power against temperature.
     Friction-free points move entropy nowhere, which keeps pure
-    mechanics (entropy-independent models) inside this field without a
-    temperature read; with friction present, a non-positive temperature
-    is a domain violation and is raised as such. ``v0`` seeds the fiber
-    inversion (a warm start from a nearby state).
+    mechanics (entropy-independent models) inside the fields without a
+    slope read; where friction acts, a slope that is not negative (a
+    temperature that is not positive) is a domain violation and is
+    raised as such. A NaN slope gives a NaN rate, so a run that blew up
+    stops on its non-finite state.
     """
-    qdot, pdot, Sdot = _momentum_work(hmodel, point.q, point.S, point.p, v0=v0)[:3]
-    return qdot, pdot, Sdot
+    if not np.count_nonzero(F):  # F.any(), without its Python-level wrapper
+        return 0.0
+    if s >= 0.0:
+        raise TemperatureSignError(
+            f"dL/dS = {s:.6g} must be negative where friction acts (model {model.name})"
+        )
+    return float(F @ v / s)
 
 
-def vector_field_lagrangian(model: SimpleThermoModel, q, v, S):
-    """Explicit velocity-side field (qdot, vdot, Sdot).
+class _LagrangianWork(NamedTuple):
+    """A velocity-side rate (qdot, vdot, Sdot) and the first partials,
+    friction and external force it was built from; qdot is also the
+    state's velocity."""
 
-    Regular regime: the velocity Hessian is inverted for vdot and the
-    entropy rate comes from the rate constraint. Degenerate regime
-    (velocity-independent Lagrangian, velocity-linear friction): the
-    equation of motion is algebraic in the rate, so the friction
-    coefficient matrix is solved directly; the passed v is ignored and
-    the returned qdot is the solved rate, with vdot identically zero.
-    """
+    qdot: np.ndarray
+    vdot: np.ndarray
+    Sdot: float
+    dLdq: np.ndarray
+    dLdv: np.ndarray
+    s: float
+    F: np.ndarray
+    Fext: np.ndarray
+
+
+class _MomentumWork(NamedTuple):
+    """A momentum-side rate (qdot, pdot, Sdot) and the Hamiltonian
+    partials, friction and external force it was built from; qdot is the
+    inverted velocity."""
+
+    qdot: np.ndarray
+    pdot: np.ndarray
+    Sdot: float
+    hp: HamiltonianPartials
+    F: np.ndarray
+    Fext: np.ndarray
+
+
+def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
+    """The rate of :func:`vector_field_lagrangian` at (q, v, S) plus the
+    intermediates it was built from; a degenerate model's dL/dv is zero."""
     n = model.n
-    q = _as_array(q, n, "q")
-    S = float(S)
-
     if model.degenerate:
         zero_v = np.zeros(n)
+        # L ignores v: its partials at zero velocity are those at the solved rate
         dLdq, _, s, F0, Fext = _point_partials(model, q, zero_v, S)
         if np.max(np.abs(F0)) > 1e-12:
             raise DiracThermoError(
@@ -240,97 +245,86 @@ def vector_field_lagrangian(model: SimpleThermoModel, q, v, S):
                 f"singular friction coefficient matrix (model {model.name})"
             )
         F = friction_value(model, q, qdot, S)
-        if np.all(F == 0.0):
-            Sdot = 0.0
-        else:
-            if s == 0.0:
-                raise TemperatureSignError(
-                    f"dL/dS vanishes where friction acts (model {model.name})"
-                )
-            Sdot = float(F @ qdot / s)
-        return qdot, np.zeros(n), Sdot
+        Sdot = _entropy_rate(model, F, qdot, s)
+        return _LagrangianWork(qdot, zero_v, Sdot, dLdq, np.zeros(n), s, F, Fext)
 
     v = _as_array(v, n, "v")
-    qdot, vdot, Sdot = _regular_work(model, q, v, S)[:3]
-    return qdot, vdot, Sdot
-
-
-def _point_partials(model: SimpleThermoModel, q, v, S):
-    """(dLdq, dLdv, s, F, Fext) at one state: the derivative pass that
-    rates, solution data and diagnostics share."""
-    dLdq, dLdv, s = lagrangian_partials(model, q, v, S)
-    return dLdq, dLdv, s, friction_value(model, q, v, S), external_value(model, q, v, S)
-
-
-def _regular_work(model: SimpleThermoModel, q, v, S):
-    """Velocity-side rate plus the intermediates it was built from.
-
-    Returns (qdot, vdot, Sdot, dLdq, dLdv, s, F, Fext); q, v must
-    already be shaped arrays. Rolled into one place so the explicit
-    field can hand diagnostics the same values instead of recomputing
-    them at stored states.
-    """
     dLdq, dLdv, s, F, Fext = _point_partials(model, q, v, S)
-    if not np.count_nonzero(F):  # F.any(), without its Python-level wrapper
-        Sdot = 0.0
-    else:
-        if s == 0.0:
-            raise TemperatureSignError(
-                f"dL/dS vanishes where friction acts (model {model.name})"
-            )
-        Sdot = float(F @ v / s)
+    Sdot = _entropy_rate(model, F, v, s)
     rhs = dLdq + F + Fext - mixed_velocity_term(model, q, v, S, qdot=v, Sdot=Sdot)
     H = velocity_hessian(model, q, v, S)
-    if model.n == 1:
-        # scalar mass beats an n=1 LAPACK round trip on the hot path
-        m = H[0, 0]
-        if m == 0.0 or not math.isfinite(m):
-            raise DegenerateLagrangianError(
-                f"singular velocity Hessian; model {model.name} needs the "
-                "velocity-independent regime"
-            )
-        vdot = rhs / m
-    else:
-        try:
+    m = H[0, 0]  # a scalar mass beats an n=1 LAPACK round trip on the hot path
+    try:
+        if n > 1:
             vdot = np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError:
-            raise DegenerateLagrangianError(
-                f"singular velocity Hessian; model {model.name} needs the "
-                "velocity-independent regime"
-            )
-    return v.copy(), vdot, Sdot, dLdq, dLdv, s, F, Fext
+        elif m != 0.0 and math.isfinite(m):
+            vdot = rhs / m
+        else:
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise DegenerateLagrangianError(
+            f"singular velocity Hessian; model {model.name} needs the "
+            "velocity-independent regime"
+        )
+    return _LagrangianWork(v.copy(), vdot, Sdot, dLdq, dLdv, s, F, Fext)
+
+
+def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None) -> _MomentumWork:
+    """Momentum-side rate at (q, S, p) plus the intermediates it was
+    built from; ``v0`` seeds the fiber inversion."""
+    model = hmodel.source
+    hp = hamiltonian_partials(model, q, p, S, v0=v0)
+    F = friction_value(model, q, hp.velocity, S)
+    Fext = external_value(model, q, hp.velocity, S)
+    Sdot = _entropy_rate(model, F, hp.dp, -hp.dS)
+    return _MomentumWork(hp.dp, -hp.dq + F + Fext, Sdot, hp, F, Fext)
+
+
+def vector_field_N(hmodel: HamiltonianModel, point: ArenaPoint, v0=None):
+    """Explicit momentum-side field (qdot, pdot, Sdot).
+
+    The entropy rate balances dissipated power against temperature
+    (:func:`_entropy_rate`). ``v0`` seeds the fiber inversion (a warm
+    start from a nearby state).
+    """
+    work = _momentum_work(hmodel, point.q, point.S, point.p, v0=v0)
+    return work.qdot, work.pdot, work.Sdot
+
+
+def vector_field_lagrangian(model: SimpleThermoModel, q, v, S):
+    """Explicit velocity-side field (qdot, vdot, Sdot).
+
+    Regular regime: the velocity Hessian is inverted for vdot and the
+    entropy rate comes from the rate constraint. Degenerate regime
+    (velocity-independent Lagrangian, velocity-linear friction): the
+    equation of motion is algebraic in the rate, so the friction
+    coefficient matrix is solved directly; the passed v is ignored and
+    the returned qdot is the solved rate, with vdot identically zero.
+    """
+    work = _lagrangian_work(model, q, v, S)
+    return work.qdot, work.vdot, work.Sdot
 
 
 # --- on-shell membership data -------------------------------------------
 
 
-def _lagrangian_work(model: SimpleThermoModel, q, v, S):
-    """As :func:`_regular_work` at an on-shell state; degenerate models
-    take their partials at the solved rate."""
-    q = _as_array(q, model.n, "q")
-    if not model.degenerate:
-        return _regular_work(model, q, _as_array(v, model.n, "v"), float(S))
-    qdot, vdot, Sdot = vector_field_lagrangian(model, q, v, S)
-    return (qdot, vdot, Sdot, *_point_partials(model, q, qdot, S))
-
-
 def _solution_data(model: SimpleThermoModel, q, v, S, work) -> TangentCovectorPair:
-    """P-arena data at the state (q, v, S) with the rate and partials in
-    ``work``, laid out as :func:`_regular_work` returns them: (qdot,
-    vdot, Sdot) and then (dLdq, dLdv, s, F, Fext) taken at (q, v, S). On
-    a solution v equals qdot. A degenerate model's momentum is
-    identically zero, and so is its rate."""
-    qdot, vdot, Sdot, dLdq, dLdv, s, _, Fext = work
-    point = make_point("P", model.n, q=q, S=S, v=v, W=Sdot, p=dLdv, lam=0.0)
-    if model.degenerate:
-        pdot = np.zeros(model.n)
-    else:
-        pdot = momentum_rate(model, q, v, S, qdot=qdot, vdot=vdot, Sdot=Sdot)
-    tangent = np.concatenate([qdot, [Sdot], vdot, [0.0], pdot, [0.0]])
-    covector = np.concatenate(
-        [-dLdq - Fext, [-s], point.p - dLdv, [point.lam], v, [Sdot]]
-    )
-    return TangentCovectorPair(base=point, tangent=tangent, covector=covector)
+    """P-arena data at the state (q, v, S) with the rate (qdot, vdot,
+    Sdot) and the partials at (q, v, S) that the :class:`_LagrangianWork`
+    ``work`` holds. On a solution v equals qdot. A degenerate model's
+    momentum is identically zero, and so is its rate."""
+    n = model.n
+    base, tangent, covector = (ArenaPoint("P", n, row) for row in np.zeros((3, 3 * n + 3)))
+    base.q, base.S, base.v, base.W, base.p = q, S, v, work.Sdot, work.dLdv  # lam = 0
+    tangent.q, tangent.S, tangent.v = work.qdot, work.Sdot, work.vdot  # W, lam do not move
+    if not model.degenerate:
+        tangent.p = momentum_rate(
+            model, q, v, S, qdot=work.qdot, vdot=work.vdot, Sdot=work.Sdot
+        )
+    covector.q, covector.S = -work.dLdq - work.Fext, -work.s
+    covector.v, covector.W = base.p - work.dLdv, base.lam
+    covector.p, covector.lam = base.v, work.Sdot
+    return TangentCovectorPair(base=base, tangent=tangent.row, covector=covector.row)
 
 
 def _on_arena(pair: TangentCovectorPair, arena: str) -> TangentCovectorPair:
@@ -368,7 +362,7 @@ def solution_pair_P(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     subtracted on the configuration slots). The rate of the entropy-rate
     slot is unconstrained and recorded as zero."""
     work = _lagrangian_work(model, q, v, S)
-    return _solution_data(model, q, work[0], S, work)
+    return _solution_data(model, q, work.qdot, S, work)
 
 
 def solution_pair_M(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
@@ -415,40 +409,63 @@ class ExplicitField:
     diagnostics: Callable
 
 
+class _LastWork:
+    """The work record of the last state a field's rate evaluated, keyed
+    by the state's bytes: storing and diagnosing that state read it
+    instead of evaluating the state again."""
+
+    def __init__(self, evaluate: Callable):
+        self.evaluate, self.key, self.work = evaluate, None, None
+
+    def fresh(self, y: np.ndarray):
+        self.key, self.work = y.tobytes(), self.evaluate(y)
+        return self.work
+
+    def at(self, y: np.ndarray):
+        return self.work if y.tobytes() == self.key else self.evaluate(y)
+
+
+def _explicit_diagnostics(model: SimpleThermoModel, pair: TangentCovectorPair, v, s, F):
+    """Diagnostics of an explicit field's (state, rate, energy
+    differential) data on M or N, with v the state's velocity and (s, F)
+    the entropy slope and friction there: the energy <p, v> - L, the
+    constraint s Sdot - <F, v> and the membership residual. Where the
+    slope vanishes (T = 0 on N) the induced subspace is not defined and
+    the membership residual is infinite."""
+    base = pair.base
+    S, Sdot = base.S, ArenaPoint(base.arena, base.n, pair.tangent).S
+    energy = float(base.p @ v) - lagrangian_value(model, base.q, v, S)
+    if s == 0.0 or not math.isfinite(s):
+        residual = math.inf
+    else:
+        coef = -s if base.arena == "N" else s  # the momentum side reads T = -s
+        residual = dirac_membership(base.arena, model, pair, coefficients=(coef, F))
+    return _record(energy, S, Sdot, float(s * Sdot - F @ v), residual)
+
+
 def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
     """Momentum-side field over the flat chart (q, S, p), which is also
     the arena row."""
     model = hmodel.source
     n = model.n
-    seed = [None]  # last inverted velocity, reused as the next Newton seed
-    work = [None, None]  # (state bytes, intermediates) of the last rate call
+
+    def evaluate(y: np.ndarray) -> _MomentumWork:
+        # the last rate's inverted velocity seeds the fiber inversion
+        seed = None if last.work is None else last.work.qdot
+        return _momentum_work(hmodel, y[:n], float(y[n]), y[n + 1 :], v0=seed)
+
+    last = _LastWork(evaluate)
 
     def rate(y: np.ndarray) -> np.ndarray:
-        qdot, pdot, Sdot, hp, F, Fext = _momentum_work(
-            hmodel, y[:n], float(y[n]), y[n + 1 :], v0=seed[0]
-        )
-        seed[0] = qdot
-        work[0] = y.tobytes()
-        work[1] = (hp, F, Fext)
-        return np.concatenate([qdot, [Sdot], pdot])
+        w = last.fresh(y)
+        return np.concatenate([w.qdot, [w.Sdot], w.pdot])
 
     def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
-        q, S, p = y[:n], float(y[n]), y[n + 1 :]
-        v = r[:n]  # qdot equals the inverted velocity on this side
-        energy = float(p @ v) - lagrangian_value(model, q, v, S)
-        Sdot = float(r[n])
-        constraint = phenomenological_constraint_residual(model, q, v, S, Sdot)
-        if work[0] == y.tobytes():
-            hp, F, Fext = work[1]
-        else:
-            hp = hamiltonian_partials(model, q, p, S, v0=v)
-            F = friction_value(model, q, hp.velocity, S)
-            Fext = external_value(model, q, hp.velocity, S)
+        w = last.at(y)
         pair = TangentCovectorPair(
-            base=ArenaPoint("N", n, y), tangent=r, covector=_hamiltonian_covector(hp, Fext)
+            base=ArenaPoint("N", n, y), tangent=r, covector=_hamiltonian_covector(w.hp, w.Fext)
         )
-        res = dirac_membership("N", model, pair, coefficients=(hp.dS, F))
-        return _record(energy, S, Sdot, constraint, res)
+        return _explicit_diagnostics(model, pair, w.qdot, -w.hp.dS, w.F)
 
     return ExplicitField(
         arena="N",
@@ -462,59 +479,38 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
 
 def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     """Velocity-side field; chart (q, S, v), or (q, S) for degenerate
-    models whose rate is algebraic."""
+    models whose rate is algebraic (there y[n + 1 :] is empty and the
+    state's velocity is the solved rate)."""
     n = model.n
-    work = [None, None]  # (state bytes, _regular_work result) of the last rate call
+    dim = n + 1 if model.degenerate else 2 * n + 1
+    last = _LastWork(lambda y: _lagrangian_work(model, y[:n], y[n + 1 :], y[n]))
 
-    if model.degenerate:
+    def rate(y: np.ndarray) -> np.ndarray:
+        w = last.fresh(y)
+        out = np.empty(dim)
+        out[:n], out[n] = w.qdot, w.Sdot
+        if not model.degenerate:
+            out[n + 1 :] = w.vdot
+        return out
 
-        def rate(y: np.ndarray) -> np.ndarray:
-            qdot, _, Sdot = vector_field_lagrangian(model, y[:n], np.zeros(n), y[n])
-            return np.concatenate([qdot, [Sdot]])
-
-        def to_point(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-            # the velocity is the rate; momentum is identically zero
-            return np.concatenate([y, r[:n], np.zeros(n)])
-
-    else:
-
-        def rate(y: np.ndarray) -> np.ndarray:
-            w = _regular_work(model, y[:n], y[n + 1 :], float(y[n]))
-            work[0] = y.tobytes()
-            work[1] = w
-            out = np.empty(2 * n + 1)
-            out[:n], out[n], out[n + 1 :] = w[0], w[2], w[1]
-            return out
-
-        def to_point(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-            if work[0] == y.tobytes():
-                p = work[1][4]
-            else:
-                p = momentum_map(model, y[:n], y[n + 1 :], float(y[n]))
-            return np.concatenate([y, p])
+    def to_point(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+        w = last.at(y)
+        point = ArenaPoint("M", n, np.empty(3 * n + 1))
+        point.q, point.S, point.v, point.p = y[:n], y[n], w.qdot, w.dLdv
+        return point.row
 
     def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
-        # measures the given rate r at the state y; only partials are cached
-        q, S, Sdot = y[:n], float(y[n]), float(r[n])
-        if model.degenerate:
-            v, vdot = r[:n], np.zeros(n)  # the chart has no velocity slot
-        else:
-            v, vdot = y[n + 1 :], r[n + 1 :]
-        if work[0] == y.tobytes():
-            partials = work[1][3:]
-        else:
-            partials = _point_partials(model, q, v, S)
-        _, dLdv, s, F, _ = partials
-        energy = float(dLdv @ v) - lagrangian_value(model, q, v, S)
-        constraint = float(s * Sdot - F @ v)
-        data = _solution_data(model, q, v, S, (r[:n], vdot, Sdot, *partials))
-        res = dirac_membership("M", model, _on_arena(data, "M"), coefficients=(s, F))
-        return _record(energy, S, Sdot, constraint, res)
+        # measures the given rate r against the state y's work
+        w = last.at(y)
+        vdot = w.vdot if model.degenerate else r[n + 1 :]
+        measured = _LagrangianWork(r[:n], vdot, float(r[n]), *w[3:])  # w's partials
+        data = _solution_data(model, y[:n], w.qdot, y[n], measured)
+        return _explicit_diagnostics(model, _on_arena(data, "M"), w.qdot, w.s, w.F)
 
     return ExplicitField(
         arena="M",
         n=n,
-        dim=n + 1 if model.degenerate else 2 * n + 1,
+        dim=dim,
         rate=rate,
         to_point=to_point,
         diagnostics=diagnostics,
@@ -584,13 +580,12 @@ def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates) -> n
     force-balance rows additively.
     """
     n = model.n
-    rates = _as_array(rates, 3 * n + 3, "rates")
-    qdot, Sdot = rates[:n], rates[n]
-    pdot, lamdot = rates[2 * n + 2 : 3 * n + 2], rates[3 * n + 2]
+    rate = ArenaPoint("P", n, _as_array(rates, 3 * n + 3, "rates"))
+    qdot, Sdot = rate.q, rate.S
     dLdq, dLdv, s, F, Fext = _point_partials(model, point.q, point.v, point.S)
     return np.concatenate(
         [
-            (pdot - dLdq - Fext) * s + (lamdot - s) * F,
+            (rate.p - dLdq - Fext) * s + (rate.lam - s) * F,
             [s * Sdot - F @ qdot],
             point.p - dLdv,
             [point.lam],

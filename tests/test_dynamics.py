@@ -136,12 +136,13 @@ class TestExplicitIntegrator:
             y = np.concatenate([pt.q, [pt.S], pt.v])
             assert np.array_equal(field.rate(y), r)
 
-    def test_diagnostics_measure_the_given_rate(self, piston, membrane):
+    def test_diagnostics_measure_the_given_rate(self, piston, membrane, reactions):
         # a rate that does not match the state must show in the residual,
         # whether or not the field still holds that state's partials
         for model, y in (
             (piston, np.array([1.0, 0.1, 0.3])),
             (membrane, np.array([0.0, 0.0, 0.0, 1.0, 0.5, -0.3, 0.1])),
+            (reactions, np.array([0.3, 0.2])),
         ):
             field = dt.lagrangian_field(model)
             r = field.rate(y)
@@ -149,6 +150,33 @@ class TestExplicitIntegrator:
             off = field.diagnostics(y, r + 0.01)
             assert off == dt.lagrangian_field(model).diagnostics(y, r + 0.01)
             assert off.dirac_residual > 5e-3, model.name
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane"])
+    def test_hamilton_constraint_is_the_phenomenological_residual(self, kind, request):
+        # the stored constraint is s Sdot - <F, v> at the inverted velocity,
+        # bit for bit what the constraint layer computes from the stored rate
+        model = request.getfixturevalue(kind)
+        n = model.n
+        q, v, S = sample_states(model, 1, seed=5)[0]
+        y0 = np.concatenate([q, [S], dt.momentum_map(model, q, v, S)])
+        field = dt.hamilton_field_N(dt.build_hamiltonian_model(model))
+        tr = dt.integrate_explicit(field, y0, 0.02, 1e-3)
+        for pt, r, d in zip(tr.states, tr.rates, tr.diagnostics):
+            expected = dt.phenomenological_constraint_residual(model, pt.q, r[:n], pt.S, r[n])
+            assert d.constraint_residual == abs(expected)
+
+    def test_vanishing_entropy_slope_flags_membership(self):
+        # L ignores S on the oscillator: with s = 0 (T = 0 on N) the
+        # induced subspace is undefined, so no rate may read as a member
+        osc = make_oscillator()
+        y = np.array([0.4, 0.0, 0.2])
+        for field in (
+            dt.lagrangian_field(osc),
+            dt.hamilton_field_N(dt.build_hamiltonian_model(osc)),
+        ):
+            r = field.rate(y)
+            for rate in (r, r + np.array([0.0, 1.0, 5.0])):
+                assert not np.isfinite(field.diagnostics(y, rate).dirac_residual), field.arena
 
     def test_blowup_aborts_with_partial_trajectory(self):
         field = lambda y: y * y  # finite-time escape
