@@ -36,6 +36,7 @@ from .dirac import (
 )
 from .duals import (
     Dual,
+    Jet,
     ScalarField,
     cos,
     exp,
@@ -44,6 +45,7 @@ from .duals import (
     gradient,
     hessian,
     hessian_matrix,
+    jet,
     log,
     second_directional,
     sin,
@@ -110,6 +112,7 @@ from .model import (
     external_value,
     friction_value,
     friction_velocity_jacobian,
+    lagrangian_jet,
     lagrangian_partials,
     lagrangian_value,
     make_point,

@@ -218,12 +218,12 @@ def _arena_conditions(arena: str, n: int):
     The stack is affine in (coef, F) and no entry holds more than one
     term, so the sum reproduces each entry exactly.
     """
-    slots = arena_slots(arena, n)
+    slots, at = _arena_layout(arena, n)
     block = np.ix_(slots, np.concatenate([slots, 3 * n + 3 + slots]))
-    # momentum side: s = -T, then negate the force and entropy rows
+    # momentum side: s = -T, then negate the force (q) and entropy (S) rows
     sign = -1.0 if arena in ("TstarQ", "N") else 1.0
     flip = np.ones((slots.size, 1))
-    flip[: n + 1] = sign
+    flip[at["q"]] = flip[at["S"]] = sign
 
     def cut(coef, F):
         # + 0.0 clears the flip's -0.0 entries; dirac_basis's SVD sees zero signs

@@ -10,7 +10,8 @@ Three ways to move a simple thermodynamic system forward in time:
 
 Each explicit side evaluates a state into one work record, the rate
 plus the partials, friction and external force it was built from
-(``_lagrangian_work`` in both velocity-side regimes, ``_momentum_work``);
+(``_lagrangian_work`` in both velocity-side regimes, whose regular
+regime reads one jet of L, ``_momentum_work`` one fiber solve);
 the vector fields, the solution data and each field's rate, stored row
 and per-step diagnostics (energy, entropy, entropy rate, the
 rate-constraint residual and the membership residual of the state, rate
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,17 +47,16 @@ from .model import (
     TangentCovectorPair,
     _arena_dtype,
     _as_array,
+    _momentum_rate_from,
     _records,
     arena_dim,
     arena_slots,
     external_value,
     friction_value,
     friction_velocity_jacobian,
+    lagrangian_jet,
     lagrangian_partials,
     lagrangian_value,
-    mixed_velocity_term,
-    momentum_rate,
-    velocity_hessian,
 )
 
 __all__ = [
@@ -199,7 +199,10 @@ def _entropy_rate(model: SimpleThermoModel, F, v, s) -> float:
 class _LagrangianWork(NamedTuple):
     """A velocity-side rate (qdot, vdot, Sdot) and the first partials,
     friction and external force it was built from; qdot is also the
-    state's velocity."""
+    state's velocity. ``Lv`` holds the Hessian's velocity rows
+    (L_vq | L_vv | L_vS), from which the momentum rate is read; it is
+    None in the degenerate regime, where the momentum is identically
+    zero."""
 
     qdot: np.ndarray
     vdot: np.ndarray
@@ -209,6 +212,7 @@ class _LagrangianWork(NamedTuple):
     s: float
     F: np.ndarray
     Fext: np.ndarray
+    Lv: Optional[np.ndarray]
 
 
 class _MomentumWork(NamedTuple):
@@ -246,13 +250,16 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
             )
         F = friction_value(model, q, qdot, S)
         Sdot = _entropy_rate(model, F, qdot, s)
-        return _LagrangianWork(qdot, zero_v, Sdot, dLdq, np.zeros(n), s, F, Fext)
+        return _LagrangianWork(qdot, zero_v, Sdot, dLdq, np.zeros(n), s, F, Fext, None)
 
+    # one jet of L and one friction evaluation
     v = _as_array(v, n, "v")
-    dLdq, dLdv, s, F, Fext = _point_partials(model, q, v, S)
+    dLdq, dLdv, s, Lv = lagrangian_jet(model, q, v, S)
+    F, Fext = friction_value(model, q, v, S), external_value(model, q, v, S)
     Sdot = _entropy_rate(model, F, v, s)
-    rhs = dLdq + F + Fext - mixed_velocity_term(model, q, v, S, qdot=v, Sdot=Sdot)
-    H = velocity_hessian(model, q, v, S)
+    # the momentum rate at vdot = 0 moves to the right-hand side
+    rhs = dLdq + F + Fext - _momentum_rate_from(Lv, v, np.zeros(n), Sdot)
+    H = Lv[:, n : 2 * n]
     m = H[0, 0]  # a scalar mass beats an n=1 LAPACK round trip on the hot path
     try:
         if n > 1:
@@ -266,7 +273,7 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
             f"singular velocity Hessian; model {model.name} needs the "
             "velocity-independent regime"
         )
-    return _LagrangianWork(v.copy(), vdot, Sdot, dLdq, dLdv, s, F, Fext)
+    return _LagrangianWork(v.copy(), vdot, Sdot, dLdq, dLdv, s, F, Fext, Lv)
 
 
 def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None) -> _MomentumWork:
@@ -318,9 +325,7 @@ def _solution_data(model: SimpleThermoModel, q, v, S, work) -> TangentCovectorPa
     base.q, base.S, base.v, base.W, base.p = q, S, v, work.Sdot, work.dLdv  # lam = 0
     tangent.q, tangent.S, tangent.v = work.qdot, work.Sdot, work.vdot  # W, lam do not move
     if not model.degenerate:
-        tangent.p = momentum_rate(
-            model, q, v, S, qdot=work.qdot, vdot=work.vdot, Sdot=work.Sdot
-        )
+        tangent.p = _momentum_rate_from(work.Lv, work.qdot, work.vdot, work.Sdot)
     covector.q, covector.S = -work.dLdq - work.Fext, -work.s
     covector.v, covector.W = base.p - work.dLdv, base.lam
     covector.p, covector.lam = base.v, work.Sdot

@@ -8,6 +8,7 @@ rejected with a distinct error and stay Lagrangian-side only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,14 +20,13 @@ from .model import (
     ArenaPoint,
     SimpleThermoModel,
     _as_array,
+    _velocity_jet,
     arena_of_point,
     friction_value,
-    lagrangian_partials,
+    lagrangian_jet,
     lagrangian_value,
     make_point,
-    mixed_velocity_term,
     temperature,
-    velocity_hessian,
 )
 
 __all__ = [
@@ -71,10 +71,15 @@ def partial_legendre(model: SimpleThermoModel, q, v, S):
     return q, momentum_map(model, q, v, S), float(S)
 
 
-def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None) -> np.ndarray:
+def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_jet=False):
     """Solve dL/dv(q, v, S) = p for v by Newton iteration.
 
-    Seeds at v = 0 unless a warm start is supplied. Raises
+    Seeds at v = 0 unless a warm start is supplied. Each iterate makes
+    one jet of L, which gives the momentum residual and the velocity
+    Hessian together. With ``with_jet`` the converged iterate's
+    :func:`lagrangian_jet` is returned too, as ``(v, jet)``; the first
+    iterate, which a warm start seldom converges on, seeds v alone, and
+    only if it converges is a full jet made there. Raises
     DegenerateLagrangianError when the velocity Hessian is unusable
     (the velocity-independent case) and NewtonError on non-convergence.
     """
@@ -83,31 +88,48 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None) -> np.n
             f"model {model.name} has a velocity-independent Lagrangian; "
             "the momentum relation cannot be inverted"
         )
-    q = _as_array(q, model.n, "q")
-    p = _as_array(p, model.n, "p")
+    n = model.n
+    q = _as_array(q, n, "q")
+    p = _as_array(p, n, "p")
     S = float(S)
-    v = np.zeros(model.n) if v0 is None else _as_array(v0, model.n, "v0").copy()
-    for _ in range(NEWTON_MAX_ITER):
-        r = momentum_map(model, q, v, S) - p
-        if not np.all(np.isfinite(r)):
+    v = np.zeros(n) if v0 is None else _as_array(v0, n, "v0").copy()
+
+    def evaluate(v, full):
+        """(full jet or None, dL/dv, d2L/dv2) at the iterate v."""
+        if full:
+            jet = lagrangian_jet(model, q, v, S)
+            return jet, jet[1], jet[3][:, n : 2 * n]
+        return (None, *_velocity_jet(model, q, v, S))
+
+    for k in range(NEWTON_MAX_ITER):
+        jet, dLdv, H = evaluate(v, with_jet and k > 0)
+        r = dLdv - p
+        err = np.max(np.abs(r))  # NaN or inf for a non-finite residual
+        if not math.isfinite(err):
             raise NewtonError(f"momentum residual became non-finite (model {model.name})")
-        if np.max(np.abs(r)) <= NEWTON_TOL:
-            return v
-        H = velocity_hessian(model, q, v, S)
-        try:
-            step = np.linalg.solve(H, r)
-        except np.linalg.LinAlgError:
-            raise DegenerateLagrangianError(
-                f"singular velocity Hessian at q={q}, S={S} (model {model.name})"
-            )
+        if err <= NEWTON_TOL:
+            break
+        if n == 1 and H[0, 0] != 0.0:
+            step = r / H[0, 0]  # the 1 x 1 solve's bits, without the LAPACK round trip
+        else:
+            try:
+                step = np.linalg.solve(H, r)
+            except np.linalg.LinAlgError:
+                raise DegenerateLagrangianError(
+                    f"singular velocity Hessian at q={q}, S={S} (model {model.name})"
+                )
         v = v - step
-    r = momentum_map(model, q, v, S) - p
-    if np.max(np.abs(r)) <= NEWTON_TOL:
+    else:
+        jet, dLdv, _ = evaluate(v, with_jet)
+        r = dLdv - p
+        if not np.max(np.abs(r)) <= NEWTON_TOL:
+            raise NewtonError(
+                f"momentum inversion did not converge in {NEWTON_MAX_ITER} iterations "
+                f"(residual {np.max(np.abs(r)):.3e}, model {model.name})"
+            )
+    if not with_jet:
         return v
-    raise NewtonError(
-        f"momentum inversion did not converge in {NEWTON_MAX_ITER} iterations "
-        f"(residual {np.max(np.abs(r)):.3e}, model {model.name})"
-    )
+    return v, (lagrangian_jet(model, q, v, S) if jet is None else jet)
 
 
 def hamiltonian(model: SimpleThermoModel, q, p, S, v0=None) -> float:
@@ -130,12 +152,9 @@ def hamiltonian_partials(model: SimpleThermoModel, q, p, S, v0=None) -> Hamilton
 
     Stationarity of <p, v> - L in v at the inverted velocity removes
     every velocity-sensitivity term, so dH/dq = -dL/dq, dH/dp = v,
-    dH/dS = -dL/dS, all evaluated at that velocity.
+    dH/dS = -dL/dS, all read off the converged fiber iterate's jet.
     """
-    q = _as_array(q, model.n, "q")
-    p = _as_array(p, model.n, "p")
-    v = inverse_partial_legendre(model, q, p, S, v0=v0)
-    dLdq, _, dLdS = lagrangian_partials(model, q, v, S)
+    v, (dLdq, _, dLdS, _) = inverse_partial_legendre(model, q, p, S, v0=v0, with_jet=True)
     return HamiltonianPartials(dq=-dLdq, dp=v.copy(), dS=-dLdS, velocity=v)
 
 
@@ -143,17 +162,16 @@ def hamiltonian_S_derivative(model: SimpleThermoModel, q, p, S, v0=None) -> floa
     """dH/dS assembled from the implicit velocity sensitivity.
 
     Full chain rule: the entropy derivative of the inverted velocity is
-    solved from the velocity Hessian and the mixed second partials, and
-    every term is kept. Exists so tests can compare an independent
-    route against the shortcut in :func:`hamiltonian_partials`.
+    solved from the velocity Hessian and the mixed second partial
+    d2L/dv dS, and every term is kept. Exists so tests can compare an
+    independent route against the shortcut in
+    :func:`hamiltonian_partials`. Everything is read off the converged
+    fiber iterate's jet.
     """
-    q = _as_array(q, model.n, "q")
-    p = _as_array(p, model.n, "p")
-    v = inverse_partial_legendre(model, q, p, S, v0=v0)
-    Hvv = velocity_hessian(model, q, v, S)
-    dLvdS = mixed_velocity_term(model, q, v, S, qdot=np.zeros(model.n), Sdot=1.0)
-    dvdS = np.linalg.solve(Hvv, -dLvdS)
-    _, dLdv, dLdS = lagrangian_partials(model, q, v, S)
+    n = model.n
+    p = _as_array(p, n, "p")
+    v, (_, dLdv, dLdS, Lv) = inverse_partial_legendre(model, q, p, S, v0=v0, with_jet=True)
+    dvdS = np.linalg.solve(Lv[:, n : 2 * n], -Lv[:, 2 * n])
     return float(p @ dvdS - dLdv @ dvdS - dLdS)
 
 
@@ -215,14 +233,13 @@ def build_hamiltonian_model(model: SimpleThermoModel) -> HamiltonianModel:
     rng = np.random.default_rng(GATE_SEED)
     for _ in range(GATE_SAMPLES):
         q, v, S = model.domain_box.sample(rng)
-        H = velocity_hessian(model, q, v, S)
+        p, H = _velocity_jet(model, q, v, S)
         cond = np.linalg.cond(H)
         if not np.isfinite(cond) or cond >= GATE_COND_LIMIT:
             raise DegenerateLagrangianError(
                 f"velocity Hessian condition number {cond:.3e} at a domain sample "
                 f"exceeds {GATE_COND_LIMIT:.1e} (model {model.name})"
             )
-        _, p, _ = partial_legendre(model, q, v, S)
         v_back = inverse_partial_legendre(model, q, p, S)
         if np.max(np.abs(v_back - v)) > GATE_ROUNDTRIP_TOL:
             raise DegenerateLagrangianError(

@@ -4,7 +4,8 @@ A simple system here is: mechanical coordinates q (n of them), one
 entropy scalar S, a Lagrangian L(q, v, S), and a friction covector
 F(q, v, S) that feeds dissipated power back into S. Evaluators are
 written once, generically over the scalar type, and all derivatives
-come out of the dual-number layer.
+come out of the differentiation layer (``duals``): first partials from
+dual numbers, second partials from one jet evaluation per state.
 
 Four state arenas appear throughout the package, each with a fixed
 flat-vector coordinate order:
@@ -48,6 +49,7 @@ __all__ = [
     "external_value",
     "friction_value",
     "friction_velocity_jacobian",
+    "lagrangian_jet",
     "lagrangian_partials",
     "lagrangian_value",
     "mixed_velocity_term",
@@ -234,31 +236,41 @@ def external_value(model: SimpleThermoModel, q, v, S) -> np.ndarray:
     return _as_array([duals.value(c) for c in out], model.n, "external covector")
 
 
-def velocity_hessian(model: SimpleThermoModel, q, v, S) -> np.ndarray:
-    """Mass matrix d2L/dv2, upper triangle mirrored."""
+def lagrangian_jet(model: SimpleThermoModel, q, v, S):
+    """(dLdq, dLdv, dLdS, Lv) at one state from one jet evaluation of L
+    over (q, v, S): the first partials and the Hessian's velocity rows
+    Lv = (L_vq | L_vv | L_vS), an (n, 2n + 1) array in that column order.
+    The first partials equal :func:`lagrangian_partials`'s."""
+    n = model.n
+    q = _as_array(q, n, "q")
+    v = _as_array(v, n, "v")
+    _, g, H = duals.jet(_flat_lagrangian(model), [*q, *v, float(S)], rows=range(n, 2 * n))
+    return g[:n], g[n : 2 * n], g[2 * n], H[n : 2 * n]
+
+
+def _momentum_rate_from(Lv: np.ndarray, qdot, vdot, Sdot) -> np.ndarray:
+    """L_vq qdot + L_vv vdot + L_vS Sdot: the time derivative of the
+    momentum dL/dv along the rates, from the Hessian's velocity rows."""
+    return Lv @ np.concatenate([qdot, vdot, [Sdot]])
+
+
+def _velocity_jet(model: SimpleThermoModel, q, v, S):
+    """(dL/dv, d2L/dv2) from one jet of L over v alone, with q and S held
+    as plain floats; dL/dv equals :func:`lagrangian_jet`'s."""
     q = tuple(_as_array(q, model.n, "q"))
     S = float(S)
-
-    def g(*vs):
-        return model.lagrangian(q, vs, S)
-
-    return duals.hessian_matrix(g, list(_as_array(v, model.n, "v")), symmetric=True)
+    _, g, H = duals.jet(lambda *vs: model.lagrangian(q, vs, S), _as_array(v, model.n, "v"))
+    return g, H
 
 
-def _momentum_derivative(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.ndarray:
-    """d/dt of dL/dv along (qdot, vdot, Sdot), one nested evaluation per row."""
-    n = model.n
-    f = _flat_lagrangian(model)
-    args = [*_as_array(q, n, "q"), *_as_array(v, n, "v"), float(S)]
-    direction = [*_as_array(qdot, n, "qdot"), *vdot, float(Sdot)]
-    return np.array(
-        [duals.second_directional(f, args, direction, n + i) for i in range(n)]
-    )
+def velocity_hessian(model: SimpleThermoModel, q, v, S) -> np.ndarray:
+    """Mass matrix d2L/dv2."""
+    return _velocity_jet(model, q, v, S)[1]
 
 
 def mixed_velocity_term(model: SimpleThermoModel, q, v, S, qdot, Sdot) -> np.ndarray:
     """(d2L/dv dq) qdot + (d2L/dv dS) Sdot: the momentum rate at vdot = 0."""
-    return _momentum_derivative(model, q, v, S, qdot, np.zeros(model.n), Sdot)
+    return momentum_rate(model, q, v, S, qdot, np.zeros(model.n), Sdot)
 
 
 def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.ndarray:
@@ -267,7 +279,11 @@ def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.nda
     Deliberately not the force-balance identity: diagnostics need this
     value computed independently of the equations of motion.
     """
-    return _momentum_derivative(model, q, v, S, qdot, _as_array(vdot, model.n, "vdot"), Sdot)
+    n = model.n
+    Lv = lagrangian_jet(model, q, v, S)[3]
+    return _momentum_rate_from(
+        Lv, _as_array(qdot, n, "qdot"), _as_array(vdot, n, "vdot"), float(Sdot)
+    )
 
 
 def friction_velocity_jacobian(model: SimpleThermoModel, q, v, S) -> np.ndarray:
@@ -311,18 +327,22 @@ class ArenaPoint:
 
 
 def _group_property(group: str) -> property:
-    def place(point):
-        try:
-            return point._places[group]
-        except KeyError:
-            raise AttributeError(f"arena {point.arena} has no coordinate {group!r}") from None
+    def missing(point):
+        return AttributeError(f"arena {point.arena} has no coordinate {group!r}")
 
+    # one Python frame per access; the place lookup is inlined in each
     def read(point):
-        at = place(point)
+        try:
+            at = point._places[group]
+        except KeyError:
+            raise missing(point) from None
         return point.row[at] if type(at) is slice else float(point.row[at])
 
     def write(point, value):
-        point.row[place(point)] = value
+        try:
+            point.row[point._places[group]] = value
+        except KeyError:
+            raise missing(point) from None
 
     return property(read, write)
 

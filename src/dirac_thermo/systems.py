@@ -1,7 +1,7 @@
 """Shipped example systems: gas piston, two-reservoir membrane, reactions.
 
 Each builder validates its parameter record, wires evaluators that are
-generic over plain and dual scalars, and attaches closed-form reference
+generic over plain, dual and jet scalars, and attaches closed-form reference
 quantities under ``model.meta`` for tests and checks. The core
 algorithms never read ``meta``.
 """

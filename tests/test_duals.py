@@ -14,7 +14,11 @@ from hypothesis import given, settings, strategies as st
 from dirac_thermo import (
     DimensionMismatchError,
     Dual,
+    Jet,
     ScalarField,
+    build_membrane,
+    build_piston,
+    build_reactions,
     cos,
     exp,
     fd_check,
@@ -22,6 +26,9 @@ from dirac_thermo import (
     gradient,
     hessian,
     hessian_matrix,
+    jet,
+    lagrangian_jet,
+    lagrangian_partials,
     log,
     second_directional,
     sin,
@@ -211,3 +218,147 @@ class TestScalarFieldHelpers:
     def test_arity_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             grad(self.field, [1.0, 2.0, 3.0])
+
+
+# --- second-order jets ---------------------------------------------------
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equality of two float arrays, the sign of a zero aside
+    (a sparse jet leaves an untouched partial at +0.0 where vector-mode
+    duals can carry -0.0)."""
+    a, b = np.asarray(a, dtype=float) + 0.0, np.asarray(b, dtype=float) + 0.0
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def every_operator(x, y, z):
+    """Every arithmetic operator and transcendental helper on jets: jet
+    and constant operands on both sides, / and its reflection, ** with
+    float, int, zero and jet exponents, and a constant base. Each jet
+    exponent and its base depend on every coordinate, so one-coordinate
+    duals take the same ``exp(k log x)`` route for every lift (a lift
+    that leaves both constant computes ``x ** k`` in plain floats)."""
+    u = x * y - z / (1.5 + y * y) + 2.0 / (1.0 + x * x) - (-z) / 4.0
+    w = 3.0 - x + abs(y - 0.3) * 0.5 + (+z) * 2
+    r = 1.0 + x * x
+    base = r + 0.1 * y * z
+    powered = (1.0 + z * z) ** 1.5 + y ** 3 + x ** 0 + base ** (0.5 + 0.1 * sin(x * y * z))
+    trans = exp(0.3 * y) * cos(z) + log(r) * sqrt(2.0 + y * y) - 2.0 ** (0.5 * z + 0.1 * x * y)
+    return u * w + powered + trans / r
+
+
+def every_operator_6(a, b, c, d, e, f):
+    """Arity 6: :func:`gradient` takes its vector-payload route here."""
+    return every_operator(a, b * f, c) * (1.0 + 0.1 * d) - every_operator(e, a, d * c) / 3.0
+
+
+def flat(model):
+    n = model.n
+    return lambda *a: model.lagrangian(a[:n], a[n : 2 * n], a[2 * n])
+
+
+def central_hessian(f, args, h=1e-5):
+    """Columns from central differences of ``gradient``."""
+    args = np.asarray(args, dtype=float)
+    cols = []
+    for j in range(args.size):
+        step = np.zeros(args.size)
+        step[j] = h
+        cols.append((gradient(f, args + step) - gradient(f, args - step)) / (2.0 * h))
+    return np.array(cols).T
+
+
+coordinate = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+BUILDERS = {"piston": build_piston, "membrane": build_membrane, "reactions": build_reactions}
+
+
+class TestJet:
+    @given(pt=st.lists(coordinate, min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_bits_match_duals_one_coordinate_at_a_time(self, pt):
+        assert same_bits(jet(every_operator, pt)[1], gradient(every_operator, pt))
+
+    @given(pt=st.lists(coordinate, min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_bits_match_duals_vector_mode(self, pt):
+        assert same_bits(jet(every_operator_6, pt)[1], gradient(every_operator_6, pt))
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_bits_match_duals_on_shipped_lagrangians(self, kind, seed):
+        model = BUILDERS[kind]()
+        q, v, S = model.domain_box.sample(np.random.default_rng(seed))
+        args = [*q, *v, S]
+        assert same_bits(jet(flat(model), args)[1], gradient(flat(model), args))
+        dLdq, dLdv, s, _ = lagrangian_jet(model, q, v, S)
+        ref = lagrangian_partials(model, q, v, S)
+        assert same_bits(dLdq, ref[0]) and same_bits(dLdv, ref[1]) and same_bits(s, ref[2])
+
+    def test_hessian_hand_values(self):
+        def f(x, y):
+            return x * x * y + y ** 3 + exp(x) / y
+
+        x, y = 1.1, 0.6
+        val, g, H = jet(f, [x, y])
+        assert val == f(x, y)
+        expect = np.array([
+            [2 * y + math.exp(x) / y, 2 * x - math.exp(x) / y ** 2],
+            [2 * x - math.exp(x) / y ** 2, 6 * y + 2 * math.exp(x) / y ** 3],
+        ])
+        assert np.max(np.abs(H - expect)) < 1e-12
+
+    @pytest.mark.parametrize("f,arity", [(every_operator, 3), (every_operator_6, 6)])
+    def test_hessian_matches_central_differences(self, f, arity):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            pt = rng.uniform(-1.5, 1.5, arity)
+            H = jet(f, pt)[2]
+            fd = central_hessian(f, pt)
+            assert np.max(np.abs(H - fd)) < 1e-6 * max(1.0, np.max(np.abs(H)))
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
+    def test_shipped_hessians_match_central_differences(self, kind):
+        model = BUILDERS[kind]()
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            q, v, S = model.domain_box.sample(rng)
+            pt = [*q, *v, S]
+            H = jet(flat(model), pt)[2]
+            fd = central_hessian(flat(model), pt)
+            assert np.max(np.abs(H - fd)) < 1e-6 * max(1.0, np.max(np.abs(H)))
+
+    @given(pt=st.lists(coordinate, min_size=6, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_hessian_is_exactly_symmetric(self, pt):
+        H = jet(every_operator_6, pt)[2]
+        assert np.array_equal(H, H.T)
+
+    def test_rows_select_hessian_rows(self):
+        pt = [0.4, -0.8, 1.2, 0.1, -0.5, 0.9]
+        _, g, full = jet(every_operator_6, pt)
+        _, g2, part = jet(every_operator_6, pt, rows=[1, 4])
+        assert same_bits(g, g2)
+        for i in range(6):
+            for j in range(6):
+                want = full[i, j] if i in (1, 4) or j in (1, 4) else 0.0
+                assert part[i, j] == want
+
+    def test_numpy_scalar_left_operand(self):
+        x = Jet(0.7, {0: 1.0}, {})
+        for out, val, d1, d2 in [
+            (np.float64(2.5) * x, 1.75, 2.5, 0.0),
+            (np.float64(1.0) - x, 0.3, -1.0, 0.0),
+            (np.float64(1.4) / x, 2.0, -1.4 / 0.49, 2.8 / 0.343),
+            (np.float64(3.0) + x * x, 3.49, 1.4, 2.0),
+        ]:
+            assert type(out) is Jet
+            assert type(out.re) is float and all(type(e) is float for e in out.g.values())
+            assert abs(out.re - val) < 1e-15
+            assert abs(out.g[0] - d1) < 1e-12
+            assert abs(out.h.get((0, 0), 0.0) - d2) < 1e-12
+        assert value(np.float64(2.0) ** x) == 2.0 ** 0.7
+
+    def test_constant_function(self):
+        val, g, H = jet(lambda x, y: 4.0, [1.0, 2.0])
+        assert val == 4.0 and not g.any() and not H.any()

@@ -5,10 +5,14 @@ before it is trusted on the shipped models; the implicit full-arena
 route is held against the explicit one at first order.
 """
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import dirac_thermo as dt
+from dirac_thermo.dynamics import _lagrangian_work
 
 from conftest import make_oscillator, sample_states
 
@@ -106,6 +110,60 @@ class TestMomentumField:
         qdot, pdot, Sdot = dt.vector_field_N(hm, ptN)
         assert Sdot == 0.0
         assert abs(qdot[0] + 0.3) < 1e-12 and abs(pdot[0] - (-0.4)) < 1e-12
+
+
+def counting(model):
+    """The model with its Lagrangian and friction evaluations counted."""
+    calls = Counter()
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    counted_model = dataclasses.replace(
+        model,
+        lagrangian=counted(model.lagrangian, "lagrangian"),
+        friction=counted(model.friction, "friction"),
+    )
+    return counted_model, calls
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("kind", ["piston", "membrane"])
+    def test_regular_lagrangian_work_evaluates_L_and_F_once(self, kind, request):
+        model, calls = counting(request.getfixturevalue(kind))
+        for q, v, S in sample_states(model, 3, seed=21):
+            calls.clear()
+            _lagrangian_work(model, q, v, S)
+            assert calls == {"lagrangian": 1, "friction": 1}
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane"])
+    def test_warm_fiber_solve_evaluates_L_at_most_twice(self, kind, request):
+        model, calls = counting(request.getfixturevalue(kind))
+        for q, v, S in sample_states(model, 3, seed=22):
+            seed_v = dt.inverse_partial_legendre(model, q, dt.momentum_map(model, q, v, S), S)
+            p = dt.momentum_map(model, q, v + 1e-3, S)  # a neighbouring fiber point
+            calls.clear()
+            got = dt.inverse_partial_legendre(model, q, p, S, v0=seed_v)
+            assert calls["lagrangian"] <= 2
+            assert np.max(np.abs(got - (v + 1e-3))) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane"])
+    def test_hamiltonian_partials_read_the_fiber_jet(self, kind, request):
+        # no separate first-partials pass after a warm fiber solve, whether
+        # its first iterate converges (exact seed) or not (neighbouring seed)
+        model, calls = counting(request.getfixturevalue(kind))
+        q, v, S = sample_states(model, 1, seed=23)[0]
+        p = dt.momentum_map(model, q, v, S)
+        for seed in (v, v - 1e-3):
+            calls.clear()
+            hp = dt.hamiltonian_partials(model, q, p, S, v0=seed)
+            assert calls["lagrangian"] <= 2
+            dLdq, _, s = dt.lagrangian_partials(model, q, hp.velocity, S)
+            assert np.array_equal(hp.dq, -dLdq) and hp.dS == -s
 
 
 class TestExplicitIntegrator:
