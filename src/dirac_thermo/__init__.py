@@ -37,6 +37,7 @@ from .dirac import (
 from .duals import (
     Dual,
     Jet,
+    JetKernel,
     ScalarField,
     cos,
     exp,

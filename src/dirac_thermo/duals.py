@@ -11,6 +11,16 @@ Evaluators written generically over the scalar type (plain ``float`` in,
 ``float`` out, but tolerant of :class:`Dual` and :class:`Jet` inputs) get
 derivatives for free and cannot drift out of sync with their own values.
 
+A :class:`JetKernel` runs the jet arithmetic once on traced floats and
+compiles what it did into straight-line float code, which later calls
+replay without calling the evaluator; the result is :func:`jet`'s, bit
+for bit. The contract a kernel relies on: an evaluator is a pure
+function of its arguments; constants it reads from its closure are read
+once, at trace time; and an evaluator that lets a value escape (calls
+``float()``, :func:`value`, ``bool()`` or numpy on a jet's value) keeps
+the dict jet. A comparison on a jet becomes a guard of the kernel, and
+where a guard fails or the kernel raises, the dict jet runs instead.
+
 Math helpers (:func:`exp`, :func:`log`, ...) dispatch on the argument
 type so model code can call them without caring whether it is being
 differentiated.
@@ -19,6 +29,7 @@ differentiated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +40,7 @@ from .errors import DimensionMismatchError
 __all__ = [
     "Dual",
     "Jet",
+    "JetKernel",
     "ScalarField",
     "cos",
     "exp",
@@ -338,16 +350,16 @@ class Jet:
     # --- comparisons act on the primal value -------------------------
 
     def __lt__(self, other):
-        return self.re < value(other)
+        return self.re < _primal(other)
 
     def __le__(self, other):
-        return self.re <= value(other)
+        return self.re <= _primal(other)
 
     def __gt__(self, other):
-        return self.re > value(other)
+        return self.re > _primal(other)
 
     def __ge__(self, other):
-        return self.re >= value(other)
+        return self.re >= _primal(other)
 
     def __repr__(self):
         return f"Jet({self.re!r}, {self.g!r}, {self.h!r})"
@@ -360,6 +372,12 @@ def value(x) -> float:
     return float(x)
 
 
+def _primal(x):
+    """A comparison operand's primal value; a jet's value is taken as it
+    is, so a comparison of two jets under trace becomes a guard."""
+    return x.re if type(x) is Jet else value(x)
+
+
 # --- generic math, dispatching on dual, jet and plain ------------------
 
 
@@ -368,7 +386,7 @@ def exp(x):
         e = exp(x.re)
         return Dual(e, x.du * e)
     if type(x) is Jet:
-        e = math.exp(x.re)
+        e = _apply(math.exp, x.re)
         return x._chain(e, {k: d * e for k, d in x.g.items()}, e, e)
     return math.exp(x)
 
@@ -378,7 +396,7 @@ def log(x):
         return Dual(log(x.re), x.du / x.re)
     if type(x) is Jet:
         r = x.re
-        return x._chain(math.log(r), {k: d / r for k, d in x.g.items()}, 1.0 / r, -1.0 / (r * r))
+        return x._chain(_apply(math.log, r), {k: d / r for k, d in x.g.items()}, 1.0 / r, -1.0 / (r * r))
     return math.log(x)
 
 
@@ -387,7 +405,7 @@ def sqrt(x):
         s = sqrt(x.re)
         return Dual(s, x.du * 0.5 / s)
     if type(x) is Jet:
-        s = math.sqrt(x.re)
+        s = _apply(math.sqrt, x.re)
         return x._chain(s, {k: d * 0.5 / s for k, d in x.g.items()}, 0.5 / s, -0.25 / (x.re * s))
     return math.sqrt(x)
 
@@ -396,7 +414,7 @@ def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.re), x.du * cos(x.re))
     if type(x) is Jet:
-        s, c = math.sin(x.re), math.cos(x.re)
+        s, c = _apply(math.sin, x.re), _apply(math.cos, x.re)
         return x._chain(s, {k: d * c for k, d in x.g.items()}, c, -s)
     return math.sin(x)
 
@@ -405,7 +423,7 @@ def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.re), -x.du * sin(x.re))
     if type(x) is Jet:
-        s, c = math.sin(x.re), math.cos(x.re)
+        s, c = _apply(math.sin, x.re), _apply(math.cos, x.re)
         return x._chain(c, {k: -d * s for k, d in x.g.items()}, -s, -c)
     return math.cos(x)
 
@@ -445,6 +463,17 @@ def gradient(f: Callable, args: Sequence[float]) -> np.ndarray:
 _NO_PAIRS: dict = {}  # a second-order seed's Hessian, shared and never written
 
 
+def _seeds(values: list, rows) -> list:
+    """One seeded jet per argument value: keyed by its index, with
+    Hessian pairs, for the indices in ``rows`` (default all), keyed by
+    the index's complement otherwise."""
+    wanted = range(len(values)) if rows is None else set(rows)
+    return [
+        Jet(x, {i: 1.0}, _NO_PAIRS) if i in wanted else Jet(x, {~i: 1.0}, None)
+        for i, x in enumerate(values)
+    ]
+
+
 def jet(f: Callable, args: Sequence[float], rows: Optional[Sequence[int]] = None):
     """(value, gradient, Hessian) of ``f(*args)`` from one jet evaluation.
 
@@ -454,11 +483,7 @@ def jet(f: Callable, args: Sequence[float], rows: Optional[Sequence[int]] = None
     default is every row. The gradient has every first partial.
     """
     k = len(args)
-    wanted = range(k) if rows is None else set(rows)
-    out = f(*(
-        Jet(float(a), {i: 1.0}, _NO_PAIRS) if i in wanted else Jet(float(a), {~i: 1.0}, None)
-        for i, a in enumerate(args)
-    ))
+    out = f(*_seeds([float(a) for a in args], rows))
     g, H = np.zeros(k), np.zeros((k, k))
     if type(out) is not Jet:
         return value(out), g, H  # evaluator ignored every argument
@@ -471,13 +496,9 @@ def jet(f: Callable, args: Sequence[float], rows: Optional[Sequence[int]] = None
     return out.re, g, H
 
 
-def hessian_matrix(f: Callable, args: Sequence[float], symmetric: bool = False) -> np.ndarray:
-    """Second-partial matrix of ``f`` from one jet evaluation.
-
-    The jet computes the upper triangle once and mirrors it, so the
-    result is exactly symmetric whatever ``symmetric`` says; the flag is
-    kept for callers written against the entry-by-entry version.
-    """
+def hessian_matrix(f: Callable, args: Sequence[float]) -> np.ndarray:
+    """Second-partial matrix of ``f`` from one jet evaluation, exactly
+    symmetric: the jet computes the upper triangle once and mirrors it."""
     return jet(f, args)[2]
 
 
@@ -486,6 +507,235 @@ def second_directional(f: Callable, args: Sequence[float], direction: Sequence[f
     one Hessian row, from one jet evaluation, applied to the direction."""
     row = jet(f, args, rows=(outer_index,))[2][outer_index]
     return float(row @ np.asarray(direction, dtype=float))
+
+
+# --- traced jets -------------------------------------------------------
+#
+# A trace runs the jet arithmetic above once on _Traced floats. Each
+# carries its concrete value and a name, and every float operation on
+# one, including the math functions the helpers apply to a jet's value,
+# appends one line ``name = expression`` to a tape. Nothing is folded
+# or dropped, so the compiled tape repeats the same IEEE operations in
+# the same order and gives the same bits. Operations between constants
+# never reach the tape: they are the same at every call.
+
+
+class _Tape:
+    """The straight-line program one trace records: its lines, the
+    kernel globals its lines name (math functions and constants with no
+    exact literal), whether an operation raised and whether a value
+    escaped."""
+
+    __slots__ = ("lines", "names", "raised", "escaped")
+
+    def __init__(self):
+        self.lines, self.names = [], {}
+        self.raised = self.escaped = False
+
+    def operand(self, x):
+        """(concrete value, source text) of an operand."""
+        if type(x) is _Traced:
+            return x.x, x.name
+        if type(x) is int or (type(x) is float and math.isfinite(x)):
+            return x, f"({x!r})"
+        name = f"c{len(self.names)}"
+        self.names[name] = x
+        return x, name
+
+    def text(self, x) -> str:
+        return self.operand(x)[1]
+
+    def record(self, compute: Callable, template: str, *operands) -> "_Traced":
+        """Apply ``compute`` to the operands' values and record it as one
+        line, ``template`` filled with their source texts."""
+        values, texts = zip(*map(self.operand, operands))
+        try:
+            x = compute(*values)
+        except Exception:
+            self.raised = True
+            raise
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {template.format(*texts)}")
+        return _Traced(x, name, self)
+
+    def guard(self, compare: Callable, symbol: str, a, b) -> bool:
+        """A comparison's outcome, recorded as a line that returns None
+        wherever the comparison would come out the other way."""
+        (x, at), (y, bt) = self.operand(a), self.operand(b)
+        try:
+            held = bool(compare(x, y))
+        except Exception:
+            self.raised = True
+            raise
+        self.lines.append(f"if {'not ' if held else ''}({at} {symbol} {bt}): return None")
+        return held
+
+    def escape(self, x):
+        """A concrete value leaving the trace: the evaluator is untraceable."""
+        self.escaped = True
+        return x
+
+
+# The other operand of a traced operation; any other type (a jet, a
+# numpy scalar) gets NotImplemented, so its own reflected method runs.
+_OPERAND_TYPES = (float, int)
+
+
+def _binary(compute: Callable, symbol: str):
+    template = "{} %s {}" % symbol
+
+    def op(self, other):
+        if type(other) is not _Traced and type(other) not in _OPERAND_TYPES:
+            return NotImplemented
+        return self.tape.record(compute, template, self, other)
+
+    def rop(self, other):
+        if type(other) not in _OPERAND_TYPES:
+            return NotImplemented
+        return self.tape.record(compute, template, other, self)
+
+    return op, rop
+
+
+def _comparison(compare: Callable, symbol: str):
+    def op(self, other):
+        if type(other) is not _Traced and type(other) not in _OPERAND_TYPES:
+            return NotImplemented
+        return self.tape.guard(compare, symbol, self, other)
+
+    return op
+
+
+def _escaping(convert: Callable):
+    def op(self):
+        return self.tape.escape(convert(self.x))
+
+    return op
+
+
+class _Traced:
+    """A float under trace: its concrete value ``x`` and its ``name`` on
+    the ``tape``. Arithmetic is recorded, a comparison becomes a guard,
+    and a conversion to a plain value marks the tape escaped."""
+
+    __slots__ = ("x", "name", "tape")
+
+    def __init__(self, x, name: str, tape: _Tape):
+        self.x, self.name, self.tape = x, name, tape
+
+    __add__, __radd__ = _binary(operator.add, "+")
+    __sub__, __rsub__ = _binary(operator.sub, "-")
+    __mul__, __rmul__ = _binary(operator.mul, "*")
+    __truediv__, __rtruediv__ = _binary(operator.truediv, "/")
+    __pow__, __rpow__ = _binary(operator.pow, "**")
+
+    def __neg__(self):
+        return self.tape.record(operator.neg, "-{}", self)
+
+    def __abs__(self):
+        return self.tape.record(abs, "abs({})", self)
+
+    __lt__ = _comparison(operator.lt, "<")
+    __le__ = _comparison(operator.le, "<=")
+    __gt__ = _comparison(operator.gt, ">")
+    __ge__ = _comparison(operator.ge, ">=")
+    __eq__ = _comparison(operator.eq, "==")
+    __ne__ = _comparison(operator.ne, "!=")
+
+    # math functions and complex() reach the value through __float__
+    __float__ = _escaping(float)
+    __int__ = _escaping(int)
+    __bool__ = _escaping(bool)
+    __hash__ = _escaping(hash)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.tape.escape(np.array(self.x, dtype=dtype))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.tape.escape(None)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"_Traced({self.x!r}, {self.name!r})"
+
+
+def _apply(fn: Callable, x):
+    """``fn(x)`` of a jet's value, recorded when the value is traced."""
+    if type(x) is _Traced:
+        x.tape.names[fn.__name__] = fn
+        return x.tape.record(fn, fn.__name__ + "({})", x)
+    return fn(x)
+
+
+class JetKernel:
+    """:func:`jet` of one evaluator at arity ``k`` and Hessian ``rows``,
+    traced once into straight-line float code and replayed at every call.
+
+    ``kernel(f, args)`` returns ``jet(f, args, rows)`` bit for bit. The
+    first call traces ``f`` at ``args``; later calls replay the compiled
+    code and do not call ``f``. The dict jet runs instead, for that call
+    only, where the trace raised, where a guard of the code fails and
+    where the code raises, so errors are the dict jet's own. After a
+    value escape the kernel keeps the dict jet for good. The kernel
+    holds no reference to ``f``: every call passes the evaluator, which
+    must be the one traced and a pure function of its arguments.
+    """
+
+    __slots__ = ("k", "rows", "replay", "traceable")
+
+    def __init__(self, k: int, rows: Optional[Sequence[int]] = None):
+        self.k, self.rows = k, rows
+        self.replay: Optional[Callable] = None
+        self.traceable = True
+
+    def __call__(self, f: Callable, args: Sequence[float]):
+        args = [float(a) for a in args]
+        replay = self.replay
+        if replay is None:
+            if not self.traceable:
+                return jet(f, args, self.rows)
+            replay = self.replay = self._trace(f, args)
+            if replay is None:
+                return jet(f, args, self.rows)
+        try:
+            out = replay(*args)
+            if out is not None:
+                k = self.k
+                a = np.array(out[1], dtype=float)
+                return out[0], a[:k], a[k:].reshape(k, k)
+        except Exception:
+            pass  # the dict jet raises its own error, or answers where the kernel cannot
+        return jet(f, args, self.rows)  # a guard failed or the kernel raised
+
+    def _trace(self, f: Callable, args: list) -> Optional[Callable]:
+        """The compiled trace of ``f`` at ``args``, or None where this
+        call takes the dict jet."""
+        k, tape = self.k, _Tape()
+        try:
+            out = f(*_seeds([_Traced(x, f"a{i}", tape) for i, x in enumerate(args)], self.rows))
+            if type(out) is not Jet:
+                out = Jet(value(out), {}, None)  # evaluator ignored every argument
+        except Exception:
+            tape.raised = True
+        if tape.escaped:
+            self.traceable = False
+        if tape.raised or tape.escaped:
+            return None
+        text = tape.text
+        flat = ["0.0"] * (k + k * k)  # the gradient, then the Hessian row by row
+        for i, d in out.g.items():
+            flat[i if i >= 0 else ~i] = text(d)
+        for (i, j), d in (out.h or {}).items():
+            i = i if i >= 0 else ~i
+            flat[k + i * k + j] = flat[k + j * k + i] = text(d)
+        body = "".join(f"    {line}\n" for line in tape.lines)
+        source = (
+            f"def replay({', '.join(f'a{i}' for i in range(k))}):\n{body}"
+            f"    return {text(out.re)}, ({', '.join(flat)},)\n"
+        )
+        namespace = dict(tape.names)
+        exec(compile(source, "<jet kernel>", "exec"), namespace)
+        return namespace["replay"]
 
 
 # --- field-level wrappers ----------------------------------------------

@@ -75,11 +75,9 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
     """Solve dL/dv(q, v, S) = p for v by Newton iteration.
 
     Seeds at v = 0 unless a warm start is supplied. Each iterate makes
-    one jet of L, which gives the momentum residual and the velocity
-    Hessian together. With ``with_jet`` the converged iterate's
-    :func:`lagrangian_jet` is returned too, as ``(v, jet)``; the first
-    iterate, which a warm start seldom converges on, seeds v alone, and
-    only if it converges is a full jet made there. Raises
+    one :func:`lagrangian_jet`, which gives the momentum residual and
+    the velocity Hessian together. With ``with_jet`` the converged
+    iterate's jet is returned too, as ``(v, jet)``. Raises
     DegenerateLagrangianError when the velocity Hessian is unusable
     (the velocity-independent case) and NewtonError on non-convergence.
     """
@@ -94,21 +92,15 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
     S = float(S)
     v = np.zeros(n) if v0 is None else _as_array(v0, n, "v0").copy()
 
-    def evaluate(v, full):
-        """(full jet or None, dL/dv, d2L/dv2) at the iterate v."""
-        if full:
-            jet = lagrangian_jet(model, q, v, S)
-            return jet, jet[1], jet[3][:, n : 2 * n]
-        return (None, *_velocity_jet(model, q, v, S))
-
-    for k in range(NEWTON_MAX_ITER):
-        jet, dLdv, H = evaluate(v, with_jet and k > 0)
-        r = dLdv - p
+    for _ in range(NEWTON_MAX_ITER):
+        jet = lagrangian_jet(model, q, v, S)
+        r = jet[1] - p
         err = np.max(np.abs(r))  # NaN or inf for a non-finite residual
         if not math.isfinite(err):
             raise NewtonError(f"momentum residual became non-finite (model {model.name})")
         if err <= NEWTON_TOL:
             break
+        H = jet[3][:, n : 2 * n]
         if n == 1 and H[0, 0] != 0.0:
             step = r / H[0, 0]  # the 1 x 1 solve's bits, without the LAPACK round trip
         else:
@@ -120,16 +112,14 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
                 )
         v = v - step
     else:
-        jet, dLdv, _ = evaluate(v, with_jet)
-        r = dLdv - p
+        jet = lagrangian_jet(model, q, v, S)
+        r = jet[1] - p
         if not np.max(np.abs(r)) <= NEWTON_TOL:
             raise NewtonError(
                 f"momentum inversion did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {np.max(np.abs(r)):.3e}, model {model.name})"
             )
-    if not with_jet:
-        return v
-    return v, (lagrangian_jet(model, q, v, S) if jet is None else jet)
+    return (v, jet) if with_jet else v
 
 
 def hamiltonian(model: SimpleThermoModel, q, p, S, v0=None) -> float:

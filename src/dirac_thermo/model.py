@@ -26,6 +26,7 @@ coordinate group read through that walk.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -163,6 +164,13 @@ class SimpleThermoModel:
     dependence; those support the Lagrangian-side formulations only.
     ``meta`` carries builder-provided closed forms for tests and is
     never read by the core algorithms.
+
+    L's jet is traced once per evaluator into a compiled kernel
+    (:class:`duals.JetKernel`) and replayed at every later state, which
+    holds the evaluators to a contract: each is a pure function of its
+    arguments, and closure constants are read once, at trace time. A
+    Lagrangian that lets a value escape (``float()``, ``duals.value``,
+    ``bool()`` or numpy on a jet's value) keeps the dict jet.
     """
 
     n: int
@@ -236,15 +244,39 @@ def external_value(model: SimpleThermoModel, q, v, S) -> np.ndarray:
     return _as_array([duals.value(c) for c in out], model.n, "external covector")
 
 
-def lagrangian_jet(model: SimpleThermoModel, q, v, S):
-    """(dLdq, dLdv, dLdS, Lv) at one state from one jet evaluation of L
-    over (q, v, S): the first partials and the Hessian's velocity rows
-    Lv = (L_vq | L_vv | L_vS), an (n, 2n + 1) array in that column order.
-    The first partials equal :func:`lagrangian_partials`'s."""
+# One velocity-row jet kernel per Lagrangian evaluator and n, dropped
+# with the evaluator.
+_JET_KERNELS = weakref.WeakKeyDictionary()
+
+
+def _lagrangian_kernel(model: SimpleThermoModel) -> Optional[duals.JetKernel]:
+    """The kernel of L's velocity-row jet over (q, v, S), or None for an
+    evaluator that cannot be weakly referenced (it keeps the dict jet)."""
     n = model.n
-    q = _as_array(q, n, "q")
-    v = _as_array(v, n, "v")
-    _, g, H = duals.jet(_flat_lagrangian(model), [*q, *v, float(S)], rows=range(n, 2 * n))
+    try:
+        kernels = _JET_KERNELS.setdefault(model.lagrangian, {})
+    except TypeError:
+        return None
+    kernel = kernels.get(n)
+    if kernel is None:
+        kernel = kernels[n] = duals.JetKernel(2 * n + 1, rows=range(n, 2 * n))
+    return kernel
+
+
+def lagrangian_jet(model: SimpleThermoModel, q, v, S):
+    """(dLdq, dLdv, dLdS, Lv) at one state from one jet of L over
+    (q, v, S): the first partials and the Hessian's velocity rows
+    Lv = (L_vq | L_vv | L_vS), an (n, 2n + 1) array in that column order.
+    The jet is the model's compiled kernel (:class:`duals.JetKernel`), so
+    L itself runs only at the first state and wherever the kernel falls
+    back. The first partials equal :func:`lagrangian_partials`'s."""
+    n = model.n
+    args = [*_as_array(q, n, "q").tolist(), *_as_array(v, n, "v").tolist(), float(S)]
+    kernel = _lagrangian_kernel(model)
+    if kernel is None:
+        _, g, H = duals.jet(_flat_lagrangian(model), args, rows=range(n, 2 * n))
+    else:
+        _, g, H = kernel(_flat_lagrangian(model), args)
     return g[:n], g[n : 2 * n], g[2 * n], H[n : 2 * n]
 
 
@@ -255,12 +287,10 @@ def _momentum_rate_from(Lv: np.ndarray, qdot, vdot, Sdot) -> np.ndarray:
 
 
 def _velocity_jet(model: SimpleThermoModel, q, v, S):
-    """(dL/dv, d2L/dv2) from one jet of L over v alone, with q and S held
-    as plain floats; dL/dv equals :func:`lagrangian_jet`'s."""
-    q = tuple(_as_array(q, model.n, "q"))
-    S = float(S)
-    _, g, H = duals.jet(lambda *vs: model.lagrangian(q, vs, S), _as_array(v, model.n, "v"))
-    return g, H
+    """(dL/dv, d2L/dv2): the velocity block of :func:`lagrangian_jet`."""
+    n = model.n
+    _, dLdv, _, Lv = lagrangian_jet(model, q, v, S)
+    return dLdv, Lv[:, n : 2 * n]
 
 
 def velocity_hessian(model: SimpleThermoModel, q, v, S) -> np.ndarray:

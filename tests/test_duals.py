@@ -6,6 +6,8 @@ it only appears with hand-checked expectations next to it.
 """
 
 import math
+import struct
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from dirac_thermo import (
     DimensionMismatchError,
     Dual,
     Jet,
+    JetKernel,
     ScalarField,
     build_membrane,
     build_piston,
@@ -169,9 +172,9 @@ class TestSecondOrder:
         def f(x, y, z):
             return x * y * z + x * x
 
-        full = hessian_matrix(f, [0.3, -1.2, 0.8])
-        mirrored = hessian_matrix(f, [0.3, -1.2, 0.8], symmetric=True)
-        assert np.max(np.abs(full - mirrored)) < 1e-13
+        mirrored = hessian_matrix(f, [0.3, -1.2, 0.8])
+        expect = np.array([[2.0, 0.8, -1.2], [0.8, 0.0, 0.3], [-1.2, 0.3, 0.0]])
+        assert np.max(np.abs(mirrored - expect)) < 1e-13
         assert np.max(np.abs(mirrored - mirrored.T)) == 0.0
 
     def test_second_directional_is_hessian_row_action(self):
@@ -362,3 +365,138 @@ class TestJet:
     def test_constant_function(self):
         val, g, H = jet(lambda x, y: 4.0, [1.0, 2.0])
         assert val == 4.0 and not g.any() and not H.any()
+
+
+def jet_bits(compute):
+    """The bytes of ``compute()``'s (value, gradient, Hessian), or the
+    class of the exception it raises."""
+    try:
+        val, g, H = compute()
+    except Exception as err:
+        return type(err)
+    return struct.pack("<d", val), g.tobytes(), H.tobytes()
+
+
+def same_jet(kernel, f, args, rows=None):
+    """The kernel's jet has the dict jet's bits, signs of zeros included,
+    or raises the same exception class."""
+    want = jet_bits(lambda: jet(f, args, rows))
+    return jet_bits(lambda: kernel(f, args)) == want
+
+
+@lru_cache(maxsize=None)
+def traced_kernel(kind):
+    """A model's velocity-row kernel, traced at the middle of its box."""
+    model = BUILDERS[kind]()
+    n, box = model.n, model.domain_box
+    kernel = JetKernel(2 * n + 1, rows=range(n, 2 * n))
+    mid = [*(np.add(box.q_lo, box.q_hi) / 2), *(np.add(box.v_lo, box.v_hi) / 2), (box.s_lo + box.s_hi) / 2]
+    kernel(flat(model), mid)
+    assert kernel.replay is not None
+    return model, kernel
+
+
+# coordinates from either side of zero, zeros of both signs among them
+edgy = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(min_value=-3.0, max_value=3.0))
+
+
+class TestJetKernel:
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_replays_the_dict_jet_on_shipped_lagrangians(self, kind, data):
+        model, kernel = traced_kernel(kind)
+        n = model.n
+        args = data.draw(st.lists(edgy, min_size=2 * n + 1, max_size=2 * n + 1))
+        rows = range(n, 2 * n)
+        assert same_jet(kernel, flat(model), args, rows)
+
+        # so does the model's own cached kernel, behind lagrangian_jet
+        def via_model():
+            dLdq, dLdv, s, Lv = lagrangian_jet(model, args[:n], args[n : 2 * n], args[2 * n])
+            return 0.0, np.concatenate([dLdq, dLdv, [s]]), Lv
+
+        def via_dict_jet():
+            _, g, H = jet(flat(model), args, rows)
+            return 0.0, g, H[n : 2 * n]
+
+        assert jet_bits(via_model) == jet_bits(via_dict_jet)
+
+    @pytest.mark.parametrize("f,arity", [(every_operator, 3), (every_operator_6, 6)])
+    @pytest.mark.parametrize("rows", [None, (1,)])
+    def test_kernel_replays_every_operator(self, f, arity, rows):
+        rng = np.random.default_rng(7)
+        kernel = JetKernel(arity, rows)
+        for _ in range(40):  # the first call traces, and abs's guard flips on the way
+            assert same_jet(kernel, f, list(rng.uniform(-1.5, 1.5, arity)), rows)
+        assert kernel.replay is not None
+
+    @given(pt=st.lists(edgy, min_size=3, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_every_operator_kernel_property(self, pt):
+        kernel = JetKernel(3)
+        kernel(every_operator, [0.4, 0.9, -0.3])
+        assert same_jet(kernel, every_operator, pt)
+
+    def test_kernel_raises_what_the_dict_jet_raises(self):
+        # 1/x at x = 0, and x ** 1.5 whose second derivative is 0 ** -0.5
+        # (the dict jet's inf), from a kernel traced elsewhere and from one
+        # whose first call is the singular point
+        for f, bad in [
+            (lambda x, y: y / x + x * y, [0.0, 2.0]),
+            (lambda x, y: x ** 1.5 * y, [0.0, 2.0]),
+            (lambda x, y: log(x) + y, [-1.0, 2.0]),
+            (lambda x, y: (x - 1.0) ** 0.5 * y, [0.5, 2.0]),  # a complex power
+        ]:
+            warm = JetKernel(2)
+            assert same_jet(warm, f, [1.7, 0.4])
+            assert same_jet(warm, f, bad)
+            cold = JetKernel(2)
+            assert same_jet(cold, f, bad)
+            assert same_jet(cold, f, [1.7, 0.4])
+            assert cold.replay is not None
+        assert jet_bits(lambda: jet(lambda x, y: y / x, [0.0, 1.0])) is ZeroDivisionError
+
+    def test_a_flipped_branch_falls_back_to_the_dict_jet(self):
+        calls = []
+
+        def branchy(x, y):
+            calls.append(1)
+            big = x * y if x > y else y - x * x
+            return abs(x - 0.5) * big + exp(y)
+
+        kernel = JetKernel(2)
+        kernel(branchy, [1.0, 0.2])
+        assert len(calls) == 1  # the trace
+        for pt, falls_back in [
+            ([1.1, 0.3], False),
+            ([0.3, 0.1], True),   # abs's sign test flips
+            ([0.7, 0.9], True),   # x > y flips
+            ([2.0, -1.0], False),
+        ]:
+            before = len(calls)
+            assert same_jet(kernel, branchy, pt)
+            # same_jet calls the dict jet once itself
+            assert len(calls) - before == (2 if falls_back else 1), pt
+
+    @pytest.mark.parametrize("escape", [
+        lambda x: value(x),
+        lambda x: math.floor(x.re),
+        lambda x: np.tanh(x.re),
+        lambda x: 1.0 if x.re else 0.0,
+        lambda x: x.re * np.float64(0.5),
+        lambda x: x.re + x,
+    ])
+    def test_a_value_escape_keeps_the_dict_jet(self, escape):
+        calls = []
+
+        def escaping(x, y):
+            calls.append(1)
+            return x * y * (1.0 + escape(x))
+
+        kernel = JetKernel(2)
+        for pt in ([0.4, 1.2], [1.6, -0.7], [2.5, 0.3]):
+            before = len(calls)
+            assert same_jet(kernel, escaping, pt)
+            assert len(calls) - before >= 2  # the dict jet answered
+        assert kernel.replay is None and not kernel.traceable

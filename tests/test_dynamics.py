@@ -134,11 +134,14 @@ def counting(model):
 class TestEvaluationCounts:
     @pytest.mark.parametrize("kind", ["piston", "membrane"])
     def test_regular_lagrangian_work_evaluates_L_and_F_once(self, kind, request):
+        # L runs once, at the first state, to trace its jet kernel; every
+        # later state replays the kernel
         model, calls = counting(request.getfixturevalue(kind))
-        for q, v, S in sample_states(model, 3, seed=21):
+        for k, (q, v, S) in enumerate(sample_states(model, 3, seed=21)):
             calls.clear()
             _lagrangian_work(model, q, v, S)
-            assert calls == {"lagrangian": 1, "friction": 1}
+            assert calls["lagrangian"] == (1 if k == 0 else 0)
+            assert calls["friction"] == 1
 
     @pytest.mark.parametrize("kind", ["piston", "membrane"])
     def test_warm_fiber_solve_evaluates_L_at_most_twice(self, kind, request):

@@ -6,10 +6,14 @@ regular models have momenta depending on velocity alone, which would
 leave the mixed second-derivative helpers untested.
 """
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
 import dirac_thermo as dt
+from dirac_thermo import model as model_module
 
 from conftest import sample_states
 
@@ -174,3 +178,35 @@ class TestSecondDerivativeHelpers:
         fd = (p_at(eps) - p_at(-eps)) / (2 * eps)
         got = dt.momentum_rate(membrane, q0, v0, S0, qdot=qdot, vdot=vdot, Sdot=Sdot)
         assert np.max(np.abs(got - fd)) < 1e-8
+
+
+class TestJetKernelCache:
+    def test_dropped_models_leave_the_cache(self):
+        gc.collect()
+        before = len(model_module._JET_KERNELS)
+        for k in range(200):
+            m = (dt.build_piston if k % 2 else dt.build_membrane)()
+            dt.lagrangian_jet(m, np.full(m.n, 0.8), np.full(m.n, 0.3), 0.5)
+        del m
+        gc.collect()
+        assert len(model_module._JET_KERNELS) == before
+
+    def test_an_evaluator_without_weak_references_keeps_the_dict_jet(self, piston):
+        calls = []
+
+        class Slotted:  # no __weakref__ slot
+            __slots__ = ()
+
+            def __call__(self, q, v, S):
+                calls.append(1)
+                return piston.lagrangian(q, v, S)
+
+        m = dataclasses.replace(piston, lagrangian=Slotted())
+        states = sample_states(piston, 3, seed=4)
+        wants = [dt.lagrangian_jet(piston, q, v, S) for q, v, S in states]
+        before = len(model_module._JET_KERNELS)
+        for (q, v, S), want in zip(states, wants):
+            got = dt.lagrangian_jet(m, q, v, S)
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
+        assert len(calls) == 3  # one dict jet per state
+        assert len(model_module._JET_KERNELS) == before
