@@ -1,12 +1,13 @@
 """Forward-mode automatic differentiation: first-order duals and
 second-order jets.
 
-A :class:`Dual` carries a value together with one first-order
-derivative payload; :func:`gradient` drives it. A :class:`Jet` carries a
-value, a gradient and the upper triangle of a Hessian, each keyed by
-seeded coordinate, so one evaluation gives every second partial that
-:func:`jet` asks for. Second order comes from jets alone: ``Dual`` stays
-first-order, and duals nested inside duals appear only in tests.
+A :class:`Jet` carries a value, a gradient and the upper triangle of a
+Hessian, each keyed by seeded coordinate, so one evaluation gives every
+first partial and every second partial that :func:`jet` asks for;
+:func:`gradient` is the jet that asks for none. A :class:`Dual` carries
+a value and one first-order derivative; it lifts one coordinate at a
+time (the friction Jacobian), and duals nested inside duals appear only
+in tests.
 Evaluators written generically over the scalar type (plain ``float`` in,
 ``float`` out, but tolerant of :class:`Dual` and :class:`Jet` inputs) get
 derivatives for free and cannot drift out of sync with their own values.
@@ -213,13 +214,12 @@ class Jet:
 
     Entries are plain floats and only coordinates that interact have
     one. Every first partial is computed with the operation order that
-    :class:`Dual` uses, so a jet's gradient equals :func:`gradient`'s
-    (up to the sign of a zero). Plain numbers, numpy scalars included,
-    mix in as constants. A jet exponent or a constant base goes through
-    ``exp(k log x)``, as with duals; where :func:`gradient`'s
-    one-coordinate lift leaves both sides of a ``**`` plain it computes
-    ``x ** k`` in floats instead, so there the two can part in the last
-    bit.
+    :class:`Dual` uses, so a jet's gradient has the bits of one-coordinate
+    dual lifts. A jet exponent or a constant base goes through
+    ``exp(k log x)``, as with duals; where a lift leaves both sides of a
+    ``**`` plain it computes ``x ** k`` in floats instead, so there the
+    two can part in the last bit. Plain numbers, numpy scalars included,
+    mix in as constants.
     """
 
     __slots__ = ("re", "g", "h")
@@ -432,32 +432,9 @@ def cos(x):
 
 
 def gradient(f: Callable, args: Sequence[float]) -> np.ndarray:
-    """All first partials of ``f(*args)``.
-
-    Low arities lift one coordinate at a time (plain-float dual parts,
-    lowest constant cost); higher arities lift every coordinate at once
-    against its own unit direction, letting the dual parts propagate as
-    length-k vectors in a single evaluation. The arithmetic in
-    :class:`Dual` is agnostic to scalar vs array dual payloads, which
-    is what makes the vector mode valid."""
-    args = list(args)
-    k = len(args)
-    if k < 5:
-        out = np.empty(k)
-        for i in range(k):
-            lifted = list(args)
-            lifted[i] = Dual(args[i], 1.0)
-            r = f(*lifted)
-            out[i] = value(r.du) if isinstance(r, Dual) else 0.0
-        return out
-    eye = np.eye(k)
-    out = f(*(Dual(a, eye[i]) for i, a in enumerate(args)))
-    if not isinstance(out, Dual):
-        return np.zeros(k)  # evaluator ignored every argument
-    du = np.asarray(out.du, dtype=float)
-    if du.shape != (k,):
-        du = np.full(k, float(du))
-    return du
+    """All first partials of ``f(*args)``: the gradient of the first-order
+    jet (:func:`jet` with no Hessian rows), one evaluation at any arity."""
+    return jet(f, args, rows=())[1]
 
 
 _NO_PAIRS: dict = {}  # a second-order seed's Hessian, shared and never written
@@ -482,8 +459,13 @@ def jet(f: Callable, args: Sequence[float], rows: Optional[Sequence[int]] = None
     indices in ``rows`` are computed, every other entry is zero. The
     default is every row. The gradient has every first partial.
     """
-    k = len(args)
-    out = f(*_seeds([float(a) for a in args], rows))
+    return _jet_of(f, [float(a) for a in args], rows)
+
+
+def _jet_of(f: Callable, values: list, rows) -> tuple:
+    """:func:`jet` at argument values taken as they are (numpy floats stay)."""
+    k = len(values)
+    out = f(*_seeds(values, rows))
     g, H = np.zeros(k), np.zeros((k, k))
     if type(out) is not Jet:
         return value(out), g, H  # evaluator ignored every argument
@@ -671,7 +653,8 @@ class JetKernel:
     """:func:`jet` of one evaluator at arity ``k`` and Hessian ``rows``,
     traced once into straight-line float code and replayed at every call.
 
-    ``kernel(f, args)`` returns ``jet(f, args, rows)`` bit for bit. The
+    ``kernel(f, args)`` returns ``jet(f, args, rows)`` bit for bit; with
+    no ``rows`` the code computes the value and gradient alone. The
     first call traces ``f`` at ``args``; later calls replay the compiled
     code and do not call ``f``. The dict jet runs instead, for that call
     only, where the trace raised, where a guard of the code fails and
@@ -702,7 +685,7 @@ class JetKernel:
             if out is not None:
                 k = self.k
                 a = np.array(out[1], dtype=float)
-                return out[0], a[:k], a[k:].reshape(k, k)
+                return out[0], a[:k], a[k:].reshape(k, k) if a.size > k else np.zeros((k, k))
         except Exception:
             pass  # the dict jet raises its own error, or answers where the kernel cannot
         return jet(f, args, self.rows)  # a guard failed or the kernel raised
@@ -722,7 +705,8 @@ class JetKernel:
         if tape.raised or tape.escaped:
             return None
         text = tape.text
-        flat = ["0.0"] * (k + k * k)  # the gradient, then the Hessian row by row
+        # the gradient, then the Hessian row by row where the jet has one
+        flat = ["0.0"] * (k + k * k if out.h else k)
         for i, d in out.g.items():
             flat[i if i >= 0 else ~i] = text(d)
         for (i, j), d in (out.h or {}).items():
@@ -784,7 +768,7 @@ def hessian(field: ScalarField, point: Sequence[float]) -> np.ndarray:
 
 
 def fd_check(field: ScalarField, point: Sequence[float], h: float = 1e-5) -> float:
-    """Max relative deviation between dual and central-difference partials.
+    """Max relative deviation between jet and central-difference partials.
 
     A diagnostic, not a production derivative path. ``h`` is absolute.
     """

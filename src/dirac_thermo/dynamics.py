@@ -46,7 +46,9 @@ from .model import (
     SimpleThermoModel,
     TangentCovectorPair,
     _arena_dtype,
+    _arena_layout,
     _as_array,
+    _lagrangian_first_order,
     _momentum_rate_from,
     _records,
     arena_dim,
@@ -55,7 +57,6 @@ from .model import (
     friction_value,
     friction_velocity_jacobian,
     lagrangian_jet,
-    lagrangian_partials,
     lagrangian_value,
 )
 
@@ -170,10 +171,11 @@ def trajectory_rows(trajectory: Trajectory) -> np.ndarray:
 
 
 def _point_partials(model: SimpleThermoModel, q, v, S):
-    """(dLdq, dLdv, s, F, Fext) at one state: the first-order pass that
-    the velocity-side work and the implicit residual share."""
-    dLdq, dLdv, s = lagrangian_partials(model, q, v, S)
-    return dLdq, dLdv, s, friction_value(model, q, v, S), external_value(model, q, v, S)
+    """(L, dLdq, dLdv, s, F, Fext) at one state: the first-order pass
+    (one replay of L's first-order kernel, friction and external force)
+    that the degenerate work and the implicit residual share."""
+    L, dLdq, dLdv, s = _lagrangian_first_order(model, q, v, S)
+    return L, dLdq, dLdv, s, friction_value(model, q, v, S), external_value(model, q, v, S)
 
 
 def _entropy_rate(model: SimpleThermoModel, F, v, s) -> float:
@@ -197,9 +199,9 @@ def _entropy_rate(model: SimpleThermoModel, F, v, s) -> float:
 
 
 class _LagrangianWork(NamedTuple):
-    """A velocity-side rate (qdot, vdot, Sdot) and the first partials,
-    friction and external force it was built from; qdot is also the
-    state's velocity. ``Lv`` holds the Hessian's velocity rows
+    """A velocity-side rate (qdot, vdot, Sdot) and L's value, first
+    partials, friction and external force it was built from; qdot is
+    also the state's velocity. ``Lv`` holds the Hessian's velocity rows
     (L_vq | L_vv | L_vS), from which the momentum rate is read; it is
     None in the degenerate regime, where the momentum is identically
     zero."""
@@ -207,6 +209,7 @@ class _LagrangianWork(NamedTuple):
     qdot: np.ndarray
     vdot: np.ndarray
     Sdot: float
+    L: float
     dLdq: np.ndarray
     dLdv: np.ndarray
     s: float
@@ -217,8 +220,9 @@ class _LagrangianWork(NamedTuple):
 
 class _MomentumWork(NamedTuple):
     """A momentum-side rate (qdot, pdot, Sdot) and the Hamiltonian
-    partials, friction and external force it was built from; qdot is the
-    inverted velocity."""
+    partials (L's value at the inverted velocity among them), friction
+    and external force it was built from; qdot is the inverted
+    velocity."""
 
     qdot: np.ndarray
     pdot: np.ndarray
@@ -235,7 +239,7 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
     if model.degenerate:
         zero_v = np.zeros(n)
         # L ignores v: its partials at zero velocity are those at the solved rate
-        dLdq, _, s, F0, Fext = _point_partials(model, q, zero_v, S)
+        L, dLdq, _, s, F0, Fext = _point_partials(model, q, zero_v, S)
         if np.max(np.abs(F0)) > 1e-12:
             raise DiracThermoError(
                 "the degenerate regime needs velocity-linear friction "
@@ -243,18 +247,21 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
             )
         J = friction_velocity_jacobian(model, q, zero_v, S)
         try:
-            qdot = np.linalg.solve(J, -(dLdq + Fext))
+            if n == 1 and J[0, 0] != 0.0:
+                qdot = -(dLdq + Fext) / J[0, 0]  # the 1 x 1 solve's bits, without LAPACK
+            else:
+                qdot = np.linalg.solve(J, -(dLdq + Fext))
         except np.linalg.LinAlgError:
             raise DiracThermoError(
                 f"singular friction coefficient matrix (model {model.name})"
             )
         F = friction_value(model, q, qdot, S)
         Sdot = _entropy_rate(model, F, qdot, s)
-        return _LagrangianWork(qdot, zero_v, Sdot, dLdq, np.zeros(n), s, F, Fext, None)
+        return _LagrangianWork(qdot, zero_v, Sdot, L, dLdq, np.zeros(n), s, F, Fext, None)
 
     # one jet of L and one friction evaluation
     v = _as_array(v, n, "v")
-    dLdq, dLdv, s, Lv = lagrangian_jet(model, q, v, S)
+    L, dLdq, dLdv, s, Lv = lagrangian_jet(model, q, v, S)
     F, Fext = friction_value(model, q, v, S), external_value(model, q, v, S)
     Sdot = _entropy_rate(model, F, v, s)
     # the momentum rate at vdot = 0 moves to the right-hand side
@@ -273,7 +280,7 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
             f"singular velocity Hessian; model {model.name} needs the "
             "velocity-independent regime"
         )
-    return _LagrangianWork(v.copy(), vdot, Sdot, dLdq, dLdv, s, F, Fext, Lv)
+    return _LagrangianWork(v.copy(), vdot, Sdot, L, dLdq, dLdv, s, F, Fext, Lv)
 
 
 def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None) -> _MomentumWork:
@@ -430,16 +437,16 @@ class _LastWork:
         return self.work if y.tobytes() == self.key else self.evaluate(y)
 
 
-def _explicit_diagnostics(model: SimpleThermoModel, pair: TangentCovectorPair, v, s, F):
+def _explicit_diagnostics(model: SimpleThermoModel, pair: TangentCovectorPair, v, L, s, F):
     """Diagnostics of an explicit field's (state, rate, energy
-    differential) data on M or N, with v the state's velocity and (s, F)
-    the entropy slope and friction there: the energy <p, v> - L, the
-    constraint s Sdot - <F, v> and the membership residual. Where the
-    slope vanishes (T = 0 on N) the induced subspace is not defined and
-    the membership residual is infinite."""
+    differential) data on M or N, with v the state's velocity and (L, s,
+    F) the Lagrangian, entropy slope and friction there: the energy
+    <p, v> - L, the constraint s Sdot - <F, v> and the membership
+    residual. Where the slope vanishes (T = 0 on N) the induced subspace
+    is not defined and the membership residual is infinite."""
     base = pair.base
     S, Sdot = base.S, ArenaPoint(base.arena, base.n, pair.tangent).S
-    energy = float(base.p @ v) - lagrangian_value(model, base.q, v, S)
+    energy = float(base.p @ v) - L
     if s == 0.0 or not math.isfinite(s):
         residual = math.inf
     else:
@@ -470,7 +477,7 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
         pair = TangentCovectorPair(
             base=ArenaPoint("N", n, y), tangent=r, covector=_hamiltonian_covector(w.hp, w.Fext)
         )
-        return _explicit_diagnostics(model, pair, w.qdot, -w.hp.dS, w.F)
+        return _explicit_diagnostics(model, pair, w.qdot, w.hp.L, -w.hp.dS, w.F)
 
     return ExplicitField(
         arena="N",
@@ -508,9 +515,9 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
         # measures the given rate r against the state y's work
         w = last.at(y)
         vdot = w.vdot if model.degenerate else r[n + 1 :]
-        measured = _LagrangianWork(r[:n], vdot, float(r[n]), *w[3:])  # w's partials
+        measured = _LagrangianWork(r[:n], vdot, float(r[n]), *w[3:])  # w's L and partials
         data = _solution_data(model, y[:n], w.qdot, y[n], measured)
-        return _explicit_diagnostics(model, _on_arena(data, "M"), w.qdot, w.s, w.F)
+        return _explicit_diagnostics(model, _on_arena(data, "M"), w.qdot, w.L, w.s, w.F)
 
     return ExplicitField(
         arena="M",
@@ -585,17 +592,18 @@ def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates) -> n
     force-balance rows additively.
     """
     n = model.n
-    rate = ArenaPoint("P", n, _as_array(rates, 3 * n + 3, "rates"))
-    qdot, Sdot = rate.q, rate.S
-    dLdq, dLdv, s, F, Fext = _point_partials(model, point.q, point.v, point.S)
+    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()  # the groups' places, in P's order
+    x, r = point.row, _as_array(rates, 3 * n + 3, "rates")
+    qdot, Sdot = r[q], r[S]
+    _, dLdq, dLdv, s, F, Fext = _point_partials(model, x[q], x[v], x[S])
     return np.concatenate(
         [
-            (rate.p - dLdq - Fext) * s + (rate.lam - s) * F,
+            (r[p] - dLdq - Fext) * s + (r[lam] - s) * F,
             [s * Sdot - F @ qdot],
-            point.p - dLdv,
-            [point.lam],
-            point.v - qdot,
-            [point.W - Sdot],
+            x[p] - dLdv,
+            [x[lam]],
+            x[v] - qdot,
+            [x[W] - Sdot],
         ]
     )
 

@@ -14,12 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import duals
 from .errors import ArenaError, DegenerateLagrangianError, NewtonError
 from .model import (
     ArenaPoint,
     SimpleThermoModel,
     _as_array,
+    _lagrangian_first_order,
     _velocity_jet,
     arena_of_point,
     friction_value,
@@ -55,14 +55,8 @@ GATE_ROUNDTRIP_TOL = 1e-10
 
 
 def momentum_map(model: SimpleThermoModel, q, v, S) -> np.ndarray:
-    """p = dL/dv at fixed (q, S); gradient over the velocity block only."""
-    q = tuple(_as_array(q, model.n, "q"))
-    S = float(S)
-
-    def g(*vs):
-        return model.lagrangian(q, vs, S)
-
-    return np.array(duals.gradient(g, list(_as_array(v, model.n, "v"))))
+    """p = dL/dv, read off L's first-order jet."""
+    return _lagrangian_first_order(model, q, v, S)[2]
 
 
 def partial_legendre(model: SimpleThermoModel, q, v, S):
@@ -94,13 +88,13 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
 
     for _ in range(NEWTON_MAX_ITER):
         jet = lagrangian_jet(model, q, v, S)
-        r = jet[1] - p
+        r = jet[2] - p
         err = np.max(np.abs(r))  # NaN or inf for a non-finite residual
         if not math.isfinite(err):
             raise NewtonError(f"momentum residual became non-finite (model {model.name})")
         if err <= NEWTON_TOL:
             break
-        H = jet[3][:, n : 2 * n]
+        H = jet[4][:, n : 2 * n]
         if n == 1 and H[0, 0] != 0.0:
             step = r / H[0, 0]  # the 1 x 1 solve's bits, without the LAPACK round trip
         else:
@@ -113,7 +107,7 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
         v = v - step
     else:
         jet = lagrangian_jet(model, q, v, S)
-        r = jet[1] - p
+        r = jet[2] - p
         if not np.max(np.abs(r)) <= NEWTON_TOL:
             raise NewtonError(
                 f"momentum inversion did not converge in {NEWTON_MAX_ITER} iterations "
@@ -135,6 +129,7 @@ class HamiltonianPartials(NamedTuple):
     dp: np.ndarray
     dS: float
     velocity: np.ndarray
+    L: float  # the Lagrangian at the inverted velocity: H = <p, v> - L
 
 
 def hamiltonian_partials(model: SimpleThermoModel, q, p, S, v0=None) -> HamiltonianPartials:
@@ -142,10 +137,11 @@ def hamiltonian_partials(model: SimpleThermoModel, q, p, S, v0=None) -> Hamilton
 
     Stationarity of <p, v> - L in v at the inverted velocity removes
     every velocity-sensitivity term, so dH/dq = -dL/dq, dH/dp = v,
-    dH/dS = -dL/dS, all read off the converged fiber iterate's jet.
+    dH/dS = -dL/dS, all read off the converged fiber iterate's jet, as
+    is L itself.
     """
-    v, (dLdq, _, dLdS, _) = inverse_partial_legendre(model, q, p, S, v0=v0, with_jet=True)
-    return HamiltonianPartials(dq=-dLdq, dp=v.copy(), dS=-dLdS, velocity=v)
+    v, (L, dLdq, _, dLdS, _) = inverse_partial_legendre(model, q, p, S, v0=v0, with_jet=True)
+    return HamiltonianPartials(dq=-dLdq, dp=v.copy(), dS=-dLdS, velocity=v, L=L)
 
 
 def hamiltonian_S_derivative(model: SimpleThermoModel, q, p, S, v0=None) -> float:
@@ -160,7 +156,7 @@ def hamiltonian_S_derivative(model: SimpleThermoModel, q, p, S, v0=None) -> floa
     """
     n = model.n
     p = _as_array(p, n, "p")
-    v, (_, dLdv, dLdS, Lv) = inverse_partial_legendre(model, q, p, S, v0=v0, with_jet=True)
+    v, (_, _, dLdv, dLdS, Lv) = inverse_partial_legendre(model, q, p, S, v0=v0, with_jet=True)
     dvdS = np.linalg.solve(Lv[:, n : 2 * n], -Lv[:, 2 * n])
     return float(p @ dvdS - dLdv @ dvdS - dLdS)
 

@@ -4,8 +4,9 @@ A simple system here is: mechanical coordinates q (n of them), one
 entropy scalar S, a Lagrangian L(q, v, S), and a friction covector
 F(q, v, S) that feeds dissipated power back into S. Evaluators are
 written once, generically over the scalar type, and all derivatives
-come out of the differentiation layer (``duals``): first partials from
-dual numbers, second partials from one jet evaluation per state.
+come out of the differentiation layer (``duals``): one compiled
+first-order jet per state for the first partials, one with the
+velocity rows of the Hessian where second partials are needed.
 
 Four state arenas appear throughout the package, each with a fixed
 flat-vector coordinate order:
@@ -165,7 +166,8 @@ class SimpleThermoModel:
     ``meta`` carries builder-provided closed forms for tests and is
     never read by the core algorithms.
 
-    L's jet is traced once per evaluator into a compiled kernel
+    L's jets (first order, and with the velocity rows of the Hessian)
+    are traced once per evaluator into compiled kernels
     (:class:`duals.JetKernel`) and replayed at every later state, which
     holds the evaluators to a contract: each is a pure function of its
     arguments, and closure constants are read once, at trace time. A
@@ -201,21 +203,51 @@ def _flat_lagrangian(model: SimpleThermoModel):
     return f
 
 
-def lagrangian_partials(model: SimpleThermoModel, q, v, S):
-    """All first partials of L, split as (dLdq, dLdv, dLdS)."""
-    q = _as_array(q, model.n, "q")
-    v = _as_array(v, model.n, "v")
+# L's first-order and velocity-row jet kernels, one of each per
+# Lagrangian evaluator and n, dropped with the evaluator.
+_JET_KERNELS = weakref.WeakKeyDictionary()
+
+
+def _kernel_jet(model: SimpleThermoModel, q, v, S, second_order: bool):
+    """duals.jet of L over (q, v, S) (the Hessian's velocity rows if
+    ``second_order``, else none) from the model's kernel for that order;
+    an evaluator with no weak reference keeps the dict jet."""
     n = model.n
-    g = duals.gradient(_flat_lagrangian(model), [*q, *v, float(S)])
-    return g[:n], g[n : 2 * n], g[2 * n]
+    args = [*_as_array(q, n, "q").tolist(), *_as_array(v, n, "v").tolist(), float(S)]
+    rows = range(n, 2 * n) if second_order else ()
+    try:
+        kernels = _JET_KERNELS.setdefault(model.lagrangian, {})
+    except TypeError:
+        return duals.jet(_flat_lagrangian(model), args, rows)
+    kernel = kernels.get((n, second_order))
+    if kernel is None:
+        kernel = kernels[n, second_order] = duals.JetKernel(2 * n + 1, rows)
+    return kernel(_flat_lagrangian(model), args)
+
+
+def _lagrangian_first_order(model: SimpleThermoModel, q, v, S):
+    """(L, dLdq, dLdv, dLdS) at one state from L's first-order kernel.
+    Where Python floats raise but numpy floats answer inf or NaN (x / 0,
+    a negative base's power), the jet reruns on numpy floats, so off
+    the domain the partials are numpy's, as the dual lifts gave."""
+    n = model.n
+    try:
+        L, g, _ = _kernel_jet(model, q, v, S, False)
+    except (TypeError, ArithmeticError):
+        numpy_args = [*_as_array(q, n, "q"), *_as_array(v, n, "v"), np.float64(S)]
+        L, g, _ = duals._jet_of(_flat_lagrangian(model), numpy_args, ())
+    return L, g[:n], g[n : 2 * n], g[2 * n]
+
+
+def lagrangian_partials(model: SimpleThermoModel, q, v, S):
+    """All first partials of L, split as (dLdq, dLdv, dLdS), from one
+    first-order jet."""
+    return _lagrangian_first_order(model, q, v, S)[1:]
 
 
 def entropy_slope(model: SimpleThermoModel, q, v, S) -> float:
-    """dL/dS alone; one lifted evaluation, no full gradient."""
-    q = _as_array(q, model.n, "q")
-    v = _as_array(v, model.n, "v")
-    out = model.lagrangian(tuple(q), tuple(v), duals.Dual(float(S), 1.0))
-    return duals.value(out.du) if isinstance(out, duals.Dual) else 0.0
+    """dL/dS, read off L's first-order jet."""
+    return float(_lagrangian_first_order(model, q, v, S)[3])
 
 
 def temperature(model: SimpleThermoModel, q, v, S) -> float:
@@ -244,40 +276,16 @@ def external_value(model: SimpleThermoModel, q, v, S) -> np.ndarray:
     return _as_array([duals.value(c) for c in out], model.n, "external covector")
 
 
-# One velocity-row jet kernel per Lagrangian evaluator and n, dropped
-# with the evaluator.
-_JET_KERNELS = weakref.WeakKeyDictionary()
-
-
-def _lagrangian_kernel(model: SimpleThermoModel) -> Optional[duals.JetKernel]:
-    """The kernel of L's velocity-row jet over (q, v, S), or None for an
-    evaluator that cannot be weakly referenced (it keeps the dict jet)."""
-    n = model.n
-    try:
-        kernels = _JET_KERNELS.setdefault(model.lagrangian, {})
-    except TypeError:
-        return None
-    kernel = kernels.get(n)
-    if kernel is None:
-        kernel = kernels[n] = duals.JetKernel(2 * n + 1, rows=range(n, 2 * n))
-    return kernel
-
-
 def lagrangian_jet(model: SimpleThermoModel, q, v, S):
-    """(dLdq, dLdv, dLdS, Lv) at one state from one jet of L over
-    (q, v, S): the first partials and the Hessian's velocity rows
-    Lv = (L_vq | L_vv | L_vS), an (n, 2n + 1) array in that column order.
-    The jet is the model's compiled kernel (:class:`duals.JetKernel`), so
-    L itself runs only at the first state and wherever the kernel falls
-    back. The first partials equal :func:`lagrangian_partials`'s."""
+    """(L, dLdq, dLdv, dLdS, Lv) at one state from one jet of L over
+    (q, v, S): the value, the first partials and the Hessian's velocity
+    rows Lv = (L_vq | L_vv | L_vS), an (n, 2n + 1) array in that column
+    order. The jet is the model's compiled kernel (:class:`duals.JetKernel`),
+    so L itself runs only at the first state and wherever the kernel
+    falls back. The first partials equal :func:`lagrangian_partials`'s."""
     n = model.n
-    args = [*_as_array(q, n, "q").tolist(), *_as_array(v, n, "v").tolist(), float(S)]
-    kernel = _lagrangian_kernel(model)
-    if kernel is None:
-        _, g, H = duals.jet(_flat_lagrangian(model), args, rows=range(n, 2 * n))
-    else:
-        _, g, H = kernel(_flat_lagrangian(model), args)
-    return g[:n], g[n : 2 * n], g[2 * n], H[n : 2 * n]
+    L, g, H = _kernel_jet(model, q, v, S, True)
+    return L, g[:n], g[n : 2 * n], g[2 * n], H[n : 2 * n]
 
 
 def _momentum_rate_from(Lv: np.ndarray, qdot, vdot, Sdot) -> np.ndarray:
@@ -289,7 +297,7 @@ def _momentum_rate_from(Lv: np.ndarray, qdot, vdot, Sdot) -> np.ndarray:
 def _velocity_jet(model: SimpleThermoModel, q, v, S):
     """(dL/dv, d2L/dv2): the velocity block of :func:`lagrangian_jet`."""
     n = model.n
-    _, dLdv, _, Lv = lagrangian_jet(model, q, v, S)
+    _, _, dLdv, _, Lv = lagrangian_jet(model, q, v, S)
     return dLdv, Lv[:, n : 2 * n]
 
 
@@ -310,7 +318,7 @@ def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.nda
     value computed independently of the equations of motion.
     """
     n = model.n
-    Lv = lagrangian_jet(model, q, v, S)[3]
+    Lv = lagrangian_jet(model, q, v, S)[4]
     return _momentum_rate_from(
         Lv, _as_array(qdot, n, "qdot"), _as_array(vdot, n, "vdot"), float(Sdot)
     )

@@ -7,6 +7,7 @@ it only appears with hand-checked expectations next to it.
 
 import math
 import struct
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +24,7 @@ from dirac_thermo import (
     build_piston,
     build_reactions,
     cos,
+    entropy_slope,
     exp,
     fd_check,
     grad,
@@ -33,6 +35,7 @@ from dirac_thermo import (
     lagrangian_jet,
     lagrangian_partials,
     log,
+    momentum_map,
     second_directional,
     sin,
     sqrt,
@@ -127,7 +130,7 @@ class TestGradient:
         assert np.max(np.abs(g - expect)) < 1e-14
 
     def test_vector_mode_matches_hand_partials(self):
-        # arity 6 goes through the one-shot array-payload path
+        # arity 6: one jet over every coordinate
         def f(*a):
             return a[0] * a[1] + a[2] * a[3] * a[4] + exp(a[5])
 
@@ -139,11 +142,12 @@ class TestGradient:
         assert np.max(np.abs(g - expect)) < 1e-14
 
     def test_both_modes_agree(self):
+        # one jet over all six coordinates against one dual lift per coordinate
         def f(*a):
             return a[0] * a[5] + sum(c * c for c in a)
 
         pt = [0.7, -0.2, 0.3, 1.1, -0.9, 0.25]
-        vec = gradient(f, pt)  # arity 6 takes the one-shot path
+        vec = gradient(f, pt)
         for i in range(6):
             lifted = list(pt)
             lifted[i] = Dual(pt[i], 1.0)
@@ -151,6 +155,21 @@ class TestGradient:
 
     def test_constant_function_gives_zeros(self):
         assert np.all(gradient(lambda *a: 42.0, [1.0] * 6) == 0.0)
+
+    def test_padding_the_arity_keeps_the_bits(self):
+        # a power with a constant base, exp(k log 2) as a jet: padding
+        # the arity must not change the route, and so the bits
+        def f3(x, y, z):
+            return (2.0 ** (0.5 * z)) * x
+
+        def f5(x, y, z, a, b):
+            return f3(x, y, z)
+
+        rng = np.random.default_rng(5)
+        for pt in rng.uniform(-2.0, 2.0, (1000, 3)):
+            padded = gradient(f5, [*pt, 0.3, -0.4])
+            assert gradient(f3, pt).tobytes() == padded[:3].tobytes(), pt
+            assert not padded[3:].any()
 
     @given(x=finite, y=finite)
     @settings(max_examples=50, deadline=None)
@@ -226,10 +245,30 @@ class TestScalarFieldHelpers:
 # --- second-order jets ---------------------------------------------------
 
 
+def dual_lifts(f, args):
+    """Reference first partials: one :class:`Dual` lift per coordinate,
+    the other arguments passed as they are."""
+    out = np.empty(len(args))
+    for i in range(len(args)):
+        lifted = list(args)
+        lifted[i] = Dual(args[i], 1.0)
+        r = f(*lifted)
+        out[i] = value(r.du) if isinstance(r, Dual) else 0.0
+    return out
+
+
+def vector_lift(f, args):
+    """Reference first partials from one evaluation: every coordinate a
+    :class:`Dual` against its own unit direction, the dual parts numpy
+    vectors."""
+    eye = np.eye(len(args))
+    return np.asarray(f(*(Dual(a, eye[i]) for i, a in enumerate(args))).du, dtype=float)
+
+
 def same_bits(a, b) -> bool:
     """Bitwise equality of two float arrays, the sign of a zero aside
-    (a sparse jet leaves an untouched partial at +0.0 where vector-mode
-    duals can carry -0.0)."""
+    (a sparse jet leaves an untouched partial at +0.0 where duals with
+    vector parts can carry -0.0)."""
     a, b = np.asarray(a, dtype=float) + 0.0, np.asarray(b, dtype=float) + 0.0
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -251,7 +290,7 @@ def every_operator(x, y, z):
 
 
 def every_operator_6(a, b, c, d, e, f):
-    """Arity 6: :func:`gradient` takes its vector-payload route here."""
+    """Arity 6, with every coordinate inside a shared subexpression."""
     return every_operator(a, b * f, c) * (1.0 + 0.1 * d) - every_operator(e, a, d * c) / 3.0
 
 
@@ -279,12 +318,13 @@ class TestJet:
     @given(pt=st.lists(coordinate, min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_gradient_bits_match_duals_one_coordinate_at_a_time(self, pt):
-        assert same_bits(jet(every_operator, pt)[1], gradient(every_operator, pt))
+        assert same_bits(jet(every_operator, pt)[1], dual_lifts(every_operator, pt))
+        assert same_bits(gradient(every_operator, pt), dual_lifts(every_operator, pt))
 
     @given(pt=st.lists(coordinate, min_size=6, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_gradient_bits_match_duals_vector_mode(self, pt):
-        assert same_bits(jet(every_operator_6, pt)[1], gradient(every_operator_6, pt))
+        assert same_bits(jet(every_operator_6, pt)[1], vector_lift(every_operator_6, pt))
 
     @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -293,8 +333,8 @@ class TestJet:
         model = BUILDERS[kind]()
         q, v, S = model.domain_box.sample(np.random.default_rng(seed))
         args = [*q, *v, S]
-        assert same_bits(jet(flat(model), args)[1], gradient(flat(model), args))
-        dLdq, dLdv, s, _ = lagrangian_jet(model, q, v, S)
+        assert same_bits(jet(flat(model), args)[1], dual_lifts(flat(model), args))
+        _, dLdq, dLdv, s, _ = lagrangian_jet(model, q, v, S)
         ref = lagrangian_partials(model, q, v, S)
         assert same_bits(dLdq, ref[0]) and same_bits(dLdv, ref[1]) and same_bits(s, ref[2])
 
@@ -413,12 +453,12 @@ class TestJetKernel:
 
         # so does the model's own cached kernel, behind lagrangian_jet
         def via_model():
-            dLdq, dLdv, s, Lv = lagrangian_jet(model, args[:n], args[n : 2 * n], args[2 * n])
-            return 0.0, np.concatenate([dLdq, dLdv, [s]]), Lv
+            L, dLdq, dLdv, s, Lv = lagrangian_jet(model, args[:n], args[n : 2 * n], args[2 * n])
+            return L, np.concatenate([dLdq, dLdv, [s]]), Lv
 
         def via_dict_jet():
-            _, g, H = jet(flat(model), args, rows)
-            return 0.0, g, H[n : 2 * n]
+            L, g, H = jet(flat(model), args, rows)
+            return L, g, H[n : 2 * n]
 
         assert jet_bits(via_model) == jet_bits(via_dict_jet)
 
@@ -500,3 +540,42 @@ class TestJetKernel:
             assert same_jet(kernel, escaping, pt)
             assert len(calls) - before >= 2  # the dict jet answered
         assert kernel.replay is None and not kernel.traceable
+
+
+def canonical_bits(a) -> bytes:
+    """The bytes of a float array with every NaN made the same NaN."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@lru_cache(maxsize=None)
+def warm_model(kind):
+    """A shipped model whose first-order kernel is traced at the middle
+    of its box."""
+    model = BUILDERS[kind]()
+    box = model.domain_box
+    lagrangian_partials(model, np.add(box.q_lo, box.q_hi) / 2, np.add(box.v_lo, box.v_hi) / 2, box.s_lo)
+    return model
+
+
+class TestFirstOrderKernel:
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
+    @pytest.mark.parametrize("warm", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_order_readers_match_dual_lifts(self, kind, warm, data):
+        # a replayed kernel, and a fresh model whose first call traces; at
+        # piston x <= 0 the partials are NaN or inf, as the lifts give
+        model = warm_model(kind) if warm else BUILDERS[kind]()
+        n = model.n
+        args = data.draw(st.lists(edgy, min_size=2 * n + 1, max_size=2 * n + 1))
+        q, v, S = np.array(args[:n]), np.array(args[n : 2 * n]), args[2 * n]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = dual_lifts(flat(model), [*q, *v, S])
+            dLdq, dLdv, s = lagrangian_partials(model, q, v, S)
+            slope = entropy_slope(model, q, v, S)
+            p = momentum_map(model, q, v, S)
+        assert canonical_bits(np.concatenate([dLdq, dLdv, [s]])) == canonical_bits(want)
+        assert canonical_bits(slope) == canonical_bits(want[2 * n])
+        assert canonical_bits(p) == canonical_bits(want[n : 2 * n])

@@ -6,6 +6,7 @@ route is held against the explicit one at first order.
 """
 
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -142,6 +143,45 @@ class TestEvaluationCounts:
             _lagrangian_work(model, q, v, S)
             assert calls["lagrangian"] == (1 if k == 0 else 0)
             assert calls["friction"] == 1
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
+    def test_implicit_residual_evaluates_L_only_to_trace(self, kind, request):
+        # the first residual traces L's first-order kernel; every later
+        # residual replays it
+        model, calls = counting(request.getfixturevalue(kind))
+        n = model.n
+        rates = np.linspace(-0.5, 0.5, 3 * n + 3)
+        for k, (q, v, S) in enumerate(sample_states(model, 3, seed=24)):
+            point = dt.make_point("P", n, q=q, S=S, v=v, W=0.1, p=v, lam=0.0)
+            calls.clear()
+            dt.implicit_residual_P(model, point, rates)
+            assert calls["lagrangian"] == (1 if k == 0 else 0)
+            assert calls["friction"] == 1
+
+    def test_degenerate_work_evaluates_L_only_to_trace(self, reactions):
+        model, calls = counting(reactions)
+        for k, (q, v, S) in enumerate(sample_states(model, 3, seed=25)):
+            calls.clear()
+            _lagrangian_work(model, q, v, S)
+            assert calls["lagrangian"] == (1 if k == 0 else 0)
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
+    def test_explicit_diagnostics_read_L_from_the_work(self, kind, request):
+        # storing and diagnosing the state the rate just evaluated
+        # evaluates L no more
+        model, calls = counting(request.getfixturevalue(kind))
+        fields = [dt.lagrangian_field(model)]
+        if not model.degenerate:
+            fields.append(dt.hamilton_field_N(dt.build_hamiltonian_model(model)))
+        for field in fields:
+            y = np.full(field.dim, 0.4)
+            for _ in range(2):
+                r = field.rate(y)
+                calls.clear()
+                field.to_point(y, r)
+                field.diagnostics(y, r)
+                assert calls["lagrangian"] == 0
+                y = y + 1e-3 * r
 
     @pytest.mark.parametrize("kind", ["piston", "membrane"])
     def test_warm_fiber_solve_evaluates_L_at_most_twice(self, kind, request):
@@ -353,6 +393,18 @@ class TestImplicitFullArena:
             A = dt.condition_matrix("P", model, point)
             expected = A @ np.concatenate([rates, covector])
             assert np.max(np.abs(r - expected)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+    @pytest.mark.parametrize("x,v", [(0.1, -2.0), (0.2, -5.0)])
+    def test_an_iterate_off_the_domain_stops_the_run(self, piston, x, v):
+        # the first guess x + h v lands at x = 0 (a division by zero) or
+        # at x < 0 (a complex power); the partials there are inf or NaN,
+        # so the run stops on its non-finite iterate, keeping the start
+        start = dt.make_point("P", 1, q=[x], S=0.0, v=[v], W=0.0, p=[v], lam=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tr = dt.integrate_implicit_P(piston, start, 0.5, 0.05)
+        assert not tr.completed and len(tr.times) == 1
+        assert np.array_equal(tr.states[0].q, [x])
 
     def test_off_slice_start_is_rejected(self, piston):
         bad = dt.make_point("P", 1, q=[1.0], S=0.0, v=[0.5], W=0.0, p=[3.0], lam=0.0)

@@ -8,6 +8,7 @@ leave the mixed second-derivative helpers untested.
 
 import dataclasses
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,27 @@ class TestPistonPartials:
 
     def test_external_defaults_to_zero(self, piston):
         assert np.all(dt.external_value(piston, [1.0], [0.5], 0.0) == 0.0)
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_partials_off_the_domain_are_nan(self, warm):
+        # at x < 0 the gas volume is negative and U's power is complex in
+        # Python floats; the first-order readers answer with numpy's NaN,
+        # from a traced kernel and from a fresh one alike, not TypeError
+        piston = dt.build_piston()
+        if warm:
+            dt.lagrangian_partials(piston, [1.0], [0.5], 0.0)
+        point = dt.make_point("P", 1, q=[-0.5], S=0.0, v=[0.5], W=0.0, p=[0.5], lam=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dLdq, dLdv, s = dt.lagrangian_partials(piston, [-0.5], [0.5], 0.0)
+            scalars = dt.lagrangian_partials(piston, -0.5, 0.5, 0.0)
+            slope = dt.entropy_slope(piston, [-0.5], [0.5], 0.0)
+            p = dt.momentum_map(piston, [-0.5], [0.5], 0.0)
+            residual = dt.implicit_residual_P(piston, point, np.zeros(6))
+        assert np.isnan(dLdq[0]) and np.isnan(s) and np.isnan(slope)
+        assert np.isnan(scalars[0][0]) and scalars[1][0] == 0.5 and np.isnan(scalars[2])
+        assert dLdv[0] == 0.5 and p[0] == 0.5  # m v does not reach the gas
+        assert np.isnan(residual[:2]).all() and np.isfinite(residual[2:]).all()
 
 
 def make_coupled_model():
