@@ -235,16 +235,16 @@ def _arena_conditions(arena: str, n: int):
     return A0, Ac, AF
 
 
-def condition_matrix(
-    arena: str, model: SimpleThermoModel, point, coefficients=None
-) -> np.ndarray:
-    """The d x 2d matrix whose kernel is the induced subspace at ``point``,
-    acting on stacked (tangent, covector) coordinates.
+def _conditions(arena: str, n: int, coef: float, F: np.ndarray) -> np.ndarray:
+    """The arena's condition matrix at the coefficient (entropy slope or
+    temperature) ``coef`` and the friction covector ``F``."""
+    A0, Ac, AF = _arena_conditions(arena, n)
+    return A0 + coef * Ac + (F @ AF).reshape(A0.shape)
 
-    ``coefficients`` may carry a precomputed (entropy slope or
-    temperature, friction covector) pair, per the arena's convention, to
-    spare integrators a re-evaluation; omitted, both are computed here.
-    """
+
+def condition_matrix(arena: str, model: SimpleThermoModel, point) -> np.ndarray:
+    """The d x 2d matrix whose kernel is the induced subspace at ``point``,
+    acting on stacked (tangent, covector) coordinates."""
     if arena_of_point(point) != arena:
         raise ArenaError(f"point on arena {point.arena!r} is not on arena {arena!r}")
     n = model.n
@@ -252,12 +252,7 @@ def condition_matrix(
         raise DimensionMismatchError(
             f"point has {point.n} configuration coordinates, model has {n}"
         )
-    if coefficients is None:
-        coef, F = _point_coefficients(arena, model, point)
-    else:
-        coef, F = float(coefficients[0]), _as_array(coefficients[1], n, "friction")
-    A0, Ac, AF = _arena_conditions(arena, n)
-    return A0 + coef * Ac + (F @ AF).reshape(A0.shape)
+    return _conditions(arena, n, *_point_coefficients(arena, model, point))
 
 
 def dirac_membership(
@@ -265,15 +260,13 @@ def dirac_membership(
     model: SimpleThermoModel,
     pair_tangent: TangentCovectorPair,
     pair_covector: Optional[TangentCovectorPair] = None,
-    coefficients=None,
 ) -> np.ndarray:
     """Stacked residual of the arena's conditions on (tangent, covector).
 
     The tangent is read from ``pair_tangent`` and the covector from
     ``pair_covector`` (defaulting to the same pair); their base points
     must coincide. Zero residual, up to tolerance, means the element
-    belongs to the induced subspace at that base point. ``coefficients``
-    is forwarded to :func:`condition_matrix`.
+    belongs to the induced subspace at that base point.
     """
     if pair_covector is None:
         pair_covector = pair_tangent  # one pair: its base matches itself
@@ -285,7 +278,7 @@ def dirac_membership(
         )
     pt = pair_tangent.validated(model.n)
     pc = pt if pair_covector is pair_tangent else pair_covector.validated(model.n)
-    A = condition_matrix(arena, model, pt.base, coefficients=coefficients)
+    A = condition_matrix(arena, model, pt.base)
     return A @ np.concatenate([pt.tangent, pc.covector])
 
 

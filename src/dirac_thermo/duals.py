@@ -672,7 +672,10 @@ class JetKernel:
         self.traceable = True
 
     def __call__(self, f: Callable, args: Sequence[float]):
-        args = [float(a) for a in args]
+        return self.floats(f, [float(a) for a in args])
+
+    def floats(self, f: Callable, args: list):
+        """As calling the kernel, with ``args`` a list of Python floats."""
         replay = self.replay
         if replay is None:
             if not self.traceable:

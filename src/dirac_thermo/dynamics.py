@@ -15,12 +15,12 @@ regime reads one jet of L, ``_momentum_work`` one fiber solve);
 the vector fields, the solution data and each field's rate, stored row
 and per-step diagnostics (energy, entropy, entropy rate, the
 rate-constraint residual and the membership residual of the state, rate
-and energy differential) read it. The ``solution_pair_*`` helpers
-assemble those (state, tangent, covector) triples on P from an on-shell
-state, and every other arena takes them at its slots
-(``model.arena_slots``) unchanged: the sign flip between the velocity
-and momentum sides lives in the TstarQ and N condition rows
-(``dirac.condition_matrix``), not in the data.
+and energy differential) read it. One assembly (``_solution_data``)
+writes those (state, tangent, covector) rows of any arena from a work
+record, each group at its place in the arena's row; the
+``solution_pair_*`` helpers and the records share it. The data are P's
+at the arena's slots: the sign flip between the velocity and momentum
+sides lives in the TstarQ and N condition rows (``dirac.condition_matrix``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .dirac import dirac_membership
+from .dirac import _conditions
 from .errors import (
     DegenerateLagrangianError,
     DimensionMismatchError,
@@ -51,13 +51,12 @@ from .model import (
     _lagrangian_first_order,
     _momentum_rate_from,
     _records,
+    _solve,
     arena_dim,
-    arena_slots,
     external_value,
     friction_value,
     friction_velocity_jacobian,
     lagrangian_jet,
-    lagrangian_value,
 )
 
 __all__ = [
@@ -247,10 +246,7 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
             )
         J = friction_velocity_jacobian(model, q, zero_v, S)
         try:
-            if n == 1 and J[0, 0] != 0.0:
-                qdot = -(dLdq + Fext) / J[0, 0]  # the 1 x 1 solve's bits, without LAPACK
-            else:
-                qdot = np.linalg.solve(J, -(dLdq + Fext))
+            qdot = _solve(J, -(dLdq + Fext))
         except np.linalg.LinAlgError:
             raise DiracThermoError(
                 f"singular friction coefficient matrix (model {model.name})"
@@ -266,15 +262,8 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
     Sdot = _entropy_rate(model, F, v, s)
     # the momentum rate at vdot = 0 moves to the right-hand side
     rhs = dLdq + F + Fext - _momentum_rate_from(Lv, v, np.zeros(n), Sdot)
-    H = Lv[:, n : 2 * n]
-    m = H[0, 0]  # a scalar mass beats an n=1 LAPACK round trip on the hot path
     try:
-        if n > 1:
-            vdot = np.linalg.solve(H, rhs)
-        elif m != 0.0 and math.isfinite(m):
-            vdot = rhs / m
-        else:
-            raise np.linalg.LinAlgError
+        vdot = _solve(Lv[:, n : 2 * n], rhs)
     except np.linalg.LinAlgError:
         raise DegenerateLagrangianError(
             f"singular velocity Hessian; model {model.name} needs the "
@@ -322,49 +311,53 @@ def vector_field_lagrangian(model: SimpleThermoModel, q, v, S):
 # --- on-shell membership data -------------------------------------------
 
 
-def _solution_data(model: SimpleThermoModel, q, v, S, work) -> TangentCovectorPair:
-    """P-arena data at the state (q, v, S) with the rate (qdot, vdot,
-    Sdot) and the partials at (q, v, S) that the :class:`_LagrangianWork`
-    ``work`` holds. On a solution v equals qdot. A degenerate model's
-    momentum is identically zero, and so is its rate."""
-    n = model.n
-    base, tangent, covector = (ArenaPoint("P", n, row) for row in np.zeros((3, 3 * n + 3)))
-    base.q, base.S, base.v, base.W, base.p = q, S, v, work.Sdot, work.dLdv  # lam = 0
-    tangent.q, tangent.S, tangent.v = work.qdot, work.Sdot, work.vdot  # W, lam do not move
-    if not model.degenerate:
-        tangent.p = _momentum_rate_from(work.Lv, work.qdot, work.vdot, work.Sdot)
-    covector.q, covector.S = -work.dLdq - work.Fext, -work.s
-    covector.v, covector.W = base.p - work.dLdv, base.lam
-    covector.p, covector.lam = base.v, work.Sdot
-    return TangentCovectorPair(base=base, tangent=tangent.row, covector=covector.row)
+def _solution_data(model: SimpleThermoModel, q, v, S, work, arena: str) -> np.ndarray:
+    """Rows (base, tangent, covector) of the arena's data at the state
+    (q, v, S) with the rate (qdot, vdot, Sdot) and the partials at
+    (q, v, S) that the :class:`_LagrangianWork` ``work`` holds, each
+    group written at its place in the arena's row. On a solution v
+    equals qdot. A degenerate model's momentum is identically zero, and
+    so is its rate."""
+    slots, at = _arena_layout(arena, model.n)
+    rows = np.zeros((3, slots.size))
+    base, tangent, covector = rows  # W and lam do not move; lam = 0
+    q_, S_ = at["q"], at["S"]
+    base[q_], tangent[q_], covector[q_] = q, work.qdot, -work.dLdq - work.Fext
+    base[S_], tangent[S_], covector[S_] = S, work.Sdot, -work.s
+    if "v" in at:  # the covector's velocity block: base p - dL/dv
+        base[at["v"]], tangent[at["v"]] = v, work.vdot
+        covector[at["v"]] = work.dLdv - work.dLdv
+    if "W" in at:
+        base[at["W"]] = work.Sdot
+    if "p" in at:
+        base[at["p"]], covector[at["p"]] = work.dLdv, v
+        if not model.degenerate:
+            tangent[at["p"]] = _momentum_rate_from(work.Lv, work.qdot, work.vdot, work.Sdot)
+    if "lam" in at:
+        covector[at["lam"]] = work.Sdot
+    return rows
 
 
-def _on_arena(pair: TangentCovectorPair, arena: str) -> TangentCovectorPair:
-    """P-arena data taken at the arena's slots."""
-    n = pair.base.n
-    slots = arena_slots(arena, n)
-    return TangentCovectorPair(
-        base=ArenaPoint(arena, n, pair.base.row[slots]),
-        tangent=pair.tangent[slots],
-        covector=pair.covector[slots],
-    )
+def _hamiltonian_covector(covector: np.ndarray, n: int, hp, Fext) -> None:
+    """Write the Hamiltonian differential (dH/dq - external, dH/dS,
+    dH/dp) into an N covector row."""
+    covector[:n], covector[n], covector[n + 1 :] = hp.dq - Fext, hp.dS, hp.dp
 
 
-def _hamiltonian_covector(hp, Fext) -> np.ndarray:
-    """The Hamiltonian differential (dH/dq - external, dH/dS, dH/dp)."""
-    return np.concatenate([hp.dq - Fext, [hp.dS], hp.dp])
+def _solution_pair(model: SimpleThermoModel, q, S, work, arena: str) -> TangentCovectorPair:
+    """The arena's data of the solution through (q, work.qdot, S)."""
+    base, tangent, covector = _solution_data(model, q, work.qdot, S, work, arena)
+    return TangentCovectorPair(ArenaPoint(arena, model.n, base), tangent, covector)
 
 
-def _hamiltonian_N(model: SimpleThermoModel, pair) -> TangentCovectorPair:
-    """N data of P-arena solution data with the Hamiltonian differential
-    as its covector, the fiber inverted from the solution's velocity."""
-    Fext = external_value(model, pair.base.q, pair.base.v, pair.base.S)
-    pair = _on_arena(pair, "N")
-    base = pair.base
-    hp = hamiltonian_partials(model, base.q, base.p, base.S, v0=pair.tangent[: base.n])
-    return TangentCovectorPair(
-        base=base, tangent=pair.tangent, covector=_hamiltonian_covector(hp, Fext)
-    )
+def _hamiltonian_N(model: SimpleThermoModel, q, S, work) -> TangentCovectorPair:
+    """N data of the solution through (q, work.qdot, S) with the
+    Hamiltonian differential as its covector, the fiber inverted from
+    the solution's velocity."""
+    pair = _solution_pair(model, q, S, work, "N")
+    hp = hamiltonian_partials(model, q, work.dLdv, S, v0=work.qdot)
+    _hamiltonian_covector(pair.covector, model.n, hp, work.Fext)
+    return pair
 
 
 def solution_pair_P(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
@@ -373,26 +366,25 @@ def solution_pair_P(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     covector is the generalized-energy differential (external force
     subtracted on the configuration slots). The rate of the entropy-rate
     slot is unconstrained and recorded as zero."""
-    work = _lagrangian_work(model, q, v, S)
-    return _solution_data(model, q, work.qdot, S, work)
+    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "P")
 
 
 def solution_pair_M(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """As :func:`solution_pair_P` on the velocity-momentum arena."""
-    return _on_arena(solution_pair_P(model, q, v, S), "M")
+    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "M")
 
 
 def solution_pair_TstarQ(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """Velocity-side data transported to the cotangent arena: base at
     (q, S, momentum, 0), covector slots (-dL/dq, -dL/dS, v, Sdot)."""
-    return _on_arena(solution_pair_P(model, q, v, S), "TstarQ")
+    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "TstarQ")
 
 
 def solution_pair_N(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """Velocity-side data transported to the momentum arena; the
     covector is (-dL/dq, -dL/dS, v), fiber matching supplying the base
     momentum."""
-    return _on_arena(solution_pair_P(model, q, v, S), "N")
+    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "N")
 
 
 def solution_pair_N_hamiltonian(
@@ -400,7 +392,8 @@ def solution_pair_N_hamiltonian(
 ) -> TangentCovectorPair:
     """As :func:`solution_pair_N` but with the Hamiltonian differential
     (dH/dq - external, dH/dS, dH/dp) as the covector."""
-    return _hamiltonian_N(hmodel.source, solution_pair_P(hmodel.source, q, v, S))
+    model = hmodel.source
+    return _hamiltonian_N(model, q, S, _lagrangian_work(model, q, v, S))
 
 
 # --- explicit integration ------------------------------------------------
@@ -437,21 +430,18 @@ class _LastWork:
         return self.work if y.tobytes() == self.key else self.evaluate(y)
 
 
-def _explicit_diagnostics(model: SimpleThermoModel, pair: TangentCovectorPair, v, L, s, F):
-    """Diagnostics of an explicit field's (state, rate, energy
-    differential) data on M or N, with v the state's velocity and (L, s,
-    F) the Lagrangian, entropy slope and friction there: the energy
-    <p, v> - L, the constraint s Sdot - <F, v> and the membership
-    residual. Where the slope vanishes (T = 0 on N) the induced subspace
-    is not defined and the membership residual is infinite."""
-    base = pair.base
-    S, Sdot = base.S, ArenaPoint(base.arena, base.n, pair.tangent).S
-    energy = float(base.p @ v) - L
+def _explicit_record(arena: str, p, v, L, S, Sdot, s, F, z) -> DiagnosticsRecord:
+    """Diagnostics of an explicit field's data on M or N: z stacks the
+    rate and the energy differential, p, v, S, Sdot are the state's
+    momentum, velocity, entropy and entropy rate, and (L, s, F) the
+    Lagrangian, entropy slope and friction there. The membership
+    residual is infinite where the slope vanishes (T = 0 on N)."""
+    energy = float(p @ v) - L
     if s == 0.0 or not math.isfinite(s):
         residual = math.inf
     else:
-        coef = -s if base.arena == "N" else s  # the momentum side reads T = -s
-        residual = dirac_membership(base.arena, model, pair, coefficients=(coef, F))
+        coef = -s if arena == "N" else s  # the momentum side reads T = -s
+        residual = _conditions(arena, F.size, float(coef), F) @ z
     return _record(energy, S, Sdot, float(s * Sdot - F @ v), residual)
 
 
@@ -473,11 +463,12 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
         return np.concatenate([w.qdot, [w.Sdot], w.pdot])
 
     def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
-        w = last.at(y)
-        pair = TangentCovectorPair(
-            base=ArenaPoint("N", n, y), tangent=r, covector=_hamiltonian_covector(w.hp, w.Fext)
-        )
-        return _explicit_diagnostics(model, pair, w.qdot, w.hp.L, -w.hp.dS, w.F)
+        w, d = last.at(y), y.size
+        z = np.empty(2 * d)
+        z[:d] = r
+        _hamiltonian_covector(z[d:], n, w.hp, w.Fext)
+        S, Sdot = float(y[n]), float(r[n])
+        return _explicit_record("N", y[n + 1 :], w.qdot, w.hp.L, S, Sdot, -w.hp.dS, w.F, z)
 
     return ExplicitField(
         arena="N",
@@ -495,7 +486,7 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     state's velocity is the solved rate)."""
     n = model.n
     dim = n + 1 if model.degenerate else 2 * n + 1
-    last = _LastWork(lambda y: _lagrangian_work(model, y[:n], y[n + 1 :], y[n]))
+    last = _LastWork(lambda y: _lagrangian_work(model, y[:n], y[n + 1 :], float(y[n])))
 
     def rate(y: np.ndarray) -> np.ndarray:
         w = last.fresh(y)
@@ -507,17 +498,16 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
 
     def to_point(y: np.ndarray, r: np.ndarray) -> np.ndarray:
         w = last.at(y)
-        point = ArenaPoint("M", n, np.empty(3 * n + 1))
-        point.q, point.S, point.v, point.p = y[:n], y[n], w.qdot, w.dLdv
-        return point.row
+        return np.concatenate([y[: n + 1], w.qdot, w.dLdv])  # M's (q, S, v, p)
 
     def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
         # measures the given rate r against the state y's work
         w = last.at(y)
         vdot = w.vdot if model.degenerate else r[n + 1 :]
-        measured = _LagrangianWork(r[:n], vdot, float(r[n]), *w[3:])  # w's L and partials
-        data = _solution_data(model, y[:n], w.qdot, y[n], measured)
-        return _explicit_diagnostics(model, _on_arena(data, "M"), w.qdot, w.L, w.s, w.F)
+        S, Sdot = float(y[n]), float(r[n])
+        measured = _LagrangianWork(r[:n], vdot, Sdot, *w[3:])  # w's L and partials
+        z = _solution_data(model, y[:n], w.qdot, S, measured, "M")[1:].ravel()
+        return _explicit_record("M", w.dLdv, w.qdot, w.L, S, Sdot, w.s, w.F, z)
 
     return ExplicitField(
         arena="M",
@@ -582,21 +572,22 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
 # --- implicit integration on the full arena -------------------------------
 
 
-def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates) -> np.ndarray:
+def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates, with_value=False):
     """Stacked residual of the full-arena conditions at (point, rates).
 
     Rates follow the arena order (qdot, Sdot, vdot, Wdot, pdot, lamdot).
     Blocks, in order: n force-balance rows scaled by the entropy slope,
     the entropy-rate row, the momentum-match rows, the covariable, the
     velocity match, and the rate-slot match. External force enters the
-    force-balance rows additively.
+    force-balance rows additively. ``with_value`` returns ``(residual,
+    L)``, L the Lagrangian at the point from the same jet.
     """
     n = model.n
     q, S, v, W, p, lam = _arena_layout("P", n)[1].values()  # the groups' places, in P's order
     x, r = point.row, _as_array(rates, 3 * n + 3, "rates")
     qdot, Sdot = r[q], r[S]
-    _, dLdq, dLdv, s, F, Fext = _point_partials(model, x[q], x[v], x[S])
-    return np.concatenate(
+    L, dLdq, dLdv, s, F, Fext = _point_partials(model, x[q], x[v], x[S])
+    residual = np.concatenate(
         [
             (r[p] - dLdq - Fext) * s + (r[lam] - s) * F,
             [s * Sdot - F @ qdot],
@@ -606,15 +597,14 @@ def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates) -> n
             [x[W] - Sdot],
         ]
     )
+    return (residual, L) if with_value else residual
 
 
-def _implicit_diag(model, x, rates, residual) -> DiagnosticsRecord:
-    """Diagnostics at the flat P row x, read through its groups."""
-    n = model.n
+def _implicit_diag(n: int, x, rates, residual, L) -> DiagnosticsRecord:
+    """Diagnostics at the flat P row x, read through its groups, with L
+    the Lagrangian at its (q, v, S)."""
     point = ArenaPoint("P", n, x)
-    energy = float(point.p @ point.v) + point.lam * point.W - lagrangian_value(
-        model, point.q, point.v, point.S
-    )
+    energy = float(point.p @ point.v) + point.lam * point.W - L
     return _record(energy, point.S, float(rates[n]), float(residual[n]), residual)
 
 
@@ -647,19 +637,19 @@ def integrate_implicit_P(
     # instantaneous field data at the start, for the first record
     x = initial.as_vector()
     pair0 = solution_pair_P(model, initial.q, initial.v, initial.S)
-    res0 = implicit_residual_P(model, initial, pair0.tangent)
+    res0, L = implicit_residual_P(model, initial, pair0.tangent, with_value=True)
     states[0], rates[0] = x, pair0.tangent
-    diagnostics[0] = _implicit_diag(model, x, pair0.tangent, res0)
+    diagnostics[0] = _implicit_diag(n, x, pair0.tangent, res0, L)
 
     rate_guess = pair0.tangent
     for k in range(1, K):
         x0 = x
         x1 = x0 + h * rate_guess
 
-        def g(z: np.ndarray) -> np.ndarray:
-            return implicit_residual_P(model, ArenaPoint("P", n, z), (z - x0) / h)
+        def g(z: np.ndarray):  # (residual, L) at z with the backward rates
+            return implicit_residual_P(model, ArenaPoint("P", n, z), (z - x0) / h, with_value=True)
 
-        r = g(x1)
+        r, L = g(x1)
         J = None
         converged = False
         for _ in range(IMPLICIT_MAX_ITER):
@@ -672,7 +662,7 @@ def integrate_implicit_P(
                     dz = 1e-7 * max(1.0, abs(x1[j]))
                     zp = x1.copy()
                     zp[j] += dz
-                    J[:, j] = (g(zp) - r) / dz
+                    J[:, j] = (g(zp)[0] - r) / dz
             try:
                 step = np.linalg.solve(J, r)
             except np.linalg.LinAlgError:
@@ -680,19 +670,19 @@ def integrate_implicit_P(
             x1 = x1 - step
             if not np.all(np.isfinite(x1)):
                 return _stored(h, k, "P", n, states, rates, diagnostics, completed=False)
-            r = g(x1)
+            r, L = g(x1)
         if not converged:
             raise NewtonError(
                 f"implicit step did not converge: residual {np.max(np.abs(r)):.3e} "
                 f"after {IMPLICIT_MAX_ITER} iterations"
             )
         rate = (x1 - x0) / h
-        # snap the algebraic slots exactly, in place; Newton left them within tol
+        # snap p and lam exactly, in place (Newton left them within tol); L is unmoved
         point = ArenaPoint("P", n, x1)
         point.p = momentum_map(model, point.q, point.v, point.S)
         point.lam = 0.0
         states[k], rates[k] = x1, rate
-        diagnostics[k] = _implicit_diag(model, x1, rate, r)
+        diagnostics[k] = _implicit_diag(n, x1, rate, r, L)
         rate_guess = rate
         x = x1
     return _stored(h, K, "P", n, states, rates, diagnostics, completed=True)

@@ -20,6 +20,7 @@ from .model import (
     SimpleThermoModel,
     _as_array,
     _lagrangian_first_order,
+    _solve,
     _velocity_jet,
     arena_of_point,
     friction_value,
@@ -89,21 +90,17 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
     for _ in range(NEWTON_MAX_ITER):
         jet = lagrangian_jet(model, q, v, S)
         r = jet[2] - p
-        err = np.max(np.abs(r))  # NaN or inf for a non-finite residual
+        err = np.abs(r).max()  # NaN or inf for a non-finite residual
         if not math.isfinite(err):
             raise NewtonError(f"momentum residual became non-finite (model {model.name})")
         if err <= NEWTON_TOL:
             break
-        H = jet[4][:, n : 2 * n]
-        if n == 1 and H[0, 0] != 0.0:
-            step = r / H[0, 0]  # the 1 x 1 solve's bits, without the LAPACK round trip
-        else:
-            try:
-                step = np.linalg.solve(H, r)
-            except np.linalg.LinAlgError:
-                raise DegenerateLagrangianError(
-                    f"singular velocity Hessian at q={q}, S={S} (model {model.name})"
-                )
+        try:
+            step = _solve(jet[4][:, n : 2 * n], r)
+        except np.linalg.LinAlgError:
+            raise DegenerateLagrangianError(
+                f"singular velocity Hessian at q={q}, S={S} (model {model.name})"
+            )
         v = v - step
     else:
         jet = lagrangian_jet(model, q, v, S)
@@ -157,7 +154,7 @@ def hamiltonian_S_derivative(model: SimpleThermoModel, q, p, S, v0=None) -> floa
     n = model.n
     p = _as_array(p, n, "p")
     v, (_, _, dLdv, dLdS, Lv) = inverse_partial_legendre(model, q, p, S, v0=v0, with_jet=True)
-    dvdS = np.linalg.solve(Lv[:, n : 2 * n], -Lv[:, 2 * n])
+    dvdS = _solve(Lv[:, n : 2 * n], -Lv[:, 2 * n])
     return float(p @ dvdS - dLdv @ dvdS - dLdS)
 
 

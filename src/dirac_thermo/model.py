@@ -33,6 +33,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from . import duals
 from .errors import ArenaError, DimensionMismatchError, TemperatureSignError
@@ -135,6 +136,18 @@ def _as_array(x, n: int, label: str) -> np.ndarray:
     return a
 
 
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for a small n x n system, a division at n = 1, else
+    LAPACK's dgesv: numpy's solve without its wrapper, bit for bit. A
+    singular A raises LinAlgError; a NaN A gives NaN, as numpy's does."""
+    if A.shape[0] == 1 and A[0, 0] != 0.0:
+        return b / A[0, 0]
+    _, _, x, info = dgesv(A, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 @dataclass(frozen=True)
 class DomainBox:
     """Per-coordinate sampling ranges used by property tests and checks."""
@@ -194,48 +207,52 @@ def lagrangian_value(model: SimpleThermoModel, q, v, S) -> float:
     return duals.value(model.lagrangian(tuple(q), tuple(v), float(S)))
 
 
-def _flat_lagrangian(model: SimpleThermoModel):
-    n = model.n
+def _flat_lagrangian(lagrangian: Callable, n: int):
+    """L over the flat argument list (q..., v..., S)."""
 
     def f(*args):
-        return model.lagrangian(args[:n], args[n : 2 * n], args[2 * n])
+        return lagrangian(args[:n], args[n : 2 * n], args[2 * n])
 
     return f
 
 
-# L's first-order and velocity-row jet kernels, one of each per
-# Lagrangian evaluator and n, dropped with the evaluator.
+# (kernel, flat evaluator) of L's first-order and velocity-row jets, one
+# of each per Lagrangian evaluator and n, dropped with the evaluator: the
+# flat evaluator reaches L through a weak proxy.
 _JET_KERNELS = weakref.WeakKeyDictionary()
 
 
 def _kernel_jet(model: SimpleThermoModel, q, v, S, second_order: bool):
     """duals.jet of L over (q, v, S) (the Hessian's velocity rows if
     ``second_order``, else none) from the model's kernel for that order;
-    an evaluator with no weak reference keeps the dict jet."""
+    an evaluator with no weak reference keeps the dict jet. Where Python
+    floats raise but numpy floats answer inf or NaN (x / 0, a negative
+    base's power), the jet reruns on numpy floats, as the dual lifts did."""
     n = model.n
-    args = [*_as_array(q, n, "q").tolist(), *_as_array(v, n, "v").tolist(), float(S)]
+    q, v = _as_array(q, n, "q"), _as_array(v, n, "v")
+    args = q.tolist() + v.tolist()
+    args.append(float(S))
     rows = range(n, 2 * n) if second_order else ()
+    lagrangian = model.lagrangian
     try:
-        kernels = _JET_KERNELS.setdefault(model.lagrangian, {})
-    except TypeError:
-        return duals.jet(_flat_lagrangian(model), args, rows)
-    kernel = kernels.get((n, second_order))
-    if kernel is None:
-        kernel = kernels[n, second_order] = duals.JetKernel(2 * n + 1, rows)
-    return kernel(_flat_lagrangian(model), args)
+        try:
+            kernel, flat = _JET_KERNELS[lagrangian][n, second_order]
+        except KeyError:
+            kernel = duals.JetKernel(2 * n + 1, rows)
+            flat = _flat_lagrangian(weakref.proxy(lagrangian), n)
+            _JET_KERNELS.setdefault(lagrangian, {})[n, second_order] = kernel, flat
+        except TypeError:  # no weak reference to the evaluator
+            return duals.jet(_flat_lagrangian(lagrangian, n), args, rows)
+        return kernel.floats(flat, args)
+    except (TypeError, ArithmeticError):
+        numpy_args = [*q, *v, np.float64(S)]
+        return duals._jet_of(_flat_lagrangian(lagrangian, n), numpy_args, rows)
 
 
 def _lagrangian_first_order(model: SimpleThermoModel, q, v, S):
-    """(L, dLdq, dLdv, dLdS) at one state from L's first-order kernel.
-    Where Python floats raise but numpy floats answer inf or NaN (x / 0,
-    a negative base's power), the jet reruns on numpy floats, so off
-    the domain the partials are numpy's, as the dual lifts gave."""
+    """(L, dLdq, dLdv, dLdS) at one state from L's first-order kernel."""
     n = model.n
-    try:
-        L, g, _ = _kernel_jet(model, q, v, S, False)
-    except (TypeError, ArithmeticError):
-        numpy_args = [*_as_array(q, n, "q"), *_as_array(v, n, "v"), np.float64(S)]
-        L, g, _ = duals._jet_of(_flat_lagrangian(model), numpy_args, ())
+    L, g, _ = _kernel_jet(model, q, v, S, False)
     return L, g[:n], g[n : 2 * n], g[2 * n]
 
 
@@ -260,20 +277,24 @@ def temperature(model: SimpleThermoModel, q, v, S) -> float:
     return t
 
 
+def _covector_value(evaluator: Callable, n: int, q, v, S, label: str) -> np.ndarray:
+    """A covector evaluator's tuple at (q, v, S) as a float array, in one
+    array call where every component is a real number."""
+    out = evaluator(tuple(_as_array(q, n, "q")), tuple(_as_array(v, n, "v")), float(S))
+    try:
+        return _as_array(np.array(out, dtype=float), n, label)
+    except TypeError:  # a component is a dual or jet
+        return _as_array([duals.value(c) for c in out], n, label)
+
+
 def friction_value(model: SimpleThermoModel, q, v, S) -> np.ndarray:
-    q = _as_array(q, model.n, "q")
-    v = _as_array(v, model.n, "v")
-    out = model.friction(tuple(q), tuple(v), float(S))
-    return _as_array([duals.value(c) for c in out], model.n, "friction covector")
+    return _covector_value(model.friction, model.n, q, v, S, "friction covector")
 
 
 def external_value(model: SimpleThermoModel, q, v, S) -> np.ndarray:
     if model.external is None:
         return np.zeros(model.n)
-    q = _as_array(q, model.n, "q")
-    v = _as_array(v, model.n, "v")
-    out = model.external(tuple(q), tuple(v), float(S))
-    return _as_array([duals.value(c) for c in out], model.n, "external covector")
+    return _covector_value(model.external, model.n, q, v, S, "external covector")
 
 
 def lagrangian_jet(model: SimpleThermoModel, q, v, S):

@@ -18,11 +18,11 @@ from .dirac import dirac_membership
 from .dynamics import (
     Trajectory,
     _hamiltonian_N,
-    _on_arena,
+    _lagrangian_work,
+    _solution_pair,
     hamilton_field_N,
     integrate_explicit,
     lagrangian_field,
-    solution_pair_P,
     trajectory_rows,
     vector_field_N,
 )
@@ -207,30 +207,25 @@ def formulation_equivalence_battery(
     traj = integrate_explicit(lagrangian_field(model), flat, t_end, h)
     if not traj.completed:
         raise DiracThermoError("battery trajectory aborted on non-finite state")
-    projections = {
-        "pontryagin-P": lambda pair: pair,
-        "mixed-M": lambda pair: _on_arena(pair, "M"),
-    }
+    arenas = {"pontryagin-P": "P", "mixed-M": "M"}  # None: N, Hamiltonian differential
     if not model.degenerate:
         build_hamiltonian_model(model)  # the momentum-side labels need the gate
-        projections["cotangent-TstarQ"] = lambda pair: _on_arena(pair, "TstarQ")
-        projections["momentum-N"] = lambda pair: _on_arena(pair, "N")
-        projections["hamilton-N"] = lambda pair: _hamiltonian_N(model, pair)
+        arenas.update({"cotangent-TstarQ": "TstarQ", "momentum-N": "N", "hamilton-N": None})
 
     rng = np.random.default_rng(BATTERY_SEED)
     idx = np.linspace(0, len(traj.states) - 1, min(sample_count, len(traj.states)))
     idx = sorted(set(int(i) for i in idx))
-    data = {}  # P solution data, once per sample
+    data = {}  # one velocity-side evaluation per sample
     for k in idx:
         point = traj.states[k]
-        data[k] = solution_pair_P(model, point.q, point.v, point.S)
+        data[k] = point.q, point.S, _lagrangian_work(model, point.q, point.v, point.S)
     lo, hi = BATTERY_PERTURBATION
     reports = {}
-    for label, project in projections.items():
+    for label, arena in arenas.items():
         worst_on = 0.0
         best_off = np.inf
         for k in idx:
-            pair = project(data[k])
+            pair = _solution_pair(model, *data[k], arena) if arena else _hamiltonian_N(model, *data[k])
             res = dirac_membership(pair.arena, model, pair)
             worst_on = max(worst_on, float(np.max(np.abs(res))))
             bump = rng.uniform(lo, hi, size=pair.tangent.size) * rng.choice(

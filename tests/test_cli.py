@@ -222,6 +222,20 @@ class TestErrorExits:
         assert cli.main(["run", "--config", cfg]) == 4
         assert "integration failed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("formulation", ["lagrangian", "hamilton-dirac-N", "implicit-P"])
+    def test_piston_driven_through_zero_volume_exits_4(self, tmp_path, capsys, formulation):
+        # an RK4 stage lands at x < 0, where U's power is complex in Python
+        # floats: the readers answer NaN, the state goes non-finite and the
+        # run is an integration failure, not an uncaught TypeError
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, initial={"q": [0.05], "v": [-30.0], "S": 0.0},
+                        formulation=formulation, h=0.01, t_end=0.5, out=str(out))
+        assert cli.main(["run", "--config", cfg]) == 4
+        if formulation != "hamilton-dirac-N":  # the fiber solve raises instead
+            assert (out / "trajectory.csv").exists()
+            assert json.loads((out / "summary.json").read_text())["completed"] is False
+
     def test_unknown_model_kind(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, model={"kind": "turbine"})
         assert cli.main(["run", "--config", cfg]) == 2

@@ -209,6 +209,56 @@ class TestEvaluationCounts:
             assert np.array_equal(hp.dq, -dLdq) and hp.dS == -s
 
 
+    def test_implicit_steps_evaluate_L_only_to_trace(self, piston):
+        # each step's energy reads L off its last residual's kernel replay
+        model, calls = counting(piston)
+        q, v, S = [1.0], [0.5], 0.0
+        Sdot = dt.vector_field_lagrangian(model, q, v, S)[2]
+        p = dt.momentum_map(model, q, v, S)
+        start = dt.make_point("P", 1, q=q, S=S, v=v, W=Sdot, p=p, lam=0.0)
+        assert calls["lagrangian"] > 0  # the traces
+        calls.clear()
+        traj = dt.integrate_implicit_P(model, start, t_end=0.05, h=1e-3)
+        assert traj.completed and len(traj.states) == 51
+        assert calls["lagrangian"] == 0
+
+
+class TestRecordsMatchThePublicCheck:
+    # the fields' records assemble their rows and condition matrix
+    # directly; the public membership check stays the reference
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
+    def test_lagrangian_record(self, kind, request):
+        model = request.getfixturevalue(kind)
+        n = model.n
+        for q, v, S in sample_states(model, 12, seed=31):
+            field = dt.lagrangian_field(model)
+            y = np.concatenate([q, [S]] if model.degenerate else [q, [S], v])
+            record = field.diagnostics(y, field.rate(y))
+            pair = dt.solution_pair_M(model, q, v, S)
+            residual = np.abs(dt.dirac_membership("M", model, pair)).max()
+            Sdot = pair.tangent[n]
+            constraint = dt.phenomenological_constraint_residual(model, q, pair.base.v, S, Sdot)
+            assert record.dirac_residual == residual
+            assert record.constraint_residual == abs(constraint)
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane"])
+    def test_hamilton_record(self, kind, request):
+        model = request.getfixturevalue(kind)
+        hmodel = dt.build_hamiltonian_model(model)
+        n = model.n
+        for q, v, S in sample_states(model, 12, seed=32):
+            pair = dt.solution_pair_N_hamiltonian(hmodel, q, v, S)
+            y = pair.base.row.copy()
+            record = dt.hamilton_field_N(hmodel).diagnostics(y, pair.tangent)
+            residual = np.abs(dt.dirac_membership("N", model, pair)).max()
+            v_fiber = dt.inverse_partial_legendre(model, q, pair.base.p, S)
+            Sdot = pair.tangent[n]
+            constraint = dt.phenomenological_constraint_residual(model, q, v_fiber, S, Sdot)
+            assert record.dirac_residual == residual
+            assert record.constraint_residual == abs(constraint)
+
+
 class TestExplicitIntegrator:
     def test_fourth_order_on_linear_flow(self):
         # y' = -y from y0=1: exact flow is e^{-t}

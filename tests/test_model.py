@@ -15,6 +15,7 @@ import pytest
 
 import dirac_thermo as dt
 from dirac_thermo import model as model_module
+from dirac_thermo.model import _solve
 
 from conftest import sample_states
 
@@ -117,8 +118,9 @@ class TestPistonPartials:
     @pytest.mark.parametrize("warm", [True, False])
     def test_partials_off_the_domain_are_nan(self, warm):
         # at x < 0 the gas volume is negative and U's power is complex in
-        # Python floats; the first-order readers answer with numpy's NaN,
-        # from a traced kernel and from a fresh one alike, not TypeError
+        # Python floats; the first- and second-order readers answer with
+        # numpy's NaN, from a traced kernel and from a fresh one alike, not
+        # TypeError
         piston = dt.build_piston()
         if warm:
             dt.lagrangian_partials(piston, [1.0], [0.5], 0.0)
@@ -130,6 +132,9 @@ class TestPistonPartials:
             slope = dt.entropy_slope(piston, [-0.5], [0.5], 0.0)
             p = dt.momentum_map(piston, [-0.5], [0.5], 0.0)
             residual = dt.implicit_residual_P(piston, point, np.zeros(6))
+            L, jet_dLdq, jet_dLdv, jet_s, Lv = dt.lagrangian_jet(piston, [-0.5], [0.5], 0.0)
+        assert np.isnan(L) and np.isnan(jet_dLdq[0]) and np.isnan(jet_s)
+        assert jet_dLdv[0] == 0.5 and Lv.tolist() == [[0.0, 1.0, 0.0]]  # nor does m v^2/2
         assert np.isnan(dLdq[0]) and np.isnan(s) and np.isnan(slope)
         assert np.isnan(scalars[0][0]) and scalars[1][0] == 0.5 and np.isnan(scalars[2])
         assert dLdv[0] == 0.5 and p[0] == 0.5  # m v does not reach the gas
@@ -200,6 +205,52 @@ class TestSecondDerivativeHelpers:
         fd = (p_at(eps) - p_at(-eps)) / (2 * eps)
         got = dt.momentum_rate(membrane, q0, v0, S0, qdot=qdot, vdot=vdot, Sdot=Sdot)
         assert np.max(np.abs(got - fd)) < 1e-8
+
+
+class TestSmallSolve:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bits_equal_numpy_solve(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(300):
+            Lv = rng.normal(size=(n, 2 * n + 1))
+            Lv[:, n : 2 * n] += 2.0 * n * np.eye(n)  # well conditioned
+            b = rng.normal(size=n)
+            for A in (Lv[:, n : 2 * n], np.ascontiguousarray(Lv[:, n : 2 * n])):
+                assert _solve(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
+
+    def test_n1_is_the_division(self):
+        rng = np.random.default_rng(44)
+        for a, b in rng.normal(size=(200, 2)):
+            assert _solve(np.array([[a]]), np.array([b])).tobytes() == (np.array([b]) / a).tobytes()
+
+    @pytest.mark.parametrize("A", [[[0.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]]])
+    def test_singular_raises(self, A):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(np.array(A), np.ones(len(A)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nan_matrix_gives_nan(self, n):
+        A, b = np.full((n, n), np.nan), np.ones(n)
+        assert np.isnan(_solve(A, b)).all() and np.isnan(np.linalg.solve(A, b)).all()
+
+    def test_callers_keep_their_errors(self):
+        box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=0.0, s_hi=1.0)
+
+        def model(lagrangian, friction=lambda q, v, S: (0.0 * v[0],), degenerate=False):
+            return dt.SimpleThermoModel(n=1, lagrangian=lagrangian, friction=friction,
+                                        domain_box=box, degenerate=degenerate)
+
+        no_mass = model(lambda q, v, S: -q[0] * q[0] - S)  # flagged regular, L_vv = 0
+        with pytest.raises(dt.DegenerateLagrangianError):
+            dt.vector_field_lagrangian(no_mass, [0.5], [0.1], 0.5)
+        no_drag = model(lambda q, v, S: -q[0] * q[0] - S, degenerate=True)  # zero coefficient
+        with pytest.raises(dt.DiracThermoError, match="singular friction coefficient"):
+            dt.vector_field_lagrangian(no_drag, [0.5], [0.1], 0.5)
+        cubic = model(lambda q, v, S: v[0] * v[0] * v[0] / 3.0 - S)  # L_vv = 2 v, zero at v = 0
+        with pytest.raises(dt.DegenerateLagrangianError):
+            dt.inverse_partial_legendre(cubic, [0.5], [1.0], 0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            dt.hamiltonian_S_derivative(cubic, [0.5], [0.0], 0.5)
 
 
 class TestJetKernelCache:
