@@ -44,7 +44,6 @@ from .duals import (
     fd_check,
     grad,
     gradient,
-    hessian,
     hessian_matrix,
     jet,
     log,
@@ -54,6 +53,7 @@ from .duals import (
     value,
 )
 from .dynamics import (
+    ROUTES,
     DiagnosticsRecord,
     DiagnosticsReport,
     ExplicitField,
@@ -62,6 +62,8 @@ from .dynamics import (
     implicit_residual_P,
     integrate_explicit,
     integrate_implicit_P,
+    integrate_route,
+    lagrangian_chart_initial,
     lagrangian_field,
     monitor,
     solution_pair_M,
@@ -94,9 +96,7 @@ from .legendre import (
     hamiltonian_partials,
     hamiltonian_S_derivative,
     inverse_partial_legendre,
-    lift_M_to_P,
     momentum_map,
-    partial_legendre,
     temperature_and_friction_N,
 )
 from .model import (
@@ -142,9 +142,11 @@ from .verify import (
     admissible_variation,
     constraint_violating_variation,
     cross_formulation_compare,
-    lagrangian_chart_initial,
-    mechanics_reduction_check,
     formulation_equivalence_battery,
+    gradient_report,
+    isotropy_report,
+    mechanics_reduction_check,
+    roundtrip_report,
 )
 
 __version__ = "0.1.0"

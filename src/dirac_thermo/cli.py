@@ -9,10 +9,16 @@ Verbs:
 * ``isotropy`` induced-subspace dimension and isotropy report per arena
 
 Configuration is a JSON file; every field has a default, and the
-command-line flags override the file. Exit codes: 0 success, 1 a check
-suite failed, 2 configuration problem, 3 model build problem, 4
+command-line flags override the file. Exit codes, the same for every
+verb: 0 success, 1 a check suite failed, 2 configuration problem (a
+malformed initial state included), 3 model build problem, 4
 integration failure. The environment variable DIRAC_THERMO_SEED fixes
 the seed used by sampling-based checks.
+
+This module parses the configuration, dispatches and prints. The
+routes' start states and trajectories come from
+:func:`dynamics.integrate_route`, the sampled checks from the reports
+in :mod:`verify`; the suites here only compare them with tolerances.
 """
 
 from __future__ import annotations
@@ -27,44 +33,22 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dirac import dirac_basis
-from .duals import ScalarField, fd_check
 from .dynamics import (
+    ROUTES,
     Trajectory,
-    hamilton_field_N,
-    integrate_explicit,
-    integrate_implicit_P,
-    lagrangian_field,
+    integrate_route,
+    lagrangian_chart_initial,
     monitor,
     trajectory_rows,
-    vector_field_lagrangian,
 )
 from .errors import (
     DegenerateLagrangianError,
-    DimensionMismatchError,
     DiracThermoError,
     IntegrationError,
     ModelBuildError,
     NewtonError,
 )
-from .legendre import (
-    build_hamiltonian_model,
-    embed_jL,
-    generalized_energy,
-    hamiltonian,
-    hamiltonian_S_derivative,
-    inverse_partial_legendre,
-    momentum_map,
-)
-from .model import (
-    PointN,
-    SimpleThermoModel,
-    arena_dim,
-    arena_slots,
-    make_point,
-    point_from_vector,
-    temperature,
-)
+from .model import SimpleThermoModel
 from .systems import (
     MembraneParams,
     PistonParams,
@@ -78,7 +62,9 @@ from .verify import (
     admissible_variation,
     constraint_violating_variation,
     cross_formulation_compare,
-    lagrangian_chart_initial,
+    gradient_report,
+    isotropy_report,
+    roundtrip_report,
 )
 
 __all__ = [
@@ -94,9 +80,7 @@ __all__ = [
 ]
 
 SEED_ENV = "DIRAC_THERMO_SEED"
-FORMULATIONS = ("lagrangian", "hamilton-dirac-N", "implicit-P")
 MAX_CSV_ROWS = 10_000
-ISOTROPY_SAMPLES = 20  # domain samples per arena in the isotropy report
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -135,10 +119,10 @@ class ConfigError(ValueError):
 class RunConfig:
     kind: str = "piston"
     params: dict = field(default_factory=dict)
-    formulation: str = "lagrangian"
+    formulation: str = ROUTES[0]
     t_end: float = 1.0
     h: float = 1e-3
-    initial: Optional[dict] = None
+    initial: Optional[dict] = None  # main replaces it by the flat chart state
     out: str = "."
     tolerances: Dict[str, float] = field(default_factory=dict)
     full_resolution: bool = False
@@ -184,7 +168,7 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
     cfg = RunConfig(
         kind=str(model_section.get("kind", "piston")),
         params=dict(model_section.get("params", {})),
-        formulation=str(raw.get("formulation", "lagrangian")),
+        formulation=str(raw.get("formulation", ROUTES[0])),
         t_end=float(raw.get("t_end", 1.0)),
         h=float(raw.get("h", 1e-3)),
         initial=raw.get("initial"),
@@ -209,9 +193,9 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
         raise ConfigError(
             f"unknown model kind {cfg.kind!r} (expected one of {sorted(_BUILDERS)})"
         )
-    if cfg.formulation not in FORMULATIONS:
+    if cfg.formulation not in ROUTES:
         raise ConfigError(
-            f"unknown formulation {cfg.formulation!r} (expected one of {FORMULATIONS})"
+            f"unknown formulation {cfg.formulation!r} (expected one of {ROUTES})"
         )
     if not cfg.t_end > 0.0:
         raise ConfigError(f"t_end must be positive, got {cfg.t_end}")
@@ -235,29 +219,6 @@ def build_model(cfg: RunConfig) -> SimpleThermoModel:
 
 
 # --- run -------------------------------------------------------------------
-
-
-def _run_trajectory(cfg: RunConfig, model: SimpleThermoModel) -> Trajectory:
-    try:
-        flat = lagrangian_chart_initial(model, cfg.initial)
-    except (DimensionMismatchError, KeyError, TypeError) as err:
-        raise ConfigError(f"bad initial state: {err}")
-    n = model.n
-    if cfg.formulation == "lagrangian":
-        return integrate_explicit(lagrangian_field(model), flat, cfg.t_end, cfg.h)
-    q0, S0 = flat[:n], float(flat[n])
-    v0 = flat[n + 1 :] if flat.size > n + 1 else np.zeros(n)
-    if cfg.formulation == "hamilton-dirac-N":
-        hmodel = build_hamiltonian_model(model)
-        p0 = momentum_map(model, q0, v0, S0)
-        return integrate_explicit(
-            hamilton_field_N(hmodel), np.concatenate([q0, [S0], p0]), cfg.t_end, cfg.h
-        )
-    # implicit-P: start on the algebraic slice with a consistent rate slot
-    _, _, Sdot0 = vector_field_lagrangian(model, q0, v0, S0)
-    p0 = momentum_map(model, q0, v0, S0)
-    start = make_point("P", n, q=q0, S=S0, v=v0, W=Sdot0, p=p0, lam=0.0)
-    return integrate_implicit_P(model, start, cfg.t_end, cfg.h)
 
 
 def _csv_header(n: int) -> str:
@@ -292,7 +253,7 @@ def write_trajectory_csv(
 
 
 def cmd_run(cfg: RunConfig, model: SimpleThermoModel) -> int:
-    traj = _run_trajectory(cfg, model)
+    traj = integrate_route(model, cfg.formulation, cfg.initial, cfg.t_end, cfg.h)
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, "trajectory.csv")
     rows = write_trajectory_csv(csv_path, model, traj, cfg.full_resolution)
@@ -323,78 +284,25 @@ def cmd_run(cfg: RunConfig, model: SimpleThermoModel) -> int:
 # --- check -----------------------------------------------------------------
 
 
-def _isotropy_rows(cfg: RunConfig, model: SimpleThermoModel):
-    """Per-arena (dimension ok?, max isotropy defect) rows."""
-    rng = np.random.default_rng(cfg.seed)
-    arenas = ["P", "M"] if model.degenerate else ["P", "TstarQ", "M", "N"]
-    rows = []
-    for arena in arenas:
-        expected = arena_dim(arena, model.n)
-        worst = 0.0
-        dims_ok = True
-        for _ in range(ISOTROPY_SAMPLES):
-            q, v, S = model.domain_box.sample(rng)
-            p = momentum_map(model, q, v, S)
-            W = rng.uniform(-1, 1) if arena == "P" else 0.0
-            full = make_point("P", model.n, q=q, S=S, v=v, W=W, p=p, lam=0.0)
-            point = point_from_vector(arena, model.n, full.row[arena_slots(arena, model.n)])
-            try:
-                basis = dirac_basis(arena, model, point)
-            except DiracThermoError:
-                dims_ok = False
-                continue
-            dims_ok = dims_ok and basis.dimension == expected
-            worst = max(worst, basis.isotropy_defect)
-        rows.append((arena, expected, dims_ok, worst))
-    return rows
-
-
 def _suite_isotropy(cfg, model):
     tol = cfg.tolerance("isotropy")
-    rows = _isotropy_rows(cfg, model)
+    rows = isotropy_report(model, cfg.seed)
     bad = [r for r in rows if not r[2] or r[3] > tol]
     detail = "; ".join(f"{a}: dim {d}, defect {w:.2e}" for a, d, _, w in rows)
     return (len(bad) == 0, detail)
 
 
 def _suite_gradient(cfg, model):
-    tol = cfg.tolerance("gradient")
-    n = model.n
-    flat = ScalarField(
-        arity=2 * n + 1,
-        evaluator=lambda *args: model.lagrangian(
-            tuple(args[:n]), tuple(args[n + 1 :]), args[n]
-        ),
-    )
-    rng = np.random.default_rng(cfg.seed + 1)
-    worst = 0.0
-    for _ in range(20):
-        q, v, S = model.domain_box.sample(rng)
-        point = np.concatenate([q, [S], v])
-        worst = max(worst, fd_check(flat, point))
-    return (worst <= tol, f"max dual-vs-difference deviation {worst:.2e}")
+    worst = gradient_report(model, cfg.seed + 1)
+    return (worst <= cfg.tolerance("gradient"), f"max dual-vs-difference deviation {worst:.2e}")
 
 
 def _suite_roundtrip(cfg, model):
     if model.degenerate:
         return (None, "skipped: degenerate Lagrangian")
+    worst_v, worst_e, worst_t = roundtrip_report(model, cfg.seed + 2)
     tol = cfg.tolerance("roundtrip")
-    ttol = cfg.tolerance("temperature_match")
-    rng = np.random.default_rng(cfg.seed + 2)
-    worst_v = worst_e = worst_t = 0.0
-    for _ in range(20):
-        q, v, S = model.domain_box.sample(rng)
-        p = momentum_map(model, q, v, S)
-        v_back = inverse_partial_legendre(model, q, p, S, v0=v)
-        worst_v = max(worst_v, float(np.max(np.abs(v_back - v))))
-        point = PointN(q=q, S=S, p=p)
-        e_val = generalized_energy("M", model, embed_jL(model, point, v0=v))
-        worst_e = max(worst_e, abs(e_val - hamiltonian(model, q, p, S, v0=v)))
-        worst_t = max(
-            worst_t,
-            abs(temperature(model, q, v, S) - hamiltonian_S_derivative(model, q, p, S, v0=v)),
-        )
-    ok = worst_v <= tol and worst_e <= tol and worst_t <= ttol
+    ok = worst_v <= tol and worst_e <= tol and worst_t <= cfg.tolerance("temperature_match")
     return (ok, f"fiber {worst_v:.2e}, energy {worst_e:.2e}, temperature {worst_t:.2e}")
 
 
@@ -402,8 +310,7 @@ def _suite_entropy(cfg, model):
     tol = cfg.tolerance("entropy")
     t_end = min(cfg.t_end, 1.0)
     h = max(cfg.h, 1e-3)
-    flat = lagrangian_chart_initial(model, cfg.initial)
-    traj = integrate_explicit(lagrangian_field(model), flat, t_end, h)
+    traj = integrate_route(model, ROUTES[0], cfg.initial, t_end, h)
     report = monitor(traj, model)
     ok = traj.completed and report.min_entropy_step >= -tol
     return (ok, f"min entropy step {report.min_entropy_step:.2e}")
@@ -423,8 +330,7 @@ def _suite_cross(cfg, model):
 def _suite_action(cfg, model):
     tol = cfg.tolerance("action_variation")
     h = max(cfg.h, 1e-3)
-    flat = lagrangian_chart_initial(model, cfg.initial)
-    traj = integrate_explicit(lagrangian_field(model), flat, min(cfg.t_end, 0.5), h)
+    traj = integrate_route(model, ROUTES[0], cfg.initial, min(cfg.t_end, 0.5), h)
     res = action_variation_residual(
         model, traj, admissible_variation(model, traj, seed=cfg.seed)
     )
@@ -473,7 +379,7 @@ def cmd_compare(cfg: RunConfig, model: SimpleThermoModel) -> int:
 
 def cmd_isotropy(cfg: RunConfig, model: SimpleThermoModel) -> int:
     tol = cfg.tolerance("isotropy")
-    rows = _isotropy_rows(cfg, model)
+    rows = isotropy_report(model, cfg.seed)
     failed = False
     for arena, expected, dims_ok, worst in rows:
         status = "OK" if dims_ok and worst <= tol else "FAIL"
@@ -503,7 +409,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--formulation",
             default=None,
-            choices=FORMULATIONS,
+            choices=ROUTES,
             help="integration route override",
         )
         sp.add_argument(
@@ -526,6 +432,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         model = build_model(cfg)
+        try:
+            cfg.initial = lagrangian_chart_initial(model, cfg.initial)
+        except (KeyError, TypeError, ValueError) as err:  # DimensionMismatchError included
+            raise ConfigError(f"bad initial state: {err}")
         command = {
             "run": cmd_run,
             "check": cmd_check,

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import null_space
@@ -256,30 +255,16 @@ def condition_matrix(arena: str, model: SimpleThermoModel, point) -> np.ndarray:
 
 
 def dirac_membership(
-    arena: str,
-    model: SimpleThermoModel,
-    pair_tangent: TangentCovectorPair,
-    pair_covector: Optional[TangentCovectorPair] = None,
+    arena: str, model: SimpleThermoModel, pair: TangentCovectorPair
 ) -> np.ndarray:
-    """Stacked residual of the arena's conditions on (tangent, covector).
-
-    The tangent is read from ``pair_tangent`` and the covector from
-    ``pair_covector`` (defaulting to the same pair); their base points
-    must coincide. Zero residual, up to tolerance, means the element
-    belongs to the induced subspace at that base point.
-    """
-    if pair_covector is None:
-        pair_covector = pair_tangent  # one pair: its base matches itself
-    else:
-        _require_same_base(pair_tangent, pair_covector)
-    if pair_tangent.arena != arena:
-        raise ArenaError(
-            f"pairs live on arena {pair_tangent.arena!r}, membership asked for {arena!r}"
-        )
-    pt = pair_tangent.validated(model.n)
-    pc = pt if pair_covector is pair_tangent else pair_covector.validated(model.n)
-    A = condition_matrix(arena, model, pt.base)
-    return A @ np.concatenate([pt.tangent, pc.covector])
+    """Stacked residual of the arena's conditions on the pair's (tangent,
+    covector). Zero residual, up to tolerance, means the element belongs
+    to the induced subspace at the pair's base point."""
+    if pair.arena != arena:
+        raise ArenaError(f"pair lives on arena {pair.arena!r}, membership asked for {arena!r}")
+    pair = pair.validated(model.n)
+    A = condition_matrix(arena, model, pair.base)
+    return A @ np.concatenate([pair.tangent, pair.covector])
 
 
 @dataclass(frozen=True)

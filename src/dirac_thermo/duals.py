@@ -5,9 +5,9 @@ A :class:`Jet` carries a value, a gradient and the upper triangle of a
 Hessian, each keyed by seeded coordinate, so one evaluation gives every
 first partial and every second partial that :func:`jet` asks for;
 :func:`gradient` is the jet that asks for none. A :class:`Dual` carries
-a value and one first-order derivative; it lifts one coordinate at a
-time (the friction Jacobian), and duals nested inside duals appear only
-in tests.
+a value and one first-order derivative. No library path uses it: it is
+the tests' reference, one coordinate lifted at a time, for the jet's
+first partials, whose operation order it fixes.
 Evaluators written generically over the scalar type (plain ``float`` in,
 ``float`` out, but tolerant of :class:`Dual` and :class:`Jet` inputs) get
 derivatives for free and cannot drift out of sync with their own values.
@@ -48,7 +48,6 @@ __all__ = [
     "fd_check",
     "grad",
     "gradient",
-    "hessian",
     "hessian_matrix",
     "jet",
     "log",
@@ -759,15 +758,6 @@ def grad(field: ScalarField, point: Sequence[float]) -> np.ndarray:
     if not np.all(np.isfinite(g)) or not math.isfinite(value(field.evaluator(*pt))):
         raise ValueError("non-finite field output; point outside the domain")
     return g
-
-
-def hessian(field: ScalarField, point: Sequence[float]) -> np.ndarray:
-    """Second-partial matrix from one jet evaluation."""
-    pt = _check_arity(field, point)
-    H = hessian_matrix(field.evaluator, pt)
-    if not np.all(np.isfinite(H)):
-        raise ValueError("non-finite field output; point outside the domain")
-    return H
 
 
 def fd_check(field: ScalarField, point: Sequence[float], h: float = 1e-5) -> float:

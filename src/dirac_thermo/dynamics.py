@@ -8,6 +8,10 @@ Three ways to move a simple thermodynamic system forward in time:
 * an implicit Euler scheme solving the full stacked residual on the
   largest arena with Newton steps.
 
+They are the three :data:`ROUTES`; :func:`integrate_route` is the one
+place that turns an initial condition into a route's start state and
+trajectory, for the command line and the cross-checks alike.
+
 Each explicit side evaluates a state into one work record, the rate
 plus the partials, friction and external force it was built from
 (``_lagrangian_work`` in both velocity-side regimes, whose regular
@@ -40,7 +44,13 @@ from .errors import (
     NewtonError,
     TemperatureSignError,
 )
-from .legendre import HamiltonianModel, HamiltonianPartials, hamiltonian_partials, momentum_map
+from .legendre import (
+    HamiltonianModel,
+    HamiltonianPartials,
+    build_hamiltonian_model,
+    hamiltonian_partials,
+    momentum_map,
+)
 from .model import (
     ArenaPoint,
     SimpleThermoModel,
@@ -57,9 +67,11 @@ from .model import (
     friction_value,
     friction_velocity_jacobian,
     lagrangian_jet,
+    make_point,
 )
 
 __all__ = [
+    "ROUTES",
     "DiagnosticsRecord",
     "DiagnosticsReport",
     "ExplicitField",
@@ -68,6 +80,8 @@ __all__ = [
     "implicit_residual_P",
     "integrate_explicit",
     "integrate_implicit_P",
+    "integrate_route",
+    "lagrangian_chart_initial",
     "lagrangian_field",
     "monitor",
     "solution_pair_M",
@@ -80,6 +94,7 @@ __all__ = [
     "vector_field_lagrangian",
 ]
 
+ROUTES = ("lagrangian", "hamilton-dirac-N", "implicit-P")  # the velocity side first
 IMPLICIT_NEWTON_TOL = 1e-10
 IMPLICIT_MAX_ITER = 25
 CONSISTENCY_TOL = 1e-8
@@ -686,6 +701,65 @@ def integrate_implicit_P(
         rate_guess = rate
         x = x1
     return _stored(h, K, "P", n, states, rates, diagnostics, completed=True)
+
+
+# --- routes ----------------------------------------------------------------
+
+
+def lagrangian_chart_initial(model: SimpleThermoModel, initial) -> np.ndarray:
+    """Normalize an initial condition to the velocity-side flat chart.
+
+    Accepts a mapping with keys q, S and (for regular models) v, which
+    defaults to rest, a (q, v, S) tuple, or an already-flat vector in
+    chart order (q..., S, v...); degenerate charts are (q..., S) and
+    ignore v."""
+    n = model.n
+    if isinstance(initial, dict):
+        initial = (initial["q"], initial.get("v", np.zeros(n)), initial["S"])
+    if isinstance(initial, tuple) and len(initial) == 3:
+        q, S = _as_array(initial[0], n, "q"), float(initial[2])
+        if model.degenerate:
+            return np.concatenate([q, [S]])
+        return np.concatenate([q, [S], _as_array(initial[1], n, "v")])
+    dim = n + 1 if model.degenerate else 2 * n + 1
+    flat = np.asarray(initial, dtype=float).reshape(-1)
+    if flat.shape != (dim,):
+        raise DimensionMismatchError(
+            f"initial state must have {dim} coordinates for model "
+            f"{model.name}, got {flat.shape}"
+        )
+    return flat
+
+
+def integrate_route(
+    model: SimpleThermoModel, route: str, initial, t_end: float, h: float
+) -> Trajectory:
+    """Integrate ``model`` along one of :data:`ROUTES` from an initial
+    condition in any form :func:`lagrangian_chart_initial` accepts.
+
+    ``lagrangian`` starts the velocity-side field at the chart state;
+    ``hamilton-dirac-N`` passes the Hamiltonian gate (a degenerate model
+    raises :class:`DegenerateLagrangianError`) and starts at p = dL/dv;
+    ``implicit-P`` starts on P's algebraic slice: p = dL/dv, W the
+    entropy rate there and a zero covariable (at rest if degenerate)."""
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r} (expected one of {ROUTES})")
+    flat = lagrangian_chart_initial(model, initial)
+    if route == "lagrangian":
+        return integrate_explicit(lagrangian_field(model), flat, t_end, h)
+    n = model.n
+    q0, S0 = flat[:n], float(flat[n])
+    v0 = flat[n + 1 :] if flat.size > n + 1 else np.zeros(n)
+    if route == "hamilton-dirac-N":
+        hmodel = build_hamiltonian_model(model)
+        p0 = momentum_map(model, q0, v0, S0)
+        return integrate_explicit(
+            hamilton_field_N(hmodel), np.concatenate([q0, [S0], p0]), t_end, h
+        )
+    _, _, Sdot0 = vector_field_lagrangian(model, q0, v0, S0)
+    p0 = momentum_map(model, q0, v0, S0)
+    start = make_point("P", n, q=q0, S=S0, v=v0, W=Sdot0, p=p0, lam=0.0)
+    return integrate_implicit_P(model, start, t_end, h)
 
 
 # --- aggregation -----------------------------------------------------------

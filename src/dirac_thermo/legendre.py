@@ -39,9 +39,7 @@ __all__ = [
     "hamiltonian",
     "hamiltonian_S_derivative",
     "inverse_partial_legendre",
-    "lift_M_to_P",
     "momentum_map",
-    "partial_legendre",
     "temperature_and_friction_N",
 ]
 
@@ -58,12 +56,6 @@ GATE_ROUNDTRIP_TOL = 1e-10
 def momentum_map(model: SimpleThermoModel, q, v, S) -> np.ndarray:
     """p = dL/dv, read off L's first-order jet."""
     return _lagrangian_first_order(model, q, v, S)[2]
-
-
-def partial_legendre(model: SimpleThermoModel, q, v, S):
-    """(q, v, S) -> (q, p, S) with p = dL/dv."""
-    q = _as_array(q, model.n, "q")
-    return q, momentum_map(model, q, v, S), float(S)
 
 
 def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_jet=False):
@@ -172,13 +164,6 @@ def embed_jL(model: SimpleThermoModel, point: ArenaPoint, v0=None) -> ArenaPoint
         raise ArenaError(f"embed_jL expects an N-arena point, got one on {point.arena}")
     v = inverse_partial_legendre(model, point.q, point.p, point.S, v0=v0)
     return make_point("M", point.n, q=point.q, S=point.S, v=v, p=point.p)
-
-
-def lift_M_to_P(point: ArenaPoint, Sdot: float) -> ArenaPoint:
-    """Attach the entropy-rate slot (W = Sdot) and a zero covariable."""
-    if arena_of_point(point) != "M":
-        raise ArenaError(f"lift_M_to_P expects an M-arena point, got one on {point.arena}")
-    return make_point("P", point.n, q=point.q, S=point.S, v=point.v, W=Sdot, p=point.p, lam=0.0)
 
 
 def generalized_energy(arena: str, model: SimpleThermoModel, point) -> float:

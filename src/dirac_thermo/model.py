@@ -246,7 +246,8 @@ def _kernel_jet(model: SimpleThermoModel, q, v, S, second_order: bool):
         return kernel.floats(flat, args)
     except (TypeError, ArithmeticError):
         numpy_args = [*q, *v, np.float64(S)]
-        return duals._jet_of(_flat_lagrangian(lagrangian, n), numpy_args, rows)
+        with np.errstate(all="ignore"):  # the inf/NaN are the answer, not a warning
+            return duals._jet_of(_flat_lagrangian(lagrangian, n), numpy_args, rows)
 
 
 def _lagrangian_first_order(model: SimpleThermoModel, q, v, S):
@@ -346,18 +347,17 @@ def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.nda
 
 
 def friction_velocity_jacobian(model: SimpleThermoModel, q, v, S) -> np.ndarray:
-    """dF_a/dv_b of the friction covector; drives the rate solve for
-    velocity-independent Lagrangians."""
+    """dF_a/dv_b of the friction covector, from one friction call on
+    first-order jets seeded at the n velocities; drives the rate solve
+    for velocity-independent Lagrangians."""
     n = model.n
-    q = tuple(_as_array(q, n, "q"))
-    v = _as_array(v, n, "v")
-    S = float(S)
-    J = np.empty((n, n))
-    for b in range(n):
-        lifted = [duals.Dual(v[k], 1.0) if k == b else v[k] for k in range(n)]
-        out = model.friction(q, tuple(lifted), S)
-        for a in range(n):
-            J[a, b] = duals.value(out[a].du) if isinstance(out[a], duals.Dual) else 0.0
+    v = duals._seeds(_as_array(v, n, "v").tolist(), rows=())
+    out = model.friction(tuple(_as_array(q, n, "q")), tuple(v), float(S))
+    J = np.zeros((n, n))
+    for a, F in enumerate(out):
+        if type(F) is duals.Jet:  # a component that ignores v stays a constant
+            for key, d in F.g.items():
+                J[a, ~key] = d  # the seeds key velocity b by its complement ~b
     return J
 
 

@@ -5,6 +5,11 @@ integration routes for the same motion, a discretized action against
 its stationarity, a reduced field against the canonical mechanical one,
 or membership residuals of solution data against perturbed data. None
 of it feeds back into the solvers; it only measures them.
+
+The sampled reports (isotropy, jet gradient, Legendre round trip) return
+their worst values over seeded domain samples; the command line only
+compares them with tolerances. Trajectories come from
+:func:`dynamics.integrate_route`.
 """
 
 from __future__ import annotations
@@ -14,15 +19,15 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .dirac import dirac_membership
+from .dirac import dirac_basis, dirac_membership
+from .duals import ScalarField, fd_check
 from .dynamics import (
+    ROUTES,
     Trajectory,
     _hamiltonian_N,
     _lagrangian_work,
     _solution_pair,
-    hamilton_field_N,
-    integrate_explicit,
-    lagrangian_field,
+    integrate_route,
     trajectory_rows,
     vector_field_N,
 )
@@ -31,15 +36,28 @@ from .errors import (
     DimensionMismatchError,
     DiracThermoError,
 )
-from .legendre import build_hamiltonian_model, hamiltonian_partials, momentum_map
+from .legendre import (
+    build_hamiltonian_model,
+    embed_jL,
+    generalized_energy,
+    hamiltonian,
+    hamiltonian_partials,
+    hamiltonian_S_derivative,
+    inverse_partial_legendre,
+    momentum_map,
+)
 from .model import (
     PointN,
     SimpleThermoModel,
-    _as_array,
+    arena_dim,
+    arena_slots,
     entropy_slope,
     friction_value,
     lagrangian_partials,
     lagrangian_value,
+    make_point,
+    point_from_vector,
+    temperature,
 )
 
 __all__ = [
@@ -52,48 +70,18 @@ __all__ = [
     "admissible_variation",
     "constraint_violating_variation",
     "cross_formulation_compare",
-    "lagrangian_chart_initial",
-    "mechanics_reduction_check",
     "formulation_equivalence_battery",
+    "gradient_report",
+    "isotropy_report",
+    "mechanics_reduction_check",
+    "roundtrip_report",
 ]
 
-LAGRANGIAN_ROUTE = "lagrangian"
-HAMILTONIAN_ROUTE = "hamilton-dirac-N"
 # equivalence battery: rng seed and the magnitude band of the rate bumps
 BATTERY_SEED = 0
 BATTERY_PERTURBATION = (1e-2, 2e-2)
 REDUCTION_SEED = 0  # rng seed of the mechanics reduction samples
-
-
-def lagrangian_chart_initial(model: SimpleThermoModel, initial) -> np.ndarray:
-    """Normalize an initial condition to the velocity-side flat chart.
-
-    Accepts a mapping with keys q, S and (for regular models) v, a
-    (q, v, S) tuple, or an already-flat vector in chart order
-    (q..., S, v...); degenerate charts are (q..., S)."""
-    n = model.n
-    dim = n + 1 if model.degenerate else 2 * n + 1
-    if isinstance(initial, dict):
-        q = _as_array(initial["q"], n, "q")
-        S = float(initial["S"])
-        if model.degenerate:
-            return np.concatenate([q, [S]])
-        v = _as_array(initial.get("v", np.zeros(n)), n, "v")
-        return np.concatenate([q, [S], v])
-    if isinstance(initial, tuple) and len(initial) == 3:
-        q = _as_array(initial[0], n, "q")
-        v = _as_array(initial[1], n, "v")
-        S = float(initial[2])
-        if model.degenerate:
-            return np.concatenate([q, [S]])
-        return np.concatenate([q, [S], v])
-    flat = np.asarray(initial, dtype=float).reshape(-1)
-    if flat.shape != (dim,):
-        raise DimensionMismatchError(
-            f"initial state must have {dim} coordinates for model "
-            f"{model.name}, got {flat.shape}"
-        )
-    return flat
+CHECK_SAMPLES = 20  # domain samples per sampled report (isotropy, gradient, round trip)
 
 
 # --- cross-formulation comparison ------------------------------------------
@@ -123,39 +111,28 @@ def cross_formulation_compare(
     The momentum route needs an invertible fiber map; when the model is
     flagged degenerate that route is reported unavailable with the
     gating error message instead of failing the comparison."""
-    flat = lagrangian_chart_initial(model, initial)
-    n = model.n
-    lag_traj = integrate_explicit(lagrangian_field(model), flat, t_end, h)
-    available = [LAGRANGIAN_ROUTE]
+    lag_route, ham_route, _ = ROUTES
+    lag_traj = integrate_route(model, lag_route, initial, t_end, h)
+    available = [lag_route]
     unavailable: Dict[str, str] = {}
     deviations: Dict[Tuple[str, str], float] = {}
     finals: Dict[Tuple[str, str], float] = {}
-    times = lag_traj.times
     try:
-        hmodel = build_hamiltonian_model(model)
-        q0, S0 = flat[:n], flat[n]
-        v0 = flat[n + 1 :]
-        p0 = momentum_map(model, q0, v0, S0)
-        ham_traj = integrate_explicit(
-            hamilton_field_N(hmodel), np.concatenate([q0, [S0], p0]), t_end, h
-        )
+        ham_traj = integrate_route(model, ham_route, initial, t_end, h)
     except DegenerateLagrangianError as err:
-        unavailable[HAMILTONIAN_ROUTE] = str(err)
+        unavailable[ham_route] = str(err)
     else:
-        available.append(HAMILTONIAN_ROUTE)
+        available.append(ham_route)
         if not (lag_traj.completed and ham_traj.completed):
             raise DiracThermoError(
                 "cross-formulation comparison needs completed runs "
                 f"(lagrangian: {lag_traj.completed}, momentum: {ham_traj.completed})"
             )
-        a = trajectory_rows(lag_traj)
-        b = trajectory_rows(ham_traj)
+        a, b = trajectory_rows(lag_traj), trajectory_rows(ham_traj)
         if a.shape != b.shape:
-            raise DiracThermoError(
-                f"route state counts differ: {a.shape} vs {b.shape}"
-            )
+            raise DiracThermoError(f"route state counts differ: {a.shape} vs {b.shape}")
         diff = np.abs(a - b)
-        key = (LAGRANGIAN_ROUTE, HAMILTONIAN_ROUTE)
+        key = (lag_route, ham_route)
         deviations[key] = float(diff.max())
         finals[key] = float(diff[-1].max())
     return CompareReport(
@@ -163,8 +140,79 @@ def cross_formulation_compare(
         unavailable=unavailable,
         deviations=deviations,
         final_deviations=finals,
-        times=times,
+        times=lag_traj.times,
     )
+
+
+# --- sampled reports ---------------------------------------------------------
+
+
+def isotropy_report(model: SimpleThermoModel, seed: int) -> list:
+    """Per-arena (arena, expected dimension, dimension ok?, max isotropy
+    defect) rows over domain samples; a degenerate model has no momentum
+    chart, so only P and M."""
+    rng = np.random.default_rng(seed)
+    arenas = ["P", "M"] if model.degenerate else ["P", "TstarQ", "M", "N"]
+    rows = []
+    for arena in arenas:
+        expected = arena_dim(arena, model.n)
+        worst = 0.0
+        dims_ok = True
+        for _ in range(CHECK_SAMPLES):
+            q, v, S = model.domain_box.sample(rng)
+            p = momentum_map(model, q, v, S)
+            W = rng.uniform(-1, 1) if arena == "P" else 0.0
+            full = make_point("P", model.n, q=q, S=S, v=v, W=W, p=p, lam=0.0)
+            point = point_from_vector(arena, model.n, full.row[arena_slots(arena, model.n)])
+            try:
+                basis = dirac_basis(arena, model, point)
+            except DiracThermoError:
+                dims_ok = False
+                continue
+            dims_ok = dims_ok and basis.dimension == expected
+            worst = max(worst, basis.isotropy_defect)
+        rows.append((arena, expected, dims_ok, worst))
+    return rows
+
+
+def gradient_report(model: SimpleThermoModel, seed: int) -> float:
+    """Max deviation of L's jet gradient from central differences over
+    domain samples."""
+    n = model.n
+    flat = ScalarField(
+        arity=2 * n + 1,
+        evaluator=lambda *args: model.lagrangian(
+            tuple(args[:n]), tuple(args[n + 1 :]), args[n]
+        ),
+    )
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(CHECK_SAMPLES):
+        q, v, S = model.domain_box.sample(rng)
+        point = np.concatenate([q, [S], v])
+        worst = max(worst, fd_check(flat, point))
+    return worst
+
+
+def roundtrip_report(model: SimpleThermoModel, seed: int) -> Tuple[float, float, float]:
+    """Worst (fiber, energy, temperature) deviations of the Legendre round
+    trip over domain samples: v back from p = dL/dv, the generalized
+    energy on M against H, and the temperature against dH/dS."""
+    rng = np.random.default_rng(seed)
+    worst_v = worst_e = worst_t = 0.0
+    for _ in range(CHECK_SAMPLES):
+        q, v, S = model.domain_box.sample(rng)
+        p = momentum_map(model, q, v, S)
+        v_back = inverse_partial_legendre(model, q, p, S, v0=v)
+        worst_v = max(worst_v, float(np.max(np.abs(v_back - v))))
+        point = PointN(q=q, S=S, p=p)
+        e_val = generalized_energy("M", model, embed_jL(model, point, v0=v))
+        worst_e = max(worst_e, abs(e_val - hamiltonian(model, q, p, S, v0=v)))
+        worst_t = max(
+            worst_t,
+            abs(temperature(model, q, v, S) - hamiltonian_S_derivative(model, q, p, S, v0=v)),
+        )
+    return worst_v, worst_e, worst_t
 
 
 # --- membership battery -----------------------------------------------------
@@ -203,8 +251,7 @@ def formulation_equivalence_battery(
     Solution data must sit in the subspace to numerical precision;
     perturbed rates must be rejected by a comfortably larger residual.
     Degenerate models run the velocity-side formulations only."""
-    flat = lagrangian_chart_initial(model, initial)
-    traj = integrate_explicit(lagrangian_field(model), flat, t_end, h)
+    traj = integrate_route(model, ROUTES[0], initial, t_end, h)
     if not traj.completed:
         raise DiracThermoError("battery trajectory aborted on non-finite state")
     arenas = {"pontryagin-P": "P", "mixed-M": "M"}  # None: N, Hamiltonian differential

@@ -6,6 +6,7 @@ outputs land in tmp_path.
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,17 @@ class TestErrorExits:
         assert cli.main(["run", "--config", cfg]) == 2
         assert "bad initial state" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run", "check", "compare", "isotropy"])
+    @pytest.mark.parametrize("initial", [
+        {"S": 0.0}, {"q": [1.0, 2.0], "S": 0.0}, {"q": [1.0], "S": "hot"},
+    ], ids=["no-q", "wrong-length-q", "non-numeric-S"])
+    def test_malformed_initial_state_exits_2_on_every_verb(self, tmp_path, capsys, verb, initial):
+        cfg = write_cfg(tmp_path, initial=initial, t_end=0.05, out=str(tmp_path / "out"))
+        assert cli.main([verb, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "bad initial state" in err
+        assert "Traceback" not in err
+
     def test_negative_friction_parameter(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, model={"kind": "piston", "params": {"lam": -1.0}})
         assert cli.main(["run", "--config", cfg]) == 3
@@ -214,24 +226,27 @@ class TestErrorExits:
         assert "velocity-independent" in err
 
     def test_domain_error_mid_run_is_an_integration_failure(self, tmp_path, capsys, monkeypatch):
-        def fail(cfg, model):
+        def fail(model, route, initial, t_end, h):
             raise TemperatureSignError("temperature went negative")
 
-        monkeypatch.setattr(cli, "_run_trajectory", fail)
+        monkeypatch.setattr(cli, "integrate_route", fail)
         cfg = write_cfg(tmp_path, t_end=0.1, out=str(tmp_path / "out"))
         assert cli.main(["run", "--config", cfg]) == 4
         assert "integration failed" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("formulation", ["lagrangian", "hamilton-dirac-N", "implicit-P"])
     def test_piston_driven_through_zero_volume_exits_4(self, tmp_path, capsys, formulation):
         # an RK4 stage lands at x < 0, where U's power is complex in Python
         # floats: the readers answer NaN, the state goes non-finite and the
-        # run is an integration failure, not an uncaught TypeError
+        # run is an integration failure, not an uncaught TypeError; the
+        # NaN is the answer there, so numpy warns about nothing
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, initial={"q": [0.05], "v": [-30.0], "S": 0.0},
                         formulation=formulation, h=0.01, t_end=0.5, out=str(out))
-        assert cli.main(["run", "--config", cfg]) == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", cfg]) == 4
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         if formulation != "hamilton-dirac-N":  # the fiber solve raises instead
             assert (out / "trajectory.csv").exists()
             assert json.loads((out / "summary.json").read_text())["completed"] is False

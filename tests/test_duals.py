@@ -29,7 +29,6 @@ from dirac_thermo import (
     fd_check,
     grad,
     gradient,
-    hessian,
     hessian_matrix,
     jet,
     lagrangian_jet,
@@ -227,7 +226,7 @@ class TestScalarFieldHelpers:
         g = grad(self.field, [0.2, 3.0])
         assert abs(g[0] - 3.0 * math.exp(0.2)) < 1e-13
         assert abs(g[1] - math.exp(0.2)) < 1e-13
-        H = hessian(self.field, [0.2, 3.0])
+        H = hessian_matrix(self.field.evaluator, [0.2, 3.0])
         assert abs(H[0, 1] - math.exp(0.2)) < 1e-13
         assert abs(H[1, 1]) < 1e-13
 

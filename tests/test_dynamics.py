@@ -408,6 +408,41 @@ class TestRouteAgreement:
             assert np.max(np.abs(a.p - b.p)) < 1e-10
 
 
+class TestIntegrateRoute:
+    initial = {"q": [1.0], "v": [0.4], "S": 0.2}
+
+    def direct(self, piston, route):
+        """The route's start state built by hand and its integrator called
+        directly."""
+        q, v, S = np.array([1.0]), np.array([0.4]), 0.2
+        if route == "lagrangian":
+            return dt.integrate_explicit(dt.lagrangian_field(piston), [1.0, 0.2, 0.4], 0.05, 1e-3)
+        p = dt.momentum_map(piston, q, v, S)
+        if route == "hamilton-dirac-N":
+            field = dt.hamilton_field_N(dt.build_hamiltonian_model(piston))
+            return dt.integrate_explicit(field, np.concatenate([q, [S], p]), 0.05, 1e-3)
+        Sdot = dt.vector_field_lagrangian(piston, q, v, S)[2]
+        start = dt.make_point("P", 1, q=q, S=S, v=v, W=Sdot, p=p, lam=0.0)
+        return dt.integrate_implicit_P(piston, start, 0.05, 1e-3)
+
+    @pytest.mark.parametrize("route", dt.ROUTES)
+    def test_bits_match_the_direct_integrator_call(self, piston, route):
+        got = dt.integrate_route(piston, route, self.initial, 0.05, 1e-3)
+        want = self.direct(piston, route)
+        assert got.completed and want.completed and got.arena == want.arena
+        for name in ("times", "states", "rates", "diagnostics"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_degenerate_model_has_no_momentum_route(self, reactions):
+        with pytest.raises(dt.DegenerateLagrangianError):
+            dt.integrate_route(reactions, "hamilton-dirac-N", {"q": [0.0], "S": 0.0}, 0.01, 1e-3)
+
+    def test_unknown_route_raises(self, piston):
+        with pytest.raises(ValueError, match="unknown route"):
+            dt.integrate_route(piston, "hamilton-dirac-M", self.initial, 0.01, 1e-3)
+
+
 class TestImplicitFullArena:
     def _consistent_start(self, piston, q, v, S):
         qdot, vdot, Sdot = dt.vector_field_lagrangian(piston, q, v, S)

@@ -26,11 +26,6 @@ class TestMomentumMap:
             p = dt.momentum_map(membrane, q, v, S)
             assert np.max(np.abs(p - (nbar - a * v))) < 1e-12
 
-    def test_partial_legendre_returns_triple(self, piston):
-        q, p, S = dt.partial_legendre(piston, [1.2], [0.4], 0.7)
-        assert q[0] == 1.2 and S == 0.7
-        assert abs(p[0] - 0.4) < 1e-14
-
 
 class TestFiberInversion:
     def test_roundtrip_on_samples(self, piston, membrane):
@@ -105,12 +100,6 @@ class TestEmbeddings:
         assert np.max(np.abs(ptM.v - v)) < 1e-10
         assert np.array_equal(ptM.q, ptN.q) and ptM.S == ptN.S
         assert np.array_equal(ptM.p, ptN.p)
-
-    def test_lift_M_to_P_carries_rate(self, piston):
-        ptM = dt.make_point("M", 1, q=[1.0], S=0.2, v=[0.5], p=[0.5])
-        ptP = dt.lift_M_to_P(ptM, Sdot=0.07)
-        assert ptP.W == 0.07 and ptP.lam == 0.0
-        assert np.array_equal(ptP.q, ptM.q) and np.array_equal(ptP.p, ptM.p)
 
 
 class TestHamiltonianModelGate:

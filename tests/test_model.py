@@ -141,6 +141,56 @@ class TestPistonPartials:
         assert np.isnan(residual[:2]).all() and np.isfinite(residual[2:]).all()
 
 
+def dual_friction_jacobian(model, q, v, S):
+    """Reference dF_a/dv_b: one friction call per velocity coordinate,
+    that coordinate lifted as a :class:`dt.Dual` (the library's former
+    lift loop)."""
+    n = model.n
+    q, v = tuple(np.asarray(q, dtype=float)), np.asarray(v, dtype=float)
+    J = np.empty((n, n))
+    for b in range(n):
+        lifted = [dt.Dual(v[k], 1.0) if k == b else v[k] for k in range(n)]
+        out = model.friction(q, tuple(lifted), float(S))
+        for a in range(n):
+            J[a, b] = dt.value(out[a].du) if isinstance(out[a], dt.Dual) else 0.0
+    return J
+
+
+def two_reaction_network(lam_matrix):
+    return dt.build_reactions(dt.ReactionParams(
+        nu=((-1.0, 1.0, 0.0), (0.0, -1.0, 1.0)),
+        masses=(1.0, 1.0, 1.0),
+        N_star=(1.0, 1.0, 1.0),
+        N_init=(2.0, 1.0, 0.5),
+        lam_matrix=lam_matrix,
+    ))
+
+
+class TestFrictionJacobian:
+    @pytest.mark.parametrize("build", [
+        dt.build_piston,
+        dt.build_membrane,
+        dt.build_reactions,
+        lambda: two_reaction_network(((2.0, 0.5), (-0.3, 3.0))),
+        lambda: two_reaction_network(((2.0, 0.0), (0.0, 3.0))),  # -0.0 off the diagonal
+    ], ids=["piston", "membrane", "reactions", "2-reactions-coupled", "2-reactions-diagonal"])
+    def test_one_jet_call_has_the_dual_lifts_bits(self, build):
+        model = build()
+        for q, v, S in sample_states(model, 400, seed=5):
+            got = dt.friction_velocity_jacobian(model, q, v, S)
+            assert got.tobytes() == dual_friction_jacobian(model, q, v, S).tobytes()
+
+    def test_friction_is_called_once(self):
+        model = two_reaction_network(((2.0, 0.5), (-0.3, 3.0)))
+        calls = []
+        counted = dataclasses.replace(
+            model, friction=lambda q, v, S: calls.append(1) or model.friction(q, v, S)
+        )
+        J = dt.friction_velocity_jacobian(counted, [0.1, 0.2], [0.3, -0.4], 0.5)
+        assert len(calls) == 1
+        assert J.tolist() == [[-2.0, -0.5], [0.3, -3.0]]
+
+
 def make_coupled_model():
     """L = (1+q^2) v^2 / 2 + q v S: every second partial is nonzero."""
 
