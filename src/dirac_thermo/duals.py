@@ -15,12 +15,16 @@ derivatives for free and cannot drift out of sync with their own values.
 A :class:`JetKernel` runs the jet arithmetic once on traced floats and
 compiles what it did into straight-line float code, which later calls
 replay without calling the evaluator; the result is :func:`jet`'s, bit
-for bit. The contract a kernel relies on: an evaluator is a pure
-function of its arguments; constants it reads from its closure are read
-once, at trace time; and an evaluator that lets a value escape (calls
-``float()``, :func:`value`, ``bool()`` or numpy on a jet's value) keeps
-the dict jet. A comparison on a jet becomes a guard of the kernel, and
-where a guard fails or the kernel raises, the dict jet runs instead.
+for bit, for a scalar evaluator and for one that returns a tuple (a
+covector) alike. The contract a kernel relies on: an evaluator is a
+pure function of its arguments; constants it reads from its closure are
+read once, at trace time; and an evaluator that lets a value escape
+(calls ``float()``, ``bool()`` or numpy on a jet's value) keeps the dict
+jet. :func:`value` is no escape: it strips the derivative layers and
+keeps the trace, so the partials that flow through it are dropped in
+the kernel as in the dict jet. A comparison on a jet becomes a guard of
+the kernel, and where a guard fails or the kernel raises, the dict jet
+runs instead.
 
 Math helpers (:func:`exp`, :func:`log`, ...) dispatch on the argument
 type so model code can call them without caring whether it is being
@@ -217,8 +221,10 @@ class Jet:
     dual lifts. A jet exponent or a constant base goes through
     ``exp(k log x)``, as with duals; where a lift leaves both sides of a
     ``**`` plain it computes ``x ** k`` in floats instead, so there the
-    two can part in the last bit. Plain numbers, numpy scalars included,
-    mix in as constants.
+    two can part in the last bit. Unseeded jets (no gradient entry, as
+    a values-only evaluation makes them) compute ``x ** k`` too, so
+    their values are the plain-float evaluation's, bit for bit. Plain
+    numbers, numpy scalars included, mix in as constants.
     """
 
     __slots__ = ("re", "g", "h")
@@ -231,7 +237,7 @@ class Jet:
 
     def __add__(self, other):
         if type(other) is not Jet:
-            return Jet(self.re + (other if type(other) is float else float(other)), self.g, self.h)
+            return Jet(self.re + (other if type(other) in _PLAIN else float(other)), self.g, self.h)
         g = dict(self.g)
         for k, d in other.g.items():
             e = g.get(k)
@@ -242,7 +248,7 @@ class Jet:
 
     def __sub__(self, other):
         if type(other) is not Jet:
-            return Jet(self.re - (other if type(other) is float else float(other)), self.g, self.h)
+            return Jet(self.re - (other if type(other) in _PLAIN else float(other)), self.g, self.h)
         g = dict(self.g)
         for k, d in other.g.items():
             e = g.get(k)
@@ -250,12 +256,12 @@ class Jet:
         return Jet(self.re - other.re, g, _sum(self.h, other.h, True))
 
     def __rsub__(self, other):
-        c = other if type(other) is float else float(other)
+        c = other if type(other) in _PLAIN else float(other)
         return Jet(c - self.re, {k: -d for k, d in self.g.items()}, _scaled(self.h, -1.0))
 
     def __mul__(self, other):
         if type(other) is not Jet:
-            c = other if type(other) is float else float(other)
+            c = other if type(other) in _PLAIN else float(other)
             h = self.h
             return Jet(self.re * c, {k: d * c for k, d in self.g.items()},
                        None if h is None else {k: d * c for k, d in h.items()})
@@ -275,7 +281,7 @@ class Jet:
 
     def __truediv__(self, other):
         if type(other) is not Jet:
-            c = other if type(other) is float else float(other)
+            c = other if type(other) in _PLAIN else float(other)
             h = self.h
             return Jet(self.re / c, {k: d / c for k, d in self.g.items()},
                        None if h is None else {k: d / c for k, d in h.items()})
@@ -298,7 +304,7 @@ class Jet:
 
     def __rtruediv__(self, other):
         b = self.re
-        q = (other if type(other) is float else float(other)) / b
+        q = (other if type(other) in _PLAIN else float(other)) / b
         gb = self.g
         g = {k: -q * e / b for k, e in gb.items()}
         h = _scaled(self.h, -q)
@@ -309,8 +315,10 @@ class Jet:
 
     def __pow__(self, k):
         if type(k) is Jet:
-            return exp(k * log(self))
-        k, re = (k if type(k) is float else float(k)), self.re
+            if k.g or self.g:
+                return exp(k * log(self))
+            return Jet(self.re**k.re, {}, None)  # unseeded: the values' own power
+        k, re = (k if type(k) in _PLAIN else float(k)), self.re
         if k == 0:
             return Jet(re**0, {i: d * 0.0 for i, d in self.g.items()}, _scaled(self.h, 0.0))
         c1 = k * re ** (k - 1)
@@ -324,7 +332,9 @@ class Jet:
         return self._chain(re**k, g, c1, c2)
 
     def __rpow__(self, base):
-        return exp(self * log(base))
+        if self.g:
+            return exp(self * log(base))
+        return Jet((base if type(base) in _PLAIN else float(base)) ** self.re, {}, None)
 
     def __neg__(self):
         return Jet(-self.re, {k: -d for k, d in self.g.items()}, _scaled(self.h, -1.0))
@@ -365,10 +375,12 @@ class Jet:
 
 
 def value(x) -> float:
-    """Strip any dual or jet layers and return the primal value."""
+    """Strip any dual or jet layers and return the primal value. Under
+    a trace the primal is a traced float, and it stays traced: the
+    derivative layers go, the recorded arithmetic does not."""
     while isinstance(x, (Dual, Jet)):
         x = x.re
-    return float(x)
+    return x if type(x) is _Traced else float(x)
 
 
 def _primal(x):
@@ -387,7 +399,7 @@ def exp(x):
     if type(x) is Jet:
         e = _apply(math.exp, x.re)
         return x._chain(e, {k: d * e for k, d in x.g.items()}, e, e)
-    return math.exp(x)
+    return _apply(math.exp, x)
 
 
 def log(x):
@@ -396,7 +408,7 @@ def log(x):
     if type(x) is Jet:
         r = x.re
         return x._chain(_apply(math.log, r), {k: d / r for k, d in x.g.items()}, 1.0 / r, -1.0 / (r * r))
-    return math.log(x)
+    return _apply(math.log, x)
 
 
 def sqrt(x):
@@ -406,7 +418,7 @@ def sqrt(x):
     if type(x) is Jet:
         s = _apply(math.sqrt, x.re)
         return x._chain(s, {k: d * 0.5 / s for k, d in x.g.items()}, 0.5 / s, -0.25 / (x.re * s))
-    return math.sqrt(x)
+    return _apply(math.sqrt, x)
 
 
 def sin(x):
@@ -415,7 +427,7 @@ def sin(x):
     if type(x) is Jet:
         s, c = _apply(math.sin, x.re), _apply(math.cos, x.re)
         return x._chain(s, {k: d * c for k, d in x.g.items()}, c, -s)
-    return math.sin(x)
+    return _apply(math.sin, x)
 
 
 def cos(x):
@@ -424,7 +436,7 @@ def cos(x):
     if type(x) is Jet:
         s, c = _apply(math.sin, x.re), _apply(math.cos, x.re)
         return x._chain(c, {k: -d * s for k, d in x.g.items()}, -s, -c)
-    return math.cos(x)
+    return _apply(math.cos, x)
 
 
 # --- derivative drivers ----------------------------------------------
@@ -439,10 +451,13 @@ def gradient(f: Callable, args: Sequence[float]) -> np.ndarray:
 _NO_PAIRS: dict = {}  # a second-order seed's Hessian, shared and never written
 
 
-def _seeds(values: list, rows) -> list:
+def _seeds(values: list, rows, values_only: bool = False) -> list:
     """One seeded jet per argument value: keyed by its index, with
     Hessian pairs, for the indices in ``rows`` (default all), keyed by
-    the index's complement otherwise."""
+    the index's complement otherwise; with ``values_only``, unseeded
+    jets, whose arithmetic is the value's alone."""
+    if values_only:
+        return [Jet(x, {}, None) for x in values]
     wanted = range(len(values)) if rows is None else set(rows)
     return [
         Jet(x, {i: 1.0}, _NO_PAIRS) if i in wanted else Jet(x, {~i: 1.0}, None)
@@ -456,18 +471,38 @@ def jet(f: Callable, args: Sequence[float], rows: Optional[Sequence[int]] = None
     The Hessian is the k x k matrix of second partials, exactly
     symmetric; only the rows (and, by symmetry, columns) of the argument
     indices in ``rows`` are computed, every other entry is zero. The
-    default is every row. The gradient has every first partial.
+    default is every row. The gradient has every first partial. An
+    evaluator that returns a tuple of m outputs gets them stacked:
+    values (m,), gradients (m, k) and Hessians (m, k, k).
     """
     return _jet_of(f, [float(a) for a in args], rows)
 
 
-def _jet_of(f: Callable, values: list, rows) -> tuple:
-    """:func:`jet` at argument values taken as they are (numpy floats stay)."""
+# the output types that hold one output per entry
+_SEQUENCES = (tuple, list, np.ndarray)
+
+
+def _jet_of(f: Callable, values: list, rows, values_only: bool = False):
+    """:func:`jet` at argument values taken as they are (numpy floats
+    stay); with ``values_only``, the value (or the (m,) values) alone."""
     k = len(values)
-    out = f(*_seeds(values, rows))
+    out = f(*_seeds(values, rows, values_only))
+    if type(out) not in _SEQUENCES:
+        return _output_arrays(out, k, values_only)
+    parts = [_output_arrays(o, k, values_only) for o in out]
+    if values_only:
+        return np.array(parts, dtype=float)
+    return tuple(np.array(blocks, dtype=float) for blocks in zip(*parts))
+
+
+def _output_arrays(out, k: int, values_only: bool):
+    """One output jet as (value, gradient, Hessian) arrays, or its value
+    alone; an output that is not a jet ignored every argument."""
+    if values_only:
+        return value(out)
     g, H = np.zeros(k), np.zeros((k, k))
     if type(out) is not Jet:
-        return value(out), g, H  # evaluator ignored every argument
+        return value(out), g, H
     for i, d in out.g.items():
         g[i if i >= 0 else ~i] = d
     if out.h:
@@ -640,6 +675,11 @@ class _Traced:
         return f"_Traced({self.x!r}, {self.name!r})"
 
 
+# the constant operands a jet keeps as they are: a float, and a traced
+# float (a value that ``value`` stripped of its derivative layers)
+_PLAIN = (float, _Traced)
+
+
 def _apply(fn: Callable, x):
     """``fn(x)`` of a jet's value, recorded when the value is traced."""
     if type(x) is _Traced:
@@ -653,9 +693,11 @@ class JetKernel:
     traced once into straight-line float code and replayed at every call.
 
     ``kernel(f, args)`` returns ``jet(f, args, rows)`` bit for bit; with
-    no ``rows`` the code computes the value and gradient alone. The
-    first call traces ``f`` at ``args``; later calls replay the compiled
-    code and do not call ``f``. The dict jet runs instead, for that call
+    no ``rows`` the code computes the value and gradient alone. An
+    evaluator that returns a tuple of outputs (a covector) gets them
+    stacked, as :func:`jet` stacks them. The first call traces ``f`` at
+    ``args``; later calls replay the compiled code and do not call
+    ``f``. The dict jet runs instead, for that call
     only, where the trace raised, where a guard of the code fails and
     where the code raises, so errors are the dict jet's own. After a
     value escape the kernel keeps the dict jet for good. The kernel
@@ -663,11 +705,13 @@ class JetKernel:
     must be the one traced and a pure function of its arguments.
     """
 
-    __slots__ = ("k", "rows", "replay", "traceable")
+    __slots__ = ("k", "rows", "replay", "unpack", "traceable")
+    values_only = False  # seeded jets; see _ValuesKernel
 
     def __init__(self, k: int, rows: Optional[Sequence[int]] = None):
         self.k, self.rows = k, rows
         self.replay: Optional[Callable] = None
+        self.unpack: Optional[Callable] = None
         self.traceable = True
 
     def __call__(self, f: Callable, args: Sequence[float]):
@@ -678,50 +722,93 @@ class JetKernel:
         replay = self.replay
         if replay is None:
             if not self.traceable:
-                return jet(f, args, self.rows)
-            replay = self.replay = self._trace(f, args)
+                return self._dict_jet(f, args)
+            replay = self._trace(f, args)
             if replay is None:
-                return jet(f, args, self.rows)
+                return self._dict_jet(f, args)
         try:
             out = replay(*args)
             if out is not None:
-                k = self.k
-                a = np.array(out[1], dtype=float)
-                return out[0], a[:k], a[k:].reshape(k, k) if a.size > k else np.zeros((k, k))
+                return self.unpack(out)
         except Exception:
             pass  # the dict jet raises its own error, or answers where the kernel cannot
-        return jet(f, args, self.rows)  # a guard failed or the kernel raised
+        return self._dict_jet(f, args)  # a guard failed or the kernel raised
+
+    def _dict_jet(self, f: Callable, args: list):
+        return _jet_of(f, args, self.rows, self.values_only)
 
     def _trace(self, f: Callable, args: list) -> Optional[Callable]:
-        """The compiled trace of ``f`` at ``args``, or None where this
-        call takes the dict jet."""
+        """The compiled trace of ``f`` at ``args``, kept with its
+        unpacker, or None where this call takes the dict jet."""
         k, tape = self.k, _Tape()
         try:
-            out = f(*_seeds([_Traced(x, f"a{i}", tape) for i, x in enumerate(args)], self.rows))
-            if type(out) is not Jet:
-                out = Jet(value(out), {}, None)  # evaluator ignored every argument
+            primals = [_Traced(x, f"a{i}", tape) for i, x in enumerate(args)]
+            out = f(*_seeds(primals, self.rows, self.values_only))
+            many = type(out) in _SEQUENCES
+            outs = out if many else (out,)
+            # an output that is not a jet ignored every argument
+            outs = [o if type(o) is Jet else Jet(value(o), {}, None) for o in outs]
         except Exception:
             tape.raised = True
         if tape.escaped:
             self.traceable = False
         if tape.raised or tape.escaped:
             return None
-        text = tape.text
-        # the gradient, then the Hessian row by row where the jet has one
-        flat = ["0.0"] * (k + k * k if out.h else k)
-        for i, d in out.g.items():
-            flat[i if i >= 0 else ~i] = text(d)
-        for (i, j), d in (out.h or {}).items():
-            i = i if i >= 0 else ~i
-            flat[k + i * k + j] = flat[k + j * k + i] = text(d)
+        text, m = tape.text, len(outs)
+        # the values, then the gradients, then the Hessians, row by row,
+        # where a jet has one
+        flat = [text(o.re) for o in outs]
+        hessian = any(o.h for o in outs)
+        if not self.values_only:
+            grads, hessians = ["0.0"] * (m * k), ["0.0"] * (m * k * k if hessian else 0)
+            for a, o in enumerate(outs):
+                for i, d in o.g.items():
+                    grads[a * k + (i if i >= 0 else ~i)] = text(d)
+                for (i, j), d in (o.h or {}).items():
+                    i, at = (i if i >= 0 else ~i), a * k * k
+                    hessians[at + i * k + j] = hessians[at + j * k + i] = text(d)
+            flat += grads + hessians
         body = "".join(f"    {line}\n" for line in tape.lines)
         source = (
             f"def replay({', '.join(f'a{i}' for i in range(k))}):\n{body}"
-            f"    return {text(out.re)}, ({', '.join(flat)},)\n"
+            f"    return ({', '.join(flat)},)\n"
         )
         namespace = dict(tape.names)
         exec(compile(source, "<jet kernel>", "exec"), namespace)
-        return namespace["replay"]
+        self.unpack = _unpacker(k, m if many else None, self.values_only, hessian)
+        self.replay = namespace["replay"]
+        return self.replay
+
+
+class _ValuesKernel(JetKernel):
+    """A kernel of an evaluator's value alone (an (m,) array for m
+    outputs), traced on unseeded jets: the plain-float evaluation, bit
+    for bit."""
+
+    __slots__ = ()
+    values_only = True
+
+
+def _unpacker(k: int, m: Optional[int], values_only: bool, hessian: bool) -> Callable:
+    """What turns a replay's flat tuple into the kernel's result: the
+    :func:`jet` triple of a scalar output (m None), or m outputs
+    stacked; a value alone with ``values_only``."""
+    if values_only:
+        return operator.itemgetter(0) if m is None else (lambda out: np.array(out, dtype=float))
+    if m is None:
+
+        def unpack(out):
+            a = np.array(out, dtype=float)
+            return out[0], a[1 : k + 1], a[k + 1 :].reshape(k, k) if hessian else np.zeros((k, k))
+
+    else:
+
+        def unpack(out):
+            a = np.array(out, dtype=float)
+            H = a[m + m * k :].reshape(m, k, k) if hessian else np.zeros((m, k, k))
+            return a[:m], a[m : m + m * k].reshape(m, k), H
+
+    return unpack
 
 
 # --- field-level wrappers ----------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -58,14 +59,16 @@ from .model import (
     _arena_dtype,
     _arena_layout,
     _as_array,
+    _covector_jet,
+    _force_jets,
     _lagrangian_first_order,
+    _lagrangian_hessian,
     _momentum_rate_from,
     _records,
     _solve,
     arena_dim,
     external_value,
     friction_value,
-    friction_velocity_jacobian,
     lagrangian_jet,
     make_point,
 )
@@ -184,14 +187,6 @@ def trajectory_rows(trajectory: Trajectory) -> np.ndarray:
 # --- one evaluation per state ---------------------------------------------
 
 
-def _point_partials(model: SimpleThermoModel, q, v, S):
-    """(L, dLdq, dLdv, s, F, Fext) at one state: the first-order pass
-    (one replay of L's first-order kernel, friction and external force)
-    that the degenerate work and the implicit residual share."""
-    L, dLdq, dLdv, s = _lagrangian_first_order(model, q, v, S)
-    return L, dLdq, dLdv, s, friction_value(model, q, v, S), external_value(model, q, v, S)
-
-
 def _entropy_rate(model: SimpleThermoModel, F, v, s) -> float:
     """Sdot = <F, v>/s: the rate constraint s Sdot = <F, v> solved for the
     entropy rate, with s the entropy slope dL/dS (minus the temperature).
@@ -252,16 +247,18 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
     n = model.n
     if model.degenerate:
         zero_v = np.zeros(n)
-        # L ignores v: its partials at zero velocity are those at the solved rate
-        L, dLdq, _, s, F0, Fext = _point_partials(model, q, zero_v, S)
+        # L ignores v: its partials at zero velocity are those at the solved
+        # rate; one friction jet there gives F and the coefficient matrix
+        L, dLdq, _, s = _lagrangian_first_order(model, q, zero_v, S)
+        F0, dF = _covector_jet(model.friction, n, q, zero_v, S, "friction covector")
+        Fext = external_value(model, q, zero_v, S)
         if np.max(np.abs(F0)) > 1e-12:
             raise DiracThermoError(
                 "the degenerate regime needs velocity-linear friction "
                 f"(got friction {F0} at zero velocity, model {model.name})"
             )
-        J = friction_velocity_jacobian(model, q, zero_v, S)
         try:
-            qdot = _solve(J, -(dLdq + Fext))
+            qdot = _solve(dF[:, n : 2 * n], -(dLdq + Fext))
         except np.linalg.LinAlgError:
             raise DiracThermoError(
                 f"singular friction coefficient matrix (model {model.name})"
@@ -601,7 +598,9 @@ def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates, with
     q, S, v, W, p, lam = _arena_layout("P", n)[1].values()  # the groups' places, in P's order
     x, r = point.row, _as_array(rates, 3 * n + 3, "rates")
     qdot, Sdot = r[q], r[S]
-    L, dLdq, dLdv, s, F, Fext = _point_partials(model, x[q], x[v], x[S])
+    at = x[q], x[v], x[S]
+    L, dLdq, dLdv, s = _lagrangian_first_order(model, *at)
+    F, Fext = friction_value(model, *at), external_value(model, *at)
     residual = np.concatenate(
         [
             (r[p] - dLdq - Fext) * s + (r[lam] - s) * F,
@@ -623,16 +622,81 @@ def _implicit_diag(n: int, x, rates, residual, L) -> DiagnosticsRecord:
     return _record(energy, point.S, float(rates[n]), float(residual[n]), residual)
 
 
+def _implicit_constants(n: int, h: float) -> np.ndarray:
+    """The entries of the implicit step's Jacobian that no state moves:
+    the momentum rows' identity on p, the covariable row's one, and the
+    velocity and rate-slot rows' one and -1/h (their rates are the
+    backward differences of q and S)."""
+    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()
+    eye = np.eye(n)
+    J = np.zeros((3 * n + 3, 3 * n + 3))
+    J[n + 1 : 2 * n + 1, p] = eye
+    J[2 * n + 1, lam] = 1.0
+    J[2 * n + 2 : 3 * n + 2, v], J[2 * n + 2 : 3 * n + 2, q] = eye, -eye / h
+    J[3 * n + 2, W], J[3 * n + 2, S] = 1.0, -1.0 / h
+    return J
+
+
+@lru_cache(maxsize=None)
+def _jet_columns(n: int) -> np.ndarray:
+    """P's columns of the jet arguments (q..., v..., S), read-only."""
+    at = _arena_layout("P", n)[1]
+    out = np.r_[at["q"], at["v"], at["S"]]
+    out.flags.writeable = False
+    return out
+
+
+def _implicit_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) -> np.ndarray:
+    """The exact Jacobian of the implicit step's residual
+    z -> implicit_residual_P(z, (z - x0) / h) at z = x, whose backward
+    rates are ``rates``; ``constants`` holds the entries that no state
+    moves (:func:`_implicit_constants`).
+
+    The force-balance, entropy and momentum rows differentiate, through
+    the jet columns (q, v, S), L's full second-order jet H (every row,
+    with s = dL/dS and its row ds) and the first-order jets dF and dFext
+    of friction and external force; the backward rates add s/h on p and
+    F/h on lam to the force-balance rows, s/h on S and -F/h on q to the
+    entropy row."""
+    n = model.n
+    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()
+    jet_columns = _jet_columns(n)
+    _, g, H = _lagrangian_hessian(model, x[q], x[v], x[S])
+    F, dF, Fext, dFext = _force_jets(model, x[q], x[v], x[S])
+    s, ds = g[2 * n], H[2 * n]
+    J = constants.copy()
+    # (pdot - dL/dq - Fext) s + (lamdot - s) F
+    J[:n, jet_columns] = (
+        (rates[lam] - s) * dF - s * (H[:n] + dFext) + (rates[p] - g[:n] - Fext - F)[:, None] * ds
+    )
+    np.fill_diagonal(J[:n, p], s / h)
+    J[:n, lam] = F / h
+    # s Sdot - <F, qdot>
+    J[n, jet_columns] = rates[S] * ds - rates[q] @ dF
+    J[n, S] += s / h
+    J[n, q] -= F / h
+    # p - dL/dv
+    J[n + 1 : 2 * n + 1, jet_columns] = -H[n : 2 * n]
+    return J
+
+
 def integrate_implicit_P(
     model: SimpleThermoModel, initial: ArenaPoint, t_end: float, h: float
 ) -> Trajectory:
     """Implicit Euler on the full-arena stacked residual.
 
     Each step solves the discretized residual (backward rates) for the
-    next point with Newton iterations on a finite-difference Jacobian
-    held fixed within the step, then snaps the momentum and covariable
-    slots onto their algebraic values. First order by construction; the
-    point is exercising the implicit conditions, not accuracy.
+    next point with Newton iterations, then snaps the momentum and
+    covariable slots onto their algebraic values. The Newton matrix is
+    the residual's exact Jacobian (:func:`_implicit_jacobian`), built
+    once per step at the predictor and held fixed within the step: a
+    step costs one residual per iterate plus one jet each of L (every
+    Hessian row), friction and external force. Partials that an
+    evaluator strips with ``duals.value`` are absent from the Jacobian;
+    Newton then converges more slowly but still stops on the true
+    residual. A non-finite residual (an iterate off the domain) stops
+    the run with the states stored so far. First order by construction;
+    the point is exercising the implicit conditions, not accuracy.
     """
     if h <= 0.0 or t_end <= 0.0:
         raise ValueError("t_end and h must be positive")
@@ -648,6 +712,7 @@ def integrate_implicit_P(
     K = max(1, int(round(t_end / h))) + 1
     states, rates = np.empty((K, d)), np.empty((K, d))
     diagnostics = np.empty((K, len(_DIAGNOSTICS)))
+    constants = _implicit_constants(n, h)
 
     # instantaneous field data at the start, for the first record
     x = initial.as_vector()
@@ -668,18 +733,16 @@ def integrate_implicit_P(
         J = None
         converged = False
         for _ in range(IMPLICIT_MAX_ITER):
-            if np.max(np.abs(r)) <= IMPLICIT_NEWTON_TOL:
+            err = np.abs(r).max()
+            if err <= IMPLICIT_NEWTON_TOL:
                 converged = True
                 break
+            if not math.isfinite(err):
+                return _stored(h, k, "P", n, states, rates, diagnostics, completed=False)
             if J is None:
-                J = np.empty((d, d))
-                for j in range(d):
-                    dz = 1e-7 * max(1.0, abs(x1[j]))
-                    zp = x1.copy()
-                    zp[j] += dz
-                    J[:, j] = (g(zp)[0] - r) / dz
+                J = _implicit_jacobian(model, x1, (x1 - x0) / h, h, constants)
             try:
-                step = np.linalg.solve(J, r)
+                step = _solve(J, r)
             except np.linalg.LinAlgError:
                 raise NewtonError("singular Jacobian in the implicit step")
             x1 = x1 - step
@@ -711,10 +774,15 @@ def lagrangian_chart_initial(model: SimpleThermoModel, initial) -> np.ndarray:
 
     Accepts a mapping with keys q, S and (for regular models) v, which
     defaults to rest, a (q, v, S) tuple, or an already-flat vector in
-    chart order (q..., S, v...); degenerate charts are (q..., S) and
-    ignore v."""
+    chart order (q..., S, v...); degenerate charts are (q..., S), and a
+    degenerate model accepts v and ignores it. A mapping with any other
+    key raises ValueError naming it, so a misspelt v never starts a run
+    from rest."""
     n = model.n
     if isinstance(initial, dict):
+        stray = sorted(map(str, set(initial) - {"q", "v", "S"}))
+        if stray:
+            raise ValueError(f"unknown initial-state keys {stray} (expected q, v and S)")
         initial = (initial["q"], initial.get("v", np.zeros(n)), initial["S"])
     if isinstance(initial, tuple) and len(initial) == 3:
         q, S = _as_array(initial[0], n, "q"), float(initial[2])

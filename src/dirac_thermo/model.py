@@ -6,7 +6,8 @@ F(q, v, S) that feeds dissipated power back into S. Evaluators are
 written once, generically over the scalar type, and all derivatives
 come out of the differentiation layer (``duals``): one compiled
 first-order jet per state for the first partials, one with the
-velocity rows of the Hessian where second partials are needed.
+velocity rows of the Hessian where second partials are needed, and
+compiled friction and external-force kernels.
 
 Four state arenas appear throughout the package, each with a fixed
 flat-vector coordinate order:
@@ -179,13 +180,18 @@ class SimpleThermoModel:
     ``meta`` carries builder-provided closed forms for tests and is
     never read by the core algorithms.
 
-    L's jets (first order, and with the velocity rows of the Hessian)
-    are traced once per evaluator into compiled kernels
-    (:class:`duals.JetKernel`) and replayed at every later state, which
-    holds the evaluators to a contract: each is a pure function of its
-    arguments, and closure constants are read once, at trace time. A
-    Lagrangian that lets a value escape (``float()``, ``duals.value``,
-    ``bool()`` or numpy on a jet's value) keeps the dict jet.
+    L's jets (first order, with the velocity rows of the Hessian, and
+    with every row), the friction and external-force values and their
+    first-order jets over (q, v, S) are traced once per evaluator and n
+    into compiled kernels (:class:`duals.JetKernel`) and replayed at
+    every later state. That holds all three evaluators to a contract:
+    each is a pure function of its arguments, and closure constants are
+    read once, at trace time, so changing them later has no effect. An
+    evaluator that lets a value escape (``float()``, ``bool()`` or numpy
+    on a jet's value) keeps the dict jet. ``duals.value`` keeps the
+    trace; the partials it strips (the piston's callable friction
+    coefficient) are absent from the jets, the implicit step's Jacobian
+    among them.
     """
 
     n: int
@@ -207,54 +213,70 @@ def lagrangian_value(model: SimpleThermoModel, q, v, S) -> float:
     return duals.value(model.lagrangian(tuple(q), tuple(v), float(S)))
 
 
-def _flat_lagrangian(lagrangian: Callable, n: int):
-    """L over the flat argument list (q..., v..., S)."""
+def _flat(evaluator: Callable, n: int):
+    """An evaluator of (q, v, S) over the flat argument list (q..., v..., S)."""
 
     def f(*args):
-        return lagrangian(args[:n], args[n : 2 * n], args[2 * n])
+        return evaluator(args[:n], args[n : 2 * n], args[2 * n])
 
     return f
 
 
-# (kernel, flat evaluator) of L's first-order and velocity-row jets, one
-# of each per Lagrangian evaluator and n, dropped with the evaluator: the
-# flat evaluator reaches L through a weak proxy.
+# (kernel, flat evaluator) per evaluator (L, friction or external force),
+# n and jet kind, dropped with the evaluator: the flat evaluator reaches
+# it through a weak proxy.
 _JET_KERNELS = weakref.WeakKeyDictionary()
 
 
-def _kernel_jet(model: SimpleThermoModel, q, v, S, second_order: bool):
-    """duals.jet of L over (q, v, S) (the Hessian's velocity rows if
-    ``second_order``, else none) from the model's kernel for that order;
-    an evaluator with no weak reference keeps the dict jet. Where Python
-    floats raise but numpy floats answer inf or NaN (x / 0, a negative
-    base's power), the jet reruns on numpy floats, as the dual lifts did."""
-    n = model.n
+def _seeding(kind: str, n: int) -> tuple:
+    """(rows, values_only) of a jet kind over (q, v, S): the value(s)
+    alone, first order, the Hessian's velocity rows, or every row."""
+    return {
+        "values": (None, True),
+        "first": ((), False),
+        "velocity": (range(n, 2 * n), False),
+        "full": (range(2 * n + 1), False),
+    }[kind]
+
+
+def _kernel_jet(evaluator: Callable, n: int, q, v, S, kind: str):
+    """duals.jet of an evaluator over (q, v, S), of the given kind (see
+    :func:`_seeding`), from its kernel for that kind and n; an evaluator
+    with no weak reference keeps the dict jet. Where Python floats raise
+    but numpy floats answer inf or NaN (x / 0, a negative base's power),
+    the jet reruns on numpy floats, as the dual lifts did."""
     q, v = _as_array(q, n, "q"), _as_array(v, n, "v")
     args = q.tolist() + v.tolist()
     args.append(float(S))
-    rows = range(n, 2 * n) if second_order else ()
-    lagrangian = model.lagrangian
     try:
         try:
-            kernel, flat = _JET_KERNELS[lagrangian][n, second_order]
+            kernel, flat = _JET_KERNELS[evaluator][n, kind]
         except KeyError:
-            kernel = duals.JetKernel(2 * n + 1, rows)
-            flat = _flat_lagrangian(weakref.proxy(lagrangian), n)
-            _JET_KERNELS.setdefault(lagrangian, {})[n, second_order] = kernel, flat
+            rows, values_only = _seeding(kind, n)
+            k = 2 * n + 1
+            kernel = duals._ValuesKernel(k) if values_only else duals.JetKernel(k, rows)
+            flat = _flat(weakref.proxy(evaluator), n)
+            _JET_KERNELS.setdefault(evaluator, {})[n, kind] = kernel, flat
         except TypeError:  # no weak reference to the evaluator
-            return duals.jet(_flat_lagrangian(lagrangian, n), args, rows)
+            return duals._jet_of(_flat(evaluator, n), args, *_seeding(kind, n))
         return kernel.floats(flat, args)
     except (TypeError, ArithmeticError):
         numpy_args = [*q, *v, np.float64(S)]
         with np.errstate(all="ignore"):  # the inf/NaN are the answer, not a warning
-            return duals._jet_of(_flat_lagrangian(lagrangian, n), numpy_args, rows)
+            return duals._jet_of(_flat(evaluator, n), numpy_args, *_seeding(kind, n))
 
 
 def _lagrangian_first_order(model: SimpleThermoModel, q, v, S):
     """(L, dLdq, dLdv, dLdS) at one state from L's first-order kernel."""
     n = model.n
-    L, g, _ = _kernel_jet(model, q, v, S, False)
+    L, g, _ = _kernel_jet(model.lagrangian, n, q, v, S, "first")
     return L, g[:n], g[n : 2 * n], g[2 * n]
+
+
+def _lagrangian_hessian(model: SimpleThermoModel, q, v, S):
+    """(L, gradient, Hessian) of L over (q, v, S), every Hessian row,
+    from L's full second-order kernel."""
+    return _kernel_jet(model.lagrangian, model.n, q, v, S, "full")
 
 
 def lagrangian_partials(model: SimpleThermoModel, q, v, S):
@@ -278,24 +300,40 @@ def temperature(model: SimpleThermoModel, q, v, S) -> float:
     return t
 
 
-def _covector_value(evaluator: Callable, n: int, q, v, S, label: str) -> np.ndarray:
-    """A covector evaluator's tuple at (q, v, S) as a float array, in one
-    array call where every component is a real number."""
-    out = evaluator(tuple(_as_array(q, n, "q")), tuple(_as_array(v, n, "v")), float(S))
-    try:
-        return _as_array(np.array(out, dtype=float), n, label)
-    except TypeError:  # a component is a dual or jet
-        return _as_array([duals.value(c) for c in out], n, label)
+def _covector(evaluator: Callable, n: int, q, v, S, label: str) -> np.ndarray:
+    """A covector evaluator's value at (q, v, S), from its values kernel."""
+    return _as_array(_kernel_jet(evaluator, n, q, v, S, "values"), n, label)
+
+
+def _covector_jet(evaluator: Callable, n: int, q, v, S, label: str):
+    """(value, partials): a covector evaluator's value at (q, v, S) and
+    its first partials over (q, v, S), an (n, 2n + 1) array, from its
+    first-order kernel."""
+    F, dF, _ = _kernel_jet(evaluator, n, q, v, S, "first")
+    return _as_array(F, n, label), dF
 
 
 def friction_value(model: SimpleThermoModel, q, v, S) -> np.ndarray:
-    return _covector_value(model.friction, model.n, q, v, S, "friction covector")
+    return _covector(model.friction, model.n, q, v, S, "friction covector")
 
 
 def external_value(model: SimpleThermoModel, q, v, S) -> np.ndarray:
     if model.external is None:
         return np.zeros(model.n)
-    return _covector_value(model.external, model.n, q, v, S, "external covector")
+    return _covector(model.external, model.n, q, v, S, "external covector")
+
+
+def _force_jets(model: SimpleThermoModel, q, v, S):
+    """(F, dF, Fext, dFext): the friction and external force at (q, v, S)
+    and their first partials over (q, v, S), (n, 2n + 1) arrays, from
+    first-order kernels. A partial that an evaluator strips with
+    ``duals.value`` (the piston's callable friction coefficient) is not
+    in them."""
+    n = model.n
+    F, dF = _covector_jet(model.friction, n, q, v, S, "friction covector")
+    if model.external is None:
+        return F, dF, np.zeros(n), np.zeros_like(dF)
+    return (F, dF, *_covector_jet(model.external, n, q, v, S, "external covector"))
 
 
 def lagrangian_jet(model: SimpleThermoModel, q, v, S):
@@ -306,7 +344,7 @@ def lagrangian_jet(model: SimpleThermoModel, q, v, S):
     so L itself runs only at the first state and wherever the kernel
     falls back. The first partials equal :func:`lagrangian_partials`'s."""
     n = model.n
-    L, g, H = _kernel_jet(model, q, v, S, True)
+    L, g, H = _kernel_jet(model.lagrangian, n, q, v, S, "velocity")
     return L, g[:n], g[n : 2 * n], g[2 * n], H[n : 2 * n]
 
 
@@ -347,18 +385,12 @@ def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.nda
 
 
 def friction_velocity_jacobian(model: SimpleThermoModel, q, v, S) -> np.ndarray:
-    """dF_a/dv_b of the friction covector, from one friction call on
-    first-order jets seeded at the n velocities; drives the rate solve
-    for velocity-independent Lagrangians."""
+    """dF_a/dv_b of the friction covector: the velocity block of its
+    first-order kernel (bit for bit what one-coordinate dual lifts give),
+    the coefficient matrix of the rate solve for velocity-independent
+    Lagrangians."""
     n = model.n
-    v = duals._seeds(_as_array(v, n, "v").tolist(), rows=())
-    out = model.friction(tuple(_as_array(q, n, "q")), tuple(v), float(S))
-    J = np.zeros((n, n))
-    for a, F in enumerate(out):
-        if type(F) is duals.Jet:  # a component that ignores v stays a constant
-            for key, d in F.g.items():
-                J[a, ~key] = d  # the seeds key velocity b by its complement ~b
-    return J
+    return _covector_jet(model.friction, n, q, v, S, "friction covector")[1][:, n : 2 * n]
 
 
 # --- arena points ------------------------------------------------------

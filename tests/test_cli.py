@@ -211,6 +211,25 @@ class TestErrorExits:
         assert "bad initial state" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["run", "check", "compare"])
+    def test_misspelt_initial_key_exits_2_naming_it(self, tmp_path, capsys, verb):
+        cfg = write_cfg(tmp_path, initial={"q": [1.0], "V": [0.5], "S": 0.0},
+                        t_end=0.05, out=str(tmp_path / "out"))
+        assert cli.main([verb, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "bad initial state" in err and "'V'" in err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_degenerate_model_accepts_and_ignores_v(self, tmp_path):
+        runs = []
+        for k, initial in enumerate([{"q": [0.2], "S": 1.0}, {"q": [0.2], "v": [0.7], "S": 1.0}]):
+            out = tmp_path / f"out{k}"
+            cfg = write_cfg(tmp_path, model={"kind": "reactions"}, initial=initial,
+                            t_end=0.05, out=str(out))
+            assert cli.main(["run", "--config", cfg]) == 0
+            runs.append((out / "trajectory.csv").read_bytes())
+        assert runs[0] == runs[1]
+
     def test_negative_friction_parameter(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, model={"kind": "piston", "params": {"lam": -1.0}})
         assert cli.main(["run", "--config", cfg]) == 3

@@ -40,7 +40,7 @@ from dirac_thermo import (
     sqrt,
     value,
 )
-from dirac_thermo.duals import _jet_of
+from dirac_thermo.duals import _ValuesKernel, _jet_of
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 positive = st.floats(min_value=0.1, max_value=3.0, allow_nan=False)
@@ -523,12 +523,12 @@ class TestJetKernel:
             assert len(calls) - before == (2 if falls_back else 1), pt
 
     @pytest.mark.parametrize("escape", [
-        lambda x: value(x),
+        lambda x: float(x.re),
         lambda x: math.floor(x.re),
         lambda x: np.tanh(x.re),
         lambda x: 1.0 if x.re else 0.0,
         lambda x: x.re * np.float64(0.5),
-        lambda x: x.re + x,
+        lambda x: complex(x.re).real,
     ])
     def test_a_value_escape_keeps_the_dict_jet(self, escape):
         calls = []
@@ -543,6 +543,53 @@ class TestJetKernel:
             assert same_jet(kernel, escaping, pt)
             assert len(calls) - before >= 2  # the dict jet answered
         assert kernel.replay is None and not kernel.traceable
+
+    def test_value_keeps_the_trace_and_replays_the_dict_jet(self):
+        # value (or a jet's .re) strips the derivative layers and keeps the
+        # traced primal: the kernel compiles, drops the partials that flow
+        # through value as the dict jet does, and replays the dict jet's bits
+        calls = []
+
+        def stripping(x, y):
+            calls.append(1)
+            return x * y * (1.0 + value(x) * value(y)) + exp(value(x)) + (x.re - x)
+
+        for rows in (None, ()):
+            kernel = JetKernel(2, rows)
+            for pt in ([0.4, 1.2], [1.6, -0.7], [2.5, 0.3], [-0.0, 0.0]):
+                assert same_jet(kernel, stripping, pt, rows)
+            assert kernel.replay is not None and kernel.traceable
+        assert len(calls) == 2 * (1 + 4)  # the traces, then the dict jets of same_jet
+        _, g, _ = jet(stripping, [0.4, 1.2])
+        assert g.tolist() == [1.2 * (1.0 + 0.4 * 1.2) - 1.0, 0.4 * (1.0 + 0.4 * 1.2)]
+
+    def test_a_covector_kernel_replays_the_stacked_dict_jet(self):
+        # a tuple of outputs, one of them constant: the kernel stacks them
+        # as jet does, and the values kernel gives the plain-float tuple,
+        # powers with a variable exponent included
+        def covector(x, y, z):
+            return (x * y - z, exp(x) / y, 0.5, abs(z) * x, 2.0 ** z * y ** x)
+
+        rng = np.random.default_rng(11)
+        for rows in (None, (), (1,)):
+            kernel = JetKernel(3, rows)
+            values = _ValuesKernel(3)
+            for _ in range(30):
+                pt = list(rng.uniform(0.2, 1.5, 3) * rng.choice([-1.0, 1.0], 3))
+                pt[1] = abs(pt[1])
+                want = jet(covector, pt, rows)
+                got = kernel(covector, pt)
+                assert [a.shape for a in got] == [(5,), (5, 3), (5, 3, 3)]
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+                plain = np.array(covector(*pt), dtype=float)
+                assert values(covector, pt).tobytes() == plain.tobytes()
+            assert kernel.replay is not None and values.replay is not None
+
+    def test_value_of_a_bare_traced_float_is_that_float(self):
+        kernel = _ValuesKernel(2)
+        kernel(lambda x, y: x * value(y), [1.5, 2.0])
+        assert kernel.replay is not None
+        assert kernel(lambda x, y: x * value(y), [3.0, -0.5]) == -1.5
 
 
 def canonical_bits(a) -> bytes:

@@ -28,7 +28,7 @@ GOLDEN = {
     ("piston", "hamilton-dirac-N"):
         "2b8c59403b2d5f4e52b2e58dfe9ca847cf53a1b76b40534fc72cc82807b43eba",
     ("piston", "implicit-P"):
-        "423fb88dc585acd36f65b71e51ddd11a5e44123437be42dfde6790283c0f79a7",
+        "4df110fcb72ef478c84337977ab3996e77df44fe28006ef03f3f70f1974ddc65",
     ("membrane", "lagrangian"):
         "ff325bad3a129f0373f384599f58288e19eba6db90b29022cb73cb71dee9c466",
     ("membrane", "hamilton-dirac-N"):

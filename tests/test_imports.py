@@ -1,8 +1,9 @@
 """Every name a library module imports is used there or listed in its
-``__all__``.
+``__all__``, and no library module calls ``np.linalg.solve``: every
+small solve goes through ``model._solve``.
 
-The package ``__init__`` is left out: importing names to re-export them
-is its whole job."""
+The package ``__init__`` is left out of the import scan: importing
+names to re-export them is its whole job."""
 
 import ast
 import pathlib
@@ -40,3 +41,29 @@ def test_the_scan_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used_or_exported(path):
     assert unused_imports(path.read_text()) == []
+
+
+def linalg_solves(source: str) -> list:
+    """Lines that reach numpy's ``linalg.solve``: an attribute
+    ``<...>.linalg.solve`` or an import of ``solve`` from numpy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "solve"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.extend(node.lineno for alias in node.names if alias.name == "solve")
+    return sorted(found)
+
+
+def test_the_solve_scan_sees_every_spelling():
+    source = (
+        "import numpy as np\nimport numpy\nfrom numpy.linalg import solve, norm\n"
+        "x = np.linalg.solve(A, b)\ny = numpy.linalg.solve\nz = np.linalg.norm(b)\n"
+    )
+    assert linalg_solves(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_numpy_solve(path):
+    assert linalg_solves(path.read_text()) == []

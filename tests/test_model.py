@@ -12,10 +12,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dirac_thermo as dt
 from dirac_thermo import model as model_module
-from dirac_thermo.model import _solve
+from dirac_thermo.model import _force_jets, _solve
 
 from conftest import sample_states
 
@@ -189,6 +190,133 @@ class TestFrictionJacobian:
         J = dt.friction_velocity_jacobian(counted, [0.1, 0.2], [0.3, -0.4], 0.5)
         assert len(calls) == 1
         assert J.tolist() == [[-2.0, -0.5], [0.3, -3.0]]
+
+
+# coordinates from either side of zero, zeros of both signs among them
+edgy = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(min_value=-3.0, max_value=3.0))
+
+
+def make_pushing():
+    """An external force that divides by q (inf or NaN at q = 0 in numpy
+    floats, ZeroDivisionError in Python floats) and raises 2 to a
+    state-dependent power."""
+
+    def pushing(q, v, S):
+        return tuple(v[i] / q[i] - 2.0 ** (0.5 * S) * q[i] for i in range(len(q)))
+
+    return pushing
+
+
+def callable_lam_piston():
+    return dt.build_piston(dt.PistonParams(lam=lambda x, S: 0.5 + 0.25 * x * x + 0.1 * dt.exp(S)))
+
+
+FORCE_MODELS = {
+    "piston": dt.build_piston,
+    "piston-callable-lam": callable_lam_piston,
+    "membrane": dt.build_membrane,
+    "reactions": dt.build_reactions,
+    "2-reactions": lambda: two_reaction_network(((2.0, 0.5), (-0.3, 3.0))),
+}
+
+
+def with_pushing(kind):
+    """A fresh shipped model with :func:`make_pushing`'s external force."""
+    return dataclasses.replace(FORCE_MODELS[kind](), external=make_pushing())
+
+
+WARM_FORCE_MODELS = {}
+
+
+def warm_force_model(kind):
+    """One model per kind whose force kernels are traced at the middle
+    of its box."""
+    if kind not in WARM_FORCE_MODELS:
+        model = with_pushing(kind)
+        box = model.domain_box
+        mid = (np.add(box.q_lo, box.q_hi) / 2 + 0.25, np.add(box.v_lo, box.v_hi) / 2, box.s_lo)
+        dt.friction_value(model, *mid), dt.external_value(model, *mid)
+        _force_jets(model, *mid)
+        WARM_FORCE_MODELS[kind] = model
+    return WARM_FORCE_MODELS[kind]
+
+
+def on_floats(evaluator, args, n, jet_at=()):
+    """The reference: the evaluator at the flat state ``args`` in Python
+    floats, or in numpy floats where those raise, with the coordinates
+    in ``jet_at`` lifted to first-order jets; (values, partials over the
+    flat state)."""
+
+    def run(xs):
+        xs = [dt.Jet(x, {~i: 1.0}, None) if i in jet_at else x for i, x in enumerate(xs)]
+        out = evaluator(tuple(xs[:n]), tuple(xs[n : 2 * n]), xs[2 * n])
+        D = np.zeros((n, 2 * n + 1))
+        for a, F in enumerate(out):
+            if isinstance(F, dt.Jet):
+                for key, d in F.g.items():
+                    D[a, ~key] = d
+        return np.array([dt.value(F) for F in out]), D
+
+    try:
+        return run([float(x) for x in args])
+    except (TypeError, ArithmeticError):
+        with np.errstate(all="ignore"):
+            return run([np.float64(x) for x in args])
+
+
+def canonical_bits(a) -> bytes:
+    """The bytes of a float array with every NaN made the same NaN."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+class TestForceKernels:
+    @pytest.mark.parametrize("kind", sorted(FORCE_MODELS))
+    @pytest.mark.parametrize("warm", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_force_kernels_replay_the_evaluator_bits(self, kind, warm, data):
+        # friction and external force through their values and first-order
+        # kernels, replayed (warm) or traced at this state (cold), against
+        # the evaluators run on floats and on first-order jets; at q = 0
+        # the external force is inf or NaN, from numpy floats, in both
+        model = warm_force_model(kind) if warm else with_pushing(kind)
+        n = model.n
+        args = data.draw(st.lists(edgy, min_size=2 * n + 1, max_size=2 * n + 1))
+        q, v, S = np.array(args[:n]), np.array(args[n : 2 * n]), args[2 * n]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the reruns warn about nothing
+            F, Fext = dt.friction_value(model, q, v, S), dt.external_value(model, q, v, S)
+            Jv = dt.friction_velocity_jacobian(model, q, v, S)
+            jets = _force_jets(model, q, v, S)
+        velocities, everything = range(n, 2 * n), range(2 * n + 1)
+        assert canonical_bits(F) == canonical_bits(on_floats(model.friction, args, n)[0])
+        assert canonical_bits(Fext) == canonical_bits(on_floats(model.external, args, n)[0])
+        want_Jv = on_floats(model.friction, args, n, velocities)[1][:, n : 2 * n]
+        assert canonical_bits(Jv) == canonical_bits(want_Jv)
+        for got, evaluator in ((jets[:2], model.friction), (jets[2:], model.external)):
+            want = on_floats(evaluator, args, n, everything)
+            assert all(canonical_bits(a) == canonical_bits(b) for a, b in zip(got, want))
+
+    def test_the_callable_lam_partials_are_stripped(self):
+        # duals.value strips the coefficient's dependence on (x, S): the
+        # jets carry -lam v's velocity partial alone
+        model = callable_lam_piston()
+        F, dF, _, _ = _force_jets(model, [1.2], [0.5], 0.3)
+        lam = 0.5 + 0.25 * 1.2 * 1.2 + 0.1 * np.exp(0.3)
+        assert F[0] == pytest.approx(-lam * 0.5) and dF[0, 0] == 0.0 and dF[0, 2] == 0.0
+        assert dF[0, 1] == pytest.approx(-lam)
+
+    def test_the_kernels_are_dropped_with_their_evaluators(self):
+        gc.collect()
+        before = len(model_module._JET_KERNELS)
+        for _ in range(50):
+            model = with_pushing("membrane")
+            dt.friction_value(model, np.zeros(3), np.ones(3), 0.5)
+            _force_jets(model, np.ones(3), np.ones(3), 0.5)
+        del model
+        gc.collect()
+        assert len(model_module._JET_KERNELS) == before
 
 
 def make_coupled_model():
