@@ -35,14 +35,12 @@ from .dirac import (
     variational_constraint_residual,
 )
 from .duals import (
-    Dual,
     Jet,
     JetKernel,
     ScalarField,
     cos,
     exp,
     fd_check,
-    grad,
     gradient,
     hessian_matrix,
     jet,

@@ -1,16 +1,16 @@
-"""Forward-mode automatic differentiation: first-order duals and
-second-order jets.
+"""Forward-mode automatic differentiation: second-order jets.
 
 A :class:`Jet` carries a value, a gradient and the upper triangle of a
 Hessian, each keyed by seeded coordinate, so one evaluation gives every
 first partial and every second partial that :func:`jet` asks for;
-:func:`gradient` is the jet that asks for none. A :class:`Dual` carries
-a value and one first-order derivative. No library path uses it: it is
-the tests' reference, one coordinate lifted at a time, for the jet's
-first partials, whose operation order it fixes.
+:func:`gradient` is the jet that asks for none. The jet is the one
+derivative type of the library. Its first partials keep the operation
+order of a first-order dual number lifted one coordinate at a time,
+which the tests keep as their reference.
 Evaluators written generically over the scalar type (plain ``float`` in,
-``float`` out, but tolerant of :class:`Dual` and :class:`Jet` inputs) get
-derivatives for free and cannot drift out of sync with their own values.
+``float`` out, but tolerant of :class:`Jet` inputs, with math through
+the helpers below) get derivatives for free and cannot drift out of
+sync with their own values.
 
 A :class:`JetKernel` runs the jet arithmetic once on traced floats and
 compiles what it did into straight-line float code, which later calls
@@ -20,7 +20,7 @@ covector) alike. The contract a kernel relies on: an evaluator is a
 pure function of its arguments; constants it reads from its closure are
 read once, at trace time; and an evaluator that lets a value escape
 (calls ``float()``, ``bool()`` or numpy on a jet's value) keeps the dict
-jet. :func:`value` is no escape: it strips the derivative layers and
+jet. :func:`value` is no escape: it strips the derivative parts and
 keeps the trace, so the partials that flow through it are dropped in
 the kernel as in the dict jet. A comparison on a jet becomes a guard of
 the kernel, and where a guard fails or the kernel raises, the dict jet
@@ -28,7 +28,8 @@ runs instead.
 
 Math helpers (:func:`exp`, :func:`log`, ...) dispatch on the argument
 type so model code can call them without caring whether it is being
-differentiated.
+differentiated. The functions of :mod:`math` reject a jet with
+``TypeError``, so an evaluator must call these helpers instead.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 __all__ = [
-    "Dual",
     "Jet",
     "JetKernel",
     "ScalarField",
     "cos",
     "exp",
     "fd_check",
-    "grad",
     "gradient",
     "hessian_matrix",
     "jet",
@@ -60,90 +59,6 @@ __all__ = [
     "sqrt",
     "value",
 ]
-
-
-class Dual:
-    """Truncated first-order scalar ``re + du * eps`` with ``eps**2 == 0``.
-
-    Plain numbers mix in freely as constants. ``re`` and ``du`` may
-    themselves be duals (nested differentiation), which only tests use.
-    """
-
-    __slots__ = ("re", "du")
-
-    def __init__(self, re, du=0.0):
-        self.re = re
-        self.du = du
-
-    # --- arithmetic -------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.re + other.re, self.du + other.du)
-        return Dual(self.re + other, self.du)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.re - other.re, self.du - other.du)
-        return Dual(self.re - other, self.du)
-
-    def __rsub__(self, other):
-        return Dual(other - self.re, -self.du)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.re * other.re, self.re * other.du + self.du * other.re)
-        return Dual(self.re * other, self.du * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            q = self.re / other.re
-            return Dual(q, (self.du - q * other.du) / other.re)
-        return Dual(self.re / other, self.du / other)
-
-    def __rtruediv__(self, other):
-        q = other / self.re
-        return Dual(q, -q * self.du / self.re)
-
-    def __pow__(self, k):
-        if isinstance(k, Dual):
-            return exp(k * log(self))
-        if k == 0:
-            return Dual(self.re**0, 0.0 * self.du)
-        return Dual(self.re**k, self.du * (k * self.re ** (k - 1)))
-
-    def __rpow__(self, base):
-        return exp(self * log(base))
-
-    def __neg__(self):
-        return Dual(-self.re, -self.du)
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return Dual(abs(self.re), self.du if value(self) >= 0.0 else -self.du)
-
-    # --- comparisons act on the primal value -------------------------
-
-    def __lt__(self, other):
-        return value(self) < value(other)
-
-    def __le__(self, other):
-        return value(self) <= value(other)
-
-    def __gt__(self, other):
-        return value(self) > value(other)
-
-    def __ge__(self, other):
-        return value(self) >= value(other)
-
-    def __repr__(self):
-        return f"Dual({self.re!r}, {self.du!r})"
 
 
 # --- second-order jets ---------------------------------------------------
@@ -216,10 +131,11 @@ class Jet:
     the upper triangle ``h`` of a Hessian, keyed by seeded coordinate.
 
     Entries are plain floats and only coordinates that interact have
-    one. Every first partial is computed with the operation order that
-    :class:`Dual` uses, so a jet's gradient has the bits of one-coordinate
-    dual lifts. A jet exponent or a constant base goes through
-    ``exp(k log x)``, as with duals; where a lift leaves both sides of a
+    one. Every first partial is computed with the operation order of
+    the tests' reference, a first-order dual number, so a jet's gradient
+    has the bits of its one-coordinate lifts. A jet exponent or a
+    constant base goes through ``exp(k log x)``, as with the reference's
+    duals; where a lift leaves both sides of a
     ``**`` plain it computes ``x ** k`` in floats instead, so there the
     two can part in the last bit. Unseeded jets (no gradient entry, as
     a values-only evaluation makes them) compute ``x ** k`` too, so
@@ -359,43 +275,35 @@ class Jet:
     # --- comparisons act on the primal value -------------------------
 
     def __lt__(self, other):
-        return self.re < _primal(other)
+        return self.re < value(other)
 
     def __le__(self, other):
-        return self.re <= _primal(other)
+        return self.re <= value(other)
 
     def __gt__(self, other):
-        return self.re > _primal(other)
+        return self.re > value(other)
 
     def __ge__(self, other):
-        return self.re >= _primal(other)
+        return self.re >= value(other)
 
     def __repr__(self):
         return f"Jet({self.re!r}, {self.g!r}, {self.h!r})"
 
 
 def value(x) -> float:
-    """Strip any dual or jet layers and return the primal value. Under
-    a trace the primal is a traced float, and it stays traced: the
-    derivative layers go, the recorded arithmetic does not."""
-    while isinstance(x, (Dual, Jet)):
+    """A jet's primal value, or a plain number as a float. Under a trace
+    the primal is a traced float, and it stays traced: the derivative
+    parts go, the recorded arithmetic does not, so a comparison of two
+    jets under trace becomes a guard."""
+    if type(x) is Jet:
         x = x.re
     return x if type(x) is _Traced else float(x)
 
 
-def _primal(x):
-    """A comparison operand's primal value; a jet's value is taken as it
-    is, so a comparison of two jets under trace becomes a guard."""
-    return x.re if type(x) is Jet else value(x)
-
-
-# --- generic math, dispatching on dual, jet and plain ------------------
+# --- generic math, dispatching on jet and plain -------------------------
 
 
 def exp(x):
-    if isinstance(x, Dual):
-        e = exp(x.re)
-        return Dual(e, x.du * e)
     if type(x) is Jet:
         e = _apply(math.exp, x.re)
         return x._chain(e, {k: d * e for k, d in x.g.items()}, e, e)
@@ -403,8 +311,6 @@ def exp(x):
 
 
 def log(x):
-    if isinstance(x, Dual):
-        return Dual(log(x.re), x.du / x.re)
     if type(x) is Jet:
         r = x.re
         return x._chain(_apply(math.log, r), {k: d / r for k, d in x.g.items()}, 1.0 / r, -1.0 / (r * r))
@@ -412,9 +318,6 @@ def log(x):
 
 
 def sqrt(x):
-    if isinstance(x, Dual):
-        s = sqrt(x.re)
-        return Dual(s, x.du * 0.5 / s)
     if type(x) is Jet:
         s = _apply(math.sqrt, x.re)
         return x._chain(s, {k: d * 0.5 / s for k, d in x.g.items()}, 0.5 / s, -0.25 / (x.re * s))
@@ -422,8 +325,6 @@ def sqrt(x):
 
 
 def sin(x):
-    if isinstance(x, Dual):
-        return Dual(sin(x.re), x.du * cos(x.re))
     if type(x) is Jet:
         s, c = _apply(math.sin, x.re), _apply(math.cos, x.re)
         return x._chain(s, {k: d * c for k, d in x.g.items()}, c, -s)
@@ -431,8 +332,6 @@ def sin(x):
 
 
 def cos(x):
-    if isinstance(x, Dual):
-        return Dual(cos(x.re), -x.du * sin(x.re))
     if type(x) is Jet:
         s, c = _apply(math.sin, x.re), _apply(math.cos, x.re)
         return x._chain(c, {k: -d * s for k, d in x.g.items()}, -s, -c)
@@ -818,7 +717,7 @@ def _unpacker(k: int, m: Optional[int], values_only: bool, hessian: bool) -> Cal
 class ScalarField:
     """A deterministic scalar evaluator of fixed arity.
 
-    The evaluator must be polymorphic over plain, dual and jet scalars; it is
+    The evaluator must be polymorphic over plain and jet scalars; it is
     the single source of truth for both values and derivatives.
     """
 
@@ -829,24 +728,6 @@ class ScalarField:
         return self.evaluator(*args)
 
 
-def _check_arity(field: ScalarField, point: Sequence[float]) -> list:
-    pt = [float(x) for x in point]
-    if len(pt) != field.arity:
-        raise DimensionMismatchError(
-            f"field expects {field.arity} scalars, got {len(pt)}"
-        )
-    return pt
-
-
-def grad(field: ScalarField, point: Sequence[float]) -> np.ndarray:
-    """Forward-mode gradient, exact to roundoff."""
-    pt = _check_arity(field, point)
-    g = np.array(gradient(field.evaluator, pt))
-    if not np.all(np.isfinite(g)) or not math.isfinite(value(field.evaluator(*pt))):
-        raise ValueError("non-finite field output; point outside the domain")
-    return g
-
-
 def fd_check(field: ScalarField, point: Sequence[float], h: float = 1e-5) -> float:
     """Max relative deviation between jet and central-difference partials.
 
@@ -854,10 +735,14 @@ def fd_check(field: ScalarField, point: Sequence[float], h: float = 1e-5) -> flo
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
-    pt = _check_arity(field, point)
-    g = grad(field, pt)
-    worst = 0.0
+    pt = [float(x) for x in point]
+    if len(pt) != field.arity:
+        raise DimensionMismatchError(f"field expects {field.arity} scalars, got {len(pt)}")
     f = field.evaluator
+    g = gradient(f, pt)
+    if not np.all(np.isfinite(g)) or not math.isfinite(value(f(*pt))):
+        raise ValueError("non-finite field output; point outside the domain")
+    worst = 0.0
     for i in range(len(pt)):
         hi = list(pt)
         lo = list(pt)

@@ -172,7 +172,7 @@ class SimpleThermoModel:
     """Immutable bundle of evaluators defining one simple system.
 
     ``lagrangian(q, v, S)`` and ``friction(q, v, S)`` take q and v as
-    sequences of scalars (plain or dual) plus a scalar S; lagrangian
+    sequences of scalars (plain or jet) plus a scalar S; lagrangian
     returns a scalar, friction a length-n covector sequence. The
     entropy slope dL/dS must stay strictly negative on the domain box.
     ``degenerate`` flags models whose Lagrangian has no velocity
@@ -189,9 +189,12 @@ class SimpleThermoModel:
     read once, at trace time, so changing them later has no effect. An
     evaluator that lets a value escape (``float()``, ``bool()`` or numpy
     on a jet's value) keeps the dict jet. ``duals.value`` keeps the
-    trace; the partials it strips (the piston's callable friction
-    coefficient) are absent from the jets, the implicit step's Jacobian
-    among them.
+    trace; the partials it strips are absent from the jets, the implicit
+    step's Jacobian among them. The evaluators do their math through the
+    ``duals`` helpers, which take jets where ``math`` and numpy reject
+    them. The piston's callable friction coefficient, for one, runs on
+    the jets of x and S, so its partials reach the implicit step's
+    Jacobian (see ``systems.PistonParams``).
     """
 
     n: int
@@ -244,7 +247,7 @@ def _kernel_jet(evaluator: Callable, n: int, q, v, S, kind: str):
     :func:`_seeding`), from its kernel for that kind and n; an evaluator
     with no weak reference keeps the dict jet. Where Python floats raise
     but numpy floats answer inf or NaN (x / 0, a negative base's power),
-    the jet reruns on numpy floats, as the dual lifts did."""
+    the jet reruns on numpy floats."""
     q, v = _as_array(q, n, "q"), _as_array(v, n, "v")
     args = q.tolist() + v.tolist()
     args.append(float(S))
@@ -327,8 +330,8 @@ def _force_jets(model: SimpleThermoModel, q, v, S):
     """(F, dF, Fext, dFext): the friction and external force at (q, v, S)
     and their first partials over (q, v, S), (n, 2n + 1) arrays, from
     first-order kernels. A partial that an evaluator strips with
-    ``duals.value`` (the piston's callable friction coefficient) is not
-    in them."""
+    ``duals.value`` is not in them; the piston's callable friction
+    coefficient is not stripped, so its x and S partials are."""
     n = model.n
     F, dF = _covector_jet(model.friction, n, q, v, S, "friction covector")
     if model.external is None:

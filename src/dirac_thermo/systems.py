@@ -1,7 +1,7 @@
 """Shipped example systems: gas piston, two-reservoir membrane, reactions.
 
 Each builder validates its parameter record, wires evaluators that are
-generic over plain, dual and jet scalars, and attaches closed-form reference
+generic over plain and jet scalars, and attaches closed-form reference
 quantities under ``model.meta`` for tests and checks. The core
 algorithms never read ``meta``.
 """
@@ -41,7 +41,11 @@ class PistonParams:
     Units are SI throughout: m kg, A m^2, N0 mol, U0 J, S0 J/K, V0 m^3.
     c is the dimensionless heat-capacity factor (3/2 for a monoatomic
     gas). lam is the friction coefficient, a constant or an evaluator
-    (x, S) -> coefficient >= 0.
+    (x, S) -> coefficient >= 0. An evaluator is called on the jets of x
+    and S, so its x and S partials reach the friction's jets and the
+    implicit step's Jacobian; it must therefore be written over the
+    ``duals`` math helpers (``duals.exp``, ...), not ``math`` or numpy,
+    and :func:`build_piston` rejects one that is not.
     """
 
     m: float = 1.0
@@ -91,7 +95,7 @@ def build_piston(params: Optional[PistonParams] = None) -> SimpleThermoModel:
         return half_m * v[0] * v[0] - internal_energy(q[0], S)
 
     def friction(q, v, S):
-        return (-lam(duals.value(q[0]), duals.value(S)) * v[0],)
+        return (-lam(q[0], S) * v[0],)
 
     def pressure(x, S):
         # -dU/dV with V = A x
@@ -109,10 +113,18 @@ def build_piston(params: Optional[PistonParams] = None) -> SimpleThermoModel:
         s_lo=P.s_range[0],
         s_hi=P.s_range[1],
     )
-    # friction coefficient must be nonnegative across the box
+    # friction coefficient must be nonnegative across the box, and it
+    # runs on first-order jets as it will in the friction's jets
     for x in np.linspace(*P.x_range, 7):
         for S in np.linspace(*P.s_range, 7):
-            if lam(float(x), float(S)) < 0.0:
+            try:
+                coefficient = duals.jet(lam, [x, S], rows=())[0]
+            except TypeError as exc:
+                raise ModelBuildError(
+                    "piston friction coefficient lam must be written over the "
+                    f"duals math helpers (duals.exp, ...), not math or numpy: {exc}"
+                ) from exc
+            if coefficient < 0.0:
                 raise ModelBuildError(
                     f"piston friction coefficient is negative at x={x}, S={S}"
                 )

@@ -16,18 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from dirac_thermo import (
     DimensionMismatchError,
-    Dual,
     Jet,
     JetKernel,
     ScalarField,
     build_membrane,
     build_piston,
     build_reactions,
-    cos,
     entropy_slope,
     exp,
     fd_check,
-    grad,
     gradient,
     hessian_matrix,
     jet,
@@ -37,10 +34,13 @@ from dirac_thermo import (
     momentum_map,
     second_directional,
     sin,
-    sqrt,
     value,
 )
+from dirac_thermo import duals
 from dirac_thermo.duals import _ValuesKernel, _jet_of
+
+import conftest as reference
+from conftest import Dual, dual_lifts, vector_lift
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 positive = st.floats(min_value=0.1, max_value=3.0, allow_nan=False)
@@ -89,7 +89,8 @@ class TestDualArithmetic:
         assert Dual(3.0, -1.0) > Dual(2.0, 50.0)
 
     def test_value_unwraps_nesting(self):
-        assert value(Dual(Dual(4.0, 1.0), Dual(2.0, 3.0))) == 4.0
+        assert reference.value(Dual(Dual(4.0, 1.0), Dual(2.0, 3.0))) == 4.0
+        assert value(Jet(4.0, {0: 1.0}, None)) == 4.0
         assert value(7.25) == 7.25
 
 
@@ -98,14 +99,14 @@ class TestTranscendentals:
 
     def test_exp_log_sqrt(self):
         x = Dual(self.x0, 1.0)
-        assert abs(exp(x).du - math.exp(self.x0)) < 1e-14
-        assert abs(log(x).du - 1.0 / self.x0) < 1e-14
-        assert abs(sqrt(x).du - 0.5 / math.sqrt(self.x0)) < 1e-14
+        assert abs(reference.exp(x).du - math.exp(self.x0)) < 1e-14
+        assert abs(reference.log(x).du - 1.0 / self.x0) < 1e-14
+        assert abs(reference.sqrt(x).du - 0.5 / math.sqrt(self.x0)) < 1e-14
 
     def test_sin_cos(self):
         x = Dual(self.x0, 1.0)
-        assert abs(sin(x).du - math.cos(self.x0)) < 1e-15
-        assert abs(cos(x).du + math.sin(self.x0)) < 1e-15
+        assert abs(reference.sin(x).du - math.cos(self.x0)) < 1e-15
+        assert abs(reference.cos(x).du + math.sin(self.x0)) < 1e-15
 
     def test_plain_float_passthrough(self):
         assert exp(0.5) == math.exp(0.5)
@@ -115,7 +116,7 @@ class TestTranscendentals:
     @settings(max_examples=50, deadline=None)
     def test_exp_log_roundtrip_derivative(self, x):
         # d/dx log(exp(x)) = 1 identically
-        d = log(exp(Dual(x, 1.0))).du
+        d = reference.log(reference.exp(Dual(x, 1.0))).du
         assert abs(d - 1.0) < 1e-12
 
 
@@ -223,7 +224,7 @@ class TestScalarFieldHelpers:
     field = ScalarField(2, lambda x, y: exp(x) * y)
 
     def test_grad_and_hessian(self):
-        g = grad(self.field, [0.2, 3.0])
+        g = gradient(self.field.evaluator, [0.2, 3.0])
         assert abs(g[0] - 3.0 * math.exp(0.2)) < 1e-13
         assert abs(g[1] - math.exp(0.2)) < 1e-13
         H = hessian_matrix(self.field.evaluator, [0.2, 3.0])
@@ -239,30 +240,15 @@ class TestScalarFieldHelpers:
 
     def test_arity_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            grad(self.field, [1.0, 2.0, 3.0])
+            fd_check(self.field, [1.0, 2.0, 3.0])
+
+    def test_fd_check_rejects_a_non_finite_field(self):
+        # x * 1e308 * y overflows to inf in floats, and so does its gradient
+        with pytest.raises(ValueError, match="non-finite"):
+            fd_check(ScalarField(2, lambda x, y: x * 1e308 * y), [10.0, 10.0])
 
 
 # --- second-order jets ---------------------------------------------------
-
-
-def dual_lifts(f, args):
-    """Reference first partials: one :class:`Dual` lift per coordinate,
-    the other arguments passed as they are."""
-    out = np.empty(len(args))
-    for i in range(len(args)):
-        lifted = list(args)
-        lifted[i] = Dual(args[i], 1.0)
-        r = f(*lifted)
-        out[i] = value(r.du) if isinstance(r, Dual) else 0.0
-    return out
-
-
-def vector_lift(f, args):
-    """Reference first partials from one evaluation: every coordinate a
-    :class:`Dual` against its own unit direction, the dual parts numpy
-    vectors."""
-    eye = np.eye(len(args))
-    return np.asarray(f(*(Dual(a, eye[i]) for i, a in enumerate(args))).du, dtype=float)
 
 
 def same_bits(a, b) -> bool:
@@ -279,13 +265,16 @@ def every_operator(x, y, z):
     float, int, zero and jet exponents, and a constant base. Each jet
     exponent and its base depend on every coordinate, so one-coordinate
     duals take the same ``exp(k log x)`` route for every lift (a lift
-    that leaves both constant computes ``x ** k`` in plain floats)."""
+    that leaves both constant computes ``x ** k`` in plain floats). The
+    helpers are read off ``duals``, as the shipped models read them, so
+    the reference lifts can lend them Dual arguments."""
     u = x * y - z / (1.5 + y * y) + 2.0 / (1.0 + x * x) - (-z) / 4.0
     w = 3.0 - x + abs(y - 0.3) * 0.5 + (+z) * 2
     r = 1.0 + x * x
     base = r + 0.1 * y * z
-    powered = (1.0 + z * z) ** 1.5 + y ** 3 + x ** 0 + base ** (0.5 + 0.1 * sin(x * y * z))
-    trans = exp(0.3 * y) * cos(z) + log(r) * sqrt(2.0 + y * y) - 2.0 ** (0.5 * z + 0.1 * x * y)
+    powered = (1.0 + z * z) ** 1.5 + y ** 3 + x ** 0 + base ** (0.5 + 0.1 * duals.sin(x * y * z))
+    trans = (duals.exp(0.3 * y) * duals.cos(z) + duals.log(r) * duals.sqrt(2.0 + y * y)
+             - 2.0 ** (0.5 * z + 0.1 * x * y))
     return u * w + powered + trans / r
 
 
@@ -460,7 +449,8 @@ class TestJetKernel:
             try:
                 L, g, H = jet(flat(model), args, rows)
             except (TypeError, ArithmeticError):  # off the domain: numpy floats answer
-                L, g, H = _jet_of(flat(model), [np.float64(a) for a in args], rows)
+                with np.errstate(all="ignore"):  # with inf or NaN, as the model reader does
+                    L, g, H = _jet_of(flat(model), [np.float64(a) for a in args], rows)
             return L, g, H[n : 2 * n]
 
         assert jet_bits(via_model) == jet_bits(via_dict_jet)

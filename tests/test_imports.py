@@ -1,16 +1,20 @@
 """Every name a library module imports is used there or listed in its
-``__all__``, and no library module calls ``np.linalg.solve``: every
-small solve goes through ``model._solve``.
+``__all__``, no library module calls ``np.linalg.solve`` (every small
+solve goes through ``model._solve``), and every library name that the
+benchmark's tracer spans exists.
 
 The package ``__init__`` is left out of the import scan: importing
 names to re-export them is its whole job."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dirac_thermo"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dirac_thermo"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -67,3 +71,25 @@ def test_the_solve_scan_sees_every_spelling():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_calls_numpy_solve(path):
     assert linalg_solves(path.read_text()) == []
+
+
+def perfbench_tracing():
+    """``perfbench/tracing.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_spans_exists():
+    # the tracer rebinds these names by module attribute: deleting one
+    # from the library would break the benchmark, so a name goes only
+    # after the tracer stops spanning it
+    tracing = perfbench_tracing()
+    spanned = [(layer, name) for layer, names in tracing.SPANNED.items() for name in names]
+    spanned += [("dirac", name) for name in tracing.PER_ARENA]
+    missing = [
+        f"{layer}.{name}" for layer, name in spanned
+        if not callable(getattr(importlib.import_module(f"dirac_thermo.{layer}"), name, None))
+    ]
+    assert spanned and missing == []

@@ -18,7 +18,7 @@ import dirac_thermo as dt
 from dirac_thermo import model as model_module
 from dirac_thermo.model import _force_jets, _solve
 
-from conftest import sample_states
+from conftest import callable_lam_piston, dual_friction_jacobian, sample_states
 
 
 class TestArenas:
@@ -142,21 +142,6 @@ class TestPistonPartials:
         assert np.isnan(residual[:2]).all() and np.isfinite(residual[2:]).all()
 
 
-def dual_friction_jacobian(model, q, v, S):
-    """Reference dF_a/dv_b: one friction call per velocity coordinate,
-    that coordinate lifted as a :class:`dt.Dual` (the library's former
-    lift loop)."""
-    n = model.n
-    q, v = tuple(np.asarray(q, dtype=float)), np.asarray(v, dtype=float)
-    J = np.empty((n, n))
-    for b in range(n):
-        lifted = [dt.Dual(v[k], 1.0) if k == b else v[k] for k in range(n)]
-        out = model.friction(q, tuple(lifted), float(S))
-        for a in range(n):
-            J[a, b] = dt.value(out[a].du) if isinstance(out[a], dt.Dual) else 0.0
-    return J
-
-
 def two_reaction_network(lam_matrix):
     return dt.build_reactions(dt.ReactionParams(
         nu=((-1.0, 1.0, 0.0), (0.0, -1.0, 1.0)),
@@ -205,10 +190,6 @@ def make_pushing():
         return tuple(v[i] / q[i] - 2.0 ** (0.5 * S) * q[i] for i in range(len(q)))
 
     return pushing
-
-
-def callable_lam_piston():
-    return dt.build_piston(dt.PistonParams(lam=lambda x, S: 0.5 + 0.25 * x * x + 0.1 * dt.exp(S)))
 
 
 FORCE_MODELS = {
@@ -298,14 +279,17 @@ class TestForceKernels:
             want = on_floats(evaluator, args, n, everything)
             assert all(canonical_bits(a) == canonical_bits(b) for a, b in zip(got, want))
 
-    def test_the_callable_lam_partials_are_stripped(self):
-        # duals.value strips the coefficient's dependence on (x, S): the
-        # jets carry -lam v's velocity partial alone
+    def test_the_callable_lam_partials_are_exact(self):
+        # F = -lam(x, S) v with lam = 0.5 + 0.25 x^2 + 0.1 e^S: the jets
+        # carry the coefficient's x and S partials beside the velocity's
         model = callable_lam_piston()
-        F, dF, _, _ = _force_jets(model, [1.2], [0.5], 0.3)
-        lam = 0.5 + 0.25 * 1.2 * 1.2 + 0.1 * np.exp(0.3)
-        assert F[0] == pytest.approx(-lam * 0.5) and dF[0, 0] == 0.0 and dF[0, 2] == 0.0
-        assert dF[0, 1] == pytest.approx(-lam)
+        x, v, S = 1.2, 0.5, 0.3
+        F, dF, _, _ = _force_jets(model, [x], [v], S)
+        lam = 0.5 + 0.25 * x * x + 0.1 * np.exp(S)
+        assert F[0] == pytest.approx(-lam * v, rel=1e-15)
+        assert dF[0, 0] == pytest.approx(-0.5 * x * v, rel=1e-15)
+        assert dF[0, 1] == pytest.approx(-lam, rel=1e-15)
+        assert dF[0, 2] == pytest.approx(-0.1 * np.exp(S) * v, rel=1e-15)
 
     def test_the_kernels_are_dropped_with_their_evaluators(self):
         gc.collect()

@@ -4,6 +4,8 @@ Hand numbers use the default parameter sets; every formula here was
 recomputed on paper before being frozen.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,17 @@ class TestPiston:
         m = dt.build_piston(dt.PistonParams(lam=lambda x, S: 2.0 + 0.0 * x))
         F = dt.friction_value(m, [1.0], [0.5], 0.0)
         assert abs(F[0] + 1.0) < 1e-12
+
+    def test_a_lam_over_math_is_rejected_at_build(self):
+        # the coefficient runs on jets in the friction's kernels, where
+        # math.exp raises; the build says so instead of the first rate
+        with pytest.raises(dt.ModelBuildError, match="duals"):
+            dt.build_piston(dt.PistonParams(lam=lambda x, S: 0.5 + 0.1 * math.exp(S)))
+
+    def test_a_lam_over_duals_builds(self):
+        m = dt.build_piston(dt.PistonParams(lam=lambda x, S: 0.5 + 0.1 * dt.duals.exp(S)))
+        F = dt.friction_value(m, [1.0], [0.5], 0.3)
+        assert F[0] == -(0.5 + 0.1 * math.exp(0.3)) * 0.5
 
     def test_negative_lam_rejected(self):
         with pytest.raises(dt.ModelBuildError):
