@@ -129,13 +129,27 @@ class RunConfig:
     seed: int = 0
 
     def tolerance(self, key: str) -> float:
-        return float(self.tolerances.get(key, _DEFAULT_TOLERANCES[key]))
+        return self.tolerances.get(key, _DEFAULT_TOLERANCES[key])
 
 
 def _tuplify(x):
     if isinstance(x, list):
         return tuple(_tuplify(v) for v in x)
     return x
+
+
+def _number(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+
+
+def _section(raw: dict, key: str, label: Optional[str] = None) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {label or key!r} must be an object, got {value!r}")
+    return value
 
 
 def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunConfig:
@@ -159,21 +173,23 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
         raise ConfigError(
             f"unknown config keys: {sorted(stray)} (expected a subset of {sorted(known)})"
         )
-    model_section = raw.get("model", {})
-    if not isinstance(model_section, dict):
-        raise ConfigError("config key 'model' must be an object")
+    model_section = _section(raw, "model")
     stray = set(model_section) - {"kind", "params"}
     if stray:
         raise ConfigError(f"unknown model keys: {sorted(stray)}")
+    tolerances = _section(raw, "tolerances")
+    unknown = set(tolerances) - set(_DEFAULT_TOLERANCES)
+    if unknown:
+        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
     cfg = RunConfig(
         kind=str(model_section.get("kind", "piston")),
-        params=dict(model_section.get("params", {})),
+        params=dict(_section(model_section, "params", "model.params")),
         formulation=str(raw.get("formulation", ROUTES[0])),
-        t_end=float(raw.get("t_end", 1.0)),
-        h=float(raw.get("h", 1e-3)),
+        t_end=_number(raw.get("t_end", 1.0), "t_end"),
+        h=_number(raw.get("h", 1e-3), "h"),
         initial=raw.get("initial"),
         out=str(raw.get("out", ".")),
-        tolerances=dict(raw.get("tolerances", {})),
+        tolerances={k: _number(v, f"tolerances.{k}") for k, v in tolerances.items()},
     )
     overrides = overrides or {}
     for key in ("formulation", "out"):
@@ -181,7 +197,7 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
             setattr(cfg, key, overrides[key])
     for key in ("t_end", "h"):
         if overrides.get(key) is not None:
-            setattr(cfg, key, float(overrides[key]))
+            setattr(cfg, key, _number(overrides[key], key))
     if overrides.get("full_resolution"):
         cfg.full_resolution = True
     try:
@@ -197,25 +213,23 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
         raise ConfigError(
             f"unknown formulation {cfg.formulation!r} (expected one of {ROUTES})"
         )
-    if not cfg.t_end > 0.0:
-        raise ConfigError(f"t_end must be positive, got {cfg.t_end}")
-    if not cfg.h > 0.0:
-        raise ConfigError(f"step h must be positive, got {cfg.h}")
+    if not 0.0 < cfg.t_end < math.inf:
+        raise ConfigError(f"t_end must be positive and finite, got {cfg.t_end}")
+    if not 0.0 < cfg.h < math.inf:
+        raise ConfigError(f"step h must be positive and finite, got {cfg.h}")
     if cfg.initial is None:
         cfg.initial = dict(_DEFAULT_INITIAL[cfg.kind])
-    unknown = set(cfg.tolerances) - set(_DEFAULT_TOLERANCES)
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
     return cfg
 
 
 def build_model(cfg: RunConfig) -> SimpleThermoModel:
     params_type, builder = _BUILDERS[cfg.kind]
     try:
-        params = params_type(**{k: _tuplify(v) for k, v in cfg.params.items()})
-    except TypeError as err:
-        raise ModelBuildError(f"bad parameters for {cfg.kind}: {err}")
-    return builder(params)
+        return builder(params_type(**{k: _tuplify(v) for k, v in cfg.params.items()}))
+    except DiracThermoError:
+        raise  # the builder's own ModelBuildError, message unchanged
+    except (TypeError, ValueError) as err:
+        raise ModelBuildError(f"bad parameters for {cfg.kind}: {err}") from None
 
 
 # --- run -------------------------------------------------------------------

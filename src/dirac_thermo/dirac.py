@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import (
     ArenaError,
@@ -281,15 +280,22 @@ class DiracBasis:
 def dirac_basis(arena: str, model: SimpleThermoModel, point) -> DiracBasis:
     """Orthonormal kernel basis of the stacked conditions at ``point``.
 
-    The kernel dimension must equal the arena dimension (the conditions
-    are independent whenever the entropy slope is nonzero, friction or
-    not); anything else is reported as an internal inconsistency. The
-    isotropy defect is the largest double pairing over all basis pairs
-    and certifies maximal isotropy of the subspace.
+    The kernel is read off a full SVD of the condition matrix: the right
+    singular vectors past the numerical rank, which counts the singular
+    values above ``max(s) * eps * max(A.shape)``. The kernel dimension
+    must equal the arena dimension (the conditions are independent
+    whenever the entropy slope is nonzero, friction or not); anything
+    else, and a non-finite condition matrix, is reported as an internal
+    inconsistency. The isotropy defect is the largest double pairing
+    over all basis pairs and certifies maximal isotropy of the subspace.
     """
     A = condition_matrix(arena, model, point)
     d = A.shape[0]
-    kernel = null_space(A)
+    if not np.isfinite(A).all():
+        raise DiracThermoError(f"conditions on {arena} are not finite at this point")
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(A.shape)))
+    kernel = vh[rank:].T
     if kernel.shape[1] != d:
         raise DiracThermoError(
             f"induced subspace on {arena} has dimension {kernel.shape[1]}, "

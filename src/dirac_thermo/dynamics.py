@@ -777,7 +777,8 @@ def lagrangian_chart_initial(model: SimpleThermoModel, initial) -> np.ndarray:
     chart order (q..., S, v...); degenerate charts are (q..., S), and a
     degenerate model accepts v and ignores it. A mapping with any other
     key raises ValueError naming it, so a misspelt v never starts a run
-    from rest."""
+    from rest; so does a non-finite coordinate (a null in a JSON config
+    reads as NaN), so a run never starts from one."""
     n = model.n
     if isinstance(initial, dict):
         stray = sorted(map(str, set(initial) - {"q", "v", "S"}))
@@ -786,16 +787,18 @@ def lagrangian_chart_initial(model: SimpleThermoModel, initial) -> np.ndarray:
         initial = (initial["q"], initial.get("v", np.zeros(n)), initial["S"])
     if isinstance(initial, tuple) and len(initial) == 3:
         q, S = _as_array(initial[0], n, "q"), float(initial[2])
-        if model.degenerate:
-            return np.concatenate([q, [S]])
-        return np.concatenate([q, [S], _as_array(initial[1], n, "v")])
-    dim = n + 1 if model.degenerate else 2 * n + 1
-    flat = np.asarray(initial, dtype=float).reshape(-1)
-    if flat.shape != (dim,):
-        raise DimensionMismatchError(
-            f"initial state must have {dim} coordinates for model "
-            f"{model.name}, got {flat.shape}"
-        )
+        v = [] if model.degenerate else _as_array(initial[1], n, "v")
+        flat = np.concatenate([q, [S], v])
+    else:
+        dim = n + 1 if model.degenerate else 2 * n + 1
+        flat = np.asarray(initial, dtype=float).reshape(-1)
+        if flat.shape != (dim,):
+            raise DimensionMismatchError(
+                f"initial state must have {dim} coordinates for model "
+                f"{model.name}, got {flat.shape}"
+            )
+    if not np.isfinite(flat).all():
+        raise ValueError(f"initial state must be finite, got {flat.tolist()}")
     return flat
 
 

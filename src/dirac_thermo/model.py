@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from numpy.linalg._umath_linalg import solve1
 
 from . import duals
 from .errors import ArenaError, DimensionMismatchError, TemperatureSignError
@@ -139,14 +139,17 @@ def _as_array(x, n: int, label: str) -> np.ndarray:
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A x = b for a small n x n system, a division at n = 1, else
-    LAPACK's dgesv: numpy's solve without its wrapper, bit for bit. A
-    singular A raises LinAlgError; a NaN A gives NaN, as numpy's does."""
+    the LAPACK gufunc behind ``np.linalg.solve``, without its wrapper,
+    bit for bit. The gufunc flags a singular A as an invalid operation,
+    raised here as LinAlgError, never a RuntimeWarning; a NaN or inf A
+    gives NaN, as numpy's does."""
     if A.shape[0] == 1 and A[0, 0] != 0.0:
         return b / A[0, 0]
-    _, _, x, info = dgesv(A, b)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return x
+    try:
+        with np.errstate(invalid="raise"):
+            return solve1(A, b)
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("singular matrix") from None
 
 
 @dataclass(frozen=True)

@@ -248,9 +248,12 @@ class ReactionParams:
     molecular weights. Mole numbers follow the progress variables:
     N_I = N_init_I + sum_a nu[a, I] psi_a. The default internal energy
     is the quadratic toy T0 S + 1/2 sum_I (N_I - N_star_I)^2, which has
-    a closed-form relaxation for a single reaction. lam_matrix couples
-    rates to driving forces; its symmetric part must be positive
-    definite.
+    a closed-form relaxation for a single reaction. A given
+    internal_energy(S, N) runs on the jets of S and N, so, like the
+    piston's lam, it must be written over the ``duals`` math helpers,
+    and :func:`build_reactions` rejects one that is not. lam_matrix
+    couples rates to driving forces; its symmetric part must be
+    positive definite.
     """
 
     nu: tuple = ((-1.0, 1.0),)
@@ -314,6 +317,18 @@ def build_reactions(params: Optional[ReactionParams] = None) -> SimpleThermoMode
             N_init[I] + sum(nu[a, I] * psi[a] for a in range(r))
             for I in range(n_species)
         )
+
+    if P.internal_energy is not None:
+        # a given energy runs on jets in the Lagrangian's kernels, as the
+        # piston's lam does: try it once on first-order jets at a box corner
+        corner = [P.s_range[0]] + [P.psi_range[0]] * r
+        try:
+            duals.jet(lambda S, *psi: internal_energy(S, moles(psi)), corner, rows=())
+        except TypeError as exc:
+            raise ModelBuildError(
+                "reaction internal_energy must be written over the duals math "
+                f"helpers (duals.exp, ...), not math or numpy: {exc}"
+            ) from exc
 
     def lagrangian(q, v, S):
         return -internal_energy(S, moles(q))

@@ -203,7 +203,8 @@ class TestErrorExits:
     @pytest.mark.parametrize("verb", ["run", "check", "compare", "isotropy"])
     @pytest.mark.parametrize("initial", [
         {"S": 0.0}, {"q": [1.0, 2.0], "S": 0.0}, {"q": [1.0], "S": "hot"},
-    ], ids=["no-q", "wrong-length-q", "non-numeric-S"])
+        {"q": [None], "S": 0.0},
+    ], ids=["no-q", "wrong-length-q", "non-numeric-S", "null-q"])
     def test_malformed_initial_state_exits_2_on_every_verb(self, tmp_path, capsys, verb, initial):
         cfg = write_cfg(tmp_path, initial=initial, t_end=0.05, out=str(tmp_path / "out"))
         assert cli.main([verb, "--config", cfg]) == 2
@@ -229,6 +230,22 @@ class TestErrorExits:
             assert cli.main(["run", "--config", cfg]) == 0
             runs.append((out / "trajectory.csv").read_bytes())
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("raw, code, named", [
+        ({"t_end": "abc"}, 2, "'t_end'"),
+        ({"h": None}, 2, "'h'"),
+        ({"tolerances": {"isotropy": "x"}}, 2, "'tolerances.isotropy'"),
+        ({"tolerances": [1e-9]}, 2, "'tolerances'"),
+        ({"model": {"kind": "piston", "params": [1]}}, 2, "'model.params'"),
+        ({"model": {"kind": "piston", "params": {"lam": "x"}}}, 3, "bad parameters for piston"),
+    ], ids=["t_end-string", "h-null", "tolerance-string", "tolerances-list",
+            "params-list", "lam-string"])
+    def test_malformed_config_value_exits_without_a_traceback(self, tmp_path, capsys,
+                                                               raw, code, named):
+        cfg = write_cfg(tmp_path, **raw)
+        assert cli.main(["isotropy", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_negative_friction_parameter(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, model={"kind": "piston", "params": {"lam": -1.0}})

@@ -5,6 +5,8 @@ arithmetic on the flat charts. A sign slip anywhere in the shipped
 stacks breaks these before it can corrupt a simulation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +277,13 @@ class TestInducedBasis:
                 assert basis.dimension == expected[arena], f"{model.name}/{arena}"
                 assert basis.isotropy_defect < 1e-10
                 assert len(basis.basis) == basis.dimension
+
+    def test_a_non_finite_condition_matrix_is_reported(self):
+        # a NaN friction coefficient puts NaN in the conditions; the
+        # basis says so instead of failing inside the SVD
+        m = dt.build_piston(dt.PistonParams(lam=lambda x, S: 0.0 * x + math.nan))
+        with pytest.raises(dt.DiracThermoError, match="not finite"):
+            dt.dirac_basis("M", m, _base_for(m, "M", [1.0], [0.5], 0.2))
 
     def test_basis_elements_are_members(self, piston):
         q, v, S = [1.1], [0.3], 0.2

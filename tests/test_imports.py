@@ -1,7 +1,8 @@
 """Every name a library module imports is used there or listed in its
 ``__all__``, no library module calls ``np.linalg.solve`` (every small
-solve goes through ``model._solve``), and every library name that the
-benchmark's tracer spans exists.
+solve goes through ``model._solve``), importing the command line loads
+numpy and no SciPy, and every library name that the benchmark's tracer
+spans exists.
 
 The package ``__init__`` is left out of the import scan: importing
 names to re-export them is its whole job."""
@@ -9,7 +10,10 @@ names to re-export them is its whole job."""
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +75,16 @@ def test_the_solve_scan_sees_every_spelling():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_calls_numpy_solve(path):
     assert linalg_solves(path.read_text()) == []
+
+
+def test_the_command_line_imports_no_scipy():
+    # a fresh process: the test session itself may have SciPy loaded
+    probe = ("import sys, dirac_thermo.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def perfbench_tracing():

@@ -415,6 +415,25 @@ class TestSmallSolve:
             dt.hamiltonian_S_derivative(cubic, [0.5], [0.0], 0.5)
 
 
+class TestSmallSolveWarnings:
+    """The gufunc flags a singular matrix as an invalid operation;
+    ``_solve`` turns that flag into LinAlgError inside an errstate, so
+    no RuntimeWarning leaks whatever the warning filters say."""
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_singular_raises_not_warns(self, n):
+        A = np.ones((n, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve(A, np.arange(1.0, n + 1.0))
+
+    def test_nan_matrix_gives_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(_solve(np.full((3, 3), np.nan), np.ones(3))).all()
+
+
 class TestJetKernelCache:
     def test_dropped_models_leave_the_cache(self):
         gc.collect()

@@ -199,6 +199,19 @@ class TestReactions:
         entropy = np.array([d.entropy for d in tr.diagnostics])
         assert np.min(np.diff(entropy)) >= 0.0
 
+    def test_an_internal_energy_over_math_is_rejected_at_build(self):
+        # the energy runs on jets in the Lagrangian's kernels, where
+        # math.exp raises; the build says so instead of the first rate
+        energy = lambda S, N: 300.0 * S + sum(math.exp(0.1 * n) for n in N)
+        with pytest.raises(dt.ModelBuildError, match="duals"):
+            dt.build_reactions(dt.ReactionParams(internal_energy=energy))
+
+    def test_an_internal_energy_over_duals_builds_and_runs(self):
+        energy = lambda S, N: 300.0 * S + sum(dt.duals.exp(0.1 * n) for n in N)
+        m = dt.build_reactions(dt.ReactionParams(internal_energy=energy))
+        tr = dt.integrate_route(m, "lagrangian", ([0.1], [0.0], 0.5), 0.01, 1e-3)
+        assert tr.completed
+
     def test_custom_internal_energy_used(self):
         calls = []
 
@@ -207,6 +220,7 @@ class TestReactions:
             return 300.0 * S + 0.25 * sum((c - 1.0) ** 4 for c in N)
 
         m = dt.build_reactions(dt.ReactionParams(internal_energy=quartic))
+        calls.clear()  # the build's own jet check
         dt.lagrangian_value(m, [0.2], [0.0], 0.1)
         assert calls, "custom energy callable never invoked"
         assert "closed_form_psi" not in m.meta
