@@ -242,7 +242,9 @@ def _conditions(arena: str, n: int, coef: float, F: np.ndarray) -> np.ndarray:
 
 def condition_matrix(arena: str, model: SimpleThermoModel, point) -> np.ndarray:
     """The d x 2d matrix whose kernel is the induced subspace at ``point``,
-    acting on stacked (tangent, covector) coordinates."""
+    acting on stacked (tangent, covector) coordinates. A non-finite
+    coefficient or friction covector at the point raises
+    :class:`DiracThermoError` before the matrix is built."""
     if arena_of_point(point) != arena:
         raise ArenaError(f"point on arena {point.arena!r} is not on arena {arena!r}")
     n = model.n
@@ -250,7 +252,13 @@ def condition_matrix(arena: str, model: SimpleThermoModel, point) -> np.ndarray:
         raise DimensionMismatchError(
             f"point has {point.n} configuration coordinates, model has {n}"
         )
-    return _conditions(arena, n, *_point_coefficients(arena, model, point))
+    coef, F = _point_coefficients(arena, model, point)
+    if not (np.isfinite(coef) and np.isfinite(F).all()):
+        raise DiracThermoError(
+            f"conditions on {arena} are not finite at this point "
+            f"(coefficient {coef!r}, friction {F})"
+        )
+    return _conditions(arena, n, coef, F)
 
 
 def dirac_membership(
@@ -285,14 +293,12 @@ def dirac_basis(arena: str, model: SimpleThermoModel, point) -> DiracBasis:
     values above ``max(s) * eps * max(A.shape)``. The kernel dimension
     must equal the arena dimension (the conditions are independent
     whenever the entropy slope is nonzero, friction or not); anything
-    else, and a non-finite condition matrix, is reported as an internal
-    inconsistency. The isotropy defect is the largest double pairing
-    over all basis pairs and certifies maximal isotropy of the subspace.
+    else is reported as an internal inconsistency. The isotropy defect
+    is the largest double pairing over all basis pairs and certifies
+    maximal isotropy of the subspace.
     """
     A = condition_matrix(arena, model, point)
     d = A.shape[0]
-    if not np.isfinite(A).all():
-        raise DiracThermoError(f"conditions on {arena} are not finite at this point")
     _, s, vh = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(A.shape)))
     kernel = vh[rank:].T

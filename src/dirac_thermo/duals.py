@@ -1,9 +1,11 @@
-"""Forward-mode automatic differentiation: second-order jets.
+"""Forward-mode automatic differentiation: jets of order 0, 1 and 2.
 
 A :class:`Jet` carries a value, a gradient and the upper triangle of a
-Hessian, each keyed by seeded coordinate, so one evaluation gives every
-first partial and every second partial that :func:`jet` asks for;
-:func:`gradient` is the jet that asks for none. The jet is the one
+Hessian, each keyed by seeded coordinate. Every jet has an order, the
+one argument of :func:`jet` and :class:`JetKernel`: order 0 is the
+value alone (unseeded jets, whose arithmetic is the plain-float
+evaluation's, bit for bit), order 1 adds every first partial and order
+2 every second partial, each from one evaluation. The jet is the one
 derivative type of the library. Its first partials keep the operation
 order of a first-order dual number lifted one coordinate at a time,
 which the tests keep as their reference.
@@ -61,15 +63,12 @@ __all__ = [
 ]
 
 
-# --- second-order jets ---------------------------------------------------
+# --- jets ----------------------------------------------------------------
 #
-# A jet's gradient ``g`` maps a coordinate key to a float and its Hessian
-# ``h`` maps a key pair (i, j), i <= j, to a float. A coordinate whose
-# Hessian rows are wanted is keyed by its argument index (>= 0), any
-# other by the index's complement (< 0), and a pair of two negative keys
-# is never formed; a jet whose keys are all negative has ``h`` None. An
-# absent entry is zero. Dicts are never changed once a jet holds them,
-# so operations share them freely.
+# A jet's gradient ``g`` maps a coordinate's argument index to a float
+# and its Hessian ``h`` maps an index pair (i, j), i <= j, to a float; a
+# jet below order 2 has ``h`` None. An absent entry is zero. Dicts are
+# never changed once a jet holds them, so operations share them freely.
 
 
 def _scaled(d, c: float):
@@ -108,20 +107,13 @@ def _sum(x, y, negate: bool):
 
 
 def _add_pairs(h: dict, ga: dict, gb: dict, c: float) -> None:
-    """h[i, j] += c (ga_i gb_j + ga_j gb_i) on every kept pair; h is new."""
+    """h[i, j] += c (ga_i gb_j + ga_j gb_i) on every pair; h is new."""
     for i, di in ga.items():
         for j, dj in gb.items():
-            if i <= j:
-                if j < 0:
-                    continue
-                key = (i, j)
-            elif i < 0:
-                continue
-            else:
-                key = (j, i)
             t = di * dj * c
             if i == j:
                 t = t + t
+            key = (i, j) if i <= j else (j, i)
             e = h.get(key)
             h[key] = t if e is None else e + t
 
@@ -138,8 +130,8 @@ class Jet:
     duals; where a lift leaves both sides of a
     ``**`` plain it computes ``x ** k`` in floats instead, so there the
     two can part in the last bit. Unseeded jets (no gradient entry, as
-    a values-only evaluation makes them) compute ``x ** k`` too, so
-    their values are the plain-float evaluation's, bit for bit. Plain
+    an order-0 evaluation makes them) compute ``x ** k`` too, so their
+    values are the plain-float evaluation's, bit for bit. Plain
     numbers, numpy scalars included, mix in as constants.
     """
 
@@ -342,86 +334,81 @@ def cos(x):
 
 
 def gradient(f: Callable, args: Sequence[float]) -> np.ndarray:
-    """All first partials of ``f(*args)``: the gradient of the first-order
-    jet (:func:`jet` with no Hessian rows), one evaluation at any arity."""
-    return jet(f, args, rows=())[1]
+    """All first partials of ``f(*args)``: the gradient of its order-1 jet."""
+    return jet(f, args, order=1)[1]
 
 
-_NO_PAIRS: dict = {}  # a second-order seed's Hessian, shared and never written
+_NO_PAIRS: dict = {}  # an order-2 seed's Hessian, shared and never written
 
 
-def _seeds(values: list, rows, values_only: bool = False) -> list:
-    """One seeded jet per argument value: keyed by its index, with
-    Hessian pairs, for the indices in ``rows`` (default all), keyed by
-    the index's complement otherwise; with ``values_only``, unseeded
-    jets, whose arithmetic is the value's alone."""
-    if values_only:
+def _seeds(values: list, order: int) -> list:
+    """One jet per argument value: unseeded at order 0, whose arithmetic
+    is the value's alone; keyed by its index otherwise, with Hessian
+    pairs at order 2."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"a jet has order 0, 1 or 2, not {order!r}")
+    if order == 0:
         return [Jet(x, {}, None) for x in values]
-    wanted = range(len(values)) if rows is None else set(rows)
-    return [
-        Jet(x, {i: 1.0}, _NO_PAIRS) if i in wanted else Jet(x, {~i: 1.0}, None)
-        for i, x in enumerate(values)
-    ]
+    pairs = _NO_PAIRS if order == 2 else None
+    return [Jet(x, {i: 1.0}, pairs) for i, x in enumerate(values)]
 
 
-def jet(f: Callable, args: Sequence[float], rows: Optional[Sequence[int]] = None):
-    """(value, gradient, Hessian) of ``f(*args)`` from one jet evaluation.
-
-    The Hessian is the k x k matrix of second partials, exactly
-    symmetric; only the rows (and, by symmetry, columns) of the argument
-    indices in ``rows`` are computed, every other entry is zero. The
-    default is every row. The gradient has every first partial. An
-    evaluator that returns a tuple of m outputs gets them stacked:
-    values (m,), gradients (m, k) and Hessians (m, k, k).
+def jet(f: Callable, args: Sequence[float], order: int = 2):
+    """The jet of ``f(*args)`` from one evaluation: at order 0 the value
+    alone, the plain-float evaluation bit for bit; at order 1 (value,
+    gradient); at order 2 (value, gradient, Hessian), the Hessian the
+    k x k matrix of second partials, exactly symmetric. An evaluator
+    that returns a tuple of m outputs gets them stacked: values (m,),
+    gradients (m, k) and Hessians (m, k, k).
     """
-    return _jet_of(f, [float(a) for a in args], rows)
+    return _jet_of(f, [float(a) for a in args], order)
 
 
 # the output types that hold one output per entry
 _SEQUENCES = (tuple, list, np.ndarray)
 
 
-def _jet_of(f: Callable, values: list, rows, values_only: bool = False):
+def _jet_of(f: Callable, values: list, order: int):
     """:func:`jet` at argument values taken as they are (numpy floats
-    stay); with ``values_only``, the value (or the (m,) values) alone."""
+    stay)."""
     k = len(values)
-    out = f(*_seeds(values, rows, values_only))
+    out = f(*_seeds(values, order))
     if type(out) not in _SEQUENCES:
-        return _output_arrays(out, k, values_only)
-    parts = [_output_arrays(o, k, values_only) for o in out]
-    if values_only:
+        return _output_arrays(out, k, order)
+    parts = [_output_arrays(o, k, order) for o in out]
+    if order == 0:
         return np.array(parts, dtype=float)
     return tuple(np.array(blocks, dtype=float) for blocks in zip(*parts))
 
 
-def _output_arrays(out, k: int, values_only: bool):
-    """One output jet as (value, gradient, Hessian) arrays, or its value
-    alone; an output that is not a jet ignored every argument."""
-    if values_only:
+def _output_arrays(out, k: int, order: int):
+    """One output jet as its value, or as (value, gradient) or (value,
+    gradient, Hessian) arrays by ``order``; an output that is not a jet
+    ignored every argument."""
+    if order == 0:
         return value(out)
-    g, H = np.zeros(k), np.zeros((k, k))
     if type(out) is not Jet:
-        return value(out), g, H
+        out = Jet(value(out), {}, None)
+    g = np.zeros(k)
     for i, d in out.g.items():
-        g[i if i >= 0 else ~i] = d
-    if out.h:
-        for (i, j), d in out.h.items():
-            i = i if i >= 0 else ~i
-            H[i, j] = H[j, i] = d
+        g[i] = d
+    if order == 1:
+        return out.re, g
+    H = np.zeros((k, k))
+    for (i, j), d in (out.h or {}).items():
+        H[i, j] = H[j, i] = d
     return out.re, g, H
 
 
 def hessian_matrix(f: Callable, args: Sequence[float]) -> np.ndarray:
-    """Second-partial matrix of ``f`` from one jet evaluation, exactly
-    symmetric: the jet computes the upper triangle once and mirrors it."""
+    """Second-partial matrix of ``f``: the Hessian of its order-2 jet."""
     return jet(f, args)[2]
 
 
 def second_directional(f: Callable, args: Sequence[float], direction: Sequence[float], outer_index: int) -> float:
     """d/d(args[outer_index]) of the derivative of ``f`` along ``direction``:
-    one Hessian row, from one jet evaluation, applied to the direction."""
-    row = jet(f, args, rows=(outer_index,))[2][outer_index]
-    return float(row @ np.asarray(direction, dtype=float))
+    one row of its order-2 jet's Hessian, applied to the direction."""
+    return float(jet(f, args)[2][outer_index] @ np.asarray(direction, dtype=float))
 
 
 # --- traced jets -------------------------------------------------------
@@ -588,11 +575,10 @@ def _apply(fn: Callable, x):
 
 
 class JetKernel:
-    """:func:`jet` of one evaluator at arity ``k`` and Hessian ``rows``,
-    traced once into straight-line float code and replayed at every call.
+    """:func:`jet` of one evaluator at arity ``k`` and ``order``, traced
+    once into straight-line float code and replayed at every call.
 
-    ``kernel(f, args)`` returns ``jet(f, args, rows)`` bit for bit; with
-    no ``rows`` the code computes the value and gradient alone. An
+    ``kernel(f, args)`` returns ``jet(f, args, order)`` bit for bit. An
     evaluator that returns a tuple of outputs (a covector) gets them
     stacked, as :func:`jet` stacks them. The first call traces ``f`` at
     ``args``; later calls replay the compiled code and do not call
@@ -604,11 +590,10 @@ class JetKernel:
     must be the one traced and a pure function of its arguments.
     """
 
-    __slots__ = ("k", "rows", "replay", "unpack", "traceable")
-    values_only = False  # seeded jets; see _ValuesKernel
+    __slots__ = ("k", "order", "replay", "unpack", "traceable")
 
-    def __init__(self, k: int, rows: Optional[Sequence[int]] = None):
-        self.k, self.rows = k, rows
+    def __init__(self, k: int, order: int = 2):
+        self.k, self.order = k, order
         self.replay: Optional[Callable] = None
         self.unpack: Optional[Callable] = None
         self.traceable = True
@@ -621,28 +606,25 @@ class JetKernel:
         replay = self.replay
         if replay is None:
             if not self.traceable:
-                return self._dict_jet(f, args)
+                return _jet_of(f, args, self.order)
             replay = self._trace(f, args)
             if replay is None:
-                return self._dict_jet(f, args)
+                return _jet_of(f, args, self.order)
         try:
             out = replay(*args)
             if out is not None:
                 return self.unpack(out)
         except Exception:
             pass  # the dict jet raises its own error, or answers where the kernel cannot
-        return self._dict_jet(f, args)  # a guard failed or the kernel raised
-
-    def _dict_jet(self, f: Callable, args: list):
-        return _jet_of(f, args, self.rows, self.values_only)
+        return _jet_of(f, args, self.order)  # a guard failed or the kernel raised
 
     def _trace(self, f: Callable, args: list) -> Optional[Callable]:
         """The compiled trace of ``f`` at ``args``, kept with its
         unpacker, or None where this call takes the dict jet."""
-        k, tape = self.k, _Tape()
+        k, order, tape = self.k, self.order, _Tape()
         try:
             primals = [_Traced(x, f"a{i}", tape) for i, x in enumerate(args)]
-            out = f(*_seeds(primals, self.rows, self.values_only))
+            out = f(*_seeds(primals, order))
             many = type(out) in _SEQUENCES
             outs = out if many else (out,)
             # an output that is not a jet ignored every argument
@@ -654,17 +636,15 @@ class JetKernel:
         if tape.raised or tape.escaped:
             return None
         text, m = tape.text, len(outs)
-        # the values, then the gradients, then the Hessians, row by row,
-        # where a jet has one
+        # the values, then the gradients, then the Hessians, row by row
         flat = [text(o.re) for o in outs]
-        hessian = any(o.h for o in outs)
-        if not self.values_only:
-            grads, hessians = ["0.0"] * (m * k), ["0.0"] * (m * k * k if hessian else 0)
+        if order:
+            grads, hessians = ["0.0"] * (m * k), ["0.0"] * (m * k * k if order == 2 else 0)
             for a, o in enumerate(outs):
                 for i, d in o.g.items():
-                    grads[a * k + (i if i >= 0 else ~i)] = text(d)
+                    grads[a * k + i] = text(d)
                 for (i, j), d in (o.h or {}).items():
-                    i, at = (i if i >= 0 else ~i), a * k * k
+                    at = a * k * k
                     hessians[at + i * k + j] = hessians[at + j * k + i] = text(d)
             flat += grads + hessians
         body = "".join(f"    {line}\n" for line in tape.lines)
@@ -674,38 +654,33 @@ class JetKernel:
         )
         namespace = dict(tape.names)
         exec(compile(source, "<jet kernel>", "exec"), namespace)
-        self.unpack = _unpacker(k, m if many else None, self.values_only, hessian)
+        self.unpack = _unpacker(k, m if many else None, order)
         self.replay = namespace["replay"]
         return self.replay
 
 
-class _ValuesKernel(JetKernel):
-    """A kernel of an evaluator's value alone (an (m,) array for m
-    outputs), traced on unseeded jets: the plain-float evaluation, bit
-    for bit."""
-
-    __slots__ = ()
-    values_only = True
-
-
-def _unpacker(k: int, m: Optional[int], values_only: bool, hessian: bool) -> Callable:
+def _unpacker(k: int, m: Optional[int], order: int) -> Callable:
     """What turns a replay's flat tuple into the kernel's result: the
-    :func:`jet` triple of a scalar output (m None), or m outputs
-    stacked; a value alone with ``values_only``."""
-    if values_only:
-        return operator.itemgetter(0) if m is None else (lambda out: np.array(out, dtype=float))
+    :func:`jet` of ``order`` of a scalar output (m None), or of m outputs
+    stacked."""
+    if order == 0:
+        # float() refuses a complex value (a negative base's power), as the dict jet does
+        return (lambda out: float(out[0])) if m is None else (lambda out: np.array(out, dtype=float))
     if m is None:
 
         def unpack(out):
             a = np.array(out, dtype=float)
-            return out[0], a[1 : k + 1], a[k + 1 :].reshape(k, k) if hessian else np.zeros((k, k))
+            if order == 1:
+                return out[0], a[1:]
+            return out[0], a[1 : k + 1], a[k + 1 :].reshape(k, k)
 
     else:
 
         def unpack(out):
             a = np.array(out, dtype=float)
-            H = a[m + m * k :].reshape(m, k, k) if hessian else np.zeros((m, k, k))
-            return a[:m], a[m : m + m * k].reshape(m, k), H
+            if order == 1:
+                return a[:m], a[m:].reshape(m, k)
+            return a[:m], a[m : m + m * k].reshape(m, k), a[m + m * k :].reshape(m, k, k)
 
     return unpack
 

@@ -653,8 +653,9 @@ def _implicit_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) 
     moves (:func:`_implicit_constants`).
 
     The force-balance, entropy and momentum rows differentiate, through
-    the jet columns (q, v, S), L's full second-order jet H (every row,
-    with s = dL/dS and its row ds) and the first-order jets dF and dFext
+    the jet columns (q, v, S), L's order-2 jet H (with s = dL/dS and
+    its row ds), the one the velocity-side rate reads, and the order-1
+    jets dF and dFext
     of friction and external force; the backward rates add s/h on p and
     F/h on lam to the force-balance rows, s/h on S and -F/h on q to the
     entropy row."""
@@ -690,8 +691,8 @@ def integrate_implicit_P(
     covariable slots onto their algebraic values. The Newton matrix is
     the residual's exact Jacobian (:func:`_implicit_jacobian`), built
     once per step at the predictor and held fixed within the step: a
-    step costs one residual per iterate plus one jet each of L (every
-    Hessian row), friction and external force. Partials that an
+    step costs one residual per iterate plus one jet each of L (order
+    2), friction and external force (order 1). Partials that an
     evaluator strips with ``duals.value`` are absent from the Jacobian;
     Newton then converges more slowly but still stops on the true
     residual. A non-finite residual (an iterate off the domain) stops

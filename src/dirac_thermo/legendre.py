@@ -54,7 +54,7 @@ GATE_ROUNDTRIP_TOL = 1e-10
 
 
 def momentum_map(model: SimpleThermoModel, q, v, S) -> np.ndarray:
-    """p = dL/dv, read off L's first-order jet."""
+    """p = dL/dv, read off L's order-1 jet."""
     return _lagrangian_first_order(model, q, v, S)[2]
 
 

@@ -4,10 +4,10 @@ A simple system here is: mechanical coordinates q (n of them), one
 entropy scalar S, a Lagrangian L(q, v, S), and a friction covector
 F(q, v, S) that feeds dissipated power back into S. Evaluators are
 written once, generically over the scalar type, and all derivatives
-come out of the differentiation layer (``duals``): one compiled
-first-order jet per state for the first partials, one with the
-velocity rows of the Hessian where second partials are needed, and
-compiled friction and external-force kernels.
+come out of the differentiation layer (``duals``) as compiled jets of
+three orders: L's order-1 jet for the first partials and its order-2
+jet where second partials are needed, and the friction and external
+force's order-0 values and order-1 jets.
 
 Four state arenas appear throughout the package, each with a fixed
 flat-vector coordinate order:
@@ -183,21 +183,21 @@ class SimpleThermoModel:
     ``meta`` carries builder-provided closed forms for tests and is
     never read by the core algorithms.
 
-    L's jets (first order, with the velocity rows of the Hessian, and
-    with every row), the friction and external-force values and their
-    first-order jets over (q, v, S) are traced once per evaluator and n
-    into compiled kernels (:class:`duals.JetKernel`) and replayed at
-    every later state. That holds all three evaluators to a contract:
-    each is a pure function of its arguments, and closure constants are
-    read once, at trace time, so changing them later has no effect. An
-    evaluator that lets a value escape (``float()``, ``bool()`` or numpy
-    on a jet's value) keeps the dict jet. ``duals.value`` keeps the
-    trace; the partials it strips are absent from the jets, the implicit
-    step's Jacobian among them. The evaluators do their math through the
-    ``duals`` helpers, which take jets where ``math`` and numpy reject
-    them. The piston's callable friction coefficient, for one, runs on
-    the jets of x and S, so its partials reach the implicit step's
-    Jacobian (see ``systems.PistonParams``).
+    L's order-1 and order-2 jets over (q, v, S), and the friction and
+    external force's values (order 0) and order-1 jets, are traced once
+    per evaluator, n and order into compiled kernels
+    (:class:`duals.JetKernel`) and replayed at every later state. That
+    holds all three evaluators to a contract: each is a pure function of
+    its arguments, and closure constants are read once, at trace time,
+    so changing them later has no effect. An evaluator that lets a value
+    escape (``float()``, ``bool()`` or numpy on a jet's value) keeps the
+    dict jet. ``duals.value`` keeps the trace; the partials it strips
+    are absent from the jets, the implicit step's Jacobian among them.
+    The evaluators do their math through the ``duals`` helpers, which
+    take jets where ``math`` and numpy reject them. The piston's callable
+    friction coefficient, for one, runs on the jets of x and S, so its
+    partials reach the implicit step's Jacobian (see
+    ``systems.PistonParams``).
     """
 
     n: int
@@ -229,70 +229,56 @@ def _flat(evaluator: Callable, n: int):
 
 
 # (kernel, flat evaluator) per evaluator (L, friction or external force),
-# n and jet kind, dropped with the evaluator: the flat evaluator reaches
+# n and jet order, dropped with the evaluator: the flat evaluator reaches
 # it through a weak proxy.
 _JET_KERNELS = weakref.WeakKeyDictionary()
 
 
-def _seeding(kind: str, n: int) -> tuple:
-    """(rows, values_only) of a jet kind over (q, v, S): the value(s)
-    alone, first order, the Hessian's velocity rows, or every row."""
-    return {
-        "values": (None, True),
-        "first": ((), False),
-        "velocity": (range(n, 2 * n), False),
-        "full": (range(2 * n + 1), False),
-    }[kind]
-
-
-def _kernel_jet(evaluator: Callable, n: int, q, v, S, kind: str):
-    """duals.jet of an evaluator over (q, v, S), of the given kind (see
-    :func:`_seeding`), from its kernel for that kind and n; an evaluator
-    with no weak reference keeps the dict jet. Where Python floats raise
-    but numpy floats answer inf or NaN (x / 0, a negative base's power),
-    the jet reruns on numpy floats."""
+def _kernel_jet(evaluator: Callable, n: int, q, v, S, order: int):
+    """duals.jet of an evaluator over (q, v, S) at ``order``, from its
+    kernel for that order and n; an evaluator with no weak reference
+    keeps the dict jet. Where Python floats raise but numpy floats
+    answer inf or NaN (x / 0, a negative base's power), the jet reruns
+    on numpy floats."""
     q, v = _as_array(q, n, "q"), _as_array(v, n, "v")
     args = q.tolist() + v.tolist()
     args.append(float(S))
     try:
         try:
-            kernel, flat = _JET_KERNELS[evaluator][n, kind]
+            kernel, flat = _JET_KERNELS[evaluator][n, order]
         except KeyError:
-            rows, values_only = _seeding(kind, n)
-            k = 2 * n + 1
-            kernel = duals._ValuesKernel(k) if values_only else duals.JetKernel(k, rows)
+            kernel = duals.JetKernel(2 * n + 1, order)
             flat = _flat(weakref.proxy(evaluator), n)
-            _JET_KERNELS.setdefault(evaluator, {})[n, kind] = kernel, flat
+            _JET_KERNELS.setdefault(evaluator, {})[n, order] = kernel, flat
         except TypeError:  # no weak reference to the evaluator
-            return duals._jet_of(_flat(evaluator, n), args, *_seeding(kind, n))
+            return duals._jet_of(_flat(evaluator, n), args, order)
         return kernel.floats(flat, args)
     except (TypeError, ArithmeticError):
         numpy_args = [*q, *v, np.float64(S)]
         with np.errstate(all="ignore"):  # the inf/NaN are the answer, not a warning
-            return duals._jet_of(_flat(evaluator, n), numpy_args, *_seeding(kind, n))
+            return duals._jet_of(_flat(evaluator, n), numpy_args, order)
 
 
 def _lagrangian_first_order(model: SimpleThermoModel, q, v, S):
-    """(L, dLdq, dLdv, dLdS) at one state from L's first-order kernel."""
+    """(L, dLdq, dLdv, dLdS) at one state from L's order-1 kernel."""
     n = model.n
-    L, g, _ = _kernel_jet(model.lagrangian, n, q, v, S, "first")
+    L, g = _kernel_jet(model.lagrangian, n, q, v, S, 1)
     return L, g[:n], g[n : 2 * n], g[2 * n]
 
 
 def _lagrangian_hessian(model: SimpleThermoModel, q, v, S):
-    """(L, gradient, Hessian) of L over (q, v, S), every Hessian row,
-    from L's full second-order kernel."""
-    return _kernel_jet(model.lagrangian, model.n, q, v, S, "full")
+    """(L, gradient, Hessian) of L over (q, v, S) from L's order-2 kernel."""
+    return _kernel_jet(model.lagrangian, model.n, q, v, S, 2)
 
 
 def lagrangian_partials(model: SimpleThermoModel, q, v, S):
     """All first partials of L, split as (dLdq, dLdv, dLdS), from one
-    first-order jet."""
+    order-1 jet."""
     return _lagrangian_first_order(model, q, v, S)[1:]
 
 
 def entropy_slope(model: SimpleThermoModel, q, v, S) -> float:
-    """dL/dS, read off L's first-order jet."""
+    """dL/dS, read off L's order-1 jet."""
     return float(_lagrangian_first_order(model, q, v, S)[3])
 
 
@@ -307,15 +293,15 @@ def temperature(model: SimpleThermoModel, q, v, S) -> float:
 
 
 def _covector(evaluator: Callable, n: int, q, v, S, label: str) -> np.ndarray:
-    """A covector evaluator's value at (q, v, S), from its values kernel."""
-    return _as_array(_kernel_jet(evaluator, n, q, v, S, "values"), n, label)
+    """A covector evaluator's value at (q, v, S), from its order-0 kernel."""
+    return _as_array(_kernel_jet(evaluator, n, q, v, S, 0), n, label)
 
 
 def _covector_jet(evaluator: Callable, n: int, q, v, S, label: str):
     """(value, partials): a covector evaluator's value at (q, v, S) and
     its first partials over (q, v, S), an (n, 2n + 1) array, from its
-    first-order kernel."""
-    F, dF, _ = _kernel_jet(evaluator, n, q, v, S, "first")
+    order-1 kernel."""
+    F, dF = _kernel_jet(evaluator, n, q, v, S, 1)
     return _as_array(F, n, label), dF
 
 
@@ -332,7 +318,7 @@ def external_value(model: SimpleThermoModel, q, v, S) -> np.ndarray:
 def _force_jets(model: SimpleThermoModel, q, v, S):
     """(F, dF, Fext, dFext): the friction and external force at (q, v, S)
     and their first partials over (q, v, S), (n, 2n + 1) arrays, from
-    first-order kernels. A partial that an evaluator strips with
+    order-1 kernels. A partial that an evaluator strips with
     ``duals.value`` is not in them; the piston's callable friction
     coefficient is not stripped, so its x and S partials are."""
     n = model.n
@@ -343,14 +329,15 @@ def _force_jets(model: SimpleThermoModel, q, v, S):
 
 
 def lagrangian_jet(model: SimpleThermoModel, q, v, S):
-    """(L, dLdq, dLdv, dLdS, Lv) at one state from one jet of L over
+    """(L, dLdq, dLdv, dLdS, Lv) at one state from L's order-2 jet over
     (q, v, S): the value, the first partials and the Hessian's velocity
     rows Lv = (L_vq | L_vv | L_vS), an (n, 2n + 1) array in that column
     order. The jet is the model's compiled kernel (:class:`duals.JetKernel`),
-    so L itself runs only at the first state and wherever the kernel
-    falls back. The first partials equal :func:`lagrangian_partials`'s."""
+    the one the implicit step's Jacobian reads too, so L itself runs
+    only at the first state and wherever the kernel falls back. The
+    first partials equal :func:`lagrangian_partials`'s."""
     n = model.n
-    L, g, H = _kernel_jet(model.lagrangian, n, q, v, S, "velocity")
+    L, g, H = _lagrangian_hessian(model, q, v, S)
     return L, g[:n], g[n : 2 * n], g[2 * n], H[n : 2 * n]
 
 
@@ -392,7 +379,7 @@ def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.nda
 
 def friction_velocity_jacobian(model: SimpleThermoModel, q, v, S) -> np.ndarray:
     """dF_a/dv_b of the friction covector: the velocity block of its
-    first-order kernel (bit for bit what one-coordinate dual lifts give),
+    order-1 kernel (bit for bit what one-coordinate dual lifts give),
     the coefficient matrix of the rate solve for velocity-independent
     Lagrangians."""
     n = model.n

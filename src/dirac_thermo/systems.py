@@ -8,7 +8,8 @@ algorithms never read ``meta``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -28,6 +29,22 @@ __all__ = [
 ]
 
 GAS_CONSTANT = 8.314  # J/(mol K)
+
+
+def _require_finite(kind: str, params) -> None:
+    """Reject a NaN or infinite entry in any numeric parameter or range
+    of a parameter record; callables, None and values that are not
+    numbers are left to the builder's own checks."""
+    for f in fields(params):
+        x = getattr(params, f.name)
+        if x is None or callable(x):
+            continue
+        try:
+            finite = np.isfinite(np.asarray(x, dtype=float)).all()
+        except (TypeError, ValueError):
+            continue
+        if not finite:
+            raise ModelBuildError(f"{kind} parameter {f.name} must be finite, got {x}")
 
 
 # --- piston ---------------------------------------------------------------
@@ -70,6 +87,7 @@ def build_piston(params: Optional[PistonParams] = None) -> SimpleThermoModel:
     so that pressure * volume = N0 R T holds identically. Friction
     -lam(x, S) * xdot feeds dissipated power into the entropy."""
     P = params or PistonParams()
+    _require_finite("piston", P)
     for name in ("m", "A", "N0", "R", "U0", "V0"):
         if not getattr(P, name) > 0.0:
             raise ModelBuildError(f"piston parameter {name} must be positive")
@@ -113,20 +131,21 @@ def build_piston(params: Optional[PistonParams] = None) -> SimpleThermoModel:
         s_lo=P.s_range[0],
         s_hi=P.s_range[1],
     )
-    # friction coefficient must be nonnegative across the box, and it
-    # runs on first-order jets as it will in the friction's jets
+    # friction coefficient must be finite and nonnegative across the box,
+    # and it runs on order-1 jets as it will in the friction's jets
     for x in np.linspace(*P.x_range, 7):
         for S in np.linspace(*P.s_range, 7):
             try:
-                coefficient = duals.jet(lam, [x, S], rows=())[0]
+                coefficient = duals.jet(lam, [x, S], order=1)[0]
             except TypeError as exc:
                 raise ModelBuildError(
                     "piston friction coefficient lam must be written over the "
                     f"duals math helpers (duals.exp, ...), not math or numpy: {exc}"
                 ) from exc
-            if coefficient < 0.0:
+            if not 0.0 <= coefficient < math.inf:
                 raise ModelBuildError(
-                    f"piston friction coefficient is negative at x={x}, S={S}"
+                    f"piston friction coefficient is {coefficient} at x={x}, S={S}; "
+                    "it must be finite and >= 0"
                 )
     return SimpleThermoModel(
         n=1,
@@ -176,6 +195,7 @@ def build_membrane(params: Optional[MembraneParams] = None) -> SimpleThermoModel
     velocities in the chemical-potential slots, so momenta are mole
     numbers N_k = Nbar_k - a_k * mu_k."""
     P = params or MembraneParams()
+    _require_finite("membrane", P)
     if len(P.a) != 3 or len(P.Nbar) != 3:
         raise ModelBuildError("membrane needs three a and three Nbar entries")
     if any(a <= 0.0 for a in P.a):
@@ -273,6 +293,7 @@ def build_reactions(params: Optional[ReactionParams] = None) -> SimpleThermoMode
     energy and carries no rate dependence, so the model is flagged
     degenerate and only supports the velocity-side formulations."""
     P = params or ReactionParams()
+    _require_finite("reactions", P)
     nu = np.asarray(P.nu, dtype=float)
     masses = np.asarray(P.masses, dtype=float)
     if nu.ndim != 2:
@@ -320,10 +341,10 @@ def build_reactions(params: Optional[ReactionParams] = None) -> SimpleThermoMode
 
     if P.internal_energy is not None:
         # a given energy runs on jets in the Lagrangian's kernels, as the
-        # piston's lam does: try it once on first-order jets at a box corner
+        # piston's lam does: try it once on order-1 jets at a box corner
         corner = [P.s_range[0]] + [P.psi_range[0]] * r
         try:
-            duals.jet(lambda S, *psi: internal_energy(S, moles(psi)), corner, rows=())
+            duals.jet(lambda S, *psi: internal_energy(S, moles(psi)), corner, order=1)
         except TypeError as exc:
             raise ModelBuildError(
                 "reaction internal_energy must be written over the duals math "

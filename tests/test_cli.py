@@ -5,6 +5,7 @@ outputs land in tmp_path.
 """
 
 import json
+import math
 import os
 import warnings
 
@@ -246,6 +247,24 @@ class TestErrorExits:
         assert cli.main(["isotropy", "--config", cfg]) == code
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["run", "check", "isotropy"])
+    @pytest.mark.parametrize("kind, params", [
+        ("piston", {"U0": math.inf}),
+        ("piston", {"lam": math.inf}),
+        ("membrane", {"L1": math.nan}),
+        ("reactions", {"lam_matrix": [[math.nan]]}),
+    ], ids=["piston-U0-inf", "piston-lam-inf", "membrane-L1-nan", "reactions-lam-nan"])
+    def test_non_finite_model_parameter_is_a_build_error(self, tmp_path, capsys,
+                                                         kind, params, verb):
+        cfg = write_cfg(tmp_path, model={"kind": kind, "params": params}, t_end=0.01,
+                        out=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([verb, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "model build error" in err and "must be finite" in err
+        assert "Traceback" not in err
 
     def test_negative_friction_parameter(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, model={"kind": "piston", "params": {"lam": -1.0}})

@@ -6,6 +6,7 @@ stacks breaks these before it can corrupt a simulation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,11 +280,26 @@ class TestInducedBasis:
                 assert len(basis.basis) == basis.dimension
 
     def test_a_non_finite_condition_matrix_is_reported(self):
-        # a NaN friction coefficient puts NaN in the conditions; the
-        # basis says so instead of failing inside the SVD
-        m = dt.build_piston(dt.PistonParams(lam=lambda x, S: 0.0 * x + math.nan))
-        with pytest.raises(dt.DiracThermoError, match="not finite"):
-            dt.dirac_basis("M", m, _base_for(m, "M", [1.0], [0.5], 0.2))
+        # an infinite friction covector at the base point: the condition
+        # matrix refuses it, naming the arena, before any arithmetic on it
+        # can warn, and the basis says so instead of failing in the SVD
+        box = dt.DomainBox(
+            q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0
+        )
+        m = dt.SimpleThermoModel(
+            n=1,
+            lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] - S,
+            friction=lambda q, v, S: (math.inf * v[0],),
+            domain_box=box,
+            name="infinite-friction",
+        )
+        for arena in ("M", "N"):
+            base = _base_for(m, arena, [0.2], [0.5], 0.1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for check in (dt.condition_matrix, dt.dirac_basis):
+                    with pytest.raises(dt.DiracThermoError, match=f"conditions on {arena} are not finite"):
+                        check(arena, m, base)
 
     def test_basis_elements_are_members(self, piston):
         q, v, S = [1.1], [0.3], 0.2

@@ -6,7 +6,6 @@ it only appears with hand-checked expectations next to it.
 """
 
 import math
-import struct
 import warnings
 from functools import lru_cache
 
@@ -37,7 +36,8 @@ from dirac_thermo import (
     value,
 )
 from dirac_thermo import duals
-from dirac_thermo.duals import _ValuesKernel, _jet_of
+from dirac_thermo.duals import _jet_of
+from dirac_thermo.model import _kernel_jet
 
 import conftest as reference
 from conftest import Dual, dual_lifts, vector_lift
@@ -366,16 +366,6 @@ class TestJet:
         H = jet(every_operator_6, pt)[2]
         assert np.array_equal(H, H.T)
 
-    def test_rows_select_hessian_rows(self):
-        pt = [0.4, -0.8, 1.2, 0.1, -0.5, 0.9]
-        _, g, full = jet(every_operator_6, pt)
-        _, g2, part = jet(every_operator_6, pt, rows=[1, 4])
-        assert same_bits(g, g2)
-        for i in range(6):
-            for j in range(6):
-                want = full[i, j] if i in (1, 4) or j in (1, 4) else 0.0
-                assert part[i, j] == want
-
     def test_numpy_scalar_left_operand(self):
         x = Jet(0.7, {0: 1.0}, {})
         for out, val, d1, d2 in [
@@ -397,28 +387,28 @@ class TestJet:
 
 
 def jet_bits(compute):
-    """The bytes of ``compute()``'s (value, gradient, Hessian), or the
-    class of the exception it raises."""
+    """The bytes of ``compute()``'s jet of any order (a value, or a tuple
+    of a value and arrays), or the class of the exception it raises."""
     try:
-        val, g, H = compute()
+        out = compute()
     except Exception as err:
         return type(err)
-    return struct.pack("<d", val), g.tobytes(), H.tobytes()
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in (out if type(out) is tuple else (out,)))
 
 
-def same_jet(kernel, f, args, rows=None):
+def same_jet(kernel, f, args, order=2):
     """The kernel's jet has the dict jet's bits, signs of zeros included,
     or raises the same exception class."""
-    want = jet_bits(lambda: jet(f, args, rows))
+    want = jet_bits(lambda: jet(f, args, order))
     return jet_bits(lambda: kernel(f, args)) == want
 
 
 @lru_cache(maxsize=None)
-def traced_kernel(kind):
-    """A model's velocity-row kernel, traced at the middle of its box."""
+def traced_kernel(kind, order):
+    """A model's kernel of ``order``, traced at the middle of its box."""
     model = BUILDERS[kind]()
     n, box = model.n, model.domain_box
-    kernel = JetKernel(2 * n + 1, rows=range(n, 2 * n))
+    kernel = JetKernel(2 * n + 1, order)
     mid = [*(np.add(box.q_lo, box.q_hi) / 2), *(np.add(box.v_lo, box.v_hi) / 2), (box.s_lo + box.s_hi) / 2]
     kernel(flat(model), mid)
     assert kernel.replay is not None
@@ -434,34 +424,43 @@ class TestJetKernel:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_kernel_replays_the_dict_jet_on_shipped_lagrangians(self, kind, data):
-        model, kernel = traced_kernel(kind)
-        n = model.n
+        # every drawn state at every order
+        n = BUILDERS[kind]().n
         args = data.draw(st.lists(edgy, min_size=2 * n + 1, max_size=2 * n + 1))
-        rows = range(n, 2 * n)
-        assert same_jet(kernel, flat(model), args, rows)
+        q, v, S = args[:n], args[n : 2 * n], args[2 * n]
+        for order in (0, 1, 2):
+            model, kernel = traced_kernel(kind, order)
+            assert same_jet(kernel, flat(model), args, order), order
 
-        # so does the model's own cached kernel, behind lagrangian_jet
-        def via_model():
-            L, dLdq, dLdv, s, Lv = lagrangian_jet(model, args[:n], args[n : 2 * n], args[2 * n])
-            return L, np.concatenate([dLdq, dLdv, [s]]), Lv
+            def via_dict_jet():
+                try:
+                    return jet(flat(model), args, order)
+                except (TypeError, ArithmeticError):  # off the domain: numpy floats answer
+                    with np.errstate(all="ignore"):  # with inf or NaN, as the model reader does
+                        return _jet_of(flat(model), [np.float64(a) for a in args], order)
 
-        def via_dict_jet():
-            try:
-                L, g, H = jet(flat(model), args, rows)
-            except (TypeError, ArithmeticError):  # off the domain: numpy floats answer
-                with np.errstate(all="ignore"):  # with inf or NaN, as the model reader does
-                    L, g, H = _jet_of(flat(model), [np.float64(a) for a in args], rows)
-            return L, g, H[n : 2 * n]
+            # so does the model's own cached kernel of that order
+            via_model = jet_bits(lambda: _kernel_jet(model.lagrangian, n, q, v, S, order))
+            assert via_model == jet_bits(via_dict_jet), order
+            if order == 2:  # lagrangian_jet reads this jet's velocity rows
 
-        assert jet_bits(via_model) == jet_bits(via_dict_jet)
+                def velocity_rows():
+                    L, dLdq, dLdv, s, Lv = lagrangian_jet(model, q, v, S)
+                    return L, np.concatenate([dLdq, dLdv, [s]]), Lv
+
+                def dict_velocity_rows():
+                    L, g, H = via_dict_jet()
+                    return L, g, H[n : 2 * n]
+
+                assert jet_bits(velocity_rows) == jet_bits(dict_velocity_rows)
 
     @pytest.mark.parametrize("f,arity", [(every_operator, 3), (every_operator_6, 6)])
-    @pytest.mark.parametrize("rows", [None, (1,)])
-    def test_kernel_replays_every_operator(self, f, arity, rows):
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_kernel_replays_every_operator(self, f, arity, order):
         rng = np.random.default_rng(7)
-        kernel = JetKernel(arity, rows)
+        kernel = JetKernel(arity, order)
         for _ in range(40):  # the first call traces, and abs's guard flips on the way
-            assert same_jet(kernel, f, list(rng.uniform(-1.5, 1.5, arity)), rows)
+            assert same_jet(kernel, f, list(rng.uniform(-1.5, 1.5, arity)), order)
         assert kernel.replay is not None
 
     @given(pt=st.lists(edgy, min_size=3, max_size=3))
@@ -544,39 +543,40 @@ class TestJetKernel:
             calls.append(1)
             return x * y * (1.0 + value(x) * value(y)) + exp(value(x)) + (x.re - x)
 
-        for rows in (None, ()):
-            kernel = JetKernel(2, rows)
+        for order in (0, 1, 2):
+            kernel = JetKernel(2, order)
             for pt in ([0.4, 1.2], [1.6, -0.7], [2.5, 0.3], [-0.0, 0.0]):
-                assert same_jet(kernel, stripping, pt, rows)
+                assert same_jet(kernel, stripping, pt, order)
             assert kernel.replay is not None and kernel.traceable
-        assert len(calls) == 2 * (1 + 4)  # the traces, then the dict jets of same_jet
+        assert len(calls) == 3 * (1 + 4)  # the traces, then the dict jets of same_jet
         _, g, _ = jet(stripping, [0.4, 1.2])
         assert g.tolist() == [1.2 * (1.0 + 0.4 * 1.2) - 1.0, 0.4 * (1.0 + 0.4 * 1.2)]
 
     def test_a_covector_kernel_replays_the_stacked_dict_jet(self):
         # a tuple of outputs, one of them constant: the kernel stacks them
-        # as jet does, and the values kernel gives the plain-float tuple,
+        # as jet does, and the order-0 kernel gives the plain-float tuple,
         # powers with a variable exponent included
         def covector(x, y, z):
             return (x * y - z, exp(x) / y, 0.5, abs(z) * x, 2.0 ** z * y ** x)
 
+        shapes = [(5,), (5, 3), (5, 3, 3)]
         rng = np.random.default_rng(11)
-        for rows in (None, (), (1,)):
-            kernel = JetKernel(3, rows)
-            values = _ValuesKernel(3)
+        for order in (0, 1, 2):
+            kernel = JetKernel(3, order)
             for _ in range(30):
                 pt = list(rng.uniform(0.2, 1.5, 3) * rng.choice([-1.0, 1.0], 3))
                 pt[1] = abs(pt[1])
-                want = jet(covector, pt, rows)
-                got = kernel(covector, pt)
-                assert [a.shape for a in got] == [(5,), (5, 3), (5, 3, 3)]
+                want, got = jet(covector, pt, order), kernel(covector, pt)
+                if order == 0:
+                    plain = np.array(covector(*pt), dtype=float)
+                    assert want.tobytes() == plain.tobytes()
+                    want, got = (want,), (got,)
+                assert [a.shape for a in got] == shapes[: order + 1]
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-                plain = np.array(covector(*pt), dtype=float)
-                assert values(covector, pt).tobytes() == plain.tobytes()
-            assert kernel.replay is not None and values.replay is not None
+            assert kernel.replay is not None
 
     def test_value_of_a_bare_traced_float_is_that_float(self):
-        kernel = _ValuesKernel(2)
+        kernel = JetKernel(2, 0)
         kernel(lambda x, y: x * value(y), [1.5, 2.0])
         assert kernel.replay is not None
         assert kernel(lambda x, y: x * value(y), [3.0, -0.5]) == -1.5
@@ -590,7 +590,7 @@ def canonical_bits(a) -> bytes:
 
 @lru_cache(maxsize=None)
 def warm_model(kind):
-    """A shipped model whose first-order kernel is traced at the middle
+    """A shipped model whose order-1 kernel is traced at the middle
     of its box."""
     model = BUILDERS[kind]()
     box = model.domain_box

@@ -14,6 +14,7 @@ import pytest
 
 import dirac_thermo as dt
 from dirac_thermo.dynamics import _implicit_constants, _implicit_jacobian, _lagrangian_work
+from dirac_thermo.model import _JET_KERNELS
 
 from conftest import callable_lam_piston, make_oscillator, sample_states
 
@@ -146,8 +147,8 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
     def test_implicit_residual_evaluates_L_only_to_trace(self, kind, request):
-        # the first residual traces L's first-order kernel and friction's
-        # values kernel; every later residual replays them
+        # the first residual traces L's order-1 kernel and friction's
+        # order-0 kernel; every later residual replays them
         model, calls = counting(request.getfixturevalue(kind))
         n = model.n
         rates = np.linspace(-0.5, 0.5, 3 * n + 3)
@@ -159,8 +160,8 @@ class TestEvaluationCounts:
             assert calls["friction"] == (1 if k == 0 else 0)
 
     def test_degenerate_work_evaluates_L_only_to_trace(self, reactions):
-        # friction traces twice: its first-order kernel at zero velocity
-        # (the coefficient matrix) and its values kernel at the solved rate
+        # friction traces twice: its order-1 kernel at zero velocity
+        # (the coefficient matrix) and its order-0 kernel at the solved rate
         model, calls = counting(reactions)
         for k, (q, v, S) in enumerate(sample_states(model, 3, seed=25)):
             calls.clear()
@@ -213,8 +214,8 @@ class TestEvaluationCounts:
 
 
     def test_implicit_steps_evaluate_L_only_to_trace(self, piston):
-        # each step's energy reads L off its last residual's kernel replay;
-        # the first step's Jacobian traces L's full second-order kernel
+        # each step's energy reads L off its last residual's kernel replay,
+        # and the Jacobian replays the order-2 kernel the rate traced
         model, calls = counting(piston)
         q, v, S = [1.0], [0.5], 0.0
         Sdot = dt.vector_field_lagrangian(model, q, v, S)[2]
@@ -224,7 +225,21 @@ class TestEvaluationCounts:
         calls.clear()
         traj = dt.integrate_implicit_P(model, start, t_end=0.05, h=1e-3)
         assert traj.completed and len(traj.states) == 51
-        assert calls["lagrangian"] == 1
+        assert calls["lagrangian"] == 0
+
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
+    def test_every_route_traces_at_most_two_L_kernels(self, kind, request):
+        # L's order-1 and order-2 jets serve every route: its rate, fiber
+        # solve, residual, Jacobian and diagnostics
+        model, calls = counting(request.getfixturevalue(kind))
+        q, v, S = sample_states(model, 1, seed=27)[0]
+        for route in dt.ROUTES:
+            try:
+                dt.integrate_route(model, route, (q, v, S), 0.01, 1e-3)
+            except (dt.DegenerateLagrangianError, dt.NewtonError):
+                pass  # reactions has no momentum side; membrane implicit-P stalls
+        assert set(_JET_KERNELS[model.lagrangian]) <= {(model.n, 1), (model.n, 2)}
+        assert calls["lagrangian"] <= 2
 
     @pytest.mark.parametrize("kind", ["piston", "membrane", "reactions"])
     def test_a_whole_implicit_run_evaluates_L_and_friction_only_to_trace(self, kind, request):

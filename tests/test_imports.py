@@ -107,3 +107,16 @@ def test_every_name_the_benchmark_spans_exists():
         if not callable(getattr(importlib.import_module(f"dirac_thermo.{layer}"), name, None))
     ]
     assert spanned and missing == []
+
+
+def test_the_benchmark_instruments_install_and_restore():
+    # entering an instrument rebinds every library name it times or
+    # spans, so a name the library lost fails here, not only in a traced
+    # benchmark run; leaving it puts the originals back
+    tracing = perfbench_tracing()
+    dynamics = importlib.import_module("dirac_thermo.dynamics")
+    original = dynamics.integrate_explicit
+    for instrument in (tracing.Tracer(), tracing.IntegrationTimer()):
+        with instrument.installed():
+            assert dynamics.integrate_explicit is not original
+        assert dynamics.integrate_explicit is original

@@ -68,6 +68,11 @@ class TestPiston:
         with pytest.raises(dt.ModelBuildError):
             dt.build_piston(dt.PistonParams(lam=lambda x, S: -0.1))
 
+    def test_a_non_finite_lam_is_rejected(self):
+        for lam in (math.inf, lambda x, S: 0.0 * x + math.nan, lambda x, S: 0.5 + math.inf * S):
+            with pytest.raises(dt.ModelBuildError, match="finite"):
+                dt.build_piston(dt.PistonParams(lam=lam))
+
     def test_zero_lam_is_frictionless(self):
         m = dt.build_piston(dt.PistonParams(lam=0.0))
         assert np.all(dt.friction_value(m, [1.0], [0.9], 0.3) == 0.0)
@@ -224,3 +229,22 @@ class TestReactions:
         dt.lagrangian_value(m, [0.2], [0.0], 0.1)
         assert calls, "custom energy callable never invoked"
         assert "closed_form_psi" not in m.meta
+
+
+@pytest.mark.parametrize(
+    "build, params",
+    [
+        (dt.build_piston, dt.PistonParams(U0=math.inf)),
+        (dt.build_piston, dt.PistonParams(S0=math.nan)),
+        (dt.build_piston, dt.PistonParams(s_range=(-math.inf, 2.0))),
+        (dt.build_membrane, dt.MembraneParams(L1=math.nan)),
+        (dt.build_membrane, dt.MembraneParams(Nbar=(10.0, math.inf, 10.0))),
+        (dt.build_membrane, dt.MembraneParams(mu_range=(-1.0, math.inf))),
+        (dt.build_reactions, dt.ReactionParams(N_init=(2.0, math.nan))),
+        (dt.build_reactions, dt.ReactionParams(lam_matrix=((math.inf,),))),
+        (dt.build_reactions, dt.ReactionParams(psi_range=(-0.2, math.inf))),
+    ],
+)
+def test_non_finite_parameters_are_build_errors(build, params):
+    with pytest.raises(dt.ModelBuildError, match="must be finite"):
+        build(params)
