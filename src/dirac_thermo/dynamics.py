@@ -19,12 +19,21 @@ regime reads one jet of L, ``_momentum_work`` one fiber solve);
 the vector fields, the solution data and each field's rate, stored row
 and per-step diagnostics (energy, entropy, entropy rate, the
 rate-constraint residual and the membership residual of the state, rate
-and energy differential) read it. One assembly (``_solution_data``)
-writes those (state, tangent, covector) rows of any arena from a work
-record, each group at its place in the arena's row; the
-``solution_pair_*`` helpers and the records share it. The data are P's
-at the arena's slots: the sign flip between the velocity and momentum
-sides lives in the TstarQ and N condition rows (``dirac.condition_matrix``).
+and energy differential) read it. The velocity-side record holds
+floats. A fused kernel makes it (``_work_source``): one straight-line
+function per model and n, compiled at the field's first rate, that
+replays L's and the forces' compiled jets and does the entropy-rate
+rule, an n = 1 division and the outputs in float code, calling numpy
+only where its bits need it. The implicit residual and Jacobian and
+the fiber iterate have kernels of their own. A kernel hands a state
+it cannot answer exactly to the per-evaluator path, one numpy step at
+a time from the evaluators' own jets, which gives the same bits and
+raises the errors; the tests hold the kernels to it. One assembly
+(``_solution_data``) writes the (state, tangent, covector) rows of any
+arena from a work record: P's rows at the arena's slots, which the
+``solution_pair_*`` helpers and the diagnostics share. The sign flip
+between the velocity and momentum sides lives in the TstarQ and N
+condition rows (``dirac.condition_matrix``).
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from .errors import (
 from .legendre import (
     HamiltonianModel,
     HamiltonianPartials,
+    _build_fiber,
     build_hamiltonian_model,
     hamiltonian_partials,
     momentum_map,
@@ -59,14 +69,22 @@ from .model import (
     _arena_dtype,
     _arena_layout,
     _as_array,
+    _bind,
     _covector_jet,
+    _dot,
+    _dot_source,
     _force_jets,
+    _fused,
+    _kernel_source,
     _lagrangian_first_order,
     _lagrangian_hessian,
     _momentum_rate_from,
     _records,
     _solve,
+    _solve_source,
+    _tuple,
     arena_dim,
+    arena_slots,
     external_value,
     friction_value,
     lagrangian_jet,
@@ -208,23 +226,34 @@ def _entropy_rate(model: SimpleThermoModel, F, v, s) -> float:
 
 
 class _LagrangianWork(NamedTuple):
-    """A velocity-side rate (qdot, vdot, Sdot) and L's value, first
-    partials, friction and external force it was built from; qdot is
-    also the state's velocity. ``Lv`` holds the Hessian's velocity rows
-    (L_vq | L_vv | L_vS), from which the momentum rate is read; it is
-    None in the degenerate regime, where the momentum is identically
-    zero."""
+    """A velocity-side evaluation as floats: the chart rate (qdot...,
+    Sdot, vdot...; no vdot in the degenerate regime) and L's value,
+    first partials, friction and external force it was built from; qdot
+    is also the state's velocity. ``Lv`` holds the Hessian's velocity
+    rows (L_vq | L_vv | L_vS) flat, n rows of 2n + 1, from which the
+    momentum rate is read; it is None in the degenerate regime, where
+    the momentum is identically zero."""
 
-    qdot: np.ndarray
-    vdot: np.ndarray
-    Sdot: float
+    rate: tuple
     L: float
-    dLdq: np.ndarray
-    dLdv: np.ndarray
     s: float
-    F: np.ndarray
-    Fext: np.ndarray
-    Lv: Optional[np.ndarray]
+    dLdq: tuple
+    dLdv: tuple
+    F: tuple
+    Fext: tuple
+    Lv: Optional[tuple]
+
+    @property
+    def qdot(self) -> tuple:
+        return self.rate[: len(self.dLdq)]
+
+    @property
+    def Sdot(self) -> float:
+        return self.rate[len(self.dLdq)]
+
+    @property
+    def vdot(self) -> tuple:
+        return self.rate[len(self.dLdq) + 1 :] or (0.0,) * len(self.dLdq)
 
 
 class _MomentumWork(NamedTuple):
@@ -241,9 +270,13 @@ class _MomentumWork(NamedTuple):
     Fext: np.ndarray
 
 
-def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
-    """The rate of :func:`vector_field_lagrangian` at (q, v, S) plus the
-    intermediates it was built from; a degenerate model's dL/dv is zero."""
+def _floats(x) -> tuple:
+    return tuple(np.asarray(x, dtype=float).ravel().tolist())
+
+
+def _per_evaluator_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
+    """:func:`_lagrangian_work` one numpy step at a time from the
+    evaluators' own kernels: the fused kernel's fallback and reference."""
     n = model.n
     if model.degenerate:
         zero_v = np.zeros(n)
@@ -264,16 +297,18 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
                 f"singular friction coefficient matrix (model {model.name})"
             )
         F = friction_value(model, q, qdot, S)
-        Sdot = _entropy_rate(model, F, qdot, s)
-        return _LagrangianWork(qdot, zero_v, Sdot, L, dLdq, np.zeros(n), s, F, Fext, None)
+        rate = (*_floats(qdot), _entropy_rate(model, F, qdot, s))
+        return _LagrangianWork(rate, float(L), float(s), _floats(dLdq), (0.0,) * n,
+                               _floats(F), _floats(Fext), None)
 
     # one jet of L and one friction evaluation
     v = _as_array(v, n, "v")
     L, dLdq, dLdv, s, Lv = lagrangian_jet(model, q, v, S)
     F, Fext = friction_value(model, q, v, S), external_value(model, q, v, S)
     Sdot = _entropy_rate(model, F, v, s)
+    rows = _floats(Lv)
     # the momentum rate at vdot = 0 moves to the right-hand side
-    rhs = dLdq + F + Fext - _momentum_rate_from(Lv, v, np.zeros(n), Sdot)
+    rhs = dLdq + F + Fext - _momentum_rate_from(rows, (*v.tolist(), *(0.0,) * n, Sdot))
     try:
         vdot = _solve(Lv[:, n : 2 * n], rhs)
     except np.linalg.LinAlgError:
@@ -281,7 +316,86 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
             f"singular velocity Hessian; model {model.name} needs the "
             "velocity-independent regime"
         )
-    return _LagrangianWork(v.copy(), vdot, Sdot, L, dLdq, dLdv, s, F, Fext, Lv)
+    return _LagrangianWork((*_floats(v), Sdot, *_floats(vdot)), float(L), float(s),
+                           _floats(dLdq), _floats(dLdv), _floats(F), _floats(Fext), rows)
+
+
+def _entropy_rate_source(F: list, v: list) -> list:
+    """:func:`_entropy_rate` in kernel source, setting w from the
+    friction names F, the velocities v and the slope s; a slope that is
+    not negative where friction acts fails the guard."""
+    return [
+        f"if {' and '.join(f'{f} == 0.0' for f in F)}: w = 0.0",
+        "elif s >= 0.0: return None",
+        f"else: w = {_dot_source(F, v)} / s",
+    ]
+
+
+@lru_cache(maxsize=None)
+def _work_source(n: int, degenerate: bool) -> str:
+    """The fused :func:`_lagrangian_work` at n, from q, v and S (q and S
+    when degenerate, where L's and the forces' jets are taken at v = 0)."""
+    k = 2 * n + 1
+    q, S = [f"a{i}" for i in range(n)], f"a{2 * n}"
+    f, e, b = ([f"{x}{i}" for i in range(n)] for x in "feb")
+    if degenerate:
+        v, args = [f"c{i}" for i in range(n)], ", ".join(q + ["0.0"] * n + [S])  # v: the solved rate
+        body = [
+            # the friction's order-1 jet at zero velocity: n values, then n rows of k partials
+            f"o = L1({args})", f"d = F1({args})", f"{', '.join(e)}, = E0({args})",
+            f"if len(d) != {n * (k + 1)} or not _finite(sum(o) + sum(d) + {' + '.join(e)}): return None",
+            f"if {' or '.join(f'abs(d[{i}]) > 1e-12' for i in range(n))}: return None",
+            *[f"b{i} = -(o[{1 + i}] + e{i})" for i in range(n)],
+            *_solve_source([f"d[{n + i * k + n + j}]" for i in range(n) for j in range(n)], b, v),
+            f"{', '.join(f)}, = F0({', '.join(q + v + [S])})",
+            f"s = o[{k}]", *_entropy_rate_source(f, v),
+            f"if not _finite({' + '.join(v + f)} + w): return None",
+            f"return _Work(({', '.join(v)}, w), o[0], s, {_tuple(f'o[{1 + i}]' for i in range(n))}, "
+            f"{_tuple(['0.0'] * n)}, {_tuple(f)}, {_tuple(e)}, None)",
+        ]
+        return _kernel_source(q + [S], body)
+    v, u = [f"a{n + i}" for i in range(n)], [f"u{i}" for i in range(n)]  # u: vdot
+    args, lv = ", ".join(q + v + [S]), f"o[{1 + k + n * k}:{1 + k + 2 * n * k}]"  # L's velocity rows
+    body = [
+        f"o = L2({args})", f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
+        f"if not _finite(sum(o) + {' + '.join(f + e)}): return None",
+        f"s = o[{k}]", *_entropy_rate_source(f, v),
+        "if not _finite(w): return None",
+        # the momentum rate at vdot = 0 moves to the right-hand side
+        f"{', '.join(f'm{i}' for i in range(n))}, = _mv({lv}, ({', '.join(v)}, {'0.0, ' * n}w)).tolist()",
+        *[f"b{i} = o[{1 + i}] + f{i} + e{i} - m{i}" for i in range(n)],
+        *_solve_source([f"o[{1 + k + (n + i) * k + n + j}]" for i in range(n) for j in range(n)], b, u),
+        f"if not _finite({' + '.join(u)}): return None",
+        f"return _Work(({', '.join(v)}, w, {', '.join(u)}), o[0], s, "
+        f"{_tuple(f'o[{1 + i}]' for i in range(n))}, {_tuple(f'o[{1 + n + i}]' for i in range(n))}, "
+        f"{_tuple(f)}, {_tuple(e)}, {lv})",
+    ]
+    return _kernel_source(q + v + [S], body)
+
+
+def _build_work(model: SimpleThermoModel):
+    if model.degenerate:
+        replays = {"L1": ("lagrangian", 1), "F1": ("friction", 1)}
+    else:
+        replays = {"L2": ("lagrangian", 2)}
+    replays.update(F0=("friction", 0), E0=("external", 0))
+    source = _work_source(model.n, model.degenerate)
+    return _bind(model, source, replays, _Work=_LagrangianWork)
+
+
+def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
+    """The rate of :func:`vector_field_lagrangian` at (q, v, S) plus the
+    intermediates it was built from; a degenerate model's dL/dv is zero.
+    The model's fused kernel gives it once a field has compiled one and
+    its guards hold; the per-evaluator path otherwise."""
+    kernel = _fused(model, "work")
+    if kernel is not None:
+        n = model.n
+        v = () if model.degenerate else _as_array(v, n, "v").tolist()
+        work = kernel(*_as_array(q, n, "q").tolist(), *v, float(S))
+        if work is not None:
+            return work
+    return _per_evaluator_work(model, q, v, S)
 
 
 def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None) -> _MomentumWork:
@@ -317,37 +431,30 @@ def vector_field_lagrangian(model: SimpleThermoModel, q, v, S):
     the returned qdot is the solved rate, with vdot identically zero.
     """
     work = _lagrangian_work(model, q, v, S)
-    return work.qdot, work.vdot, work.Sdot
+    return np.array(work.qdot), np.array(work.vdot), work.Sdot
 
 
 # --- on-shell membership data -------------------------------------------
 
 
-def _solution_data(model: SimpleThermoModel, q, v, S, work, arena: str) -> np.ndarray:
+def _solution_data(work: _LagrangianWork, q, v, S, rate, arena: str) -> np.ndarray:
     """Rows (base, tangent, covector) of the arena's data at the state
-    (q, v, S) with the rate (qdot, vdot, Sdot) and the partials at
-    (q, v, S) that the :class:`_LagrangianWork` ``work`` holds, each
-    group written at its place in the arena's row. On a solution v
-    equals qdot. A degenerate model's momentum is identically zero, and
-    so is its rate."""
-    slots, at = _arena_layout(arena, model.n)
-    rows = np.zeros((3, slots.size))
-    base, tangent, covector = rows  # W and lam do not move; lam = 0
-    q_, S_ = at["q"], at["S"]
-    base[q_], tangent[q_], covector[q_] = q, work.qdot, -work.dLdq - work.Fext
-    base[S_], tangent[S_], covector[S_] = S, work.Sdot, -work.s
-    if "v" in at:  # the covector's velocity block: base p - dL/dv
-        base[at["v"]], tangent[at["v"]] = v, work.vdot
-        covector[at["v"]] = work.dLdv - work.dLdv
-    if "W" in at:
-        base[at["W"]] = work.Sdot
-    if "p" in at:
-        base[at["p"]], covector[at["p"]] = work.dLdv, v
-        if not model.degenerate:
-            tangent[at["p"]] = _momentum_rate_from(work.Lv, work.qdot, work.vdot, work.Sdot)
-    if "lam" in at:
-        covector[at["lam"]] = work.Sdot
-    return rows
+    (q, v, S) with the chart rate ``rate`` (qdot..., Sdot, vdot...) and
+    the partials at (q, v, S) that ``work`` holds: P's rows, whose W
+    and lam do not move and whose lam is zero, at the arena's slots. On
+    a solution v equals qdot and the rate is the work's own. A
+    degenerate model's momentum is identically zero, and so is its rate."""
+    n = len(work.dLdq)
+    qdot, Sdot, vdot = rate[:n], rate[n], rate[n + 1 :] or (0.0,) * n
+    pdot = (0.0,) * n if work.Lv is None else _momentum_rate_from(work.Lv, (*qdot, *vdot, Sdot)).tolist()
+    rows = np.array([
+        [*q, S, *v, Sdot, *work.dLdv, 0.0],
+        [*qdot, Sdot, *vdot, 0.0, *pdot, 0.0],
+        # the energy differential; its velocity block is p - dL/dv
+        [*(-a - b for a, b in zip(work.dLdq, work.Fext)), -work.s,
+         *(a - a for a in work.dLdv), 0.0, *v, Sdot],
+    ])
+    return rows if arena == "P" else rows[:, arena_slots(arena, n)]
 
 
 def _hamiltonian_covector(covector: np.ndarray, n: int, hp, Fext) -> None:
@@ -358,7 +465,7 @@ def _hamiltonian_covector(covector: np.ndarray, n: int, hp, Fext) -> None:
 
 def _solution_pair(model: SimpleThermoModel, q, S, work, arena: str) -> TangentCovectorPair:
     """The arena's data of the solution through (q, work.qdot, S)."""
-    base, tangent, covector = _solution_data(model, q, work.qdot, S, work, arena)
+    base, tangent, covector = _solution_data(work, _floats(q), work.qdot, float(S), work.rate, arena)
     return TangentCovectorPair(ArenaPoint(arena, model.n, base), tangent, covector)
 
 
@@ -372,31 +479,35 @@ def _hamiltonian_N(model: SimpleThermoModel, q, S, work) -> TangentCovectorPair:
     return pair
 
 
+# The solution_pair_* helpers, the reference data of the membership
+# checks, read the per-evaluator path.
+
+
 def solution_pair_P(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """(state, tangent, covector) data of a solution through (q, v, S)
     on the full arena: fiber slots filled by the momentum relation, the
     covector is the generalized-energy differential (external force
     subtracted on the configuration slots). The rate of the entropy-rate
     slot is unconstrained and recorded as zero."""
-    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "P")
+    return _solution_pair(model, q, S, _per_evaluator_work(model, q, v, S), "P")
 
 
 def solution_pair_M(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """As :func:`solution_pair_P` on the velocity-momentum arena."""
-    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "M")
+    return _solution_pair(model, q, S, _per_evaluator_work(model, q, v, S), "M")
 
 
 def solution_pair_TstarQ(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """Velocity-side data transported to the cotangent arena: base at
     (q, S, momentum, 0), covector slots (-dL/dq, -dL/dS, v, Sdot)."""
-    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "TstarQ")
+    return _solution_pair(model, q, S, _per_evaluator_work(model, q, v, S), "TstarQ")
 
 
 def solution_pair_N(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """Velocity-side data transported to the momentum arena; the
     covector is (-dL/dq, -dL/dS, v), fiber matching supplying the base
     momentum."""
-    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "N")
+    return _solution_pair(model, q, S, _per_evaluator_work(model, q, v, S), "N")
 
 
 def solution_pair_N_hamiltonian(
@@ -405,7 +516,7 @@ def solution_pair_N_hamiltonian(
     """As :func:`solution_pair_N` but with the Hamiltonian differential
     (dH/dq - external, dH/dS, dH/dp) as the covector."""
     model = hmodel.source
-    return _hamiltonian_N(model, q, S, _lagrangian_work(model, q, v, S))
+    return _hamiltonian_N(model, q, S, _per_evaluator_work(model, q, v, S))
 
 
 # --- explicit integration ------------------------------------------------
@@ -448,13 +559,13 @@ def _explicit_record(arena: str, p, v, L, S, Sdot, s, F, z) -> DiagnosticsRecord
     momentum, velocity, entropy and entropy rate, and (L, s, F) the
     Lagrangian, entropy slope and friction there. The membership
     residual is infinite where the slope vanishes (T = 0 on N)."""
-    energy = float(p @ v) - L
+    energy = _dot(p, v) - L
     if s == 0.0 or not math.isfinite(s):
         residual = math.inf
     else:
         coef = -s if arena == "N" else s  # the momentum side reads T = -s
-        residual = _conditions(arena, F.size, float(coef), F) @ z
-    return _record(energy, S, Sdot, float(s * Sdot - F @ v), residual)
+        residual = _conditions(arena, len(F), float(coef), np.asarray(F)) @ z
+    return _record(energy, S, Sdot, float(s * Sdot - _dot(F, v)), residual)
 
 
 def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
@@ -462,11 +573,16 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
     the arena row."""
     model = hmodel.source
     n = model.n
+    compiled = False  # the fused fiber iterate, compiled once L's kernel is traced
 
     def evaluate(y: np.ndarray) -> _MomentumWork:
+        nonlocal compiled
         # the last rate's inverted velocity seeds the fiber inversion
         seed = None if last.work is None else last.work.qdot
-        return _momentum_work(hmodel, y[:n], float(y[n]), y[n + 1 :], v0=seed)
+        work = _momentum_work(hmodel, y[:n], float(y[n]), y[n + 1 :], v0=seed)
+        if not compiled:
+            compiled = _fused(model, "fiber", _build_fiber) is not None
+        return work
 
     last = _LastWork(evaluate)
 
@@ -498,28 +614,33 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     state's velocity is the solved rate)."""
     n = model.n
     dim = n + 1 if model.degenerate else 2 * n + 1
-    last = _LastWork(lambda y: _lagrangian_work(model, y[:n], y[n + 1 :], float(y[n])))
+    kernel = _fused(model, "work")  # compiled by an earlier field, else at the first rate
+
+    def evaluate(y: np.ndarray):
+        # (the state as floats, its work record)
+        nonlocal kernel
+        t = y.tolist()
+        work = None if kernel is None else kernel(*t[:n], *t[n + 1 :], t[n])
+        if work is None:
+            work = _per_evaluator_work(model, t[:n], t[n + 1 :], t[n])
+            kernel = _fused(model, "work", _build_work)
+        return t, work
+
+    last = _LastWork(evaluate)
 
     def rate(y: np.ndarray) -> np.ndarray:
-        w = last.fresh(y)
-        out = np.empty(dim)
-        out[:n], out[n] = w.qdot, w.Sdot
-        if not model.degenerate:
-            out[n + 1 :] = w.vdot
-        return out
+        return np.array(last.fresh(y)[1].rate)
 
     def to_point(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-        w = last.at(y)
-        return np.concatenate([y[: n + 1], w.qdot, w.dLdv])  # M's (q, S, v, p)
+        t, w = last.at(y)
+        return np.array(t[: n + 1] + [*w.qdot, *w.dLdv])  # M's (q, S, v, p)
 
     def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
         # measures the given rate r against the state y's work
-        w = last.at(y)
-        vdot = w.vdot if model.degenerate else r[n + 1 :]
-        S, Sdot = float(y[n]), float(r[n])
-        measured = _LagrangianWork(r[:n], vdot, Sdot, *w[3:])  # w's L and partials
-        z = _solution_data(model, y[:n], w.qdot, S, measured, "M")[1:].ravel()
-        return _explicit_record("M", w.dLdv, w.qdot, w.L, S, Sdot, w.s, w.F, z)
+        t, w = last.at(y)
+        rate = r.tolist()
+        z = _solution_data(w, t[:n], w.qdot, t[n], rate, "M")[1:].ravel()
+        return _explicit_record("M", w.dLdv, w.qdot, w.L, t[n], rate[n], w.s, w.F, z)
 
     return ExplicitField(
         arena="M",
@@ -592,11 +713,24 @@ def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates, with
     the entropy-rate row, the momentum-match rows, the covariable, the
     velocity match, and the rate-slot match. External force enters the
     force-balance rows additively. ``with_value`` returns ``(residual,
-    L)``, L the Lagrangian at the point from the same jet.
+    L)``, L the Lagrangian at the point from the same jet. The model's
+    fused kernel, compiled at an implicit run's start, gives it where
+    its guards hold; the per-evaluator path otherwise.
     """
     n = model.n
-    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()  # the groups' places, in P's order
     x, r = point.row, _as_array(rates, 3 * n + 3, "rates")
+    kernel = _fused(model, "residual")
+    out = None if kernel is None else kernel(*x.tolist(), *r.tolist())
+    residual, L = _per_evaluator_residual(model, x, r) if out is None else (np.array(out[0]), out[1])
+    return (residual, L) if with_value else residual
+
+
+def _per_evaluator_residual(model: SimpleThermoModel, x, r):
+    """(residual, L) of :func:`implicit_residual_P` at the P row x and
+    rates r, one numpy step at a time: the fused kernel's fallback and
+    reference."""
+    n = model.n
+    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()  # the groups' places, in P's order
     qdot, Sdot = r[q], r[S]
     at = x[q], x[v], x[S]
     L, dLdq, dLdv, s = _lagrangian_first_order(model, *at)
@@ -611,7 +745,43 @@ def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates, with
             [x[W] - Sdot],
         ]
     )
-    return (residual, L) if with_value else residual
+    return residual, L
+
+
+def _implicit_args(n: int) -> str:
+    """The jet arguments (q..., v..., S) among P's coordinates x0, x1, ..."""
+    return ", ".join([f"x{i}" for i in range(n)] + [f"x{n + 1 + i}" for i in range(n)] + [f"x{n}"])
+
+
+@lru_cache(maxsize=None)
+def _residual_source(n: int) -> str:
+    """The fused :func:`implicit_residual_P` at n: from P's row x and
+    rates r, (residual, L)."""
+    k, d = 2 * n + 1, 3 * n + 3
+    S, W, lam = n, 2 * n + 1, 3 * n + 2
+    args, f, e = _implicit_args(n), [f"f{i}" for i in range(n)], [f"e{i}" for i in range(n)]
+    residual = [
+        *[f"(r{2 * n + 2 + i} - o[{1 + i}] - e{i}) * s + (r{lam} - s) * f{i}" for i in range(n)],
+        f"s * r{S} - {_dot_source(f, [f'r{i}' for i in range(n)])}",
+        *[f"x{2 * n + 2 + i} - o[{1 + n + i}]" for i in range(n)],
+        f"x{lam}",
+        *[f"x{n + 1 + i} - r{i}" for i in range(n)],
+        f"x{W} - r{S}",
+    ]
+    body = [
+        f"o = L1({args})", f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
+        f"if not _finite(sum(o) + {' + '.join(f + e)}): return None",
+        f"s = o[{k}]",
+        f"out = {_tuple(residual)}",
+        "if not _finite(sum(out)): return None",
+        "return out, o[0]",
+    ]
+    return _kernel_source([f"x{i}" for i in range(d)] + [f"r{i}" for i in range(d)], body)
+
+
+def _build_residual(model: SimpleThermoModel):
+    replays = {"L1": ("lagrangian", 1), "F0": ("friction", 0), "E0": ("external", 0)}
+    return _bind(model, _residual_source(model.n), replays)
 
 
 def _implicit_diag(n: int, x, rates, residual, L) -> DiagnosticsRecord:
@@ -655,10 +825,19 @@ def _implicit_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) 
     The force-balance, entropy and momentum rows differentiate, through
     the jet columns (q, v, S), L's order-2 jet H (with s = dL/dS and
     its row ds), the one the velocity-side rate reads, and the order-1
-    jets dF and dFext
-    of friction and external force; the backward rates add s/h on p and
-    F/h on lam to the force-balance rows, s/h on S and -F/h on q to the
-    entropy row."""
+    jets dF and dFext of friction and external force; the backward rates
+    add s/h on p and F/h on lam to the force-balance rows, s/h on S and
+    -F/h on q to the entropy row. The model's fused kernel, compiled at
+    the first call that finds its replays traced, gives it where its
+    guards hold; the per-evaluator path otherwise."""
+    kernel = _fused(model, "jacobian", _build_jacobian)
+    J = None if kernel is None else kernel(*x.tolist(), *rates.tolist(), h, constants)
+    return _per_evaluator_jacobian(model, x, rates, h, constants) if J is None else J
+
+
+def _per_evaluator_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) -> np.ndarray:
+    """:func:`_implicit_jacobian` one numpy step at a time: the fused
+    kernel's fallback and reference."""
     n = model.n
     q, S, v, W, p, lam = _arena_layout("P", n)[1].values()
     jet_columns = _jet_columns(n)
@@ -679,6 +858,68 @@ def _implicit_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) 
     # p - dL/dv
     J[n + 1 : 2 * n + 1, jet_columns] = -H[n : 2 * n]
     return J
+
+
+@lru_cache(maxsize=None)
+def _jacobian_source(n: int) -> str:
+    """The fused :func:`_implicit_jacobian` at n: from P's row x, the
+    backward rates r, h and the constant entries C, the Jacobian, its
+    entries written as :func:`_per_evaluator_jacobian` computes them."""
+    k, d = 2 * n + 1, 3 * n + 3
+    S, lam = n, 3 * n + 2
+    cols = list(range(n)) + [n + 1 + i for i in range(n)] + [S]  # the jet columns
+
+    def H(i, j):
+        return f"o[{1 + k + i * k + j}]"
+
+    def dF(i, j):
+        return f"d[{n + i * k + j}]"
+
+    def dE(i, j):
+        return f"e[{n + i * k + j}]"
+
+    if n == 1:
+        vm = [f"(0.0 + r0 * {dF(0, j)})" for j in range(k)]
+    else:
+        vm = [f"m[{j}]" for j in range(k)]
+    entries = {}
+    for i in range(n):  # (pdot - dL/dq - Fext) s + (lamdot - s) F
+        for j, c in enumerate(cols):
+            entries[i, c] = f"u * {dF(i, j)} - s * ({H(i, j)} + {dE(i, j)}) + t{i} * {H(2 * n, j)}"
+        entries[i, 2 * n + 2 + i] = "s / h"
+        entries[i, lam] = f"d[{i}] / h"
+    for j, c in enumerate(cols):  # s Sdot - <F, qdot>
+        entries[n, c] = f"r{S} * {H(2 * n, j)} - {vm[j]}"
+    entries[n, S] = f"({entries[n, S]}) + s / h"
+    for i in range(n):
+        entries[n, i] = f"({entries[n, i]}) - d[{i}] / h"
+    for i in range(n):  # p - dL/dv
+        for j, c in enumerate(cols):
+            entries[n + 1 + i, c] = f"-{H(n + i, j)}"
+    args, size = _implicit_args(n), n * (k + 1)
+    body = [
+        f"o = L2({args})", f"d = F1({args})", f"e = E1({args})",
+        f"if len(d) != {size} or len(e) != {size}: return None",
+        "if not _finite(sum(o) + sum(d) + sum(e)): return None",
+        f"s = o[{k}]",
+        f"u = r{lam} - s",
+        *[f"t{i} = r{2 * n + 2 + i} - o[{1 + i}] - e[{i}] - d[{i}]" for i in range(n)],
+        *([] if n == 1 else [f"m = _vector_matrix({_tuple(f'r{i}' for i in range(n))}, d[{n}:])"]),
+        f"out = {_tuple(entries.values())}",
+        "if not _finite(sum(out)): return None",
+        "J = C.copy()",
+        "J.put(IDX, out)",
+        "return J",
+    ]
+    index = _tuple(str(i * d + c) for i, c in entries)
+    return f"IDX = np.array({index})\n" + _kernel_source(
+        [f"x{i}" for i in range(d)] + [f"r{i}" for i in range(d)] + ["h", "C"], body
+    )
+
+
+def _build_jacobian(model: SimpleThermoModel):
+    replays = {"L2": ("lagrangian", 2), "F1": ("friction", 1), "E1": ("external", 1)}
+    return _bind(model, _jacobian_source(model.n), replays)
 
 
 def integrate_implicit_P(
@@ -719,6 +960,7 @@ def integrate_implicit_P(
     x = initial.as_vector()
     pair0 = solution_pair_P(model, initial.q, initial.v, initial.S)
     res0, L = implicit_residual_P(model, initial, pair0.tangent, with_value=True)
+    _fused(model, "residual", _build_residual)  # the start traced its replays
     states[0], rates[0] = x, pair0.tangent
     diagnostics[0] = _implicit_diag(n, x, pair0.tangent, res0, L)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +20,15 @@ from .model import (
     ArenaPoint,
     SimpleThermoModel,
     _as_array,
+    _bind,
+    _fused,
+    _jet_parts,
+    _kernel_source,
     _lagrangian_first_order,
     _solve,
+    _solve_source,
+    _traced_kernel,
+    _tuple,
     _velocity_jet,
     arena_of_point,
     friction_value,
@@ -67,6 +75,11 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
     iterate's jet is returned too, as ``(v, jet)``. Raises
     DegenerateLagrangianError when the velocity Hessian is unusable
     (the velocity-independent case) and NewtonError on non-convergence.
+
+    Once a Hamiltonian field has compiled the model's fused iterate,
+    every iterate is that kernel; a failed guard hands the whole solve
+    to the per-evaluator iterates, which give the same bits and raise
+    the errors.
     """
     if model.degenerate:
         raise DegenerateLagrangianError(
@@ -78,7 +91,32 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
     p = _as_array(p, n, "p")
     S = float(S)
     v = np.zeros(n) if v0 is None else _as_array(v0, n, "v0").copy()
+    iterate = _fused(model, "fiber")
+    solved = None if iterate is None else _fused_solve(iterate, n, q, p, S, v)
+    if solved is None:
+        solved = _per_evaluator_solve(model, q, p, S, v)
+    return solved if with_jet else solved[0]
 
+
+def _fused_solve(iterate, n: int, q, p, S: float, v):
+    """(v, jet) from the fused iterate, or None where a guard failed or
+    the iterates ran out."""
+    args, p = [*q.tolist(), *v.tolist(), S], p.tolist()
+    for _ in range(NEWTON_MAX_ITER):
+        out = iterate(*args, *p, NEWTON_TOL)
+        if out is None:
+            return None
+        step, jet = out
+        if jet is not None:
+            return np.array(args[n : 2 * n]), jet
+        args[n : 2 * n] = step
+    return None
+
+
+def _per_evaluator_solve(model: SimpleThermoModel, q, p, S: float, v):
+    """(v, jet): the Newton loop on :func:`lagrangian_jet`, the fused
+    iterate's fallback and reference."""
+    n = model.n
     for _ in range(NEWTON_MAX_ITER):
         jet = lagrangian_jet(model, q, v, S)
         r = jet[2] - p
@@ -102,7 +140,42 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
                 f"momentum inversion did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {np.max(np.abs(r)):.3e}, model {model.name})"
             )
-    return (v, jet) if with_jet else v
+    return v, jet
+
+
+@lru_cache(maxsize=None)
+def _fiber_source(n: int) -> str:
+    """One fused Newton iterate at n. Its arguments are q, v, S, p and
+    the tolerance; it gives (None, jet) where the momentum residual is
+    within the tolerance, the jet :func:`lagrangian_jet`'s, and (the
+    next v, None) otherwise."""
+    k = 2 * n + 1
+    r, t = [f"r{i}" for i in range(n)], [f"t{i}" for i in range(n)]
+    err = f"max({', '.join(f'abs({x})' for x in r)})" if n > 1 else f"abs({r[0]})"
+    body = [
+        f"o = L2({', '.join(f'a{i}' for i in range(k))})",
+        "if not _finite(sum(o)): return None",
+        *[f"r{i} = o[{1 + n + i}] - p{i}" for i in range(n)],
+        f"if not _finite({' + '.join(r)}): return None",
+        f"if {err} <= tol: return None, _jet(o)",
+        *_solve_source([f"o[{1 + k + (n + i) * k + n + j}]" for i in range(n) for j in range(n)], r, t),
+        *[f"t{i} = a{n + i} - t{i}" for i in range(n)],
+        f"if not _finite({' + '.join(t)}): return None",
+        f"return {_tuple(t)}, None",
+    ]
+    return _kernel_source([f"a{i}" for i in range(k)] + [f"p{i}" for i in range(n)] + ["tol"], body)
+
+
+def _build_fiber(model: SimpleThermoModel):
+    n, kernel = model.n, _traced_kernel(model, "lagrangian", 2)
+    if kernel is None:
+        return None
+    unpack = kernel.unpack
+
+    def jet(o):  # lagrangian_jet's arrays from L's replay output; holds no model
+        return _jet_parts(n, *unpack(o))
+
+    return _bind(model, _fiber_source(n), {"L2": ("lagrangian", 2)}, _jet=jet)
 
 
 def hamiltonian(model: SimpleThermoModel, q, p, S, v0=None) -> float:

@@ -28,6 +28,7 @@ coordinate group read through that walk.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -186,7 +187,13 @@ class SimpleThermoModel:
     L's order-1 and order-2 jets over (q, v, S), and the friction and
     external force's values (order 0) and order-1 jets, are traced once
     per evaluator, n and order into compiled kernels
-    (:class:`duals.JetKernel`) and replayed at every later state. That
+    (:class:`duals.JetKernel`) and replayed at every later state. A
+    field's first rate, and the implicit route's first residual and
+    Jacobian, compose those replays into fused kernels, one
+    straight-line function per field or residual, model and n, that
+    keep the glue between them in float code with the bits of the
+    numpy code they stand for; any state one of them cannot answer
+    exactly goes to the per-evaluator path. That
     holds all three evaluators to a contract: each is a pure function of
     its arguments, and closure constants are read once, at trace time,
     so changing them later has no effect. An evaluator that lets a value
@@ -257,6 +264,108 @@ def _kernel_jet(evaluator: Callable, n: int, q, v, S, order: int):
         numpy_args = [*q, *v, np.float64(S)]
         with np.errstate(all="ignore"):  # the inf/NaN are the answer, not a warning
             return duals._jet_of(_flat(evaluator, n), numpy_args, order)
+
+
+# --- fused per-state kernels ---------------------------------------------
+#
+# A fused kernel is one straight-line function per (field or residual,
+# model, n), generated as source: it calls the compiled replays of the
+# jet kernels above and does the glue between them (the entropy-rate
+# rule, an n = 1 division, the outputs) in float code with the
+# operations of the numpy code it stands for, so its bits are that
+# code's. Where a numpy call has bits float code cannot give (a BLAS
+# matmul, an FMA chain; a solve at n > 1), the kernel makes that call.
+# It takes Python floats and returns None where a guard fails: a replay
+# that answered None, a value that is not a finite float, a zero pivot,
+# a slope of the wrong sign, any exception. The caller then takes the
+# per-evaluator path, which gives the same bits and raises its errors.
+
+# per L evaluator: (kind, n, degenerate) -> (friction, external, kernel),
+# dropped with the evaluator
+_FUSED = weakref.WeakKeyDictionary()
+
+
+def _fused(model: SimpleThermoModel, kind: str, build: Optional[Callable] = None):
+    """The model's fused kernel of ``kind``, or None. ``build(model)``
+    makes a missing one, or gives None while a replay it composes is
+    untraced; without ``build`` nothing is compiled."""
+    key = kind, model.n, model.degenerate
+    try:
+        entry = _FUSED.get(model.lagrangian, {}).get(key)
+    except TypeError:  # an L with no weak reference keeps the per-evaluator path
+        return None
+    if entry is not None and entry[0] is model.friction and entry[1] is model.external:
+        return entry[2]
+    kernel = None if build is None else build(model)
+    if kernel is not None:
+        _FUSED.setdefault(model.lagrangian, {})[key] = model.friction, model.external, kernel
+    return kernel
+
+
+def _bind(model: SimpleThermoModel, source: str, replays: dict, **names) -> Optional[Callable]:
+    """The function ``kernel`` that ``source`` defines, each name of
+    ``replays`` bound to the replay of the model's (evaluator, order)
+    kernel, or None while one of them is untraced. Without an external
+    force its replay answers the zeros that stand for it."""
+    namespace = dict(_FUSED_GLOBALS, **names)
+    for name, (evaluator, order) in replays.items():
+        if evaluator == "external" and model.external is None:
+            zeros = (0.0,) * (model.n * (2 * model.n + 2) if order else model.n)
+            namespace[name] = lambda *args, _zeros=zeros: _zeros
+            continue
+        kernel = _traced_kernel(model, evaluator, order)
+        if kernel is None:
+            return None
+        namespace[name] = kernel.replay
+    exec(_compiled(source), namespace)
+    return namespace["kernel"]
+
+
+def _traced_kernel(model: SimpleThermoModel, evaluator: str, order: int):
+    """The model's jet kernel of an evaluator ("lagrangian", "friction"
+    or "external") at ``order``, or None until it is traced."""
+    try:
+        kernel = _JET_KERNELS[getattr(model, evaluator)][model.n, order][0]
+    except (KeyError, TypeError):
+        return None
+    return None if kernel.replay is None else kernel
+
+
+@lru_cache(maxsize=None)
+def _compiled(source: str):
+    return compile(source, "<fused kernel>", "exec")
+
+
+def _kernel_source(params: list, body: list) -> str:
+    """``def kernel(params)`` running the body lines, None on any exception."""
+    lines = "".join(f"        {line}\n" for line in body)
+    return f"def kernel({', '.join(params)}):\n    try:\n{lines}    except Exception:\n        return None\n"
+
+
+def _tuple(items) -> str:
+    return f"({', '.join(items)},)"
+
+
+def _dot_source(x: list, y: list) -> str:
+    """x @ y in kernel source: float code at length 1 (see :func:`_dot`)."""
+    return f"(0.0 + {x[0]} * {y[0]})" if len(x) == 1 else f"_dot({_tuple(x)}, {_tuple(y)})"
+
+
+def _solve_source(A: list, b: list, out: list) -> list:
+    """Lines setting ``out`` to :func:`_solve` of the row-major matrix
+    ``A`` and ``b``: a division guarded against a zero pivot at n = 1."""
+    if len(b) == 1:
+        return [f"if {A[0]} == 0.0: return None", f"{out[0]} = {b[0]} / {A[0]}"]
+    return [f"{', '.join(out)}, = _solve_rows({_tuple(A)}, {_tuple(b)})"]
+
+
+def _solve_rows(A, b) -> list:
+    return _solve(np.array(A, dtype=float).reshape(len(b), -1), np.array(b, dtype=float)).tolist()
+
+
+def _vector_matrix(x, A) -> list:
+    """x @ A for a length-n x and a row-major n x m A, as numpy gives it."""
+    return (np.array(x, dtype=float) @ np.array(A, dtype=float).reshape(len(x), -1)).tolist()
 
 
 def _lagrangian_first_order(model: SimpleThermoModel, q, v, S):
@@ -336,15 +445,44 @@ def lagrangian_jet(model: SimpleThermoModel, q, v, S):
     the one the implicit step's Jacobian reads too, so L itself runs
     only at the first state and wherever the kernel falls back. The
     first partials equal :func:`lagrangian_partials`'s."""
-    n = model.n
-    L, g, H = _lagrangian_hessian(model, q, v, S)
+    return _jet_parts(model.n, *_lagrangian_hessian(model, q, v, S))
+
+
+def _jet_parts(n: int, L, g, H):
+    """:func:`lagrangian_jet`'s split of L's order-2 jet (L, g, H)."""
     return L, g[:n], g[n : 2 * n], g[2 * n], H[n : 2 * n]
 
 
-def _momentum_rate_from(Lv: np.ndarray, qdot, vdot, Sdot) -> np.ndarray:
+def _momentum_rate_from(Lv, rates) -> np.ndarray:
     """L_vq qdot + L_vv vdot + L_vS Sdot: the time derivative of the
-    momentum dL/dv along the rates, from the Hessian's velocity rows."""
-    return Lv @ np.concatenate([qdot, vdot, [Sdot]])
+    momentum dL/dv along the rates (qdot, vdot, Sdot), 2n + 1 floats,
+    from the Hessian's velocity rows Lv, flat. One numpy matmul, whose
+    bits (an FMA chain at n = 1) float code cannot give. A non-finite
+    entry gives NaN where it meets a zero (0 x inf), without a warning."""
+    A, x = np.array(Lv, dtype=float).reshape(-1, len(rates)), np.array(rates, dtype=float)
+    if math.isfinite(sum(Lv) + sum(rates)):  # an overflowing sum only costs the errstate
+        return A @ x
+    with np.errstate(invalid="ignore"):
+        return A @ x
+
+
+def _dot(x, y) -> float:
+    """x @ y of two float sequences with numpy's bits: BLAS adds a
+    length-1 product to 0.0, which turns -0.0 into +0.0."""
+    if len(x) == 1:
+        return 0.0 + x[0] * y[0]
+    return float(np.asarray(x, dtype=float) @ np.asarray(y, dtype=float))
+
+
+# what every fused kernel's source may name
+_FUSED_GLOBALS = {
+    "np": np,
+    "_finite": math.isfinite,
+    "_mv": _momentum_rate_from,
+    "_dot": _dot,
+    "_solve_rows": _solve_rows,
+    "_vector_matrix": _vector_matrix,
+}
 
 
 def _velocity_jet(model: SimpleThermoModel, q, v, S):
@@ -372,9 +510,8 @@ def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.nda
     """
     n = model.n
     Lv = lagrangian_jet(model, q, v, S)[4]
-    return _momentum_rate_from(
-        Lv, _as_array(qdot, n, "qdot"), _as_array(vdot, n, "vdot"), float(Sdot)
-    )
+    rates = [*_as_array(qdot, n, "qdot").tolist(), *_as_array(vdot, n, "vdot").tolist(), float(Sdot)]
+    return _momentum_rate_from(Lv.ravel().tolist(), rates)
 
 
 def friction_velocity_jacobian(model: SimpleThermoModel, q, v, S) -> np.ndarray:

@@ -6,15 +6,19 @@ route is held against the explicit one at first order.
 """
 
 import dataclasses
+import gc
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dirac_thermo as dt
+from dirac_thermo import dynamics, legendre
 from dirac_thermo.dynamics import _implicit_constants, _implicit_jacobian, _lagrangian_work
-from dirac_thermo.model import _JET_KERNELS
+from dirac_thermo.model import _FUSED, _JET_KERNELS, _fused
 
 from conftest import callable_lam_piston, make_oscillator, sample_states
 
@@ -656,3 +660,282 @@ class TestImplicitStepHalving:
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         assert all(1.9 <= r <= 2.1 for r in ratios), ratios
         assert errs[0] < 0.1
+
+
+# --- fused per-state kernels ---------------------------------------------
+
+
+def same_bits(a, b) -> bool:
+    """Equal outcomes bit for bit, zero signs included: (nested) float
+    outputs, or the same error type and message."""
+    if isinstance(a, BaseException) or isinstance(b, BaseException):
+        return type(a) is type(b) and str(a) == str(b)
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_bits, a, b))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def outcome(compute):
+    """compute()'s value, or the error it raised (RuntimeWarnings raise
+    under the suite's filter)."""
+    try:
+        return compute()
+    except Exception as err:  # noqa: BLE001 -- the error is the outcome
+        return err
+
+
+@contextmanager
+def per_evaluator():
+    """Within the block no fused kernel is found or compiled, so every
+    entry point takes the per-evaluator path, the fused kernels' reference."""
+    saved = dynamics._fused, legendre._fused
+    dynamics._fused = legendre._fused = lambda *args, **kwargs: None
+    try:
+        yield
+    finally:
+        dynamics._fused, legendre._fused = saved
+
+
+def compile_kernels(model):
+    """Trace the model's kernels at an inner state and compile every fused
+    kernel its routes use; the fused kernels' cache holds them after."""
+    n = model.n
+    q, v, S = [0.8] * n, [0.3] * n, 0.5
+    dynamics._per_evaluator_work(model, q, v, S)
+    x = np.array(q + [S] + v + [0.1] + [0.2] * n + [0.0])
+    dynamics._per_evaluator_residual(model, x, x)
+    dynamics._per_evaluator_jacobian(model, x, x, 1e-3, _implicit_constants(n, 1e-3))
+    kinds = {"work": dynamics._build_work, "residual": dynamics._build_residual,
+             "jacobian": dynamics._build_jacobian}
+    if not model.degenerate:
+        legendre._per_evaluator_solve(model, np.array(q), np.array(v), S, np.array(v))
+        kinds["fiber"] = legendre._build_fiber
+    for kind, build in kinds.items():
+        assert _fused(model, kind, build) is not None, kind
+    return model
+
+
+def pushed(model):
+    """The model with an external force that reads every coordinate."""
+
+    def push(q, v, S):
+        return tuple(0.3 * q[i] - 0.2 * v[i] * S + 0.1 for i in range(len(q)))
+
+    return dataclasses.replace(model, external=push, name=f"pushed-{model.name}")
+
+
+def make_dragged():
+    """n = 1 with friction that does not vanish at v = 0, where <F, v>
+    is a signed zero: L = v^2/2 - q^2/2 - S, F = -(v + q)/2."""
+    box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+    return dt.SimpleThermoModel(
+        n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] - 0.5 * q[0] * q[0] - S,
+        friction=lambda q, v, S: (-0.5 * (v[0] + q[0]),), domain_box=box, name="dragged",
+    )
+
+
+FUSED_MODELS = {
+    "piston": lambda: compile_kernels(dt.build_piston()),
+    "membrane": lambda: compile_kernels(dt.build_membrane()),
+    "reactions": lambda: compile_kernels(dt.build_reactions()),
+    "oscillator": lambda: compile_kernels(make_oscillator()),
+    "dragged": lambda: compile_kernels(make_dragged()),
+    "pushed-piston": lambda: compile_kernels(pushed(dt.build_piston())),
+    "pushed-membrane": lambda: compile_kernels(pushed(dt.build_membrane())),
+    "pushed-reactions": lambda: compile_kernels(pushed(dt.build_reactions())),
+    # two coupled reactions: the degenerate regime's n = 2 solve
+    "2-reactions": lambda: compile_kernels(dt.build_reactions(dt.ReactionParams(
+        nu=((-1.0, 1.0, 0.0), (0.0, -1.0, 1.0)), masses=(1.0, 1.0, 1.0), N_star=(1.0, 1.0, 1.0),
+        N_init=(2.0, 1.0, 0.5), lam_matrix=((2.0, 0.5), (-0.3, 3.0)),
+    ))),
+}
+_compiled_models = {}
+
+
+def fused_model(kind):
+    if kind not in _compiled_models:
+        _compiled_models[kind] = FUSED_MODELS[kind]()
+    return _compiled_models[kind]
+
+
+def edgy(rng, size):
+    """Coordinates: a quarter drawn from the signed zeros and units, the
+    rest uniform in [-3, 3], which holds the shipped boxes and leaves
+    them (piston x <= 0 is off its domain, where the fused kernels must
+    hand over)."""
+    out = rng.uniform(-3.0, 3.0, size)
+    special = rng.random(size) < 0.25
+    out[special] = rng.choice([0.0, -0.0, 1.0, -1.0], special.sum())
+    return out.tolist()
+
+
+def field_outputs(model, y):
+    """(rate, stored row, diagnostics record) of a fresh velocity-side field at y."""
+    field = dt.lagrangian_field(model)
+    r = field.rate(y)
+    return r, field.to_point(y, r), tuple(field.diagnostics(y, r))
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("kind", sorted(FUSED_MODELS))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_every_output_has_the_per_evaluator_bits(self, kind, seed):
+        model = fused_model(kind)
+        n = model.n
+        rng = np.random.default_rng(seed)
+        q, v, p, (S,) = edgy(rng, n), edgy(rng, n), edgy(rng, n), edgy(rng, 1)
+        y = np.array(q + [S] + ([] if model.degenerate else v))
+        x = np.array(q + [S] + v + edgy(rng, n + 2))
+        rates = np.array(edgy(rng, 3 * n + 3))
+        constants = _implicit_constants(n, 1e-3)
+        point = dt.ArenaPoint("P", n, x)
+
+        def outputs():
+            out = [
+                outcome(lambda: field_outputs(model, y)),
+                outcome(lambda: dt.implicit_residual_P(model, point, rates, with_value=True)),
+                outcome(lambda: _implicit_jacobian(model, x, rates, 1e-3, constants)),
+            ]
+            if not model.degenerate:
+                out.append(outcome(lambda: dt.inverse_partial_legendre(model, q, p, S, v0=v, with_jet=True)))
+            return out
+
+        fused = outputs()
+        with per_evaluator():
+            reference = outputs()
+        for got, want in zip(fused, reference):
+            assert same_bits(got, want), (got, want)
+
+    @pytest.mark.parametrize("kind", sorted(FUSED_MODELS))
+    def test_the_kernels_answer_inside_the_box(self, kind):
+        # the parity above would hold vacuously if every state handed over
+        model = fused_model(kind)
+        n = model.n
+        for q, v, S in sample_states(model, 5, seed=41):
+            args = [*q, *([] if model.degenerate else v), S]
+            assert _fused(model, "work")(*args) is not None
+            x = [*q, S, *v, 0.1, *v, 0.0]
+            assert _fused(model, "residual")(*x, *x) is not None
+            assert _fused(model, "jacobian")(*x, *x, 1e-3, _implicit_constants(n, 1e-3)) is not None
+            if not model.degenerate:
+                p = dt.momentum_map(model, q, v, S)
+                assert _fused(model, "fiber")(*q, *v, S, *p, 1e-12) is not None
+
+    def test_the_piston_default_start_keeps_its_signed_zeros(self):
+        # at rest the friction -lam v is -0.0: no entropy rate, and the
+        # stored rows and records keep every zero's sign
+        model = fused_model("piston")
+        y = np.array([1.0, 0.0, 0.0])
+        assert np.signbit(_fused(model, "work")(1.0, 0.0, 0.0).F[0])
+        with per_evaluator():
+            want = field_outputs(model, y)
+        assert same_bits(field_outputs(model, y), want)
+
+    def test_off_the_piston_domain_the_kernels_hand_over(self):
+        model = fused_model("piston")
+        for x in (-0.5, 0.0, -0.0):
+            assert _fused(model, "work")(x, 0.5, 0.3) is None
+            assert _fused(model, "fiber")(x, 0.5, 0.3, 0.5, 1e-12) is None
+            y = np.array([x, 0.3, 0.5])
+            with per_evaluator():
+                want = outcome(lambda: field_outputs(model, y))
+            assert same_bits(outcome(lambda: field_outputs(model, y)), want)
+
+    def test_a_guard_crossed_mid_run_keeps_the_bits(self):
+        # L's stiffness branches on the sign of q, a guard of its kernels;
+        # the run starts at q > 0 and crosses q = 0, where the fused work
+        # kernel hands over to the per-evaluator path, and back
+        def lagrangian(q, v, S):
+            k = 1.0 if q[0] < 0.0 else 4.0
+            return 0.5 * v[0] * v[0] - 0.5 * k * q[0] * q[0] - S
+
+        box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+        model = dt.SimpleThermoModel(n=1, lagrangian=lagrangian, friction=lambda q, v, S: (-0.2 * v[0],),
+                                     domain_box=box, name="kinked")
+        y0 = np.array([0.3, 0.1, -1.0])
+        run = dt.integrate_explicit(dt.lagrangian_field(model), y0, 2.0, 1e-2)
+        kernel = _fused(model, "work")
+        assert kernel(0.3, -1.0, 0.1) is not None and kernel(-0.3, -1.0, 0.1) is None
+        assert run.completed and run.states.q.min() < 0.0 < run.states.q.max()
+
+        def plain(y):
+            qdot, vdot, Sdot = dt.vector_field_lagrangian(model, y[:1], y[2:], y[1])
+            return np.concatenate([qdot, [Sdot], vdot])
+
+        reference = dt.integrate_explicit(plain, y0, 2.0, 1e-2)
+        chart = np.column_stack([run.states.q, run.states.S, run.states.v])
+        assert chart.tobytes() == reference.states.tobytes()
+        assert run.rates.tobytes() == reference.rates.tobytes()
+
+    def test_a_temperature_of_the_wrong_sign_keeps_its_error(self):
+        # dL/dS = q - 1 turns positive past q = 1, where friction acts
+        box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+        model = dt.SimpleThermoModel(
+            n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + (q[0] - 1.0) * S,
+            friction=lambda q, v, S: (-v[0],), domain_box=box, name="hot",
+        )
+        field = dt.lagrangian_field(model)
+        field.rate(np.array([0.5, 0.0, 0.5]))
+        assert _fused(model, "work") is not None
+        with pytest.raises(dt.TemperatureSignError) as fused:
+            field.rate(np.array([1.5, 0.0, 0.5]))
+        with per_evaluator(), pytest.raises(dt.TemperatureSignError) as reference:
+            dt.lagrangian_field(model).rate(np.array([1.5, 0.0, 0.5]))
+        assert str(fused.value) == str(reference.value)
+        assert str(fused.value) == "dL/dS = 0.5 must be negative where friction acts (model hot)"
+
+    def test_a_singular_velocity_hessian_keeps_its_errors(self):
+        # the mass q vanishes at q = 0: a zero pivot of the rate and the fiber solve
+        box = dt.DomainBox(q_lo=(0.5,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+        model = dt.SimpleThermoModel(
+            n=1, lagrangian=lambda q, v, S: 0.5 * q[0] * v[0] * v[0] - S,
+            friction=lambda q, v, S: (-v[0],), domain_box=box, name="massless",
+        )
+        field = dt.hamilton_field_N(dt.build_hamiltonian_model(model))
+        field.rate(np.array([0.8, 0.0, 0.3]))
+        dt.lagrangian_field(model).rate(np.array([0.8, 0.0, 0.3]))
+        assert _fused(model, "work") is not None and _fused(model, "fiber") is not None
+
+        def errors():
+            out = []
+            for compute in (lambda: dt.lagrangian_field(model).rate(np.array([0.0, 0.0, 0.3])),
+                            lambda: dt.inverse_partial_legendre(model, [0.0], [0.3], 0.0)):
+                with pytest.raises(dt.DegenerateLagrangianError) as err:
+                    compute()
+                out.append(str(err.value))
+            return out
+
+        fused = errors()
+        with per_evaluator():
+            assert fused == errors()
+        assert fused == [
+            "singular velocity Hessian; model massless needs the velocity-independent regime",
+            "singular velocity Hessian at q=[0.], S=0.0 (model massless)",
+        ]
+
+    def test_the_fused_kernels_are_dropped_with_their_models(self):
+        gc.collect()
+        before = len(_FUSED)
+        for k in range(40):
+            model = (dt.build_piston if k % 2 else dt.build_membrane)()
+            dt.integrate_route(model, "lagrangian", ([0.8] * model.n, [0.3] * model.n, 0.5), 0.003, 1e-3)
+            assert _fused(model, "work") is not None
+        del model
+        gc.collect()
+        assert len(_FUSED) == before
+
+    def test_an_overflowing_entropy_rate_stops_the_run_without_a_warning(self):
+        # the friction -1e300 v^3 overflows to inf: the entropy rate is inf,
+        # and L_vS = 0 meets it in the momentum rate; the run stops on its
+        # non-finite state
+        box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+        model = dt.SimpleThermoModel(
+            n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] - S - 0.5 * q[0] * q[0],
+            friction=lambda q, v, S: (-1e300 * v[0] * v[0] * v[0],), domain_box=box, name="overflow",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = dt.integrate_route(model, "lagrangian", ([0.2], [0.5], 0.1), 0.01, 1e-3)
+        assert not traj.completed and len(traj.times) == 1

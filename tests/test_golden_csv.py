@@ -35,6 +35,18 @@ GOLDEN = {
         "af038798e890d3e3211eec89817a9fa7908e68a19a6b9322551caac94e65afc2",
     ("reactions", "lagrangian"):
         "18bbf62cc2396bc00299e428b2b3cc988ab49a58397577e08ecf44369878bf23",
+    ("reactions", "implicit-P"):
+        "29f5e3ca29d8e382a33ca0bbe9415bcb07df382eab1e22507e0fb60d32a148fc",
+}
+
+# (model kind, formulation) -> (exit code, stderr) of a run that fails
+GOLDEN_FAILURE = {
+    # the known Newton stall of ROADMAP item 1; the residual pins the n = 3 bits
+    ("membrane", "implicit-P"): (
+        4,
+        "integration failed: implicit step did not converge: "
+        "residual 1.280e-10 after 25 iterations\n",
+    ),
 }
 
 # (verb, model kind) -> (sha256 of stdout, exit code)
@@ -88,6 +100,15 @@ def text_digest(out_dir, verb, kind):
 @pytest.mark.parametrize("kind,formulation", sorted(GOLDEN))
 def test_run_csv_is_byte_identical(tmp_path, kind, formulation):
     assert csv_digest(str(tmp_path), kind, formulation) == GOLDEN[(kind, formulation)]
+
+
+@pytest.mark.parametrize("kind,formulation", sorted(GOLDEN_FAILURE))
+def test_failing_run_keeps_its_exit_and_message(tmp_path, kind, formulation):
+    cfg = write_config(str(tmp_path), kind, formulation=formulation)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", cfg])
+    assert (code, err.getvalue()) == GOLDEN_FAILURE[(kind, formulation)]
 
 
 @pytest.mark.parametrize("verb,kind", sorted(GOLDEN_TEXT))

@@ -1,7 +1,8 @@
 """Every name a library module imports is used there or listed in its
 ``__all__``, no library module calls ``np.linalg.solve`` (every small
 solve goes through ``model._solve``), importing the command line loads
-numpy and no SciPy, and every library name that the benchmark's tracer
+numpy and no SciPy, importing the package and building models compile
+no fused kernel, and every library name that the benchmark's tracer
 spans exists.
 
 The package ``__init__`` is left out of the import scan: importing
@@ -85,6 +86,20 @@ def test_the_command_line_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_and_the_builders_compile_no_fused_kernel():
+    # fused kernels compile at a field's first rate: importing the package
+    # and building models (the benchmark's set-up, Hamiltonian gate
+    # included) compile none
+    probe = ("import dirac_thermo as dt; from dirac_thermo import model; "
+             "models = [dt.build_piston(), dt.build_membrane(), dt.build_reactions()]; "
+             "[dt.build_hamiltonian_model(m) for m in models[:2]]; "
+             "print(len(model._FUSED), model._compiled.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 def perfbench_tracing():
