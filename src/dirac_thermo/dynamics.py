@@ -12,23 +12,27 @@ They are the three :data:`ROUTES`; :func:`integrate_route` is the one
 place that turns an initial condition into a route's start state and
 trajectory, for the command line and the cross-checks alike.
 
-Each explicit side evaluates a state into one work record, the rate
-plus the partials, friction and external force it was built from
-(``_lagrangian_work`` in both velocity-side regimes, whose regular
-regime reads one jet of L, ``_momentum_work`` one fiber solve);
-the vector fields, the solution data and each field's rate, stored row
-and per-step diagnostics (energy, entropy, entropy rate, the
+Each explicit side evaluates a state into one work record of floats,
+the rate plus the partials, friction and external force it was built
+from (``_lagrangian_work`` in both velocity-side regimes, whose regular
+regime reads one jet of L; on the momentum side one fiber solve); the
+vector fields, the solution data and each field's rate, stored row and
+per-step diagnostics (energy, entropy, entropy rate, the
 rate-constraint residual and the membership residual of the state, rate
-and energy differential) read it. The velocity-side record holds
-floats. A fused kernel makes it (``_work_source``): one straight-line
-function per model and n, compiled at the field's first rate, that
-replays L's and the forces' compiled jets and does the entropy-rate
-rule, an n = 1 division and the outputs in float code, calling numpy
-only where its bits need it. The implicit residual and Jacobian and
-the fiber iterate have kernels of their own. A kernel hands a state
-it cannot answer exactly to the per-evaluator path, one numpy step at
-a time from the evaluators' own jets, which gives the same bits and
-raises the errors; the tests hold the kernels to it. One assembly
+and energy differential) read it. A fused kernel makes each record
+(``_work_source``, ``_momentum_source``): one straight-line function
+per model and n, compiled at the field's first rate, that replays L's
+and the forces' compiled jets (the momentum side loops over the fiber
+iterate) and does the entropy-rate rule, an n = 1 division and the
+outputs in float code, calling numpy only where its bits need it. The
+implicit residual and Jacobian and the fiber iterate have kernels of
+their own. A kernel hands a state it cannot answer exactly to the
+per-evaluator path (``_per_evaluator_work``, ``_momentum_work``), one
+numpy step at a time from the evaluators' own jets, which gives the
+same bits and raises the errors; the tests hold the kernels to it. A
+field keeps the work of the last rate's state for that state's stored
+row and diagnostics, and :func:`integrate_explicit` steps tuples of
+floats with numpy's bits. One assembly
 (``_solution_data``) writes the (state, tangent, covector) rows of any
 arena from a work record: P's rows at the arena's slots, which the
 ``solution_pair_*`` helpers and the diagnostics share. The sign flip
@@ -55,8 +59,9 @@ from .errors import (
     TemperatureSignError,
 )
 from .legendre import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     HamiltonianModel,
-    HamiltonianPartials,
     _build_fiber,
     build_hamiltonian_model,
     hamiltonian_partials,
@@ -257,17 +262,29 @@ class _LagrangianWork(NamedTuple):
 
 
 class _MomentumWork(NamedTuple):
-    """A momentum-side rate (qdot, pdot, Sdot) and the Hamiltonian
-    partials (L's value at the inverted velocity among them), friction
-    and external force it was built from; qdot is the inverted
-    velocity."""
+    """A momentum-side evaluation as floats: the chart rate (qdot...,
+    Sdot, pdot...), qdot the inverted velocity, and L's value there, the
+    Hamiltonian partials dH/dq = -dL/dq and dH/dS = -dL/dS, friction and
+    external force it was built from."""
 
-    qdot: np.ndarray
-    pdot: np.ndarray
-    Sdot: float
-    hp: HamiltonianPartials
-    F: np.ndarray
-    Fext: np.ndarray
+    rate: tuple
+    L: float
+    dHdq: tuple
+    dHdS: float
+    F: tuple
+    Fext: tuple
+
+    @property
+    def qdot(self) -> tuple:
+        return self.rate[: len(self.F)]
+
+    @property
+    def Sdot(self) -> float:
+        return self.rate[len(self.F)]
+
+    @property
+    def pdot(self) -> tuple:
+        return self.rate[len(self.F) + 1 :]
 
 
 def _floats(x) -> tuple:
@@ -400,13 +417,53 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
 
 def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None) -> _MomentumWork:
     """Momentum-side rate at (q, S, p) plus the intermediates it was
-    built from; ``v0`` seeds the fiber inversion."""
+    built from, one numpy step at a time; ``v0`` seeds the fiber
+    inversion. The fused momentum kernel's fallback and reference."""
     model = hmodel.source
     hp = hamiltonian_partials(model, q, p, S, v0=v0)
     F = friction_value(model, q, hp.velocity, S)
     Fext = external_value(model, q, hp.velocity, S)
     Sdot = _entropy_rate(model, F, hp.dp, -hp.dS)
-    return _MomentumWork(hp.dp, -hp.dq + F + Fext, Sdot, hp, F, Fext)
+    return _MomentumWork((*_floats(hp.dp), Sdot, *_floats(-hp.dq + F + Fext)), float(hp.L),
+                         _floats(hp.dq), float(hp.dS), _floats(F), _floats(Fext))
+
+
+@lru_cache(maxsize=None)
+def _momentum_source(n: int) -> str:
+    """The fused :func:`_momentum_work` at n, from q, S, p and the seed
+    velocity c: the Newton loop of ``legendre._fused_solve`` over the
+    fiber iterate from c, the forces' replays at the inverted velocity,
+    the entropy-rate rule and pdot = (dL/dq + F) + Fext, numpy's order."""
+    k = 2 * n + 1
+    q, S, p = [f"a{i}" for i in range(n)], f"a{n}", [f"a{n + 1 + i}" for i in range(n)]
+    c, f, e, m = ([f"{x}{i}" for i in range(n)] for x in "cfem")
+    args = ", ".join(q + c + [S])
+    body = [
+        f"for _ in range({NEWTON_MAX_ITER}):",
+        f"    out = _fiber({args}, {', '.join(p)}, {NEWTON_TOL!r})",
+        "    if out is None: return None",
+        "    t, o = out",
+        "    if o is not None: break",
+        f"    {', '.join(c)}, = t",
+        "else: return None",
+        f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
+        f"if not _finite({' + '.join(f + e)}): return None",
+        f"s = o[{k}]", *_entropy_rate_source(f, c),
+        "if not _finite(w): return None",
+        *[f"m{i} = o[{1 + i}] + f{i} + e{i}" for i in range(n)],
+        f"if not _finite({' + '.join(m)}): return None",
+        f"return _Work(({', '.join(c + ['w'] + m)}), o[0], {_tuple(f'-o[{1 + i}]' for i in range(n))}, "
+        f"-s, {_tuple(f)}, {_tuple(e)})",
+    ]
+    return _kernel_source(q + [S] + p + c, body)
+
+
+def _build_momentum(model: SimpleThermoModel):
+    fiber = _fused(model, "fiber", _build_fiber)
+    if fiber is None:
+        return None
+    replays = {"F0": ("friction", 0), "E0": ("external", 0)}
+    return _bind(model, _momentum_source(model.n), replays, _Work=_MomentumWork, _fiber=fiber)
 
 
 def vector_field_N(hmodel: HamiltonianModel, point: ArenaPoint, v0=None):
@@ -417,7 +474,7 @@ def vector_field_N(hmodel: HamiltonianModel, point: ArenaPoint, v0=None):
     start from a nearby state).
     """
     work = _momentum_work(hmodel, point.q, point.S, point.p, v0=v0)
-    return work.qdot, work.pdot, work.Sdot
+    return np.array(work.qdot), np.array(work.pdot), work.Sdot
 
 
 def vector_field_lagrangian(model: SimpleThermoModel, q, v, S):
@@ -457,12 +514,6 @@ def _solution_data(work: _LagrangianWork, q, v, S, rate, arena: str) -> np.ndarr
     return rows if arena == "P" else rows[:, arena_slots(arena, n)]
 
 
-def _hamiltonian_covector(covector: np.ndarray, n: int, hp, Fext) -> None:
-    """Write the Hamiltonian differential (dH/dq - external, dH/dS,
-    dH/dp) into an N covector row."""
-    covector[:n], covector[n], covector[n + 1 :] = hp.dq - Fext, hp.dS, hp.dp
-
-
 def _solution_pair(model: SimpleThermoModel, q, S, work, arena: str) -> TangentCovectorPair:
     """The arena's data of the solution through (q, work.qdot, S)."""
     base, tangent, covector = _solution_data(work, _floats(q), work.qdot, float(S), work.rate, arena)
@@ -473,9 +524,10 @@ def _hamiltonian_N(model: SimpleThermoModel, q, S, work) -> TangentCovectorPair:
     """N data of the solution through (q, work.qdot, S) with the
     Hamiltonian differential as its covector, the fiber inverted from
     the solution's velocity."""
-    pair = _solution_pair(model, q, S, work, "N")
+    n, pair = model.n, _solution_pair(model, q, S, work, "N")
     hp = hamiltonian_partials(model, q, work.dLdv, S, v0=work.qdot)
-    _hamiltonian_covector(pair.covector, model.n, hp, work.Fext)
+    # (dH/dq - external, dH/dS, dH/dp)
+    pair.covector[:n], pair.covector[n], pair.covector[n + 1 :] = hp.dq - work.Fext, hp.dS, hp.dp
     return pair
 
 
@@ -527,7 +579,9 @@ class ExplicitField:
     """A flat-chart right-hand side over a model with n configuration
     coordinates, plus what the integrator needs to store per step:
     ``to_point(y, r)`` is the arena's flat row at the chart state y with
-    rate r, and ``diagnostics(y, r)`` a :class:`DiagnosticsRecord`."""
+    rate r, and ``diagnostics(y, r)`` a :class:`DiagnosticsRecord` that
+    measures r against y's own work. A tuple of floats y gets tuples
+    back, an array y arrays."""
 
     arena: str
     n: int
@@ -537,20 +591,47 @@ class ExplicitField:
     diagnostics: Callable
 
 
-class _LastWork:
-    """The work record of the last state a field's rate evaluated, keyed
-    by the state's bytes: storing and diagnosing that state read it
-    instead of evaluating the state again."""
+def _chart(y) -> tuple:
+    """A chart state or rate as a tuple of floats."""
+    return y if type(y) is tuple else tuple(np.asarray(y, dtype=float).ravel().tolist())
 
-    def __init__(self, evaluate: Callable):
-        self.evaluate, self.key, self.work = evaluate, None, None
 
-    def fresh(self, y: np.ndarray):
-        self.key, self.work = y.tobytes(), self.evaluate(y)
-        return self.work
+def _explicit_field(arena: str, n: int, dim: int, evaluate, point, record) -> ExplicitField:
+    """An :class:`ExplicitField` from ``evaluate(t, last)``, the work
+    record at the chart state t given the last rate's record (None
+    before the first), ``point(t, work)``, the arena row, and
+    ``record(t, r, work)``, the diagnostics of the rate r.
 
-    def at(self, y: np.ndarray):
-        return self.work if y.tobytes() == self.key else self.evaluate(y)
+    The last rate's state and work are kept. The integrator hands the
+    rate, the stored row and the diagnostics the same tuple, so the two
+    read that work, matched by identity: a tuple cannot change, and
+    equal floats are not equal bits (-0.0 == 0.0). Any other state, an
+    array among them, is evaluated afresh from the last rate's record,
+    which stays."""
+    last = [None, None]  # the state the last rate evaluated, its work
+
+    def work_at(y):
+        if y is last[0]:
+            return y, last[1]
+        t = _chart(y)
+        return t, evaluate(t, last[1])
+
+    def rate(y):
+        t = _chart(y)
+        last[1] = w = evaluate(t, last[1])
+        last[0] = t
+        return w.rate if t is y else np.array(w.rate)
+
+    def to_point(y, r):
+        t, w = work_at(y)
+        row = point(t, w)
+        return row if t is y else np.array(row)
+
+    def diagnostics(y, r):
+        t, w = work_at(y)
+        return record(t, _chart(r), w)
+
+    return ExplicitField(arena=arena, n=n, dim=dim, rate=rate, to_point=to_point, diagnostics=diagnostics)
 
 
 def _explicit_record(arena: str, p, v, L, S, Sdot, s, F, z) -> DiagnosticsRecord:
@@ -570,42 +651,31 @@ def _explicit_record(arena: str, p, v, L, S, Sdot, s, F, z) -> DiagnosticsRecord
 
 def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
     """Momentum-side field over the flat chart (q, S, p), which is also
-    the arena row."""
+    the arena row. Each fiber inversion starts from the inverted
+    velocity of the rate evaluated before it (from rest at the first),
+    and the seed moves the bits. The model's fused momentum kernel,
+    compiled at the field's first rate, gives the work where its guards
+    hold; :func:`_momentum_work` from the same seed otherwise."""
     model = hmodel.source
     n = model.n
-    compiled = False  # the fused fiber iterate, compiled once L's kernel is traced
+    kernel = _fused(model, "momentum")  # compiled by an earlier field, else at the first rate
+    rest = (0.0,) * n
 
-    def evaluate(y: np.ndarray) -> _MomentumWork:
-        nonlocal compiled
-        # the last rate's inverted velocity seeds the fiber inversion
-        seed = None if last.work is None else last.work.qdot
-        work = _momentum_work(hmodel, y[:n], float(y[n]), y[n + 1 :], v0=seed)
-        if not compiled:
-            compiled = _fused(model, "fiber", _build_fiber) is not None
+    def evaluate(t: tuple, last) -> _MomentumWork:
+        nonlocal kernel
+        seed = rest if last is None else last.qdot
+        work = None if kernel is None else kernel(*t, *seed)
+        if work is None:
+            work = _momentum_work(hmodel, t[:n], t[n], t[n + 1 :], v0=seed)
+            kernel = _fused(model, "momentum", _build_momentum)
         return work
 
-    last = _LastWork(evaluate)
+    def record(t: tuple, r: tuple, w: _MomentumWork) -> DiagnosticsRecord:
+        # the rate, then the Hamiltonian differential (dH/dq - external, dH/dS, dH/dp)
+        z = np.array([*r, *(a - b for a, b in zip(w.dHdq, w.Fext)), w.dHdS, *w.qdot])
+        return _explicit_record("N", t[n + 1 :], w.qdot, w.L, t[n], r[n], -w.dHdS, w.F, z)
 
-    def rate(y: np.ndarray) -> np.ndarray:
-        w = last.fresh(y)
-        return np.concatenate([w.qdot, [w.Sdot], w.pdot])
-
-    def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
-        w, d = last.at(y), y.size
-        z = np.empty(2 * d)
-        z[:d] = r
-        _hamiltonian_covector(z[d:], n, w.hp, w.Fext)
-        S, Sdot = float(y[n]), float(r[n])
-        return _explicit_record("N", y[n + 1 :], w.qdot, w.hp.L, S, Sdot, -w.hp.dS, w.F, z)
-
-    return ExplicitField(
-        arena="N",
-        n=n,
-        dim=2 * n + 1,
-        rate=rate,
-        to_point=lambda y, r: y,
-        diagnostics=diagnostics,
-    )
+    return _explicit_field("N", n, 2 * n + 1, evaluate, lambda t, w: t, record)
 
 
 def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
@@ -613,43 +683,25 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     models whose rate is algebraic (there y[n + 1 :] is empty and the
     state's velocity is the solved rate)."""
     n = model.n
-    dim = n + 1 if model.degenerate else 2 * n + 1
     kernel = _fused(model, "work")  # compiled by an earlier field, else at the first rate
 
-    def evaluate(y: np.ndarray):
-        # (the state as floats, its work record)
+    def evaluate(t: tuple, last) -> _LagrangianWork:
         nonlocal kernel
-        t = y.tolist()
         work = None if kernel is None else kernel(*t[:n], *t[n + 1 :], t[n])
         if work is None:
             work = _per_evaluator_work(model, t[:n], t[n + 1 :], t[n])
             kernel = _fused(model, "work", _build_work)
-        return t, work
+        return work
 
-    last = _LastWork(evaluate)
+    def point(t: tuple, w: _LagrangianWork) -> tuple:
+        return (*t[: n + 1], *w.qdot, *w.dLdv)  # M's (q, S, v, p)
 
-    def rate(y: np.ndarray) -> np.ndarray:
-        return np.array(last.fresh(y)[1].rate)
+    def record(t: tuple, r: tuple, w: _LagrangianWork) -> DiagnosticsRecord:
+        z = _solution_data(w, t[:n], w.qdot, t[n], r, "M")[1:].ravel()
+        return _explicit_record("M", w.dLdv, w.qdot, w.L, t[n], r[n], w.s, w.F, z)
 
-    def to_point(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-        t, w = last.at(y)
-        return np.array(t[: n + 1] + [*w.qdot, *w.dLdv])  # M's (q, S, v, p)
-
-    def diagnostics(y: np.ndarray, r: np.ndarray) -> DiagnosticsRecord:
-        # measures the given rate r against the state y's work
-        t, w = last.at(y)
-        rate = r.tolist()
-        z = _solution_data(w, t[:n], w.qdot, t[n], rate, "M")[1:].ravel()
-        return _explicit_record("M", w.dLdv, w.qdot, w.L, t[n], rate[n], w.s, w.F, z)
-
-    return ExplicitField(
-        arena="M",
-        n=n,
-        dim=dim,
-        rate=rate,
-        to_point=to_point,
-        diagnostics=diagnostics,
-    )
+    dim = n + 1 if model.degenerate else 2 * n + 1
+    return _explicit_field("M", n, dim, evaluate, point, record)
 
 
 def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
@@ -661,12 +713,19 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
     are recorded at every stored state, including the initial one. A
     non-finite state aborts and returns the partial trajectory with
     ``completed=False``.
+
+    The states and stages are tuples of floats, and each stage takes
+    one IEEE operation per coordinate in the order of numpy's
+    elementwise ``y + sixth * (r + 2.0 * (k2 + k3) + k4)``, so the bits
+    are numpy's. The field's rate and diagnostics are called once per
+    rate and once per stored state; a plain callable is called on
+    arrays behind an adapter.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    y = np.asarray(initial, dtype=float).copy()
+    y = np.asarray(initial, dtype=float)
     if isinstance(field, ExplicitField):
         if y.shape != (field.dim,):
             raise DimensionMismatchError(
@@ -675,14 +734,15 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
         f, to_point, diagnose = field.rate, field.to_point, field.diagnostics
         arena, n, d = field.arena, field.n, arena_dim(field.arena, field.n)
     else:
-        f = lambda z: np.asarray(field(z), dtype=float)
-        to_point, diagnose = (lambda z, r: z), None
+        f = lambda t: tuple(np.asarray(field(np.array(t)), dtype=float).tolist())
+        to_point, diagnose = (lambda t, r: t), None
         arena, n, d = "", 0, y.size
     K = max(1, int(round(t_end / h))) + 1
     states, rates = np.empty((K, d)), np.empty((K, y.size))
     diagnostics = np.empty((K if diagnose else 0, len(_DIAGNOSTICS)))
     half = 0.5 * h
     sixth = h / 6.0
+    y = tuple(y.tolist())
     r = f(y)
     k = 0
     while True:
@@ -692,11 +752,11 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
         k += 1
         if k == K:
             break
-        k2 = f(y + half * r)
-        k3 = f(y + half * k2)
-        k4 = f(y + h * k3)
-        y = y + sixth * (r + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(y)):
+        k2 = f(tuple([a + half * b for a, b in zip(y, r)]))
+        k3 = f(tuple([a + half * b for a, b in zip(y, k2)]))
+        k4 = f(tuple([a + h * b for a, b in zip(y, k3)]))
+        y = tuple([a + sixth * ((b + 2.0 * (c + e)) + g) for a, b, c, e, g in zip(y, r, k2, k3, k4)])
+        if not all(map(math.isfinite, y)):
             break
         r = f(y)
     return _stored(h, k, arena, n, states, rates, diagnostics, completed=k == K)

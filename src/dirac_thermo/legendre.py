@@ -92,22 +92,25 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
     S = float(S)
     v = np.zeros(n) if v0 is None else _as_array(v0, n, "v0").copy()
     iterate = _fused(model, "fiber")
-    solved = None if iterate is None else _fused_solve(iterate, n, q, p, S, v)
+    solved = None if iterate is None else _fused_solve(model, iterate, q, p, S, v)
     if solved is None:
         solved = _per_evaluator_solve(model, q, p, S, v)
     return solved if with_jet else solved[0]
 
 
-def _fused_solve(iterate, n: int, q, p, S: float, v):
+def _fused_solve(model: SimpleThermoModel, iterate, q, p, S: float, v):
     """(v, jet) from the fused iterate, or None where a guard failed or
-    the iterates ran out."""
+    the iterates ran out; the jet is read off the converged iterate's
+    replay of L."""
+    n = model.n
     args, p = [*q.tolist(), *v.tolist(), S], p.tolist()
     for _ in range(NEWTON_MAX_ITER):
         out = iterate(*args, *p, NEWTON_TOL)
         if out is None:
             return None
-        step, jet = out
-        if jet is not None:
+        step, o = out
+        if o is not None:
+            jet = _jet_parts(n, *_traced_kernel(model, "lagrangian", 2).unpack(o))
             return np.array(args[n : 2 * n]), jet
         args[n : 2 * n] = step
     return None
@@ -146,9 +149,10 @@ def _per_evaluator_solve(model: SimpleThermoModel, q, p, S: float, v):
 @lru_cache(maxsize=None)
 def _fiber_source(n: int) -> str:
     """One fused Newton iterate at n. Its arguments are q, v, S, p and
-    the tolerance; it gives (None, jet) where the momentum residual is
-    within the tolerance, the jet :func:`lagrangian_jet`'s, and (the
-    next v, None) otherwise."""
+    the tolerance; it gives (None, o) where the momentum residual is
+    within the tolerance, o the flat output of L's order-2 replay at
+    (q, v, S), and (the next v, None) otherwise. The inversion and the
+    momentum-side work kernel both loop over it."""
     k = 2 * n + 1
     r, t = [f"r{i}" for i in range(n)], [f"t{i}" for i in range(n)]
     err = f"max({', '.join(f'abs({x})' for x in r)})" if n > 1 else f"abs({r[0]})"
@@ -157,7 +161,7 @@ def _fiber_source(n: int) -> str:
         "if not _finite(sum(o)): return None",
         *[f"r{i} = o[{1 + n + i}] - p{i}" for i in range(n)],
         f"if not _finite({' + '.join(r)}): return None",
-        f"if {err} <= tol: return None, _jet(o)",
+        f"if {err} <= tol: return None, o",
         *_solve_source([f"o[{1 + k + (n + i) * k + n + j}]" for i in range(n) for j in range(n)], r, t),
         *[f"t{i} = a{n + i} - t{i}" for i in range(n)],
         f"if not _finite({' + '.join(t)}): return None",
@@ -167,15 +171,7 @@ def _fiber_source(n: int) -> str:
 
 
 def _build_fiber(model: SimpleThermoModel):
-    n, kernel = model.n, _traced_kernel(model, "lagrangian", 2)
-    if kernel is None:
-        return None
-    unpack = kernel.unpack
-
-    def jet(o):  # lagrangian_jet's arrays from L's replay output; holds no model
-        return _jet_parts(n, *unpack(o))
-
-    return _bind(model, _fiber_source(n), {"L2": ("lagrangian", 2)}, _jet=jet)
+    return _bind(model, _fiber_source(model.n), {"L2": ("lagrangian", 2)})
 
 
 def hamiltonian(model: SimpleThermoModel, q, p, S, v0=None) -> float:

@@ -190,10 +190,11 @@ class SimpleThermoModel:
     (:class:`duals.JetKernel`) and replayed at every later state. A
     field's first rate, and the implicit route's first residual and
     Jacobian, compose those replays into fused kernels, one
-    straight-line function per field or residual, model and n, that
-    keep the glue between them in float code with the bits of the
-    numpy code they stand for; any state one of them cannot answer
-    exactly goes to the per-evaluator path. That
+    straight-line function per kind, model and n (the velocity-side
+    work, the fiber iterate, the momentum-side work, the implicit
+    residual and Jacobian), that keep the glue between them in float
+    code with the bits of the numpy code they stand for; any state one
+    of them cannot answer exactly goes to the per-evaluator path. That
     holds all three evaluators to a contract: each is a pure function of
     its arguments, and closure constants are read once, at trace time,
     so changing them later has no effect. An evaluator that lets a value

@@ -344,6 +344,14 @@ class TestExplicitIntegrator:
             assert off == dt.lagrangian_field(model).diagnostics(y, r + 0.01)
             assert off.dirac_residual > 5e-3, model.name
 
+    def test_the_last_rate_state_is_matched_by_identity(self, piston):
+        # -0.0 == 0.0, but each state's stored row keeps its own zero's sign
+        field = dt.lagrangian_field(piston)
+        y, twin = (1.0, 0.2, 0.0), (1.0, 0.2, -0.0)
+        r = field.rate(y)
+        assert field.to_point(y, r) == field.to_point(twin, r) == (1.0, 0.2, 0.0, 0.0)
+        assert not np.signbit(field.to_point(y, r)[2]) and np.signbit(field.to_point(twin, r)[2])
+
     @pytest.mark.parametrize("kind", ["piston", "membrane"])
     def test_hamilton_constraint_is_the_phenomenological_residual(self, kind, request):
         # the stored constraint is s Sdot - <F, v> at the inverted velocity,
@@ -405,6 +413,17 @@ class TestExplicitIntegrator:
         assert rows.shape == (K, 5)
         assert np.array_equal(rows[:, 0], tr.states.q[:, 0])
         assert np.array_equal(rows[:, 2], tr.states.v[:, 0])
+
+    def test_the_finite_check_reads_each_coordinate(self):
+        # 1e308 + 1e308 overflows, but no coordinate of the state does
+        tr = dt.integrate_explicit(lambda y: np.zeros(2), np.array([1e308, 1e308]), 0.05, 1e-2)
+        assert tr.completed and len(tr.times) == 6 and np.all(tr.states == 1e308)
+        # a NaN in one coordinate stops the run at the first state that holds it:
+        # the stages from the state at t = 0.05 cross 0.0525
+        nan_past = lambda y: np.array([1.0, np.nan if y[0] > 0.0525 else 0.0])
+        tr = dt.integrate_explicit(nan_past, np.zeros(2), 1.0, 1e-2)
+        assert not tr.completed and len(tr.times) == 6
+        assert np.all(np.isfinite(tr.states)) and np.all(np.isfinite(tr.rates))
 
     def test_rejects_bad_steps_and_shapes(self, piston):
         field = dt.lagrangian_field(piston)
@@ -475,6 +494,27 @@ class TestIntegrateRoute:
         for name in ("times", "states", "rates", "diagnostics"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_every_route_reaches_an_integrator_through_the_module(self, piston, monkeypatch):
+        # the benchmark times each run by rebinding these module attributes
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(dynamics, name)
+
+            def integrate(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return integrate
+
+        for name in ("integrate_explicit", "integrate_implicit_P"):
+            monkeypatch.setattr(dynamics, name, counted(name))
+        for route in dt.ROUTES:
+            before = sum(calls.values())
+            dt.integrate_route(piston, route, self.initial, 0.01, 1e-3)
+            assert sum(calls.values()) == before + 1, route
+        assert calls == {"integrate_explicit": 2, "integrate_implicit_P": 1}
 
     def test_degenerate_model_has_no_momentum_route(self, reactions):
         with pytest.raises(dt.DegenerateLagrangianError):
@@ -711,6 +751,7 @@ def compile_kernels(model):
     if not model.degenerate:
         legendre._per_evaluator_solve(model, np.array(q), np.array(v), S, np.array(v))
         kinds["fiber"] = legendre._build_fiber
+        kinds["momentum"] = dynamics._build_momentum
     for kind, build in kinds.items():
         assert _fused(model, kind, build) is not None, kind
     return model
@@ -777,6 +818,27 @@ def field_outputs(model, y):
     return r, field.to_point(y, r), tuple(field.diagnostics(y, r))
 
 
+def hamilton_outputs(model, y, v):
+    """(rate, stored row, diagnostics record) of a fresh momentum-side
+    field at the tuple y = (q, S, p), as the integrator reads them, its
+    fiber inversion seeded at the velocity of a first rate on the fiber
+    through v."""
+    n = model.n
+    field = dt.hamilton_field_N(legendre.HamiltonianModel(model))
+    field.rate((*y[:n + 1], *dt.momentum_map(model, y[:n], v, y[n]).tolist()))
+    r = field.rate(y)
+    return r, field.to_point(y, r), tuple(field.diagnostics(y, r))
+
+
+def same_runs(a, b) -> bool:
+    """Two trajectories with the same bits in every stored array."""
+    return a.completed == b.completed and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.times, b.times), (a.states, b.states), (a.rates, b.rates),
+                     (a.diagnostics, b.diagnostics))
+    )
+
+
 class TestFusedKernels:
     @pytest.mark.parametrize("kind", sorted(FUSED_MODELS))
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -800,6 +862,7 @@ class TestFusedKernels:
             ]
             if not model.degenerate:
                 out.append(outcome(lambda: dt.inverse_partial_legendre(model, q, p, S, v0=v, with_jet=True)))
+                out.append(outcome(lambda: hamilton_outputs(model, (*q, S, *p), v)))
             return out
 
         fused = outputs()
@@ -822,6 +885,7 @@ class TestFusedKernels:
             if not model.degenerate:
                 p = dt.momentum_map(model, q, v, S)
                 assert _fused(model, "fiber")(*q, *v, S, *p, 1e-12) is not None
+                assert _fused(model, "momentum")(*q, S, *p, *v) is not None
 
     def test_the_piston_default_start_keeps_its_signed_zeros(self):
         # at rest the friction -lam v is -0.0: no entropy rate, and the
@@ -838,10 +902,47 @@ class TestFusedKernels:
         for x in (-0.5, 0.0, -0.0):
             assert _fused(model, "work")(x, 0.5, 0.3) is None
             assert _fused(model, "fiber")(x, 0.5, 0.3, 0.5, 1e-12) is None
+            assert _fused(model, "momentum")(x, 0.3, 0.5, 0.5) is None
             y = np.array([x, 0.3, 0.5])
+            outputs = [lambda: field_outputs(model, y), lambda: hamilton_outputs(model, (x, 0.3, 0.5), [0.5])]
             with per_evaluator():
-                want = outcome(lambda: field_outputs(model, y))
-            assert same_bits(outcome(lambda: field_outputs(model, y)), want)
+                want = [outcome(compute) for compute in outputs]
+            assert same_bits(tuple(outcome(compute) for compute in outputs), tuple(want))
+
+    @pytest.mark.parametrize("route", ["lagrangian", "hamilton-dirac-N"])
+    @pytest.mark.parametrize("kind", ["piston", "membrane"])
+    def test_whole_runs_have_the_per_evaluator_bits(self, kind, route, monkeypatch):
+        # every rate of the fused run is a kernel's; under per_evaluator()
+        # every rate is the fallback's, once per rate: the stored rows and
+        # records read the rate's work
+        model = fused_model(kind)
+        n = model.n
+        q, v, S = sample_states(model, 1, seed=43)[0]
+        fallback = "_per_evaluator_work" if route == "lagrangian" else "_momentum_work"
+        calls = Counter()
+        original = getattr(dynamics, fallback)
+
+        def counted(*args, **kwargs):
+            calls[fallback] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, fallback, counted)
+        run = dt.integrate_route(model, route, (q, v, S), 0.2, 1e-3)
+        assert run.completed and calls[fallback] == 0
+        with per_evaluator():
+            reference = dt.integrate_route(model, route, (q, v, S), 0.2, 1e-3)
+        assert calls[fallback] == 4 * 200 + 1
+        assert same_runs(run, reference)
+        if route == "lagrangian":  # the plain-callable loop over the public field
+            def plain(y):
+                qdot, vdot, Sdot = dt.vector_field_lagrangian(model, y[:n], y[n + 1:], y[n])
+                return np.concatenate([qdot, [Sdot], vdot])
+
+            flat = np.concatenate([q, [S], v])
+            loop = dt.integrate_explicit(plain, flat, 0.2, 1e-3)
+            chart = np.column_stack([run.states.q, run.states.S, run.states.v])
+            assert chart.tobytes() == loop.states.tobytes()
+            assert run.rates.tobytes() == loop.rates.tobytes()
 
     def test_a_guard_crossed_mid_run_keeps_the_bits(self):
         # L's stiffness branches on the sign of q, a guard of its kernels;
@@ -868,6 +969,15 @@ class TestFusedKernels:
         chart = np.column_stack([run.states.q, run.states.S, run.states.v])
         assert chart.tobytes() == reference.states.tobytes()
         assert run.rates.tobytes() == reference.rates.tobytes()
+        # the momentum side's fiber iterate meets the same guard
+        start = ([0.3], [-1.0], 0.1)
+        run = dt.integrate_route(model, "hamilton-dirac-N", start, 2.0, 1e-2)
+        momentum = _fused(model, "momentum")
+        assert momentum(0.3, 0.1, -1.0, -1.0) is not None and momentum(-0.3, 0.1, -1.0, -1.0) is None
+        assert run.completed and run.states.q.min() < 0.0 < run.states.q.max()
+        with per_evaluator():
+            reference = dt.integrate_route(model, "hamilton-dirac-N", start, 2.0, 1e-2)
+        assert same_runs(run, reference)
 
     def test_a_temperature_of_the_wrong_sign_keeps_its_error(self):
         # dL/dS = q - 1 turns positive past q = 1, where friction acts
@@ -885,6 +995,16 @@ class TestFusedKernels:
             dt.lagrangian_field(model).rate(np.array([1.5, 0.0, 0.5]))
         assert str(fused.value) == str(reference.value)
         assert str(fused.value) == "dL/dS = 0.5 must be negative where friction acts (model hot)"
+        # the momentum side, chart (q, S, p)
+        hmodel = dt.build_hamiltonian_model(model)
+        dt.hamilton_field_N(hmodel).rate(np.array([0.5, 0.5, 0.3]))
+        assert _fused(model, "momentum") is not None
+        with pytest.raises(dt.TemperatureSignError) as fused:
+            dt.hamilton_field_N(hmodel).rate(np.array([1.5, 0.5, 0.3]))
+        with per_evaluator(), pytest.raises(dt.TemperatureSignError) as reference:
+            dt.hamilton_field_N(hmodel).rate(np.array([1.5, 0.5, 0.3]))
+        assert str(fused.value) == str(reference.value)
+        assert str(fused.value) == "dL/dS = 0.5 must be negative where friction acts (model hot)"
 
     def test_a_singular_velocity_hessian_keeps_its_errors(self):
         # the mass q vanishes at q = 0: a zero pivot of the rate and the fiber solve
@@ -893,15 +1013,17 @@ class TestFusedKernels:
             n=1, lagrangian=lambda q, v, S: 0.5 * q[0] * v[0] * v[0] - S,
             friction=lambda q, v, S: (-v[0],), domain_box=box, name="massless",
         )
-        field = dt.hamilton_field_N(dt.build_hamiltonian_model(model))
-        field.rate(np.array([0.8, 0.0, 0.3]))
+        hmodel = dt.build_hamiltonian_model(model)
+        dt.hamilton_field_N(hmodel).rate(np.array([0.8, 0.0, 0.3]))
         dt.lagrangian_field(model).rate(np.array([0.8, 0.0, 0.3]))
         assert _fused(model, "work") is not None and _fused(model, "fiber") is not None
+        assert _fused(model, "momentum") is not None
 
         def errors():
             out = []
             for compute in (lambda: dt.lagrangian_field(model).rate(np.array([0.0, 0.0, 0.3])),
-                            lambda: dt.inverse_partial_legendre(model, [0.0], [0.3], 0.0)):
+                            lambda: dt.inverse_partial_legendre(model, [0.0], [0.3], 0.0),
+                            lambda: dt.hamilton_field_N(hmodel).rate(np.array([0.0, 0.3, 0.3]))):
                 with pytest.raises(dt.DegenerateLagrangianError) as err:
                     compute()
                 out.append(str(err.value))
@@ -913,6 +1035,7 @@ class TestFusedKernels:
         assert fused == [
             "singular velocity Hessian; model massless needs the velocity-independent regime",
             "singular velocity Hessian at q=[0.], S=0.0 (model massless)",
+            "singular velocity Hessian at q=[0.], S=0.3 (model massless)",
         ]
 
     def test_the_fused_kernels_are_dropped_with_their_models(self):
@@ -920,8 +1043,9 @@ class TestFusedKernels:
         before = len(_FUSED)
         for k in range(40):
             model = (dt.build_piston if k % 2 else dt.build_membrane)()
-            dt.integrate_route(model, "lagrangian", ([0.8] * model.n, [0.3] * model.n, 0.5), 0.003, 1e-3)
-            assert _fused(model, "work") is not None
+            for route in ("lagrangian", "hamilton-dirac-N"):
+                dt.integrate_route(model, route, ([0.8] * model.n, [0.3] * model.n, 0.5), 0.003, 1e-3)
+            assert _fused(model, "work") is not None and _fused(model, "momentum") is not None
         del model
         gc.collect()
         assert len(_FUSED) == before
