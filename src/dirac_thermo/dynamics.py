@@ -663,8 +663,8 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
 
     def evaluate(t: tuple, last) -> _MomentumWork:
         nonlocal kernel
-        seed = rest if last is None else last.qdot
-        work = None if kernel is None else kernel(*t, *seed)
+        seed = None if last is None else last.qdot
+        work = None if kernel is None else kernel(*t, *(seed or rest))
         if work is None:
             work = _momentum_work(hmodel, t[:n], t[n], t[n + 1 :], v0=seed)
             kernel = _fused(model, "momentum", _build_momentum)

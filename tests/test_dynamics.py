@@ -776,12 +776,24 @@ def make_dragged():
     )
 
 
+def make_stiffening():
+    """n = 1 with a kinetic term quartic in v, L = v^2/2 + v^4/12 - q^2/2 - S,
+    F = -0.3 v: the fiber Newton loop takes several iterates, and the
+    bits it converges to depend on its seed."""
+    box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+    return dt.SimpleThermoModel(
+        n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + v[0] * v[0] * v[0] * v[0] / 12.0 - 0.5 * q[0] * q[0] - S,
+        friction=lambda q, v, S: (-0.3 * v[0],), domain_box=box, name="stiffening",
+    )
+
+
 FUSED_MODELS = {
     "piston": lambda: compile_kernels(dt.build_piston()),
     "membrane": lambda: compile_kernels(dt.build_membrane()),
     "reactions": lambda: compile_kernels(dt.build_reactions()),
     "oscillator": lambda: compile_kernels(make_oscillator()),
     "dragged": lambda: compile_kernels(make_dragged()),
+    "stiffening": lambda: compile_kernels(make_stiffening()),
     "pushed-piston": lambda: compile_kernels(pushed(dt.build_piston())),
     "pushed-membrane": lambda: compile_kernels(pushed(dt.build_membrane())),
     "pushed-reactions": lambda: compile_kernels(pushed(dt.build_reactions())),
@@ -910,11 +922,12 @@ class TestFusedKernels:
             assert same_bits(tuple(outcome(compute) for compute in outputs), tuple(want))
 
     @pytest.mark.parametrize("route", ["lagrangian", "hamilton-dirac-N"])
-    @pytest.mark.parametrize("kind", ["piston", "membrane"])
+    @pytest.mark.parametrize("kind", ["piston", "membrane", "stiffening"])
     def test_whole_runs_have_the_per_evaluator_bits(self, kind, route, monkeypatch):
         # every rate of the fused run is a kernel's; under per_evaluator()
         # every rate is the fallback's, once per rate: the stored rows and
-        # records read the rate's work
+        # records read the rate's work. Each fiber solve starts from the
+        # last rate's velocity, which moves stiffening's bits
         model = fused_model(kind)
         n = model.n
         q, v, S = sample_states(model, 1, seed=43)[0]
