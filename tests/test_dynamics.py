@@ -781,10 +781,13 @@ def make_stiffening():
     F = -0.3 v: the fiber Newton loop takes several iterates, and the
     bits it converges to depend on its seed."""
     box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
-    return dt.SimpleThermoModel(
-        n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + v[0] * v[0] * v[0] * v[0] / 12.0 - 0.5 * q[0] * q[0] - S,
-        friction=lambda q, v, S: (-0.3 * v[0],), domain_box=box, name="stiffening",
-    )
+
+    def lagrangian(q, v, S):
+        v2 = v[0] * v[0]
+        return 0.5 * v2 + v2 * v2 / 12.0 - 0.5 * q[0] * q[0] - S
+
+    return dt.SimpleThermoModel(n=1, lagrangian=lagrangian, friction=lambda q, v, S: (-0.3 * v[0],),
+                                domain_box=box, name="stiffening")
 
 
 FUSED_MODELS = {
