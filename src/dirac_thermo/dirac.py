@@ -233,11 +233,14 @@ def _arena_conditions(arena: str, n: int):
     return A0, Ac, AF
 
 
-def _conditions(arena: str, n: int, coef: float, F: np.ndarray) -> np.ndarray:
+def _conditions(arena: str, n: int, coef, F: np.ndarray) -> np.ndarray:
     """The arena's condition matrix at the coefficient (entropy slope or
-    temperature) ``coef`` and the friction covector ``F``."""
+    temperature) ``coef`` and the friction covector ``F``; at K stacked
+    coefficients (K,) and covectors (K, n), the K matrices (K, d, 2d),
+    each with the bits of its own (one vector-matrix product per row)."""
     A0, Ac, AF = _arena_conditions(arena, n)
-    return A0 + coef * Ac + (F @ AF).reshape(A0.shape)
+    coef, F = np.asarray(coef), np.asarray(F)
+    return A0 + coef[..., None, None] * Ac + (F[..., None, :] @ AF).reshape(coef.shape + A0.shape)
 
 
 def condition_matrix(arena: str, model: SimpleThermoModel, point) -> np.ndarray:

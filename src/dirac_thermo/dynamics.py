@@ -16,10 +16,8 @@ Each explicit side evaluates a state into one work record of floats,
 the rate plus the partials, friction and external force it was built
 from (``_lagrangian_work`` in both velocity-side regimes, whose regular
 regime reads one jet of L; on the momentum side one fiber solve); the
-vector fields, the solution data and each field's rate, stored row and
-per-step diagnostics (energy, entropy, entropy rate, the
-rate-constraint residual and the membership residual of the state, rate
-and energy differential) read it. A fused kernel makes each record
+vector fields, the solution data and each field's rate and stored row
+read it. A fused kernel makes each record
 (``_work_source``, ``_momentum_source``): one straight-line function
 per model and n, compiled at the field's first rate, that replays L's
 and the forces' compiled jets (the momentum side loops over the fiber
@@ -35,9 +33,20 @@ row and diagnostics, and :func:`integrate_explicit` steps tuples of
 floats with numpy's bits. One assembly
 (``_solution_data``) writes the (state, tangent, covector) rows of any
 arena from a work record: P's rows at the arena's slots, which the
-``solution_pair_*`` helpers and the diagnostics share. The sign flip
-between the velocity and momentum sides lives in the TstarQ and N
-condition rows (``dirac.condition_matrix``).
+``solution_pair_*`` helpers share. The sign flip between the velocity
+and momentum sides lives in the TstarQ and N condition rows
+(``dirac.condition_matrix``).
+
+Each stored state has a diagnostics row: energy, entropy, entropy
+rate, the rate-constraint residual and the membership residual of the
+state, rate and energy differential. The integrators keep, per stored
+state, the floats of its work that the row reads (``_kept``; on P the
+Lagrangian and the converged residual's entropy row and maximum), and
+every ``_BLOCK`` stored rows, and before they return, one stacked-numpy
+pass (``_diagnostics_block``) turns them into the rows. Stacked
+``np.matmul`` makes one BLAS call per row, the call a single state's
+``A @ z`` makes, so each row has the bits of its own. A field's
+``diagnostics(y, r)`` is that pass on one row.
 """
 
 from __future__ import annotations
@@ -76,7 +85,6 @@ from .model import (
     _as_array,
     _bind,
     _covector_jet,
-    _dot,
     _dot_source,
     _force_jets,
     _fused,
@@ -136,17 +144,9 @@ class DiagnosticsRecord(NamedTuple):
 
 # one stored diagnostics row, a column per record field
 _DIAGNOSTICS = np.dtype([(name, float) for name in DiagnosticsRecord._fields])
-
-
-def _record(energy, S, Sdot, constraint, residual) -> DiagnosticsRecord:
-    """Diagnostics record from the constraint value and membership residual."""
-    return DiagnosticsRecord(
-        energy=energy,
-        entropy=S,
-        entropy_rate=Sdot,
-        constraint_residual=abs(constraint),
-        dirac_residual=float(np.abs(residual).max()),
-    )
+# stored rows per diagnostics pass: the pass's stacked condition
+# matrices, (rows, d, 2d), stay small whatever the run's length
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -182,9 +182,76 @@ class Trajectory:
     completed: bool = True
 
 
-def _stored(h, k, arena, n, states, rates, diagnostics, completed) -> Trajectory:
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x @ y of two (K, n) blocks, each row with ``model._dot``'s
+    bits: 0.0 + x * y at n = 1, else one stacked matmul, which calls
+    BLAS ddot once per row as a single x @ y does."""
+    if x.shape[1] == 1:
+        return 0.0 + x[:, 0] * y[:, 0]
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _diagnostics_block(arena: str, n: int, points, rates, kept) -> np.ndarray:
+    """The (K, 5) diagnostics rows of K stored states on the arena from
+    their arena rows ``points``, their rates and the floats ``kept`` of
+    each state's work (:func:`_kept`; on P the Lagrangian, the
+    converged residual's entropy row and its largest magnitude).
+
+    On M and N the membership residual applies the state's condition
+    matrix to its stacked tangent and energy differential, the M data
+    of :func:`_solution_data` (v the work's velocity, p = dL/dv) and
+    on N the rate, then (dH/dq - external, dH/dS, v); it is infinite
+    where the entropy slope vanishes or is not finite (T = 0 on N).
+    The energy is <p, v> - L (plus lam W on P), the constraint
+    s Sdot - <F, v>."""
+    K = len(points)
+    S, Sdot, L = points[:, n], rates[:, n], kept[:, 0]
+    with np.errstate(all="ignore"):  # a non-finite record is stored as it comes
+        if arena == "P":
+            at = _arena_layout("P", n)[1]
+            p, v = points[:, at["p"]], points[:, at["v"]]
+            energy = _dots(p, v) + points[:, at["lam"]] * points[:, at["W"]] - L
+            constraint, residual = kept[:, 1], kept[:, 2]
+        else:
+            if arena == "M":
+                s, dLdq, F, Fext = kept[:, 1], *np.split(kept[:, 2 : 2 + 3 * n], 3, axis=1)
+                v, p = points[:, n + 1 : 2 * n + 1], points[:, 2 * n + 1 :]
+                qdot = rates[:, :n]
+                vdot = rates[:, n + 1 :] if rates.shape[1] > n + 1 else np.zeros((K, n))
+                if kept.shape[1] > 2 + 3 * n:  # L's velocity rows; none when degenerate
+                    Lv = kept[:, 2 + 3 * n :].reshape(K, n, 2 * n + 1)
+                    pdot = (Lv @ np.column_stack([qdot, vdot, Sdot])[:, :, None])[:, :, 0]
+                else:
+                    pdot = np.zeros((K, n))
+                z = np.column_stack([qdot, Sdot, vdot, pdot, -dLdq - Fext, -s, p - p, v])
+                coef = s
+            else:
+                s = -kept[:, 1]
+                v, dHdq, F, Fext = np.split(kept[:, 2 : 2 + 4 * n], 4, axis=1)
+                p = points[:, n + 1 :]
+                z = np.column_stack([rates, dHdq - Fext, kept[:, 1], v])
+                coef = -s  # the momentum side reads T = -s
+            energy = _dots(p, v) - L
+            constraint = s * Sdot - _dots(F, v)
+            residual = np.abs((_conditions(arena, n, coef, F) @ z[:, :, None])[:, :, 0]).max(axis=1)
+            residual[(s == 0.0) | ~np.isfinite(s)] = math.inf
+        return np.column_stack([energy, S, Sdot, np.abs(constraint), residual])
+
+
+def _flush(arena: str, n: int, states, rates, diagnostics, kept: list, k: int) -> None:
+    """Diagnostics of the stored rows k - len(kept) .. k - 1 from their
+    kept floats, one block pass; empties ``kept``."""
+    j = k - len(kept)
+    diagnostics[j:k] = _diagnostics_block(arena, n, states[j:k], rates[j:k], np.array(kept))
+    kept.clear()
+
+
+def _stored(h, k, arena, n, states, rates, diagnostics, kept, completed) -> Trajectory:
     """The first k rows of an integrator's (states, rates, diagnostics)
-    buffers as a trajectory."""
+    buffers as a trajectory, the diagnostics of the rows still ``kept``
+    written first."""
+    if kept:
+        _flush(arena, n, states, rates, diagnostics, kept, k)
     return Trajectory(
         times=np.arange(k) * h,
         states=_records(states[:k], _arena_dtype(arena, n)) if arena else states[:k],
@@ -579,15 +646,18 @@ class ExplicitField:
     """A flat-chart right-hand side over a model with n configuration
     coordinates, plus what the integrator needs to store per step:
     ``to_point(y, r)`` is the arena's flat row at the chart state y with
-    rate r, and ``diagnostics(y, r)`` a :class:`DiagnosticsRecord` that
-    measures r against y's own work. A tuple of floats y gets tuples
-    back, an array y arrays."""
+    rate r, ``work(y)`` the work record at y (the last rate's, when y is
+    its state), and ``diagnostics(y, r)`` a :class:`DiagnosticsRecord`
+    that measures r against y's own work: the integrators' block pass
+    on one row. A tuple of floats y gets tuples back, an array y
+    arrays."""
 
     arena: str
     n: int
     dim: int
     rate: Callable
     to_point: Callable
+    work: Callable
     diagnostics: Callable
 
 
@@ -596,14 +666,24 @@ def _chart(y) -> tuple:
     return y if type(y) is tuple else tuple(np.asarray(y, dtype=float).ravel().tolist())
 
 
-def _explicit_field(arena: str, n: int, dim: int, evaluate, point, record) -> ExplicitField:
+def _kept(w) -> tuple:
+    """The floats of a work record that its state's diagnostics row reads
+    besides the stored row and rate (:func:`_diagnostics_block`): L and
+    the entropy slope, dL/dq, F, Fext and L's velocity rows (none when
+    degenerate) on the velocity side; L, dH/dS, the inverted velocity,
+    dH/dq, F and Fext on the momentum side."""
+    if type(w) is _LagrangianWork:
+        return (w.L, w.s, *w.dLdq, *w.F, *w.Fext, *(w.Lv or ()))
+    return (w.L, w.dHdS, *w.qdot, *w.dHdq, *w.F, *w.Fext)
+
+
+def _explicit_field(arena: str, n: int, dim: int, evaluate, point) -> ExplicitField:
     """An :class:`ExplicitField` from ``evaluate(t, last)``, the work
     record at the chart state t given the last rate's record (None
-    before the first), ``point(t, work)``, the arena row, and
-    ``record(t, r, work)``, the diagnostics of the rate r.
+    before the first), and ``point(t, work)``, the arena row.
 
     The last rate's state and work are kept. The integrator hands the
-    rate, the stored row and the diagnostics the same tuple, so the two
+    rate, the stored row and the kept work the same tuple, so the two
     read that work, matched by identity: a tuple cannot change, and
     equal floats are not equal bits (-0.0 == 0.0). Any other state, an
     array among them, is evaluated afresh from the last rate's record,
@@ -629,24 +709,11 @@ def _explicit_field(arena: str, n: int, dim: int, evaluate, point, record) -> Ex
 
     def diagnostics(y, r):
         t, w = work_at(y)
-        return record(t, _chart(r), w)
+        rows = [point(t, w)], [_chart(r)], [_kept(w)]
+        return DiagnosticsRecord(*_diagnostics_block(arena, n, *map(np.array, rows))[0].tolist())
 
-    return ExplicitField(arena=arena, n=n, dim=dim, rate=rate, to_point=to_point, diagnostics=diagnostics)
-
-
-def _explicit_record(arena: str, p, v, L, S, Sdot, s, F, z) -> DiagnosticsRecord:
-    """Diagnostics of an explicit field's data on M or N: z stacks the
-    rate and the energy differential, p, v, S, Sdot are the state's
-    momentum, velocity, entropy and entropy rate, and (L, s, F) the
-    Lagrangian, entropy slope and friction there. The membership
-    residual is infinite where the slope vanishes (T = 0 on N)."""
-    energy = _dot(p, v) - L
-    if s == 0.0 or not math.isfinite(s):
-        residual = math.inf
-    else:
-        coef = -s if arena == "N" else s  # the momentum side reads T = -s
-        residual = _conditions(arena, len(F), float(coef), np.asarray(F)) @ z
-    return _record(energy, S, Sdot, float(s * Sdot - _dot(F, v)), residual)
+    return ExplicitField(arena=arena, n=n, dim=dim, rate=rate, to_point=to_point,
+                         work=lambda y: work_at(y)[1], diagnostics=diagnostics)
 
 
 def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
@@ -670,12 +737,7 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
             kernel = _fused(model, "momentum", _build_momentum)
         return work
 
-    def record(t: tuple, r: tuple, w: _MomentumWork) -> DiagnosticsRecord:
-        # the rate, then the Hamiltonian differential (dH/dq - external, dH/dS, dH/dp)
-        z = np.array([*r, *(a - b for a, b in zip(w.dHdq, w.Fext)), w.dHdS, *w.qdot])
-        return _explicit_record("N", t[n + 1 :], w.qdot, w.L, t[n], r[n], -w.dHdS, w.F, z)
-
-    return _explicit_field("N", n, 2 * n + 1, evaluate, lambda t, w: t, record)
+    return _explicit_field("N", n, 2 * n + 1, evaluate, lambda t, w: t)
 
 
 def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
@@ -696,12 +758,8 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     def point(t: tuple, w: _LagrangianWork) -> tuple:
         return (*t[: n + 1], *w.qdot, *w.dLdv)  # M's (q, S, v, p)
 
-    def record(t: tuple, r: tuple, w: _LagrangianWork) -> DiagnosticsRecord:
-        z = _solution_data(w, t[:n], w.qdot, t[n], r, "M")[1:].ravel()
-        return _explicit_record("M", w.dLdv, w.qdot, w.L, t[n], r[n], w.s, w.F, z)
-
     dim = n + 1 if model.degenerate else 2 * n + 1
-    return _explicit_field("M", n, dim, evaluate, point, record)
+    return _explicit_field("M", n, dim, evaluate, point)
 
 
 def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
@@ -712,14 +770,16 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
     skipped). The step count is t_end/h rounded to nearest; diagnostics
     are recorded at every stored state, including the initial one. A
     non-finite state aborts and returns the partial trajectory with
-    ``completed=False``.
+    ``completed=False``, every stored row with its diagnostics.
 
     The states and stages are tuples of floats, and each stage takes
     one IEEE operation per coordinate in the order of numpy's
     elementwise ``y + sixth * (r + 2.0 * (k2 + k3) + k4)``, so the bits
-    are numpy's. The field's rate and diagnostics are called once per
-    rate and once per stored state; a plain callable is called on
-    arrays behind an adapter.
+    are numpy's. The field's rate is called once per rate and its
+    ``work`` once per stored state, whose floats the diagnostics read
+    (:func:`_kept`) are kept until a block pass turns ``_BLOCK`` of them,
+    or the last ones, into diagnostics rows; a plain callable is called
+    on arrays behind an adapter.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
@@ -731,15 +791,15 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
             raise DimensionMismatchError(
                 f"initial state must have {field.dim} coordinates, got {y.shape}"
             )
-        f, to_point, diagnose = field.rate, field.to_point, field.diagnostics
+        f, to_point, work, kept = field.rate, field.to_point, field.work, []
         arena, n, d = field.arena, field.n, arena_dim(field.arena, field.n)
     else:
         f = lambda t: tuple(np.asarray(field(np.array(t)), dtype=float).tolist())
-        to_point, diagnose = (lambda t, r: t), None
+        to_point, kept = (lambda t, r: t), None
         arena, n, d = "", 0, y.size
     K = max(1, int(round(t_end / h))) + 1
     states, rates = np.empty((K, d)), np.empty((K, y.size))
-    diagnostics = np.empty((K if diagnose else 0, len(_DIAGNOSTICS)))
+    diagnostics = np.empty((0 if kept is None else K, len(_DIAGNOSTICS)))
     half = 0.5 * h
     sixth = h / 6.0
     y = tuple(y.tolist())
@@ -747,9 +807,11 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
     k = 0
     while True:
         states[k], rates[k] = to_point(y, r), r
-        if diagnose:
-            diagnostics[k] = diagnose(y, r)
         k += 1
+        if kept is not None:
+            kept.append(_kept(work(y)))
+            if len(kept) == _BLOCK:
+                _flush(arena, n, states, rates, diagnostics, kept, k)
         if k == K:
             break
         k2 = f(tuple([a + half * b for a, b in zip(y, r)]))
@@ -759,7 +821,7 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
         if not all(map(math.isfinite, y)):
             break
         r = f(y)
-    return _stored(h, k, arena, n, states, rates, diagnostics, completed=k == K)
+    return _stored(h, k, arena, n, states, rates, diagnostics, kept, completed=k == K)
 
 
 # --- implicit integration on the full arena -------------------------------
@@ -842,14 +904,6 @@ def _residual_source(n: int) -> str:
 def _build_residual(model: SimpleThermoModel):
     replays = {"L1": ("lagrangian", 1), "F0": ("friction", 0), "E0": ("external", 0)}
     return _bind(model, _residual_source(model.n), replays)
-
-
-def _implicit_diag(n: int, x, rates, residual, L) -> DiagnosticsRecord:
-    """Diagnostics at the flat P row x, read through its groups, with L
-    the Lagrangian at its (q, v, S)."""
-    point = ArenaPoint("P", n, x)
-    energy = float(point.p @ point.v) + point.lam * point.W - L
-    return _record(energy, point.S, float(rates[n]), float(residual[n]), residual)
 
 
 def _implicit_constants(n: int, h: float) -> np.ndarray:
@@ -1014,6 +1068,7 @@ def integrate_implicit_P(
     K = max(1, int(round(t_end / h))) + 1
     states, rates = np.empty((K, d)), np.empty((K, d))
     diagnostics = np.empty((K, len(_DIAGNOSTICS)))
+    kept = []  # (L, residual[n], max |residual|) of each stored row since the last block pass
     constants = _implicit_constants(n, h)
 
     # instantaneous field data at the start, for the first record
@@ -1022,7 +1077,7 @@ def integrate_implicit_P(
     res0, L = implicit_residual_P(model, initial, pair0.tangent, with_value=True)
     _fused(model, "residual", _build_residual)  # the start traced its replays
     states[0], rates[0] = x, pair0.tangent
-    diagnostics[0] = _implicit_diag(n, x, pair0.tangent, res0, L)
+    kept.append((L, res0[n], np.abs(res0).max()))
 
     rate_guess = pair0.tangent
     for k in range(1, K):
@@ -1041,7 +1096,7 @@ def integrate_implicit_P(
                 converged = True
                 break
             if not math.isfinite(err):
-                return _stored(h, k, "P", n, states, rates, diagnostics, completed=False)
+                return _stored(h, k, "P", n, states, rates, diagnostics, kept, completed=False)
             if J is None:
                 J = _implicit_jacobian(model, x1, (x1 - x0) / h, h, constants)
             try:
@@ -1050,7 +1105,7 @@ def integrate_implicit_P(
                 raise NewtonError("singular Jacobian in the implicit step")
             x1 = x1 - step
             if not np.all(np.isfinite(x1)):
-                return _stored(h, k, "P", n, states, rates, diagnostics, completed=False)
+                return _stored(h, k, "P", n, states, rates, diagnostics, kept, completed=False)
             r, L = g(x1)
         if not converged:
             raise NewtonError(
@@ -1063,10 +1118,12 @@ def integrate_implicit_P(
         point.p = momentum_map(model, point.q, point.v, point.S)
         point.lam = 0.0
         states[k], rates[k] = x1, rate
-        diagnostics[k] = _implicit_diag(n, x1, rate, r, L)
+        kept.append((L, r[n], err))  # err: the converged residual's max |r|
+        if len(kept) == _BLOCK:
+            _flush("P", n, states, rates, diagnostics, kept, k + 1)
         rate_guess = rate
         x = x1
-    return _stored(h, K, "P", n, states, rates, diagnostics, completed=True)
+    return _stored(h, K, "P", n, states, rates, diagnostics, kept, completed=True)
 
 
 # --- routes ----------------------------------------------------------------

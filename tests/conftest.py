@@ -1,8 +1,10 @@
 """Shared fixtures: shipped models, in-range state sampling, a
-hand-built frictionless oscillator for the reduction checks, and the
+hand-built frictionless oscillator for the reduction checks, the
 first-order dual numbers that are the reference for the jets' first
-partials."""
+partials, and the per-state diagnostics record that is the reference
+for the integrators' block pass."""
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,6 +12,9 @@ import pytest
 
 import dirac_thermo as dt
 from dirac_thermo import duals
+from dirac_thermo.dirac import _conditions
+from dirac_thermo.dynamics import DiagnosticsRecord, _solution_data
+from dirac_thermo.model import ArenaPoint, _dot
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +70,31 @@ def make_oscillator(mass=1.0, stiffness=1.0):
         friction=friction,
         domain_box=box,
         name="oscillator",
+    )
+
+
+def make_stiffening():
+    """n = 1 with a kinetic term quartic in v, L = v^2/2 + v^4/12 - q^2/2 - S,
+    F = -0.3 v: the fiber Newton loop takes several iterates, and the
+    bits it converges to depend on its seed."""
+    box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+
+    def lagrangian(q, v, S):
+        v2 = v[0] * v[0]
+        return 0.5 * v2 + v2 * v2 / 12.0 - 0.5 * q[0] * q[0] - S
+
+    return dt.SimpleThermoModel(n=1, lagrangian=lagrangian, friction=lambda q, v, S: (-0.3 * v[0],),
+                                domain_box=box, name="stiffening")
+
+
+def make_escaping():
+    """n = 1 with L = v^2/2 + q^4/4 and no friction, which escapes in
+    finite time (t ~ 1.85 from q = 1 at rest); written with products,
+    because a float ** overflow raises instead of giving inf."""
+    box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+    return dt.SimpleThermoModel(
+        n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + 0.25 * q[0] * q[0] * q[0] * q[0],
+        friction=lambda q, v, S: (0.0,), domain_box=box, name="quartic",
     )
 
 
@@ -260,3 +290,59 @@ def dual_friction_jacobian(model, q, v, S):
             for a in range(n):
                 J[a, b] = value(out[a].du) if isinstance(out[a], Dual) else 0.0
     return J
+
+
+# --- the reference for the diagnostics rows -------------------------------
+#
+# The diagnostics record of one stored state, as the integrators built it
+# state by state before the block pass: the explicit fields' record of
+# the chart state t, its rate r (a tuple) and its work w, and the
+# implicit route's record of a stored P row. The library's rows must
+# have these bits.
+
+
+def _record(energy, S, Sdot, constraint, residual) -> DiagnosticsRecord:
+    """Diagnostics record from the constraint value and membership residual."""
+    return DiagnosticsRecord(
+        energy=energy,
+        entropy=S,
+        entropy_rate=Sdot,
+        constraint_residual=abs(constraint),
+        dirac_residual=float(np.abs(residual).max()),
+    )
+
+
+def _explicit_record(arena: str, p, v, L, S, Sdot, s, F, z) -> DiagnosticsRecord:
+    """Diagnostics of an explicit field's data on M or N: z stacks the
+    rate and the energy differential, p, v, S, Sdot are the state's
+    momentum, velocity, entropy and entropy rate, and (L, s, F) the
+    Lagrangian, entropy slope and friction there. The membership
+    residual is infinite where the slope vanishes (T = 0 on N)."""
+    energy = _dot(p, v) - L
+    if s == 0.0 or not math.isfinite(s):
+        residual = math.inf
+    else:
+        coef = -s if arena == "N" else s  # the momentum side reads T = -s
+        residual = _conditions(arena, len(F), float(coef), np.asarray(F)) @ z
+    return _record(energy, S, Sdot, float(s * Sdot - _dot(F, v)), residual)
+
+
+def lagrangian_record(n: int, t: tuple, r: tuple, w) -> DiagnosticsRecord:
+    """The velocity-side field's record on M."""
+    z = _solution_data(w, t[:n], w.qdot, t[n], r, "M")[1:].ravel()
+    return _explicit_record("M", w.dLdv, w.qdot, w.L, t[n], r[n], w.s, w.F, z)
+
+
+def hamilton_record(n: int, t: tuple, r: tuple, w) -> DiagnosticsRecord:
+    """The momentum-side field's record on N."""
+    # the rate, then the Hamiltonian differential (dH/dq - external, dH/dS, dH/dp)
+    z = np.array([*r, *(a - b for a, b in zip(w.dHdq, w.Fext)), w.dHdS, *w.qdot])
+    return _explicit_record("N", t[n + 1 :], w.qdot, w.L, t[n], r[n], -w.dHdS, w.F, z)
+
+
+def implicit_record(n: int, x, rates, residual, L) -> DiagnosticsRecord:
+    """Diagnostics at the flat P row x, read through its groups, with L
+    the Lagrangian at its (q, v, S)."""
+    point = ArenaPoint("P", n, x)
+    energy = float(point.p @ point.v) + point.lam * point.W - L
+    return _record(energy, point.S, float(rates[n]), float(residual[n]), residual)

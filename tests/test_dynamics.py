@@ -20,7 +20,7 @@ from dirac_thermo import dynamics, legendre
 from dirac_thermo.dynamics import _implicit_constants, _implicit_jacobian, _lagrangian_work
 from dirac_thermo.model import _FUSED, _JET_KERNELS, _fused
 
-from conftest import callable_lam_piston, make_oscillator, sample_states
+from conftest import callable_lam_piston, make_oscillator, make_stiffening, sample_states
 
 
 class TestLagrangianField:
@@ -774,20 +774,6 @@ def make_dragged():
         n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] - 0.5 * q[0] * q[0] - S,
         friction=lambda q, v, S: (-0.5 * (v[0] + q[0]),), domain_box=box, name="dragged",
     )
-
-
-def make_stiffening():
-    """n = 1 with a kinetic term quartic in v, L = v^2/2 + v^4/12 - q^2/2 - S,
-    F = -0.3 v: the fiber Newton loop takes several iterates, and the
-    bits it converges to depend on its seed."""
-    box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
-
-    def lagrangian(q, v, S):
-        v2 = v[0] * v[0]
-        return 0.5 * v2 + v2 * v2 / 12.0 - 0.5 * q[0] * q[0] - S
-
-    return dt.SimpleThermoModel(n=1, lagrangian=lagrangian, friction=lambda q, v, S: (-0.3 * v[0],),
-                                domain_box=box, name="stiffening")
 
 
 FUSED_MODELS = {
