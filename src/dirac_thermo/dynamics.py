@@ -88,6 +88,7 @@ from .model import (
     _dot_source,
     _force_jets,
     _fused,
+    _kernel_jet,
     _kernel_source,
     _lagrangian_first_order,
     _lagrangian_hessian,
@@ -843,19 +844,21 @@ def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates, with
     x, r = point.row, _as_array(rates, 3 * n + 3, "rates")
     kernel = _fused(model, "residual")
     out = None if kernel is None else kernel(*x.tolist(), *r.tolist())
-    residual, L = _per_evaluator_residual(model, x, r) if out is None else (np.array(out[0]), out[1])
-    return (residual, L) if with_value else residual
+    residual, o = _per_evaluator_residual(model, x, r) if out is None else (np.array(out[0]), out[1])
+    return (residual, o[0]) if with_value else residual
 
 
 def _per_evaluator_residual(model: SimpleThermoModel, x, r):
-    """(residual, L) of :func:`implicit_residual_P` at the P row x and
+    """(residual, o) of :func:`implicit_residual_P` at the P row x and
     rates r, one numpy step at a time: the fused kernel's fallback and
-    reference."""
+    reference. o is L's order-1 jet at x's (q, v, S) as the kernel's
+    replay gives it, (L, dL/dq..., dL/dv..., dL/dS)."""
     n = model.n
     q, S, v, W, p, lam = _arena_layout("P", n)[1].values()  # the groups' places, in P's order
     qdot, Sdot = r[q], r[S]
     at = x[q], x[v], x[S]
-    L, dLdq, dLdv, s = _lagrangian_first_order(model, *at)
+    L, g = _kernel_jet(model.lagrangian, n, *at, 1)
+    dLdq, dLdv, s = g[:n], g[n : 2 * n], g[2 * n]
     F, Fext = friction_value(model, *at), external_value(model, *at)
     residual = np.concatenate(
         [
@@ -867,7 +870,7 @@ def _per_evaluator_residual(model: SimpleThermoModel, x, r):
             [x[W] - Sdot],
         ]
     )
-    return residual, L
+    return residual, (L, *g.tolist())
 
 
 def _implicit_args(n: int) -> str:
@@ -878,7 +881,7 @@ def _implicit_args(n: int) -> str:
 @lru_cache(maxsize=None)
 def _residual_source(n: int) -> str:
     """The fused :func:`implicit_residual_P` at n: from P's row x and
-    rates r, (residual, L)."""
+    rates r, (residual, o), o the replay of L's order-1 jet."""
     k, d = 2 * n + 1, 3 * n + 3
     S, W, lam = n, 2 * n + 1, 3 * n + 2
     args, f, e = _implicit_args(n), [f"f{i}" for i in range(n)], [f"e{i}" for i in range(n)]
@@ -896,7 +899,7 @@ def _residual_source(n: int) -> str:
         f"s = o[{k}]",
         f"out = {_tuple(residual)}",
         "if not _finite(sum(out)): return None",
-        "return out, o[0]",
+        "return out, o",
     ]
     return _kernel_source([f"x{i}" for i in range(d)] + [f"r{i}" for i in range(d)], body)
 
@@ -1053,6 +1056,15 @@ def integrate_implicit_P(
     residual. A non-finite residual (an iterate off the domain) stops
     the run with the states stored so far. First order by construction;
     the point is exercising the implicit conditions, not accuracy.
+
+    The loop is float code over tuples, one IEEE operation per
+    coordinate as numpy's elementwise ``x0 + h * rate``, ``(z - x0) / h``
+    and ``z - step``; the solve is its one numpy call per iterate. The
+    fused residual and Jacobian, looked up once per run, answer on the
+    floats; a call whose guard fails takes the per-evaluator path for
+    that call alone. The snap reads p = dL/dv off the converged
+    residual's replay of L's order-1 jet (``momentum_map``'s bits) and
+    sets lam = +0.0; the stored rate and L are the unsnapped iterate's.
     """
     if h <= 0.0 or t_end <= 0.0:
         raise ValueError("t_end and h must be positive")
@@ -1072,57 +1084,60 @@ def integrate_implicit_P(
     constants = _implicit_constants(n, h)
 
     # instantaneous field data at the start, for the first record
-    x = initial.as_vector()
     pair0 = solution_pair_P(model, initial.q, initial.v, initial.S)
     res0, L = implicit_residual_P(model, initial, pair0.tangent, with_value=True)
-    _fused(model, "residual", _build_residual)  # the start traced its replays
-    states[0], rates[0] = x, pair0.tangent
+    residual = _fused(model, "residual", _build_residual)  # the start traced its replays
+    jacobian = _fused(model, "jacobian", _build_jacobian)  # once its replays are traced
+    states[0], rates[0] = initial.row, pair0.tangent
     kept.append((L, res0[n], np.abs(res0).max()))
 
-    rate_guess = pair0.tangent
+    at = _arena_layout("P", n)[1]
+    dLdv = slice(1 + n, 1 + 2 * n)  # in L's order-1 jet (L, dL/dq, dL/dv, dL/dS)
+    x, rate = tuple(initial.row.tolist()), tuple(pair0.tangent.tolist())
     for k in range(1, K):
         x0 = x
-        x1 = x0 + h * rate_guess
-
-        def g(z: np.ndarray):  # (residual, L) at z with the backward rates
-            return implicit_residual_P(model, ArenaPoint("P", n, z), (z - x0) / h, with_value=True)
-
-        r, L = g(x1)
+        x1 = tuple([a + h * b for a, b in zip(x0, rate)])
         J = None
-        converged = False
-        for _ in range(IMPLICIT_MAX_ITER):
-            err = np.abs(r).max()
+        for iterate in range(IMPLICIT_MAX_ITER + 1):
+            rate = tuple([(a - b) / h for a, b in zip(x1, x0)])
+            out = None if residual is None else residual(*x1, *rate)
+            if out is None:
+                r, o = _per_evaluator_residual(model, np.array(x1), np.array(rate))
+                err = np.abs(r).max()  # NaN wherever r has one
+                r = tuple(r.tolist())
+            else:
+                r, o = out
+                err = max(map(abs, r))  # r is finite: the kernel's guard
+            if iterate == IMPLICIT_MAX_ITER:
+                raise NewtonError(
+                    f"implicit step did not converge: residual {err:.3e} "
+                    f"after {IMPLICIT_MAX_ITER} iterations"
+                )
             if err <= IMPLICIT_NEWTON_TOL:
-                converged = True
                 break
             if not math.isfinite(err):
                 return _stored(h, k, "P", n, states, rates, diagnostics, kept, completed=False)
-            if J is None:
-                J = _implicit_jacobian(model, x1, (x1 - x0) / h, h, constants)
+            if J is None:  # built once per step, at the predictor
+                J = None if jacobian is None else jacobian(*x1, *rate, h, constants)
+                if J is None:
+                    J = _per_evaluator_jacobian(model, np.array(x1), np.array(rate), h, constants)
+                    jacobian = _fused(model, "jacobian", _build_jacobian)
             try:
-                step = _solve(J, r)
+                step = _solve(J, np.array(r)).tolist()
             except np.linalg.LinAlgError:
                 raise NewtonError("singular Jacobian in the implicit step")
-            x1 = x1 - step
-            if not np.all(np.isfinite(x1)):
+            x1 = tuple([a - b for a, b in zip(x1, step)])
+            if not all(map(math.isfinite, x1)):
                 return _stored(h, k, "P", n, states, rates, diagnostics, kept, completed=False)
-            r, L = g(x1)
-        if not converged:
-            raise NewtonError(
-                f"implicit step did not converge: residual {np.max(np.abs(r)):.3e} "
-                f"after {IMPLICIT_MAX_ITER} iterations"
-            )
-        rate = (x1 - x0) / h
-        # snap p and lam exactly, in place (Newton left them within tol); L is unmoved
-        point = ArenaPoint("P", n, x1)
-        point.p = momentum_map(model, point.q, point.v, point.S)
-        point.lam = 0.0
-        states[k], rates[k] = x1, rate
-        kept.append((L, r[n], err))  # err: the converged residual's max |r|
+        # snap p onto the converged residual's dL/dv and lam to zero (Newton
+        # left them within tol); the rate and L are the unsnapped iterate's
+        x = list(x1)
+        x[at["p"]], x[at["lam"]] = o[dLdv], 0.0
+        states[k], rates[k] = x, rate
+        x = tuple(x)
+        kept.append((o[0], r[n], err))  # err: the converged residual's max |r|
         if len(kept) == _BLOCK:
             _flush("P", n, states, rates, diagnostics, kept, k + 1)
-        rate_guess = rate
-        x = x1
     return _stored(h, K, "P", n, states, rates, diagnostics, kept, completed=True)
 
 

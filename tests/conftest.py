@@ -1,8 +1,9 @@
 """Shared fixtures: shipped models, in-range state sampling, a
 hand-built frictionless oscillator for the reduction checks, the
 first-order dual numbers that are the reference for the jets' first
-partials, and the per-state diagnostics record that is the reference
-for the integrators' block pass."""
+partials, the per-state diagnostics record that is the reference for
+the integrators' block pass, and the numpy Newton loop that is the
+reference for the implicit route's float-code loop."""
 
 import math
 from contextlib import contextmanager
@@ -13,8 +14,17 @@ import pytest
 import dirac_thermo as dt
 from dirac_thermo import duals
 from dirac_thermo.dirac import _conditions
-from dirac_thermo.dynamics import DiagnosticsRecord, _solution_data
-from dirac_thermo.model import ArenaPoint, _dot
+from dirac_thermo.dynamics import (
+    CONSISTENCY_TOL,
+    IMPLICIT_MAX_ITER,
+    IMPLICIT_NEWTON_TOL,
+    DiagnosticsRecord,
+    _build_residual,
+    _implicit_constants,
+    _implicit_jacobian,
+    _solution_data,
+)
+from dirac_thermo.model import ArenaPoint, _dot, _fused, _solve
 
 
 @pytest.fixture(scope="session")
@@ -346,3 +356,85 @@ def implicit_record(n: int, x, rates, residual, L) -> DiagnosticsRecord:
     point = ArenaPoint("P", n, x)
     energy = float(point.p @ point.v) + point.lam * point.W - L
     return _record(energy, point.S, float(rates[n]), float(residual[n]), residual)
+
+
+# --- the reference for the implicit route's Newton loop -------------------
+#
+# integrate_implicit_P as it was written over numpy arrays: each iterate's
+# residual through the public implicit_residual_P at the backward rates,
+# np.abs(r).max() as its size, the step's Jacobian through
+# _implicit_jacobian, the snap p = momentum_map at the converged (q, v, S)
+# and the per-state record of each stored row. The library's float-code
+# loop must give its bits, errors and partial runs.
+
+
+def implicit_reference(model, initial: ArenaPoint, t_end: float, h: float) -> dt.Trajectory:
+    """The implicit route from ``initial`` as the numpy loop, a trajectory
+    with plain (K, d) states and (K, 5) diagnostics rows."""
+    if h <= 0.0 or t_end <= 0.0:
+        raise ValueError("t_end and h must be positive")
+    n = model.n
+    p0 = dt.momentum_map(model, initial.q, initial.v, initial.S)
+    if np.max(np.abs(initial.p - p0)) > CONSISTENCY_TOL or abs(initial.lam) > CONSISTENCY_TOL:
+        raise dt.IntegrationError(
+            "initial point is off the algebraic slice: momentum slots must "
+            "carry dL/dv and the covariable must be zero"
+        )
+
+    K = max(1, int(round(t_end / h))) + 1
+    constants = _implicit_constants(n, h)
+    x = initial.as_vector()
+    pair0 = dt.solution_pair_P(model, initial.q, initial.v, initial.S)
+    res0, L = dt.implicit_residual_P(model, initial, pair0.tangent, with_value=True)
+    _fused(model, "residual", _build_residual)  # the start traced its replays
+    states, rates, records = [x], [pair0.tangent], [implicit_record(n, x, pair0.tangent, res0, L)]
+
+    def stored(completed: bool) -> dt.Trajectory:
+        return dt.Trajectory(times=np.arange(len(states)) * h, states=np.array(states),
+                             rates=np.array(rates), diagnostics=np.array(records), arena="P",
+                             completed=completed)
+
+    rate_guess = pair0.tangent
+    for _ in range(1, K):
+        x0 = x
+        x1 = x0 + h * rate_guess
+
+        def g(z: np.ndarray):  # (residual, L) at z with the backward rates
+            return dt.implicit_residual_P(model, ArenaPoint("P", n, z), (z - x0) / h, with_value=True)
+
+        r, L = g(x1)
+        J = None
+        converged = False
+        for _ in range(IMPLICIT_MAX_ITER):
+            err = np.abs(r).max()
+            if err <= IMPLICIT_NEWTON_TOL:
+                converged = True
+                break
+            if not math.isfinite(err):
+                return stored(False)
+            if J is None:
+                J = _implicit_jacobian(model, x1, (x1 - x0) / h, h, constants)
+            try:
+                step = _solve(J, r)
+            except np.linalg.LinAlgError:
+                raise dt.NewtonError("singular Jacobian in the implicit step")
+            x1 = x1 - step
+            if not np.all(np.isfinite(x1)):
+                return stored(False)
+            r, L = g(x1)
+        if not converged:
+            raise dt.NewtonError(
+                f"implicit step did not converge: residual {np.max(np.abs(r)):.3e} "
+                f"after {IMPLICIT_MAX_ITER} iterations"
+            )
+        rate = (x1 - x0) / h
+        # snap p and lam exactly, in place (Newton left them within tol); L is unmoved
+        point = ArenaPoint("P", n, x1)
+        point.p = dt.momentum_map(model, point.q, point.v, point.S)
+        point.lam = 0.0
+        states.append(x1)
+        rates.append(rate)
+        records.append(implicit_record(n, x1, rate, r, L))
+        rate_guess = rate
+        x = x1
+    return stored(True)

@@ -19,7 +19,7 @@ from dirac_thermo.model import _dot
 
 from conftest import (
     hamilton_record,
-    implicit_record,
+    implicit_reference,
     lagrangian_record,
     make_escaping,
     make_oscillator,
@@ -109,32 +109,13 @@ class TestBlockParity:
         q, v, S = sample_states(model, 1, seed=seed)[0]
         start = dt.make_point("P", n, q=q, S=S, v=v, W=dt.vector_field_lagrangian(model, q, v, S)[2],
                               p=dt.momentum_map(model, q, v, S), lam=0.0)
-        calls, snaps = [], []
-        residual, snap = dynamics.implicit_residual_P, dynamics.momentum_map
-
-        def traced_residual(*args, **kwargs):
-            calls.append(residual(*args, **kwargs))
-            return calls[-1]
-
-        def traced_snap(*args):
-            snaps.append(len(calls))
-            return snap(*args)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "implicit_residual_P", traced_residual)
-            patch.setattr(dynamics, "momentum_map", traced_snap)
-            try:
-                run = dt.integrate_implicit_P(model, start, (states - 1) * H, H)
-            except dt.NewtonError:
-                assume(False)  # the known stall (ROADMAP item 1)
-        # the start's consistency check maps momenta once, each stored step
-        # once more, after its converged residual
-        assert len(snaps) == len(run.times) == states
-        converged = [calls[0]] + [calls[m - 1] for m in snaps[1:]]
-        points = run.states.view(np.float64).reshape(states, -1)
-        want = np.array([
-            implicit_record(n, x, r, res, L) for x, r, (res, L) in zip(points, run.rates, converged)
-        ])
+        try:
+            run = dt.integrate_implicit_P(model, start, (states - 1) * H, H)
+        except dt.NewtonError:
+            assume(False)  # the known stall (ROADMAP item 1)
+        # the numpy loop's rows, each from its stored state's own record
+        want = implicit_reference(model, start, (states - 1) * H, H).diagnostics
+        assert len(run.times) == states
         assert rows(run.diagnostics).tobytes() == want.tobytes()
 
     def test_a_run_aborted_mid_block_has_every_record(self):

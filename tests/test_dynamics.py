@@ -17,10 +17,17 @@ from hypothesis import given, settings, strategies as st
 
 import dirac_thermo as dt
 from dirac_thermo import dynamics, legendre
-from dirac_thermo.dynamics import _implicit_constants, _implicit_jacobian, _lagrangian_work
+from dirac_thermo.dynamics import _BLOCK, _implicit_constants, _implicit_jacobian, _lagrangian_work
 from dirac_thermo.model import _FUSED, _JET_KERNELS, _fused
 
-from conftest import callable_lam_piston, make_oscillator, make_stiffening, sample_states
+import conftest
+from conftest import (
+    callable_lam_piston,
+    implicit_reference,
+    make_oscillator,
+    make_stiffening,
+    sample_states,
+)
 
 
 class TestLagrangianField:
@@ -663,14 +670,23 @@ class TestImplicitJacobian:
 
 def counted_implicit_run(model, t_end, monkeypatch):
     """(trajectory, steps, calls): an implicit-P run of ``model`` from
-    (q, v, S) = (1.0, 0.5, 0.3) at h = 1e-3, with its residual and
-    ``_solve`` calls counted."""
+    (q, v, S) = (1.0, 0.5, 0.3) at h = 1e-3, with its residual evaluations
+    (the fused kernel's answers plus the per-evaluator fallback's calls)
+    and ``_solve`` calls counted."""
     calls = Counter()
-    residual, solve = dt.dynamics.implicit_residual_P, dt.dynamics._solve
+    fused, solve = dynamics._fused, dynamics._solve
 
-    def counted_residual(*args, **kwargs):
-        calls["residual"] += 1
-        return residual(*args, **kwargs)
+    def counted_fused(model, kind, *args):
+        kernel = fused(model, kind, *args)
+        if kind != "residual" or kernel is None:
+            return kernel
+
+        def counted_kernel(*floats):
+            out = kernel(*floats)
+            calls["residual"] += out is not None  # else the fallback answers, counted there
+            return out
+
+        return counted_kernel
 
     def counted_solve(*args):
         calls["solve"] += 1
@@ -680,10 +696,25 @@ def counted_implicit_run(model, t_end, monkeypatch):
     Sdot = dt.vector_field_lagrangian(model, q, v, S)[2]
     p = dt.momentum_map(model, q, v, S)
     start = dt.make_point("P", 1, q=q, S=S, v=v, W=Sdot, p=p, lam=0.0)
-    monkeypatch.setattr(dt.dynamics, "implicit_residual_P", counted_residual)
-    monkeypatch.setattr(dt.dynamics, "_solve", counted_solve)
+    monkeypatch.setattr(dynamics, "_fused", counted_fused)
+    monkeypatch.setattr(dynamics, "_solve", counted_solve)
+    fallbacks = counted_fallback(monkeypatch)
     traj = dt.integrate_implicit_P(model, start, t_end, 1e-3)
+    calls["residual"] += fallbacks["fallback"]
     return traj, len(traj.times) - 1, calls
+
+
+def counted_fallback(monkeypatch):
+    """Counts of the per-evaluator residual's calls from now on."""
+    calls = Counter()
+    fallback = dynamics._per_evaluator_residual
+
+    def counted(*args):
+        calls["fallback"] += 1
+        return fallback(*args)
+
+    monkeypatch.setattr(dynamics, "_per_evaluator_residual", counted)
+    return calls
 
 
 class TestImplicitStepHalving:
@@ -776,6 +807,27 @@ def make_dragged():
     )
 
 
+def two_reactions():
+    """Two coupled reactions, n = 2: the degenerate regime's n = 2 solve."""
+    return dt.build_reactions(dt.ReactionParams(
+        nu=((-1.0, 1.0, 0.0), (0.0, -1.0, 1.0)), masses=(1.0, 1.0, 1.0), N_star=(1.0, 1.0, 1.0),
+        N_init=(2.0, 1.0, 0.5), lam_matrix=((2.0, 0.5), (-0.3, 3.0)),
+    ))
+
+
+def make_kinked():
+    """n = 1 whose stiffness branches on the sign of q, a guard of its
+    kernels: L = v^2/2 - k q^2/2 - S with k = 1 for q < 0, else 4."""
+
+    def lagrangian(q, v, S):
+        k = 1.0 if q[0] < 0.0 else 4.0
+        return 0.5 * v[0] * v[0] - 0.5 * k * q[0] * q[0] - S
+
+    box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+    return dt.SimpleThermoModel(n=1, lagrangian=lagrangian, friction=lambda q, v, S: (-0.2 * v[0],),
+                                domain_box=box, name="kinked")
+
+
 FUSED_MODELS = {
     "piston": lambda: compile_kernels(dt.build_piston()),
     "membrane": lambda: compile_kernels(dt.build_membrane()),
@@ -786,11 +838,7 @@ FUSED_MODELS = {
     "pushed-piston": lambda: compile_kernels(pushed(dt.build_piston())),
     "pushed-membrane": lambda: compile_kernels(pushed(dt.build_membrane())),
     "pushed-reactions": lambda: compile_kernels(pushed(dt.build_reactions())),
-    # two coupled reactions: the degenerate regime's n = 2 solve
-    "2-reactions": lambda: compile_kernels(dt.build_reactions(dt.ReactionParams(
-        nu=((-1.0, 1.0, 0.0), (0.0, -1.0, 1.0)), masses=(1.0, 1.0, 1.0), N_star=(1.0, 1.0, 1.0),
-        N_init=(2.0, 1.0, 0.5), lam_matrix=((2.0, 0.5), (-0.3, 3.0)),
-    ))),
+    "2-reactions": lambda: compile_kernels(two_reactions()),
 }
 _compiled_models = {}
 
@@ -950,13 +998,7 @@ class TestFusedKernels:
         # L's stiffness branches on the sign of q, a guard of its kernels;
         # the run starts at q > 0 and crosses q = 0, where the fused work
         # kernel hands over to the per-evaluator path, and back
-        def lagrangian(q, v, S):
-            k = 1.0 if q[0] < 0.0 else 4.0
-            return 0.5 * v[0] * v[0] - 0.5 * k * q[0] * q[0] - S
-
-        box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
-        model = dt.SimpleThermoModel(n=1, lagrangian=lagrangian, friction=lambda q, v, S: (-0.2 * v[0],),
-                                     domain_box=box, name="kinked")
+        model = make_kinked()
         y0 = np.array([0.3, 0.1, -1.0])
         run = dt.integrate_explicit(dt.lagrangian_field(model), y0, 2.0, 1e-2)
         kernel = _fused(model, "work")
@@ -1065,3 +1107,181 @@ class TestFusedKernels:
             warnings.simplefilter("error", RuntimeWarning)
             traj = dt.integrate_route(model, "lagrangian", ([0.2], [0.5], 0.1), 0.01, 1e-3)
         assert not traj.completed and len(traj.times) == 1
+
+
+# --- the implicit route's float-code loop against the numpy loop ----------
+
+IMPLICIT_LENGTHS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)  # stored states per run
+IMPLICIT_MODELS = {
+    "piston": dt.build_piston(),
+    "reactions": dt.build_reactions(),
+    "stiffening": make_stiffening(),
+    "oscillator": make_oscillator(),  # L ignores S: every step's Jacobian is singular
+    "pushed-piston": pushed(dt.build_piston()),
+    "2-reactions": two_reactions(),
+}
+
+
+def implicit_start(model, q, v, S):
+    """P's consistent start at (q, v, S): W the entropy rate, p = dL/dv, lam = 0."""
+    return dt.make_point("P", model.n, q=q, S=S, v=v, W=dt.vector_field_lagrangian(model, q, v, S)[2],
+                         p=dt.momentum_map(model, q, v, S), lam=0.0)
+
+
+def sampled_start(kind, seed):
+    model = IMPLICIT_MODELS[kind]
+    q, v, S = sample_states(model, 1, seed=seed)[0]
+    if kind.endswith("reactions"):
+        S = 0.8 * S  # reactions' box reaches S = 5; from S >= 4 Newton stalls (ROADMAP item 1)
+    return model, implicit_start(model, q, v, S)
+
+
+def same_implicit_outcomes(got, want) -> bool:
+    """A library run and a reference run (plain arrays) with the same
+    bits in every stored array and the same ``completed``, or the same
+    error type and message."""
+    if isinstance(got, BaseException) or isinstance(want, BaseException):
+        return same_bits(got, want)
+    K = len(got.times)
+    flat = lambda records: np.asarray(records).view(np.float64).reshape(K, -1)  # noqa: E731
+    return (
+        got.completed == want.completed
+        and K == len(want.times)
+        and got.times.tobytes() == want.times.tobytes()
+        and flat(got.states).tobytes() == want.states.tobytes()
+        and got.rates.tobytes() == want.rates.tobytes()
+        and flat(got.diagnostics).tobytes() == want.diagnostics.tobytes()
+    )
+
+
+def assert_implicit_parity(model, start, t_end, h):
+    """The library's run and the numpy loop's, which must agree; returns
+    the library's outcome."""
+    got = outcome(lambda: dt.integrate_implicit_P(model, start, t_end, h))
+    want = outcome(lambda: implicit_reference(model, start, t_end, h))
+    assert same_implicit_outcomes(got, want), (got, want)
+    return got
+
+
+class TestImplicitLoop:
+    @pytest.mark.parametrize("kind", sorted(IMPLICIT_MODELS))
+    @given(seed=st.integers(0, 2**32 - 1), states=st.sampled_from(IMPLICIT_LENGTHS))
+    @settings(max_examples=4, deadline=None)
+    def test_whole_runs_have_the_numpy_loops_bits(self, kind, seed, states):
+        model, start = sampled_start(kind, seed)
+        run = assert_implicit_parity(model, start, (states - 1) * 1e-3, 1e-3)
+        if kind == "oscillator":
+            assert str(run) == "singular Jacobian in the implicit step"
+
+    def test_the_shipped_runs_complete(self):
+        # the parity above would say little if every draw raised
+        for kind in ("piston", "reactions", "stiffening", "pushed-piston", "2-reactions"):
+            model, start = sampled_start(kind, 45)
+            run = dt.integrate_implicit_P(model, start, (2 * _BLOCK) * 1e-3, 1e-3)
+            assert run.completed and len(run.times) == 2 * _BLOCK + 1, kind
+
+    def test_off_the_piston_domain_the_kernel_hands_over_mid_run(self, monkeypatch):
+        # under a weak gas pressure the piston runs into x = 0: a Newton
+        # iterate reaches x <= 0 after 20 stored steps, where the fused
+        # residual hands over and the fallback's non-finite residual stops
+        # the run
+        model = dt.build_piston(dt.PistonParams(U0=0.1, lam=0.1))
+        start = implicit_start(model, [1.0], [-5.0], 0.0)
+        calls = counted_fallback(monkeypatch)
+        run = dt.integrate_implicit_P(model, start, 1.0, 0.01)
+        assert not run.completed and len(run.times) == 21 and calls["fallback"] >= 1
+        assert _fused(model, "residual")(*[-0.5, 0.0, 1.0, 0.0, 1.0, 0.0] * 2) is None
+        assert_implicit_parity(model, start, 1.0, 0.01)
+
+    def test_a_guard_crossed_mid_run_keeps_the_bits(self, monkeypatch):
+        # L's stiffness branches on the sign of q: the run starts at q > 0
+        # and crosses q = 0, where the fused residual and Jacobian hand over
+        model = make_kinked()
+        start = implicit_start(model, [0.3], [-1.0], 0.1)
+        calls = counted_fallback(monkeypatch)
+        run = dt.integrate_implicit_P(model, start, 2.0, 1e-2)
+        kernel = _fused(model, "residual")
+        x = [0.3, 0.1, -1.0, 0.0, -1.0, 0.0]
+        assert kernel(*x, *x) is not None and kernel(-0.3, *x[1:], *x) is None
+        assert run.completed and run.states.q.min() < 0.0 < run.states.q.max()
+        assert calls["fallback"] > 0
+        assert_implicit_parity(model, start, 2.0, 1e-2)
+
+    def test_an_escaping_run_stops_with_its_rows(self):
+        # L = v^2/2 + q^4/4 - S escapes in finite time; written with
+        # products, its iterates overflow to inf instead of raising
+        box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+        model = dt.SimpleThermoModel(
+            n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + 0.25 * q[0] * q[0] * q[0] * q[0] - S,
+            friction=lambda q, v, S: (0.0,), domain_box=box, name="escaping",
+        )
+        start = implicit_start(model, [1.0], [0.0], 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = assert_implicit_parity(model, start, 4.0, 0.05)
+        assert not run.completed and 1 < len(run.times) < 81
+
+    def test_a_nan_after_the_first_entry_still_stops_the_run(self, monkeypatch):
+        # Python's max skips a NaN that is not first; a fallback residual
+        # that is zero but for a trailing NaN must stop the run, not pass
+        # as converged
+        model, start = sampled_start("piston", 46)
+        fallback, calls = dynamics._per_evaluator_residual, Counter()
+
+        def nan_last(*args):
+            residual, o = fallback(*args)
+            calls["residual"] += 1
+            if calls["residual"] > 30:
+                residual = np.zeros_like(residual)
+                residual[-1] = np.nan
+            return residual, o
+
+        monkeypatch.setattr(dynamics, "_per_evaluator_residual", nan_last)
+        with per_evaluator():
+            run = dt.integrate_implicit_P(model, start, 0.1, 1e-3)
+            calls.clear()
+            want = implicit_reference(model, start, 0.1, 1e-3)
+        assert not run.completed and 1 < len(run.times) < 31
+        assert same_implicit_outcomes(run, want)
+
+    def test_the_loops_errors_are_the_numpy_loops(self, monkeypatch):
+        # membrane's Newton residual stalls above the tolerance (ROADMAP
+        # item 1): both loops give up after the same number of solves
+        membrane = dt.build_membrane()
+        q, v, S = sample_states(membrane, 1, seed=47)[0]
+        start = implicit_start(membrane, q, v, S)
+        solves, solve = [], dynamics._solve
+
+        def counted_solve(*args):
+            solves[-1] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(dynamics, "_solve", counted_solve)
+        monkeypatch.setattr(conftest, "_solve", counted_solve)
+        outcomes = []
+        for integrate in (dt.integrate_implicit_P, implicit_reference):
+            solves.append(0)
+            outcomes.append(outcome(lambda: integrate(membrane, start, 0.05, 1e-3)))
+        stall = outcomes[0]
+        assert same_implicit_outcomes(*outcomes) and isinstance(stall, dt.NewtonError)
+        assert str(stall).startswith("implicit step did not converge: residual ")
+        assert str(stall).endswith(" after 25 iterations")
+        assert solves[0] == solves[1] >= 25
+        oscillator = IMPLICIT_MODELS["oscillator"]
+        singular = assert_implicit_parity(oscillator, implicit_start(oscillator, [0.5], [0.1], 0.0), 0.05, 1e-3)
+        assert isinstance(singular, dt.NewtonError) and str(singular) == "singular Jacobian in the implicit step"
+        piston = IMPLICIT_MODELS["piston"]
+        off = implicit_start(piston, [1.0], [0.5], 0.3)
+        off.p = off.p + 1e-3
+        inconsistent = assert_implicit_parity(piston, off, 0.05, 1e-3)
+        assert isinstance(inconsistent, dt.IntegrationError)
+
+    @pytest.mark.parametrize("kind", ["piston", "reactions", "2-reactions"])
+    def test_every_stored_momentum_is_the_momentum_map(self, kind):
+        # the snap reads dL/dv off the converged residual's replay: the
+        # bits momentum_map gives at the stored (q, v, S); lam is +0.0
+        model, start = sampled_start(kind, 48)
+        run = dt.integrate_implicit_P(model, start, 0.3, 1e-3)
+        assert run.completed
+        for row in run.states:
+            assert dt.momentum_map(model, row.q, row.v, row.S).tobytes() == np.asarray(row.p).tobytes()
+        assert (run.states.lam == 0.0).all() and not np.signbit(run.states.lam).any()
