@@ -295,11 +295,23 @@ def value(x) -> float:
 # --- generic math, dispatching on jet and plain -------------------------
 
 
+def _exp(x):
+    """``math.exp`` of a value, recorded when traced; where it overflows,
+    the IEEE answer inf (numpy's), not ``OverflowError``. A replay that
+    overflows raises, and the dict jet, which comes here, answers inf."""
+    if type(x) is _Traced:
+        return _apply(math.exp, x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def exp(x):
     if type(x) is Jet:
-        e = _apply(math.exp, x.re)
+        e = _exp(x.re)
         return x._chain(e, {k: d * e for k, d in x.g.items()}, e, e)
-    return _apply(math.exp, x)
+    return _exp(x)
 
 
 def log(x):

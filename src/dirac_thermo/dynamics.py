@@ -93,6 +93,7 @@ from .model import (
     _lagrangian_first_order,
     _lagrangian_hessian,
     _momentum_rate_from,
+    _momentum_rate_source,
     _records,
     _solve,
     _solve_source,
@@ -419,7 +420,12 @@ def _entropy_rate_source(F: list, v: list) -> list:
 @lru_cache(maxsize=None)
 def _work_source(n: int, degenerate: bool) -> str:
     """The fused :func:`_lagrangian_work` at n, from q, v and S (q and S
-    when degenerate, where L's and the forces' jets are taken at v = 0)."""
+    when degenerate, where L's and the forces' jets are taken at v = 0).
+    The momentum rate at vdot = 0 is zeros by rule Z where each of its
+    terms has a zero factor (always for a kinetic term with a constant
+    mass matrix), else the matmul; the solve at n > 1 is b_i / A_ii by
+    rule D where the matrix is diagonal and b has no zero, else LAPACK's.
+    See :func:`model._momentum_rate_source` and :func:`model._solve_source`."""
     k = 2 * n + 1
     q, S = [f"a{i}" for i in range(n)], f"a{2 * n}"
     f, e, b = ([f"{x}{i}" for i in range(n)] for x in "feb")
@@ -439,15 +445,15 @@ def _work_source(n: int, degenerate: bool) -> str:
             f"{_tuple(['0.0'] * n)}, {_tuple(f)}, {_tuple(e)}, None)",
         ]
         return _kernel_source(q + [S], body)
-    v, u = [f"a{n + i}" for i in range(n)], [f"u{i}" for i in range(n)]  # u: vdot
+    v, u, m = [f"a{n + i}" for i in range(n)], [f"u{i}" for i in range(n)], [f"m{i}" for i in range(n)]  # u: vdot
     args, lv = ", ".join(q + v + [S]), f"o[{1 + k + n * k}:{1 + k + 2 * n * k}]"  # L's velocity rows
     body = [
         f"o = L2({args})", f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
         f"if not _finite(sum(o) + {' + '.join(f + e)}): return None",
         f"s = o[{k}]", *_entropy_rate_source(f, v),
         "if not _finite(w): return None",
-        # the momentum rate at vdot = 0 moves to the right-hand side
-        f"{', '.join(f'm{i}' for i in range(n))}, = _mv({lv}, ({', '.join(v)}, {'0.0, ' * n}w)).tolist()",
+        # the momentum rate m at vdot = 0 moves to the right-hand side
+        *_momentum_rate_source("o", 1 + k + n * k, [*v, *["0.0"] * n, "w"], m),
         *[f"b{i} = o[{1 + i}] + f{i} + e{i} - m{i}" for i in range(n)],
         *_solve_source([f"o[{1 + k + (n + i) * k + n + j}]" for i in range(n) for j in range(n)], b, u),
         f"if not _finite({' + '.join(u)}): return None",
@@ -860,16 +866,17 @@ def _per_evaluator_residual(model: SimpleThermoModel, x, r):
     L, g = _kernel_jet(model.lagrangian, n, *at, 1)
     dLdq, dLdv, s = g[:n], g[n : 2 * n], g[2 * n]
     F, Fext = friction_value(model, *at), external_value(model, *at)
-    residual = np.concatenate(
-        [
-            (r[p] - dLdq - Fext) * s + (r[lam] - s) * F,
-            [s * Sdot - F @ qdot],
-            x[p] - dLdv,
-            [x[lam]],
-            x[v] - qdot,
-            [x[W] - Sdot],
-        ]
-    )
+    with np.errstate(all="ignore"):  # an overflowed jet's residual is non-finite, which stops the step
+        residual = np.concatenate(
+            [
+                (r[p] - dLdq - Fext) * s + (r[lam] - s) * F,
+                [s * Sdot - F @ qdot],
+                x[p] - dLdv,
+                [x[lam]],
+                x[v] - qdot,
+                [x[W] - Sdot],
+            ]
+        )
     return residual, (L, *g.tolist())
 
 

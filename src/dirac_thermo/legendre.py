@@ -151,8 +151,11 @@ def _fiber_source(n: int) -> str:
     """One fused Newton iterate at n. Its arguments are q, v, S, p and
     the tolerance; it gives (None, o) where the momentum residual is
     within the tolerance, o the flat output of L's order-2 replay at
-    (q, v, S), and (the next v, None) otherwise. The inversion and the
-    momentum-side work kernel both loop over it."""
+    (q, v, S), and (the next v, None) otherwise. The Newton step at
+    n > 1 is r_i / L_vv[i][i] by rule D where the velocity Hessian is
+    diagonal and no r_i is zero, else LAPACK's solve (see
+    :func:`model._solve_source`). The inversion and the momentum-side
+    work kernel both loop over it."""
     k = 2 * n + 1
     r, t = [f"r{i}" for i in range(n)], [f"t{i}" for i in range(n)]
     err = f"max({', '.join(f'abs({x})' for x in r)})" if n > 1 else f"abs({r[0]})"

@@ -274,8 +274,12 @@ def _kernel_jet(evaluator: Callable, n: int, q, v, S, order: int):
 # jet kernels above and does the glue between them (the entropy-rate
 # rule, an n = 1 division, the outputs) in float code with the
 # operations of the numpy code it stands for, so its bits are that
-# code's. Where a numpy call has bits float code cannot give (a BLAS
-# matmul, an FMA chain; a solve at n > 1), the kernel makes that call.
+# code's. Where a numpy call has bits float code cannot give in general
+# (a BLAS matmul, an FMA chain; a solve at n > 1), the kernel makes that
+# call, behind two exact rules for its trivial cases: rule Z, a momentum
+# rate each of whose terms has a zero factor, is +0.0
+# (:func:`_momentum_rate_source`), and rule D, a diagonal solve with a
+# nonzero right-hand side, is b_i / A_ii (:func:`_solve_source`).
 # It takes Python floats and returns None where a guard fails: a replay
 # that answered None, a value that is not a finite float, a zero pivot,
 # a slope of the wrong sign, any exception. The caller then takes the
@@ -354,10 +358,50 @@ def _dot_source(x: list, y: list) -> str:
 
 def _solve_source(A: list, b: list, out: list) -> list:
     """Lines setting ``out`` to :func:`_solve` of the row-major matrix
-    ``A`` and ``b``: a division guarded against a zero pivot at n = 1."""
-    if len(b) == 1:
+    ``A`` and ``b``: a division guarded against a zero pivot at n = 1.
+
+    At n > 1, rule D: where every off-diagonal entry is == 0.0, every
+    diagonal entry and every b_i != 0.0, out_i = b_i / A_ii, LAPACK's
+    bits. Partial pivoting makes no swap, the multipliers and U's
+    off-diagonal entries are signed zeros, forward substitution leaves a
+    nonzero b_i as it is and back substitution divides. A zero b_i would
+    take the zeros' signs, so it, like any other matrix, goes to the
+    LAPACK call. A quotient that is not finite fails the kernels'
+    ``_finite`` guard on either branch. ``TestSmallSolveRules`` holds the
+    rule to :func:`_solve` bit for bit."""
+    n = len(b)
+    if n == 1:
         return [f"if {A[0]} == 0.0: return None", f"{out[0]} = {b[0]} / {A[0]}"]
-    return [f"{', '.join(out)}, = _solve_rows({_tuple(A)}, {_tuple(b)})"]
+    diagonal = [A[i * n + i] for i in range(n)]
+    rule = " and ".join(
+        [f"{A[i * n + j]} == 0.0" for i in range(n) for j in range(n) if i != j]
+        + [f"{x} != 0.0" for x in diagonal + b]
+    )
+    return [
+        f"if {rule}: {', '.join(out)}, = {_tuple(f'{x} / {a}' for x, a in zip(b, diagonal))}",
+        f"else: {', '.join(out)}, = _solve_rows({_tuple(A)}, {_tuple(b)})",
+    ]
+
+
+def _momentum_rate_source(o: str, start: int, rates: list, out: list) -> list:
+    """Lines setting ``out`` to :func:`_momentum_rate_from` of L's velocity
+    rows, ``o[start:]`` row after row, and ``rates``, where a rate given
+    as the literal ``0.0`` (the vdot slots at vdot = 0) is a zero factor.
+
+    Rule Z: where every term L_v[i][j] rate[j] has a factor == 0.0 and
+    every factor is finite, out is +0.0 throughout, numpy's bits: BLAS
+    accumulates from +0.0, and +0.0 + (+-0.0) is +0.0 in round to
+    nearest. Any other rows take the whole matmul; no row is split out
+    of it. ``TestSmallSolveRules`` holds the rule to the matmul bit for bit."""
+    c, named = len(rates), [j for j, x in enumerate(rates) if x != "0.0"]
+    rule = " and ".join(
+        f"({o}[{start + i * c + j}] == 0.0 or {rates[j]} == 0.0)" for i in range(len(out)) for j in named
+    )
+    finite = " + ".join(rates[j] for j in named)
+    return [
+        f"if {rule} and _finite({finite}): {', '.join(out)}, = {_tuple(['0.0'] * len(out))}",
+        f"else: {', '.join(out)}, = _mv({o}[{start}:{start + len(out) * c}], {_tuple(rates)}).tolist()",
+    ]
 
 
 def _solve_rows(A, b) -> list:
@@ -458,8 +502,11 @@ def _momentum_rate_from(Lv, rates) -> np.ndarray:
     """L_vq qdot + L_vv vdot + L_vS Sdot: the time derivative of the
     momentum dL/dv along the rates (qdot, vdot, Sdot), 2n + 1 floats,
     from the Hessian's velocity rows Lv, flat. One numpy matmul, whose
-    bits (an FMA chain at n = 1) float code cannot give. A non-finite
-    entry gives NaN where it meets a zero (0 x inf), without a warning."""
+    bits (an FMA chain at n = 1) float code cannot give in general; the
+    fused work kernel answers rows whose every term has a zero factor in
+    float code (rule Z, :func:`_momentum_rate_source`) and makes this
+    call otherwise. A non-finite entry gives NaN where it meets a zero
+    (0 x inf), without a warning."""
     A, x = np.array(Lv, dtype=float).reshape(-1, len(rates)), np.array(rates, dtype=float)
     if math.isfinite(sum(Lv) + sum(rates)):  # an overflowing sum only costs the errstate
         return A @ x

@@ -1,11 +1,13 @@
 """Shared fixtures: shipped models, in-range state sampling, a
-hand-built frictionless oscillator for the reduction checks, the
+hand-built frictionless oscillator for the reduction checks, coupled
+models whose fused kernels make the small-algebra numpy calls, the
 first-order dual numbers that are the reference for the jets' first
 partials, the per-state diagnostics record that is the reference for
 the integrators' block pass, and the numpy Newton loop that is the
 reference for the implicit route's float-code loop."""
 
 import math
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,7 +26,7 @@ from dirac_thermo.dynamics import (
     _implicit_jacobian,
     _solution_data,
 )
-from dirac_thermo.model import ArenaPoint, _dot, _fused, _solve
+from dirac_thermo.model import _FUSED_GLOBALS, ArenaPoint, _dot, _fused, _solve
 
 
 @pytest.fixture(scope="session")
@@ -106,6 +108,58 @@ def make_escaping():
         n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + 0.25 * q[0] * q[0] * q[0] * q[0],
         friction=lambda q, v, S: (0.0,), domain_box=box, name="quartic",
     )
+
+
+def make_coupled_model():
+    """L = (1+q^2) v^2 / 2 + q v S - S: every second partial in v is
+    nonzero (L_vq = 2 q v + S, L_vS = q), so the momentum rate at vdot = 0
+    is not a zero row; dL/dS = q v - 1 stays negative on the box."""
+
+    def lagrangian(q, v, S):
+        return 0.5 * (1.0 + q[0] * q[0]) * v[0] * v[0] + q[0] * v[0] * S - S
+
+    def friction(q, v, S):
+        return (-0.1 * v[0],)
+
+    box = dt.DomainBox(
+        q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0
+    )
+    return dt.SimpleThermoModel(
+        n=1, lagrangian=lagrangian, friction=friction, domain_box=box, name="coupled"
+    )
+
+
+def make_coupled_pair():
+    """n = 2 with an off-diagonal mass matrix and an S q.v term:
+    L = v^T M(q) v / 2 + (q.v) S - |q|^2 / 2 - 2 S with
+    M(q) = [[2 + q0^2, q1 / 2], [q1 / 2, 2 + q1^2]], F = -0.2 v. The
+    velocity Hessian is diagonal only where q1 is a zero, and L_vq,
+    L_vS are nonzero rows; dL/dS = q.v - 2 stays negative on the box."""
+
+    def lagrangian(q, v, S):
+        m00, m01, m11 = 2.0 + q[0] * q[0], 0.5 * q[1], 2.0 + q[1] * q[1]
+        kinetic = 0.5 * (m00 * v[0] * v[0] + 2.0 * m01 * v[0] * v[1] + m11 * v[1] * v[1])
+        return kinetic + (q[0] * v[0] + q[1] * v[1]) * S - 0.5 * (q[0] * q[0] + q[1] * q[1]) - 2.0 * S
+
+    box = dt.DomainBox(
+        q_lo=(-1.0, -1.0), q_hi=(1.0, 1.0), v_lo=(-1.0, -1.0), v_hi=(1.0, 1.0), s_lo=-1.0, s_hi=1.0
+    )
+    return dt.SimpleThermoModel(
+        n=2, lagrangian=lagrangian, friction=lambda q, v, S: (-0.2 * v[0], -0.2 * v[1]),
+        domain_box=box, name="coupled-pair",
+    )
+
+
+def counted_numpy_calls(monkeypatch) -> Counter:
+    """A Counter, by name, of the calls that fused kernels built from now
+    on make to the numpy helpers behind the small-algebra rules: ``_mv``
+    (the momentum-rate matmul) and ``_solve_rows`` (the LAPACK solve)."""
+    calls = Counter()
+    for name in ("_mv", "_solve_rows"):
+        numpy_call = _FUSED_GLOBALS[name]
+        monkeypatch.setitem(_FUSED_GLOBALS, name,
+                            lambda *args, _f=numpy_call, _name=name: calls.update([_name]) or _f(*args))
+    return calls
 
 
 def callable_lam_piston(a=0.25):

@@ -306,6 +306,24 @@ class TestErrorExits:
             assert (out / "trajectory.csv").exists()
             assert json.loads((out / "summary.json").read_text())["completed"] is False
 
+    def test_an_overflowing_internal_energy_stops_the_run(self, tmp_path, capsys):
+        # an implicit-P Newton iterate drives S far up, where U's exp
+        # overflows: the jets answer inf, the state goes non-finite and the
+        # run stops with its partial CSV and summary, not an OverflowError
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, model={"kind": "piston", "params": {"U0": 0.01, "lam": 0.1}},
+                        formulation="implicit-P", initial={"q": [0.5], "v": [-20.0], "S": 0.0},
+                        h=0.02, t_end=1.0, out=str(out))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", cfg]) == 4
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "integration aborted on a non-finite state" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["completed"] is False and summary["csv_rows"] >= 1
+        header, columns = read_csv_columns(out / "trajectory.csv")
+        assert len(columns[header[0]]) == summary["csv_rows"]
+
     def test_unknown_model_kind(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, model={"kind": "turbine"})
         assert cli.main(["run", "--config", cfg]) == 2

@@ -112,6 +112,17 @@ class TestTranscendentals:
         assert exp(0.5) == math.exp(0.5)
         assert sin(0.3) == math.sin(0.3)
 
+    def test_exp_overflow_is_inf(self):
+        # IEEE's (numpy's) answer, not math.exp's OverflowError: on plain
+        # and numpy floats, in a jet, and in a kernel whose replay overflows
+        # (the dict jet answers for it)
+        assert exp(1000.0) == math.inf and exp(np.float64(1000.0)) == math.inf
+        f = lambda x, y: exp(x) * y  # noqa: E731
+        kernel = JetKernel(2, 2)
+        kernel(f, [0.5, 2.0])  # traced
+        for got in (jet(f, [1000.0, 2.0]), kernel(f, [1000.0, 2.0])):
+            assert got[0] == math.inf and got[1][0] == math.inf
+
     @given(x=positive)
     @settings(max_examples=50, deadline=None)
     def test_exp_log_roundtrip_derivative(self, x):

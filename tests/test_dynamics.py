@@ -23,7 +23,10 @@ from dirac_thermo.model import _FUSED, _JET_KERNELS, _fused
 import conftest
 from conftest import (
     callable_lam_piston,
+    counted_numpy_calls,
     implicit_reference,
+    make_coupled_model,
+    make_coupled_pair,
     make_oscillator,
     make_stiffening,
     sample_states,
@@ -807,11 +810,11 @@ def make_dragged():
     )
 
 
-def two_reactions():
+def two_reactions(lam_matrix=((2.0, 0.5), (-0.3, 3.0))):
     """Two coupled reactions, n = 2: the degenerate regime's n = 2 solve."""
     return dt.build_reactions(dt.ReactionParams(
         nu=((-1.0, 1.0, 0.0), (0.0, -1.0, 1.0)), masses=(1.0, 1.0, 1.0), N_star=(1.0, 1.0, 1.0),
-        N_init=(2.0, 1.0, 0.5), lam_matrix=((2.0, 0.5), (-0.3, 3.0)),
+        N_init=(2.0, 1.0, 0.5), lam_matrix=lam_matrix,
     ))
 
 
@@ -839,6 +842,9 @@ FUSED_MODELS = {
     "pushed-membrane": lambda: compile_kernels(pushed(dt.build_membrane())),
     "pushed-reactions": lambda: compile_kernels(pushed(dt.build_reactions())),
     "2-reactions": lambda: compile_kernels(two_reactions()),
+    "2-reactions-uncoupled": lambda: compile_kernels(two_reactions(((2.0, 0.0), (0.0, 3.0)))),
+    "coupled": lambda: compile_kernels(make_coupled_model()),
+    "coupled-pair": lambda: compile_kernels(make_coupled_pair()),
 }
 _compiled_models = {}
 
@@ -1107,6 +1113,45 @@ class TestFusedKernels:
             warnings.simplefilter("error", RuntimeWarning)
             traj = dt.integrate_route(model, "lagrangian", ([0.2], [0.5], 0.1), 0.01, 1e-3)
         assert not traj.completed and len(traj.times) == 1
+
+
+class TestSmallAlgebraBranches:
+    def test_each_branch_of_each_rule_is_taken(self, monkeypatch):
+        # rule Z (the momentum rate at vdot = 0 is zero rows) and rule D (a
+        # diagonal solve at n > 1) answer in float code; elsewhere the work
+        # and fiber kernels make the numpy call. Over draws like the parity
+        # test's, each branch is taken, so that test holds both to the
+        # per-evaluator path: the shipped kernels' L_vq = L_vS = 0 and
+        # diagonal velocity Hessians take the rules, the coupled models the calls
+        calls = counted_numpy_calls(monkeypatch)
+        taken = {("Z", "rule"): set(), ("Z", "numpy"): set(), ("D", "rule"): set(), ("D", "numpy"): set()}
+        for kind in sorted(FUSED_MODELS):
+            model = fused_model(kind)
+            n = model.n
+            work = dynamics._build_work(model)  # a fresh kernel over the counted calls
+            fiber = None if model.degenerate else legendre._build_fiber(model)
+            for seed in range(60):
+                rng = np.random.default_rng(seed)
+                q, v, p, (S,) = edgy(rng, n), edgy(rng, n), edgy(rng, n), edgy(rng, 1)
+                # a work kernel that answers made its one solve; the fiber
+                # iterate, where it gives a step
+                before = calls.copy()
+                solved = work(*q, *([] if model.degenerate else v), S) is not None
+                made = calls - before
+                if solved and not model.degenerate:
+                    taken["Z", "numpy" if made["_mv"] else "rule"].add(kind)
+                if solved and n > 1:
+                    taken["D", "numpy" if made["_solve_rows"] else "rule"].add(kind)
+                if fiber is not None and n > 1:
+                    before = calls.copy()
+                    out = fiber(*q, *v, S, *p, 1e-12)
+                    if out is not None and out[1] is None:
+                        taken["D", "numpy" if (calls - before)["_solve_rows"] else "rule"].add(f"{kind} fiber")
+        assert {"piston", "membrane"} <= taken["Z", "rule"]
+        assert {"coupled", "coupled-pair"} <= taken["Z", "numpy"]
+        assert {"membrane", "coupled-pair", "2-reactions-uncoupled", "membrane fiber",
+                "coupled-pair fiber"} <= taken["D", "rule"]
+        assert {"coupled-pair", "2-reactions", "coupled-pair fiber"} <= taken["D", "numpy"]
 
 
 # --- the implicit route's float-code loop against the numpy loop ----------

@@ -12,13 +12,28 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dirac_thermo as dt
 from dirac_thermo import model as model_module
-from dirac_thermo.model import _force_jets, _solve
+from dirac_thermo.model import (
+    _FUSED_GLOBALS,
+    _force_jets,
+    _kernel_source,
+    _momentum_rate_from,
+    _momentum_rate_source,
+    _solve,
+    _solve_source,
+    _tuple,
+)
 
-from conftest import callable_lam_piston, dual_friction_jacobian, sample_states
+from conftest import (
+    callable_lam_piston,
+    counted_numpy_calls,
+    dual_friction_jacobian,
+    make_coupled_model,
+    sample_states,
+)
 
 
 class TestArenas:
@@ -303,23 +318,6 @@ class TestForceKernels:
         assert len(model_module._JET_KERNELS) == before
 
 
-def make_coupled_model():
-    """L = (1+q^2) v^2 / 2 + q v S: every second partial is nonzero."""
-
-    def lagrangian(q, v, S):
-        return 0.5 * (1.0 + q[0] * q[0]) * v[0] * v[0] + q[0] * v[0] * S
-
-    def friction(q, v, S):
-        return (-0.1 * v[0],)
-
-    box = dt.DomainBox(
-        q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0
-    )
-    return dt.SimpleThermoModel(
-        n=1, lagrangian=lagrangian, friction=friction, domain_box=box, name="coupled"
-    )
-
-
 class TestSecondDerivativeHelpers:
     q0, v0, S0 = 0.6, -0.4, 0.9
     qdot, vdot, Sdot = 0.3, -0.7, 0.2
@@ -432,6 +430,108 @@ class TestSmallSolveWarnings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(_solve(np.full((3, 3), np.nan), np.ones(3))).all()
+
+
+def rule_kernel(params, lines, out):
+    """The fused-kernel source ``lines`` as a function of ``params`` that
+    returns the names ``out``, or None where a line raised."""
+    namespace = dict(_FUSED_GLOBALS)
+    exec(_kernel_source(params, [*lines, f"return {_tuple(out)}"]), namespace)
+    return namespace["kernel"]
+
+
+def names(prefix, count):
+    return [f"{prefix}{i}" for i in range(count)]
+
+
+def solve_kernel(n):
+    """:func:`_solve_source` at n over A0..A(n*n-1), b0..b(n-1)."""
+    A, b, x = names("A", n * n), names("b", n), names("x", n)
+    return rule_kernel(A + b, _solve_source(A, b, x), x)
+
+
+def momentum_rate_kernel(n):
+    """The work kernel's momentum rate at vdot = 0, L_vq v + L_vS w, over
+    the flat velocity rows o (n rows of 2n + 1), v0..v(n-1) and w."""
+    v, m = names("v", n), names("m", n)
+    return rule_kernel(["o", *v, "w"], _momentum_rate_source("o", 0, [*v, *["0.0"] * n, "w"], m), m)
+
+
+# signed zeros, subnormals, huge magnitudes and plain values
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.7e308, -1.0, 3.0, 7.0]
+MAGNITUDES = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3, allow_nan=False))
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def small_systems(draw):
+    """(A, b) at n = 2 or 3 whose off-diagonal entries are mostly signed
+    zeros: rule D's systems, and ones just outside it."""
+    n = draw(st.sampled_from([2, 3]))
+    A = np.array([[draw(MAGNITUDES if i == j else st.one_of(ZEROS, ZEROS, ZEROS, MAGNITUDES))
+                   for j in range(n)] for i in range(n)])
+    return A, np.array([draw(MAGNITUDES) for _ in range(n)])
+
+
+@st.composite
+def momentum_rate_rows(draw):
+    """(o, v, w) at n = 1, 2 or 3: velocity rows and rates with mixed
+    signed-zero factors, now and then an inf velocity or entropy rate."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    factors = st.one_of(ZEROS, ZEROS, MAGNITUDES)
+    o = tuple(draw(factors) for _ in range(n * (2 * n + 1)))
+    rates = st.one_of(factors, st.sampled_from([np.inf, -np.inf]))
+    return o, [draw(rates) for _ in range(n)], draw(rates)
+
+
+class TestSmallSolveRules:
+    """The fused kernels' float-code answers for trivial small linear
+    algebra against the numpy calls they stand for. Rule D: a solve whose
+    off-diagonal entries are zeros and whose diagonal entries and right-hand
+    side are nonzero is b_i / A_ii. Rule Z: a momentum-rate row each of
+    whose terms has a zero factor, every factor finite, is +0.0."""
+
+    @given(system=small_systems())
+    @example(system=(np.array([[2.0, 0.0], [-0.0, 3.0]]), np.array([1.0, -0.0])))  # a zero b_i
+    @example(system=(np.array([[3.0, -0.0], [0.0, 10.0]]), np.array([5.0, 0.1])))  # not a reciprocal
+    @example(system=(np.array([[1e-300, 0.0], [0.0, 2.0]]), np.array([1e300, 1.0])))  # overflow
+    @example(system=(np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0])))  # a zero pivot
+    @settings(max_examples=400, deadline=None)
+    def test_rule_d_has_the_bits_of_the_lapack_solve(self, system):
+        A, b = system
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
+            got = solve_kernel(len(b))(*A.ravel().tolist(), *b.tolist())
+            try:
+                want = _solve(A, b)
+            except np.linalg.LinAlgError:
+                assert got is None
+                return
+        if np.isfinite(got).all():
+            assert np.array(got).tobytes() == want.tobytes()
+        else:  # both branches fail the kernels' finiteness guard
+            assert not np.isfinite(want).all()
+
+    @given(rows=momentum_rate_rows())
+    @example(rows=((0.0, 1.0, -0.0), [-2.0], 5.0))  # L_vq = +0, L_vS = -0
+    @example(rows=((-0.0, 1.0, 0.0), [np.inf], 0.0))  # 0 x inf is NaN
+    @settings(max_examples=400, deadline=None)
+    def test_rule_z_has_the_bits_of_the_matmul(self, rows):
+        o, v, w = rows
+        n = len(v)
+        with np.errstate(over="ignore"):  # a huge product overflows in the matmul
+            got = momentum_rate_kernel(n)(o, *v, w)
+            want = _momentum_rate_from(o, (*v, *(0.0,) * n, w))
+        assert np.array(got).tobytes() == want.tobytes()
+
+    def test_each_rule_answers_in_float_code(self, monkeypatch):
+        # the bit tests above would hold vacuously if no rule ever answered
+        calls = counted_numpy_calls(monkeypatch)
+        assert solve_kernel(2)(2.0, -0.0, 0.0, 4.0, 1.0, -3.0) == (0.5, -0.75)
+        assert momentum_rate_kernel(1)((-0.0, 2.0, 0.0), 3.0, 0.0) == (0.0,)
+        assert not calls
+        solve_kernel(2)(2.0, 1.0, 0.0, 4.0, 1.0, -3.0)
+        momentum_rate_kernel(1)((1.0, 2.0, 0.0), 3.0, 0.0)
+        assert calls == {"_solve_rows": 1, "_mv": 1}
 
 
 class TestJetKernelCache:
