@@ -19,18 +19,19 @@ regime reads one jet of L; on the momentum side one fiber solve); the
 vector fields, the solution data and each field's rate and stored row
 read it. A fused kernel makes each record
 (``_work_source``, ``_momentum_source``): one straight-line function
-per model and n, compiled at the field's first rate, that replays L's
-and the forces' compiled jets (the momentum side loops over the fiber
-iterate) and does the entropy-rate rule, an n = 1 division and the
-outputs in float code, calling numpy only where its bits need it. The
-implicit residual and Jacobian and the fiber iterate have kernels of
-their own. A kernel hands a state it cannot answer exactly to the
-per-evaluator path (``_per_evaluator_work``, ``_momentum_work``), one
-numpy step at a time from the evaluators' own jets, which gives the
-same bits and raises the errors; the tests hold the kernels to it. A
-field keeps the work of the last rate's state for that state's stored
-row and diagnostics, and :func:`integrate_explicit` steps tuples of
-floats with numpy's bits. One assembly
+per model and n that calls L's and the forces' jets (the momentum side
+loops over the fiber iterate) and does the entropy-rate rule, an n = 1
+division and the outputs in float code, calling numpy only where its
+bits need it. The implicit residual and Jacobian and the fiber iterate
+have kernels of their own. Each source is the one statement of its
+math, bound twice (``model._bind``): the fast binding, compiled at the
+field's first rate, replays the compiled jets and answers None where a
+guard fails; the strict binding, which needs no trace, answers the
+first rate and every state the fast one hands over, with the same
+bits, and raises the errors. A field keeps the work of the last rate's
+state for that state's stored row and diagnostics, and
+:func:`integrate_explicit` steps tuples of floats with numpy's bits.
+One assembly
 (``_solution_data``) writes the (state, tangent, covector) rows of any
 arena from a work record: P's rows at the arena's slots, which the
 ``solution_pair_*`` helpers share. The sign flip between the velocity
@@ -59,14 +60,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .dirac import _conditions
-from .errors import (
-    DegenerateLagrangianError,
-    DimensionMismatchError,
-    DiracThermoError,
-    IntegrationError,
-    NewtonError,
-    TemperatureSignError,
-)
+from .errors import DimensionMismatchError, DiracThermoError, IntegrationError, NewtonError
 from .legendre import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -84,14 +78,9 @@ from .model import (
     _arena_layout,
     _as_array,
     _bind,
-    _covector_jet,
     _dot_source,
-    _force_jets,
     _fused,
-    _kernel_jet,
     _kernel_source,
-    _lagrangian_first_order,
-    _lagrangian_hessian,
     _momentum_rate_from,
     _momentum_rate_source,
     _records,
@@ -100,9 +89,6 @@ from .model import (
     _tuple,
     arena_dim,
     arena_slots,
-    external_value,
-    friction_value,
-    lagrangian_jet,
     make_point,
 )
 
@@ -279,26 +265,6 @@ def trajectory_rows(trajectory: Trajectory) -> np.ndarray:
 # --- one evaluation per state ---------------------------------------------
 
 
-def _entropy_rate(model: SimpleThermoModel, F, v, s) -> float:
-    """Sdot = <F, v>/s: the rate constraint s Sdot = <F, v> solved for the
-    entropy rate, with s the entropy slope dL/dS (minus the temperature).
-
-    Friction-free points move entropy nowhere, which keeps pure
-    mechanics (entropy-independent models) inside the fields without a
-    slope read; where friction acts, a slope that is not negative (a
-    temperature that is not positive) is a domain violation and is
-    raised as such. A NaN slope gives a NaN rate, so a run that blew up
-    stops on its non-finite state.
-    """
-    if not np.count_nonzero(F):  # F.any(), without its Python-level wrapper
-        return 0.0
-    if s >= 0.0:
-        raise TemperatureSignError(
-            f"dL/dS = {s:.6g} must be negative where friction acts (model {model.name})"
-        )
-    return float(F @ v / s)
-
-
 class _LagrangianWork(NamedTuple):
     """A velocity-side evaluation as floats: the chart rate (qdot...,
     Sdot, vdot...; no vdot in the degenerate regime) and L's value,
@@ -360,59 +326,20 @@ def _floats(x) -> tuple:
     return tuple(np.asarray(x, dtype=float).ravel().tolist())
 
 
-def _per_evaluator_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
-    """:func:`_lagrangian_work` one numpy step at a time from the
-    evaluators' own kernels: the fused kernel's fallback and reference."""
-    n = model.n
-    if model.degenerate:
-        zero_v = np.zeros(n)
-        # L ignores v: its partials at zero velocity are those at the solved
-        # rate; one friction jet there gives F and the coefficient matrix
-        L, dLdq, _, s = _lagrangian_first_order(model, q, zero_v, S)
-        F0, dF = _covector_jet(model.friction, n, q, zero_v, S, "friction covector")
-        Fext = external_value(model, q, zero_v, S)
-        if np.max(np.abs(F0)) > 1e-12:
-            raise DiracThermoError(
-                "the degenerate regime needs velocity-linear friction "
-                f"(got friction {F0} at zero velocity, model {model.name})"
-            )
-        try:
-            qdot = _solve(dF[:, n : 2 * n], -(dLdq + Fext))
-        except np.linalg.LinAlgError:
-            raise DiracThermoError(
-                f"singular friction coefficient matrix (model {model.name})"
-            )
-        F = friction_value(model, q, qdot, S)
-        rate = (*_floats(qdot), _entropy_rate(model, F, qdot, s))
-        return _LagrangianWork(rate, float(L), float(s), _floats(dLdq), (0.0,) * n,
-                               _floats(F), _floats(Fext), None)
-
-    # one jet of L and one friction evaluation
-    v = _as_array(v, n, "v")
-    L, dLdq, dLdv, s, Lv = lagrangian_jet(model, q, v, S)
-    F, Fext = friction_value(model, q, v, S), external_value(model, q, v, S)
-    Sdot = _entropy_rate(model, F, v, s)
-    rows = _floats(Lv)
-    # the momentum rate at vdot = 0 moves to the right-hand side
-    rhs = dLdq + F + Fext - _momentum_rate_from(rows, (*v.tolist(), *(0.0,) * n, Sdot))
-    try:
-        vdot = _solve(Lv[:, n : 2 * n], rhs)
-    except np.linalg.LinAlgError:
-        raise DegenerateLagrangianError(
-            f"singular velocity Hessian; model {model.name} needs the "
-            "velocity-independent regime"
-        )
-    return _LagrangianWork((*_floats(v), Sdot, *_floats(vdot)), float(L), float(s),
-                           _floats(dLdq), _floats(dLdv), _floats(F), _floats(Fext), rows)
-
-
 def _entropy_rate_source(F: list, v: list) -> list:
-    """:func:`_entropy_rate` in kernel source, setting w from the
-    friction names F, the velocities v and the slope s; a slope that is
-    not negative where friction acts fails the guard."""
+    """Lines setting the entropy rate w = <F, v>/s, the rate constraint
+    s Sdot = <F, v> solved with s the entropy slope dL/dS (minus the
+    temperature), from the friction names F, the velocities v and s.
+
+    Friction-free points move entropy nowhere, which keeps pure
+    mechanics (entropy-independent models) inside the fields without a
+    slope read; where friction acts, a slope that is not negative (a
+    temperature that is not positive) is a domain violation, the
+    ``slope`` guard site. A NaN slope gives a NaN rate, so a run that
+    blew up stops on its non-finite state."""
     return [
         f"if {' and '.join(f'{f} == 0.0' for f in F)}: w = 0.0",
-        "elif s >= 0.0: return None",
+        "elif s >= 0.0 and _fail('slope', s): return None",
         f"else: w = {_dot_source(F, v)} / s",
     ]
 
@@ -431,16 +358,20 @@ def _work_source(n: int, degenerate: bool) -> str:
     f, e, b = ([f"{x}{i}" for i in range(n)] for x in "feb")
     if degenerate:
         v, args = [f"c{i}" for i in range(n)], ", ".join(q + ["0.0"] * n + [S])  # v: the solved rate
+        rest = [f"d[{i}]" for i in range(n)]  # the friction at zero velocity
         body = [
             # the friction's order-1 jet at zero velocity: n values, then n rows of k partials
             f"o = L1({args})", f"d = F1({args})", f"{', '.join(e)}, = E0({args})",
-            f"if len(d) != {n * (k + 1)} or not _finite(sum(o) + sum(d) + {' + '.join(e)}): return None",
-            f"if {' or '.join(f'abs(d[{i}]) > 1e-12' for i in range(n))}: return None",
+            f"if (len(d) != {n * (k + 1)} or not _finite(sum(o) + sum(d) + {' + '.join(e)})) and _fail():"
+            " return None",
+            f"if ({' or '.join(f'abs({x}) > 1e-12' for x in rest)}) and _fail('rest', {', '.join(rest)}):"
+            " return None",
             *[f"b{i} = -(o[{1 + i}] + e{i})" for i in range(n)],
-            *_solve_source([f"d[{n + i * k + n + j}]" for i in range(n) for j in range(n)], b, v),
+            *_solve_source([f"d[{n + i * k + n + j}]" for i in range(n) for j in range(n)], b, v,
+                           "_fail('coefficients')"),
             f"{', '.join(f)}, = F0({', '.join(q + v + [S])})",
             f"s = o[{k}]", *_entropy_rate_source(f, v),
-            f"if not _finite({' + '.join(v + f)} + w): return None",
+            f"if not _finite({' + '.join(v + f)} + w) and _fail(): return None",
             f"return _Work(({', '.join(v)}, w), o[0], s, {_tuple(f'o[{1 + i}]' for i in range(n))}, "
             f"{_tuple(['0.0'] * n)}, {_tuple(f)}, {_tuple(e)}, None)",
         ]
@@ -449,14 +380,15 @@ def _work_source(n: int, degenerate: bool) -> str:
     args, lv = ", ".join(q + v + [S]), f"o[{1 + k + n * k}:{1 + k + 2 * n * k}]"  # L's velocity rows
     body = [
         f"o = L2({args})", f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
-        f"if not _finite(sum(o) + {' + '.join(f + e)}): return None",
+        f"if not _finite(sum(o) + {' + '.join(f + e)}) and _fail(): return None",
         f"s = o[{k}]", *_entropy_rate_source(f, v),
-        "if not _finite(w): return None",
+        "if not _finite(w) and _fail(): return None",
         # the momentum rate m at vdot = 0 moves to the right-hand side
         *_momentum_rate_source("o", 1 + k + n * k, [*v, *["0.0"] * n, "w"], m),
         *[f"b{i} = o[{1 + i}] + f{i} + e{i} - m{i}" for i in range(n)],
-        *_solve_source([f"o[{1 + k + (n + i) * k + n + j}]" for i in range(n) for j in range(n)], b, u),
-        f"if not _finite({' + '.join(u)}): return None",
+        *_solve_source([f"o[{1 + k + (n + i) * k + n + j}]" for i in range(n) for j in range(n)], b, u,
+                       "_fail('hessian')"),
+        f"if not _finite({' + '.join(u)}) and _fail(): return None",
         f"return _Work(({', '.join(v)}, w, {', '.join(u)}), o[0], s, "
         f"{_tuple(f'o[{1 + i}]' for i in range(n))}, {_tuple(f'o[{1 + n + i}]' for i in range(n))}, "
         f"{_tuple(f)}, {_tuple(e)}, {lv})",
@@ -464,90 +396,90 @@ def _work_source(n: int, degenerate: bool) -> str:
     return _kernel_source(q + v + [S], body)
 
 
-def _build_work(model: SimpleThermoModel):
+def _build_work(model: SimpleThermoModel, strict: bool = False):
     if model.degenerate:
         replays = {"L1": ("lagrangian", 1), "F1": ("friction", 1)}
     else:
         replays = {"L2": ("lagrangian", 2)}
     replays.update(F0=("friction", 0), E0=("external", 0))
     source = _work_source(model.n, model.degenerate)
-    return _bind(model, source, replays, _Work=_LagrangianWork)
+    return _bind(model, source, replays, strict, _Work=_LagrangianWork)
 
 
 def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
     """The rate of :func:`vector_field_lagrangian` at (q, v, S) plus the
     intermediates it was built from; a degenerate model's dL/dv is zero.
-    The model's fused kernel gives it once a field has compiled one and
-    its guards hold; the per-evaluator path otherwise."""
-    kernel = _fused(model, "work")
-    if kernel is not None:
-        n = model.n
-        v = () if model.degenerate else _as_array(v, n, "v").tolist()
-        work = kernel(*_as_array(q, n, "q").tolist(), *v, float(S))
-        if work is not None:
-            return work
-    return _per_evaluator_work(model, q, v, S)
+    The model's fused work kernel gives it: the fast binding once a
+    field has compiled it and its guards hold, the strict one otherwise."""
+    n = model.n
+    v = () if model.degenerate else _as_array(v, n, "v").tolist()
+    return _evaluate(model, "work", _build_work, (*_as_array(q, n, "q").tolist(), *v, float(S)))
 
 
-def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None) -> _MomentumWork:
-    """Momentum-side rate at (q, S, p) plus the intermediates it was
-    built from, one numpy step at a time; ``v0`` seeds the fiber
-    inversion. The fused momentum kernel's fallback and reference."""
-    model = hmodel.source
-    hp = hamiltonian_partials(model, q, p, S, v0=v0)
-    F = friction_value(model, q, hp.velocity, S)
-    Fext = external_value(model, q, hp.velocity, S)
-    Sdot = _entropy_rate(model, F, hp.dp, -hp.dS)
-    return _MomentumWork((*_floats(hp.dp), Sdot, *_floats(-hp.dq + F + Fext)), float(hp.L),
-                         _floats(hp.dq), float(hp.dS), _floats(F), _floats(Fext))
+def _evaluate(model: SimpleThermoModel, kind: str, build: Callable, args: tuple, compile_fast=False):
+    """The model's fused kernel of ``kind`` at ``args``: the fast
+    binding's answer (the binding compiled first with ``compile_fast``),
+    else the strict binding's."""
+    kernel = _fused(model, kind, build if compile_fast else None)
+    out = None if kernel is None else kernel(*args)
+    return _fused(model, kind, build, strict=True)(*args) if out is None else out
 
 
 @lru_cache(maxsize=None)
 def _momentum_source(n: int) -> str:
-    """The fused :func:`_momentum_work` at n, from q, S, p and the seed
-    velocity c: the Newton loop of ``legendre._fused_solve`` over the
-    fiber iterate from c, the forces' replays at the inverted velocity,
-    the entropy-rate rule and pdot = (dL/dq + F) + Fext, numpy's order."""
+    """The fused momentum-side work at n, a :class:`_MomentumWork` from
+    q, S, p and the seed velocity c: the Newton loop of
+    ``legendre._newton`` over the fiber iterate from c, the forces'
+    replays at the inverted velocity, the entropy-rate rule and
+    pdot = (dL/dq + F) + Fext, numpy's order."""
     k = 2 * n + 1
     q, S, p = [f"a{i}" for i in range(n)], f"a{n}", [f"a{n + 1 + i}" for i in range(n)]
     c, f, e, m = ([f"{x}{i}" for i in range(n)] for x in "cfem")
     args = ", ".join(q + c + [S])
     body = [
-        f"for _ in range({NEWTON_MAX_ITER}):",
-        f"    out = _fiber({args}, {', '.join(p)}, {NEWTON_TOL!r})",
+        # the last evaluation carries the limit: the fiber converges there or fails
+        f"for i in range({NEWTON_MAX_ITER + 1}):",
+        f"    limit = {NEWTON_MAX_ITER} if i == {NEWTON_MAX_ITER} else 0",
+        f"    out = _fiber({args}, {', '.join(p)}, {NEWTON_TOL!r}, limit)",
         "    if out is None: return None",
         "    t, o = out",
         "    if o is not None: break",
         f"    {', '.join(c)}, = t",
-        "else: return None",
         f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
-        f"if not _finite({' + '.join(f + e)}): return None",
+        f"if not _finite({' + '.join(f + e)}) and _fail(): return None",
         f"s = o[{k}]", *_entropy_rate_source(f, c),
-        "if not _finite(w): return None",
+        "if not _finite(w) and _fail(): return None",
         *[f"m{i} = o[{1 + i}] + f{i} + e{i}" for i in range(n)],
-        f"if not _finite({' + '.join(m)}): return None",
+        f"if not _finite({' + '.join(m)}) and _fail(): return None",
         f"return _Work(({', '.join(c + ['w'] + m)}), o[0], {_tuple(f'-o[{1 + i}]' for i in range(n))}, "
         f"-s, {_tuple(f)}, {_tuple(e)})",
     ]
     return _kernel_source(q + [S] + p + c, body)
 
 
-def _build_momentum(model: SimpleThermoModel):
-    fiber = _fused(model, "fiber", _build_fiber)
+def _build_momentum(model: SimpleThermoModel, strict: bool = False):
+    fiber = _fused(model, "fiber", _build_fiber, strict)
     if fiber is None:
         return None
     replays = {"F0": ("friction", 0), "E0": ("external", 0)}
-    return _bind(model, _momentum_source(model.n), replays, _Work=_MomentumWork, _fiber=fiber)
+    return _bind(model, _momentum_source(model.n), replays, strict, _Work=_MomentumWork, _fiber=fiber)
 
 
 def vector_field_N(hmodel: HamiltonianModel, point: ArenaPoint, v0=None):
     """Explicit momentum-side field (qdot, pdot, Sdot).
 
     The entropy rate balances dissipated power against temperature
-    (:func:`_entropy_rate`). ``v0`` seeds the fiber inversion (a warm
-    start from a nearby state).
+    (:func:`_entropy_rate_source`). ``v0`` seeds the fiber inversion (a
+    warm start from a nearby state). The model's fused momentum kernel
+    gives it, as it gives :func:`hamilton_field_N`'s rates: the fast
+    binding once a field has compiled it and its guards hold, the strict
+    one otherwise.
     """
-    work = _momentum_work(hmodel, point.q, point.S, point.p, v0=v0)
+    model = hmodel.source
+    n = model.n
+    q, p = _as_array(point.q, n, "q").tolist(), _as_array(point.p, n, "p").tolist()
+    seed = [0.0] * n if v0 is None else _as_array(v0, n, "v0").tolist()
+    work = _evaluate(model, "momentum", _build_momentum, (*q, float(point.S), *p, *seed))
     return np.array(work.qdot), np.array(work.pdot), work.Sdot
 
 
@@ -605,35 +537,31 @@ def _hamiltonian_N(model: SimpleThermoModel, q, S, work) -> TangentCovectorPair:
     return pair
 
 
-# The solution_pair_* helpers, the reference data of the membership
-# checks, read the per-evaluator path.
-
-
 def solution_pair_P(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """(state, tangent, covector) data of a solution through (q, v, S)
     on the full arena: fiber slots filled by the momentum relation, the
     covector is the generalized-energy differential (external force
     subtracted on the configuration slots). The rate of the entropy-rate
     slot is unconstrained and recorded as zero."""
-    return _solution_pair(model, q, S, _per_evaluator_work(model, q, v, S), "P")
+    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "P")
 
 
 def solution_pair_M(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """As :func:`solution_pair_P` on the velocity-momentum arena."""
-    return _solution_pair(model, q, S, _per_evaluator_work(model, q, v, S), "M")
+    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "M")
 
 
 def solution_pair_TstarQ(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """Velocity-side data transported to the cotangent arena: base at
     (q, S, momentum, 0), covector slots (-dL/dq, -dL/dS, v, Sdot)."""
-    return _solution_pair(model, q, S, _per_evaluator_work(model, q, v, S), "TstarQ")
+    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "TstarQ")
 
 
 def solution_pair_N(model: SimpleThermoModel, q, v, S) -> TangentCovectorPair:
     """Velocity-side data transported to the momentum arena; the
     covector is (-dL/dq, -dL/dS, v), fiber matching supplying the base
     momentum."""
-    return _solution_pair(model, q, S, _per_evaluator_work(model, q, v, S), "N")
+    return _solution_pair(model, q, S, _lagrangian_work(model, q, v, S), "N")
 
 
 def solution_pair_N_hamiltonian(
@@ -642,7 +570,7 @@ def solution_pair_N_hamiltonian(
     """As :func:`solution_pair_N` but with the Hamiltonian differential
     (dH/dq - external, dH/dS, dH/dp) as the covector."""
     model = hmodel.source
-    return _hamiltonian_N(model, q, S, _per_evaluator_work(model, q, v, S))
+    return _hamiltonian_N(model, q, S, _lagrangian_work(model, q, v, S))
 
 
 # --- explicit integration ------------------------------------------------
@@ -729,7 +657,7 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
     velocity of the rate evaluated before it (from rest at the first),
     and the seed moves the bits. The model's fused momentum kernel,
     compiled at the field's first rate, gives the work where its guards
-    hold; :func:`_momentum_work` from the same seed otherwise."""
+    hold; its strict binding from the same seed otherwise."""
     model = hmodel.source
     n = model.n
     kernel = _fused(model, "momentum")  # compiled by an earlier field, else at the first rate
@@ -737,10 +665,10 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
 
     def evaluate(t: tuple, last) -> _MomentumWork:
         nonlocal kernel
-        seed = None if last is None else last.qdot
-        work = None if kernel is None else kernel(*t, *(seed or rest))
+        args = (*t, *(rest if last is None else last.qdot))
+        work = None if kernel is None else kernel(*args)
         if work is None:
-            work = _momentum_work(hmodel, t[:n], t[n], t[n + 1 :], v0=seed)
+            work = _fused(model, "momentum", _build_momentum, strict=True)(*args)
             kernel = _fused(model, "momentum", _build_momentum)
         return work
 
@@ -756,9 +684,10 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
 
     def evaluate(t: tuple, last) -> _LagrangianWork:
         nonlocal kernel
-        work = None if kernel is None else kernel(*t[:n], *t[n + 1 :], t[n])
+        args = (*t[:n], *t[n + 1 :], t[n])
+        work = None if kernel is None else kernel(*args)
         if work is None:
-            work = _per_evaluator_work(model, t[:n], t[n + 1 :], t[n])
+            work = _fused(model, "work", _build_work, strict=True)(*args)
             kernel = _fused(model, "work", _build_work)
         return work
 
@@ -843,41 +772,14 @@ def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates, with
     velocity match, and the rate-slot match. External force enters the
     force-balance rows additively. ``with_value`` returns ``(residual,
     L)``, L the Lagrangian at the point from the same jet. The model's
-    fused kernel, compiled at an implicit run's start, gives it where
-    its guards hold; the per-evaluator path otherwise.
+    fused residual kernel gives it: the fast binding, compiled at an
+    implicit run's start, where its guards hold, the strict one
+    otherwise.
     """
     n = model.n
-    x, r = point.row, _as_array(rates, 3 * n + 3, "rates")
-    kernel = _fused(model, "residual")
-    out = None if kernel is None else kernel(*x.tolist(), *r.tolist())
-    residual, o = _per_evaluator_residual(model, x, r) if out is None else (np.array(out[0]), out[1])
-    return (residual, o[0]) if with_value else residual
-
-
-def _per_evaluator_residual(model: SimpleThermoModel, x, r):
-    """(residual, o) of :func:`implicit_residual_P` at the P row x and
-    rates r, one numpy step at a time: the fused kernel's fallback and
-    reference. o is L's order-1 jet at x's (q, v, S) as the kernel's
-    replay gives it, (L, dL/dq..., dL/dv..., dL/dS)."""
-    n = model.n
-    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()  # the groups' places, in P's order
-    qdot, Sdot = r[q], r[S]
-    at = x[q], x[v], x[S]
-    L, g = _kernel_jet(model.lagrangian, n, *at, 1)
-    dLdq, dLdv, s = g[:n], g[n : 2 * n], g[2 * n]
-    F, Fext = friction_value(model, *at), external_value(model, *at)
-    with np.errstate(all="ignore"):  # an overflowed jet's residual is non-finite, which stops the step
-        residual = np.concatenate(
-            [
-                (r[p] - dLdq - Fext) * s + (r[lam] - s) * F,
-                [s * Sdot - F @ qdot],
-                x[p] - dLdv,
-                [x[lam]],
-                x[v] - qdot,
-                [x[W] - Sdot],
-            ]
-        )
-    return residual, (L, *g.tolist())
+    args = (*point.row.tolist(), *_as_array(rates, 3 * n + 3, "rates").tolist())
+    residual, o = _evaluate(model, "residual", _build_residual, args)
+    return (np.array(residual), o[0]) if with_value else np.array(residual)
 
 
 def _implicit_args(n: int) -> str:
@@ -902,18 +804,18 @@ def _residual_source(n: int) -> str:
     ]
     body = [
         f"o = L1({args})", f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
-        f"if not _finite(sum(o) + {' + '.join(f + e)}): return None",
+        f"if not _finite(sum(o) + {' + '.join(f + e)}) and _fail(): return None",
         f"s = o[{k}]",
         f"out = {_tuple(residual)}",
-        "if not _finite(sum(out)): return None",
+        "if not _finite(sum(out)) and _fail(): return None",
         "return out, o",
     ]
     return _kernel_source([f"x{i}" for i in range(d)] + [f"r{i}" for i in range(d)], body)
 
 
-def _build_residual(model: SimpleThermoModel):
+def _build_residual(model: SimpleThermoModel, strict: bool = False):
     replays = {"L1": ("lagrangian", 1), "F0": ("friction", 0), "E0": ("external", 0)}
-    return _bind(model, _residual_source(model.n), replays)
+    return _bind(model, _residual_source(model.n), replays, strict)
 
 
 def _implicit_constants(n: int, h: float) -> np.ndarray:
@@ -951,44 +853,18 @@ def _implicit_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) 
     its row ds), the one the velocity-side rate reads, and the order-1
     jets dF and dFext of friction and external force; the backward rates
     add s/h on p and F/h on lam to the force-balance rows, s/h on S and
-    -F/h on q to the entropy row. The model's fused kernel, compiled at
-    the first call that finds its replays traced, gives it where its
-    guards hold; the per-evaluator path otherwise."""
-    kernel = _fused(model, "jacobian", _build_jacobian)
-    J = None if kernel is None else kernel(*x.tolist(), *rates.tolist(), h, constants)
-    return _per_evaluator_jacobian(model, x, rates, h, constants) if J is None else J
-
-
-def _per_evaluator_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) -> np.ndarray:
-    """:func:`_implicit_jacobian` one numpy step at a time: the fused
-    kernel's fallback and reference."""
-    n = model.n
-    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()
-    jet_columns = _jet_columns(n)
-    _, g, H = _lagrangian_hessian(model, x[q], x[v], x[S])
-    F, dF, Fext, dFext = _force_jets(model, x[q], x[v], x[S])
-    s, ds = g[2 * n], H[2 * n]
-    J = constants.copy()
-    # (pdot - dL/dq - Fext) s + (lamdot - s) F
-    J[:n, jet_columns] = (
-        (rates[lam] - s) * dF - s * (H[:n] + dFext) + (rates[p] - g[:n] - Fext - F)[:, None] * ds
-    )
-    np.fill_diagonal(J[:n, p], s / h)
-    J[:n, lam] = F / h
-    # s Sdot - <F, qdot>
-    J[n, jet_columns] = rates[S] * ds - rates[q] @ dF
-    J[n, S] += s / h
-    J[n, q] -= F / h
-    # p - dL/dv
-    J[n + 1 : 2 * n + 1, jet_columns] = -H[n : 2 * n]
-    return J
+    -F/h on q to the entropy row. The model's fused Jacobian kernel
+    gives it: the fast binding, compiled at the first call that finds
+    its replays traced, where its guards hold, the strict one otherwise."""
+    return _evaluate(model, "jacobian", _build_jacobian, (*x.tolist(), *rates.tolist(), h, constants), True)
 
 
 @lru_cache(maxsize=None)
 def _jacobian_source(n: int) -> str:
     """The fused :func:`_implicit_jacobian` at n: from P's row x, the
     backward rates r, h and the constant entries C, the Jacobian, its
-    entries written as :func:`_per_evaluator_jacobian` computes them."""
+    entries written as numpy computes the rows of :func:`_implicit_jacobian`
+    as whole arrays."""
     k, d = 2 * n + 1, 3 * n + 3
     S, lam = n, 3 * n + 2
     cols = list(range(n)) + [n + 1 + i for i in range(n)] + [S]  # the jet columns
@@ -1023,14 +899,14 @@ def _jacobian_source(n: int) -> str:
     args, size = _implicit_args(n), n * (k + 1)
     body = [
         f"o = L2({args})", f"d = F1({args})", f"e = E1({args})",
-        f"if len(d) != {size} or len(e) != {size}: return None",
-        "if not _finite(sum(o) + sum(d) + sum(e)): return None",
+        f"if (len(d) != {size} or len(e) != {size}) and _fail(): return None",
+        "if not _finite(sum(o) + sum(d) + sum(e)) and _fail(): return None",
         f"s = o[{k}]",
         f"u = r{lam} - s",
         *[f"t{i} = r{2 * n + 2 + i} - o[{1 + i}] - e[{i}] - d[{i}]" for i in range(n)],
         *([] if n == 1 else [f"m = _vector_matrix({_tuple(f'r{i}' for i in range(n))}, d[{n}:])"]),
         f"out = {_tuple(entries.values())}",
-        "if not _finite(sum(out)): return None",
+        "if not _finite(sum(out)) and _fail(): return None",
         "J = C.copy()",
         "J.put(IDX, out)",
         "return J",
@@ -1041,9 +917,9 @@ def _jacobian_source(n: int) -> str:
     )
 
 
-def _build_jacobian(model: SimpleThermoModel):
+def _build_jacobian(model: SimpleThermoModel, strict: bool = False):
     replays = {"L2": ("lagrangian", 2), "F1": ("friction", 1), "E1": ("external", 1)}
-    return _bind(model, _jacobian_source(model.n), replays)
+    return _bind(model, _jacobian_source(model.n), replays, strict)
 
 
 def integrate_implicit_P(
@@ -1068,8 +944,9 @@ def integrate_implicit_P(
     coordinate as numpy's elementwise ``x0 + h * rate``, ``(z - x0) / h``
     and ``z - step``; the solve is its one numpy call per iterate. The
     fused residual and Jacobian, looked up once per run, answer on the
-    floats; a call whose guard fails takes the per-evaluator path for
-    that call alone. The snap reads p = dL/dv off the converged
+    floats; a call whose guard fails takes the strict binding for that
+    call alone, whose residual may hold a NaN anywhere, so its size is
+    numpy's NaN-propagating maximum. The snap reads p = dL/dv off the converged
     residual's replay of L's order-1 jet (``momentum_map``'s bits) and
     sets lam = +0.0; the stored rate and L are the unsnapped iterate's.
     """
@@ -1094,6 +971,7 @@ def integrate_implicit_P(
     pair0 = solution_pair_P(model, initial.q, initial.v, initial.S)
     res0, L = implicit_residual_P(model, initial, pair0.tangent, with_value=True)
     residual = _fused(model, "residual", _build_residual)  # the start traced its replays
+    strict = _fused(model, "residual", _build_residual, strict=True)
     jacobian = _fused(model, "jacobian", _build_jacobian)  # once its replays are traced
     states[0], rates[0] = initial.row, pair0.tangent
     kept.append((L, res0[n], np.abs(res0).max()))
@@ -1109,12 +987,11 @@ def integrate_implicit_P(
             rate = tuple([(a - b) / h for a, b in zip(x1, x0)])
             out = None if residual is None else residual(*x1, *rate)
             if out is None:
-                r, o = _per_evaluator_residual(model, np.array(x1), np.array(rate))
+                r, o = strict(*x1, *rate)
                 err = np.abs(r).max()  # NaN wherever r has one
-                r = tuple(r.tolist())
             else:
                 r, o = out
-                err = max(map(abs, r))  # r is finite: the kernel's guard
+                err = max(map(abs, r))  # r is finite: the fast binding's guard
             if iterate == IMPLICIT_MAX_ITER:
                 raise NewtonError(
                     f"implicit step did not converge: residual {err:.3e} "
@@ -1127,7 +1004,7 @@ def integrate_implicit_P(
             if J is None:  # built once per step, at the predictor
                 J = None if jacobian is None else jacobian(*x1, *rate, h, constants)
                 if J is None:
-                    J = _per_evaluator_jacobian(model, np.array(x1), np.array(rate), h, constants)
+                    J = _fused(model, "jacobian", _build_jacobian, strict=True)(*x1, *rate, h, constants)
                     jacobian = _fused(model, "jacobian", _build_jacobian)
             try:
                 step = _solve(J, np.array(r)).tolist()

@@ -8,14 +8,13 @@ rejected with a distinct error and stay Lagrangian-side only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArenaError, DegenerateLagrangianError, NewtonError
+from .errors import ArenaError, DegenerateLagrangianError
 from .model import (
     ArenaPoint,
     SimpleThermoModel,
@@ -27,12 +26,10 @@ from .model import (
     _lagrangian_first_order,
     _solve,
     _solve_source,
-    _traced_kernel,
     _tuple,
     _velocity_jet,
     arena_of_point,
     friction_value,
-    lagrangian_jet,
     lagrangian_value,
     make_point,
     temperature,
@@ -69,112 +66,98 @@ def momentum_map(model: SimpleThermoModel, q, v, S) -> np.ndarray:
 def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_jet=False):
     """Solve dL/dv(q, v, S) = p for v by Newton iteration.
 
-    Seeds at v = 0 unless a warm start is supplied. Each iterate makes
-    one :func:`lagrangian_jet`, which gives the momentum residual and
-    the velocity Hessian together. With ``with_jet`` the converged
-    iterate's jet is returned too, as ``(v, jet)``. Raises
-    DegenerateLagrangianError when the velocity Hessian is unusable
-    (the velocity-independent case) and NewtonError on non-convergence.
+    Seeds at v = 0 unless a warm start is supplied. Each iterate is the
+    model's fused fiber iterate (:func:`_fiber_source`), whose one
+    order-2 jet of L gives the momentum residual and the velocity
+    Hessian together. With ``with_jet`` the converged iterate's jet is
+    returned too, as ``(v, jet)``, split as :func:`lagrangian_jet`
+    splits it. Raises DegenerateLagrangianError when the velocity
+    Hessian is unusable (the velocity-independent case) and NewtonError
+    on non-convergence.
 
-    Once a Hamiltonian field has compiled the model's fused iterate,
-    every iterate is that kernel; a failed guard hands the whole solve
-    to the per-evaluator iterates, which give the same bits and raise
-    the errors.
+    The loop runs on the iterate's fast binding once a Hamiltonian field
+    has compiled it; where one of its guards fails, or before, the whole
+    solve runs on the strict binding, which gives the same bits and
+    raises the errors.
     """
-    if model.degenerate:
-        raise DegenerateLagrangianError(
-            f"model {model.name} has a velocity-independent Lagrangian; "
-            "the momentum relation cannot be inverted"
-        )
+    _invertible(model)
     n = model.n
     q = _as_array(q, n, "q")
     p = _as_array(p, n, "p")
     S = float(S)
     v = np.zeros(n) if v0 is None else _as_array(v0, n, "v0").copy()
-    iterate = _fused(model, "fiber")
-    solved = None if iterate is None else _fused_solve(model, iterate, q, p, S, v)
+    solved = _newton(model, _fused(model, "fiber"), q, p, S, v)
     if solved is None:
-        solved = _per_evaluator_solve(model, q, p, S, v)
+        solved = _newton(model, _fused(model, "fiber", _build_fiber, strict=True), q, p, S, v)
     return solved if with_jet else solved[0]
 
 
-def _fused_solve(model: SimpleThermoModel, iterate, q, p, S: float, v):
-    """(v, jet) from the fused iterate, or None where a guard failed or
-    the iterates ran out; the jet is read off the converged iterate's
-    replay of L."""
-    n = model.n
+def _invertible(model: SimpleThermoModel) -> None:
+    if model.degenerate:
+        raise DegenerateLagrangianError(
+            f"model {model.name} has a velocity-independent Lagrangian; "
+            "the momentum relation cannot be inverted"
+        )
+
+
+def _newton(model: SimpleThermoModel, iterate, q, p, S: float, v):
+    """(v, jet): the Newton loop over the fiber iterate from v, the jet
+    read off the converged iterate's flat order-2 jet of L; None without
+    an iterate or where a guard of the fast binding failed. The
+    evaluation past the last step carries the iteration limit."""
+    if iterate is None:
+        return None
+    n, k = model.n, 2 * model.n + 1
     args, p = [*q.tolist(), *v.tolist(), S], p.tolist()
-    for _ in range(NEWTON_MAX_ITER):
-        out = iterate(*args, *p, NEWTON_TOL)
+    for i in range(NEWTON_MAX_ITER + 1):
+        out = iterate(*args, *p, NEWTON_TOL, NEWTON_MAX_ITER if i == NEWTON_MAX_ITER else 0)
         if out is None:
             return None
         step, o = out
         if o is not None:
-            jet = _jet_parts(n, *_traced_kernel(model, "lagrangian", 2).unpack(o))
-            return np.array(args[n : 2 * n]), jet
+            a = np.array(o)
+            return np.array(args[n : 2 * n]), _jet_parts(n, o[0], a[1 : k + 1], a[k + 1 :].reshape(k, k))
         args[n : 2 * n] = step
     return None
 
 
-def _per_evaluator_solve(model: SimpleThermoModel, q, p, S: float, v):
-    """(v, jet): the Newton loop on :func:`lagrangian_jet`, the fused
-    iterate's fallback and reference."""
-    n = model.n
-    for _ in range(NEWTON_MAX_ITER):
-        jet = lagrangian_jet(model, q, v, S)
-        r = jet[2] - p
-        err = np.abs(r).max()  # NaN or inf for a non-finite residual
-        if not math.isfinite(err):
-            raise NewtonError(f"momentum residual became non-finite (model {model.name})")
-        if err <= NEWTON_TOL:
-            break
-        try:
-            step = _solve(jet[4][:, n : 2 * n], r)
-        except np.linalg.LinAlgError:
-            raise DegenerateLagrangianError(
-                f"singular velocity Hessian at q={q}, S={S} (model {model.name})"
-            )
-        v = v - step
-    else:
-        jet = lagrangian_jet(model, q, v, S)
-        r = jet[2] - p
-        if not np.max(np.abs(r)) <= NEWTON_TOL:
-            raise NewtonError(
-                f"momentum inversion did not converge in {NEWTON_MAX_ITER} iterations "
-                f"(residual {np.max(np.abs(r)):.3e}, model {model.name})"
-            )
-    return v, jet
-
-
 @lru_cache(maxsize=None)
 def _fiber_source(n: int) -> str:
-    """One fused Newton iterate at n. Its arguments are q, v, S, p and
-    the tolerance; it gives (None, o) where the momentum residual is
-    within the tolerance, o the flat output of L's order-2 replay at
-    (q, v, S), and (the next v, None) otherwise. The Newton step at
-    n > 1 is r_i / L_vv[i][i] by rule D where the velocity Hessian is
-    diagonal and no r_i is zero, else LAPACK's solve (see
+    """One fused Newton iterate at n. Its arguments are q, v, S, p, the
+    tolerance and the iteration limit, which is 0 but at the evaluation
+    past the last step; it gives (None, o) where the momentum residual
+    is within the tolerance, o the flat output of L's order-2 replay at
+    (q, v, S), and (the next v, None) otherwise. A residual that is not
+    finite, one above the tolerance with the limit, and a singular
+    velocity Hessian are guard sites. The Newton step at n > 1 is
+    r_i / L_vv[i][i] by rule D where the velocity Hessian is diagonal
+    and no r_i is zero, else LAPACK's solve (see
     :func:`model._solve_source`). The inversion and the momentum-side
     work kernel both loop over it."""
     k = 2 * n + 1
     r, t = [f"r{i}" for i in range(n)], [f"t{i}" for i in range(n)]
     err = f"max({', '.join(f'abs({x})' for x in r)})" if n > 1 else f"abs({r[0]})"
+    at = ", ".join([f"a{i}" for i in range(n)] + [f"a{2 * n}"])  # (q..., S), for the singular site's message
     body = [
         f"o = L2({', '.join(f'a{i}' for i in range(k))})",
-        "if not _finite(sum(o)): return None",
+        "if not _finite(sum(o)) and _fail(): return None",
         *[f"r{i} = o[{1 + n + i}] - p{i}" for i in range(n)],
-        f"if not _finite({' + '.join(r)}): return None",
+        f"if not _finite({' + '.join(r)}) and _fail('residual', limit, {', '.join(r)}): return None",
         f"if {err} <= tol: return None, o",
-        *_solve_source([f"o[{1 + k + (n + i) * k + n + j}]" for i in range(n) for j in range(n)], r, t),
+        f"if limit and _fail('limit', limit, {', '.join(r)}): return None",
+        *_solve_source([f"o[{1 + k + (n + i) * k + n + j}]" for i in range(n) for j in range(n)], r, t,
+                       f"_fail('fiber', {at})"),
         *[f"t{i} = a{n + i} - t{i}" for i in range(n)],
-        f"if not _finite({' + '.join(t)}): return None",
+        f"if not _finite({' + '.join(t)}) and _fail(): return None",
         f"return {_tuple(t)}, None",
     ]
-    return _kernel_source([f"a{i}" for i in range(k)] + [f"p{i}" for i in range(n)] + ["tol"], body)
+    params = [f"a{i}" for i in range(k)] + [f"p{i}" for i in range(n)] + ["tol", "limit=0"]
+    return _kernel_source(params, body)
 
 
-def _build_fiber(model: SimpleThermoModel):
-    return _bind(model, _fiber_source(model.n), {"L2": ("lagrangian", 2)})
+def _build_fiber(model: SimpleThermoModel, strict: bool = False):
+    _invertible(model)
+    return _bind(model, _fiber_source(model.n), {"L2": ("lagrangian", 2)}, strict)
 
 
 def hamiltonian(model: SimpleThermoModel, q, p, S, v0=None) -> float:

@@ -38,7 +38,14 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1
 
 from . import duals
-from .errors import ArenaError, DimensionMismatchError, TemperatureSignError
+from .errors import (
+    ArenaError,
+    DegenerateLagrangianError,
+    DimensionMismatchError,
+    DiracThermoError,
+    NewtonError,
+    TemperatureSignError,
+)
 
 __all__ = [
     "ARENAS",
@@ -187,19 +194,20 @@ class SimpleThermoModel:
     L's order-1 and order-2 jets over (q, v, S), and the friction and
     external force's values (order 0) and order-1 jets, are traced once
     per evaluator, n and order into compiled kernels
-    (:class:`duals.JetKernel`) and replayed at every later state. A
-    field's first rate, and the implicit route's first residual and
-    Jacobian, compose those replays into fused kernels, one
-    straight-line function per kind, model and n (the velocity-side
-    work, the fiber iterate, the momentum-side work, the implicit
-    residual and Jacobian), that keep the glue between them in float
-    code with the bits of the numpy code they stand for; any state one
-    of them cannot answer exactly goes to the per-evaluator path. That
-    holds all three evaluators to a contract: each is a pure function of
-    its arguments, and closure constants are read once, at trace time,
-    so changing them later has no effect. An evaluator that lets a value
-    escape (``float()``, ``bool()`` or numpy on a jet's value) keeps the
-    dict jet. ``duals.value`` keeps the trace; the partials it strips
+    (:class:`duals.JetKernel`) and replayed at every later state. Every
+    per-state evaluation is a fused kernel, one straight-line function
+    per kind, model and n (the velocity-side work, the fiber iterate,
+    the momentum-side work, the implicit residual and Jacobian), that
+    keeps the glue between the jets in float code with the bits of the
+    numpy operations it is written as. A field's first rate, and the
+    implicit route's first residual and Jacobian, compile its fast
+    binding over the replays; the strict binding over the jets
+    themselves answers before that and at any state the fast one cannot
+    answer exactly. That holds all three evaluators to a contract: each
+    is a pure function of its arguments, and closure constants are read
+    once, at trace time, so changing them later has no effect. An
+    evaluator that lets a value escape (``float()``, ``bool()`` or numpy
+    on a jet's value) keeps the dict jet. ``duals.value`` keeps the trace; the partials it strips
     are absent from the jets, the implicit step's Jacobian among them.
     The evaluators do their math through the ``duals`` helpers, which
     take jets where ``math`` and numpy reject them. The piston's callable
@@ -270,58 +278,82 @@ def _kernel_jet(evaluator: Callable, n: int, q, v, S, order: int):
 # --- fused per-state kernels ---------------------------------------------
 #
 # A fused kernel is one straight-line function per (field or residual,
-# model, n), generated as source: it calls the compiled replays of the
-# jet kernels above and does the glue between them (the entropy-rate
-# rule, an n = 1 division, the outputs) in float code with the
-# operations of the numpy code it stands for, so its bits are that
-# code's. Where a numpy call has bits float code cannot give in general
-# (a BLAS matmul, an FMA chain; a solve at n > 1), the kernel makes that
-# call, behind two exact rules for its trivial cases: rule Z, a momentum
-# rate each of whose terms has a zero factor, is +0.0
+# model, n), generated as source, the one statement of its math: it
+# calls the jets of the evaluators and does the glue between them (the
+# entropy-rate rule, an n = 1 division, the outputs) in float code with
+# the operations of numpy's elementwise code, so its bits are numpy's.
+# Where a numpy call has bits float code cannot give in general (a BLAS
+# matmul, an FMA chain; a solve at n > 1), the kernel makes that call,
+# behind two exact rules for its trivial cases: rule Z, a momentum rate
+# each of whose terms has a zero factor, is +0.0
 # (:func:`_momentum_rate_source`), and rule D, a diagonal solve with a
 # nonzero right-hand side, is b_i / A_ii (:func:`_solve_source`).
-# It takes Python floats and returns None where a guard fails: a replay
-# that answered None, a value that is not a finite float, a zero pivot,
-# a slope of the wrong sign, any exception. The caller then takes the
-# per-evaluator path, which gives the same bits and raises its errors.
+#
+# Each source is compiled once and bound twice per model, into two
+# namespaces over one code object (``_FUSED_GLOBALS``, and
+# ``_STRICT_GLOBALS`` over it). A guard site of the source is a call
+# ``_fail(site, values...)``. The fast binding calls the compiled
+# replays of the jet kernels and answers None where a guard fails: a
+# replay that answered None, a value that is not a finite float, a zero
+# pivot, a slope of the wrong sign, a singular solve, the fiber's
+# iteration limit, any exception. The strict binding calls
+# :func:`_kernel_jet` where the fast one replays (:func:`_strict_replay`),
+# so it needs no trace; it makes the numpy call where a rule would
+# answer, lets NaN and inf through the finiteness guards as numpy does,
+# and raises the error of any other failed site (:func:`_strict_fail`,
+# the one place that says what a failed guard means). A caller takes
+# the fast binding's answer, and the strict binding's where there is
+# none: before the fast one is compiled and wherever it hands over.
 
-# per L evaluator: (kind, n, degenerate) -> (friction, external, kernel),
-# dropped with the evaluator
+# per L evaluator: (kind, n, degenerate) -> (friction, external, [fast,
+# strict]), dropped with the evaluator
 _FUSED = weakref.WeakKeyDictionary()
 
 
-def _fused(model: SimpleThermoModel, kind: str, build: Optional[Callable] = None):
-    """The model's fused kernel of ``kind``, or None. ``build(model)``
-    makes a missing one, or gives None while a replay it composes is
-    untraced; without ``build`` nothing is compiled."""
+def _fused(model: SimpleThermoModel, kind: str, build: Optional[Callable] = None,
+           strict: bool = False) -> Optional[Callable]:
+    """The model's fused kernel of ``kind`` in the fast binding, or in
+    the strict one with ``strict``, or None. ``build(model, strict)``
+    makes a missing one; the fast binding is None while a replay it
+    composes is untraced, the strict one never is. Without ``build``
+    nothing is compiled. An L with no weak reference has no cache entry:
+    no fast binding, and a strict one bound at each call."""
     key = kind, model.n, model.degenerate
     try:
         entry = _FUSED.get(model.lagrangian, {}).get(key)
-    except TypeError:  # an L with no weak reference keeps the per-evaluator path
-        return None
-    if entry is not None and entry[0] is model.friction and entry[1] is model.external:
-        return entry[2]
-    kernel = None if build is None else build(model)
-    if kernel is not None:
-        _FUSED.setdefault(model.lagrangian, {})[key] = model.friction, model.external, kernel
+    except TypeError:
+        return build(model, True) if strict and build is not None else None
+    if entry is None or entry[0] is not model.friction or entry[1] is not model.external:
+        entry = model.friction, model.external, [None, None]
+    kernel = entry[2][strict]
+    if kernel is None and build is not None:
+        kernel = entry[2][strict] = build(model, strict)
+        if kernel is not None:
+            _FUSED.setdefault(model.lagrangian, {})[key] = entry
     return kernel
 
 
-def _bind(model: SimpleThermoModel, source: str, replays: dict, **names) -> Optional[Callable]:
+def _bind(model: SimpleThermoModel, source: str, replays: dict, strict: bool = False,
+          **names) -> Optional[Callable]:
     """The function ``kernel`` that ``source`` defines, each name of
-    ``replays`` bound to the replay of the model's (evaluator, order)
-    kernel, or None while one of them is untraced. Without an external
-    force its replay answers the zeros that stand for it."""
+    ``replays`` bound to the model's (evaluator, order) kernel: its
+    replay in the fast binding, or None while one of them is untraced;
+    :func:`_strict_replay` with ``strict``. Without an external force
+    both bind the zeros that stand for it."""
     namespace = dict(_FUSED_GLOBALS, **names)
+    if strict:
+        namespace.update(_STRICT_GLOBALS, _fail=_strict_fail(model.name))
     for name, (evaluator, order) in replays.items():
         if evaluator == "external" and model.external is None:
             zeros = (0.0,) * (model.n * (2 * model.n + 2) if order else model.n)
             namespace[name] = lambda *args, _zeros=zeros: _zeros
-            continue
-        kernel = _traced_kernel(model, evaluator, order)
-        if kernel is None:
-            return None
-        namespace[name] = kernel.replay
+        elif strict:
+            namespace[name] = _strict_replay(model, evaluator, order)
+        else:
+            kernel = _traced_kernel(model, evaluator, order)
+            if kernel is None:
+                return None
+            namespace[name] = kernel.replay
     exec(_compiled(source), namespace)
     return namespace["kernel"]
 
@@ -336,15 +368,90 @@ def _traced_kernel(model: SimpleThermoModel, evaluator: str, order: int):
     return None if kernel.replay is None else kernel
 
 
+def _strict_replay(model: SimpleThermoModel, evaluator: str, order: int) -> Callable:
+    """What the strict binding calls where the fast one replays the
+    model's (evaluator, order) kernel: :func:`_kernel_jet` at the flat
+    arguments (q..., v..., S), with its errors, flattened to the
+    replay's tuple of Python floats (the values, the gradients, then the
+    Hessian row by row). The evaluator is held weakly, as the cache
+    holds L, unless it has no weak reference."""
+    n, f = model.n, getattr(model, evaluator)
+    try:
+        held = weakref.ref(f)
+    except TypeError:
+        held = lambda: f  # noqa: E731 -- nothing caches a kernel over this evaluator
+    label = f"{evaluator} covector"
+
+    def replay(*args):
+        q, v, S = args[:n], args[n : 2 * n], args[2 * n]
+        if evaluator == "lagrangian":
+            parts = _kernel_jet(held(), n, q, v, S, order)
+        elif order:
+            parts = _covector_jet(held(), n, q, v, S, label)
+        else:
+            parts = (_covector(held(), n, q, v, S, label),)
+        return tuple(np.concatenate([np.ravel(part) for part in parts]).tolist())
+
+    return replay
+
+
+def _strict_fail(name: str) -> Callable:
+    """The strict binding's ``_fail`` for the model named ``name``: at a
+    failed guard site, raise the error of the numpy code that the site
+    stands for, or answer False where that code carries on, so that the
+    kernel does too. The sites: ``slope`` (dL/dS, not negative where
+    friction acts), ``hessian`` and ``coefficients`` (the velocity-side
+    rate's singular solve, regular and degenerate), ``rest`` (the
+    degenerate regime's friction at zero velocity, read by ``np.max``,
+    which a NaN keeps quiet), ``fiber`` (the fiber's singular solve at
+    (q..., S)), and ``residual`` (a momentum residual that is not finite,
+    unless only its sum overflowed) and ``limit`` (the residual past the
+    fiber's last step) at (limit, r...), the limit 0 before the last
+    step. Arrays keep numpy's repr in the messages."""
+
+    def fail(site=None, *x):
+        if site == "slope":
+            raise TemperatureSignError(
+                f"dL/dS = {x[0]:.6g} must be negative where friction acts (model {name})"
+            )
+        if site == "hessian":
+            raise DegenerateLagrangianError(
+                f"singular velocity Hessian; model {name} needs the velocity-independent regime"
+            )
+        if site == "coefficients":
+            raise DiracThermoError(f"singular friction coefficient matrix (model {name})")
+        if site == "rest" and np.max(np.abs(x)) > 1e-12:
+            raise DiracThermoError(
+                "the degenerate regime needs velocity-linear friction "
+                f"(got friction {np.array(x)} at zero velocity, model {name})"
+            )
+        if site == "fiber":
+            raise DegenerateLagrangianError(
+                f"singular velocity Hessian at q={np.array(x[:-1])}, S={x[-1]} (model {name})"
+            )
+        if site in ("residual", "limit") and (site == "limit" or not np.isfinite(x[1:]).all()):
+            if not x[0]:
+                raise NewtonError(f"momentum residual became non-finite (model {name})")
+            raise NewtonError(
+                f"momentum inversion did not converge in {x[0]} iterations "
+                f"(residual {np.max(np.abs(x[1:])):.3e}, model {name})"
+            )
+        return False
+
+    return fail
+
+
 @lru_cache(maxsize=None)
 def _compiled(source: str):
     return compile(source, "<fused kernel>", "exec")
 
 
 def _kernel_source(params: list, body: list) -> str:
-    """``def kernel(params)`` running the body lines, None on any exception."""
+    """``def kernel(params)`` running the body lines; an exception of the
+    binding's ``_Caught`` (any in the fast binding, none in the strict
+    one) answers None."""
     lines = "".join(f"        {line}\n" for line in body)
-    return f"def kernel({', '.join(params)}):\n    try:\n{lines}    except Exception:\n        return None\n"
+    return f"def kernel({', '.join(params)}):\n    try:\n{lines}    except _Caught:\n        return None\n"
 
 
 def _tuple(items) -> str:
@@ -356,9 +463,10 @@ def _dot_source(x: list, y: list) -> str:
     return f"(0.0 + {x[0]} * {y[0]})" if len(x) == 1 else f"_dot({_tuple(x)}, {_tuple(y)})"
 
 
-def _solve_source(A: list, b: list, out: list) -> list:
+def _solve_source(A: list, b: list, out: list, fail: str) -> list:
     """Lines setting ``out`` to :func:`_solve` of the row-major matrix
-    ``A`` and ``b``: a division guarded against a zero pivot at n = 1.
+    ``A`` and ``b``; ``fail`` is the guard site (a ``_fail`` call) of a
+    singular A: a zero pivot at n = 1, a singular LAPACK solve at n > 1.
 
     At n > 1, rule D: where every off-diagonal entry is == 0.0, every
     diagonal entry and every b_i != 0.0, out_i = b_i / A_ii, LAPACK's
@@ -371,15 +479,17 @@ def _solve_source(A: list, b: list, out: list) -> list:
     rule to :func:`_solve` bit for bit."""
     n = len(b)
     if n == 1:
-        return [f"if {A[0]} == 0.0: return None", f"{out[0]} = {b[0]} / {A[0]}"]
+        return [f"if {A[0]} == 0.0 and {fail}: return None", f"{out[0]} = {b[0]} / {A[0]}"]
     diagonal = [A[i * n + i] for i in range(n)]
     rule = " and ".join(
         [f"{A[i * n + j]} == 0.0" for i in range(n) for j in range(n) if i != j]
         + [f"{x} != 0.0" for x in diagonal + b]
     )
     return [
-        f"if {rule}: {', '.join(out)}, = {_tuple(f'{x} / {a}' for x, a in zip(b, diagonal))}",
-        f"else: {', '.join(out)}, = _solve_rows({_tuple(A)}, {_tuple(b)})",
+        f"if _rules and {rule}: solved = {_tuple(f'{x} / {a}' for x, a in zip(b, diagonal))}",
+        f"else: solved = _solve_rows({_tuple(A)}, {_tuple(b)})",
+        f"if solved is None and {fail}: return None",
+        f"{', '.join(out)}, = solved",
     ]
 
 
@@ -399,13 +509,17 @@ def _momentum_rate_source(o: str, start: int, rates: list, out: list) -> list:
     )
     finite = " + ".join(rates[j] for j in named)
     return [
-        f"if {rule} and _finite({finite}): {', '.join(out)}, = {_tuple(['0.0'] * len(out))}",
+        f"if _rules and {rule} and _finite({finite}): {', '.join(out)}, = {_tuple(['0.0'] * len(out))}",
         f"else: {', '.join(out)}, = _mv({o}[{start}:{start + len(out) * c}], {_tuple(rates)}).tolist()",
     ]
 
 
-def _solve_rows(A, b) -> list:
-    return _solve(np.array(A, dtype=float).reshape(len(b), -1), np.array(b, dtype=float)).tolist()
+def _solve_rows(A, b) -> Optional[list]:
+    """:func:`_solve` of the row-major A and b as a list; None where A is singular."""
+    try:
+        return _solve(np.array(A, dtype=float).reshape(len(b), -1), np.array(b, dtype=float)).tolist()
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _vector_matrix(x, A) -> list:
@@ -469,19 +583,6 @@ def external_value(model: SimpleThermoModel, q, v, S) -> np.ndarray:
     return _covector(model.external, model.n, q, v, S, "external covector")
 
 
-def _force_jets(model: SimpleThermoModel, q, v, S):
-    """(F, dF, Fext, dFext): the friction and external force at (q, v, S)
-    and their first partials over (q, v, S), (n, 2n + 1) arrays, from
-    order-1 kernels. A partial that an evaluator strips with
-    ``duals.value`` is not in them; the piston's callable friction
-    coefficient is not stripped, so its x and S partials are."""
-    n = model.n
-    F, dF = _covector_jet(model.friction, n, q, v, S, "friction covector")
-    if model.external is None:
-        return F, dF, np.zeros(n), np.zeros_like(dF)
-    return (F, dF, *_covector_jet(model.external, n, q, v, S, "external covector"))
-
-
 def lagrangian_jet(model: SimpleThermoModel, q, v, S):
     """(L, dLdq, dLdv, dLdS, Lv) at one state from L's order-2 jet over
     (q, v, S): the value, the first partials and the Hessian's velocity
@@ -506,11 +607,13 @@ def _momentum_rate_from(Lv, rates) -> np.ndarray:
     fused work kernel answers rows whose every term has a zero factor in
     float code (rule Z, :func:`_momentum_rate_source`) and makes this
     call otherwise. A non-finite entry gives NaN where it meets a zero
-    (0 x inf), without a warning."""
+    (0 x inf), and a product or sum too large for a float gives inf,
+    both without a warning: below 1e300, the bound (sum |Lv|)(sum |rate|)
+    holds every term and partial sum far from overflow."""
     A, x = np.array(Lv, dtype=float).reshape(-1, len(rates)), np.array(rates, dtype=float)
-    if math.isfinite(sum(Lv) + sum(rates)):  # an overflowing sum only costs the errstate
+    if sum(map(abs, Lv)) * sum(map(abs, rates)) < 1e300:  # False for NaN
         return A @ x
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return A @ x
 
 
@@ -522,7 +625,9 @@ def _dot(x, y) -> float:
     return float(np.asarray(x, dtype=float) @ np.asarray(y, dtype=float))
 
 
-# what every fused kernel's source may name
+# what every fused kernel's source may name, as the fast binding means
+# it: a failed guard site answers None (``_fail``), rules Z and D answer
+# (``_rules``), and so does any exception (``_Caught``)
 _FUSED_GLOBALS = {
     "np": np,
     "_finite": math.isfinite,
@@ -530,6 +635,29 @@ _FUSED_GLOBALS = {
     "_dot": _dot,
     "_solve_rows": _solve_rows,
     "_vector_matrix": _vector_matrix,
+    "_fail": lambda *values: True,
+    "_rules": True,
+    "_Caught": Exception,
+}
+
+
+def _quiet(numpy_call: Callable) -> Callable:
+    """``numpy_call`` with numpy's floating-point warnings off."""
+
+    def call(*args):
+        with np.errstate(all="ignore"):
+            return numpy_call(*args)
+
+    return call
+
+
+# the strict binding's: the numpy call in place of either rule, every
+# exception through (its ``_fail`` is :func:`_strict_fail`), and numpy
+# calls that, as its float code, warn of no NaN or inf they make
+_STRICT_GLOBALS = {
+    "_rules": False,
+    "_Caught": (),
+    **{name: _quiet(_FUSED_GLOBALS[name]) for name in ("_dot", "_solve_rows", "_vector_matrix")},
 }
 
 

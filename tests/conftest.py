@@ -2,7 +2,8 @@
 hand-built frictionless oscillator for the reduction checks, coupled
 models whose fused kernels make the small-algebra numpy calls, the
 first-order dual numbers that are the reference for the jets' first
-partials, the per-state diagnostics record that is the reference for
+partials, the per-evaluator paths that are the reference for the fused
+kernels, the per-state diagnostics record that is the reference for
 the integrators' block pass, and the numpy Newton loop that is the
 reference for the implicit route's float-code loop."""
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import dirac_thermo as dt
-from dirac_thermo import duals
+from dirac_thermo import duals, dynamics, legendre
 from dirac_thermo.dirac import _conditions
 from dirac_thermo.dynamics import (
     CONSISTENCY_TOL,
@@ -22,11 +23,34 @@ from dirac_thermo.dynamics import (
     IMPLICIT_NEWTON_TOL,
     DiagnosticsRecord,
     _build_residual,
+    _floats,
     _implicit_constants,
     _implicit_jacobian,
+    _jet_columns,
+    _LagrangianWork,
+    _MomentumWork,
     _solution_data,
 )
-from dirac_thermo.model import _FUSED_GLOBALS, ArenaPoint, _dot, _fused, _solve
+from dirac_thermo.errors import DegenerateLagrangianError, DiracThermoError, NewtonError, TemperatureSignError
+from dirac_thermo.legendre import NEWTON_MAX_ITER, NEWTON_TOL, HamiltonianModel, hamiltonian_partials
+from dirac_thermo.model import (
+    _FUSED_GLOBALS,
+    ArenaPoint,
+    SimpleThermoModel,
+    _arena_layout,
+    _as_array,
+    _covector_jet,
+    _dot,
+    _fused,
+    _kernel_jet,
+    _lagrangian_first_order,
+    _lagrangian_hessian,
+    _momentum_rate_from,
+    _solve,
+    external_value,
+    friction_value,
+    lagrangian_jet,
+)
 
 
 @pytest.fixture(scope="session")
@@ -354,6 +378,231 @@ def dual_friction_jacobian(model, q, v, S):
             for a in range(n):
                 J[a, b] = value(out[a].du) if isinstance(out[a], Dual) else 0.0
     return J
+
+
+# --- the reference for the fused kernels ----------------------------------
+#
+# Each per-state evaluation as the library wrote it one numpy step at a
+# time from the evaluators' own jets, before the fused kernels' sources
+# became its one statement: the velocity-side work, the momentum-side
+# work, the implicit residual and Jacobian and the fiber's Newton loop,
+# with the entropy-rate rule and the force jets they read. Under
+# ``per_evaluator()`` every library entry point reads them, so the fast
+# and the strict bindings of each kernel are held to them bit for bit,
+# errors included.
+
+def _force_jets(model: SimpleThermoModel, q, v, S):
+    """(F, dF, Fext, dFext): the friction and external force at (q, v, S)
+    and their first partials over (q, v, S), (n, 2n + 1) arrays, from
+    order-1 kernels. A partial that an evaluator strips with
+    ``duals.value`` is not in them; the piston's callable friction
+    coefficient is not stripped, so its x and S partials are."""
+    n = model.n
+    F, dF = _covector_jet(model.friction, n, q, v, S, "friction covector")
+    if model.external is None:
+        return F, dF, np.zeros(n), np.zeros_like(dF)
+    return (F, dF, *_covector_jet(model.external, n, q, v, S, "external covector"))
+
+
+def _entropy_rate(model: SimpleThermoModel, F, v, s) -> float:
+    """Sdot = <F, v>/s: the rate constraint s Sdot = <F, v> solved for the
+    entropy rate, with s the entropy slope dL/dS (minus the temperature).
+
+    Friction-free points move entropy nowhere, which keeps pure
+    mechanics (entropy-independent models) inside the fields without a
+    slope read; where friction acts, a slope that is not negative (a
+    temperature that is not positive) is a domain violation and is
+    raised as such. A NaN slope gives a NaN rate, so a run that blew up
+    stops on its non-finite state.
+    """
+    if not np.count_nonzero(F):  # F.any(), without its Python-level wrapper
+        return 0.0
+    if s >= 0.0:
+        raise TemperatureSignError(
+            f"dL/dS = {s:.6g} must be negative where friction acts (model {model.name})"
+        )
+    return float(F @ v / s)
+
+
+def _per_evaluator_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
+    """``dynamics._lagrangian_work`` one numpy step at a time from the
+    evaluators' own kernels: the fused work kernel's reference."""
+    n = model.n
+    if model.degenerate:
+        zero_v = np.zeros(n)
+        # L ignores v: its partials at zero velocity are those at the solved
+        # rate; one friction jet there gives F and the coefficient matrix
+        L, dLdq, _, s = _lagrangian_first_order(model, q, zero_v, S)
+        F0, dF = _covector_jet(model.friction, n, q, zero_v, S, "friction covector")
+        Fext = external_value(model, q, zero_v, S)
+        if np.max(np.abs(F0)) > 1e-12:
+            raise DiracThermoError(
+                "the degenerate regime needs velocity-linear friction "
+                f"(got friction {F0} at zero velocity, model {model.name})"
+            )
+        try:
+            qdot = _solve(dF[:, n : 2 * n], -(dLdq + Fext))
+        except np.linalg.LinAlgError:
+            raise DiracThermoError(
+                f"singular friction coefficient matrix (model {model.name})"
+            )
+        F = friction_value(model, q, qdot, S)
+        rate = (*_floats(qdot), _entropy_rate(model, F, qdot, s))
+        return _LagrangianWork(rate, float(L), float(s), _floats(dLdq), (0.0,) * n,
+                               _floats(F), _floats(Fext), None)
+
+    # one jet of L and one friction evaluation
+    v = _as_array(v, n, "v")
+    L, dLdq, dLdv, s, Lv = lagrangian_jet(model, q, v, S)
+    F, Fext = friction_value(model, q, v, S), external_value(model, q, v, S)
+    Sdot = _entropy_rate(model, F, v, s)
+    rows = _floats(Lv)
+    # the momentum rate at vdot = 0 moves to the right-hand side
+    rhs = dLdq + F + Fext - _momentum_rate_from(rows, (*v.tolist(), *(0.0,) * n, Sdot))
+    try:
+        vdot = _solve(Lv[:, n : 2 * n], rhs)
+    except np.linalg.LinAlgError:
+        raise DegenerateLagrangianError(
+            f"singular velocity Hessian; model {model.name} needs the "
+            "velocity-independent regime"
+        )
+    return _LagrangianWork((*_floats(v), Sdot, *_floats(vdot)), float(L), float(s),
+                           _floats(dLdq), _floats(dLdv), _floats(F), _floats(Fext), rows)
+
+
+def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None) -> _MomentumWork:
+    """Momentum-side rate at (q, S, p) plus the intermediates it was
+    built from, one numpy step at a time; ``v0`` seeds the fiber
+    inversion. The fused momentum kernel's reference."""
+    model = hmodel.source
+    hp = hamiltonian_partials(model, q, p, S, v0=v0)
+    F = friction_value(model, q, hp.velocity, S)
+    Fext = external_value(model, q, hp.velocity, S)
+    Sdot = _entropy_rate(model, F, hp.dp, -hp.dS)
+    return _MomentumWork((*_floats(hp.dp), Sdot, *_floats(-hp.dq + F + Fext)), float(hp.L),
+                         _floats(hp.dq), float(hp.dS), _floats(F), _floats(Fext))
+
+
+def _per_evaluator_residual(model: SimpleThermoModel, x, r):
+    """(residual, o) of ``dynamics.implicit_residual_P`` at the P row x
+    and rates r, one numpy step at a time: the fused residual kernel's
+    reference. o is L's order-1 jet at x's (q, v, S) as the kernel's
+    replay gives it, (L, dL/dq..., dL/dv..., dL/dS)."""
+    n = model.n
+    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()  # the groups' places, in P's order
+    qdot, Sdot = r[q], r[S]
+    at = x[q], x[v], x[S]
+    L, g = _kernel_jet(model.lagrangian, n, *at, 1)
+    dLdq, dLdv, s = g[:n], g[n : 2 * n], g[2 * n]
+    F, Fext = friction_value(model, *at), external_value(model, *at)
+    with np.errstate(all="ignore"):  # an overflowed jet's residual is non-finite, which stops the step
+        residual = np.concatenate(
+            [
+                (r[p] - dLdq - Fext) * s + (r[lam] - s) * F,
+                [s * Sdot - F @ qdot],
+                x[p] - dLdv,
+                [x[lam]],
+                x[v] - qdot,
+                [x[W] - Sdot],
+            ]
+        )
+    return residual, (L, *g.tolist())
+
+
+def _per_evaluator_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) -> np.ndarray:
+    """``dynamics._implicit_jacobian`` one numpy step at a time: the
+    fused Jacobian kernel's reference."""
+    n = model.n
+    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()
+    jet_columns = _jet_columns(n)
+    _, g, H = _lagrangian_hessian(model, x[q], x[v], x[S])
+    F, dF, Fext, dFext = _force_jets(model, x[q], x[v], x[S])
+    s, ds = g[2 * n], H[2 * n]
+    J = constants.copy()
+    # (pdot - dL/dq - Fext) s + (lamdot - s) F
+    J[:n, jet_columns] = (
+        (rates[lam] - s) * dF - s * (H[:n] + dFext) + (rates[p] - g[:n] - Fext - F)[:, None] * ds
+    )
+    np.fill_diagonal(J[:n, p], s / h)
+    J[:n, lam] = F / h
+    # s Sdot - <F, qdot>
+    J[n, jet_columns] = rates[S] * ds - rates[q] @ dF
+    J[n, S] += s / h
+    J[n, q] -= F / h
+    # p - dL/dv
+    J[n + 1 : 2 * n + 1, jet_columns] = -H[n : 2 * n]
+    return J
+
+
+def _per_evaluator_solve(model: SimpleThermoModel, q, p, S: float, v):
+    """(v, jet): the Newton loop on ``model.lagrangian_jet``, the loop
+    over the fused fiber iterate's reference."""
+    n = model.n
+    for _ in range(NEWTON_MAX_ITER):
+        jet = lagrangian_jet(model, q, v, S)
+        r = jet[2] - p
+        err = np.abs(r).max()  # NaN or inf for a non-finite residual
+        if not math.isfinite(err):
+            raise NewtonError(f"momentum residual became non-finite (model {model.name})")
+        if err <= NEWTON_TOL:
+            break
+        try:
+            step = _solve(jet[4][:, n : 2 * n], r)
+        except np.linalg.LinAlgError:
+            raise DegenerateLagrangianError(
+                f"singular velocity Hessian at q={q}, S={S} (model {model.name})"
+            )
+        v = v - step
+    else:
+        jet = lagrangian_jet(model, q, v, S)
+        r = jet[2] - p
+        if not np.max(np.abs(r)) <= NEWTON_TOL:
+            raise NewtonError(
+                f"momentum inversion did not converge in {NEWTON_MAX_ITER} iterations "
+                f"(residual {np.max(np.abs(r)):.3e}, model {model.name})"
+            )
+    return v, jet
+
+
+@contextmanager
+def per_evaluator():
+    """Within the block no fast binding is found or compiled, and each
+    strict binding is the reference above: every entry point takes the
+    per-evaluator path. The fiber's whole Newton loop stands in for its
+    iterate. The reference functions are looked up at each call, so that
+    a test may patch them on this module, and they run with numpy's
+    floating-point warnings off: the kernels' float code, whose values
+    they must have, makes none."""
+
+    def quiet(compute):
+        with np.errstate(all="ignore"):
+            return compute()
+
+    def reference(model, kind, build=None, strict=False):
+        if not strict:
+            return None
+        n, d = model.n, 3 * model.n + 3
+        return {
+            "work": lambda *a: quiet(lambda: _per_evaluator_work(model, a[:n], a[n:-1], a[-1])),
+            "momentum": lambda *a: quiet(lambda: _momentum_work(
+                HamiltonianModel(model), a[:n], a[n], a[n + 1 : 2 * n + 1], v0=a[2 * n + 1 :])),
+            "residual": lambda *a: quiet(lambda: _per_evaluator_residual(
+                model, np.array(a[:d]), np.array(a[d:]))),
+            "jacobian": lambda *a: quiet(lambda: _per_evaluator_jacobian(
+                model, np.array(a[:d]), np.array(a[d : 2 * d]), *a[2 * d :])),
+            "fiber": lambda *a: quiet(lambda: _per_evaluator_solve(model, *a)),
+        }[kind]
+
+    def newton(model, loop, q, p, S, v):
+        return None if loop is None else loop(q, p, S, v)
+
+    saved = dynamics._fused, legendre._fused, legendre._newton
+    dynamics._fused = legendre._fused = reference
+    legendre._newton = newton
+    try:
+        yield
+    finally:
+        dynamics._fused, legendre._fused, legendre._newton = saved
 
 
 # --- the reference for the diagnostics rows -------------------------------

@@ -5,11 +5,11 @@ before it is trusted on the shipped models; the implicit full-arena
 route is held against the explicit one at first order.
 """
 
+import contextlib
 import dataclasses
 import gc
 import warnings
 from collections import Counter
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from conftest import (
     make_coupled_pair,
     make_oscillator,
     make_stiffening,
+    per_evaluator,
     sample_states,
 )
 
@@ -653,9 +654,10 @@ class TestImplicitJacobian:
         # predictor and each Newton iterate, nothing else
         traj, steps, calls = counted_implicit_run(piston, 0.05, monkeypatch)
         assert traj.completed
-        # the start record makes one residual and one mass-matrix solve;
+        # the start record makes one residual and no solve (its rate's
+        # n = 1 mass-matrix solve is the work kernel's float division);
         # each step the predictor's residual and one per Newton solve
-        newton = calls["solve"] - 1
+        newton = calls["solve"]
         assert calls["residual"] == 1 + steps + newton
         assert steps <= newton <= 3 * steps
 
@@ -674,19 +676,19 @@ class TestImplicitJacobian:
 def counted_implicit_run(model, t_end, monkeypatch):
     """(trajectory, steps, calls): an implicit-P run of ``model`` from
     (q, v, S) = (1.0, 0.5, 0.3) at h = 1e-3, with its residual evaluations
-    (the fused kernel's answers plus the per-evaluator fallback's calls)
-    and ``_solve`` calls counted."""
+    (the fast binding's answers plus the strict binding's calls) and
+    ``_solve`` calls counted."""
     calls = Counter()
     fused, solve = dynamics._fused, dynamics._solve
 
-    def counted_fused(model, kind, *args):
-        kernel = fused(model, kind, *args)
-        if kind != "residual" or kernel is None:
+    def counted_fused(model, kind, build=None, strict=False):
+        kernel = fused(model, kind, build, strict)
+        if kind != "residual" or kernel is None or strict:
             return kernel
 
         def counted_kernel(*floats):
             out = kernel(*floats)
-            calls["residual"] += out is not None  # else the fallback answers, counted there
+            calls["residual"] += out is not None  # else the strict binding answers, counted there
             return out
 
         return counted_kernel
@@ -708,15 +710,22 @@ def counted_implicit_run(model, t_end, monkeypatch):
 
 
 def counted_fallback(monkeypatch):
-    """Counts of the per-evaluator residual's calls from now on."""
+    """Counts of the strict residual binding's calls from now on."""
     calls = Counter()
-    fallback = dynamics._per_evaluator_residual
+    fused = dynamics._fused
 
-    def counted(*args):
-        calls["fallback"] += 1
-        return fallback(*args)
+    def counted_fused(model, kind, build=None, strict=False):
+        kernel = fused(model, kind, build, strict)
+        if kind != "residual" or not strict:
+            return kernel
 
-    monkeypatch.setattr(dynamics, "_per_evaluator_residual", counted)
+        def counted(*args):
+            calls["fallback"] += 1
+            return kernel(*args)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_fused", counted_fused)
     return calls
 
 
@@ -750,6 +759,19 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_outcomes(a, b) -> bool:
+    """:func:`same_bits`, but any NaN equals any other: where two NaNs
+    meet, CPython's float code keeps one or the other once its
+    interpreter has specialised the operation, so no code keeps a NaN's
+    sign bit."""
+    if isinstance(a, BaseException) or isinstance(b, BaseException):
+        return same_bits(a, b)
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_outcomes, a, b))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return same_bits(np.where(np.isnan(a), np.nan, a), np.where(np.isnan(b), np.nan, b))
+
+
 def outcome(compute):
     """compute()'s value, or the error it raised (RuntimeWarnings raise
     under the suite's filter)."""
@@ -759,12 +781,16 @@ def outcome(compute):
         return err
 
 
-@contextmanager
-def per_evaluator():
-    """Within the block no fused kernel is found or compiled, so every
-    entry point takes the per-evaluator path, the fused kernels' reference."""
+@contextlib.contextmanager
+def strict_only():
+    """Within the block no fast binding is found or compiled, so every
+    entry point takes its kernel's strict binding."""
     saved = dynamics._fused, legendre._fused
-    dynamics._fused = legendre._fused = lambda *args, **kwargs: None
+
+    def strict_binding(model, kind, build=None, strict=False):
+        return saved[0](model, kind, build, strict) if strict else None
+
+    dynamics._fused = legendre._fused = strict_binding
     try:
         yield
     finally:
@@ -776,14 +802,14 @@ def compile_kernels(model):
     kernel its routes use; the fused kernels' cache holds them after."""
     n = model.n
     q, v, S = [0.8] * n, [0.3] * n, 0.5
-    dynamics._per_evaluator_work(model, q, v, S)
+    conftest._per_evaluator_work(model, q, v, S)
     x = np.array(q + [S] + v + [0.1] + [0.2] * n + [0.0])
-    dynamics._per_evaluator_residual(model, x, x)
-    dynamics._per_evaluator_jacobian(model, x, x, 1e-3, _implicit_constants(n, 1e-3))
+    conftest._per_evaluator_residual(model, x, x)
+    conftest._per_evaluator_jacobian(model, x, x, 1e-3, _implicit_constants(n, 1e-3))
     kinds = {"work": dynamics._build_work, "residual": dynamics._build_residual,
              "jacobian": dynamics._build_jacobian}
     if not model.degenerate:
-        legendre._per_evaluator_solve(model, np.array(q), np.array(v), S, np.array(v))
+        conftest._per_evaluator_solve(model, np.array(q), np.array(v), S, np.array(v))
         kinds["fiber"] = legendre._build_fiber
         kinds["momentum"] = dynamics._build_momentum
     for kind, build in kinds.items():
@@ -885,6 +911,42 @@ def hamilton_outputs(model, y, v):
     return r, field.to_point(y, r), tuple(field.diagnostics(y, r))
 
 
+def kernel_outputs(model, rng, draw):
+    """A function of no arguments giving the outcome of every fused
+    kernel's entry point at coordinates drawn once by ``draw(rng, size)``:
+    a velocity-side field's outputs, the implicit residual and Jacobian
+    and, unless the model is degenerate, the fiber inversion and a
+    momentum-side field's outputs."""
+    n = model.n
+    q, v, p, (S,) = draw(rng, n), draw(rng, n), draw(rng, n), draw(rng, 1)
+    y = np.array(q + [S] + ([] if model.degenerate else v))
+    x = np.array(q + [S] + v + draw(rng, n + 2))
+    rates = np.array(draw(rng, 3 * n + 3))
+    constants = _implicit_constants(n, 1e-3)
+    point = dt.ArenaPoint("P", n, x)
+
+    def outputs():
+        out = [
+            outcome(lambda: field_outputs(model, y)),
+            outcome(lambda: dt.implicit_residual_P(model, point, rates, with_value=True)),
+            outcome(lambda: _implicit_jacobian(model, x, rates, 1e-3, constants)),
+        ]
+        if not model.degenerate:
+            out.append(outcome(lambda: dt.inverse_partial_legendre(model, q, p, S, v0=v, with_jet=True)))
+            out.append(outcome(lambda: hamilton_outputs(model, (*q, S, *p), v)))
+        return out
+
+    return outputs
+
+
+def non_finite(rng, size):
+    """:func:`edgy` coordinates, each a NaN or +-inf with probability 1/4."""
+    out = np.array(edgy(rng, size))
+    special = rng.random(size) < 0.25
+    out[special] = rng.choice([np.nan, np.inf, -np.inf], special.sum())
+    return out.tolist()
+
+
 def same_runs(a, b) -> bool:
     """Two trajectories with the same bits in every stored array."""
     return a.completed == b.completed and all(
@@ -900,31 +962,87 @@ class TestFusedKernels:
     @settings(max_examples=80, deadline=None)
     def test_every_output_has_the_per_evaluator_bits(self, kind, seed):
         model = fused_model(kind)
-        n = model.n
-        rng = np.random.default_rng(seed)
-        q, v, p, (S,) = edgy(rng, n), edgy(rng, n), edgy(rng, n), edgy(rng, 1)
-        y = np.array(q + [S] + ([] if model.degenerate else v))
-        x = np.array(q + [S] + v + edgy(rng, n + 2))
-        rates = np.array(edgy(rng, 3 * n + 3))
-        constants = _implicit_constants(n, 1e-3)
-        point = dt.ArenaPoint("P", n, x)
-
-        def outputs():
-            out = [
-                outcome(lambda: field_outputs(model, y)),
-                outcome(lambda: dt.implicit_residual_P(model, point, rates, with_value=True)),
-                outcome(lambda: _implicit_jacobian(model, x, rates, 1e-3, constants)),
-            ]
-            if not model.degenerate:
-                out.append(outcome(lambda: dt.inverse_partial_legendre(model, q, p, S, v0=v, with_jet=True)))
-                out.append(outcome(lambda: hamilton_outputs(model, (*q, S, *p), v)))
-            return out
-
+        outputs = kernel_outputs(model, np.random.default_rng(seed), edgy)
         fused = outputs()
+        with strict_only():
+            strict = outputs()
         with per_evaluator():
             reference = outputs()
         for got, want in zip(fused, reference):
             assert same_bits(got, want), (got, want)
+        for got, want in zip(strict, reference):
+            assert same_bits(got, want), ("strict", got, want)
+
+    @pytest.mark.parametrize("kind", sorted(FUSED_MODELS))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_coordinates_have_the_per_evaluator_outcomes(self, kind, seed):
+        # a NaN or an inf fails the fast binding's finiteness guards; the
+        # strict binding lets it through where numpy does and raises the
+        # reference's errors, the fiber's non-finite residual among them
+        model = fused_model(kind)
+        outputs = kernel_outputs(model, np.random.default_rng(seed), non_finite)
+        with strict_only():
+            strict = outputs()
+        with per_evaluator():
+            reference = outputs()
+        for got, want in zip(strict, reference):
+            assert same_outcomes(got, want), (got, want)
+
+    def test_a_nan_friction_at_rest_passes_as_numpy_reads_it(self):
+        # n = 2, degenerate, friction (-2 v0 + 0 q0, -3 v1 + 1) at zero
+        # velocity: (0, 1) raises, but at q0 = NaN the kernel's check
+        # abs(d0) > 1e-12 or abs(d1) > 1e-12 fails where numpy's
+        # max(|F0|) > 1e-12, a NaN maximum, does not; the strict binding
+        # carries on as numpy does
+        box = dt.DomainBox(q_lo=(-1.0, -1.0), q_hi=(1.0, 1.0), v_lo=(-1.0, -1.0), v_hi=(1.0, 1.0),
+                           s_lo=-1.0, s_hi=1.0)
+        model = dt.SimpleThermoModel(
+            n=2, lagrangian=lambda q, v, S: -0.5 * (q[0] * q[0] + q[1] * q[1]) - S,
+            friction=lambda q, v, S: (-2.0 * v[0] + 0.0 * q[0], -3.0 * v[1] + 1.0),
+            domain_box=box, name="pushing", degenerate=True,
+        )
+        outcomes = []
+        for q0 in (0.5, np.nan):
+            y = np.array([q0, 0.5, 0.1])
+            with per_evaluator():
+                want = outcome(lambda: field_outputs(model, y))
+            assert same_bits(outcome(lambda: field_outputs(model, y)), want), want
+            outcomes.append(want)
+        assert str(outcomes[0]) == ("the degenerate regime needs velocity-linear friction "
+                                    "(got friction [0. 1.] at zero velocity, model pushing)")
+        assert np.isnan(outcomes[1][0]).any()
+
+    @pytest.mark.parametrize("kind", sorted(FUSED_MODELS))
+    def test_the_public_entry_points_have_the_per_evaluator_bits(self, kind):
+        # the solution pairs and the momentum-side field read the kernels'
+        # one path, the fast binding or the strict one, with the bits of
+        # the per-evaluator reference
+        model = fused_model(kind)
+        hmodel = legendre.HamiltonianModel(model)
+        pairs = (dt.solution_pair_P, dt.solution_pair_M, dt.solution_pair_TstarQ, dt.solution_pair_N)
+
+        def outputs(q, v, p, S):
+            def rows(pair):
+                return pair.base.row, pair.tangent, pair.covector
+
+            out = [outcome(lambda: rows(f(model, q, v, S))) for f in pairs]
+            out.append(outcome(lambda: dt.vector_field_lagrangian(model, q, v, S)))
+            if not model.degenerate:
+                out.append(outcome(lambda: rows(dt.solution_pair_N_hamiltonian(hmodel, q, v, S))))
+                out.append(outcome(lambda: dt.vector_field_N(hmodel, dt.PointN(q=q, S=S, p=p), v0=v)))
+            return out
+
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            q, v, p, (S,) = edgy(rng, model.n), edgy(rng, model.n), edgy(rng, model.n), edgy(rng, 1)
+            fused = outputs(q, v, p, S)
+            with strict_only():
+                strict = outputs(q, v, p, S)
+            with per_evaluator():
+                reference = outputs(q, v, p, S)
+            for got in (fused, strict):
+                assert all(map(same_bits, got, reference)), (got, reference)
 
     @pytest.mark.parametrize("kind", sorted(FUSED_MODELS))
     def test_the_kernels_answer_inside_the_box(self, kind):
@@ -976,13 +1094,13 @@ class TestFusedKernels:
         q, v, S = sample_states(model, 1, seed=43)[0]
         fallback = "_per_evaluator_work" if route == "lagrangian" else "_momentum_work"
         calls = Counter()
-        original = getattr(dynamics, fallback)
+        original = getattr(conftest, fallback)
 
         def counted(*args, **kwargs):
             calls[fallback] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, fallback, counted)
+        monkeypatch.setattr(conftest, fallback, counted)
         run = dt.integrate_route(model, route, (q, v, S), 0.2, 1e-3)
         assert run.completed and calls[fallback] == 0
         with per_evaluator():
@@ -1100,6 +1218,28 @@ class TestFusedKernels:
         gc.collect()
         assert len(_FUSED) == before
 
+    def test_an_l_without_weak_references_binds_strict_at_each_call(self):
+        # no cache entry can hold its kernels: no fast binding is compiled,
+        # and each evaluation binds the strict one afresh (its jets are dict
+        # jets), with the bits of the piston whose kernels are cached
+        piston = fused_model("piston")
+
+        class Slotted:  # no __weakref__ slot
+            __slots__ = ()
+
+            def __call__(self, q, v, S):
+                return piston.lagrangian(q, v, S)
+
+        model = dataclasses.replace(piston, lagrangian=Slotted())
+        before = len(_FUSED)
+        for x in (0.8, -0.5):  # inside the box and off the domain
+            y = np.array([x, 0.3, 0.5])
+            want = outcome(lambda: field_outputs(piston, y))
+            assert same_bits(outcome(lambda: field_outputs(model, y)), want)
+            want = outcome(lambda: hamilton_outputs(piston, (x, 0.3, 0.5), [0.5]))
+            assert same_bits(outcome(lambda: hamilton_outputs(model, (x, 0.3, 0.5), [0.5])), want)
+        assert _fused(model, "work") is None and len(_FUSED) == before
+
     def test_an_overflowing_entropy_rate_stops_the_run_without_a_warning(self):
         # the friction -1e300 v^3 overflows to inf: the entropy rate is inf,
         # and L_vS = 0 meets it in the momentum rate; the run stops on its
@@ -1113,6 +1253,17 @@ class TestFusedKernels:
             warnings.simplefilter("error", RuntimeWarning)
             traj = dt.integrate_route(model, "lagrangian", ([0.2], [0.5], 0.1), 0.01, 1e-3)
         assert not traj.completed and len(traj.times) == 1
+
+
+    def test_an_overflowing_momentum_rate_stops_the_run_without_a_warning(self):
+        # at S = 1e308 the coupled model's L_vq = 2 q v + S meets v = 10 in
+        # the momentum rate, whose matmul overflows to inf: the run stops
+        # on its non-finite state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = dt.integrate_route(make_coupled_model(), "lagrangian", ([-0.5], [10.0], 1e308), 0.01, 1e-3)
+        assert not traj.completed and len(traj.times) == 1
+        assert not np.isfinite(traj.rates[0, 2])  # vdot
 
 
 class TestSmallAlgebraBranches:
@@ -1208,6 +1359,45 @@ def assert_implicit_parity(model, start, t_end, h):
     return got
 
 
+def assert_a_trailing_nan_stops_the_run(path, monkeypatch):
+    """From the 31st residual on, the residuals off the fast binding (the
+    per-evaluator reference's arrays, or the strict binding's tuples,
+    the fast binding found nowhere) are zero but for a trailing NaN: the
+    library's run and the numpy loop's stop with the same rows."""
+    model, start = sampled_start("piston", 46)
+    calls = Counter()
+
+    def nan_last(residual, o):
+        calls["residual"] += 1
+        if calls["residual"] > 30:
+            zeros = np.zeros(len(residual))
+            zeros[-1] = np.nan
+            residual = zeros if path == "reference" else tuple(zeros.tolist())
+        return residual, o
+
+    if path == "reference":
+        fallback = conftest._per_evaluator_residual
+        monkeypatch.setattr(conftest, "_per_evaluator_residual", lambda *args: nan_last(*fallback(*args)))
+        harness = per_evaluator
+    else:
+        fused = dynamics._fused
+
+        def strict_nan_last(model, kind, build=None, strict=False):
+            kernel = fused(model, kind, build, strict) if strict else None
+            if kind != "residual" or kernel is None:
+                return kernel
+            return lambda *args: nan_last(*kernel(*args))
+
+        monkeypatch.setattr(dynamics, "_fused", strict_nan_last)
+        harness = contextlib.nullcontext
+    with harness():
+        run = dt.integrate_implicit_P(model, start, 0.1, 1e-3)
+        calls.clear()
+        want = implicit_reference(model, start, 0.1, 1e-3)
+    assert not run.completed and 1 < len(run.times) < 31
+    assert same_implicit_outcomes(run, want)
+
+
 class TestImplicitLoop:
     @pytest.mark.parametrize("kind", sorted(IMPLICIT_MODELS))
     @given(seed=st.integers(0, 2**32 - 1), states=st.sampled_from(IMPLICIT_LENGTHS))
@@ -1266,27 +1456,14 @@ class TestImplicitLoop:
         assert not run.completed and 1 < len(run.times) < 81
 
     def test_a_nan_after_the_first_entry_still_stops_the_run(self, monkeypatch):
-        # Python's max skips a NaN that is not first; a fallback residual
-        # that is zero but for a trailing NaN must stop the run, not pass
-        # as converged
-        model, start = sampled_start("piston", 46)
-        fallback, calls = dynamics._per_evaluator_residual, Counter()
+        # Python's max skips a NaN that is not first; a per-evaluator
+        # residual that is zero but for a trailing NaN must stop the run,
+        # not pass as converged
+        assert_a_trailing_nan_stops_the_run("reference", monkeypatch)
 
-        def nan_last(*args):
-            residual, o = fallback(*args)
-            calls["residual"] += 1
-            if calls["residual"] > 30:
-                residual = np.zeros_like(residual)
-                residual[-1] = np.nan
-            return residual, o
-
-        monkeypatch.setattr(dynamics, "_per_evaluator_residual", nan_last)
-        with per_evaluator():
-            run = dt.integrate_implicit_P(model, start, 0.1, 1e-3)
-            calls.clear()
-            want = implicit_reference(model, start, 0.1, 1e-3)
-        assert not run.completed and 1 < len(run.times) < 31
-        assert same_implicit_outcomes(run, want)
+    def test_a_nan_after_the_first_entry_of_a_strict_residual_stops_the_run(self, monkeypatch):
+        # as above, the residual the strict binding's tuple
+        assert_a_trailing_nan_stops_the_run("strict", monkeypatch)
 
     def test_the_loops_errors_are_the_numpy_loops(self, monkeypatch):
         # membrane's Newton residual stalls above the tolerance (ROADMAP

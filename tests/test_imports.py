@@ -2,7 +2,8 @@
 ``__all__``, no library module calls ``np.linalg.solve`` (every small
 solve goes through ``model._solve``), importing the command line loads
 numpy and no SciPy, importing the package and building models compile
-no fused kernel, and every library name that the benchmark's tracer
+no fused kernel, each fused kernel's math has one statement, its
+generated source, and every library name that the benchmark's tracer
 spans exists.
 
 The package ``__init__`` is left out of the import scan: importing
@@ -17,6 +18,11 @@ import subprocess
 import sys
 
 import pytest
+
+from dirac_thermo import dynamics, legendre
+from dirac_thermo.model import _fused
+
+from test_dynamics import FUSED_MODELS, fused_model
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dirac_thermo"
@@ -89,17 +95,64 @@ def test_the_command_line_imports_no_scipy():
 
 
 def test_import_and_the_builders_compile_no_fused_kernel():
-    # fused kernels compile at a field's first rate: importing the package
-    # and building models (the benchmark's set-up, Hamiltonian gate
-    # included) compile none
-    probe = ("import dirac_thermo as dt; from dirac_thermo import model; "
-             "models = [dt.build_piston(), dt.build_membrane(), dt.build_reactions()]; "
-             "[dt.build_hamiltonian_model(m) for m in models[:2]]; "
-             "print(len(model._FUSED), model._compiled.cache_info().currsize)")
+    # fused kernels' fast bindings compile at a field's first rate:
+    # importing the package and building models compile nothing, and the
+    # Hamiltonian gate's fiber solves (the benchmark's set-up) compile one
+    # fiber source per distinct n, bound strict for the piston (n = 1)
+    # and the membrane (n = 3)
+    probe = ("import dirac_thermo as dt; from dirac_thermo import model\n"
+             "def compiled():\n"
+             "    entries = [item for kernels in model._FUSED.values() for item in kernels.items()]\n"
+             "    bound = sorted((kind, n, [k is not None for k in pair]) for (kind, n, _), (_, _, pair) in entries)\n"
+             "    print(model._compiled.cache_info().currsize, bound)\n"
+             "compiled()\n"
+             "models = [dt.build_piston(), dt.build_membrane(), dt.build_reactions()]; compiled()\n"
+             "[dt.build_hamiltonian_model(m) for m in models[:2]]; compiled()")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.splitlines() == [
+        "0 []",
+        "0 []",
+        "2 [('fiber', 1, [False, True]), ('fiber', 3, [False, True])]",
+    ]
+
+
+def hand_written_kernels(source: str) -> list:
+    """Functions named as the per-evaluator copies of the fused kernels'
+    math were: ``_per_evaluator...`` and ``_momentum_work``."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.startswith("_per_evaluator") or node.name == "_momentum_work")
+    )
+
+
+def test_the_kernel_scan_sees_the_copies():
+    source = "def _per_evaluator_work(m):\n    pass\nclass A:\n    def _momentum_work(self):\n        pass\n"
+    assert hand_written_kernels(source) == ["_momentum_work", "_per_evaluator_work"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_keeps_a_hand_written_kernel(path):
+    # the per-evaluator paths are the tests' reference (conftest.py)
+    assert hand_written_kernels(path.read_text()) == []
+
+
+@pytest.mark.parametrize("kind", sorted(FUSED_MODELS))
+def test_the_fast_and_strict_kernels_share_one_code_object(kind):
+    # one source per kernel, compiled once and bound twice, each binding
+    # cached per (model, kind)
+    model = fused_model(kind)
+    builds = {"work": dynamics._build_work, "residual": dynamics._build_residual,
+              "jacobian": dynamics._build_jacobian}
+    if not model.degenerate:
+        builds.update(fiber=legendre._build_fiber, momentum=dynamics._build_momentum)
+    for name, build in builds.items():
+        fast, strict = _fused(model, name), _fused(model, name, build, strict=True)
+        assert fast is not None and strict is not fast, name
+        assert fast.__code__ is strict.__code__, name
+        assert _fused(model, name, build, strict=True) is strict, name  # bound once, not per call
 
 
 def perfbench_tracing():

@@ -18,7 +18,6 @@ import dirac_thermo as dt
 from dirac_thermo import model as model_module
 from dirac_thermo.model import (
     _FUSED_GLOBALS,
-    _force_jets,
     _kernel_source,
     _momentum_rate_from,
     _momentum_rate_source,
@@ -28,6 +27,7 @@ from dirac_thermo.model import (
 )
 
 from conftest import (
+    _force_jets,
     callable_lam_piston,
     counted_numpy_calls,
     dual_friction_jacobian,
@@ -367,6 +367,23 @@ class TestSecondDerivativeHelpers:
         assert np.max(np.abs(got - fd)) < 1e-8
 
 
+    @pytest.mark.parametrize("Lv, rates", [
+        ((1e300, 0.0, 0.0), (1e300, 0.0, 0.0)),  # a product overflows
+        ((1e308, 1e308, 0.0), (1.7e308, 1.7e308, 0.0)),  # and so does the sum
+        ((1e300, 1.0, 0.0), (np.inf, 0.0, 0.0)),  # an inf meets no zero
+        ((0.0, 1.0, 2.0), (np.inf, 3.0, 0.5)),  # 0 x inf is NaN
+        ((-2.0, 1.5, 0.25), (0.5, -4.0, 8.0)),  # no overflow: the plain matmul
+    ])
+    def test_the_momentum_rate_warns_of_no_overflow(self, Lv, rates):
+        # the matmul's bits, an overflow's inf among them, without a warning
+        with np.errstate(all="ignore"):
+            want = np.array(Lv).reshape(1, 3) @ np.array(rates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _momentum_rate_from(Lv, rates)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSmallSolve:
     @pytest.mark.parametrize("n", [2, 3])
     def test_bits_equal_numpy_solve(self, n):
@@ -447,7 +464,7 @@ def names(prefix, count):
 def solve_kernel(n):
     """:func:`_solve_source` at n over A0..A(n*n-1), b0..b(n-1)."""
     A, b, x = names("A", n * n), names("b", n), names("x", n)
-    return rule_kernel(A + b, _solve_source(A, b, x), x)
+    return rule_kernel(A + b, _solve_source(A, b, x, "_fail()"), x)
 
 
 def momentum_rate_kernel(n):
