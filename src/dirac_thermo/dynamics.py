@@ -25,11 +25,11 @@ division and the outputs in float code, calling numpy only where its
 bits need it. The implicit residual and Jacobian and the fiber iterate
 have kernels of their own. Each source is the one statement of its
 math, bound twice (``model._bind``): the fast binding, compiled at the
-field's first rate, replays the compiled jets and answers None where a
-guard fails; the strict binding, which needs no trace, answers the
-first rate and every state the fast one hands over, with the same
-bits, and raises the errors. A field keeps the work of the last rate's
-state for that state's stored row and diagnostics, and
+first call that finds the jets traced, replays the compiled jets and
+answers None where a guard fails; the strict binding, which needs no
+trace, answers before that and every state the fast one hands over,
+with the same bits, and raises the errors. A field keeps the work of
+the last rate's state for that state's stored row and diagnostics, and
 :func:`integrate_explicit` steps tuples of floats with numpy's bits.
 One assembly
 (``_solution_data``) writes the (state, tangent, covector) rows of any
@@ -409,18 +409,18 @@ def _build_work(model: SimpleThermoModel, strict: bool = False):
 def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
     """The rate of :func:`vector_field_lagrangian` at (q, v, S) plus the
     intermediates it was built from; a degenerate model's dL/dv is zero.
-    The model's fused work kernel gives it: the fast binding once a
-    field has compiled it and its guards hold, the strict one otherwise."""
+    The model's fused work kernel gives it: the fast binding where its
+    guards hold, the strict one otherwise (:func:`_evaluate`)."""
     n = model.n
     v = () if model.degenerate else _as_array(v, n, "v").tolist()
     return _evaluate(model, "work", _build_work, (*_as_array(q, n, "q").tolist(), *v, float(S)))
 
 
-def _evaluate(model: SimpleThermoModel, kind: str, build: Callable, args: tuple, compile_fast=False):
+def _evaluate(model: SimpleThermoModel, kind: str, build: Callable, args: tuple):
     """The model's fused kernel of ``kind`` at ``args``: the fast
-    binding's answer (the binding compiled first with ``compile_fast``),
-    else the strict binding's."""
-    kernel = _fused(model, kind, build if compile_fast else None)
+    binding's answer, compiled here once its replays are traced, else
+    the strict binding's."""
+    kernel = _fused(model, kind, build)
     out = None if kernel is None else kernel(*args)
     return _fused(model, kind, build, strict=True)(*args) if out is None else out
 
@@ -472,8 +472,8 @@ def vector_field_N(hmodel: HamiltonianModel, point: ArenaPoint, v0=None):
     (:func:`_entropy_rate_source`). ``v0`` seeds the fiber inversion (a
     warm start from a nearby state). The model's fused momentum kernel
     gives it, as it gives :func:`hamilton_field_N`'s rates: the fast
-    binding once a field has compiled it and its guards hold, the strict
-    one otherwise.
+    binding where its guards hold, the strict one otherwise
+    (:func:`_evaluate`).
     """
     model = hmodel.source
     n = model.n
@@ -660,7 +660,7 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
     hold; its strict binding from the same seed otherwise."""
     model = hmodel.source
     n = model.n
-    kernel = _fused(model, "momentum")  # compiled by an earlier field, else at the first rate
+    kernel = _fused(model, "momentum")  # compiled by an earlier call, else at the first rate
     rest = (0.0,) * n
 
     def evaluate(t: tuple, last) -> _MomentumWork:
@@ -680,7 +680,7 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     models whose rate is algebraic (there y[n + 1 :] is empty and the
     state's velocity is the solved rate)."""
     n = model.n
-    kernel = _fused(model, "work")  # compiled by an earlier field, else at the first rate
+    kernel = _fused(model, "work")  # compiled by an earlier call, else at the first rate
 
     def evaluate(t: tuple, last) -> _LagrangianWork:
         nonlocal kernel
@@ -772,9 +772,8 @@ def implicit_residual_P(model: SimpleThermoModel, point: ArenaPoint, rates, with
     velocity match, and the rate-slot match. External force enters the
     force-balance rows additively. ``with_value`` returns ``(residual,
     L)``, L the Lagrangian at the point from the same jet. The model's
-    fused residual kernel gives it: the fast binding, compiled at an
-    implicit run's start, where its guards hold, the strict one
-    otherwise.
+    fused residual kernel gives it: the fast binding where its guards
+    hold, the strict one otherwise (:func:`_evaluate`).
     """
     n = model.n
     args = (*point.row.tolist(), *_as_array(rates, 3 * n + 3, "rates").tolist())
@@ -856,7 +855,7 @@ def _implicit_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) 
     -F/h on q to the entropy row. The model's fused Jacobian kernel
     gives it: the fast binding, compiled at the first call that finds
     its replays traced, where its guards hold, the strict one otherwise."""
-    return _evaluate(model, "jacobian", _build_jacobian, (*x.tolist(), *rates.tolist(), h, constants), True)
+    return _evaluate(model, "jacobian", _build_jacobian, (*x.tolist(), *rates.tolist(), h, constants))
 
 
 @lru_cache(maxsize=None)

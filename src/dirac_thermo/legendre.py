@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .duals import _unpacker
 from .errors import ArenaError, DegenerateLagrangianError
 from .model import (
     ArenaPoint,
@@ -75,10 +76,10 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
     Hessian is unusable (the velocity-independent case) and NewtonError
     on non-convergence.
 
-    The loop runs on the iterate's fast binding once a Hamiltonian field
-    has compiled it; where one of its guards fails, or before, the whole
-    solve runs on the strict binding, which gives the same bits and
-    raises the errors.
+    The loop runs on the iterate's fast binding, compiled here once L's
+    order-2 jet is traced; where one of its guards fails, or before, the
+    whole solve runs on the strict binding, which gives the same bits
+    and raises the errors.
     """
     _invertible(model)
     n = model.n
@@ -86,7 +87,7 @@ def inverse_partial_legendre(model: SimpleThermoModel, q, p, S, v0=None, with_je
     p = _as_array(p, n, "p")
     S = float(S)
     v = np.zeros(n) if v0 is None else _as_array(v0, n, "v0").copy()
-    solved = _newton(model, _fused(model, "fiber"), q, p, S, v)
+    solved = _newton(model, _fused(model, "fiber", _build_fiber), q, p, S, v)
     if solved is None:
         solved = _newton(model, _fused(model, "fiber", _build_fiber, strict=True), q, p, S, v)
     return solved if with_jet else solved[0]
@@ -107,7 +108,7 @@ def _newton(model: SimpleThermoModel, iterate, q, p, S: float, v):
     evaluation past the last step carries the iteration limit."""
     if iterate is None:
         return None
-    n, k = model.n, 2 * model.n + 1
+    n = model.n
     args, p = [*q.tolist(), *v.tolist(), S], p.tolist()
     for i in range(NEWTON_MAX_ITER + 1):
         out = iterate(*args, *p, NEWTON_TOL, NEWTON_MAX_ITER if i == NEWTON_MAX_ITER else 0)
@@ -115,8 +116,7 @@ def _newton(model: SimpleThermoModel, iterate, q, p, S: float, v):
             return None
         step, o = out
         if o is not None:
-            a = np.array(o)
-            return np.array(args[n : 2 * n]), _jet_parts(n, o[0], a[1 : k + 1], a[k + 1 :].reshape(k, k))
+            return np.array(args[n : 2 * n]), _jet_parts(n, *_unpacker(2 * n + 1, None, 2)(o))
         args[n : 2 * n] = step
     return None
 

@@ -199,13 +199,13 @@ class SimpleThermoModel:
     per kind, model and n (the velocity-side work, the fiber iterate,
     the momentum-side work, the implicit residual and Jacobian), that
     keeps the glue between the jets in float code with the bits of the
-    numpy operations it is written as. A field's first rate, and the
-    implicit route's first residual and Jacobian, compile its fast
-    binding over the replays; the strict binding over the jets
-    themselves answers before that and at any state the fast one cannot
-    answer exactly. That holds all three evaluators to a contract: each
-    is a pure function of its arguments, and closure constants are read
-    once, at trace time, so changing them later has no effect. An
+    numpy operations it is written as. The first call that finds a
+    kernel's jets traced compiles its fast binding over the replays;
+    the strict binding over the jets themselves answers before that and
+    at any state the fast one cannot answer exactly. That holds all
+    three evaluators to a contract: each is a pure function of its
+    arguments, and closure constants are read once, at trace time, so
+    changing them later has no effect. An
     evaluator that lets a value escape (``float()``, ``bool()`` or numpy
     on a jet's value) keeps the dict jet. ``duals.value`` keeps the trace; the partials it strips
     are absent from the jets, the implicit step's Jacobian among them.

@@ -1085,24 +1085,39 @@ class TestFusedKernels:
     @pytest.mark.parametrize("route", ["lagrangian", "hamilton-dirac-N"])
     @pytest.mark.parametrize("kind", ["piston", "membrane", "stiffening"])
     def test_whole_runs_have_the_per_evaluator_bits(self, kind, route, monkeypatch):
-        # every rate of the fused run is a kernel's; under per_evaluator()
-        # every rate is the fallback's, once per rate: the stored rows and
-        # records read the rate's work. Each fiber solve starts from the
-        # last rate's velocity, which moves stiffening's bits
+        # every rate of the fused run, the RK4 stage states included, is
+        # the fast binding's: no strict binding is called; under
+        # per_evaluator() every rate is the reference's, once per rate: the
+        # stored rows and records read the rate's work. Each fiber solve
+        # starts from the last rate's velocity, which moves stiffening's bits
         model = fused_model(kind)
         n = model.n
         q, v, S = sample_states(model, 1, seed=43)[0]
         fallback = "_per_evaluator_work" if route == "lagrangian" else "_momentum_work"
         calls = Counter()
-        original = getattr(conftest, fallback)
+        original, fused = getattr(conftest, fallback), dynamics._fused
 
         def counted(*args, **kwargs):
             calls[fallback] += 1
             return original(*args, **kwargs)
 
+        def counted_fused(of, name, build=None, strict=False):
+            kernel = fused(of, name, build, strict)
+            if not strict or kernel is None:
+                return kernel
+
+            def counted_strict(*args):
+                calls["strict"] += 1
+                return kernel(*args)
+
+            return counted_strict
+
         monkeypatch.setattr(conftest, fallback, counted)
-        run = dt.integrate_route(model, route, (q, v, S), 0.2, 1e-3)
-        assert run.completed and calls[fallback] == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "_fused", counted_fused)
+            patched.setattr(legendre, "_fused", counted_fused)
+            run = dt.integrate_route(model, route, (q, v, S), 0.2, 1e-3)
+        assert run.completed and calls["strict"] == 0
         with per_evaluator():
             reference = dt.integrate_route(model, route, (q, v, S), 0.2, 1e-3)
         assert calls[fallback] == 4 * 200 + 1

@@ -95,11 +95,12 @@ def test_the_command_line_imports_no_scipy():
 
 
 def test_import_and_the_builders_compile_no_fused_kernel():
-    # fused kernels' fast bindings compile at a field's first rate:
-    # importing the package and building models compile nothing, and the
-    # Hamiltonian gate's fiber solves (the benchmark's set-up) compile one
-    # fiber source per distinct n, bound strict for the piston (n = 1)
-    # and the membrane (n = 3)
+    # a fused kernel's fast binding compiles at its first call that finds
+    # its replays traced: importing the package and building models
+    # compile nothing, and the Hamiltonian gate (the benchmark's set-up),
+    # which traces L's order-2 jet before its fiber solves, compiles one
+    # fiber source per distinct n, bound fast and never strict, for the
+    # piston (n = 1) and the membrane (n = 3)
     probe = ("import dirac_thermo as dt; from dirac_thermo import model\n"
              "def compiled():\n"
              "    entries = [item for kernels in model._FUSED.values() for item in kernels.items()]\n"
@@ -114,7 +115,7 @@ def test_import_and_the_builders_compile_no_fused_kernel():
     assert out.splitlines() == [
         "0 []",
         "0 []",
-        "2 [('fiber', 1, [False, True]), ('fiber', 3, [False, True])]",
+        "2 [('fiber', 1, [True, False]), ('fiber', 3, [True, False])]",
     ]
 
 
