@@ -28,13 +28,22 @@ math, bound twice (``model._bind``): the fast binding, compiled at the
 first call that finds the jets traced, replays the compiled jets and
 answers None where a guard fails; the strict binding, which needs no
 trace, answers before that and every state the fast one hands over,
-with the same bits, and raises the errors. A field keeps the work of
-the last rate's state for that state's stored row and diagnostics, and
+with the same bits, and raises the errors.
+
 :func:`integrate_explicit` steps tuples of floats with numpy's bits.
-One assembly
-(``_solution_data``) writes the (state, tangent, covector) rows of any
-arena from a work record: P's rows at the arena's slots, which the
-``solution_pair_*`` helpers share. The sign flip between the velocity
+After a run's first rate, each RK4 step is one call of a generated
+step (``_step_source``), one per explicit route, n and regime. It
+inlines four bodies of the route's work kernel, from the same source
+builders (``_work_parts``, ``_momentum_parts``), and is bound fast
+only. Where it hands over (a guard failed, or the next state is not
+finite), that one step reruns on the per-rate path: the field's rate
+at each stage and at the next state. There the field keeps the last
+rate's work, which the next state's stored row and diagnostics read
+by identity, and seeds each fiber solve with the rate before it.
+
+One assembly (``_solution_data``) writes the (state, tangent, covector)
+rows of any arena from a work record: P's rows at the arena's slots,
+which the ``solution_pair_*`` helpers share. The sign flip between the velocity
 and momentum sides lives in the TstarQ and N condition rows
 (``dirac.condition_matrix``).
 
@@ -52,7 +61,9 @@ pass (``_diagnostics_block``) turns them into the rows. Stacked
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -78,6 +89,7 @@ from .model import (
     _arena_layout,
     _as_array,
     _bind,
+    _compiled,
     _dot_source,
     _fused,
     _kernel_source,
@@ -344,18 +356,23 @@ def _entropy_rate_source(F: list, v: list) -> list:
     ]
 
 
-@lru_cache(maxsize=None)
-def _work_source(n: int, degenerate: bool) -> str:
-    """The fused :func:`_lagrangian_work` at n, from q, v and S (q and S
-    when degenerate, where L's and the forces' jets are taken at v = 0).
-    The momentum rate at vdot = 0 is zeros by rule Z where each of its
-    terms has a zero factor (always for a kinetic term with a constant
-    mass matrix), else the matmul; the solve at n > 1 is b_i / A_ii by
-    rule D where the matrix is diagonal and b has no zero, else LAPACK's.
-    See :func:`model._momentum_rate_source` and :func:`model._solve_source`."""
+def _work_parts(n: int, degenerate: bool) -> tuple:
+    """(params, chart, seed, body, work) of the fused :func:`_lagrangian_work`
+    at n, from q, v and S (q and S when degenerate, where L's and the
+    forces' jets are taken at v = 0): its parameters; those of them that
+    are the chart state's coordinates, in chart order (q, S, v); the
+    ones that seed it, none here; its body lines up to its result; and
+    that result as a :class:`_LagrangianWork` of source expressions, a
+    tuple field as a list of them. The momentum rate at vdot = 0 is zeros
+    by rule Z where each of its terms has a zero factor (always for a
+    kinetic term with a constant mass matrix), else the matmul; the solve
+    at n > 1 is b_i / A_ii by rule D where the matrix is diagonal and b
+    has no zero, else LAPACK's. See :func:`model._momentum_rate_source`
+    and :func:`model._solve_source`."""
     k = 2 * n + 1
     q, S = [f"a{i}" for i in range(n)], f"a{2 * n}"
     f, e, b = ([f"{x}{i}" for i in range(n)] for x in "feb")
+    dLdq = [f"o[{1 + i}]" for i in range(n)]
     if degenerate:
         v, args = [f"c{i}" for i in range(n)], ", ".join(q + ["0.0"] * n + [S])  # v: the solved rate
         rest = [f"d[{i}]" for i in range(n)]  # the friction at zero velocity
@@ -372,12 +389,11 @@ def _work_source(n: int, degenerate: bool) -> str:
             f"{', '.join(f)}, = F0({', '.join(q + v + [S])})",
             f"s = o[{k}]", *_entropy_rate_source(f, v),
             f"if not _finite({' + '.join(v + f)} + w) and _fail(): return None",
-            f"return _Work(({', '.join(v)}, w), o[0], s, {_tuple(f'o[{1 + i}]' for i in range(n))}, "
-            f"{_tuple(['0.0'] * n)}, {_tuple(f)}, {_tuple(e)}, None)",
         ]
-        return _kernel_source(q + [S], body)
+        work = _LagrangianWork([*v, "w"], "o[0]", "s", dLdq, ["0.0"] * n, f, e, None)
+        return q + [S], q + [S], [], body, work
     v, u, m = [f"a{n + i}" for i in range(n)], [f"u{i}" for i in range(n)], [f"m{i}" for i in range(n)]  # u: vdot
-    args, lv = ", ".join(q + v + [S]), f"o[{1 + k + n * k}:{1 + k + 2 * n * k}]"  # L's velocity rows
+    args = ", ".join(q + v + [S])
     body = [
         f"o = L2({args})", f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
         f"if not _finite(sum(o) + {' + '.join(f + e)}) and _fail(): return None",
@@ -389,21 +405,41 @@ def _work_source(n: int, degenerate: bool) -> str:
         *_solve_source([f"o[{1 + k + (n + i) * k + n + j}]" for i in range(n) for j in range(n)], b, u,
                        "_fail('hessian')"),
         f"if not _finite({' + '.join(u)}) and _fail(): return None",
-        f"return _Work(({', '.join(v)}, w, {', '.join(u)}), o[0], s, "
-        f"{_tuple(f'o[{1 + i}]' for i in range(n))}, {_tuple(f'o[{1 + n + i}]' for i in range(n))}, "
-        f"{_tuple(f)}, {_tuple(e)}, {lv})",
     ]
-    return _kernel_source(q + v + [S], body)
+    lv = f"*o[{1 + k + n * k}:{1 + k + 2 * n * k}]"  # L's velocity rows
+    work = _LagrangianWork([*v, "w", *u], "o[0]", "s", dLdq, [f"o[{1 + n + i}]" for i in range(n)], f, e, [lv])
+    return q + v + [S], q + [S] + v, [], body, work
 
 
-def _build_work(model: SimpleThermoModel, strict: bool = False):
+def _returned(work) -> str:
+    """The line returning a work record of source expressions."""
+    fields = ("None" if x is None else x if isinstance(x, str) else _tuple(x) for x in work)
+    return f"return _Work({', '.join(fields)})"
+
+
+@lru_cache(maxsize=None)
+def _work_source(n: int, degenerate: bool) -> str:
+    """The fused :func:`_lagrangian_work` at n (:func:`_work_parts`)."""
+    params, _, _, body, work = _work_parts(n, degenerate)
+    return _kernel_source(params, [*body, _returned(work)])
+
+
+def _work_binding(model: SimpleThermoModel, source: str, strict: bool, **names):
+    """``source`` bound over the replays of the model's velocity-side work."""
     if model.degenerate:
         replays = {"L1": ("lagrangian", 1), "F1": ("friction", 1)}
     else:
         replays = {"L2": ("lagrangian", 2)}
     replays.update(F0=("friction", 0), E0=("external", 0))
-    source = _work_source(model.n, model.degenerate)
-    return _bind(model, source, replays, strict, _Work=_LagrangianWork)
+    return _bind(model, source, replays, strict, **names)
+
+
+def _build_work(model: SimpleThermoModel, strict: bool = False):
+    return _work_binding(model, _work_source(model.n, model.degenerate), strict, _Work=_LagrangianWork)
+
+
+def _build_work_step(model: SimpleThermoModel, strict: bool = False):
+    return _work_binding(model, _step_source("M", model.n, model.degenerate), strict)
 
 
 def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
@@ -425,13 +461,13 @@ def _evaluate(model: SimpleThermoModel, kind: str, build: Callable, args: tuple)
     return _fused(model, kind, build, strict=True)(*args) if out is None else out
 
 
-@lru_cache(maxsize=None)
-def _momentum_source(n: int) -> str:
-    """The fused momentum-side work at n, a :class:`_MomentumWork` from
-    q, S, p and the seed velocity c: the Newton loop of
-    ``legendre._newton`` over the fiber iterate from c, the forces'
-    replays at the inverted velocity, the entropy-rate rule and
-    pdot = (dL/dq + F) + Fext, numpy's order."""
+def _momentum_parts(n: int) -> tuple:
+    """(params, chart, seed, body, work) of the fused momentum-side work
+    at n, as :func:`_work_parts` gives them: a :class:`_MomentumWork`
+    from q, S, p and the seed velocity c, the chart (q, S, p) and the
+    seed c. The body is the Newton loop of ``legendre._newton`` over the
+    fiber iterate from c, the forces' replays at the inverted velocity,
+    the entropy-rate rule and pdot = (dL/dq + F) + Fext, numpy's order."""
     k = 2 * n + 1
     q, S, p = [f"a{i}" for i in range(n)], f"a{n}", [f"a{n + 1 + i}" for i in range(n)]
     c, f, e, m = ([f"{x}{i}" for i in range(n)] for x in "cfem")
@@ -451,18 +487,34 @@ def _momentum_source(n: int) -> str:
         "if not _finite(w) and _fail(): return None",
         *[f"m{i} = o[{1 + i}] + f{i} + e{i}" for i in range(n)],
         f"if not _finite({' + '.join(m)}) and _fail(): return None",
-        f"return _Work(({', '.join(c + ['w'] + m)}), o[0], {_tuple(f'-o[{1 + i}]' for i in range(n))}, "
-        f"-s, {_tuple(f)}, {_tuple(e)})",
     ]
-    return _kernel_source(q + [S] + p + c, body)
+    work = _MomentumWork([*c, "w", *m], "o[0]", [f"-o[{1 + i}]" for i in range(n)], "-s", f, e)
+    return q + [S] + p + c, q + [S] + p, c, body, work
 
 
-def _build_momentum(model: SimpleThermoModel, strict: bool = False):
+@lru_cache(maxsize=None)
+def _momentum_source(n: int) -> str:
+    """The fused momentum-side work at n (:func:`_momentum_parts`)."""
+    params, _, _, body, work = _momentum_parts(n)
+    return _kernel_source(params, [*body, _returned(work)])
+
+
+def _momentum_binding(model: SimpleThermoModel, source: str, strict: bool, **names):
+    """``source`` bound over the fiber iterate and the force replays of the
+    model's momentum-side work; None while the fiber's is untraced."""
     fiber = _fused(model, "fiber", _build_fiber, strict)
     if fiber is None:
         return None
     replays = {"F0": ("friction", 0), "E0": ("external", 0)}
-    return _bind(model, _momentum_source(model.n), replays, strict, _Work=_MomentumWork, _fiber=fiber)
+    return _bind(model, source, replays, strict, _fiber=fiber, **names)
+
+
+def _build_momentum(model: SimpleThermoModel, strict: bool = False):
+    return _momentum_binding(model, _momentum_source(model.n), strict, _Work=_MomentumWork)
+
+
+def _build_momentum_step(model: SimpleThermoModel, strict: bool = False):
+    return _momentum_binding(model, _step_source("N", model.n, False), strict)
 
 
 def vector_field_N(hmodel: HamiltonianModel, point: ArenaPoint, v0=None):
@@ -582,10 +634,11 @@ class ExplicitField:
     coordinates, plus what the integrator needs to store per step:
     ``to_point(y, r)`` is the arena's flat row at the chart state y with
     rate r, ``work(y)`` the work record at y (the last rate's, when y is
-    its state), and ``diagnostics(y, r)`` a :class:`DiagnosticsRecord`
-    that measures r against y's own work: the integrators' block pass
-    on one row. A tuple of floats y gets tuples back, an array y
-    arrays."""
+    its state), ``diagnostics(y, r)`` a :class:`DiagnosticsRecord` that
+    measures r against y's own work: the integrators' block pass on one
+    row, and ``step()`` the route's generated RK4 step for a run about to
+    start, or None where the model has none compiled. A tuple of floats
+    y gets tuples back, an array y arrays."""
 
     arena: str
     n: int
@@ -594,6 +647,7 @@ class ExplicitField:
     to_point: Callable
     work: Callable
     diagnostics: Callable
+    step: Callable
 
 
 def _chart(y) -> tuple:
@@ -606,49 +660,77 @@ def _kept(w) -> tuple:
     besides the stored row and rate (:func:`_diagnostics_block`): L and
     the entropy slope, dL/dq, F, Fext and L's velocity rows (none when
     degenerate) on the velocity side; L, dH/dS, the inverted velocity,
-    dH/dq, F and Fext on the momentum side."""
+    dH/dq, F and Fext on the momentum side. A record of source
+    expressions gives them as source (:func:`_step_source`)."""
     if type(w) is _LagrangianWork:
         return (w.L, w.s, *w.dLdq, *w.F, *w.Fext, *(w.Lv or ()))
     return (w.L, w.dHdS, *w.qdot, *w.dHdq, *w.F, *w.Fext)
 
 
-def _explicit_field(arena: str, n: int, dim: int, evaluate, point) -> ExplicitField:
-    """An :class:`ExplicitField` from ``evaluate(t, last)``, the work
-    record at the chart state t given the last rate's record (None
-    before the first), and ``point(t, work)``, the arena row.
+def _row(t, w):
+    """The arena row of the chart state t from its work record w: M's
+    (q, S, v, p) on the velocity side, v the rate's qdot and p = dL/dv,
+    and t itself, N's, on the momentum side. Source expressions give
+    source, as in :func:`_kept`."""
+    if type(w) is _LagrangianWork:
+        n = len(w.dLdq)
+        return (*t[: n + 1], *w.qdot, *w.dLdv)
+    return t
 
-    The last rate's state and work are kept. The integrator hands the
-    rate, the stored row and the kept work the same tuple, so the two
-    read that work, matched by identity: a tuple cannot change, and
-    equal floats are not equal bits (-0.0 == 0.0). Any other state, an
-    array among them, is evaluated afresh from the last rate's record,
-    which stays."""
-    last = [None, None]  # the state the last rate evaluated, its work
+
+def _explicit_field(arena: str, n: int, dim: int, evaluate, fused_step) -> ExplicitField:
+    """An :class:`ExplicitField` from ``evaluate(t, seed)``, the work
+    record at the chart state t given the rate evaluated before it (None
+    before the first), and ``fused_step()``, the route's generated RK4
+    step for the field's model (:func:`_step_source`), or None.
+
+    The last rate's state, work and rate are kept. Outside the generated
+    step, the integrator hands the rate, the stored row and the kept
+    work the same tuple, so the two read that work, matched by identity:
+    a tuple cannot change, and equal floats are not equal bits
+    (-0.0 == 0.0). Any other state, an array among them, is evaluated
+    afresh, seeded by the last rate, which stays. The last rate is also
+    that of the last generated step's next state, so a step that hands
+    over reruns on the per-rate path from its own state's rate."""
+    last = [None, None, None]  # the state the last rate evaluated, its work, the last rate
 
     def work_at(y):
         if y is last[0]:
             return y, last[1]
         t = _chart(y)
-        return t, evaluate(t, last[1])
+        return t, evaluate(t, last[2])
 
     def rate(y):
         t = _chart(y)
-        last[1] = w = evaluate(t, last[1])
-        last[0] = t
+        last[1] = w = evaluate(t, last[2])
+        last[0], last[2] = t, w.rate
         return w.rate if t is y else np.array(w.rate)
 
     def to_point(y, r):
         t, w = work_at(y)
-        row = point(t, w)
+        row = _row(t, w)
         return row if t is y else np.array(row)
 
     def diagnostics(y, r):
         t, w = work_at(y)
-        rows = [point(t, w)], [_chart(r)], [_kept(w)]
+        rows = [_row(t, w)], [_chart(r)], [_kept(w)]
         return DiagnosticsRecord(*_diagnostics_block(arena, n, *map(np.array, rows))[0].tolist())
 
+    def step():
+        kernel = fused_step()
+        if kernel is None:
+            return None
+
+        def advance(y, r, half, h, sixth):
+            out = kernel(*y, *r, half, h, sixth)
+            if out is not None:
+                last[2] = out[1]
+            return out
+
+        return advance
+
     return ExplicitField(arena=arena, n=n, dim=dim, rate=rate, to_point=to_point,
-                         work=lambda y: work_at(y)[1], diagnostics=diagnostics)
+                         work=lambda y: work_at(y)[1], diagnostics=diagnostics, step=step)
 
 
 def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
@@ -663,16 +745,17 @@ def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
     kernel = _fused(model, "momentum")  # compiled by an earlier call, else at the first rate
     rest = (0.0,) * n
 
-    def evaluate(t: tuple, last) -> _MomentumWork:
+    def evaluate(t: tuple, seed) -> _MomentumWork:
         nonlocal kernel
-        args = (*t, *(rest if last is None else last.qdot))
+        args = (*t, *(rest if seed is None else seed[:n]))
         work = None if kernel is None else kernel(*args)
         if work is None:
             work = _fused(model, "momentum", _build_momentum, strict=True)(*args)
             kernel = _fused(model, "momentum", _build_momentum)
         return work
 
-    return _explicit_field("N", n, 2 * n + 1, evaluate, lambda t, w: t)
+    return _explicit_field("N", n, 2 * n + 1, evaluate,
+                           lambda: _fused(model, "momentum-step", _build_momentum_step))
 
 
 def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
@@ -682,7 +765,7 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     n = model.n
     kernel = _fused(model, "work")  # compiled by an earlier call, else at the first rate
 
-    def evaluate(t: tuple, last) -> _LagrangianWork:
+    def evaluate(t: tuple, seed) -> _LagrangianWork:
         nonlocal kernel
         args = (*t[:n], *t[n + 1 :], t[n])
         work = None if kernel is None else kernel(*args)
@@ -691,11 +774,101 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
             kernel = _fused(model, "work", _build_work)
         return work
 
-    def point(t: tuple, w: _LagrangianWork) -> tuple:
-        return (*t[: n + 1], *w.qdot, *w.dLdv)  # M's (q, S, v, p)
-
     dim = n + 1 if model.degenerate else 2 * n + 1
-    return _explicit_field("M", n, dim, evaluate, point)
+    return _explicit_field("M", n, dim, evaluate, lambda: _fused(model, "work-step", _build_work_step))
+
+
+def _stage(y: list, k: list, c: str) -> list:
+    """An RK4 stage state in source, y + c k per coordinate: numpy's
+    elementwise operation order."""
+    return [f"{a} + {c} * {b}" for a, b in zip(y, k)]
+
+
+def _advanced(y: list, r: list, k2: list, k3: list, k4: list) -> list:
+    """The next RK4 state in source, per coordinate as numpy's elementwise
+    ``y + sixth * (r + 2.0 * (k2 + k3) + k4)``."""
+    return [f"{a} + sixth * (({b} + 2.0 * ({c} + {e})) + {g})" for a, b, c, e, g in zip(y, r, k2, k3, k4)]
+
+
+@lru_cache(maxsize=None)
+def _rk4(d: int) -> Callable:
+    """``rk4(f, y..., r..., half, h, sixth)``, the per-rate RK4 step of d
+    coordinates: the next state from the state y and its rate r, calling
+    f on each stage state, a tuple of floats, for its rate."""
+    y, r = [f"y{i}" for i in range(d)], [f"r{i}" for i in range(d)]
+    k2, k3, k4 = ([f"k{j}c{i}" for i in range(d)] for j in (2, 3, 4))
+    body = [
+        f"{', '.join(k2)}, = f({_tuple(_stage(y, r, 'half'))})",
+        f"{', '.join(k3)}, = f({_tuple(_stage(y, k2, 'half'))})",
+        f"{', '.join(k4)}, = f({_tuple(_stage(y, k3, 'h'))})",
+        f"return {_tuple(_advanced(y, r, k2, k3, k4))}",
+    ]
+    namespace = {}
+    exec(_compiled(f"def rk4(f, {', '.join(y + r)}, half, h, sixth):\n" + "".join(f"    {x}\n" for x in body)),
+         namespace)
+    return namespace["rk4"]
+
+
+# a string literal, or an identifier that is not an attribute name
+_NAME = re.compile(r"'[^']*'|\"[^\"]*\"|(?<![.\w])[A-Za-z_]\w*")
+
+
+def _renamed(names: dict) -> Callable:
+    """A function of a line of kernel source that renames each identifier
+    of ``names`` to its value."""
+    return lambda line: _NAME.sub(lambda m: names.get(m.group(), m.group()), line)
+
+
+def _assigned(params: list, body: list) -> set:
+    """The names that the body of a kernel of ``params`` assigns."""
+    tree = ast.parse(_kernel_source(params, body))
+    return {x.id for x in ast.walk(tree) if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Store)}
+
+
+@lru_cache(maxsize=None)
+def _step_source(arena: str, n: int, degenerate: bool) -> str:
+    """One RK4 step of the explicit route on ``arena`` (M on the velocity
+    side, N on the momentum side) at n, generated from the route's work
+    kernel (:func:`_work_parts`, :func:`_momentum_parts`). From the stored
+    chart state y, its rate r and the step's half, h and sixth it gives
+    the next state, its rate, its kept floats (:func:`_kept`) and its
+    arena row (:func:`_row`), or None where a guard fails or the next
+    state is not finite. It inlines four bodies of the work kernel with
+    per-stage locals: k2, k3, k4 and the next state's k1. Each stage
+    state is written per coordinate as :func:`_rk4` writes it, and on N
+    each fiber solve is seeded by the stage before it, k4 included."""
+    params, chart, seed, body, work = _momentum_parts(n) if arena == "N" else _work_parts(n, degenerate)
+    assigned, d = _assigned(params, body), len(chart)
+    assert not assigned & set(chart), "a kernel body rebinds a chart coordinate"
+    y, r = [f"y{i}" for i in range(d)], [f"r{i}" for i in range(d)]
+    lines, rates = [], [r]
+
+    def state(j: int, coordinates: list) -> list:
+        z = [f"z{j}c{i}" for i in range(d)]
+        lines.extend(f"{a} = {b}" for a, b in zip(z, coordinates))
+        return z
+
+    def inline(j: int, z: list):
+        """The body at the stage state z, its locals suffixed _j, seeded
+        by the last rate; the stage's work record as source."""
+        names = {x: f"{x}_{j}" for x in assigned | set(params)}
+        names.update(zip(chart, z))
+        rename = _renamed(names)
+        lines.extend(f"{names[x]} = {v}" for x, v in zip(seed, rates[-1]))
+        lines.extend(map(rename, body))
+        w = type(work)(*(x if x is None else rename(x) if isinstance(x, str) else list(map(rename, x))
+                         for x in work))
+        rates.append(w.rate)
+        return w
+
+    inline(2, state(2, _stage(y, r, "half")))
+    inline(3, state(3, _stage(y, rates[1], "half")))
+    inline(4, state(4, _stage(y, rates[2], "h")))
+    z = state(1, _advanced(y, *rates))
+    lines.append(f"if not _finite({' + '.join(z)}): return None")
+    w = inline(1, z)
+    lines.append(f"return {_tuple(z)}, {_tuple(w.rate)}, {_tuple(_kept(w))}, {_tuple(_row(z, w))}")
+    return _kernel_source(y + r + ["half", "h", "sixth"], lines)
 
 
 def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
@@ -711,11 +884,18 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
     The states and stages are tuples of floats, and each stage takes
     one IEEE operation per coordinate in the order of numpy's
     elementwise ``y + sixth * (r + 2.0 * (k2 + k3) + k4)``, so the bits
-    are numpy's. The field's rate is called once per rate and its
-    ``work`` once per stored state, whose floats the diagnostics read
-    (:func:`_kept`) are kept until a block pass turns ``_BLOCK`` of them,
-    or the last ones, into diagnostics rows; a plain callable is called
-    on arrays behind an adapter.
+    are numpy's. The field's rate is called at the first state. Each
+    step after it is one call of the route's generated step
+    (:func:`_step_source`), which gives the next state with its rate,
+    stored row and kept floats. Where it answers None (a guard failed,
+    or the next state is not finite), that step reruns on the per-rate
+    path (:func:`_rk4`) from the same state and seed: the field's rate at
+    each stage, then its rate, stored row and ``work`` at the next state,
+    read by identity. The per-rate path also serves a field with no
+    generated step and, on arrays behind an adapter, a plain callable.
+    The kept floats of the stored states (:func:`_kept`) wait until a
+    block pass turns ``_BLOCK`` of them, or the last ones, into
+    diagnostics rows.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
@@ -727,36 +907,47 @@ def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
             raise DimensionMismatchError(
                 f"initial state must have {field.dim} coordinates, got {y.shape}"
             )
-        f, to_point, work, kept = field.rate, field.to_point, field.work, []
+        f, steps, kept = field.rate, field.step, []
         arena, n, d = field.arena, field.n, arena_dim(field.arena, field.n)
+
+        def recorded(t, r):
+            return field.to_point(t, r), _kept(field.work(t))
     else:
         f = lambda t: tuple(np.asarray(field(np.array(t)), dtype=float).tolist())
-        to_point, kept = (lambda t, r: t), None
+        steps, kept = (lambda: None), None
         arena, n, d = "", 0, y.size
+
+        def recorded(t, r):
+            return t, None
     K = max(1, int(round(t_end / h))) + 1
     states, rates = np.empty((K, d)), np.empty((K, y.size))
     diagnostics = np.empty((0 if kept is None else K, len(_DIAGNOSTICS)))
     half = 0.5 * h
     sixth = h / 6.0
+    rk4 = _rk4(y.size)
     y = tuple(y.tolist())
     r = f(y)
+    row, floats = recorded(y, r)
+    step = steps()  # after the first rate, which traced the jets
     k = 0
     while True:
-        states[k], rates[k] = to_point(y, r), r
+        states[k], rates[k] = row, r
         k += 1
         if kept is not None:
-            kept.append(_kept(work(y)))
+            kept.append(floats)
             if len(kept) == _BLOCK:
                 _flush(arena, n, states, rates, diagnostics, kept, k)
         if k == K:
             break
-        k2 = f(tuple([a + half * b for a, b in zip(y, r)]))
-        k3 = f(tuple([a + half * b for a, b in zip(y, k2)]))
-        k4 = f(tuple([a + h * b for a, b in zip(y, k3)]))
-        y = tuple([a + sixth * ((b + 2.0 * (c + e)) + g) for a, b, c, e, g in zip(y, r, k2, k3, k4)])
+        out = None if step is None else step(y, r, half, h, sixth)
+        if out is not None:
+            y, r, floats, row = out
+            continue
+        y = rk4(f, *y, *r, half, h, sixth)
         if not all(map(math.isfinite, y)):
             break
         r = f(y)
+        row, floats = recorded(y, r)
     return _stored(h, k, arena, n, states, rates, diagnostics, kept, completed=k == K)
 
 

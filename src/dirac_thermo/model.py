@@ -619,10 +619,12 @@ def _momentum_rate_from(Lv, rates) -> np.ndarray:
 
 def _dot(x, y) -> float:
     """x @ y of two float sequences with numpy's bits: BLAS adds a
-    length-1 product to 0.0, which turns -0.0 into +0.0."""
+    length-1 product to 0.0, which turns -0.0 into +0.0. Longer ones go
+    to ``np.dot``, which reaches the BLAS ddot that ``@`` calls on two
+    float vectors without its array conversions."""
     if len(x) == 1:
         return 0.0 + x[0] * y[0]
-    return float(np.asarray(x, dtype=float) @ np.asarray(y, dtype=float))
+    return float(np.dot(x, y))
 
 
 # what every fused kernel's source may name, as the fast binding means

@@ -55,9 +55,12 @@ def start_of(model, route, q, v, S):
     return np.concatenate([q, [S], dt.momentum_map(model, q, v, S)])
 
 
-def explicit_run(field, y0, states):
-    """A run of ``states`` stored states and the (chart state, work) of
-    each, as the integrator read them."""
+def explicit_run(model, route, y0, t_end, h):
+    """(run, seen, record): a run of the route with its generated step,
+    the (chart state, work) of each stored state as the per-rate path
+    read them in a run with the step switched off, which has the run's
+    bits, and the route's per-state record."""
+    field, record = field_of(model, route)
     seen = []
 
     def work(y):
@@ -65,8 +68,12 @@ def explicit_run(field, y0, states):
         seen.append((y, w))
         return w
 
-    run = dt.integrate_explicit(dataclasses.replace(field, work=work), y0, (states - 1) * H, H)
-    return run, seen
+    per_rate = dt.integrate_explicit(dataclasses.replace(field, work=work, step=lambda: None), y0, t_end, h)
+    run = dt.integrate_explicit(field_of(model, route)[0], y0, t_end, h)
+    assert run.completed == per_rate.completed
+    for name in ("times", "states", "rates", "diagnostics"):
+        assert getattr(run, name).tobytes() == getattr(per_rate, name).tobytes(), name
+    return run, seen, record
 
 
 def explicit_reference(run, seen, record, n) -> np.ndarray:
@@ -74,8 +81,7 @@ def explicit_reference(run, seen, record, n) -> np.ndarray:
 
 
 def assert_explicit_parity(model, route, y0, states):
-    field, record = field_of(model, route)
-    run, seen = explicit_run(field, y0, states)
+    run, seen, record = explicit_run(model, route, y0, (states - 1) * H, H)
     assert len(seen) == len(run.times)
     want = explicit_reference(run, seen, record, model.n)
     assert rows(run.diagnostics).tobytes() == want.tobytes()
@@ -121,15 +127,7 @@ class TestBlockParity:
     def test_a_run_aborted_mid_block_has_every_record(self):
         model = make_escaping()
         with np.errstate(over="ignore", invalid="ignore"):
-            field, record = field_of(model, "lagrangian")
-            seen = []
-
-            def work(y):
-                seen.append((y, field.work(y)))
-                return seen[-1][1]
-
-            run = dt.integrate_explicit(dataclasses.replace(field, work=work),
-                                        np.array([1.0, 0.0, 0.0]), 4.0, 0.01)
+            run, seen, record = explicit_run(model, "lagrangian", np.array([1.0, 0.0, 0.0]), 4.0, 0.01)
             want = explicit_reference(run, seen, record, 1)
         K = len(run.times)
         assert not run.completed and _BLOCK < K < 2 * _BLOCK

@@ -857,6 +857,16 @@ def make_kinked():
                                 domain_box=box, name="kinked")
 
 
+def make_hot():
+    """n = 1 whose dL/dS = q - 1 turns positive past q = 1, where friction
+    acts: L = v^2/2 + (q - 1) S, F = -v."""
+    box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+    return dt.SimpleThermoModel(
+        n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + (q[0] - 1.0) * S,
+        friction=lambda q, v, S: (-v[0],), domain_box=box, name="hot",
+    )
+
+
 FUSED_MODELS = {
     "piston": lambda: compile_kernels(dt.build_piston()),
     "membrane": lambda: compile_kernels(dt.build_membrane()),
@@ -954,6 +964,67 @@ def same_runs(a, b) -> bool:
         for x, y in ((a.times, b.times), (a.states, b.states), (a.rates, b.rates),
                      (a.diagnostics, b.diagnostics))
     )
+
+
+EXPLICIT_RUNS = [(kind, route) for kind in ("piston", "membrane", "stiffening")
+                 for route in ("lagrangian", "hamilton-dirac-N")] + [("reactions", "lagrangian")]
+HANDOVER_RUNS = [("membrane", "lagrangian"), ("membrane", "hamilton-dirac-N"),
+                 ("stiffening", "hamilton-dirac-N"), ("reactions", "lagrangian")]
+
+
+def explicit_start(model):
+    """The (q, v, S) that the whole-run tests start from."""
+    return sample_states(model, 1, seed=43)[0]
+
+
+_reference_runs = {}
+
+
+def reference_run(kind, route):
+    """The per-evaluator path's run of the route from :func:`explicit_start`,
+    t_end = 0.2 at h = 1e-3: today's per-rate steps, computed once."""
+    if (kind, route) not in _reference_runs:
+        model = fused_model(kind)
+        with per_evaluator():
+            _reference_runs[kind, route] = dt.integrate_route(model, route, explicit_start(model), 0.2, 1e-3)
+    return _reference_runs[kind, route]
+
+
+def counted_per_rate_steps(monkeypatch) -> Counter:
+    """Counts of the RK4 steps that ``integrate_explicit`` runs on the
+    per-rate path from now on: those the generated step hands over, and
+    every step where there is none."""
+    calls, rk4 = Counter(), dynamics._rk4
+
+    def counted(d):
+        step = rk4(d)
+
+        def per_rate(*args):
+            calls["per-rate"] += 1
+            return step(*args)
+
+        return per_rate
+
+    monkeypatch.setattr(dynamics, "_rk4", counted)
+    return calls
+
+
+def step_fails(monkeypatch, model, route, calls):
+    """The model's generated step on the route answers None at each of
+    its friction replays numbered in ``calls``, counted from 1 from now
+    on (1 is the first step's k2, 4 its next state's k1): the replay
+    answers None there."""
+    if route == "lagrangian":
+        step = _fused(model, "work-step", dynamics._build_work_step)
+    else:
+        step = _fused(model, "momentum-step", dynamics._build_momentum_step)
+    replay, count = step.__globals__["F0"], Counter()
+
+    def F0(*args):
+        count["F0"] += 1
+        return None if count["F0"] in calls else replay(*args)
+
+    monkeypatch.setitem(step.__globals__, "F0", F0)
 
 
 class TestFusedKernels:
@@ -1133,6 +1204,68 @@ class TestFusedKernels:
             assert chart.tobytes() == loop.states.tobytes()
             assert run.rates.tobytes() == loop.rates.tobytes()
 
+    @pytest.mark.parametrize("kind,route", EXPLICIT_RUNS)
+    def test_whole_runs_take_the_generated_step_throughout(self, kind, route, monkeypatch):
+        # no step of a fused run hands over to the per-rate path, which
+        # per_evaluator() takes at every step
+        model, want = fused_model(kind), reference_run(kind, route)
+        steps = counted_per_rate_steps(monkeypatch)
+        run = dt.integrate_route(model, route, explicit_start(model), 0.2, 1e-3)
+        assert run.completed and steps["per-rate"] == 0 and same_runs(run, want)
+        with per_evaluator():
+            dt.integrate_route(model, route, explicit_start(model), 0.01, 1e-3)
+        assert steps["per-rate"] == 10  # the counter sees the per-rate path
+
+    @pytest.mark.parametrize("stage", [2, 3, 4, 1])
+    @pytest.mark.parametrize("kind,route", HANDOVER_RUNS)
+    def test_a_step_handed_over_keeps_the_bits(self, kind, route, stage, monkeypatch):
+        # the generated steps 104 and 106 fail a guard at one of their
+        # evaluations (k2, k3, k4 or the next state's k1): each reruns on
+        # the per-rate path from the same state and seed, and the run
+        # keeps today's bits. On N the fiber seeds keep their chain, which
+        # moves stiffening's bits there (a seed from rest, or from the
+        # first state, would change them)
+        model = fused_model(kind)
+        want = reference_run(kind, route)
+        step_fails(monkeypatch, model, route, [4 * (m - 1) + (stage - 1 or 4) for m in (104, 106)])
+        steps = counted_per_rate_steps(monkeypatch)
+        run = dt.integrate_route(model, route, explicit_start(model), 0.2, 1e-3)
+        assert steps["per-rate"] == 2 and same_runs(run, want)
+
+    def test_a_non_finite_next_state_hands_over_and_stops_the_run(self, monkeypatch):
+        # a free particle of mass 1e-308 at v = 1e308 from near the largest
+        # float: every stage state is finite, the next state's
+        # 2.0 * (k2 + k3) overflows in q, and no kernel reads q, so only
+        # the step's check of the next state hands it over; the per-rate
+        # path stops the run there, as today
+        box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+        model = dt.SimpleThermoModel(
+            n=1, lagrangian=lambda q, v, S: (0.5e-308 * v[0]) * v[0] - S,
+            friction=lambda q, v, S: (0.0,), domain_box=box, name="featherweight",
+        )
+        start = ([1.7e308], [1e308], 0.1)
+        steps = counted_per_rate_steps(monkeypatch)
+        run = dt.integrate_route(model, "lagrangian", start, 0.01, 1e-3)
+        assert steps["per-rate"] == 1 and not run.completed and len(run.times) == 1
+        assert _fused(model, "work-step") is not None
+        with per_evaluator():
+            assert same_runs(run, dt.integrate_route(model, "lagrangian", start, 0.01, 1e-3))
+
+    @pytest.mark.parametrize("route", ["lagrangian", "hamilton-dirac-N"])
+    def test_a_strict_site_crossed_mid_run_keeps_its_error(self, route, monkeypatch):
+        # the run reaches q = 1, where dL/dS turns positive: the generated
+        # step hands that step over, and the per-rate path's strict
+        # binding raises today's error
+        model, start = make_hot(), ([0.95], [1.0], 0.5)
+        steps = counted_per_rate_steps(monkeypatch)
+        with pytest.raises(dt.TemperatureSignError) as fused:
+            dt.integrate_route(model, route, start, 0.2, 1e-3)
+        assert steps["per-rate"] == 1
+        with per_evaluator(), pytest.raises(dt.TemperatureSignError) as reference:
+            dt.integrate_route(model, route, start, 0.2, 1e-3)
+        assert str(fused.value) == str(reference.value)
+        assert str(fused.value).startswith("dL/dS = ") and str(fused.value).endswith(" (model hot)")
+
     def test_a_guard_crossed_mid_run_keeps_the_bits(self):
         # L's stiffness branches on the sign of q, a guard of its kernels;
         # the run starts at q > 0 and crosses q = 0, where the fused work
@@ -1163,12 +1296,7 @@ class TestFusedKernels:
         assert same_runs(run, reference)
 
     def test_a_temperature_of_the_wrong_sign_keeps_its_error(self):
-        # dL/dS = q - 1 turns positive past q = 1, where friction acts
-        box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
-        model = dt.SimpleThermoModel(
-            n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + (q[0] - 1.0) * S,
-            friction=lambda q, v, S: (-v[0],), domain_box=box, name="hot",
-        )
+        model = make_hot()
         field = dt.lagrangian_field(model)
         field.rate(np.array([0.5, 0.0, 0.5]))
         assert _fused(model, "work") is not None

@@ -16,8 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import dirac_thermo as dt
 from dirac_thermo import model as model_module
+from dirac_thermo.dynamics import _dots
 from dirac_thermo.model import (
     _FUSED_GLOBALS,
+    _STRICT_GLOBALS,
+    _dot,
     _kernel_source,
     _momentum_rate_from,
     _momentum_rate_source,
@@ -549,6 +552,38 @@ class TestSmallSolveRules:
         solve_kernel(2)(2.0, 1.0, 0.0, 4.0, 1.0, -3.0)
         momentum_rate_kernel(1)((1.0, 2.0, 0.0), 3.0, 0.0)
         assert calls == {"_solve_rows": 1, "_mv": 1}
+
+
+# any float: st.floats draws NaN, the infinities, signed zeros and subnormals too
+DOT_ENTRIES = st.one_of(st.sampled_from([*SPECIAL, np.inf, -np.inf, np.nan, -np.nan]), st.floats())
+
+
+@st.composite
+def dot_pairs(draw):
+    """Two float tuples of one length from 2 to 6."""
+    n = draw(st.integers(2, 6))
+    return tuple(draw(DOT_ENTRIES) for _ in range(n)), tuple(draw(DOT_ENTRIES) for _ in range(n))
+
+
+class TestDot:
+    """``_dot`` at n > 1 is ``np.dot`` on the tuples, which reaches the
+    BLAS ddot that ``@`` calls on the two tuples converted to arrays:
+    the same bits, zero signs and NaN payloads included. The strict
+    binding's quiet ``_dot`` and the diagnostics block's stacked
+    ``_dots`` keep them too."""
+
+    @given(pair=dot_pairs())
+    @example(pair=((-0.0, -0.0), (1.0, 1.0)))  # -0.0 + -0.0 from a +0.0 start
+    @example(pair=((5e-324, -5e-324, 1e-310), (0.5, 0.5, 3.0)))  # subnormal products
+    @example(pair=((np.inf, 1.0), (0.0, 2.0)))  # 0 x inf
+    @example(pair=((np.nan, -np.nan), (1.0, 1.0)))  # two NaNs of either sign
+    @settings(max_examples=400, deadline=None)
+    def test_the_dot_has_the_bits_of_the_matmul(self, pair):
+        x, y = pair
+        with np.errstate(all="ignore"):
+            want = np.float64(float(np.asarray(x, dtype=float) @ np.asarray(y, dtype=float))).tobytes()
+            got = [_dot(x, y), _STRICT_GLOBALS["_dot"](x, y), _dots(np.array([x]), np.array([y]))[0]]
+        assert [np.float64(a).tobytes() for a in got] == [want] * 3
 
 
 class TestJetKernelCache:
