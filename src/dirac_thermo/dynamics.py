@@ -22,9 +22,12 @@ read it. A fused kernel makes each record
 per model and n that calls L's and the forces' jets (the momentum side
 loops over the fiber iterate) and does the entropy-rate rule, an n = 1
 division and the outputs in float code, calling numpy only where its
-bits need it. The implicit residual and Jacobian and the fiber iterate
-have kernels of their own. Each source is the one statement of its
-math, bound twice (``model._bind``): the fast binding, compiled at the
+bits need it. The implicit residual and the fiber iterate have kernels
+of their own, and so does the implicit Euler step: one per model and n,
+the whole Newton loop (``_implicit_step_source``), its Newton system
+eliminated by blocks to (n + 1) rows and factored in float code. Each
+source is the one statement of its math, bound twice
+(``model._bind``): the fast binding, compiled at the
 first call that finds the jets traced, replays the compiled jets and
 answers None where a guard fails; the strict binding, which needs no
 trace, answers before that and every state the fast one hands over,
@@ -96,7 +99,6 @@ from .model import (
     _momentum_rate_from,
     _momentum_rate_source,
     _records,
-    _solve,
     _solve_source,
     _tuple,
     arena_dim,
@@ -977,13 +979,19 @@ def _implicit_args(n: int) -> str:
     return ", ".join([f"x{i}" for i in range(n)] + [f"x{n + 1 + i}" for i in range(n)] + [f"x{n}"])
 
 
-@lru_cache(maxsize=None)
-def _residual_source(n: int) -> str:
-    """The fused :func:`implicit_residual_P` at n: from P's row x and
-    rates r, (residual, o), o the replay of L's order-1 jet."""
-    k, d = 2 * n + 1, 3 * n + 3
+def _residual_parts(n: int) -> tuple:
+    """(body, residual) of the fused :func:`implicit_residual_P` at n, from
+    P's row x0, x1, ... and rates r0, r1, ...: the lines reading L's
+    order-1 jet o and the forces up to the entropy slope s, and the
+    residual's rows as source expressions."""
+    k = 2 * n + 1
     S, W, lam = n, 2 * n + 1, 3 * n + 2
     args, f, e = _implicit_args(n), [f"f{i}" for i in range(n)], [f"e{i}" for i in range(n)]
+    body = [
+        f"o = L1({args})", f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
+        f"if not _finite(sum(o) + {' + '.join(f + e)}) and _fail(): return None",
+        f"s = o[{k}]",
+    ]
     residual = [
         *[f"(r{2 * n + 2 + i} - o[{1 + i}] - e{i}) * s + (r{lam} - s) * f{i}" for i in range(n)],
         f"s * r{S} - {_dot_source(f, [f'r{i}' for i in range(n)])}",
@@ -992,14 +1000,16 @@ def _residual_source(n: int) -> str:
         *[f"x{n + 1 + i} - r{i}" for i in range(n)],
         f"x{W} - r{S}",
     ]
-    body = [
-        f"o = L1({args})", f"{', '.join(f)}, = F0({args})", f"{', '.join(e)}, = E0({args})",
-        f"if not _finite(sum(o) + {' + '.join(f + e)}) and _fail(): return None",
-        f"s = o[{k}]",
-        f"out = {_tuple(residual)}",
-        "if not _finite(sum(out)) and _fail(): return None",
-        "return out, o",
-    ]
+    return body, residual
+
+
+@lru_cache(maxsize=None)
+def _residual_source(n: int) -> str:
+    """The fused :func:`implicit_residual_P` at n: from P's row x and
+    rates r, (residual, o), o the replay of L's order-1 jet."""
+    d = 3 * n + 3
+    body, residual = _residual_parts(n)
+    body += [f"out = {_tuple(residual)}", "if not _finite(sum(out)) and _fail(): return None", "return out, o"]
     return _kernel_source([f"x{i}" for i in range(d)] + [f"r{i}" for i in range(d)], body)
 
 
@@ -1008,108 +1018,161 @@ def _build_residual(model: SimpleThermoModel, strict: bool = False):
     return _bind(model, _residual_source(model.n), replays, strict)
 
 
-def _implicit_constants(n: int, h: float) -> np.ndarray:
-    """The entries of the implicit step's Jacobian that no state moves:
-    the momentum rows' identity on p, the covariable row's one, and the
-    velocity and rate-slot rows' one and -1/h (their rates are the
-    backward differences of q and S)."""
-    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()
-    eye = np.eye(n)
-    J = np.zeros((3 * n + 3, 3 * n + 3))
-    J[n + 1 : 2 * n + 1, p] = eye
-    J[2 * n + 1, lam] = 1.0
-    J[2 * n + 2 : 3 * n + 2, v], J[2 * n + 2 : 3 * n + 2, q] = eye, -eye / h
-    J[3 * n + 2, W], J[3 * n + 2, S] = 1.0, -1.0 / h
-    return J
+def _reduced_source(n: int) -> list:
+    """Lines that form and factor the implicit step's Newton matrix at the
+    iterate x with the backward rates r, as a reduced (n + 1)-square
+    system on (dq..., dS).
 
+    The step's residual has the exact Jacobian J of z -> residual(z,
+    (z - x0)/h). Its rows differentiate, through the jet columns
+    (q..., v..., S), L's order-2 jet g (its slope sg = dL/dS and the
+    slope's row), the one the velocity-side rate reads, and the order-1 jets df
+    and de of friction and external force: the force-balance rows
+    (pdot - dL/dq - Fext) s + (lamdot - s) F, plus s/h on their p and
+    F/h on lam; the entropy row s Sdot - <F, qdot>, plus s/h on S and
+    -F/h on q; the momentum rows p - dL/dv, 1 on p. The covariable row
+    is 1 on lam, the velocity and rate-slot rows 1 on v and W and -1/h
+    on q and S. Those last four blocks pivot on 1, so Newton's
+    J dz = residual substitutes them: dv = r_v + dq/h, dW = r_W + dS/h,
+    dlam = r_lam and dp = r_p + H_v (dq, dv, dS), H_v L's velocity rows
+    over the jet columns. The force-balance and entropy rows are left: a
+    matrix a{i}_{j} on (dq..., dS), the coefficients P = s/h and
+    Q{i} = F_i/h of p and lam, and those of dv, G{i}_{n + j}, which the
+    right-hand side of each iterate reads (:func:`_increment_source`).
 
-@lru_cache(maxsize=None)
-def _jet_columns(n: int) -> np.ndarray:
-    """P's columns of the jet arguments (q..., v..., S), read-only."""
-    at = _arena_layout("P", n)[1]
-    out = np.r_[at["q"], at["v"], at["S"]]
-    out.flags.writeable = False
-    return out
-
-
-def _implicit_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) -> np.ndarray:
-    """The exact Jacobian of the implicit step's residual
-    z -> implicit_residual_P(z, (z - x0) / h) at z = x, whose backward
-    rates are ``rates``; ``constants`` holds the entries that no state
-    moves (:func:`_implicit_constants`).
-
-    The force-balance, entropy and momentum rows differentiate, through
-    the jet columns (q, v, S), L's order-2 jet H (with s = dL/dS and
-    its row ds), the one the velocity-side rate reads, and the order-1
-    jets dF and dFext of friction and external force; the backward rates
-    add s/h on p and F/h on lam to the force-balance rows, s/h on S and
-    -F/h on q to the entropy row. The model's fused Jacobian kernel
-    gives it: the fast binding, compiled at the first call that finds
-    its replays traced, where its guards hold, the strict one otherwise."""
-    return _evaluate(model, "jacobian", _build_jacobian, (*x.tolist(), *rates.tolist(), h, constants))
-
-
-@lru_cache(maxsize=None)
-def _jacobian_source(n: int) -> str:
-    """The fused :func:`_implicit_jacobian` at n: from P's row x, the
-    backward rates r, h and the constant entries C, the Jacobian, its
-    entries written as numpy computes the rows of :func:`_implicit_jacobian`
-    as whole arrays."""
-    k, d = 2 * n + 1, 3 * n + 3
+    The matrix is factored by Gaussian elimination with partial
+    pivoting, the pivot the first row of largest magnitude, rows swapped
+    whole (multipliers included, p{c} the row swapped with row c) and
+    the multipliers stored in place; a zero pivot is the ``jacobian``
+    guard site (a singular Jacobian). A matrix that is not finite stops
+    the run. The entries of J have the operations of numpy's whole-array
+    rows (``tests/conftest.py``'s reference Jacobian), and the reduction
+    the operations of that file's ``reduced_solve`` on them."""
+    k, m = 2 * n + 1, n + 1
     S, lam = n, 3 * n + 2
-    cols = list(range(n)) + [n + 1 + i for i in range(n)] + [S]  # the jet columns
 
     def H(i, j):
-        return f"o[{1 + k + i * k + j}]"
+        return f"g[{1 + k + i * k + j}]"
 
     def dF(i, j):
-        return f"d[{n + i * k + j}]"
+        return f"df[{n + i * k + j}]"
 
-    def dE(i, j):
-        return f"e[{n + i * k + j}]"
-
-    if n == 1:
-        vm = [f"(0.0 + r0 * {dF(0, j)})" for j in range(k)]
-    else:
-        vm = [f"m[{j}]" for j in range(k)]
-    entries = {}
-    for i in range(n):  # (pdot - dL/dq - Fext) s + (lamdot - s) F
-        for j, c in enumerate(cols):
-            entries[i, c] = f"u * {dF(i, j)} - s * ({H(i, j)} + {dE(i, j)}) + t{i} * {H(2 * n, j)}"
-        entries[i, 2 * n + 2 + i] = "s / h"
-        entries[i, lam] = f"d[{i}] / h"
-    for j, c in enumerate(cols):  # s Sdot - <F, qdot>
-        entries[n, c] = f"r{S} * {H(2 * n, j)} - {vm[j]}"
-    entries[n, S] = f"({entries[n, S]}) + s / h"
-    for i in range(n):
-        entries[n, i] = f"({entries[n, i]}) - d[{i}] / h"
-    for i in range(n):  # p - dL/dv
-        for j, c in enumerate(cols):
-            entries[n + 1 + i, c] = f"-{H(n + i, j)}"
+    vm = [f"(0.0 + r0 * {dF(0, j)})" for j in range(k)] if n == 1 else [f"vm[{j}]" for j in range(k)]
     args, size = _implicit_args(n), n * (k + 1)
-    body = [
-        f"o = L2({args})", f"d = F1({args})", f"e = E1({args})",
-        f"if (len(d) != {size} or len(e) != {size}) and _fail(): return None",
-        "if not _finite(sum(o) + sum(d) + sum(e)) and _fail(): return None",
-        f"s = o[{k}]",
-        f"u = r{lam} - s",
-        *[f"t{i} = r{2 * n + 2 + i} - o[{1 + i}] - e[{i}] - d[{i}]" for i in range(n)],
-        *([] if n == 1 else [f"m = _vector_matrix({_tuple(f'r{i}' for i in range(n))}, d[{n}:])"]),
-        f"out = {_tuple(entries.values())}",
-        "if not _finite(sum(out)) and _fail(): return None",
-        "J = C.copy()",
-        "J.put(IDX, out)",
-        "return J",
+    lines = [
+        f"g = L2({args})", f"df = F1({args})", f"de = E1({args})",
+        f"if (len(df) != {size} or len(de) != {size}) and _fail(): return None",
+        "if not _finite(sum(g) + sum(df) + sum(de)) and _fail(): return None",
+        f"sg = g[{k}]",
+        f"ul = r{lam} - sg",
+        *[f"t{i} = r{2 * n + 2 + i} - g[{1 + i}] - de[{i}] - df[{i}]" for i in range(n)],
+        *([] if n == 1 else [f"vm = _vector_matrix({_tuple(f'r{i}' for i in range(n))}, df[{n}:])"]),
     ]
-    index = _tuple(str(i * d + c) for i, c in entries)
-    return f"IDX = np.array({index})\n" + _kernel_source(
-        [f"x{i}" for i in range(d)] + [f"r{i}" for i in range(d)] + ["h", "C"], body
-    )
+    lines.append("P = sg / h")
+    for i in range(n):  # the force-balance rows; -H_v is the momentum row's entry
+        lines.append(f"Q{i} = df[{i}] / h")
+        lines += [f"G{i}_{j} = (ul * {dF(i, j)} - sg * ({H(i, j)} + de[{n + i * k + j}]) + t{i} * {H(2 * n, j)})"
+                  f" - P * -{H(n + i, j)}" for j in range(k)]
+    entropy = [f"r{S} * {H(2 * n, j)} - {vm[j]}" for j in range(k)]
+    entropy[:n] = [f"({x}) - df[{j}] / h" for j, x in enumerate(entropy[:n])]
+    entropy[2 * n] = f"({entropy[2 * n]}) + sg / h"
+    lines += [f"G{n}_{j} = {x}" for j, x in enumerate(entropy)]
+    # dv = r_v + dq/h moves G's v columns onto q
+    for i in range(m):
+        lines += [f"a{i}_{j} = G{i}_{j} + G{i}_{n + j} * hinv" for j in range(n)] + [f"a{i}_{n} = G{i}_{2 * n}"]
+    lines.append(f"if not _finite({' + '.join(f'a{i}_{j}' for i in range(m) for j in range(m))}): return ()")
+    for c in range(m):
+        row = [f"a{c}_{j}" for j in range(m)]
+        if c < n:
+            lines.append(f"p{c}, big = {c}, abs(a{c}_{c})")
+            lines += [f"if abs(a{i}_{c}) > big: p{c}, big = {i}, abs(a{i}_{c})" for i in range(c + 1, m)]
+        for i in range(c + 1, m):
+            other = [f"a{i}_{j}" for j in range(m)]
+            lines.append(f"if p{c} == {i}: {', '.join(row + other)} = {', '.join(other + row)}")
+        lines.append(f"if a{c}_{c} == 0.0 and _fail('jacobian'): return None")
+        for i in range(c + 1, m):
+            lines.append(f"a{i}_{c} = a{i}_{c} / a{c}_{c}")
+            lines += [f"a{i}_{j} = a{i}_{j} - a{i}_{c} * a{c}_{j}" for j in range(c + 1, m)]
+    return lines
 
 
-def _build_jacobian(model: SimpleThermoModel, strict: bool = False):
-    replays = {"L2": ("lagrangian", 2), "F1": ("friction", 1), "E1": ("external", 1)}
-    return _bind(model, _jacobian_source(model.n), replays, strict)
+def _increment_source(n: int) -> list:
+    """Lines that take one Newton increment at the iterate x from its
+    residual z with the factored reduced system of :func:`_reduced_source`:
+    its right-hand side, permuted as the rows were, forward and back
+    substitution (b{n} is dS), then dv, dW, dp and dlam substituted back,
+    and x minus the increment, coordinate by coordinate."""
+    k, m = 2 * n + 1, n + 1
+    rv = [f"z{2 * n + 2 + j}" for j in range(n)]
+    lines = [f"b{i} = z{i} - P * z{n + 1 + i} - Q{i} * z{2 * n + 1}"
+             + "".join(f" - G{i}_{n + j} * {v}" for j, v in enumerate(rv)) for i in range(n)]
+    lines.append(f"b{n} = z{n}" + "".join(f" - G{n}_{n + j} * {v}" for j, v in enumerate(rv)))
+    lines += [f"if p{c} == {i}: b{c}, b{i} = b{i}, b{c}" for c in range(n) for i in range(c + 1, m)]
+    lines += [f"b{i} = b{i}" + "".join(f" - a{i}_{j} * b{j}" for j in range(i)) for i in range(1, m)]
+    lines += [f"b{i} = " + (f"(b{i}" + "".join(f" - a{i}_{j} * b{j}" for j in reversed(range(i + 1, m))) + ")"
+                            if i < n else f"b{i}") + f" / a{i}_{i}" for i in reversed(range(m))]
+    dv = [f"dv{j}" for j in range(n)]
+    lines += [f"{x} = {v} + hinv * b{j}" for j, (x, v) in enumerate(zip(dv, rv))]
+    lines.append(f"dW = z{3 * n + 2} + hinv * b{n}")
+    jet = [f"b{j}" for j in range(n)] + dv + [f"b{n}"]
+    lines += [f"dp{i} = z{n + 1 + i} + ({' + '.join(f'g[{1 + k + (n + i) * k + j}] * {x}' for j, x in enumerate(jet))})"
+              for i in range(n)]
+    step = [f"b{j}" for j in range(n)] + [f"b{n}"] + dv + ["dW"] + [f"dp{i}" for i in range(n)] + [f"z{2 * n + 1}"]
+    lines += [f"x{i} = x{i} - {x}" for i, x in enumerate(step)]
+    return lines
+
+
+@lru_cache(maxsize=None)
+def _implicit_step_source(n: int) -> str:
+    """One implicit Euler step on P at n, the whole Newton loop: from the
+    stored row y, the last rate w and h, the next row (p snapped onto the
+    converged residual's dL/dv, lam onto +0.0), its backward rate and
+    kept floats (L, the residual's entropy row, its largest magnitude),
+    all of the unsnapped iterate. It answers ``(err,)`` where the residual
+    is still err after :data:`IMPLICIT_MAX_ITER` increments, ``()`` where
+    a residual, an iterate or the reduced matrix is not finite (the run
+    stops), and None where a guard fails.
+
+    The iterate starts at y + h w. Each iteration writes the rates
+    (x - y)/h and the residual's body (:func:`_residual_parts`), and
+    stops at a size within :data:`IMPLICIT_NEWTON_TOL`; the first forms
+    and factors the reduced Newton matrix (:func:`_reduced_source`), held
+    for the step, and each takes an increment (:func:`_increment_source`).
+    The size is Python's maximum of the magnitudes, numpy's (which a NaN
+    anywhere makes NaN) where the residual is not finite. Every
+    coordinate takes numpy's elementwise operations."""
+    d = 3 * n + 3
+    y, w, x, r, z = ([f"{c}{i}" for i in range(d)] for c in "ywxrz")
+    body, residual = _residual_parts(n)
+    loop = [
+        *[f"{c} = ({a} - {b}) / h" for c, a, b in zip(r, x, y)],
+        *body,
+        f"{', '.join(z)} = {', '.join(residual)}",
+        f"err = max({', '.join(f'abs({a})' for a in z)})",
+        f"if not _finite({' + '.join(z)}): err = float(np.max(np.abs({_tuple(z)})))",
+        f"if err <= {IMPLICIT_NEWTON_TOL!r}: break",
+        f"if i == {IMPLICIT_MAX_ITER}: return (err,)",
+        "if not _finite(err): return ()",
+        "if i == 0:",
+        *[f"    {line}" for line in _reduced_source(n)],
+        *_increment_source(n),
+        f"if not _finite({' + '.join(x)}) and not all(map(_finite, {_tuple(x)})): return ()",
+    ]
+    p = [f"o[{1 + n + i}]" for i in range(n)]  # dL/dv in L's order-1 jet
+    lines = [
+        "hinv = 1.0 / h",
+        *[f"{a} = {b} + h * {c}" for a, b, c in zip(x, y, w)],
+        f"for i in range({IMPLICIT_MAX_ITER + 1}):",
+        *[f"    {line}" for line in loop],
+        f"return {_tuple(x[: 2 * n + 2] + p + ['0.0'])}, {_tuple(r)}, (o[0], z{n}, err)",
+    ]
+    return _kernel_source(y + w + ["h"], lines)
+
+
+def _build_implicit_step(model: SimpleThermoModel, strict: bool = False):
+    replays = {"L1": ("lagrangian", 1), "L2": ("lagrangian", 2), "F0": ("friction", 0),
+               "F1": ("friction", 1), "E0": ("external", 0), "E1": ("external", 1)}
+    return _bind(model, _implicit_step_source(model.n), replays, strict)
 
 
 def integrate_implicit_P(
@@ -1120,32 +1183,38 @@ def integrate_implicit_P(
     Each step solves the discretized residual (backward rates) for the
     next point with Newton iterations, then snaps the momentum and
     covariable slots onto their algebraic values. The Newton matrix is
-    the residual's exact Jacobian (:func:`_implicit_jacobian`), built
-    once per step at the predictor and held fixed within the step: a
-    step costs one residual per iterate plus one jet each of L (order
-    2), friction and external force (order 1). Partials that an
-    evaluator strips with ``duals.value`` are absent from the Jacobian;
-    Newton then converges more slowly but still stops on the true
-    residual. A non-finite residual (an iterate off the domain) stops
-    the run with the states stored so far. First order by construction;
-    the point is exercising the implicit conditions, not accuracy.
+    the residual's exact Jacobian, built once per step at the predictor
+    and held fixed within the step: a step costs one residual per
+    iterate plus one jet each of L (order 2), friction and external
+    force (order 1). Partials that an evaluator strips with
+    ``duals.value`` are absent from the Jacobian; Newton then converges
+    more slowly but still stops on the true residual. Of the Jacobian's
+    3n + 3 rows, all but the n force-balance rows and the entropy row
+    pivot on a constant, so the solve eliminates them by blocks and
+    factors the (n + 1)-square rest on (dq, dS) once per step
+    (:func:`_reduced_source`). A non-finite residual (an iterate off
+    the domain) stops the run with the states stored so far; a singular
+    Jacobian, or a residual still above :data:`IMPLICIT_NEWTON_TOL`
+    after :data:`IMPLICIT_MAX_ITER` increments, raises NewtonError.
+    First order by construction; the point is exercising the implicit
+    conditions, not accuracy.
 
-    The loop is float code over tuples, one IEEE operation per
-    coordinate as numpy's elementwise ``x0 + h * rate``, ``(z - x0) / h``
-    and ``z - step``; the solve is its one numpy call per iterate. The
-    fused residual and Jacobian, looked up once per run, answer on the
-    floats; a call whose guard fails takes the strict binding for that
-    call alone, whose residual may hold a NaN anywhere, so its size is
-    numpy's NaN-propagating maximum. The snap reads p = dL/dv off the converged
-    residual's replay of L's order-1 jet (``momentum_map``'s bits) and
-    sets lam = +0.0; the stored rate and L are the unsnapped iterate's.
+    Each step is one call of the model's generated step
+    (:func:`_implicit_step_source`), the whole Newton loop in float code
+    with numpy's elementwise ``x0 + h * rate``, ``(z - x0) / h`` and
+    ``z - step``. Its fast binding, compiled once the step's jets are
+    traced, answers where its guards hold; a step it hands over reruns
+    from the same state on the strict binding, which raises the errors.
+    The snap reads p = dL/dv off the converged residual's replay of L's
+    order-1 jet (``momentum_map``'s bits) and sets lam = +0.0; the
+    stored rate and L are the unsnapped iterate's.
     """
     if h <= 0.0 or t_end <= 0.0:
         raise ValueError("t_end and h must be positive")
     n = model.n
     d = 3 * n + 3
     p0 = momentum_map(model, initial.q, initial.v, initial.S)
-    if np.max(np.abs(initial.p - p0)) > CONSISTENCY_TOL or abs(initial.lam) > CONSISTENCY_TOL:
+    if not (np.max(np.abs(initial.p - p0)) <= CONSISTENCY_TOL and abs(initial.lam) <= CONSISTENCY_TOL):
         raise IntegrationError(
             "initial point is off the algebraic slice: momentum slots must "
             "carry dL/dv and the covariable must be zero"
@@ -1154,62 +1223,30 @@ def integrate_implicit_P(
     K = max(1, int(round(t_end / h))) + 1
     states, rates = np.empty((K, d)), np.empty((K, d))
     diagnostics = np.empty((K, len(_DIAGNOSTICS)))
-    kept = []  # (L, residual[n], max |residual|) of each stored row since the last block pass
-    constants = _implicit_constants(n, h)
 
     # instantaneous field data at the start, for the first record
     pair0 = solution_pair_P(model, initial.q, initial.v, initial.S)
     res0, L = implicit_residual_P(model, initial, pair0.tangent, with_value=True)
-    residual = _fused(model, "residual", _build_residual)  # the start traced its replays
-    strict = _fused(model, "residual", _build_residual, strict=True)
-    jacobian = _fused(model, "jacobian", _build_jacobian)  # once its replays are traced
     states[0], rates[0] = initial.row, pair0.tangent
-    kept.append((L, res0[n], np.abs(res0).max()))
+    kept = [(L, res0[n], np.abs(res0).max())]  # (L, residual[n], max |residual|) since the last block pass
 
-    at = _arena_layout("P", n)[1]
-    dLdv = slice(1 + n, 1 + 2 * n)  # in L's order-1 jet (L, dL/dq, dL/dv, dL/dS)
+    step = _fused(model, "implicit-step", _build_implicit_step)  # once its jets are traced
     x, rate = tuple(initial.row.tolist()), tuple(pair0.tangent.tolist())
     for k in range(1, K):
-        x0 = x
-        x1 = tuple([a + h * b for a, b in zip(x0, rate)])
-        J = None
-        for iterate in range(IMPLICIT_MAX_ITER + 1):
-            rate = tuple([(a - b) / h for a, b in zip(x1, x0)])
-            out = None if residual is None else residual(*x1, *rate)
-            if out is None:
-                r, o = strict(*x1, *rate)
-                err = np.abs(r).max()  # NaN wherever r has one
-            else:
-                r, o = out
-                err = max(map(abs, r))  # r is finite: the fast binding's guard
-            if iterate == IMPLICIT_MAX_ITER:
+        out = None if step is None else step(*x, *rate, h)
+        if out is None:
+            out = _fused(model, "implicit-step", _build_implicit_step, strict=True)(*x, *rate, h)
+            step = _fused(model, "implicit-step", _build_implicit_step)
+        if len(out) < 3:
+            if out:
                 raise NewtonError(
-                    f"implicit step did not converge: residual {err:.3e} "
+                    f"implicit step did not converge: residual {out[0]:.3e} "
                     f"after {IMPLICIT_MAX_ITER} iterations"
                 )
-            if err <= IMPLICIT_NEWTON_TOL:
-                break
-            if not math.isfinite(err):
-                return _stored(h, k, "P", n, states, rates, diagnostics, kept, completed=False)
-            if J is None:  # built once per step, at the predictor
-                J = None if jacobian is None else jacobian(*x1, *rate, h, constants)
-                if J is None:
-                    J = _fused(model, "jacobian", _build_jacobian, strict=True)(*x1, *rate, h, constants)
-                    jacobian = _fused(model, "jacobian", _build_jacobian)
-            try:
-                step = _solve(J, np.array(r)).tolist()
-            except np.linalg.LinAlgError:
-                raise NewtonError("singular Jacobian in the implicit step")
-            x1 = tuple([a - b for a, b in zip(x1, step)])
-            if not all(map(math.isfinite, x1)):
-                return _stored(h, k, "P", n, states, rates, diagnostics, kept, completed=False)
-        # snap p onto the converged residual's dL/dv and lam to zero (Newton
-        # left them within tol); the rate and L are the unsnapped iterate's
-        x = list(x1)
-        x[at["p"]], x[at["lam"]] = o[dLdv], 0.0
+            return _stored(h, k, "P", n, states, rates, diagnostics, kept, completed=False)
+        x, rate, floats = out
         states[k], rates[k] = x, rate
-        x = tuple(x)
-        kept.append((o[0], r[n], err))  # err: the converged residual's max |r|
+        kept.append(floats)
         if len(kept) == _BLOCK:
             _flush("P", n, states, rates, diagnostics, kept, k + 1)
     return _stored(h, K, "P", n, states, rates, diagnostics, kept, completed=True)

@@ -197,9 +197,10 @@ class SimpleThermoModel:
     (:class:`duals.JetKernel`) and replayed at every later state. Every
     per-state evaluation is a fused kernel, one straight-line function
     per kind, model and n (the velocity-side work, the fiber iterate,
-    the momentum-side work, the implicit residual and Jacobian), that
-    keeps the glue between the jets in float code with the bits of the
-    numpy operations it is written as. The first call that finds a
+    the momentum-side work, the implicit residual, and the explicit
+    routes' RK4 and the implicit route's Euler steps built from them),
+    that keeps the glue between the jets in float code with the bits of
+    the numpy operations it is written as. The first call that finds a
     kernel's jets traced compiles its fast binding over the replays;
     the strict binding over the jets themselves answers before that and
     at any state the fast one cannot answer exactly. That holds all
@@ -277,17 +278,20 @@ def _kernel_jet(evaluator: Callable, n: int, q, v, S, order: int):
 
 # --- fused per-state kernels ---------------------------------------------
 #
-# A fused kernel is one straight-line function per (field or residual,
-# model, n), generated as source, the one statement of its math: it
-# calls the jets of the evaluators and does the glue between them (the
-# entropy-rate rule, an n = 1 division, the outputs) in float code with
-# the operations of numpy's elementwise code, so its bits are numpy's.
-# Where a numpy call has bits float code cannot give in general (a BLAS
-# matmul, an FMA chain; a solve at n > 1), the kernel makes that call,
-# behind two exact rules for its trivial cases: rule Z, a momentum rate
-# each of whose terms has a zero factor, is +0.0
+# A fused kernel is one straight-line function per (field, residual or
+# integration step, model, n), generated as source, the one statement of
+# its math: it calls the jets of the evaluators and does the glue between
+# them (the entropy-rate rule, an n = 1 division, the outputs) in float
+# code with the operations of numpy's elementwise code, so its bits are
+# numpy's. Where a numpy call has bits float code cannot give in general
+# (a BLAS matmul, an FMA chain; a solve at n > 1), the kernel makes that
+# call, behind two exact rules for its trivial cases: rule Z, a momentum
+# rate each of whose terms has a zero factor, is +0.0
 # (:func:`_momentum_rate_source`), and rule D, a diagonal solve with a
-# nonzero right-hand side, is b_i / A_ii (:func:`_solve_source`).
+# nonzero right-hand side, is b_i / A_ii (:func:`_solve_source`). The
+# implicit Euler step's Newton system has no numpy bits to keep: it is
+# eliminated by blocks and factored in float code, in one fixed order
+# (``dynamics._reduced_source``).
 #
 # Each source is compiled once and bound twice per model, into two
 # namespaces over one code object (``_FUSED_GLOBALS``, and
@@ -404,10 +408,11 @@ def _strict_fail(name: str) -> Callable:
     rate's singular solve, regular and degenerate), ``rest`` (the
     degenerate regime's friction at zero velocity, read by ``np.max``,
     which a NaN keeps quiet), ``fiber`` (the fiber's singular solve at
-    (q..., S)), and ``residual`` (a momentum residual that is not finite,
+    (q..., S)), ``residual`` (a momentum residual that is not finite,
     unless only its sum overflowed) and ``limit`` (the residual past the
     fiber's last step) at (limit, r...), the limit 0 before the last
-    step. Arrays keep numpy's repr in the messages."""
+    step, and ``jacobian`` (a zero pivot of the implicit step's Newton
+    matrix). Arrays keep numpy's repr in the messages."""
 
     def fail(site=None, *x):
         if site == "slope":
@@ -436,6 +441,8 @@ def _strict_fail(name: str) -> Callable:
                 f"momentum inversion did not converge in {x[0]} iterations "
                 f"(residual {np.max(np.abs(x[1:])):.3e}, model {name})"
             )
+        if site == "jacobian":
+            raise NewtonError("singular Jacobian in the implicit step")
         return False
 
     return fail

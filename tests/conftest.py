@@ -4,8 +4,9 @@ models whose fused kernels make the small-algebra numpy calls, the
 first-order dual numbers that are the reference for the jets' first
 partials, the per-evaluator paths that are the reference for the fused
 kernels, the per-state diagnostics record that is the reference for
-the integrators' block pass, and the numpy Newton loop that is the
-reference for the implicit route's float-code loop."""
+the integrators' block pass, and the numpy Newton loop over the full
+Jacobian that is the reference for the implicit route's generated
+step."""
 
 import math
 from collections import Counter
@@ -22,11 +23,7 @@ from dirac_thermo.dynamics import (
     IMPLICIT_MAX_ITER,
     IMPLICIT_NEWTON_TOL,
     DiagnosticsRecord,
-    _build_residual,
     _floats,
-    _implicit_constants,
-    _implicit_jacobian,
-    _jet_columns,
     _LagrangianWork,
     _MomentumWork,
     _solution_data,
@@ -41,7 +38,6 @@ from dirac_thermo.model import (
     _as_array,
     _covector_jet,
     _dot,
-    _fused,
     _kernel_jet,
     _lagrangian_first_order,
     _lagrangian_hessian,
@@ -385,8 +381,9 @@ def dual_friction_jacobian(model, q, v, S):
 # Each per-state evaluation as the library wrote it one numpy step at a
 # time from the evaluators' own jets, before the fused kernels' sources
 # became its one statement: the velocity-side work, the momentum-side
-# work, the implicit residual and Jacobian and the fiber's Newton loop,
-# with the entropy-rate rule and the force jets they read. Under
+# work, the implicit residual, the implicit step's full Jacobian and the
+# fiber's Newton loop, with the entropy-rate rule and the force jets they
+# read. Under
 # ``per_evaluator()`` every library entry point reads them, so the fast
 # and the strict bindings of each kernel are held to them bit for bit,
 # errors included.
@@ -509,29 +506,124 @@ def _per_evaluator_residual(model: SimpleThermoModel, x, r):
     return residual, (L, *g.tolist())
 
 
+def implicit_constants(n: int, h: float) -> np.ndarray:
+    """The entries of the implicit step's Jacobian that no state moves:
+    the momentum rows' identity on p, the covariable row's one, and the
+    velocity and rate-slot rows' one and -1/h (their rates are the
+    backward differences of q and S)."""
+    q, S, v, W, p, lam = _arena_layout("P", n)[1].values()
+    eye = np.eye(n)
+    J = np.zeros((3 * n + 3, 3 * n + 3))
+    J[n + 1 : 2 * n + 1, p] = eye
+    J[2 * n + 1, lam] = 1.0
+    J[2 * n + 2 : 3 * n + 2, v], J[2 * n + 2 : 3 * n + 2, q] = eye, -eye / h
+    J[3 * n + 2, W], J[3 * n + 2, S] = 1.0, -1.0 / h
+    return J
+
+
+def jet_columns(n: int) -> list:
+    """P's columns of the jet arguments (q..., v..., S)."""
+    return [*range(n), *range(n + 1, 2 * n + 1), n]
+
+
 def _per_evaluator_jacobian(model: SimpleThermoModel, x, rates, h: float, constants) -> np.ndarray:
-    """``dynamics._implicit_jacobian`` one numpy step at a time: the
-    fused Jacobian kernel's reference."""
+    """The exact Jacobian of the implicit step's residual
+    z -> implicit_residual_P(z, (z - x0) / h) at z = x, whose backward
+    rates are ``rates``, one numpy step at a time; ``constants`` holds
+    the entries that no state moves (:func:`implicit_constants`). The
+    generated step computes the entries of its rows with these
+    operations (``dynamics._reduced_source``).
+
+    The force-balance, entropy and momentum rows differentiate, through
+    the jet columns (q, v, S), L's order-2 jet H (with s = dL/dS and
+    its row ds) and the order-1 jets dF and dFext of friction and
+    external force; the backward rates add s/h on p and F/h on lam to
+    the force-balance rows, s/h on S and -F/h on q to the entropy row."""
     n = model.n
     q, S, v, W, p, lam = _arena_layout("P", n)[1].values()
-    jet_columns = _jet_columns(n)
+    columns = jet_columns(n)
     _, g, H = _lagrangian_hessian(model, x[q], x[v], x[S])
     F, dF, Fext, dFext = _force_jets(model, x[q], x[v], x[S])
     s, ds = g[2 * n], H[2 * n]
     J = constants.copy()
     # (pdot - dL/dq - Fext) s + (lamdot - s) F
-    J[:n, jet_columns] = (
+    J[:n, columns] = (
         (rates[lam] - s) * dF - s * (H[:n] + dFext) + (rates[p] - g[:n] - Fext - F)[:, None] * ds
     )
     np.fill_diagonal(J[:n, p], s / h)
     J[:n, lam] = F / h
     # s Sdot - <F, qdot>
-    J[n, jet_columns] = rates[S] * ds - rates[q] @ dF
+    J[n, columns] = rates[S] * ds - rates[q] @ dF
     J[n, S] += s / h
     J[n, q] -= F / h
     # p - dL/dv
-    J[n + 1 : 2 * n + 1, jet_columns] = -H[n : 2 * n]
+    J[n + 1 : 2 * n + 1, columns] = -H[n : 2 * n]
     return J
+
+
+def _fold(terms):
+    """The left-to-right float sum of terms, from the first."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
+
+
+def reduced_solve(J, r):
+    """The implicit step's Newton increment J^-1 r as the generated step
+    takes it (``dynamics._reduced_source`` and ``_increment_source``),
+    from the full Jacobian J, a list of P's coordinates; None where the
+    reduced matrix is not finite, and NewtonError on a zero pivot.
+
+    The covariable, velocity, rate-slot and momentum rows each pivot on
+    1 (on lam, v, W and p). Substituting dlam = r_lam, dv = r_v - J_vq dq,
+    dW = r_W - J_WS dS and dp = r_p - J_p (dq, dv, dS) into the
+    force-balance rows (J_ip p_i = s/h) and the entropy row leaves an
+    (n + 1)-square system A on (dq, dS). It is solved by Gaussian
+    elimination with partial pivoting, the pivot the first row of
+    largest magnitude, rows swapped whole and multipliers stored in
+    place; forward substitution adds the multipliers' terms in column
+    order, back substitution in reverse column order. Every operation
+    is one of the generated step's, in its order."""
+    d = len(r)
+    n = (d - 3) // 3
+    m, jet = n + 1, jet_columns(n)
+    J, r = np.asarray(J, dtype=float).tolist(), np.asarray(r, dtype=float).tolist()
+    rp, rlam, rv, rW = [n + 1 + i for i in range(n)], 2 * n + 1, [2 * n + 2 + j for j in range(n)], 3 * n + 2
+    cp, clam = [2 * n + 2 + i for i in range(n)], 3 * n + 2
+    G = [[J[a][c] - J[a][cp[a]] * J[rp[a]][c] for c in jet] for a in range(n)] + [[J[n][c] for c in jet]]
+    cv = [-J[rv[j]][j] for j in range(n)]  # 1/h
+    A = [[G[a][j] + G[a][n + j] * cv[j] for j in range(n)] + [G[a][2 * n]] for a in range(m)]
+    b = [r[a] - J[a][cp[a]] * r[rp[a]] - J[a][clam] * r[rlam] for a in range(n)] + [r[n]]
+    for a in range(m):
+        for j in range(n):
+            b[a] = b[a] - G[a][n + j] * r[rv[j]]
+    if not math.isfinite(sum(x for row in A for x in row)):
+        return None
+    for c in range(m):
+        if c < n:
+            p, big = c, abs(A[c][c])
+            for i in range(c + 1, m):
+                if abs(A[i][c]) > big:
+                    p, big = i, abs(A[i][c])
+            A[c], A[p], b[c], b[p] = A[p], A[c], b[p], b[c]
+        if A[c][c] == 0.0:
+            raise NewtonError("singular Jacobian in the implicit step")
+        for i in range(c + 1, m):
+            A[i][c] = A[i][c] / A[c][c]
+            for j in range(c + 1, m):
+                A[i][j] = A[i][j] - A[i][c] * A[c][j]
+    for i in range(1, m):
+        for j in range(i):
+            b[i] = b[i] - A[i][j] * b[j]
+    for i in reversed(range(m)):
+        for j in reversed(range(i + 1, m)):
+            b[i] = b[i] - A[i][j] * b[j]
+        b[i] = b[i] / A[i][i]
+    dv = [r[rv[j]] + cv[j] * b[j] for j in range(n)]
+    dW = r[rW] + -J[rW][n] * b[n]
+    dp = [r[rp[i]] + _fold([-J[rp[i]][c] * x for c, x in zip(jet, b[:n] + dv + b[n:])]) for i in range(n)]
+    return [*b, *dv, dW, *dp, r[rlam]]
 
 
 def _per_evaluator_solve(model: SimpleThermoModel, q, p, S: float, v):
@@ -569,7 +661,8 @@ def per_evaluator():
     """Within the block no fast binding is found or compiled, and each
     strict binding is the reference above: every entry point takes the
     per-evaluator path. The fiber's whole Newton loop stands in for its
-    iterate. The reference functions are looked up at each call, so that
+    iterate, and the numpy loop's step (:func:`implicit_reference_step`)
+    for the implicit route's generated step. The reference functions are looked up at each call, so that
     a test may patch them on this module, and they run with numpy's
     floating-point warnings off: the kernels' float code, whose values
     they must have, makes none."""
@@ -588,8 +681,7 @@ def per_evaluator():
                 HamiltonianModel(model), a[:n], a[n], a[n + 1 : 2 * n + 1], v0=a[2 * n + 1 :])),
             "residual": lambda *a: quiet(lambda: _per_evaluator_residual(
                 model, np.array(a[:d]), np.array(a[d:]))),
-            "jacobian": lambda *a: quiet(lambda: _per_evaluator_jacobian(
-                model, np.array(a[:d]), np.array(a[d : 2 * d]), *a[2 * d :])),
+            "implicit-step": lambda *a: quiet(lambda: implicit_reference_step(model, a[:d], a[d : 2 * d], a[-1])),
             "fiber": lambda *a: quiet(lambda: _per_evaluator_solve(model, *a)),
         }[kind]
 
@@ -653,22 +745,59 @@ def hamilton_record(n: int, t: tuple, r: tuple, w) -> DiagnosticsRecord:
     return _explicit_record("N", t[n + 1 :], w.qdot, w.L, t[n], r[n], -w.dHdS, w.F, z)
 
 
-def implicit_record(n: int, x, rates, residual, L) -> DiagnosticsRecord:
+def implicit_record(n: int, x, rates, L, rn, err) -> DiagnosticsRecord:
     """Diagnostics at the flat P row x, read through its groups, with L
-    the Lagrangian at its (q, v, S)."""
+    the Lagrangian at its (q, v, S), rn the residual's entropy row and
+    err its largest magnitude."""
     point = ArenaPoint("P", n, x)
     energy = float(point.p @ point.v) + point.lam * point.W - L
-    return _record(energy, point.S, float(rates[n]), float(residual[n]), residual)
+    return _record(energy, point.S, float(rates[n]), float(rn), err)
 
 
 # --- the reference for the implicit route's Newton loop -------------------
 #
-# integrate_implicit_P as it was written over numpy arrays: each iterate's
-# residual through the public implicit_residual_P at the backward rates,
-# np.abs(r).max() as its size, the step's Jacobian through
-# _implicit_jacobian, the snap p = momentum_map at the converged (q, v, S)
-# and the per-state record of each stored row. The library's float-code
-# loop must give its bits, errors and partial runs.
+# integrate_implicit_P over numpy arrays: each iterate's residual through
+# the public implicit_residual_P at the backward rates, np.abs(r).max() as
+# its size, the step's full Jacobian (_per_evaluator_jacobian) at the
+# predictor, the increment through reduced_solve, the snap
+# p = momentum_map at the converged (q, v, S) and the per-state record of
+# each stored row. The library's generated step must give its bits,
+# errors and partial runs.
+
+
+def implicit_reference_step(model, x0, rate, h: float):
+    """One implicit step from the P row x0 with the last rate, with the
+    generated step's answers (``dynamics._implicit_step_source``): (row,
+    rate, (L, r[n], max |r|)), ``(err,)`` where the residual is still err
+    after IMPLICIT_MAX_ITER increments, ``()`` where the run stops; a
+    singular Jacobian raises NewtonError."""
+    n = model.n
+    x0 = np.asarray(x0, dtype=float)
+    x1 = x0 + h * np.asarray(rate, dtype=float)
+    J = None
+    for iterate in range(IMPLICIT_MAX_ITER + 1):
+        rate = (x1 - x0) / h
+        r, L = dt.implicit_residual_P(model, ArenaPoint("P", n, x1), rate, with_value=True)
+        err = np.abs(r).max()
+        if err <= IMPLICIT_NEWTON_TOL:
+            break
+        if iterate == IMPLICIT_MAX_ITER:
+            return (err,)
+        if not math.isfinite(err):
+            return ()
+        if J is None:  # held for the step
+            J = _per_evaluator_jacobian(model, x1, rate, h, implicit_constants(n, h))
+        step = reduced_solve(J, r)
+        if step is None:
+            return ()
+        x1 = x1 - step
+        if not np.all(np.isfinite(x1)):
+            return ()
+    # snap p and lam exactly (Newton left them within tol); the rate and L are unmoved
+    point = ArenaPoint("P", n, x1)
+    point.p = dt.momentum_map(model, point.q, point.v, point.S)
+    point.lam = 0.0
+    return x1, rate, (L, r[n], err)
 
 
 def implicit_reference(model, initial: ArenaPoint, t_end: float, h: float) -> dt.Trajectory:
@@ -678,66 +807,33 @@ def implicit_reference(model, initial: ArenaPoint, t_end: float, h: float) -> dt
         raise ValueError("t_end and h must be positive")
     n = model.n
     p0 = dt.momentum_map(model, initial.q, initial.v, initial.S)
-    if np.max(np.abs(initial.p - p0)) > CONSISTENCY_TOL or abs(initial.lam) > CONSISTENCY_TOL:
+    if not (np.max(np.abs(initial.p - p0)) <= CONSISTENCY_TOL and abs(initial.lam) <= CONSISTENCY_TOL):
         raise dt.IntegrationError(
             "initial point is off the algebraic slice: momentum slots must "
             "carry dL/dv and the covariable must be zero"
         )
 
     K = max(1, int(round(t_end / h))) + 1
-    constants = _implicit_constants(n, h)
-    x = initial.as_vector()
-    pair0 = dt.solution_pair_P(model, initial.q, initial.v, initial.S)
-    res0, L = dt.implicit_residual_P(model, initial, pair0.tangent, with_value=True)
-    _fused(model, "residual", _build_residual)  # the start traced its replays
-    states, rates, records = [x], [pair0.tangent], [implicit_record(n, x, pair0.tangent, res0, L)]
+    x, rate = initial.as_vector(), dt.solution_pair_P(model, initial.q, initial.v, initial.S).tangent
+    res0, L = dt.implicit_residual_P(model, initial, rate, with_value=True)
+    states, rates, records = [x], [rate], [implicit_record(n, x, rate, L, res0[n], np.abs(res0).max())]
 
     def stored(completed: bool) -> dt.Trajectory:
         return dt.Trajectory(times=np.arange(len(states)) * h, states=np.array(states),
                              rates=np.array(rates), diagnostics=np.array(records), arena="P",
                              completed=completed)
 
-    rate_guess = pair0.tangent
     for _ in range(1, K):
-        x0 = x
-        x1 = x0 + h * rate_guess
-
-        def g(z: np.ndarray):  # (residual, L) at z with the backward rates
-            return dt.implicit_residual_P(model, ArenaPoint("P", n, z), (z - x0) / h, with_value=True)
-
-        r, L = g(x1)
-        J = None
-        converged = False
-        for _ in range(IMPLICIT_MAX_ITER):
-            err = np.abs(r).max()
-            if err <= IMPLICIT_NEWTON_TOL:
-                converged = True
-                break
-            if not math.isfinite(err):
-                return stored(False)
-            if J is None:
-                J = _implicit_jacobian(model, x1, (x1 - x0) / h, h, constants)
-            try:
-                step = _solve(J, r)
-            except np.linalg.LinAlgError:
-                raise dt.NewtonError("singular Jacobian in the implicit step")
-            x1 = x1 - step
-            if not np.all(np.isfinite(x1)):
-                return stored(False)
-            r, L = g(x1)
-        if not converged:
-            raise dt.NewtonError(
-                f"implicit step did not converge: residual {np.max(np.abs(r)):.3e} "
-                f"after {IMPLICIT_MAX_ITER} iterations"
-            )
-        rate = (x1 - x0) / h
-        # snap p and lam exactly, in place (Newton left them within tol); L is unmoved
-        point = ArenaPoint("P", n, x1)
-        point.p = dt.momentum_map(model, point.q, point.v, point.S)
-        point.lam = 0.0
-        states.append(x1)
+        out = implicit_reference_step(model, x, rate, h)
+        if len(out) < 3:
+            if out:
+                raise dt.NewtonError(
+                    f"implicit step did not converge: residual {out[0]:.3e} "
+                    f"after {IMPLICIT_MAX_ITER} iterations"
+                )
+            return stored(False)
+        x, rate, kept = out
+        states.append(x)
         rates.append(rate)
-        records.append(implicit_record(n, x1, rate, r, L))
-        rate_guess = rate
-        x = x1
+        records.append(implicit_record(n, x, rate, *kept))
     return stored(True)

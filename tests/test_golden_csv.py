@@ -36,7 +36,7 @@ GOLDEN = {
     ("reactions", "lagrangian"):
         "18bbf62cc2396bc00299e428b2b3cc988ab49a58397577e08ecf44369878bf23",
     ("reactions", "implicit-P"):
-        "29f5e3ca29d8e382a33ca0bbe9415bcb07df382eab1e22507e0fb60d32a148fc",
+        "b212b6f7139e9b9b1e643f9750226506f3d794de5cd86377a21cc57e4f700e56",
 }
 
 # (model kind, formulation) -> (exit code, stderr) of a run that fails

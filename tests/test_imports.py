@@ -1,6 +1,7 @@
 """Every name a library module imports is used there or listed in its
 ``__all__``, no library module calls ``np.linalg.solve`` (every small
-solve goes through ``model._solve``), importing the command line loads
+solve goes through ``model._solve``, and the implicit step makes none),
+importing the command line loads
 numpy and no SciPy, importing the package and building models compile
 no fused kernel, each fused kernel's math has one statement, its
 generated source, and every library name that the benchmark's tracer
@@ -84,6 +85,19 @@ def test_no_module_calls_numpy_solve(path):
     assert linalg_solves(path.read_text()) == []
 
 
+def test_the_implicit_route_makes_no_lapack_solve():
+    # the generated implicit step factors its block-eliminated Newton
+    # matrix in float code: its source calls no solve, and dynamics, once
+    # the caller of ``model._solve`` for that step, names it nowhere
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "_solve" not in names
+    for n in (1, 2, 3):
+        assert "solve" not in dynamics._implicit_step_source(n)
+
+
 def test_the_command_line_imports_no_scipy():
     # a fresh process: the test session itself may have SciPy loaded
     probe = ("import sys, dirac_thermo.cli; "
@@ -146,7 +160,7 @@ def test_the_fast_and_strict_kernels_share_one_code_object(kind):
     # cached per (model, kind)
     model = fused_model(kind)
     builds = {"work": dynamics._build_work, "residual": dynamics._build_residual,
-              "jacobian": dynamics._build_jacobian}
+              "implicit-step": dynamics._build_implicit_step}
     if not model.degenerate:
         builds.update(fiber=legendre._build_fiber, momentum=dynamics._build_momentum)
     for name, build in builds.items():
