@@ -34,15 +34,13 @@ trace, answers before that and every state the fast one hands over,
 with the same bits, and raises the errors.
 
 :func:`integrate_explicit` steps tuples of floats with numpy's bits.
-After a run's first rate, each RK4 step is one call of a generated
-step (``_step_source``), one per explicit route, n and regime. It
-inlines four bodies of the route's work kernel, from the same source
-builders (``_work_parts``, ``_momentum_parts``), and is bound fast
-only. Where it hands over (a guard failed, or the next state is not
-finite), that one step reruns on the per-rate path: the field's rate
-at each stage and at the next state. There the field keeps the last
-rate's work, which the next state's stored row and diagnostics read
-by identity, and seeds each fiber solve with the rate before it.
+After the work at a run's first state, each RK4 step is one call of a
+generated step (``_step_source``), one per explicit route, n and
+regime. It inlines four bodies of the route's work kernel, from the
+same source builders (``_work_parts``, ``_momentum_parts``), and seeds
+each fiber solve with the rate before it. It is bound fast and strict,
+as the implicit step is: a step that the fast binding hands over
+reruns on the strict one from the same state.
 
 One assembly (``_solution_data``) writes the (state, tangent, covector)
 rows of any arena from a work record: P's rows at the arena's slots,
@@ -92,7 +90,6 @@ from .model import (
     _arena_layout,
     _as_array,
     _bind,
-    _compiled,
     _dot_source,
     _fused,
     _kernel_source,
@@ -166,12 +163,11 @@ class Trajectory:
     ``states`` is a record array over the (K, d) arena rows in the
     arena's flat order, a field per coordinate group: ``states.q`` is
     the (K, n) configuration block, ``states.S`` the entropy column and
-    ``states[k].p`` one momentum. A run of a plain callable has no arena
-    and stores its flat (K, d) vectors as they are. ``rates`` is (K, c),
-    the integrator's rate at each stored state in its own chart (which
-    can be smaller than the arena). ``diagnostics`` is a record array
-    with the fields of :class:`DiagnosticsRecord` (``diagnostics.energy``,
-    ``diagnostics[k].dirac_residual``), empty for a plain callable.
+    ``states[k].p`` one momentum. ``rates`` is (K, c), the integrator's
+    rate at each stored state in its own chart (which can be smaller
+    than the arena). ``diagnostics`` is a record array with the fields
+    of :class:`DiagnosticsRecord` (``diagnostics.energy``,
+    ``diagnostics[k].dirac_residual``).
     ``completed`` is False when the run aborted on a non-finite state;
     every array then holds the states stored up to that point.
     """
@@ -256,7 +252,7 @@ def _stored(h, k, arena, n, states, rates, diagnostics, kept, completed) -> Traj
         _flush(arena, n, states, rates, diagnostics, kept, k)
     return Trajectory(
         times=np.arange(k) * h,
-        states=_records(states[:k], _arena_dtype(arena, n)) if arena else states[:k],
+        states=_records(states[:k], _arena_dtype(arena, n)),
         rates=rates[:k],
         diagnostics=_records(diagnostics[:k], _DIAGNOSTICS),
         arena=arena,
@@ -456,11 +452,15 @@ def _lagrangian_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
 
 def _evaluate(model: SimpleThermoModel, kind: str, build: Callable, args: tuple):
     """The model's fused kernel of ``kind`` at ``args``: the fast
-    binding's answer, compiled here once its replays are traced, else
-    the strict binding's."""
+    binding's answer, else the strict binding's. The fast binding is
+    compiled here once its replays are traced, which a strict answer
+    may have just done."""
     kernel = _fused(model, kind, build)
     out = None if kernel is None else kernel(*args)
-    return _fused(model, kind, build, strict=True)(*args) if out is None else out
+    if out is None:
+        out = _fused(model, kind, build, strict=True)(*args)
+        _fused(model, kind, build)
+    return out
 
 
 def _momentum_parts(n: int) -> tuple:
@@ -633,20 +633,18 @@ def solution_pair_N_hamiltonian(
 @dataclass(frozen=True)
 class ExplicitField:
     """A flat-chart right-hand side over a model with n configuration
-    coordinates, plus what the integrator needs to store per step:
-    ``to_point(y, r)`` is the arena's flat row at the chart state y with
-    rate r, ``work(y)`` the work record at y (the last rate's, when y is
-    its state), ``diagnostics(y, r)`` a :class:`DiagnosticsRecord` that
+    coordinates: ``work(y)`` is the work record at the chart state y,
+    ``rate(y)`` its rate (a tuple for a tuple of floats y, else an
+    array), ``diagnostics(y, r)`` a :class:`DiagnosticsRecord` that
     measures r against y's own work: the integrators' block pass on one
-    row, and ``step()`` the route's generated RK4 step for a run about to
-    start, or None where the model has none compiled. A tuple of floats
-    y gets tuples back, an array y arrays."""
+    row, and ``step(strict=False)`` the route's generated RK4 step for
+    the field's model (:func:`_step_source`): its fast binding, None
+    until its jets are traced, or with ``strict`` its strict one."""
 
     arena: str
     n: int
     dim: int
     rate: Callable
-    to_point: Callable
     work: Callable
     diagnostics: Callable
     step: Callable
@@ -680,84 +678,37 @@ def _row(t, w):
     return t
 
 
-def _explicit_field(arena: str, n: int, dim: int, evaluate, fused_step) -> ExplicitField:
-    """An :class:`ExplicitField` from ``evaluate(t, seed)``, the work
-    record at the chart state t given the rate evaluated before it (None
-    before the first), and ``fused_step()``, the route's generated RK4
-    step for the field's model (:func:`_step_source`), or None.
-
-    The last rate's state, work and rate are kept. Outside the generated
-    step, the integrator hands the rate, the stored row and the kept
-    work the same tuple, so the two read that work, matched by identity:
-    a tuple cannot change, and equal floats are not equal bits
-    (-0.0 == 0.0). Any other state, an array among them, is evaluated
-    afresh, seeded by the last rate, which stays. The last rate is also
-    that of the last generated step's next state, so a step that hands
-    over reruns on the per-rate path from its own state's rate."""
-    last = [None, None, None]  # the state the last rate evaluated, its work, the last rate
-
-    def work_at(y):
-        if y is last[0]:
-            return y, last[1]
-        t = _chart(y)
-        return t, evaluate(t, last[2])
+def _explicit_field(arena: str, n: int, dim: int, work, step) -> ExplicitField:
+    """An :class:`ExplicitField` from ``work(t)``, the work record at the
+    chart state t, a tuple of floats, and its ``step``."""
 
     def rate(y):
-        t = _chart(y)
-        last[1] = w = evaluate(t, last[2])
-        last[0], last[2] = t, w.rate
-        return w.rate if t is y else np.array(w.rate)
-
-    def to_point(y, r):
-        t, w = work_at(y)
-        row = _row(t, w)
-        return row if t is y else np.array(row)
+        r = work(_chart(y)).rate
+        return r if type(y) is tuple else np.array(r)
 
     def diagnostics(y, r):
-        t, w = work_at(y)
+        t = _chart(y)
+        w = work(t)
         rows = [_row(t, w)], [_chart(r)], [_kept(w)]
         return DiagnosticsRecord(*_diagnostics_block(arena, n, *map(np.array, rows))[0].tolist())
 
-    def step():
-        kernel = fused_step()
-        if kernel is None:
-            return None
-
-        def advance(y, r, half, h, sixth):
-            out = kernel(*y, *r, half, h, sixth)
-            if out is not None:
-                last[2] = out[1]
-            return out
-
-        return advance
-
-    return ExplicitField(arena=arena, n=n, dim=dim, rate=rate, to_point=to_point,
-                         work=lambda y: work_at(y)[1], diagnostics=diagnostics, step=step)
+    return ExplicitField(arena=arena, n=n, dim=dim, rate=rate, work=lambda y: work(_chart(y)),
+                         diagnostics=diagnostics, step=step)
 
 
 def hamilton_field_N(hmodel: HamiltonianModel) -> ExplicitField:
     """Momentum-side field over the flat chart (q, S, p), which is also
-    the arena row. Each fiber inversion starts from the inverted
-    velocity of the rate evaluated before it (from rest at the first),
-    and the seed moves the bits. The model's fused momentum kernel,
-    compiled at the field's first rate, gives the work where its guards
-    hold; its strict binding from the same seed otherwise."""
+    the arena row. Its work starts each fiber inversion from rest, and
+    so does a run's first state; the run's generated step starts each
+    one from the inverted velocity of the rate before it, and the seed
+    moves the bits."""
     model = hmodel.source
-    n = model.n
-    kernel = _fused(model, "momentum")  # compiled by an earlier call, else at the first rate
-    rest = (0.0,) * n
-
-    def evaluate(t: tuple, seed) -> _MomentumWork:
-        nonlocal kernel
-        args = (*t, *(rest if seed is None else seed[:n]))
-        work = None if kernel is None else kernel(*args)
-        if work is None:
-            work = _fused(model, "momentum", _build_momentum, strict=True)(*args)
-            kernel = _fused(model, "momentum", _build_momentum)
-        return work
-
-    return _explicit_field("N", n, 2 * n + 1, evaluate,
-                           lambda: _fused(model, "momentum-step", _build_momentum_step))
+    rest = (0.0,) * model.n
+    return _explicit_field(
+        "N", model.n, 2 * model.n + 1,
+        lambda t: _evaluate(model, "momentum", _build_momentum, (*t, *rest)),
+        lambda strict=False: _fused(model, "momentum-step", _build_momentum_step, strict),
+    )
 
 
 def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
@@ -765,19 +716,11 @@ def lagrangian_field(model: SimpleThermoModel) -> ExplicitField:
     models whose rate is algebraic (there y[n + 1 :] is empty and the
     state's velocity is the solved rate)."""
     n = model.n
-    kernel = _fused(model, "work")  # compiled by an earlier call, else at the first rate
-
-    def evaluate(t: tuple, seed) -> _LagrangianWork:
-        nonlocal kernel
-        args = (*t[:n], *t[n + 1 :], t[n])
-        work = None if kernel is None else kernel(*args)
-        if work is None:
-            work = _fused(model, "work", _build_work, strict=True)(*args)
-            kernel = _fused(model, "work", _build_work)
-        return work
-
-    dim = n + 1 if model.degenerate else 2 * n + 1
-    return _explicit_field("M", n, dim, evaluate, lambda: _fused(model, "work-step", _build_work_step))
+    return _explicit_field(
+        "M", n, n + 1 if model.degenerate else 2 * n + 1,
+        lambda t: _evaluate(model, "work", _build_work, (*t[:n], *t[n + 1 :], t[n])),
+        lambda strict=False: _fused(model, "work-step", _build_work_step, strict),
+    )
 
 
 def _stage(y: list, k: list, c: str) -> list:
@@ -790,25 +733,6 @@ def _advanced(y: list, r: list, k2: list, k3: list, k4: list) -> list:
     """The next RK4 state in source, per coordinate as numpy's elementwise
     ``y + sixth * (r + 2.0 * (k2 + k3) + k4)``."""
     return [f"{a} + sixth * (({b} + 2.0 * ({c} + {e})) + {g})" for a, b, c, e, g in zip(y, r, k2, k3, k4)]
-
-
-@lru_cache(maxsize=None)
-def _rk4(d: int) -> Callable:
-    """``rk4(f, y..., r..., half, h, sixth)``, the per-rate RK4 step of d
-    coordinates: the next state from the state y and its rate r, calling
-    f on each stage state, a tuple of floats, for its rate."""
-    y, r = [f"y{i}" for i in range(d)], [f"r{i}" for i in range(d)]
-    k2, k3, k4 = ([f"k{j}c{i}" for i in range(d)] for j in (2, 3, 4))
-    body = [
-        f"{', '.join(k2)}, = f({_tuple(_stage(y, r, 'half'))})",
-        f"{', '.join(k3)}, = f({_tuple(_stage(y, k2, 'half'))})",
-        f"{', '.join(k4)}, = f({_tuple(_stage(y, k3, 'h'))})",
-        f"return {_tuple(_advanced(y, r, k2, k3, k4))}",
-    ]
-    namespace = {}
-    exec(_compiled(f"def rk4(f, {', '.join(y + r)}, half, h, sixth):\n" + "".join(f"    {x}\n" for x in body)),
-         namespace)
-    return namespace["rk4"]
 
 
 # a string literal, or an identifier that is not an attribute name
@@ -834,11 +758,13 @@ def _step_source(arena: str, n: int, degenerate: bool) -> str:
     kernel (:func:`_work_parts`, :func:`_momentum_parts`). From the stored
     chart state y, its rate r and the step's half, h and sixth it gives
     the next state, its rate, its kept floats (:func:`_kept`) and its
-    arena row (:func:`_row`), or None where a guard fails or the next
-    state is not finite. It inlines four bodies of the work kernel with
-    per-stage locals: k2, k3, k4 and the next state's k1. Each stage
-    state is written per coordinate as :func:`_rk4` writes it, and on N
-    each fiber solve is seeded by the stage before it, k4 included."""
+    arena row (:func:`_row`); ``()`` where a coordinate of the next state
+    is not finite (the run stops), and None where a guard fails. It
+    inlines four bodies of the work kernel with per-stage locals: k2, k3,
+    k4 and the next state's k1. Each stage state and the next state are
+    written per coordinate in numpy's elementwise order (:func:`_stage`,
+    :func:`_advanced`), and on N each fiber solve is seeded by the stage
+    before it, k4 included."""
     params, chart, seed, body, work = _momentum_parts(n) if arena == "N" else _work_parts(n, degenerate)
     assigned, d = _assigned(params, body), len(chart)
     assert not assigned & set(chart), "a kernel body rebinds a chart coordinate"
@@ -867,89 +793,68 @@ def _step_source(arena: str, n: int, degenerate: bool) -> str:
     inline(3, state(3, _stage(y, rates[1], "half")))
     inline(4, state(4, _stage(y, rates[2], "h")))
     z = state(1, _advanced(y, *rates))
-    lines.append(f"if not _finite({' + '.join(z)}): return None")
+    lines.append(f"if not _finite({' + '.join(z)}) and not all(map(_finite, {_tuple(z)})): return ()")
     w = inline(1, z)
     lines.append(f"return {_tuple(z)}, {_tuple(w.rate)}, {_tuple(_kept(w))}, {_tuple(_row(z, w))}")
     return _kernel_source(y + r + ["half", "h", "sixth"], lines)
 
 
-def integrate_explicit(field, initial, t_end: float, h: float) -> Trajectory:
+def integrate_explicit(field: ExplicitField, initial, t_end: float, h: float) -> Trajectory:
     """Classical fixed-step fourth-order integration of an explicit field.
 
-    ``field`` is an :class:`ExplicitField` or a plain callable on flat
-    vectors (then the flat vectors are stored and diagnostics are
-    skipped). The step count is t_end/h rounded to nearest; diagnostics
-    are recorded at every stored state, including the initial one. A
+    The step count is t_end/h rounded to nearest; diagnostics are
+    recorded at every stored state, including the initial one. A
     non-finite state aborts and returns the partial trajectory with
     ``completed=False``, every stored row with its diagnostics.
 
-    The states and stages are tuples of floats, and each stage takes
-    one IEEE operation per coordinate in the order of numpy's
-    elementwise ``y + sixth * (r + 2.0 * (k2 + k3) + k4)``, so the bits
-    are numpy's. The field's rate is called at the first state. Each
-    step after it is one call of the route's generated step
-    (:func:`_step_source`), which gives the next state with its rate,
-    stored row and kept floats. Where it answers None (a guard failed,
-    or the next state is not finite), that step reruns on the per-rate
-    path (:func:`_rk4`) from the same state and seed: the field's rate at
-    each stage, then its rate, stored row and ``work`` at the next state,
-    read by identity. The per-rate path also serves a field with no
-    generated step and, on arrays behind an adapter, a plain callable.
-    The kept floats of the stored states (:func:`_kept`) wait until a
-    block pass turns ``_BLOCK`` of them, or the last ones, into
-    diagnostics rows.
+    The field's work is evaluated once, at the first state. Each step
+    is one call of the route's generated step (:func:`_step_source`),
+    which gives the next state with its rate, stored row and kept
+    floats, in tuples of floats whose stages take one IEEE operation
+    per coordinate in the order of numpy's elementwise
+    ``y + sixth * (r + 2.0 * (k2 + k3) + k4)``, so the bits are numpy's.
+    Its fast binding, compiled once the first work traced its jets,
+    answers where its guards hold; a step it hands over reruns from the
+    same state on the strict binding, which raises the errors. The kept
+    floats of the stored states (:func:`_kept`) wait until a block pass
+    turns ``_BLOCK`` of them, or the last ones, into diagnostics rows.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     y = np.asarray(initial, dtype=float)
-    if isinstance(field, ExplicitField):
-        if y.shape != (field.dim,):
-            raise DimensionMismatchError(
-                f"initial state must have {field.dim} coordinates, got {y.shape}"
-            )
-        f, steps, kept = field.rate, field.step, []
-        arena, n, d = field.arena, field.n, arena_dim(field.arena, field.n)
-
-        def recorded(t, r):
-            return field.to_point(t, r), _kept(field.work(t))
-    else:
-        f = lambda t: tuple(np.asarray(field(np.array(t)), dtype=float).tolist())
-        steps, kept = (lambda: None), None
-        arena, n, d = "", 0, y.size
-
-        def recorded(t, r):
-            return t, None
+    if y.shape != (field.dim,):
+        raise DimensionMismatchError(
+            f"initial state must have {field.dim} coordinates, got {y.shape}"
+        )
+    arena, n = field.arena, field.n
     K = max(1, int(round(t_end / h))) + 1
-    states, rates = np.empty((K, d)), np.empty((K, y.size))
-    diagnostics = np.empty((0 if kept is None else K, len(_DIAGNOSTICS)))
+    states, rates = np.empty((K, arena_dim(arena, n))), np.empty((K, field.dim))
+    diagnostics = np.empty((K, len(_DIAGNOSTICS)))
     half = 0.5 * h
     sixth = h / 6.0
-    rk4 = _rk4(y.size)
     y = tuple(y.tolist())
-    r = f(y)
-    row, floats = recorded(y, r)
-    step = steps()  # after the first rate, which traced the jets
+    w = field.work(y)
+    r, floats, row = w.rate, _kept(w), _row(y, w)
+    step = field.step()  # once the first work traced its jets
+    kept = []
     k = 0
     while True:
         states[k], rates[k] = row, r
+        kept.append(floats)
         k += 1
-        if kept is not None:
-            kept.append(floats)
-            if len(kept) == _BLOCK:
-                _flush(arena, n, states, rates, diagnostics, kept, k)
+        if len(kept) == _BLOCK:
+            _flush(arena, n, states, rates, diagnostics, kept, k)
         if k == K:
             break
-        out = None if step is None else step(y, r, half, h, sixth)
-        if out is not None:
-            y, r, floats, row = out
-            continue
-        y = rk4(f, *y, *r, half, h, sixth)
-        if not all(map(math.isfinite, y)):
+        out = None if step is None else step(*y, *r, half, h, sixth)
+        if out is None:
+            out = field.step(strict=True)(*y, *r, half, h, sixth)
+            step = field.step()
+        if not out:
             break
-        r = f(y)
-        row, floats = recorded(y, r)
+        y, r, floats, row = out
     return _stored(h, k, arena, n, states, rates, diagnostics, kept, completed=k == K)
 
 

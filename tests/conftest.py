@@ -4,9 +4,10 @@ models whose fused kernels make the small-algebra numpy calls, the
 first-order dual numbers that are the reference for the jets' first
 partials, the per-evaluator paths that are the reference for the fused
 kernels, the per-state diagnostics record that is the reference for
-the integrators' block pass, and the numpy Newton loop over the full
+the integrators' block pass, the numpy Newton loop over the full
 Jacobian that is the reference for the implicit route's generated
-step."""
+step, and the per-rate RK4 step that is the reference for the
+explicit routes' generated step."""
 
 import math
 from collections import Counter
@@ -34,6 +35,7 @@ from dirac_thermo.model import (
     _FUSED_GLOBALS,
     ArenaPoint,
     SimpleThermoModel,
+    _arena_dtype,
     _arena_layout,
     _as_array,
     _covector_jet,
@@ -42,6 +44,7 @@ from dirac_thermo.model import (
     _lagrangian_first_order,
     _lagrangian_hessian,
     _momentum_rate_from,
+    _records,
     _solve,
     external_value,
     friction_value,
@@ -661,11 +664,13 @@ def per_evaluator():
     """Within the block no fast binding is found or compiled, and each
     strict binding is the reference above: every entry point takes the
     per-evaluator path. The fiber's whole Newton loop stands in for its
-    iterate, and the numpy loop's step (:func:`implicit_reference_step`)
-    for the implicit route's generated step. The reference functions are looked up at each call, so that
-    a test may patch them on this module, and they run with numpy's
-    floating-point warnings off: the kernels' float code, whose values
-    they must have, makes none."""
+    iterate, the numpy loop's step (:func:`implicit_reference_step`) for
+    the implicit route's generated step, and the per-rate RK4 step
+    (:func:`explicit_reference_answer`) for the explicit routes'. The
+    reference functions are looked up at each call, so that a test may
+    patch them on this module, and they run with numpy's floating-point
+    warnings off: the kernels' float code, whose values they must have,
+    makes none."""
 
     def quiet(compute):
         with np.errstate(all="ignore"):
@@ -682,6 +687,8 @@ def per_evaluator():
             "residual": lambda *a: quiet(lambda: _per_evaluator_residual(
                 model, np.array(a[:d]), np.array(a[d:]))),
             "implicit-step": lambda *a: quiet(lambda: implicit_reference_step(model, a[:d], a[d : 2 * d], a[-1])),
+            "work-step": lambda *a: quiet(lambda: explicit_reference_answer(explicit_work(model, "M"), a)),
+            "momentum-step": lambda *a: quiet(lambda: explicit_reference_answer(explicit_work(model, "N"), a)),
             "fiber": lambda *a: quiet(lambda: _per_evaluator_solve(model, *a)),
         }[kind]
 
@@ -837,3 +844,74 @@ def implicit_reference(model, initial: ArenaPoint, t_end: float, h: float) -> dt
         rates.append(rate)
         records.append(implicit_record(n, x, rate, *kept))
     return stored(True)
+
+
+# --- the reference for the explicit routes' RK4 step ----------------------
+#
+# integrate_explicit one rate at a time, as it stepped before its
+# generated step became its one path: the per-evaluator work at each
+# stage state, seeded on N by the rate before it, numpy's elementwise
+# stages and next state, and the next state's work for its rate, stored
+# row and record. The library's generated step must give its bits,
+# errors and partial runs.
+
+
+def explicit_work(model, arena: str):
+    """``work(t, seed)``: the per-evaluator work record at the chart
+    state t, a tuple, on the velocity side (M) or the momentum side (N),
+    where the fiber inversion starts at the velocity of the rate
+    ``seed``."""
+    n = model.n
+    if arena == "M":
+        return lambda t, seed: _per_evaluator_work(model, t[:n], t[n + 1 :], t[n])
+    hmodel = HamiltonianModel(model)
+    return lambda t, seed: _momentum_work(hmodel, t[:n], t[n], t[n + 1 :], v0=seed[:n])
+
+
+def explicit_reference_step(work, y, r, half: float, h: float, sixth: float):
+    """(z, w): one RK4 step from the chart state y with its rate r, the
+    next state z and its work w, or None for w where a coordinate of z
+    is not finite. Each stage's work is seeded by the rate before it."""
+    y, k1 = np.array(y), np.array(r)
+    k2 = np.array(work(tuple((y + half * k1).tolist()), r).rate)
+    k3 = np.array(work(tuple((y + half * k2).tolist()), tuple(k2.tolist())).rate)
+    k4 = np.array(work(tuple((y + h * k3).tolist()), tuple(k3.tolist())).rate)
+    z = tuple((y + sixth * (k1 + 2.0 * (k2 + k3) + k4)).tolist())
+    return z, (work(z, tuple(k4.tolist())) if all(map(math.isfinite, z)) else None)
+
+
+def explicit_reference_answer(work, args):
+    """:func:`explicit_reference_step` at the generated step's arguments
+    (y..., r..., half, h, sixth), with its answers
+    (``dynamics._step_source``): (next state, its rate, kept floats,
+    stored row), or ``()`` where the run stops."""
+    d = (len(args) - 3) // 2
+    z, w = explicit_reference_step(work, args[:d], args[d : 2 * d], *args[2 * d :])
+    return () if w is None else (z, w.rate, dynamics._kept(w), dynamics._row(z, w))
+
+
+def explicit_reference(model, route: str, initial, t_end: float, h: float) -> dt.Trajectory:
+    """The explicit route from the chart state ``initial`` as the
+    per-rate loop, a trajectory whose diagnostics rows are each its
+    state's own record."""
+    arena, record = ("M", lagrangian_record) if route == "lagrangian" else ("N", hamilton_record)
+    n, work = model.n, explicit_work(model, arena)
+    K = max(1, int(round(t_end / h))) + 1
+    y = tuple(np.asarray(initial, dtype=float).tolist())
+    w = work(y, (0.0,) * len(y))  # the first fiber solve starts from rest
+    states, rates, records = [], [], []
+    with np.errstate(all="ignore"):
+        while True:
+            states.append(dynamics._row(y, w))
+            rates.append(w.rate)
+            records.append(record(n, y, w.rate, w))
+            if len(states) == K:
+                break
+            y, w = explicit_reference_step(work, y, w.rate, 0.5 * h, h, h / 6.0)
+            if w is None:
+                break
+    return dt.Trajectory(
+        times=np.arange(len(states)) * h, states=_records(np.array(states), _arena_dtype(arena, n)),
+        rates=np.array(rates), diagnostics=_records(np.array(records), dynamics._DIAGNOSTICS),
+        arena=arena, completed=len(states) == K,
+    )

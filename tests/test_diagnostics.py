@@ -5,8 +5,6 @@ that aborts mid-block, a vanishing entropy slope and off-rate records.
 Also the bit rule the block pass rests on (stacked ``np.matmul`` gives
 each row the bits of its own product) and its memory bound."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +16,7 @@ from dirac_thermo.dynamics import _BLOCK, _dots, DiagnosticsRecord
 from dirac_thermo.model import _dot
 
 from conftest import (
+    explicit_reference,
     hamilton_record,
     implicit_reference,
     lagrangian_record,
@@ -55,36 +54,14 @@ def start_of(model, route, q, v, S):
     return np.concatenate([q, [S], dt.momentum_map(model, q, v, S)])
 
 
-def explicit_run(model, route, y0, t_end, h):
-    """(run, seen, record): a run of the route with its generated step,
-    the (chart state, work) of each stored state as the per-rate path
-    read them in a run with the step switched off, which has the run's
-    bits, and the route's per-state record."""
-    field, record = field_of(model, route)
-    seen = []
-
-    def work(y):
-        w = field.work(y)
-        seen.append((y, w))
-        return w
-
-    per_rate = dt.integrate_explicit(dataclasses.replace(field, work=work, step=lambda: None), y0, t_end, h)
+def assert_explicit_parity(model, route, y0, t_end, h):
+    """A run of the route with the bits of conftest's per-rate loop, whose
+    diagnostics rows are each its stored state's own record."""
     run = dt.integrate_explicit(field_of(model, route)[0], y0, t_end, h)
-    assert run.completed == per_rate.completed
+    want = explicit_reference(model, route, y0, t_end, h)
+    assert run.completed == want.completed
     for name in ("times", "states", "rates", "diagnostics"):
-        assert getattr(run, name).tobytes() == getattr(per_rate, name).tobytes(), name
-    return run, seen, record
-
-
-def explicit_reference(run, seen, record, n) -> np.ndarray:
-    return np.array([record(n, t, tuple(r.tolist()), w) for (t, w), r in zip(seen, run.rates)])
-
-
-def assert_explicit_parity(model, route, y0, states):
-    run, seen, record = explicit_run(model, route, y0, (states - 1) * H, H)
-    assert len(seen) == len(run.times)
-    want = explicit_reference(run, seen, record, model.n)
-    assert rows(run.diagnostics).tobytes() == want.tobytes()
+        assert getattr(run, name).tobytes() == getattr(want, name).tobytes(), name
     return run
 
 
@@ -103,7 +80,7 @@ class TestBlockParity:
     def test_explicit_runs_have_the_per_state_bits(self, kind, route, seed, states):
         model = MODELS[kind]
         q, v, S = sample_states(model, 1, seed=seed)[0]
-        run = assert_explicit_parity(model, route, start_of(model, route, q, v, S), states)
+        run = assert_explicit_parity(model, route, start_of(model, route, q, v, S), (states - 1) * H, H)
         assert run.completed and len(run.times) == states
 
     @pytest.mark.parametrize("kind", ["piston", "reactions"])
@@ -127,18 +104,16 @@ class TestBlockParity:
     def test_a_run_aborted_mid_block_has_every_record(self):
         model = make_escaping()
         with np.errstate(over="ignore", invalid="ignore"):
-            run, seen, record = explicit_run(model, "lagrangian", np.array([1.0, 0.0, 0.0]), 4.0, 0.01)
-            want = explicit_reference(run, seen, record, 1)
+            run = assert_explicit_parity(model, "lagrangian", np.array([1.0, 0.0, 0.0]), 4.0, 0.01)
         K = len(run.times)
         assert not run.completed and _BLOCK < K < 2 * _BLOCK
-        assert len(seen) == len(run.diagnostics) == K
-        assert rows(run.diagnostics).tobytes() == want.tobytes()
+        assert len(run.diagnostics) == K
 
     @pytest.mark.parametrize("route", ["lagrangian", "hamilton-dirac-N"])
     def test_a_vanishing_entropy_slope_stays_infinite(self, route):
         model = make_oscillator()
         y0 = start_of(model, route, np.array([0.4]), np.array([0.2]), 0.0)
-        run = assert_explicit_parity(model, route, y0, _BLOCK + 1)
+        run = assert_explicit_parity(model, route, y0, _BLOCK * H, H)
         assert np.all(np.isinf(run.diagnostics.dirac_residual))
 
     @pytest.mark.parametrize("kind,route", CASES + [("oscillator", "lagrangian")])
@@ -155,17 +130,15 @@ class TestBlockParity:
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("kind", ["piston", "membrane", "stiffening"])
-    def test_a_record_leaves_the_fiber_seed(self, kind):
-        # each fiber inversion starts from the last rate's velocity; a
-        # record of another state evaluates it without becoming that rate
+    def test_a_fields_rate_reads_its_state_alone(self, kind):
+        # the field keeps no fiber seed: each inversion starts from rest,
+        # whatever the field evaluated before
         model = MODELS[kind]
         states = [tuple(start_of(model, "hamilton-dirac-N", q, v, S).tolist())
                   for q, v, S in sample_states(model, 3, seed=52)]
-        plain, diagnosed = (dt.hamilton_field_N(dt.build_hamiltonian_model(model)) for _ in range(2))
-        plain.rate(states[0])
-        diagnosed.rate(states[0])
-        diagnosed.diagnostics(states[1], diagnosed.rate(states[0]))
-        assert diagnosed.rate(states[2]) == plain.rate(states[2])
+        fresh, used = (dt.hamilton_field_N(dt.build_hamiltonian_model(model)) for _ in range(2))
+        used.diagnostics(states[1], used.rate(states[0]))
+        assert used.rate(states[2]) == fresh.rate(states[2])
 
 
 class TestBitRule:

@@ -25,15 +25,19 @@ import conftest
 from conftest import (
     callable_lam_piston,
     counted_numpy_calls,
+    explicit_reference,
     implicit_constants,
     implicit_reference,
     make_coupled_model,
     make_coupled_pair,
+    make_escaping,
     make_oscillator,
     make_stiffening,
     per_evaluator,
     sample_states,
 )
+
+UNIT_BOX = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
 
 
 class TestLagrangianField:
@@ -199,7 +203,7 @@ class TestEvaluationCounts:
             for _ in range(2):
                 r = field.rate(y)
                 calls.clear()
-                field.to_point(y, r)
+                field.work(y)
                 field.diagnostics(y, r)
                 assert calls["lagrangian"] == 0
                 y = y + 1e-3 * r
@@ -316,12 +320,12 @@ class TestRecordsMatchThePublicCheck:
 
 class TestExplicitIntegrator:
     def test_fourth_order_on_linear_flow(self):
-        # y' = -y from y0=1: exact flow is e^{-t}
-        field = lambda y: -y
+        # the unit oscillator from q = 1 at rest: exact flow is q = cos t
+        field = dt.lagrangian_field(make_oscillator())
         errs = []
         for h in (0.1, 0.05):
-            tr = dt.integrate_explicit(field, np.array([1.0]), 1.0, h)
-            errs.append(abs(tr.states[-1][0] - np.exp(-1.0)))
+            tr = dt.integrate_explicit(field, np.array([1.0, 0.0, 0.0]), 1.0, h)
+            errs.append(abs(tr.states.q[-1, 0] - np.cos(1.0)))
         ratio = errs[0] / errs[1]
         assert errs[1] < 1e-7
         assert 12.0 < ratio < 20.0, f"order-4 halving ratio {ratio:.2f}"
@@ -357,14 +361,6 @@ class TestExplicitIntegrator:
             assert off == dt.lagrangian_field(model).diagnostics(y, r + 0.01)
             assert off.dirac_residual > 5e-3, model.name
 
-    def test_the_last_rate_state_is_matched_by_identity(self, piston):
-        # -0.0 == 0.0, but each state's stored row keeps its own zero's sign
-        field = dt.lagrangian_field(piston)
-        y, twin = (1.0, 0.2, 0.0), (1.0, 0.2, -0.0)
-        r = field.rate(y)
-        assert field.to_point(y, r) == field.to_point(twin, r) == (1.0, 0.2, 0.0, 0.0)
-        assert not np.signbit(field.to_point(y, r)[2]) and np.signbit(field.to_point(twin, r)[2])
-
     @pytest.mark.parametrize("kind", ["piston", "membrane"])
     def test_hamilton_constraint_is_the_phenomenological_residual(self, kind, request):
         # the stored constraint is s Sdot - <F, v> at the inverted velocity,
@@ -393,24 +389,8 @@ class TestExplicitIntegrator:
                 assert not np.isfinite(field.diagnostics(y, rate).dirac_residual), field.arena
 
     def test_blowup_aborts_with_partial_trajectory(self):
-        field = lambda y: y * y  # finite-time escape
-        with np.errstate(over="ignore", invalid="ignore"):
-            tr = dt.integrate_explicit(field, np.array([1.0]), 2.0, 0.01)
-        assert not tr.completed
-        assert len(tr.states) < 201
-        # a real field: L = v^2/2 + q^4/4 escapes in finite time (t ~ 1.85
-        # from q = 1 at rest); written with products, because a float **
-        # overflow raises instead of giving inf
-        box = dt.DomainBox(
-            q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0
-        )
-        quartic = dt.SimpleThermoModel(
-            n=1,
-            lagrangian=lambda q, v, S: 0.5 * v[0] * v[0] + 0.25 * q[0] * q[0] * q[0] * q[0],
-            friction=lambda q, v, S: (0.0,),
-            domain_box=box,
-            name="quartic",
-        )
+        # L = v^2/2 + q^4/4 escapes in finite time (t ~ 1.85 from q = 1 at rest)
+        quartic = make_escaping()
         with np.errstate(over="ignore", invalid="ignore"):
             tr = dt.integrate_explicit(
                 dt.lagrangian_field(quartic), np.array([1.0, 0.0, 0.0]), 4.0, 0.01
@@ -427,16 +407,32 @@ class TestExplicitIntegrator:
         assert np.array_equal(rows[:, 0], tr.states.q[:, 0])
         assert np.array_equal(rows[:, 2], tr.states.v[:, 0])
 
-    def test_the_finite_check_reads_each_coordinate(self):
-        # 1e308 + 1e308 overflows, but no coordinate of the state does
-        tr = dt.integrate_explicit(lambda y: np.zeros(2), np.array([1e308, 1e308]), 0.05, 1e-2)
-        assert tr.completed and len(tr.times) == 6 and np.all(tr.states == 1e308)
-        # a NaN in one coordinate stops the run at the first state that holds it:
-        # the stages from the state at t = 0.05 cross 0.0525
-        nan_past = lambda y: np.array([1.0, np.nan if y[0] > 0.0525 else 0.0])
-        tr = dt.integrate_explicit(nan_past, np.zeros(2), 1.0, 1e-2)
+    def test_a_state_whose_sum_overflows_keeps_the_run_going(self, monkeypatch):
+        # a free particle at rest at q = S = 1e308: q + S overflows, but no
+        # coordinate of the next state does, and the fast step answers
+        model = dt.SimpleThermoModel(
+            n=1, lagrangian=lambda q, v, S: 0.5 * v[0] * v[0], friction=lambda q, v, S: (0.0,),
+            domain_box=UNIT_BOX, name="free",
+        )
+        steps = counted_strict_steps(monkeypatch)
+        tr = dt.integrate_route(model, "lagrangian", ([1e308], [0.0], 1e308), 0.05, 1e-2)
+        assert tr.completed and len(tr.times) == 6 and steps["strict"] == 0
+        assert np.all(tr.states.q == 1e308) and np.all(tr.states.S == 1e308) and np.all(tr.states.v == 0.0)
+
+    def test_a_nan_in_one_coordinate_stops_the_run(self):
+        # q moves at rate 1 and the temperature is NaN past q = 0.0525, so
+        # only the entropy rate is NaN there: the stages from the state at
+        # t = 0.05 cross it, and the run stops at the first state that
+        # holds the NaN, its S
+        def lagrangian(q, v, S):
+            return q[0] - S * (1.0 if q[0] < 0.0525 else math.nan)
+
+        model = dt.SimpleThermoModel(n=1, lagrangian=lagrangian, friction=lambda q, v, S: (-v[0],),
+                                     domain_box=UNIT_BOX, name="nan-past", degenerate=True)
+        tr = dt.integrate_route(model, "lagrangian", ([0.0], [0.0], 0.0), 1.0, 1e-2)
         assert not tr.completed and len(tr.times) == 6
-        assert np.all(np.isfinite(tr.states)) and np.all(np.isfinite(tr.rates))
+        assert np.all(np.isfinite(dt.trajectory_rows(tr))) and np.all(np.isfinite(tr.rates))
+        assert same_runs(tr, explicit_reference(model, "lagrangian", [0.0, 0.0], 1.0, 1e-2))
 
     def test_rejects_bad_steps_and_shapes(self, piston):
         field = dt.lagrangian_field(piston)
@@ -820,11 +816,12 @@ def compile_kernels(model):
     conftest._per_evaluator_residual(model, x, x)
     conftest._per_evaluator_jacobian(model, x, x, 1e-3, implicit_constants(n, 1e-3))
     kinds = {"work": dynamics._build_work, "residual": dynamics._build_residual,
-             "implicit-step": dynamics._build_implicit_step}
+             "implicit-step": dynamics._build_implicit_step, "work-step": dynamics._build_work_step}
     if not model.degenerate:
         conftest._per_evaluator_solve(model, np.array(q), np.array(v), S, np.array(v))
         kinds["fiber"] = legendre._build_fiber
         kinds["momentum"] = dynamics._build_momentum
+        kinds["momentum-step"] = dynamics._build_momentum_step
     for kind, build in kinds.items():
         assert _fused(model, kind, build) is not None, kind
     return model
@@ -930,22 +927,20 @@ def edgy(rng, size):
 
 
 def field_outputs(model, y):
-    """(rate, stored row, diagnostics record) of a fresh velocity-side field at y."""
+    """(rate, work record, diagnostics record) of a velocity-side field at y."""
     field = dt.lagrangian_field(model)
     r = field.rate(y)
-    return r, field.to_point(y, r), tuple(field.diagnostics(y, r))
+    return r, field.work(y), tuple(field.diagnostics(y, r))
 
 
 def hamilton_outputs(model, y, v):
-    """(rate, stored row, diagnostics record) of a fresh momentum-side
-    field at the tuple y = (q, S, p), as the integrator reads them, its
-    fiber inversion seeded at the velocity of a first rate on the fiber
-    through v."""
-    n = model.n
+    """(rate, work record, diagnostics record) of a momentum-side field
+    at the tuple y = (q, S, p), whose fiber inversion starts from rest,
+    and the work there from the seed v, as a step's stage reads it."""
     field = dt.hamilton_field_N(legendre.HamiltonianModel(model))
-    field.rate((*y[:n + 1], *dt.momentum_map(model, y[:n], v, y[n]).tolist()))
     r = field.rate(y)
-    return r, field.to_point(y, r), tuple(field.diagnostics(y, r))
+    seeded = dynamics._evaluate(model, "momentum", dynamics._build_momentum, (*y, *v))
+    return r, field.work(y), tuple(field.diagnostics(y, r)), seeded
 
 
 def step_outputs(model, x, rates, h):
@@ -1016,7 +1011,7 @@ _reference_runs = {}
 
 def reference_run(kind, route):
     """The per-evaluator path's run of the route from :func:`explicit_start`,
-    t_end = 0.2 at h = 1e-3: today's per-rate steps, computed once."""
+    t_end = 0.2 at h = 1e-3: the reference step throughout, computed once."""
     if (kind, route) not in _reference_runs:
         model = fused_model(kind)
         with per_evaluator():
@@ -1024,30 +1019,37 @@ def reference_run(kind, route):
     return _reference_runs[kind, route]
 
 
-def counted_per_rate_steps(monkeypatch) -> Counter:
-    """Counts of the RK4 steps that ``integrate_explicit`` runs on the
-    per-rate path from now on: those the generated step hands over, and
-    every step where there is none."""
-    calls, rk4 = Counter(), dynamics._rk4
+def counted_strict_steps(monkeypatch) -> Counter:
+    """Counts of the RK4 steps that the explicit routes run on the strict
+    binding of their generated step from now on: those the fast binding
+    hands over, and every step where there is none (under
+    ``per_evaluator()`` the reference step)."""
+    calls = Counter()
 
-    def counted(d):
-        step = rk4(d)
+    def counted_field(build):
+        def counted_build(arg):
+            field = build(arg)
 
-        def per_rate(*args):
-            calls["per-rate"] += 1
-            return step(*args)
+            def step(strict=False):
+                kernel = field.step(strict)
+                if not strict:
+                    return kernel
+                return lambda *args: calls.update(["strict"]) or kernel(*args)
 
-        return per_rate
+            return dataclasses.replace(field, step=step)
 
-    monkeypatch.setattr(dynamics, "_rk4", counted)
+        return counted_build
+
+    for name in ("lagrangian_field", "hamilton_field_N"):
+        monkeypatch.setattr(dynamics, name, counted_field(getattr(dynamics, name)))
     return calls
 
 
 def step_fails(monkeypatch, model, route, calls):
-    """The model's generated step on the route answers None at each of
-    its friction replays numbered in ``calls``, counted from 1 from now
-    on (1 is the first step's k2, 4 its next state's k1): the replay
-    answers None there."""
+    """The fast binding of the model's generated step on the route
+    answers None at each of its friction replays numbered in ``calls``,
+    counted from 1 from now on (1 is the first step's k2, 4 its next
+    state's k1): the replay answers None there."""
     if route == "lagrangian":
         step = _fused(model, "work-step", dynamics._build_work_step)
     else:
@@ -1201,7 +1203,6 @@ class TestFusedKernels:
         # stored rows and records read the rate's work. Each fiber solve
         # starts from the last rate's velocity, which moves stiffening's bits
         model = fused_model(kind)
-        n = model.n
         q, v, S = sample_states(model, 1, seed=43)[0]
         fallback = "_per_evaluator_work" if route == "lagrangian" else "_momentum_work"
         calls = Counter()
@@ -1232,60 +1233,52 @@ class TestFusedKernels:
             reference = dt.integrate_route(model, route, (q, v, S), 0.2, 1e-3)
         assert calls[fallback] == 4 * 200 + 1
         assert same_runs(run, reference)
-        if route == "lagrangian":  # the plain-callable loop over the public field
-            def plain(y):
-                qdot, vdot, Sdot = dt.vector_field_lagrangian(model, y[:n], y[n + 1:], y[n])
-                return np.concatenate([qdot, [Sdot], vdot])
-
-            flat = np.concatenate([q, [S], v])
-            loop = dt.integrate_explicit(plain, flat, 0.2, 1e-3)
-            chart = np.column_stack([run.states.q, run.states.S, run.states.v])
-            assert chart.tobytes() == loop.states.tobytes()
-            assert run.rates.tobytes() == loop.rates.tobytes()
+        # the reference loop, each diagnostics row its state's own record
+        start = np.concatenate([q, [S], v if route == "lagrangian" else dt.momentum_map(model, q, v, S)])
+        assert same_runs(run, explicit_reference(model, route, start, 0.2, 1e-3))
 
     @pytest.mark.parametrize("kind,route", EXPLICIT_RUNS)
     def test_whole_runs_take_the_generated_step_throughout(self, kind, route, monkeypatch):
-        # no step of a fused run hands over to the per-rate path, which
+        # no step of a fused run hands over to the strict binding, which
         # per_evaluator() takes at every step
         model, want = fused_model(kind), reference_run(kind, route)
-        steps = counted_per_rate_steps(monkeypatch)
+        steps = counted_strict_steps(monkeypatch)
         run = dt.integrate_route(model, route, explicit_start(model), 0.2, 1e-3)
-        assert run.completed and steps["per-rate"] == 0 and same_runs(run, want)
+        assert run.completed and steps["strict"] == 0 and same_runs(run, want)
         with per_evaluator():
             dt.integrate_route(model, route, explicit_start(model), 0.01, 1e-3)
-        assert steps["per-rate"] == 10  # the counter sees the per-rate path
+        assert steps["strict"] == 10  # the counter sees the strict steps
 
     @pytest.mark.parametrize("stage", [2, 3, 4, 1])
     @pytest.mark.parametrize("kind,route", HANDOVER_RUNS)
     def test_a_step_handed_over_keeps_the_bits(self, kind, route, stage, monkeypatch):
         # the generated steps 104 and 106 fail a guard at one of their
         # evaluations (k2, k3, k4 or the next state's k1): each reruns on
-        # the per-rate path from the same state and seed, and the run
+        # the strict binding from the same state and seed, and the run
         # keeps today's bits. On N the fiber seeds keep their chain, which
         # moves stiffening's bits there (a seed from rest, or from the
         # first state, would change them)
         model = fused_model(kind)
         want = reference_run(kind, route)
         step_fails(monkeypatch, model, route, [4 * (m - 1) + (stage - 1 or 4) for m in (104, 106)])
-        steps = counted_per_rate_steps(monkeypatch)
+        steps = counted_strict_steps(monkeypatch)
         run = dt.integrate_route(model, route, explicit_start(model), 0.2, 1e-3)
-        assert steps["per-rate"] == 2 and same_runs(run, want)
+        assert steps["strict"] == 2 and same_runs(run, want)
 
-    def test_a_non_finite_next_state_hands_over_and_stops_the_run(self, monkeypatch):
+    def test_a_non_finite_next_state_stops_the_run(self, monkeypatch):
         # a free particle of mass 1e-308 at v = 1e308 from near the largest
         # float: every stage state is finite, the next state's
         # 2.0 * (k2 + k3) overflows in q, and no kernel reads q, so only
-        # the step's check of the next state hands it over; the per-rate
-        # path stops the run there, as today
-        box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=-1.0, s_hi=1.0)
+        # the step's check of the next state sees it: the fast binding
+        # stops the run there, handing nothing over
         model = dt.SimpleThermoModel(
             n=1, lagrangian=lambda q, v, S: (0.5e-308 * v[0]) * v[0] - S,
-            friction=lambda q, v, S: (0.0,), domain_box=box, name="featherweight",
+            friction=lambda q, v, S: (0.0,), domain_box=UNIT_BOX, name="featherweight",
         )
         start = ([1.7e308], [1e308], 0.1)
-        steps = counted_per_rate_steps(monkeypatch)
+        steps = counted_strict_steps(monkeypatch)
         run = dt.integrate_route(model, "lagrangian", start, 0.01, 1e-3)
-        assert steps["per-rate"] == 1 and not run.completed and len(run.times) == 1
+        assert steps["strict"] == 0 and not run.completed and len(run.times) == 1
         assert _fused(model, "work-step") is not None
         with per_evaluator():
             assert same_runs(run, dt.integrate_route(model, "lagrangian", start, 0.01, 1e-3))
@@ -1293,13 +1286,13 @@ class TestFusedKernels:
     @pytest.mark.parametrize("route", ["lagrangian", "hamilton-dirac-N"])
     def test_a_strict_site_crossed_mid_run_keeps_its_error(self, route, monkeypatch):
         # the run reaches q = 1, where dL/dS turns positive: the generated
-        # step hands that step over, and the per-rate path's strict
-        # binding raises today's error
+        # step hands that step over, and its strict binding raises
+        # today's error
         model, start = make_hot(), ([0.95], [1.0], 0.5)
-        steps = counted_per_rate_steps(monkeypatch)
+        steps = counted_strict_steps(monkeypatch)
         with pytest.raises(dt.TemperatureSignError) as fused:
             dt.integrate_route(model, route, start, 0.2, 1e-3)
-        assert steps["per-rate"] == 1
+        assert steps["strict"] == 1
         with per_evaluator(), pytest.raises(dt.TemperatureSignError) as reference:
             dt.integrate_route(model, route, start, 0.2, 1e-3)
         assert str(fused.value) == str(reference.value)
@@ -1308,22 +1301,14 @@ class TestFusedKernels:
     def test_a_guard_crossed_mid_run_keeps_the_bits(self):
         # L's stiffness branches on the sign of q, a guard of its kernels;
         # the run starts at q > 0 and crosses q = 0, where the fused work
-        # kernel hands over to the per-evaluator path, and back
+        # kernel hands over to its strict binding, and back
         model = make_kinked()
         y0 = np.array([0.3, 0.1, -1.0])
         run = dt.integrate_explicit(dt.lagrangian_field(model), y0, 2.0, 1e-2)
         kernel = _fused(model, "work")
         assert kernel(0.3, -1.0, 0.1) is not None and kernel(-0.3, -1.0, 0.1) is None
         assert run.completed and run.states.q.min() < 0.0 < run.states.q.max()
-
-        def plain(y):
-            qdot, vdot, Sdot = dt.vector_field_lagrangian(model, y[:1], y[2:], y[1])
-            return np.concatenate([qdot, [Sdot], vdot])
-
-        reference = dt.integrate_explicit(plain, y0, 2.0, 1e-2)
-        chart = np.column_stack([run.states.q, run.states.S, run.states.v])
-        assert chart.tobytes() == reference.states.tobytes()
-        assert run.rates.tobytes() == reference.rates.tobytes()
+        assert same_runs(run, explicit_reference(model, "lagrangian", y0, 2.0, 1e-2))
         # the momentum side's fiber iterate meets the same guard
         start = ([0.3], [-1.0], 0.1)
         run = dt.integrate_route(model, "hamilton-dirac-N", start, 2.0, 1e-2)

@@ -160,9 +160,10 @@ def test_the_fast_and_strict_kernels_share_one_code_object(kind):
     # cached per (model, kind)
     model = fused_model(kind)
     builds = {"work": dynamics._build_work, "residual": dynamics._build_residual,
-              "implicit-step": dynamics._build_implicit_step}
+              "implicit-step": dynamics._build_implicit_step, "work-step": dynamics._build_work_step}
     if not model.degenerate:
-        builds.update(fiber=legendre._build_fiber, momentum=dynamics._build_momentum)
+        builds.update({"fiber": legendre._build_fiber, "momentum": dynamics._build_momentum,
+                       "momentum-step": dynamics._build_momentum_step})
     for name, build in builds.items():
         fast, strict = _fused(model, name), _fused(model, name, build, strict=True)
         assert fast is not None and strict is not fast, name
