@@ -52,6 +52,7 @@ from .model import (
     TangentCovectorPair,
     _arena_layout,
     _as_array,
+    _dots,
     arena_of_point,
     arena_slots,
     entropy_slope,
@@ -80,11 +81,12 @@ DEFAULT_MEMBERSHIP_TOL = 1e-9
 
 
 def variational_constraint_residual(model: SimpleThermoModel, q, v, S, dq, dS) -> float:
-    """dL/dS * dS - <F(q,v,S), dq>; zero exactly on admissible variations."""
+    """dL/dS * dS - <F(q,v,S), dq>; zero exactly on admissible variations.
+    The pairing adds its products left to right to 0.0 (``model._dots``)."""
     dq = _as_array(dq, model.n, "dq")
     s = entropy_slope(model, q, v, S)
     F = friction_value(model, q, v, S)
-    return float(s * float(dS) - F @ dq)
+    return float(s * float(dS) - _dots(F, dq))
 
 
 def phenomenological_constraint_residual(model: SimpleThermoModel, q, v, S, Sdot) -> float:
@@ -210,11 +212,12 @@ def _pontryagin_conditions(n: int, coef: float, F: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _arena_conditions(arena: str, n: int):
-    """(A0, Ac, AF) with the arena's condition matrix equal to
-    A0 + coef Ac + F @ AF, cut from the P stack once per (arena, n).
+    """(A0, Ac, AF, support) with the arena's condition matrix equal to
+    A0 + coef Ac + F AF, cut from the P stack once per (arena, n), and
+    the columns of AF (entries of the flat matrix) that hold a term of F.
 
     The stack is affine in (coef, F) and no entry holds more than one
-    term, so the sum reproduces each entry exactly.
+    term, so the sum reproduces each entry exactly. AF's zeros are +0.0.
     """
     slots, at = _arena_layout(arena, n)
     block = np.ix_(slots, np.concatenate([slots, 3 * n + 3 + slots]))
@@ -230,17 +233,25 @@ def _arena_conditions(arena: str, n: int):
     A0 = cut(0.0, np.zeros(n))
     Ac = cut(sign, np.zeros(n)) - A0
     AF = np.array([(cut(0.0, e) - A0).ravel() for e in np.eye(n)])
-    return A0, Ac, AF
+    return A0, Ac, AF, np.flatnonzero((AF != 0.0).any(axis=0))
 
 
 def _conditions(arena: str, n: int, coef, F: np.ndarray) -> np.ndarray:
     """The arena's condition matrix at the coefficient (entropy slope or
     temperature) ``coef`` and the friction covector ``F``; at K stacked
     coefficients (K,) and covectors (K, n), the K matrices (K, d, 2d),
-    each with the bits of its own (one vector-matrix product per row)."""
-    A0, Ac, AF = _arena_conditions(arena, n)
+    each with the bits of its own. F AF adds F's terms column by column
+    (``model._dots``). Off its support every term is F_j times +0.0, so
+    those entries share one sum per matrix, taken once."""
+    A0, Ac, AF, support = _arena_conditions(arena, n)
     coef, F = np.asarray(coef), np.asarray(F)
-    return A0 + coef[..., None, None] * Ac + (F[..., None, :] @ AF).reshape(coef.shape + A0.shape)
+    A = coef[..., None, None] * Ac
+    A += A0  # A0 + coef Ac: a sum's bits do not depend on its order
+    flat = A.reshape(coef.shape + AF.shape[1:])
+    held = flat[..., support] + _dots(F[..., None, :], AF[:, support].T)
+    A += _dots(F, np.zeros(n))[..., None, None]
+    flat[..., support] = held
+    return A
 
 
 def condition_matrix(arena: str, model: SimpleThermoModel, point) -> np.ndarray:
@@ -269,12 +280,13 @@ def dirac_membership(
 ) -> np.ndarray:
     """Stacked residual of the arena's conditions on the pair's (tangent,
     covector). Zero residual, up to tolerance, means the element belongs
-    to the induced subspace at the pair's base point."""
+    to the induced subspace at the pair's base point. Each row's products
+    are added column by column to 0.0 (``model._dots``)."""
     if pair.arena != arena:
         raise ArenaError(f"pair lives on arena {pair.arena!r}, membership asked for {arena!r}")
     pair = pair.validated(model.n)
     A = condition_matrix(arena, model, pair.base)
-    return A @ np.concatenate([pair.tangent, pair.covector])
+    return _dots(A, np.concatenate([pair.tangent, pair.covector]))
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ vector fields, the solution data and each field's rate and stored row
 read it. A fused kernel makes each record
 (``_work_source``, ``_momentum_source``): one straight-line function
 per model and n that calls L's and the forces' jets (the momentum side
-loops over the fiber iterate) and does the entropy-rate rule, an n = 1
-division and the outputs in float code, calling numpy only where its
-bits need it. The implicit residual and the fiber iterate have kernels
-of their own, and so does the implicit Euler step: one per model and n,
+loops over the fiber iterate) and does the entropy-rate rule, the
+momentum rate, the solve and the outputs in float code, its small
+linear algebra in one fixed order (``model._solve_source``). The
+implicit residual and the fiber iterate have kernels of their own, and
+so does the implicit Euler step: one per model and n,
 the whole Newton loop (``_implicit_step_source``), its Newton system
 eliminated by blocks to (n + 1) rows and factored in float code. Each
 source is the one statement of its math, bound twice
@@ -33,14 +34,15 @@ answers None where a guard fails; the strict binding, which needs no
 trace, answers before that and every state the fast one hands over,
 with the same bits, and raises the errors.
 
-:func:`integrate_explicit` steps tuples of floats with numpy's bits.
-After the work at a run's first state, each RK4 step is one call of a
-generated step (``_step_source``), one per explicit route, n and
-regime. It inlines four bodies of the route's work kernel, from the
-same source builders (``_work_parts``, ``_momentum_parts``), and seeds
-each fiber solve with the rate before it. It is bound fast and strict,
-as the implicit step is: a step that the fast binding hands over
-reruns on the strict one from the same state.
+:func:`integrate_explicit` steps tuples of floats, each coordinate
+with numpy's elementwise operations. After the work at a run's first
+state, each RK4 step is one call of a generated step
+(``_step_source``), one per explicit route, n and regime. It inlines
+four bodies of the route's work kernel, from the same source builders
+(``_work_parts``, ``_momentum_parts``), and seeds each fiber solve
+with the rate before it. It is bound fast and strict, as the implicit
+step is: a step that the fast binding hands over reruns on the strict
+one from the same state.
 
 One assembly (``_solution_data``) writes the (state, tangent, covector)
 rows of any arena from a work record: P's rows at the arena's slots,
@@ -54,10 +56,10 @@ state, rate and energy differential. The integrators keep, per stored
 state, the floats of its work that the row reads (``_kept``; on P the
 Lagrangian and the converged residual's entropy row and maximum), and
 every ``_BLOCK`` stored rows, and before they return, one stacked-numpy
-pass (``_diagnostics_block``) turns them into the rows. Stacked
-``np.matmul`` makes one BLAS call per row, the call a single state's
-``A @ z`` makes, so each row has the bits of its own. A field's
-``diagnostics(y, r)`` is that pass on one row.
+pass (``_diagnostics_block``) turns them into the rows. The pass adds
+every product column by column in the kernels' fixed order, exact IEEE
+arithmetic per element, so each row has the bits of its own on any CPU.
+A field's ``diagnostics(y, r)`` is that pass on one row.
 """
 
 from __future__ import annotations
@@ -91,12 +93,15 @@ from .model import (
     _as_array,
     _bind,
     _dot_source,
+    _dots,
+    _factor_source,
     _fused,
     _kernel_source,
-    _momentum_rate_from,
     _momentum_rate_source,
+    _momentum_rater,
     _records,
     _solve_source,
+    _substitute_source,
     _tuple,
     arena_dim,
     arena_slots,
@@ -180,15 +185,6 @@ class Trajectory:
     completed: bool = True
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise x @ y of two (K, n) blocks, each row with ``model._dot``'s
-    bits: 0.0 + x * y at n = 1, else one stacked matmul, which calls
-    BLAS ddot once per row as a single x @ y does."""
-    if x.shape[1] == 1:
-        return 0.0 + x[:, 0] * y[:, 0]
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
 def _diagnostics_block(arena: str, n: int, points, rates, kept) -> np.ndarray:
     """The (K, 5) diagnostics rows of K stored states on the arena from
     their arena rows ``points``, their rates and the floats ``kept`` of
@@ -201,7 +197,9 @@ def _diagnostics_block(arena: str, n: int, points, rates, kept) -> np.ndarray:
     on N the rate, then (dH/dq - external, dH/dS, v); it is infinite
     where the entropy slope vanishes or is not finite (T = 0 on N).
     The energy is <p, v> - L (plus lam W on P), the constraint
-    s Sdot - <F, v>."""
+    s Sdot - <F, v>. Every dot, momentum rate and matrix-vector product
+    is a column accumulation (``model._dots``) in the kernels' order, so
+    a row has the bits of the same sums in the kernels' float code."""
     K = len(points)
     S, Sdot, L = points[:, n], rates[:, n], kept[:, 0]
     with np.errstate(all="ignore"):  # a non-finite record is stored as it comes
@@ -218,7 +216,7 @@ def _diagnostics_block(arena: str, n: int, points, rates, kept) -> np.ndarray:
                 vdot = rates[:, n + 1 :] if rates.shape[1] > n + 1 else np.zeros((K, n))
                 if kept.shape[1] > 2 + 3 * n:  # L's velocity rows; none when degenerate
                     Lv = kept[:, 2 + 3 * n :].reshape(K, n, 2 * n + 1)
-                    pdot = (Lv @ np.column_stack([qdot, vdot, Sdot])[:, :, None])[:, :, 0]
+                    pdot = _dots(Lv, np.column_stack([qdot, vdot, Sdot])[:, None, :])
                 else:
                     pdot = np.zeros((K, n))
                 z = np.column_stack([qdot, Sdot, vdot, pdot, -dLdq - Fext, -s, p - p, v])
@@ -231,7 +229,7 @@ def _diagnostics_block(arena: str, n: int, points, rates, kept) -> np.ndarray:
                 coef = -s  # the momentum side reads T = -s
             energy = _dots(p, v) - L
             constraint = s * Sdot - _dots(F, v)
-            residual = np.abs((_conditions(arena, n, coef, F) @ z[:, :, None])[:, :, 0]).max(axis=1)
+            residual = np.abs(_dots(_conditions(arena, n, coef, F), z[:, None, :])).max(axis=1)
             residual[(s == 0.0) | ~np.isfinite(s)] = math.inf
         return np.column_stack([energy, S, Sdot, np.abs(constraint), residual])
 
@@ -361,12 +359,9 @@ def _work_parts(n: int, degenerate: bool) -> tuple:
     are the chart state's coordinates, in chart order (q, S, v); the
     ones that seed it, none here; its body lines up to its result; and
     that result as a :class:`_LagrangianWork` of source expressions, a
-    tuple field as a list of them. The momentum rate at vdot = 0 is zeros
-    by rule Z where each of its terms has a zero factor (always for a
-    kinetic term with a constant mass matrix), else the matmul; the solve
-    at n > 1 is b_i / A_ii by rule D where the matrix is diagonal and b
-    has no zero, else LAPACK's. See :func:`model._momentum_rate_source`
-    and :func:`model._solve_source`."""
+    tuple field as a list of them. The momentum rate at vdot = 0 and the
+    solve for vdot (for the rate, when degenerate) are the kernels' float
+    code (:func:`model._momentum_rate_source`, :func:`model._solve_source`)."""
     k = 2 * n + 1
     q, S = [f"a{i}" for i in range(n)], f"a{2 * n}"
     f, e, b = ([f"{x}{i}" for i in range(n)] for x in "feb")
@@ -563,7 +558,7 @@ def _solution_data(work: _LagrangianWork, q, v, S, rate, arena: str) -> np.ndarr
     degenerate model's momentum is identically zero, and so is its rate."""
     n = len(work.dLdq)
     qdot, Sdot, vdot = rate[:n], rate[n], rate[n + 1 :] or (0.0,) * n
-    pdot = (0.0,) * n if work.Lv is None else _momentum_rate_from(work.Lv, (*qdot, *vdot, Sdot)).tolist()
+    pdot = (0.0,) * n if work.Lv is None else _momentum_rater(n)(work.Lv, *qdot, *vdot, Sdot)
     rows = np.array([
         [*q, S, *v, Sdot, *work.dLdv, 0.0],
         [*qdot, Sdot, *vdot, 0.0, *pdot, 0.0],
@@ -945,14 +940,14 @@ def _reduced_source(n: int) -> list:
     Q{i} = F_i/h of p and lam, and those of dv, G{i}_{n + j}, which the
     right-hand side of each iterate reads (:func:`_increment_source`).
 
-    The matrix is factored by Gaussian elimination with partial
-    pivoting, the pivot the first row of largest magnitude, rows swapped
-    whole (multipliers included, p{c} the row swapped with row c) and
-    the multipliers stored in place; a zero pivot is the ``jacobian``
-    guard site (a singular Jacobian). A matrix that is not finite stops
-    the run. The entries of J have the operations of numpy's whole-array
-    rows (``tests/conftest.py``'s reference Jacobian), and the reduction
-    the operations of that file's ``reduced_solve`` on them."""
+    The matrix is factored in place by the kernels' elimination
+    (``model._factor_source``, p{c} the row swapped with row c); a zero
+    pivot is the ``jacobian`` guard site (a singular Jacobian). A matrix
+    that is not finite stops the run. The entries of J have the
+    operations of numpy's whole-array rows, <F, qdot>'s partials added
+    in the kernels' order (``tests/conftest.py``'s reference Jacobian),
+    and the reduction the operations of that file's ``reduced_solve`` on
+    them."""
     k, m = 2 * n + 1, n + 1
     S, lam = n, 3 * n + 2
 
@@ -962,7 +957,7 @@ def _reduced_source(n: int) -> list:
     def dF(i, j):
         return f"df[{n + i * k + j}]"
 
-    vm = [f"(0.0 + r0 * {dF(0, j)})" for j in range(k)] if n == 1 else [f"vm[{j}]" for j in range(k)]
+    vm = [_dot_source([f"r{i}" for i in range(n)], [dF(i, j) for i in range(n)]) for j in range(k)]
     args, size = _implicit_args(n), n * (k + 1)
     lines = [
         f"g = L2({args})", f"df = F1({args})", f"de = E1({args})",
@@ -971,7 +966,6 @@ def _reduced_source(n: int) -> list:
         f"sg = g[{k}]",
         f"ul = r{lam} - sg",
         *[f"t{i} = r{2 * n + 2 + i} - g[{1 + i}] - de[{i}] - df[{i}]" for i in range(n)],
-        *([] if n == 1 else [f"vm = _vector_matrix({_tuple(f'r{i}' for i in range(n))}, df[{n}:])"]),
     ]
     lines.append("P = sg / h")
     for i in range(n):  # the force-balance rows; -H_v is the momentum row's entry
@@ -986,36 +980,27 @@ def _reduced_source(n: int) -> list:
     for i in range(m):
         lines += [f"a{i}_{j} = G{i}_{j} + G{i}_{n + j} * hinv" for j in range(n)] + [f"a{i}_{n} = G{i}_{2 * n}"]
     lines.append(f"if not _finite({' + '.join(f'a{i}_{j}' for i in range(m) for j in range(m))}): return ()")
-    for c in range(m):
-        row = [f"a{c}_{j}" for j in range(m)]
-        if c < n:
-            lines.append(f"p{c}, big = {c}, abs(a{c}_{c})")
-            lines += [f"if abs(a{i}_{c}) > big: p{c}, big = {i}, abs(a{i}_{c})" for i in range(c + 1, m)]
-        for i in range(c + 1, m):
-            other = [f"a{i}_{j}" for j in range(m)]
-            lines.append(f"if p{c} == {i}: {', '.join(row + other)} = {', '.join(other + row)}")
-        lines.append(f"if a{c}_{c} == 0.0 and _fail('jacobian'): return None")
-        for i in range(c + 1, m):
-            lines.append(f"a{i}_{c} = a{i}_{c} / a{c}_{c}")
-            lines += [f"a{i}_{j} = a{i}_{j} - a{i}_{c} * a{c}_{j}" for j in range(c + 1, m)]
-    return lines
+    return lines + _factor_source(*_reduced_names(n), "_fail('jacobian')")
+
+
+def _reduced_names(n: int) -> tuple:
+    """(matrix, pivots): the names of the implicit step's factored
+    reduced matrix, a{i}_{j}, and of its row swaps, p{c}."""
+    return [[f"a{i}_{j}" for j in range(n + 1)] for i in range(n + 1)], [f"p{c}" for c in range(n)]
 
 
 def _increment_source(n: int) -> list:
     """Lines that take one Newton increment at the iterate x from its
     residual z with the factored reduced system of :func:`_reduced_source`:
-    its right-hand side, permuted as the rows were, forward and back
-    substitution (b{n} is dS), then dv, dW, dp and dlam substituted back,
-    and x minus the increment, coordinate by coordinate."""
+    its right-hand side, then ``model._substitute_source`` (b{n} is dS),
+    then dv, dW, dp and dlam substituted back, and x minus the
+    increment, coordinate by coordinate."""
     k, m = 2 * n + 1, n + 1
     rv = [f"z{2 * n + 2 + j}" for j in range(n)]
     lines = [f"b{i} = z{i} - P * z{n + 1 + i} - Q{i} * z{2 * n + 1}"
              + "".join(f" - G{i}_{n + j} * {v}" for j, v in enumerate(rv)) for i in range(n)]
     lines.append(f"b{n} = z{n}" + "".join(f" - G{n}_{n + j} * {v}" for j, v in enumerate(rv)))
-    lines += [f"if p{c} == {i}: b{c}, b{i} = b{i}, b{c}" for c in range(n) for i in range(c + 1, m)]
-    lines += [f"b{i} = b{i}" + "".join(f" - a{i}_{j} * b{j}" for j in range(i)) for i in range(1, m)]
-    lines += [f"b{i} = " + (f"(b{i}" + "".join(f" - a{i}_{j} * b{j}" for j in reversed(range(i + 1, m))) + ")"
-                            if i < n else f"b{i}") + f" / a{i}_{i}" for i in reversed(range(m))]
+    lines += _substitute_source(*_reduced_names(n), [f"b{i}" for i in range(m)])
     dv = [f"dv{j}" for j in range(n)]
     lines += [f"{x} = {v} + hinv * b{j}" for j, (x, v) in enumerate(zip(dv, rv))]
     lines.append(f"dW = z{3 * n + 2} + hinv * b{n}")

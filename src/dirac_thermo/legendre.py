@@ -25,8 +25,8 @@ from .model import (
     _jet_parts,
     _kernel_source,
     _lagrangian_first_order,
-    _solve,
     _solve_source,
+    _solver,
     _tuple,
     _velocity_jet,
     arena_of_point,
@@ -129,11 +129,9 @@ def _fiber_source(n: int) -> str:
     is within the tolerance, o the flat output of L's order-2 replay at
     (q, v, S), and (the next v, None) otherwise. A residual that is not
     finite, one above the tolerance with the limit, and a singular
-    velocity Hessian are guard sites. The Newton step at n > 1 is
-    r_i / L_vv[i][i] by rule D where the velocity Hessian is diagonal
-    and no r_i is zero, else LAPACK's solve (see
-    :func:`model._solve_source`). The inversion and the momentum-side
-    work kernel both loop over it."""
+    velocity Hessian are guard sites. The Newton step is the kernels'
+    float-code solve (:func:`model._solve_source`). The inversion and
+    the momentum-side work kernel both loop over it."""
     k = 2 * n + 1
     r, t = [f"r{i}" for i in range(n)], [f"t{i}" for i in range(n)]
     err = f"max({', '.join(f'abs({x})' for x in r)})" if n > 1 else f"abs({r[0]})"
@@ -196,12 +194,17 @@ def hamiltonian_S_derivative(model: SimpleThermoModel, q, p, S, v0=None) -> floa
     d2L/dv dS, and every term is kept. Exists so tests can compare an
     independent route against the shortcut in
     :func:`hamiltonian_partials`. Everything is read off the converged
-    fiber iterate's jet.
+    fiber iterate's jet. The sensitivity is the kernels' float-code
+    solve (``model._solver``); a singular velocity Hessian raises
+    LinAlgError.
     """
     n = model.n
     p = _as_array(p, n, "p")
     v, (_, _, dLdv, dLdS, Lv) = inverse_partial_legendre(model, q, p, S, v0=v0, with_jet=True)
-    dvdS = _solve(Lv[:, n : 2 * n], -Lv[:, 2 * n])
+    dvdS = _solver(n)(*Lv[:, n : 2 * n].ravel().tolist(), *(-Lv[:, 2 * n]).tolist())
+    if dvdS is None:
+        raise np.linalg.LinAlgError("singular matrix")
+    dvdS = np.array(dvdS)
     return float(p @ dvdS - dLdv @ dvdS - dLdS)
 
 

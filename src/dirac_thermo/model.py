@@ -35,7 +35,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1
 
 from . import duals
 from .errors import (
@@ -145,21 +144,6 @@ def _as_array(x, n: int, label: str) -> np.ndarray:
     return a
 
 
-def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with A x = b for a small n x n system, a division at n = 1, else
-    the LAPACK gufunc behind ``np.linalg.solve``, without its wrapper,
-    bit for bit. The gufunc flags a singular A as an invalid operation,
-    raised here as LinAlgError, never a RuntimeWarning; a NaN or inf A
-    gives NaN, as numpy's does."""
-    if A.shape[0] == 1 and A[0, 0] != 0.0:
-        return b / A[0, 0]
-    try:
-        with np.errstate(invalid="raise"):
-            return solve1(A, b)
-    except FloatingPointError:
-        raise np.linalg.LinAlgError("singular matrix") from None
-
-
 @dataclass(frozen=True)
 class DomainBox:
     """Per-coordinate sampling ranges used by property tests and checks."""
@@ -199,8 +183,8 @@ class SimpleThermoModel:
     per kind, model and n (the velocity-side work, the fiber iterate,
     the momentum-side work, the implicit residual, and the explicit
     routes' RK4 and the implicit route's Euler steps built from them),
-    that keeps the glue between the jets in float code with the bits of
-    the numpy operations it is written as. The first call that finds a
+    that keeps the glue between the jets in float code, its small linear
+    algebra in one fixed order. The first call that finds a
     kernel's jets traced compiles its fast binding over the replays;
     the strict binding over the jets themselves answers before that and
     at any state the fast one cannot answer exactly. That holds all
@@ -281,33 +265,35 @@ def _kernel_jet(evaluator: Callable, n: int, q, v, S, order: int):
 # A fused kernel is one straight-line function per (field, residual or
 # integration step, model, n), generated as source, the one statement of
 # its math: it calls the jets of the evaluators and does the glue between
-# them (the entropy-rate rule, an n = 1 division, the outputs) in float
-# code with the operations of numpy's elementwise code, so its bits are
-# numpy's. Where a numpy call has bits float code cannot give in general
-# (a BLAS matmul, an FMA chain; a solve at n > 1), the kernel makes that
-# call, behind two exact rules for its trivial cases: rule Z, a momentum
-# rate each of whose terms has a zero factor, is +0.0
-# (:func:`_momentum_rate_source`), and rule D, a diagonal solve with a
-# nonzero right-hand side, is b_i / A_ii (:func:`_solve_source`). The
-# implicit Euler step's Newton system has no numpy bits to keep: it is
-# eliminated by blocks and factored in float code, in one fixed order
-# (``dynamics._reduced_source``).
+# them in float code. The glue's elementwise steps take numpy's
+# elementwise operations, and its small linear algebra has one fixed
+# order, written out by the source builders below: a dot product adds
+# its products left to right to 0.0 (:func:`_dot_source`), a momentum
+# rate does so row by row over the slots that are not literal zeros
+# (:func:`_momentum_rate_source`), and a solve is Gaussian elimination
+# with partial pivoting, the pivot the first row of largest magnitude
+# (:func:`_factor_source`, :func:`_substitute_source`), with an exact
+# shortcut for a diagonal matrix (:func:`_solve_source`). The kernels
+# call no BLAS or LAPACK, so their answers are IEEE arithmetic in one
+# order, the same on any CPU. The implicit Euler step's reduced Newton
+# system is factored by the same pair (``dynamics._reduced_source``).
+# :func:`_solver` and :func:`_momentum_rater` compile the solve and the
+# momentum rate as plain functions for the code outside the kernels.
 #
 # Each source is compiled once and bound twice per model, into two
-# namespaces over one code object (``_FUSED_GLOBALS``, and
-# ``_STRICT_GLOBALS`` over it). A guard site of the source is a call
-# ``_fail(site, values...)``. The fast binding calls the compiled
-# replays of the jet kernels and answers None where a guard fails: a
-# replay that answered None, a value that is not a finite float, a zero
-# pivot, a slope of the wrong sign, a singular solve, the fiber's
-# iteration limit, any exception. The strict binding calls
-# :func:`_kernel_jet` where the fast one replays (:func:`_strict_replay`),
-# so it needs no trace; it makes the numpy call where a rule would
-# answer, lets NaN and inf through the finiteness guards as numpy does,
-# and raises the error of any other failed site (:func:`_strict_fail`,
-# the one place that says what a failed guard means). A caller takes
-# the fast binding's answer, and the strict binding's where there is
-# none: before the fast one is compiled and wherever it hands over.
+# namespaces over one code object (``_FUSED_GLOBALS``, and the strict
+# binding's ``_fail`` and ``_Caught`` over it). A guard site of the
+# source is a call ``_fail(site, values...)``. The fast binding calls
+# the compiled replays of the jet kernels and answers None where a guard
+# fails: a replay that answered None, a value that is not a finite
+# float, a zero pivot, a slope of the wrong sign, the fiber's iteration
+# limit, any exception. The strict binding calls :func:`_kernel_jet`
+# where the fast one replays (:func:`_strict_replay`), so it needs no
+# trace; it lets NaN and inf through the finiteness guards, and raises
+# the error of any other failed site (:func:`_strict_fail`, the one
+# place that says what a failed guard means). A caller takes the fast
+# binding's answer, and the strict binding's where there is none: before
+# the fast one is compiled and wherever it hands over.
 
 # per L evaluator: (kind, n, degenerate) -> (friction, external, [fast,
 # strict]), dropped with the evaluator
@@ -346,7 +332,7 @@ def _bind(model: SimpleThermoModel, source: str, replays: dict, strict: bool = F
     both bind the zeros that stand for it."""
     namespace = dict(_FUSED_GLOBALS, **names)
     if strict:
-        namespace.update(_STRICT_GLOBALS, _fail=_strict_fail(model.name))
+        namespace.update(_Caught=(), _fail=_strict_fail(model.name))
     for name, (evaluator, order) in replays.items():
         if evaluator == "external" and model.external is None:
             zeros = (0.0,) * (model.n * (2 * model.n + 2) if order else model.n)
@@ -377,16 +363,28 @@ def _strict_replay(model: SimpleThermoModel, evaluator: str, order: int) -> Call
     model's (evaluator, order) kernel: :func:`_kernel_jet` at the flat
     arguments (q..., v..., S), with its errors, flattened to the
     replay's tuple of Python floats (the values, the gradients, then the
-    Hessian row by row). The evaluator is held weakly, as the cache
-    holds L, unless it has no weak reference."""
+    Hessian row by row). Where the evaluator's traced replay answers
+    that tuple, floats of the kernel's length, it is handed through as
+    it is; anywhere else :func:`_kernel_jet` answers, or raises. The
+    evaluator is held weakly, as the cache holds L, unless it has no
+    weak reference."""
     n, f = model.n, getattr(model, evaluator)
     try:
         held = weakref.ref(f)
     except TypeError:
         held = lambda: f  # noqa: E731 -- nothing caches a kernel over this evaluator
     label = f"{evaluator} covector"
+    k = 2 * n + 1
+    size = (1 + k + (k * k if order == 2 else 0)) if evaluator == "lagrangian" else n * (1 + k * order)
 
     def replay(*args):
+        try:
+            out = _JET_KERNELS[held()][n, order][0].replay(*args)
+        except Exception:  # no kernel, an untraced one (no replay) or a replay that raised
+            out = None
+        # a complex entry (a negative base's power) makes the sum complex
+        if out is not None and len(out) == size and type(sum(out, 0.0)) is float:
+            return out
         q, v, S = args[:n], args[n : 2 * n], args[2 * n]
         if evaluator == "lagrangian":
             parts = _kernel_jet(held(), n, q, v, S, order)
@@ -466,72 +464,134 @@ def _tuple(items) -> str:
 
 
 def _dot_source(x: list, y: list) -> str:
-    """x @ y in kernel source: float code at length 1 (see :func:`_dot`)."""
-    return f"(0.0 + {x[0]} * {y[0]})" if len(x) == 1 else f"_dot({_tuple(x)}, {_tuple(y)})"
-
-
-def _solve_source(A: list, b: list, out: list, fail: str) -> list:
-    """Lines setting ``out`` to :func:`_solve` of the row-major matrix
-    ``A`` and ``b``; ``fail`` is the guard site (a ``_fail`` call) of a
-    singular A: a zero pivot at n = 1, a singular LAPACK solve at n > 1.
-
-    At n > 1, rule D: where every off-diagonal entry is == 0.0, every
-    diagonal entry and every b_i != 0.0, out_i = b_i / A_ii, LAPACK's
-    bits. Partial pivoting makes no swap, the multipliers and U's
-    off-diagonal entries are signed zeros, forward substitution leaves a
-    nonzero b_i as it is and back substitution divides. A zero b_i would
-    take the zeros' signs, so it, like any other matrix, goes to the
-    LAPACK call. A quotient that is not finite fails the kernels'
-    ``_finite`` guard on either branch. ``TestSmallSolveRules`` holds the
-    rule to :func:`_solve` bit for bit."""
-    n = len(b)
-    if n == 1:
-        return [f"if {A[0]} == 0.0 and {fail}: return None", f"{out[0]} = {b[0]} / {A[0]}"]
-    diagonal = [A[i * n + i] for i in range(n)]
-    rule = " and ".join(
-        [f"{A[i * n + j]} == 0.0" for i in range(n) for j in range(n) if i != j]
-        + [f"{x} != 0.0" for x in diagonal + b]
-    )
-    return [
-        f"if _rules and {rule}: solved = {_tuple(f'{x} / {a}' for x, a in zip(b, diagonal))}",
-        f"else: solved = _solve_rows({_tuple(A)}, {_tuple(b)})",
-        f"if solved is None and {fail}: return None",
-        f"{', '.join(out)}, = solved",
-    ]
+    """<x, y> in kernel source: the products added left to right to 0.0,
+    which turns a lone -0.0 product into +0.0."""
+    return "(0.0" + "".join(f" + {a} * {b}" for a, b in zip(x, y)) + ")"
 
 
 def _momentum_rate_source(o: str, start: int, rates: list, out: list) -> list:
-    """Lines setting ``out`` to :func:`_momentum_rate_from` of L's velocity
-    rows, ``o[start:]`` row after row, and ``rates``, where a rate given
-    as the literal ``0.0`` (the vdot slots at vdot = 0) is a zero factor.
+    """Lines setting ``out`` to the momentum rate L_vq qdot + L_vv vdot +
+    L_vS Sdot of L's velocity rows, ``o[start:]`` row after row, and
+    ``rates`` (qdot..., vdot..., Sdot): each row's products added left to
+    right to +0.0, a rate given as the literal ``0.0`` (the vdot slots
+    at vdot = 0) left out."""
+    c = len(rates)
+    return [f"{x} = 0.0" + "".join(f" + {o}[{start + i * c + j}] * {r}" for j, r in enumerate(rates) if r != "0.0")
+            for i, x in enumerate(out)]
 
-    Rule Z: where every term L_v[i][j] rate[j] has a factor == 0.0 and
-    every factor is finite, out is +0.0 throughout, numpy's bits: BLAS
-    accumulates from +0.0, and +0.0 + (+-0.0) is +0.0 in round to
-    nearest. Any other rows take the whole matmul; no row is split out
-    of it. ``TestSmallSolveRules`` holds the rule to the matmul bit for bit."""
-    c, named = len(rates), [j for j, x in enumerate(rates) if x != "0.0"]
+
+def _factor_source(a: list, pivots: list, fail: str) -> list:
+    """Lines that factor the square matrix held in the local names
+    ``a[i][j]`` in place by Gaussian elimination with partial pivoting:
+    the pivot is the first row of largest magnitude, rows are swapped
+    whole (multipliers included, ``pivots[c]`` the row swapped with row
+    c) and the multipliers are stored below the diagonal. ``fail`` is the
+    guard site (a ``_fail`` call) of a zero pivot, a singular matrix."""
+    m, lines = len(a), []
+    for c in range(m):
+        if c < m - 1:
+            lines.append(f"{pivots[c]}, big = {c}, abs({a[c][c]})")
+            lines += [f"if abs({a[i][c]}) > big: {pivots[c]}, big = {i}, abs({a[i][c]})" for i in range(c + 1, m)]
+        for i in range(c + 1, m):
+            lines.append(f"if {pivots[c]} == {i}: {', '.join(a[c] + a[i])} = {', '.join(a[i] + a[c])}")
+        lines.append(f"if {a[c][c]} == 0.0 and {fail}: return None")
+        for i in range(c + 1, m):
+            lines.append(f"{a[i][c]} = {a[i][c]} / {a[c][c]}")
+            lines += [f"{a[i][j]} = {a[i][j]} - {a[i][c]} * {a[c][j]}" for j in range(c + 1, m)]
+    return lines
+
+
+def _substitute_source(a: list, pivots: list, b: list) -> list:
+    """Lines that overwrite the names ``b`` with the solution of the
+    system that :func:`_factor_source` factored into ``a`` and
+    ``pivots``: b permuted as the rows were, forward substitution adding
+    the multipliers' terms in column order, back substitution in reverse
+    column order and then the division by the pivot."""
+    m = len(a)
+    lines = [f"if {pivots[c]} == {i}: {b[c]}, {b[i]} = {b[i]}, {b[c]}"
+             for c in range(m - 1) for i in range(c + 1, m)]
+    lines += [f"{b[i]} = {b[i]}" + "".join(f" - {a[i][j]} * {b[j]}" for j in range(i)) for i in range(1, m)]
+    for i in reversed(range(m)):
+        rest = "".join(f" - {a[i][j]} * {b[j]}" for j in reversed(range(i + 1, m)))
+        lines.append(f"{b[i]} = {f'({b[i]}{rest})' if rest else b[i]} / {a[i][i]}")
+    return lines
+
+
+def _solve_source(A: list, b: list, out: list, fail: str) -> list:
+    """Lines setting ``out`` to x with A x = b, for the row-major matrix
+    ``A`` and ``b`` of source expressions, by :func:`_factor_source` and
+    :func:`_substitute_source` on the local names ``{out[i]}_{j}``;
+    ``fail`` is the guard site of a zero pivot (a singular A).
+
+    A diagonal A at n > 1 (every off-diagonal entry == 0.0), whose
+    diagonal entries and b_i are nonzero and finite, takes a shortcut:
+    out_i = b_i / A_ii, the elimination's bits. There the pivots stay on
+    the diagonal, the multipliers and U's off-diagonal entries are
+    signed zeros, and their products leave each nonzero b_i and A_ii as
+    they are. A quotient that overflows, which back substitution would
+    meet with a zero (a NaN), sends the solve through the elimination
+    too. ``TestFixedOrderAlgebra`` holds the shortcut to the elimination
+    bit for bit."""
+    n = len(b)
+    if n == 1:
+        return [f"if {A[0]} == 0.0 and {fail}: return None", f"{out[0]} = {b[0]} / {A[0]}"]
+    a = [[f"{x}_{j}" for j in range(n)] for x in out]
+    pivots, diagonal, shortcut = [f"{x}_p" for x in out[:-1]], [A[i * n + i] for i in range(n)], f"{out[0]}_d"
     rule = " and ".join(
-        f"({o}[{start + i * c + j}] == 0.0 or {rates[j]} == 0.0)" for i in range(len(out)) for j in named
+        [f"{A[i * n + j]} == 0.0" for i in range(n) for j in range(n) if i != j]
+        + [f"{x} != 0.0" for x in diagonal + b] + [f"_finite({' + '.join(diagonal + b)})"]
     )
-    finite = " + ".join(rates[j] for j in named)
+    elimination = [
+        f"{', '.join(x for row in a for x in row)} = {', '.join(A)}",
+        f"{', '.join(out)} = {', '.join(b)}",
+        *_factor_source(a, pivots, fail),
+        *_substitute_source(a, pivots, out),
+    ]
     return [
-        f"if _rules and {rule} and _finite({finite}): {', '.join(out)}, = {_tuple(['0.0'] * len(out))}",
-        f"else: {', '.join(out)}, = _mv({o}[{start}:{start + len(out) * c}], {_tuple(rates)}).tolist()",
+        f"{shortcut} = {rule}",
+        f"if {shortcut}: {', '.join(out)} = {', '.join(f'{x} / {d}' for x, d in zip(b, diagonal))}",
+        f"if not ({shortcut} and _finite({' + '.join(out)})):",
+        *[f"    {line}" for line in elimination],
     ]
 
 
-def _solve_rows(A, b) -> Optional[list]:
-    """:func:`_solve` of the row-major A and b as a list; None where A is singular."""
-    try:
-        return _solve(np.array(A, dtype=float).reshape(len(b), -1), np.array(b, dtype=float)).tolist()
-    except np.linalg.LinAlgError:
-        return None
+def _float_function(params: list, lines: list, out: list) -> Callable:
+    """Kernel source ``lines`` as a plain function of ``params`` that
+    returns the names ``out``: None where a guard site fails, every
+    exception through."""
+    namespace = dict(_FUSED_GLOBALS, _Caught=())
+    exec(_compiled(_kernel_source(params, [*lines, f"return {_tuple(out)}"])), namespace)
+    return namespace["kernel"]
 
 
-def _vector_matrix(x, A) -> list:
-    """x @ A for a length-n x and a row-major n x m A, as numpy gives it."""
-    return (np.array(x, dtype=float) @ np.array(A, dtype=float).reshape(len(x), -1)).tolist()
+@lru_cache(maxsize=None)
+def _solver(n: int) -> Callable:
+    """``solve(A..., b...)``: the kernels' solve (:func:`_solve_source`)
+    of the row-major n x n A and b as a tuple, or None where A is
+    singular (a zero pivot)."""
+    A, b, x = [f"A{i}" for i in range(n * n)], [f"b{i}" for i in range(n)], [f"x{i}" for i in range(n)]
+    return _float_function(A + b, _solve_source(A, b, x, "_fail()"), x)
+
+
+@lru_cache(maxsize=None)
+def _momentum_rater(n: int) -> Callable:
+    """``rate(Lv, qdot..., vdot..., Sdot)``: the kernels' momentum rate
+    (:func:`_momentum_rate_source`) of L's velocity rows ``Lv``, flat, as
+    a tuple."""
+    r, m = [f"r{j}" for j in range(2 * n + 1)], [f"m{i}" for i in range(n)]
+    return _float_function(["o", *r], _momentum_rate_source("o", 0, r, m), m)
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> over the last axis of two broadcasting blocks, the kernels'
+    order (:func:`_dot_source`) elementwise: the products added column
+    by column to 0.0 (``acc = acc + x[..., j] * y[..., j]``), exact IEEE
+    arithmetic per element on any CPU. The products are laid out column
+    by column, so each column the sum reads is contiguous."""
+    products, acc = np.multiply(x, y, order="F"), 0.0
+    for j in range(products.shape[-1]):
+        acc = acc + products[..., j]
+    return acc
 
 
 def _lagrangian_first_order(model: SimpleThermoModel, q, v, S):
@@ -606,67 +666,14 @@ def _jet_parts(n: int, L, g, H):
     return L, g[:n], g[n : 2 * n], g[2 * n], H[n : 2 * n]
 
 
-def _momentum_rate_from(Lv, rates) -> np.ndarray:
-    """L_vq qdot + L_vv vdot + L_vS Sdot: the time derivative of the
-    momentum dL/dv along the rates (qdot, vdot, Sdot), 2n + 1 floats,
-    from the Hessian's velocity rows Lv, flat. One numpy matmul, whose
-    bits (an FMA chain at n = 1) float code cannot give in general; the
-    fused work kernel answers rows whose every term has a zero factor in
-    float code (rule Z, :func:`_momentum_rate_source`) and makes this
-    call otherwise. A non-finite entry gives NaN where it meets a zero
-    (0 x inf), and a product or sum too large for a float gives inf,
-    both without a warning: below 1e300, the bound (sum |Lv|)(sum |rate|)
-    holds every term and partial sum far from overflow."""
-    A, x = np.array(Lv, dtype=float).reshape(-1, len(rates)), np.array(rates, dtype=float)
-    if sum(map(abs, Lv)) * sum(map(abs, rates)) < 1e300:  # False for NaN
-        return A @ x
-    with np.errstate(invalid="ignore", over="ignore"):
-        return A @ x
-
-
-def _dot(x, y) -> float:
-    """x @ y of two float sequences with numpy's bits: BLAS adds a
-    length-1 product to 0.0, which turns -0.0 into +0.0. Longer ones go
-    to ``np.dot``, which reaches the BLAS ddot that ``@`` calls on two
-    float vectors without its array conversions."""
-    if len(x) == 1:
-        return 0.0 + x[0] * y[0]
-    return float(np.dot(x, y))
-
-
 # what every fused kernel's source may name, as the fast binding means
-# it: a failed guard site answers None (``_fail``), rules Z and D answer
-# (``_rules``), and so does any exception (``_Caught``)
+# it: a failed guard site answers None (``_fail``), and so does any
+# exception (``_Caught``); the strict binding raises them
 _FUSED_GLOBALS = {
     "np": np,
     "_finite": math.isfinite,
-    "_mv": _momentum_rate_from,
-    "_dot": _dot,
-    "_solve_rows": _solve_rows,
-    "_vector_matrix": _vector_matrix,
     "_fail": lambda *values: True,
-    "_rules": True,
     "_Caught": Exception,
-}
-
-
-def _quiet(numpy_call: Callable) -> Callable:
-    """``numpy_call`` with numpy's floating-point warnings off."""
-
-    def call(*args):
-        with np.errstate(all="ignore"):
-            return numpy_call(*args)
-
-    return call
-
-
-# the strict binding's: the numpy call in place of either rule, every
-# exception through (its ``_fail`` is :func:`_strict_fail`), and numpy
-# calls that, as its float code, warn of no NaN or inf they make
-_STRICT_GLOBALS = {
-    "_rules": False,
-    "_Caught": (),
-    **{name: _quiet(_FUSED_GLOBALS[name]) for name in ("_dot", "_solve_rows", "_vector_matrix")},
 }
 
 
@@ -691,12 +698,13 @@ def momentum_rate(model: SimpleThermoModel, q, v, S, qdot, vdot, Sdot) -> np.nda
     """Chain-rule time derivative of the momentum dL/dv along given rates.
 
     Deliberately not the force-balance identity: diagnostics need this
-    value computed independently of the equations of motion.
+    value computed independently of the equations of motion. The sums
+    are the kernels' float code (:func:`_momentum_rater`).
     """
     n = model.n
     Lv = lagrangian_jet(model, q, v, S)[4]
     rates = [*_as_array(qdot, n, "qdot").tolist(), *_as_array(vdot, n, "vdot").tolist(), float(Sdot)]
-    return _momentum_rate_from(Lv.ravel().tolist(), rates)
+    return np.array(_momentum_rater(n)(Lv.ravel().tolist(), *rates))
 
 
 def friction_velocity_jacobian(model: SimpleThermoModel, q, v, S) -> np.ndarray:

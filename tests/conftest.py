@@ -1,7 +1,8 @@
 """Shared fixtures: shipped models, in-range state sampling, a
 hand-built frictionless oscillator for the reduction checks, coupled
-models whose fused kernels make the small-algebra numpy calls, the
-first-order dual numbers that are the reference for the jets' first
+models whose velocity Hessians and momentum rates are full, the
+fixed-order dot and solve of the fused kernels' small linear algebra as
+plain loops, the first-order dual numbers that are the reference for the jets' first
 partials, the per-evaluator paths that are the reference for the fused
 kernels, the per-state diagnostics record that is the reference for
 the integrators' block pass, the numpy Newton loop over the full
@@ -32,20 +33,16 @@ from dirac_thermo.dynamics import (
 from dirac_thermo.errors import DegenerateLagrangianError, DiracThermoError, NewtonError, TemperatureSignError
 from dirac_thermo.legendre import NEWTON_MAX_ITER, NEWTON_TOL, HamiltonianModel, hamiltonian_partials
 from dirac_thermo.model import (
-    _FUSED_GLOBALS,
     ArenaPoint,
     SimpleThermoModel,
     _arena_dtype,
     _arena_layout,
     _as_array,
     _covector_jet,
-    _dot,
     _kernel_jet,
     _lagrangian_first_order,
     _lagrangian_hessian,
-    _momentum_rate_from,
     _records,
-    _solve,
     external_value,
     friction_value,
     lagrangian_jet,
@@ -173,24 +170,58 @@ def make_coupled_pair():
     )
 
 
-def counted_numpy_calls(monkeypatch) -> Counter:
-    """A Counter, by name, of the calls that fused kernels built from now
-    on make to the numpy helpers behind the small-algebra rules: ``_mv``
-    (the momentum-rate matmul) and ``_solve_rows`` (the LAPACK solve)."""
-    calls = Counter()
-    for name in ("_mv", "_solve_rows"):
-        numpy_call = _FUSED_GLOBALS[name]
-        monkeypatch.setitem(_FUSED_GLOBALS, name,
-                            lambda *args, _f=numpy_call, _name=name: calls.update([_name]) or _f(*args))
-    return calls
-
-
 def callable_lam_piston(a=0.25):
     """The piston with the callable friction coefficient
     lam(x, S) = 0.5 + a x^2 + 0.1 e^S, written over the duals helpers."""
     return dt.build_piston(
         dt.PistonParams(lam=lambda x, S: 0.5 + a * x * x + 0.1 * duals.exp(S))
     )
+
+
+# --- the fixed-order small linear algebra ---------------------------------
+#
+# The fused kernels' dot product and solve, written as plain loops from
+# their stated order and nothing of the library's source builders: the
+# references below use them, and the accuracy tests measure them.
+
+
+def fixed_dot(x, y) -> float:
+    """<x, y>: the products added left to right to 0.0."""
+    acc = 0.0
+    for a, b in zip(x, y):
+        acc = acc + float(a) * float(b)
+    return acc
+
+
+def fixed_solve(A, b):
+    """x with A x = b for the rows A, as a list; None on a zero pivot.
+
+    Gaussian elimination with partial pivoting, the pivot the first row
+    of largest magnitude, rows swapped whole and multipliers stored in
+    place; forward substitution adds the multipliers' terms in column
+    order, back substitution in reverse column order, then divides."""
+    A, b = [[float(x) for x in row] for row in A], [float(x) for x in b]
+    m = len(b)
+    for c in range(m):
+        p, big = c, abs(A[c][c])
+        for i in range(c + 1, m):
+            if abs(A[i][c]) > big:
+                p, big = i, abs(A[i][c])
+        A[c], A[p], b[c], b[p] = A[p], A[c], b[p], b[c]
+        if A[c][c] == 0.0:
+            return None
+        for i in range(c + 1, m):
+            A[i][c] = A[i][c] / A[c][c]
+            for j in range(c + 1, m):
+                A[i][j] = A[i][j] - A[i][c] * A[c][j]
+    for i in range(1, m):
+        for j in range(i):
+            b[i] = b[i] - A[i][j] * b[j]
+    for i in reversed(range(m)):
+        for j in reversed(range(i + 1, m)):
+            b[i] = b[i] - A[i][j] * b[j]
+        b[i] = b[i] / A[i][i]
+    return b
 
 
 # --- the reference for the jets' first partials ---------------------------
@@ -421,7 +452,7 @@ def _entropy_rate(model: SimpleThermoModel, F, v, s) -> float:
         raise TemperatureSignError(
             f"dL/dS = {s:.6g} must be negative where friction acts (model {model.name})"
         )
-    return float(F @ v / s)
+    return fixed_dot(F, v) / float(s)
 
 
 def _per_evaluator_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
@@ -440,12 +471,12 @@ def _per_evaluator_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
                 "the degenerate regime needs velocity-linear friction "
                 f"(got friction {F0} at zero velocity, model {model.name})"
             )
-        try:
-            qdot = _solve(dF[:, n : 2 * n], -(dLdq + Fext))
-        except np.linalg.LinAlgError:
+        qdot = fixed_solve(dF[:, n : 2 * n], -(dLdq + Fext))
+        if qdot is None:
             raise DiracThermoError(
                 f"singular friction coefficient matrix (model {model.name})"
             )
+        qdot = np.array(qdot)
         F = friction_value(model, q, qdot, S)
         rate = (*_floats(qdot), _entropy_rate(model, F, qdot, s))
         return _LagrangianWork(rate, float(L), float(s), _floats(dLdq), (0.0,) * n,
@@ -456,18 +487,17 @@ def _per_evaluator_work(model: SimpleThermoModel, q, v, S) -> _LagrangianWork:
     L, dLdq, dLdv, s, Lv = lagrangian_jet(model, q, v, S)
     F, Fext = friction_value(model, q, v, S), external_value(model, q, v, S)
     Sdot = _entropy_rate(model, F, v, s)
-    rows = _floats(Lv)
-    # the momentum rate at vdot = 0 moves to the right-hand side
-    rhs = dLdq + F + Fext - _momentum_rate_from(rows, (*v.tolist(), *(0.0,) * n, Sdot))
-    try:
-        vdot = _solve(Lv[:, n : 2 * n], rhs)
-    except np.linalg.LinAlgError:
+    # the momentum rate at vdot = 0, L_vq v + L_vS Sdot, moves to the right-hand side
+    rate = [*v.tolist(), Sdot]
+    m = np.array([fixed_dot([*row[:n], row[2 * n]], rate) for row in Lv])
+    vdot = fixed_solve(Lv[:, n : 2 * n], dLdq + F + Fext - m)
+    if vdot is None:
         raise DegenerateLagrangianError(
             f"singular velocity Hessian; model {model.name} needs the "
             "velocity-independent regime"
         )
     return _LagrangianWork((*_floats(v), Sdot, *_floats(vdot)), float(L), float(s),
-                           _floats(dLdq), _floats(dLdv), _floats(F), _floats(Fext), rows)
+                           _floats(dLdq), _floats(dLdv), _floats(F), _floats(Fext), _floats(Lv))
 
 
 def _momentum_work(hmodel: HamiltonianModel, q, S, p, v0=None) -> _MomentumWork:
@@ -499,7 +529,7 @@ def _per_evaluator_residual(model: SimpleThermoModel, x, r):
         residual = np.concatenate(
             [
                 (r[p] - dLdq - Fext) * s + (r[lam] - s) * F,
-                [s * Sdot - F @ qdot],
+                [s * Sdot - fixed_dot(F, qdot)],
                 x[p] - dLdv,
                 [x[lam]],
                 x[v] - qdot,
@@ -556,7 +586,7 @@ def _per_evaluator_jacobian(model: SimpleThermoModel, x, rates, h: float, consta
     np.fill_diagonal(J[:n, p], s / h)
     J[:n, lam] = F / h
     # s Sdot - <F, qdot>
-    J[n, columns] = rates[S] * ds - rates[q] @ dF
+    J[n, columns] = rates[S] * ds - np.array([fixed_dot(rates[q], column) for column in dF.T])
     J[n, S] += s / h
     J[n, q] -= F / h
     # p - dL/dv
@@ -582,12 +612,8 @@ def reduced_solve(J, r):
     1 (on lam, v, W and p). Substituting dlam = r_lam, dv = r_v - J_vq dq,
     dW = r_W - J_WS dS and dp = r_p - J_p (dq, dv, dS) into the
     force-balance rows (J_ip p_i = s/h) and the entropy row leaves an
-    (n + 1)-square system A on (dq, dS). It is solved by Gaussian
-    elimination with partial pivoting, the pivot the first row of
-    largest magnitude, rows swapped whole and multipliers stored in
-    place; forward substitution adds the multipliers' terms in column
-    order, back substitution in reverse column order. Every operation
-    is one of the generated step's, in its order."""
+    (n + 1)-square system A on (dq, dS), solved by :func:`fixed_solve`.
+    Every operation is one of the generated step's, in its order."""
     d = len(r)
     n = (d - 3) // 3
     m, jet = n + 1, jet_columns(n)
@@ -603,26 +629,9 @@ def reduced_solve(J, r):
             b[a] = b[a] - G[a][n + j] * r[rv[j]]
     if not math.isfinite(sum(x for row in A for x in row)):
         return None
-    for c in range(m):
-        if c < n:
-            p, big = c, abs(A[c][c])
-            for i in range(c + 1, m):
-                if abs(A[i][c]) > big:
-                    p, big = i, abs(A[i][c])
-            A[c], A[p], b[c], b[p] = A[p], A[c], b[p], b[c]
-        if A[c][c] == 0.0:
-            raise NewtonError("singular Jacobian in the implicit step")
-        for i in range(c + 1, m):
-            A[i][c] = A[i][c] / A[c][c]
-            for j in range(c + 1, m):
-                A[i][j] = A[i][j] - A[i][c] * A[c][j]
-    for i in range(1, m):
-        for j in range(i):
-            b[i] = b[i] - A[i][j] * b[j]
-    for i in reversed(range(m)):
-        for j in reversed(range(i + 1, m)):
-            b[i] = b[i] - A[i][j] * b[j]
-        b[i] = b[i] / A[i][i]
+    b = fixed_solve(A, b)
+    if b is None:
+        raise NewtonError("singular Jacobian in the implicit step")
     dv = [r[rv[j]] + cv[j] * b[j] for j in range(n)]
     dW = r[rW] + -J[rW][n] * b[n]
     dp = [r[rp[i]] + _fold([-J[rp[i]][c] * x for c, x in zip(jet, b[:n] + dv + b[n:])]) for i in range(n)]
@@ -641,13 +650,12 @@ def _per_evaluator_solve(model: SimpleThermoModel, q, p, S: float, v):
             raise NewtonError(f"momentum residual became non-finite (model {model.name})")
         if err <= NEWTON_TOL:
             break
-        try:
-            step = _solve(jet[4][:, n : 2 * n], r)
-        except np.linalg.LinAlgError:
+        step = fixed_solve(jet[4][:, n : 2 * n], r)
+        if step is None:
             raise DegenerateLagrangianError(
                 f"singular velocity Hessian at q={q}, S={S} (model {model.name})"
             )
-        v = v - step
+        v = v - np.array(step)
     else:
         jet = lagrangian_jet(model, q, v, S)
         r = jet[2] - p
@@ -730,13 +738,13 @@ def _explicit_record(arena: str, p, v, L, S, Sdot, s, F, z) -> DiagnosticsRecord
     momentum, velocity, entropy and entropy rate, and (L, s, F) the
     Lagrangian, entropy slope and friction there. The membership
     residual is infinite where the slope vanishes (T = 0 on N)."""
-    energy = _dot(p, v) - L
+    energy = fixed_dot(p, v) - L
     if s == 0.0 or not math.isfinite(s):
         residual = math.inf
     else:
         coef = -s if arena == "N" else s  # the momentum side reads T = -s
-        residual = _conditions(arena, len(F), float(coef), np.asarray(F)) @ z
-    return _record(energy, S, Sdot, float(s * Sdot - _dot(F, v)), residual)
+        residual = [fixed_dot(row, z) for row in _conditions(arena, len(F), float(coef), np.asarray(F))]
+    return _record(energy, S, Sdot, float(s * Sdot - fixed_dot(F, v)), residual)
 
 
 def lagrangian_record(n: int, t: tuple, r: tuple, w) -> DiagnosticsRecord:
@@ -757,7 +765,7 @@ def implicit_record(n: int, x, rates, L, rn, err) -> DiagnosticsRecord:
     the Lagrangian at its (q, v, S), rn the residual's entropy row and
     err its largest magnitude."""
     point = ArenaPoint("P", n, x)
-    energy = float(point.p @ point.v) + point.lam * point.W - L
+    energy = fixed_dot(point.p, point.v) + point.lam * point.W - L
     return _record(energy, point.S, float(rates[n]), float(rn), err)
 
 

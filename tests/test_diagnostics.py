@@ -2,8 +2,8 @@
 against the per-state record of ``conftest`` bit for bit: whole runs of
 every route, runs that end on either side of a block boundary, a run
 that aborts mid-block, a vanishing entropy slope and off-rate records.
-Also the bit rule the block pass rests on (stacked ``np.matmul`` gives
-each row the bits of its own product) and its memory bound."""
+Also the rule the block pass rests on (a column accumulation gives each
+row the bits of its own fixed-order sum) and its memory bound."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,12 @@ from hypothesis import assume, given, settings, strategies as st
 import dirac_thermo as dt
 from dirac_thermo import dynamics
 from dirac_thermo.dirac import _conditions
-from dirac_thermo.dynamics import _BLOCK, _dots, DiagnosticsRecord
-from dirac_thermo.model import _dot
+from dirac_thermo.dynamics import _BLOCK, DiagnosticsRecord
+from dirac_thermo.model import _dots
 
 from conftest import (
     explicit_reference,
+    fixed_dot,
     hamilton_record,
     implicit_reference,
     lagrangian_record,
@@ -144,31 +145,17 @@ class TestBlockParity:
 class TestBitRule:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_stacked_matmul_has_each_rows_bits(self, seed):
-        # the block pass's residuals and momentum rates; np.einsum and
-        # elementwise sums change bits here
-        rng = np.random.default_rng(seed)
-
-        def sparse(shape):
-            a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
-            zero = rng.random(shape) < 0.6
-            a[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
-            return a
-
-        for d, D in ((4, 8), (10, 20), (3, 6)):
-            A, z = sparse((40, d, D)), sparse((40, D))
-            stacked = (A @ z[:, :, None])[:, :, 0]
-            assert stacked.tobytes() == np.array([A[k] @ z[k] for k in range(40)]).tobytes()
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
     def test_block_dots_and_conditions_have_each_rows_bits(self, seed):
         rng = np.random.default_rng(seed)
         for n in (1, 3):
             x, y = rng.normal(size=(30, n)), rng.normal(size=(30, n))
-            x[rng.random(x.shape) < 0.3] = -0.0  # a length-1 dot turns -0.0 into +0.0
-            want = [_dot(tuple(a.tolist()), tuple(b.tolist())) for a, b in zip(x, y)]
+            x[rng.random(x.shape) < 0.3] = -0.0  # a dot adds -0.0 products to +0.0
+            want = [fixed_dot(a, b) for a, b in zip(x, y)]
             assert _dots(x, y).tobytes() == np.array(want).tobytes()
+            # the stacked matrix-vector products of the membership residual
+            A, z = rng.normal(size=(30, 2 * n, 4 * n)), rng.normal(size=(30, 4 * n))
+            want = [[fixed_dot(row, b) for row in a] for a, b in zip(A, z)]
+            assert _dots(A, z[:, None, :]).tobytes() == np.array(want).tobytes()
             coef = rng.normal(size=30)
             for arena in ("M", "N", "P", "TstarQ"):
                 want = np.array([_conditions(arena, n, float(c), F) for c, F in zip(coef, x)])

@@ -24,7 +24,6 @@ from dirac_thermo.model import _FUSED, _JET_KERNELS, _fused
 import conftest
 from conftest import (
     callable_lam_piston,
-    counted_numpy_calls,
     explicit_reference,
     implicit_constants,
     implicit_reference,
@@ -309,8 +308,14 @@ class TestRecordsMatchThePublicCheck:
         for q, v, S in sample_states(model, 12, seed=32):
             pair = dt.solution_pair_N_hamiltonian(hmodel, q, v, S)
             y = pair.base.row.copy()
-            record = dt.hamilton_field_N(hmodel).diagnostics(y, pair.tangent)
-            residual = np.abs(dt.dirac_membership("N", model, pair)).max()
+            field = dt.hamilton_field_N(hmodel)
+            record = field.diagnostics(y, pair.tangent)
+            # the record's own covector: the Hamiltonian differential at the
+            # velocity inverted from rest, which can differ from v in its last bits
+            w = field.work(y)
+            covector = np.array([*(a - b for a, b in zip(w.dHdq, w.Fext)), w.dHdS, *w.qdot])
+            own = dt.TangentCovectorPair(pair.base, pair.tangent, covector)
+            residual = np.abs(dt.dirac_membership("N", model, own)).max()
             v_fiber = dt.inverse_partial_legendre(model, q, pair.base.p, S)
             Sdot = pair.tangent[n]
             constraint = dt.phenomenological_constraint_residual(model, q, v_fiber, S, Sdot)
@@ -1431,45 +1436,6 @@ class TestFusedKernels:
             traj = dt.integrate_route(make_coupled_model(), "lagrangian", ([-0.5], [10.0], 1e308), 0.01, 1e-3)
         assert not traj.completed and len(traj.times) == 1
         assert not np.isfinite(traj.rates[0, 2])  # vdot
-
-
-class TestSmallAlgebraBranches:
-    def test_each_branch_of_each_rule_is_taken(self, monkeypatch):
-        # rule Z (the momentum rate at vdot = 0 is zero rows) and rule D (a
-        # diagonal solve at n > 1) answer in float code; elsewhere the work
-        # and fiber kernels make the numpy call. Over draws like the parity
-        # test's, each branch is taken, so that test holds both to the
-        # per-evaluator path: the shipped kernels' L_vq = L_vS = 0 and
-        # diagonal velocity Hessians take the rules, the coupled models the calls
-        calls = counted_numpy_calls(monkeypatch)
-        taken = {("Z", "rule"): set(), ("Z", "numpy"): set(), ("D", "rule"): set(), ("D", "numpy"): set()}
-        for kind in sorted(FUSED_MODELS):
-            model = fused_model(kind)
-            n = model.n
-            work = dynamics._build_work(model)  # a fresh kernel over the counted calls
-            fiber = None if model.degenerate else legendre._build_fiber(model)
-            for seed in range(60):
-                rng = np.random.default_rng(seed)
-                q, v, p, (S,) = edgy(rng, n), edgy(rng, n), edgy(rng, n), edgy(rng, 1)
-                # a work kernel that answers made its one solve; the fiber
-                # iterate, where it gives a step
-                before = calls.copy()
-                solved = work(*q, *([] if model.degenerate else v), S) is not None
-                made = calls - before
-                if solved and not model.degenerate:
-                    taken["Z", "numpy" if made["_mv"] else "rule"].add(kind)
-                if solved and n > 1:
-                    taken["D", "numpy" if made["_solve_rows"] else "rule"].add(kind)
-                if fiber is not None and n > 1:
-                    before = calls.copy()
-                    out = fiber(*q, *v, S, *p, 1e-12)
-                    if out is not None and out[1] is None:
-                        taken["D", "numpy" if (calls - before)["_solve_rows"] else "rule"].add(f"{kind} fiber")
-        assert {"piston", "membrane"} <= taken["Z", "rule"]
-        assert {"coupled", "coupled-pair"} <= taken["Z", "numpy"]
-        assert {"membrane", "coupled-pair", "2-reactions-uncoupled", "membrane fiber",
-                "coupled-pair fiber"} <= taken["D", "rule"]
-        assert {"coupled-pair", "2-reactions", "coupled-pair fiber"} <= taken["D", "numpy"]
 
 
 # --- the implicit route's float-code loop against the numpy loop ----------

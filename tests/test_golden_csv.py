@@ -9,6 +9,12 @@ purpose updates the digests here in the same change and gives the
 reason in CHANGES.md; print the new digests with
 
     PYTHONPATH=src python tests/test_golden_csv.py
+
+The ``run`` and ``compare`` outputs do not depend on the BLAS kernel:
+the fused kernels and the diagnostics pass do their small linear algebra
+in float code and column accumulations of one fixed order. One test runs
+them under several OpenBLAS core types. The ``check`` and ``isotropy``
+texts still read an SVD, which follows the BLAS kernel.
 """
 
 import contextlib
@@ -16,6 +22,9 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -24,15 +33,15 @@ from dirac_thermo import cli
 
 GOLDEN = {
     ("piston", "lagrangian"):
-        "970667b24320828af48767bd8dfd5c0d9258737f3b426351b8002fd491b82bab",
+        "2b8c59403b2d5f4e52b2e58dfe9ca847cf53a1b76b40534fc72cc82807b43eba",
     ("piston", "hamilton-dirac-N"):
         "2b8c59403b2d5f4e52b2e58dfe9ca847cf53a1b76b40534fc72cc82807b43eba",
     ("piston", "implicit-P"):
         "4df110fcb72ef478c84337977ab3996e77df44fe28006ef03f3f70f1974ddc65",
     ("membrane", "lagrangian"):
-        "ff325bad3a129f0373f384599f58288e19eba6db90b29022cb73cb71dee9c466",
+        "54449197445cc66a094d25504e908d750d15e46b85506e8bbfd5125ff0d9ecd6",
     ("membrane", "hamilton-dirac-N"):
-        "af038798e890d3e3211eec89817a9fa7908e68a19a6b9322551caac94e65afc2",
+        "fcd33d830a77469255285efa4f4ca5a768707e2b7114c861ab6af675df884716",
     ("reactions", "lagrangian"):
         "18bbf62cc2396bc00299e428b2b3cc988ab49a58397577e08ecf44369878bf23",
     ("reactions", "implicit-P"):
@@ -115,6 +124,56 @@ def test_failing_run_keeps_its_exit_and_message(tmp_path, kind, formulation):
 def test_cli_text_is_byte_identical(tmp_path, monkeypatch, verb, kind):
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     assert text_digest(str(tmp_path), verb, kind) == GOLDEN_TEXT[(verb, kind)]
+
+
+# OpenBLAS kernels picked by ``OPENBLAS_CORETYPE`` (None: the host's own),
+# from AVX-512 hosts down to SSE3
+CORETYPES = (None, "Haswell", "Sandybridge", "Prescott")
+
+
+def portable_digests() -> dict:
+    """The digests of every ``GOLDEN`` and ``GOLDEN_FAILURE`` run and of
+    ``compare`` on each model, by case, in this process."""
+    out = {}
+    for key in sorted(GOLDEN):
+        with tempfile.TemporaryDirectory() as tmp:
+            out[f"run {key}"] = csv_digest(tmp, *key)
+    for key in sorted(GOLDEN_FAILURE):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(tmp, key[0], formulation=key[1])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                out[f"run {key}"] = [cli.main(["run", "--config", cfg]), err.getvalue()]
+    for kind in ("piston", "membrane", "reactions"):
+        with tempfile.TemporaryDirectory() as tmp:
+            out[f"compare {kind}"] = list(text_digest(tmp, "compare", kind))
+    return out
+
+
+def test_run_and_compare_do_not_depend_on_the_blas_kernel():
+    # one fresh process per core type, the variable set in that child's
+    # environment only, all at once: each must print the recorded digests
+    tests = pathlib.Path(__file__).resolve().parent
+    probe = "import json, test_golden_csv as g; print(json.dumps(g.portable_digests()))"
+    children = []
+    for coretype in CORETYPES:
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", cli.SEED_ENV)}
+        env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        children.append(subprocess.Popen([sys.executable, "-c", probe], env=env, cwd=tests,
+                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    outputs = []
+    for child in children:
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        outputs.append(json.loads(out))
+    want = {f"run {key}": digest for key, digest in GOLDEN.items()}
+    want.update({f"run {key}": list(failure) for key, failure in GOLDEN_FAILURE.items()})
+    want.update({f"compare {kind}": list(GOLDEN_TEXT["compare", kind])
+                 for kind in ("piston", "membrane", "reactions")})
+    for coretype, got in zip(CORETYPES, outputs):
+        assert got == want, coretype
 
 
 if __name__ == "__main__":

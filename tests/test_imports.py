@@ -1,7 +1,8 @@
 """Every name a library module imports is used there or listed in its
 ``__all__``, no library module calls ``np.linalg.solve`` (every small
-solve goes through ``model._solve``, and the implicit step makes none),
-importing the command line loads
+solve is the fused kernels' float code), no fused kernel and no part of
+the diagnostics pass makes a BLAS or LAPACK call, importing the command
+line loads
 numpy and no SciPy, importing the package and building models compile
 no fused kernel, each fused kernel's math has one statement, its
 generated source, and every library name that the benchmark's tracer
@@ -13,14 +14,16 @@ names to re-export them is its whole job."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-from dirac_thermo import dynamics, legendre
+from dirac_thermo import dirac, dynamics, legendre, model
 from dirac_thermo.model import _fused
 
 from test_dynamics import FUSED_MODELS, fused_model
@@ -96,6 +99,60 @@ def test_the_implicit_route_makes_no_lapack_solve():
     assert "_solve" not in names
     for n in (1, 2, 3):
         assert "solve" not in dynamics._implicit_step_source(n)
+
+
+def blas_calls(source: str) -> list:
+    """Lines with a matrix product (``@``) or a name of numpy's dense
+    linear algebra (``dot``, ``matmul``, ``einsum``, ``linalg`` and the like)."""
+    names = ("dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg")
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(textwrap.dedent(source)))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+    )
+
+
+def test_the_blas_scan_sees_every_spelling():
+    source = "a = x @ y\nb = np.dot(x, y)\nc = np.linalg.solve(A, b)\nd = np.max(x)\ne = x.T.dot(y)\n"
+    assert blas_calls(source) == [1, 2, 3, 5]
+
+
+def kernel_sources() -> list:
+    """Every fused kernel's source at n = 1, 2 and 3."""
+    out = []
+    for n in (1, 2, 3):
+        out += [dynamics._work_source(n, False), dynamics._work_source(n, True), dynamics._momentum_source(n),
+                legendre._fiber_source(n), dynamics._residual_source(n), dynamics._implicit_step_source(n),
+                dynamics._step_source("M", n, False), dynamics._step_source("M", n, True),
+                dynamics._step_source("N", n, False)]
+    return out
+
+
+def test_the_kernels_and_the_diagnostics_pass_make_no_blas_call():
+    # float code and column accumulations of one fixed order, the same
+    # bits on any CPU
+    functions = (dynamics._diagnostics_block, dynamics._solution_data, model._dots, model._momentum_rater,
+                 model._solver, dirac._conditions, dirac.dirac_membership)
+    for source in kernel_sources() + [inspect.getsource(f) for f in functions]:
+        assert blas_calls(source) == [], source
+        assert not {node.id for node in ast.walk(ast.parse(textwrap.dedent(source)))
+                    if isinstance(node, ast.Name)} & RETIRED
+
+
+# the numpy helpers that the fused kernels called for numpy's bits, and
+# the rules that skipped them
+RETIRED = {"_dot", "_mv", "_momentum_rate_from", "_solve_rows", "_vector_matrix", "_solve", "_rules",
+           "_quiet", "_STRICT_GLOBALS", "solve1"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_keeps_a_retired_helper(path):
+    tree = ast.parse(path.read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    names |= {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not names & RETIRED
 
 
 def test_the_command_line_imports_no_scipy():

@@ -8,32 +8,35 @@ leave the mixed second-derivative helpers untested.
 
 import dataclasses
 import gc
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dirac_thermo as dt
-from dirac_thermo import model as model_module
-from dirac_thermo.dynamics import _dots
+from dirac_thermo import dynamics, model as model_module
 from dirac_thermo.model import (
     _FUSED_GLOBALS,
-    _STRICT_GLOBALS,
-    _dot,
+    _dot_source,
+    _dots,
+    _factor_source,
     _kernel_source,
-    _momentum_rate_from,
-    _momentum_rate_source,
-    _solve,
+    _momentum_rater,
     _solve_source,
+    _solver,
+    _substitute_source,
     _tuple,
 )
 
 from conftest import (
     _force_jets,
     callable_lam_piston,
-    counted_numpy_calls,
     dual_friction_jacobian,
+    fixed_dot,
+    fixed_solve,
     make_coupled_model,
     sample_states,
 )
@@ -375,43 +378,34 @@ class TestSecondDerivativeHelpers:
         ((1e308, 1e308, 0.0), (1.7e308, 1.7e308, 0.0)),  # and so does the sum
         ((1e300, 1.0, 0.0), (np.inf, 0.0, 0.0)),  # an inf meets no zero
         ((0.0, 1.0, 2.0), (np.inf, 3.0, 0.5)),  # 0 x inf is NaN
-        ((-2.0, 1.5, 0.25), (0.5, -4.0, 8.0)),  # no overflow: the plain matmul
+        ((-2.0, 1.5, 0.25), (0.5, -4.0, 8.0)),  # no overflow
     ])
-    def test_the_momentum_rate_warns_of_no_overflow(self, Lv, rates):
-        # the matmul's bits, an overflow's inf among them, without a warning
-        with np.errstate(all="ignore"):
-            want = np.array(Lv).reshape(1, 3) @ np.array(rates)
+    def test_the_momentum_rate_is_the_fixed_order_sum(self, Lv, rates):
+        # float code: an overflow's inf and a NaN come out without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _momentum_rate_from(Lv, rates)
-        assert got.tobytes() == want.tobytes()
+            got = _momentum_rater(1)(Lv, *rates)
+        assert canonical_bits(got) == canonical_bits([fixed_dot(Lv, rates)])
 
 
 class TestSmallSolve:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_bits_equal_numpy_solve(self, n):
-        rng = np.random.default_rng(40 + n)
-        for _ in range(300):
-            Lv = rng.normal(size=(n, 2 * n + 1))
-            Lv[:, n : 2 * n] += 2.0 * n * np.eye(n)  # well conditioned
-            b = rng.normal(size=n)
-            for A in (Lv[:, n : 2 * n], np.ascontiguousarray(Lv[:, n : 2 * n])):
-                assert _solve(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
-
     def test_n1_is_the_division(self):
         rng = np.random.default_rng(44)
-        for a, b in rng.normal(size=(200, 2)):
-            assert _solve(np.array([[a]]), np.array([b])).tobytes() == (np.array([b]) / a).tobytes()
+        for a, b in rng.normal(size=(200, 2)).tolist():
+            assert _solver(1)(a, b) == (b / a,)
 
-    @pytest.mark.parametrize("A", [[[0.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]]])
-    def test_singular_raises(self, A):
-        with pytest.raises(np.linalg.LinAlgError):
-            _solve(np.array(A), np.ones(len(A)))
+    @pytest.mark.parametrize("A", [[[0.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]],
+                                   [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]])
+    def test_singular_answers_none_without_a_warning(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _solver(len(A))(*np.ravel(A).tolist(), *[1.0] * len(A)) is None
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_nan_matrix_gives_nan(self, n):
-        A, b = np.full((n, n), np.nan), np.ones(n)
-        assert np.isnan(_solve(A, b)).all() and np.isnan(np.linalg.solve(A, b)).all()
+    def test_nan_matrix_gives_nan_without_a_warning(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(_solver(n)(*[np.nan] * (n * n), *[1.0] * n)).all()
 
     def test_callers_keep_their_errors(self):
         box = dt.DomainBox(q_lo=(-1.0,), q_hi=(1.0,), v_lo=(-1.0,), v_hi=(1.0,), s_lo=0.0, s_hi=1.0)
@@ -433,157 +427,158 @@ class TestSmallSolve:
             dt.hamiltonian_S_derivative(cubic, [0.5], [0.0], 0.5)
 
 
-class TestSmallSolveWarnings:
-    """The gufunc flags a singular matrix as an invalid operation;
-    ``_solve`` turns that flag into LinAlgError inside an errstate, so
-    no RuntimeWarning leaks whatever the warning filters say."""
-
-    @pytest.mark.parametrize("n", [2, 6])
-    def test_singular_raises_not_warns(self, n):
-        A = np.ones((n, n))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError):
-                _solve(A, np.arange(1.0, n + 1.0))
-
-    def test_nan_matrix_gives_nan_without_a_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.isnan(_solve(np.full((3, 3), np.nan), np.ones(3))).all()
-
-
-def rule_kernel(params, lines, out):
-    """The fused-kernel source ``lines`` as a function of ``params`` that
-    returns the names ``out``, or None where a line raised."""
-    namespace = dict(_FUSED_GLOBALS)
-    exec(_kernel_source(params, [*lines, f"return {_tuple(out)}"]), namespace)
-    return namespace["kernel"]
-
-
 def names(prefix, count):
     return [f"{prefix}{i}" for i in range(count)]
 
 
-def solve_kernel(n):
-    """:func:`_solve_source` at n over A0..A(n*n-1), b0..b(n-1)."""
-    A, b, x = names("A", n * n), names("b", n), names("x", n)
-    return rule_kernel(A + b, _solve_source(A, b, x, "_fail()"), x)
+def source_kernel(params, lines, out, **namespace):
+    """Kernel source ``lines`` as a function of ``params`` that returns
+    the names ``out``, or None where a guard failed; ``namespace`` over
+    the fast binding's globals."""
+    namespace = dict(_FUSED_GLOBALS, _Caught=(), **namespace)
+    exec(_kernel_source(params, [*lines, f"return {_tuple(out)}"]), namespace)
+    return namespace["kernel"]
 
 
-def momentum_rate_kernel(n):
-    """The work kernel's momentum rate at vdot = 0, L_vq v + L_vS w, over
-    the flat velocity rows o (n rows of 2n + 1), v0..v(n-1) and w."""
-    v, m = names("v", n), names("m", n)
-    return rule_kernel(["o", *v, "w"], _momentum_rate_source("o", 0, [*v, *["0.0"] * n, "w"], m), m)
+def dot_kernel(n):
+    """:func:`_dot_source` at n over x0..x(n-1), y0..y(n-1)."""
+    x, y = names("x", n), names("y", n)
+    return source_kernel(x + y, [f"d = {_dot_source(x, y)}"], ["d"])
 
 
-# signed zeros, subnormals, huge magnitudes and plain values
+U = Fraction(1, 2**53)  # the unit roundoff
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), exact."""
+    return k * U / (1 - k * U)
+
+
+# floats whose products and sums neither overflow nor underflow: zero, or
+# a mantissa of at least 2^-20 scaled by 2^-40 .. 2^40; ties and exact
+# repeats come from a few small values
+SCALED = st.builds(math.ldexp, st.floats(-1.0, 1.0).filter(lambda m: abs(m) >= 2.0**-20), st.integers(-40, 40))
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0]), SCALED)
+# signed zeros, subnormals, huge magnitudes and plain values, for the bit tests
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.7e308, -1.0, 3.0, 7.0]
 MAGNITUDES = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3, allow_nan=False))
-ZEROS = st.sampled_from([0.0, -0.0])
 
 
 @st.composite
-def small_systems(draw):
-    """(A, b) at n = 2 or 3 whose off-diagonal entries are mostly signed
-    zeros: rule D's systems, and ones just outside it."""
-    n = draw(st.sampled_from([2, 3]))
-    A = np.array([[draw(MAGNITUDES if i == j else st.one_of(ZEROS, ZEROS, ZEROS, MAGNITUDES))
-                   for j in range(n)] for i in range(n)])
-    return A, np.array([draw(MAGNITUDES) for _ in range(n)])
+def vector_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return [draw(ENTRIES) for _ in range(n)], [draw(ENTRIES) for _ in range(n)]
 
 
 @st.composite
-def momentum_rate_rows(draw):
-    """(o, v, w) at n = 1, 2 or 3: velocity rows and rates with mixed
-    signed-zero factors, now and then an inf velocity or entropy rate."""
+def systems(draw):
+    """(A, b) at n = 1, 2 or 3 from :data:`ENTRIES`: dense, tied and
+    singular matrices among them."""
     n = draw(st.sampled_from([1, 2, 3]))
-    factors = st.one_of(ZEROS, ZEROS, MAGNITUDES)
-    o = tuple(draw(factors) for _ in range(n * (2 * n + 1)))
-    rates = st.one_of(factors, st.sampled_from([np.inf, -np.inf]))
-    return o, [draw(rates) for _ in range(n)], draw(rates)
-
-
-class TestSmallSolveRules:
-    """The fused kernels' float-code answers for trivial small linear
-    algebra against the numpy calls they stand for. Rule D: a solve whose
-    off-diagonal entries are zeros and whose diagonal entries and right-hand
-    side are nonzero is b_i / A_ii. Rule Z: a momentum-rate row each of
-    whose terms has a zero factor, every factor finite, is +0.0."""
-
-    @given(system=small_systems())
-    @example(system=(np.array([[2.0, 0.0], [-0.0, 3.0]]), np.array([1.0, -0.0])))  # a zero b_i
-    @example(system=(np.array([[3.0, -0.0], [0.0, 10.0]]), np.array([5.0, 0.1])))  # not a reciprocal
-    @example(system=(np.array([[1e-300, 0.0], [0.0, 2.0]]), np.array([1e300, 1.0])))  # overflow
-    @example(system=(np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0])))  # a zero pivot
-    @settings(max_examples=400, deadline=None)
-    def test_rule_d_has_the_bits_of_the_lapack_solve(self, system):
-        A, b = system
-        with np.errstate(over="ignore", divide="ignore", under="ignore"):
-            got = solve_kernel(len(b))(*A.ravel().tolist(), *b.tolist())
-            try:
-                want = _solve(A, b)
-            except np.linalg.LinAlgError:
-                assert got is None
-                return
-        if np.isfinite(got).all():
-            assert np.array(got).tobytes() == want.tobytes()
-        else:  # both branches fail the kernels' finiteness guard
-            assert not np.isfinite(want).all()
-
-    @given(rows=momentum_rate_rows())
-    @example(rows=((0.0, 1.0, -0.0), [-2.0], 5.0))  # L_vq = +0, L_vS = -0
-    @example(rows=((-0.0, 1.0, 0.0), [np.inf], 0.0))  # 0 x inf is NaN
-    @settings(max_examples=400, deadline=None)
-    def test_rule_z_has_the_bits_of_the_matmul(self, rows):
-        o, v, w = rows
-        n = len(v)
-        with np.errstate(over="ignore"):  # a huge product overflows in the matmul
-            got = momentum_rate_kernel(n)(o, *v, w)
-            want = _momentum_rate_from(o, (*v, *(0.0,) * n, w))
-        assert np.array(got).tobytes() == want.tobytes()
-
-    def test_each_rule_answers_in_float_code(self, monkeypatch):
-        # the bit tests above would hold vacuously if no rule ever answered
-        calls = counted_numpy_calls(monkeypatch)
-        assert solve_kernel(2)(2.0, -0.0, 0.0, 4.0, 1.0, -3.0) == (0.5, -0.75)
-        assert momentum_rate_kernel(1)((-0.0, 2.0, 0.0), 3.0, 0.0) == (0.0,)
-        assert not calls
-        solve_kernel(2)(2.0, 1.0, 0.0, 4.0, 1.0, -3.0)
-        momentum_rate_kernel(1)((1.0, 2.0, 0.0), 3.0, 0.0)
-        assert calls == {"_solve_rows": 1, "_mv": 1}
-
-
-# any float: st.floats draws NaN, the infinities, signed zeros and subnormals too
-DOT_ENTRIES = st.one_of(st.sampled_from([*SPECIAL, np.inf, -np.inf, np.nan, -np.nan]), st.floats())
+    return [[draw(ENTRIES) for _ in range(n)] for _ in range(n)], [draw(ENTRIES) for _ in range(n)]
 
 
 @st.composite
-def dot_pairs(draw):
-    """Two float tuples of one length from 2 to 6."""
-    n = draw(st.integers(2, 6))
-    return tuple(draw(DOT_ENTRIES) for _ in range(n)), tuple(draw(DOT_ENTRIES) for _ in range(n))
+def diagonal_systems(draw):
+    """(A, b) at n = 2 or 3 whose off-diagonal entries are signed zeros,
+    now and then not, with huge and tiny magnitudes that overflow a
+    quotient."""
+    n = draw(st.sampled_from([2, 3]))
+    zeros = st.sampled_from([0.0, -0.0])
+    A = [[draw(MAGNITUDES if i == j else st.one_of(zeros, zeros, zeros, MAGNITUDES)) for j in range(n)]
+         for i in range(n)]
+    return A, [draw(MAGNITUDES) for _ in range(n)]
 
 
-class TestDot:
-    """``_dot`` at n > 1 is ``np.dot`` on the tuples, which reaches the
-    BLAS ddot that ``@`` calls on the two tuples converted to arrays:
-    the same bits, zero signs and NaN payloads included. The strict
-    binding's quiet ``_dot`` and the diagnostics block's stacked
-    ``_dots`` keep them too."""
+class TestFixedOrderAlgebra:
+    """The fused kernels' dot product and solve against exact rational
+    arithmetic (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3 and 9), and the orders they fix: the
+    dot's left-to-right sum from 0.0, the solve's elimination with the
+    first row of largest magnitude as pivot and its diagonal shortcut."""
 
-    @given(pair=dot_pairs())
-    @example(pair=((-0.0, -0.0), (1.0, 1.0)))  # -0.0 + -0.0 from a +0.0 start
-    @example(pair=((5e-324, -5e-324, 1e-310), (0.5, 0.5, 3.0)))  # subnormal products
-    @example(pair=((np.inf, 1.0), (0.0, 2.0)))  # 0 x inf
-    @example(pair=((np.nan, -np.nan), (1.0, 1.0)))  # two NaNs of either sign
-    @settings(max_examples=400, deadline=None)
-    def test_the_dot_has_the_bits_of_the_matmul(self, pair):
+    @given(pair=vector_pairs())
+    @example(pair=([1.0, 2.0**-53, -1.0], [1.0, 1.0, 1.0]))  # the small term is lost
+    @example(pair=([-0.0], [1.0]))  # 0.0 + -0.0 is +0.0
+    @settings(max_examples=300, deadline=None)
+    def test_the_dot_is_within_gamma_n(self, pair):
+        # |fl(<x, y>) - <x, y>| <= gamma_n sum |x_i y_i| (Higham eq. 3.5);
+        # the kernels' source, the block pass and the reference loop agree
         x, y = pair
-        with np.errstate(all="ignore"):
-            want = np.float64(float(np.asarray(x, dtype=float) @ np.asarray(y, dtype=float))).tobytes()
-            got = [_dot(x, y), _STRICT_GLOBALS["_dot"](x, y), _dots(np.array([x]), np.array([y]))[0]]
-        assert [np.float64(a).tobytes() for a in got] == [want] * 3
+        n = len(x)
+        got = dot_kernel(n)(*x, *y)[0]
+        assert canonical_bits([got]) == canonical_bits([fixed_dot(x, y)])
+        assert canonical_bits([got]) == canonical_bits([_dots(np.array(x), np.array(y))])
+        exact = sum(Fraction(a) * Fraction(b) for a, b in zip(x, y))
+        assert abs(Fraction(got) - exact) <= gamma(n) * sum(abs(Fraction(a) * Fraction(b)) for a, b in zip(x, y))
+
+    @given(system=systems())
+    @example(system=([[0.3, 5.0], [-0.3, 0.2]], [1.1, 0.2]))  # a tie
+    @example(system=([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]))  # singular
+    @settings(max_examples=300, deadline=None)
+    def test_the_solve_has_a_small_backward_error(self, system):
+        # the normwise backward error ||b - A x||/(||A|| ||x|| + ||b||) in
+        # the inf-norm is at most gamma_3n n^2 2^(n - 1): |dA| <= gamma_3n
+        # |L||U| (Higham thm. 9.4), |l_ij| <= 1 and U's entries at most
+        # the growth factor 2^(n - 1) times A's largest (ch. 9.3); the
+        # reference loop has the same bits
+        A, b = system
+        n = len(b)
+        got = _solver(n)(*[x for row in A for x in row], *b)
+        want = fixed_solve(A, b)
+        assert (got is None) == (want is None)
+        assume(got is not None)
+        assert canonical_bits(got) == canonical_bits(want)
+        Ax, bx, xx = [[Fraction(a) for a in row] for row in A], [Fraction(a) for a in b], [Fraction(a) for a in got]
+        r = max(abs(bx[i] - sum(a * x for a, x in zip(Ax[i], xx))) for i in range(n))
+        norm_A = max(sum(abs(a) for a in row) for row in Ax)
+        scale = norm_A * max(map(abs, xx)) + max(map(abs, bx))
+        assert r <= gamma(3 * n) * n * n * 2 ** (n - 1) * scale
+
+    @given(system=diagonal_systems())
+    @example(system=([[2.0, 0.0], [-0.0, 3.0]], [1.0, -0.0]))  # a zero b_i
+    @example(system=([[3.0, -0.0], [0.0, 10.0]], [5.0, 0.1]))  # not a reciprocal
+    @example(system=([[1e-300, 0.0], [0.0, 2.0]], [1e300, 1.0]))  # an overflowing quotient
+    @example(system=([[2.0, 0.0], [0.0, 1e-300]], [1.0, 1e300]))  # meeting a zero in back substitution
+    @example(system=([[2.0, 0.0], [0.0, 0.0]], [1.0, 1.0]))  # a zero pivot
+    @settings(max_examples=400, deadline=None)
+    def test_the_diagonal_shortcut_has_the_eliminations_bits(self, system):
+        A, b = system
+        got = _solver(len(b))(*[x for row in A for x in row], *b)
+        want = fixed_solve(A, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert canonical_bits(got) == canonical_bits(want)
+
+    def test_a_diagonal_system_takes_the_shortcut(self):
+        # the bit test above would hold vacuously if the shortcut never
+        # answered: its rule is the one place the solve calls _finite
+        # before the elimination, and an answered shortcut calls it twice
+        calls = []
+        A, b, x = names("A", 4), names("b", 2), names("x", 2)
+        kernel = source_kernel(A + b, _solve_source(A, b, x, "_fail()"), x,
+                               _finite=lambda y: calls.append(y) or math.isfinite(y))
+        assert kernel(2.0, -0.0, 0.0, 4.0, 1.0, -3.0) == (0.5, -0.75) and len(calls) == 2
+        calls.clear()
+        assert kernel(2.0, 1.0, 0.0, 4.0, 1.0, -3.0) == tuple(fixed_solve([[2.0, 1.0], [0.0, 4.0]], [1.0, -3.0]))
+        assert not calls
+
+    def test_tied_pivots_take_the_first_row(self):
+        # |0.3| = |-0.3| in the first column: the first row pivots, and the
+        # other tie rule, the second row, which is the first of the system
+        # with its rows swapped, has other bits
+        A, b = [[0.3, 5.0], [-0.3, 0.2]], [1.1, 0.2]
+        want = fixed_solve(A, b)
+        assert want == [-0.4999999999999997, 0.25] != fixed_solve(A[::-1], b[::-1])
+        assert list(_solver(2)(0.3, 5.0, -0.3, 0.2, 1.1, 0.2)) == want
+        # the implicit step factors and substitutes its reduced matrix with
+        # the same two builders, under its own names
+        a, pivots = dynamics._reduced_names(1)
+        lines = _factor_source(a, pivots, "_fail('jacobian')") + _substitute_source(a, pivots, ["b0", "b1"])
+        kernel = source_kernel(["a0_0", "a0_1", "a1_0", "a1_1", "b0", "b1"], lines, ["b0", "b1"])
+        assert list(kernel(0.3, 5.0, -0.3, 0.2, 1.1, 0.2)) == want
+        step = dynamics._implicit_step_source(1)
+        assert all(line in step for line in lines)
 
 
 class TestJetKernelCache:
